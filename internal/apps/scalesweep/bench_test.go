@@ -76,8 +76,6 @@ func BenchmarkReduce1024Parts8(b *testing.B) { benchPoint(b, 1024, 8) }
 // rounds and across the fabric (i + hosts/2) every sixteenth — the
 // mostly-partition-local traffic pattern the pod-boundary cut is designed
 // for, with enough cross-cut flow to keep the lookahead machinery honest.
-// Returns the Engine/Group Run wall plus, when partitioned, the projection
-// inputs.
 //
 // The tree is k=16, not the minimal k=12 DefaultFatTreeConfig would pick:
 // 256 hosts fill exactly four 64-host pods, so at 4 partitions each rank
@@ -85,19 +83,7 @@ func BenchmarkReduce1024Parts8(b *testing.B) { benchPoint(b, 1024, 8) }
 // tree the hosts span 7.1 pods and one rank ends up with 40 hosts against
 // the others' 72, which caps the critical-path speedup near 2.9x for
 // reasons that have nothing to do with the engine.
-func runExchange(hosts, k, parts int) (run, proj time.Duration, end sim.Time) {
-	run, _, proj, _, _, end = runExchangeFull(hosts, k, parts)
-	return run, proj, end
-}
-
-// runExchangeStats returns the noise-robust projection inputs: the run and
-// busy walls (long intervals) and the deterministic event counts.
-func runExchangeStats(hosts, k, parts int) (run, busy time.Duration, evTotal, evCrit int64) {
-	run, busy, _, evTotal, evCrit, _ = runExchangeFull(hosts, k, parts)
-	return run, busy, evTotal, evCrit
-}
-
-func runExchangeFull(hosts, k, parts int) (run, busy, proj time.Duration, evTotal, evCrit int64, end sim.Time) {
+func runExchange(hosts, k, parts int) exchangeResult {
 	cfg := cluster.DefaultFatTreeConfig(hosts)
 	if k > 0 {
 		cfg.K = k
@@ -109,33 +95,57 @@ func runExchangeFull(hosts, k, parts int) (run, busy, proj time.Duration, evTota
 		c.Group.SetSequential(true)
 	}
 	c.Start()
-	const rounds = 32
+	// Flows number from 1: nic.Post reads flow 0 as a request for a fresh
+	// flow id, which would leave the receiver waiting on flow 0 forever.
+	flow := func(r, i int) int64 { return int64(r*hosts + i + 1) }
+	done := make([]int, hosts)
 	for i := 0; i < hosts; i++ {
 		i := i
 		h := c.Host(i)
 		c.EngineFor(h.ID()).Spawn(fmt.Sprintf("ex%d", i), func(p *sim.Proc) {
-			for r := 0; r < rounds; r++ {
+			for r := 0; r < exchangeRounds; r++ {
 				partner := i ^ 1
 				if r%16 == 15 {
 					partner = (i + hosts/2) % hosts
 				}
 				h.SendMessage(p, &san.Message{
-					Hdr:  san.Header{Dst: c.Host(partner).ID(), Type: san.Data, Flow: int64(r*hosts + i)},
+					Hdr:  san.Header{Dst: c.Host(partner).ID(), Type: san.Data, Flow: flow(r, i)},
 					Size: 4 << 10,
 				}, 0)
-				h.RecvFlow(p, c.Host(partner).ID(), int64(r*hosts+partner))
+				h.RecvFlow(p, c.Host(partner).ID(), flow(r, partner))
+				done[i]++
 			}
 		})
 	}
+	var x exchangeResult
 	z := time.Now()
-	end = c.Run()
-	run = time.Since(z)
+	x.end = c.Run()
+	x.run = time.Since(z)
 	if c.Group != nil {
-		busy = c.Group.BusyTime()
-		proj = run - busy + c.Group.CriticalPath()
-		evTotal, evCrit = c.Group.EventsTotal(), c.Group.EventsCritical()
+		x.busy = c.Group.BusyTime()
+		x.proj = x.run - x.busy + c.Group.CriticalPath()
+		x.evTotal, x.evCrit = c.Group.EventsTotal(), c.Group.EventsCritical()
 	}
-	return run, busy, proj, evTotal, evCrit, end
+	for _, n := range done {
+		if n == exchangeRounds {
+			x.finished++
+		}
+	}
+	return x
+}
+
+// exchangeRounds is how many rounds runExchange runs.
+const exchangeRounds = 32
+
+// exchangeResult is one runExchange: the Engine/Group Run wall; when
+// partitioned, the busy-time projection and the noise-robust inputs of
+// BenchmarkExchangeSpeedup256 (busy wall and deterministic event counts);
+// the simulated end time; and how many hosts finished every round.
+type exchangeResult struct {
+	run, busy, proj time.Duration
+	evTotal, evCrit int64
+	end             sim.Time
+	finished        int
 }
 
 func benchExchange(b *testing.B, hosts, k, parts int) {
@@ -146,11 +156,11 @@ func benchExchange(b *testing.B, hosts, k, parts int) {
 		b.StopTimer()
 		runtime.GC()
 		b.StartTimer()
-		run, proj, _ := runExchange(hosts, k, parts)
+		x := runExchange(hosts, k, parts)
 		b.StopTimer()
-		runs = append(runs, run)
+		runs = append(runs, x.run)
 		if parts > 1 {
-			projs = append(projs, proj)
+			projs = append(projs, x.proj)
 		}
 		b.StartTimer()
 	}
@@ -183,11 +193,11 @@ func BenchmarkExchangeSpeedup256(b *testing.B) {
 	var ratios []float64
 	for i := 0; i < b.N; i++ {
 		runtime.GC()
-		sRun, _, _ := runExchange(256, 16, 1)
+		s := runExchange(256, 16, 1)
 		runtime.GC()
-		pRun, pBusy, evTotal, evCrit := runExchangeStats(256, 16, 4)
-		projected := time.Duration(float64(sRun)*float64(evCrit)/float64(evTotal)) + (pRun - pBusy)
-		ratios = append(ratios, float64(sRun)/float64(projected))
+		p := runExchange(256, 16, 4)
+		projected := time.Duration(float64(s.run)*float64(p.evCrit)/float64(p.evTotal)) + (p.run - p.busy)
+		ratios = append(ratios, float64(s.run)/float64(projected))
 	}
 	sort.Float64s(ratios)
 	b.ReportMetric(ratios[len(ratios)/2], "speedup-x")
@@ -198,12 +208,18 @@ func BenchmarkExchangeSpeedup256(b *testing.B) {
 // partitioned, or the serial/projected comparison above is comparing two
 // different runs. (A fully synchronized all-to-all burst CAN diverge — see
 // the arbitration-tie boundary in PERFORMANCE.md — which is why the bench
-// pattern spaces its cross-fabric rounds and why this test pins it.)
+// pattern spaces its cross-fabric rounds and why this test pins it.) Every
+// host must also finish every round: an equal end time alone would not
+// notice hosts that stall waiting on a message that never comes.
 func TestExchangeIdentity(t *testing.T) {
-	_, _, serial := runExchange(256, 16, 1)
-	_, _, part := runExchange(256, 16, 4)
-	if serial != part {
-		t.Fatalf("exchange end time diverged: serial %v, 4 partitions %v", serial, part)
+	serial := runExchange(256, 16, 1)
+	part := runExchange(256, 16, 4)
+	if serial.end != part.end {
+		t.Fatalf("exchange end time diverged: serial %v, 4 partitions %v", serial.end, part.end)
+	}
+	if serial.finished != 256 || part.finished != 256 {
+		t.Fatalf("hosts finishing all %d rounds: %d of 256 serially, %d of 256 at 4 partitions",
+			exchangeRounds, serial.finished, part.finished)
 	}
 }
 

@@ -60,8 +60,11 @@ type line struct {
 // Cache is a single set-associative array. It models tags only — data
 // contents live in the benchmark's own Go values.
 type Cache struct {
-	cfg     Config
-	sets    [][]line
+	cfg Config
+	// lines holds every tag, set-major: way w of set s is lines[s*assoc+w].
+	// One pointer-free array costs one allocation and no GC scanning.
+	lines   []line
+	assoc   int64
 	setMask int64
 	shift   uint
 	tick    int64
@@ -80,16 +83,18 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	n := cfg.sets()
-	sets := make([][]line, n)
-	ways := make([]line, n*int64(cfg.Assoc))
-	for i := range sets {
-		sets[i], ways = ways[:cfg.Assoc:cfg.Assoc], ways[cfg.Assoc:]
-	}
 	shift := uint(0)
 	for l := cfg.LineSize; l > 1; l >>= 1 {
 		shift++
 	}
-	return &Cache{cfg: cfg, sets: sets, setMask: n - 1, shift: shift, mru: make([]int32, n)}
+	return &Cache{
+		cfg:     cfg,
+		lines:   make([]line, n*int64(cfg.Assoc)),
+		assoc:   int64(cfg.Assoc),
+		setMask: n - 1,
+		shift:   shift,
+		mru:     make([]int32, n),
+	}
 }
 
 // Config returns the geometry.
@@ -105,12 +110,18 @@ func (c *Cache) index(addr int64) (set int64, tag int64) {
 	return lineAddr & c.setMask, lineAddr
 }
 
+// ways returns set's lines.
+func (c *Cache) ways(set int64) []line {
+	lo := set * c.assoc
+	return c.lines[lo : lo+c.assoc : lo+c.assoc]
+}
+
 // Access looks up addr, allocating the line on a miss. It returns whether
 // the access hit and, on miss, whether a dirty victim was written back.
 // write marks the line dirty.
 func (c *Cache) Access(addr int64, write bool) (hit bool, writeback bool) {
 	set, tag := c.index(addr)
-	ways := c.sets[set]
+	ways := c.ways(set)
 	c.tick++
 	c.stats.Accesses++
 	// MRU-first probe: re-touching the set's hottest line — the common case
@@ -164,7 +175,7 @@ func (c *Cache) Access(addr int64, write bool) (hit bool, writeback bool) {
 // counters. Used by tests and invariant checks.
 func (c *Cache) Contains(addr int64) bool {
 	set, tag := c.index(addr)
-	for _, w := range c.sets[set] {
+	for _, w := range c.ways(set) {
 		if w.valid && w.tag == tag {
 			return true
 		}
@@ -176,7 +187,7 @@ func (c *Cache) Contains(addr int64) bool {
 // whether it was present.
 func (c *Cache) Invalidate(addr int64) bool {
 	set, tag := c.index(addr)
-	ways := c.sets[set]
+	ways := c.ways(set)
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == tag {
 			ways[i] = line{}
@@ -189,14 +200,12 @@ func (c *Cache) Invalidate(addr int64) bool {
 // Flush invalidates every line, returning how many dirty lines were
 // discarded (the caller decides whether to charge writebacks).
 func (c *Cache) Flush() (dirty int) {
-	for _, ways := range c.sets {
-		for i := range ways {
-			if ways[i].valid && ways[i].dirty {
-				dirty++
-			}
-			ways[i] = line{}
+	for i := range c.lines {
+		if c.lines[i].valid && c.lines[i].dirty {
+			dirty++
 		}
 	}
+	clear(c.lines)
 	return dirty
 }
 

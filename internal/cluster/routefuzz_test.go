@@ -87,6 +87,15 @@ func endpoints(c *Cluster) []san.NodeID {
 	return ids
 }
 
+// peerOf returns the switch behind port on switch i, or -1 when port is
+// -1 (no route) or leads to an endpoint.
+func peerOf(c *Cluster, i, port int) int {
+	if port < 0 {
+		return -1
+	}
+	return c.Topo.PortPeer[i][port]
+}
+
 // homeSwitch finds the switch index owning a destination: the attach point
 // for hosts/stores, the switch itself for switch ids.
 func homeSwitch(c *Cluster, dst san.NodeID) int {
@@ -129,8 +138,8 @@ func TestRouteFuzzLoopFree(t *testing.T) {
 					if port < 0 {
 						t.Fatalf("round %d: %s has no route to %d", round, sw.Name(), dst)
 					}
-					next, ok := c.Topo.PortPeer[at][port]
-					if !ok {
+					next := c.Topo.PortPeer[at][port]
+					if next < 0 {
 						t.Fatalf("round %d: %s routes %d out endpoint port %d", round, sw.Name(), dst, port)
 					}
 					at = next
@@ -187,8 +196,8 @@ func walkTo(t *testing.T, c *Cluster, round, start int, dst san.NodeID) {
 		if port < 0 {
 			t.Fatalf("round %d: %s has no route to %d", round, sw.Name(), dst)
 		}
-		next, ok := c.Topo.PortPeer[at][port]
-		if !ok {
+		next := c.Topo.PortPeer[at][port]
+		if next < 0 {
 			t.Fatalf("round %d: %s routes %d out endpoint port %d", round, sw.Name(), dst, port)
 		}
 		at = next
@@ -336,8 +345,8 @@ func TestRouteFuzzBackupEqualCost(t *testing.T) {
 				}
 				prim := sw.Route(dst)
 				back := sw.BackupRoute(dst)
-				pn, ok := c.Topo.PortPeer[i][prim]
-				if !ok || d[pn] != d[i]-1 {
+				pn := peerOf(c, i, prim)
+				if pn < 0 || d[pn] != d[i]-1 {
 					t.Fatalf("round %d: switch %d primary to %d not on a shortest path", round, i, dst)
 				}
 				if back < 0 {
@@ -346,8 +355,11 @@ func TestRouteFuzzBackupEqualCost(t *testing.T) {
 				if back == prim {
 					t.Fatalf("round %d: switch %d backup to %d equals primary", round, i, dst)
 				}
-				bn, ok := c.Topo.PortPeer[i][back]
-				if !ok || d[bn] != d[i]-1 {
+				bn := peerOf(c, i, back)
+				if bn < 0 {
+					t.Fatalf("round %d: switch %d backup to %d out endpoint port %d", round, i, dst, back)
+				}
+				if d[bn] != d[i]-1 {
 					t.Fatalf("round %d: switch %d backup to %d not equal-cost (peer dist %d, want %d)",
 						round, i, dst, d[bn], d[i]-1)
 				}

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"activesan/internal/aswitch"
@@ -129,9 +128,9 @@ type TopoInfo struct {
 	Sw []*aswitch.ActiveSwitch
 	// Index maps a switch's node id back to its spec index.
 	Index map[san.NodeID]int
-	// PortPeer gives, per spec index, the peer switch behind each trunk
-	// port. Endpoint ports are absent.
-	PortPeer []map[int]int
+	// PortPeer gives, per spec index, the peer switch behind each port:
+	// one entry per port, -1 for endpoint and unattached ports.
+	PortPeer [][]int
 	// Attach maps every endpoint id to the spec index of its switch.
 	Attach map[san.NodeID]int
 }
@@ -208,7 +207,7 @@ func build(t Topology, eng *sim.Engine, g *sim.Group, part []int) *Cluster {
 		Spec:     t,
 		Sw:       make([]*aswitch.ActiveSwitch, n),
 		Index:    make(map[san.NodeID]int, n),
-		PortPeer: make([]map[int]int, n),
+		PortPeer: make([][]int, n),
 		Attach:   make(map[san.NodeID]int),
 	}
 	c := &Cluster{Eng: eng, Group: g, Part: part, Topo: info}
@@ -226,7 +225,10 @@ func build(t Topology, eng *sim.Engine, g *sim.Group, part []int) *Cluster {
 		sw := aswitch.New(engOf(i), SwitchIDBase+san.NodeID(i), spec.Name, cfg)
 		info.Sw[i] = sw
 		info.Index[sw.ID()] = i
-		info.PortPeer[i] = make(map[int]int)
+		info.PortPeer[i] = make([]int, ports)
+		for p := range info.PortPeer[i] {
+			info.PortPeer[i][p] = -1
+		}
 		c.Switches = append(c.Switches, sw)
 	}
 
@@ -284,42 +286,33 @@ func build(t Topology, eng *sim.Engine, g *sim.Group, part []int) *Cluster {
 // and every endpoint attached to it.
 func installShortestPaths(info *TopoInfo) {
 	n := len(info.Sw)
-	// Sorted trunk-port lists make candidate order a pure function of the
-	// spec.
-	ports := make([][]int, n)
-	for i := range ports {
-		for p := range info.PortPeer[i] {
-			ports[i] = append(ports[i], p)
-		}
-		sort.Ints(ports[i])
-	}
-
-	// destsAt[t]: node ids routed toward switch t.
+	// destsAt[t]: node ids routed toward switch t, ascending — the switch
+	// itself, then its hosts and stores in spec order.
 	destsAt := make([][]san.NodeID, n)
 	for i, sw := range info.Sw {
 		destsAt[i] = append(destsAt[i], sw.ID())
 	}
-	// Attach iteration must be deterministic: walk ids in sorted order.
-	epIDs := make([]san.NodeID, 0, len(info.Attach))
-	for id := range info.Attach {
-		epIDs = append(epIDs, id)
+	for i, h := range info.Spec.Hosts {
+		destsAt[h.Switch] = append(destsAt[h.Switch], HostIDBase+san.NodeID(i))
 	}
-	sort.Slice(epIDs, func(a, b int) bool { return epIDs[a] < epIDs[b] })
-	for _, id := range epIDs {
-		at := info.Attach[id]
-		destsAt[at] = append(destsAt[at], id)
+	for j, st := range info.Spec.Stores {
+		destsAt[st.Switch] = append(destsAt[st.Switch], StoreIDBase+san.NodeID(j))
 	}
 
 	dist := make([]int, n)
+	queue := make([]int, 0, n)
+	var cand []int
 	for tIdx := 0; tIdx < n; tIdx++ {
-		bfsFrom(info, tIdx, dist)
+		queue = bfsFrom(info, tIdx, dist, queue)
 		for s := 0; s < n; s++ {
 			if s == tIdx || dist[s] < 0 {
 				continue
 			}
-			var cand []int
-			for _, p := range ports[s] {
-				if peer := info.PortPeer[s][p]; dist[peer] == dist[s]-1 {
+			// Candidates in port order make the choice a pure function of
+			// the spec.
+			cand = cand[:0]
+			for p, peer := range info.PortPeer[s] {
+				if peer >= 0 && dist[peer] == dist[s]-1 {
 					cand = append(cand, p)
 				}
 			}
@@ -339,23 +332,24 @@ func installShortestPaths(info *TopoInfo) {
 }
 
 // bfsFrom fills dist with hop counts from switch t over the trunk graph
-// (-1 = unreachable).
-func bfsFrom(info *TopoInfo, t int, dist []int) {
+// (-1 = unreachable), using queue's storage for the BFS queue, and returns
+// that storage for reuse.
+func bfsFrom(info *TopoInfo, t int, dist []int, queue []int) []int {
 	for i := range dist {
 		dist[i] = -1
 	}
 	dist[t] = 0
-	queue := []int{t}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
+	queue = append(queue[:0], t)
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
 		for _, peer := range info.PortPeer[v] {
-			if dist[peer] < 0 {
+			if peer >= 0 && dist[peer] < 0 {
 				dist[peer] = dist[v] + 1
 				queue = append(queue, peer)
 			}
 		}
 	}
+	return queue
 }
 
 // SwitchesByRole returns the switches tagged with role in spec order — the

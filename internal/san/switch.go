@@ -89,8 +89,7 @@ type Switch struct {
 	name   string
 	cfg    SwitchConfig
 	ports  []Port
-	routes map[NodeID]int
-	backup map[NodeID]int
+	routes routeTable
 	pool   *sim.Semaphore
 	outQ   []*sim.Queue[*Packet]
 	local  LocalSink
@@ -114,16 +113,14 @@ func NewSwitch(eng *sim.Engine, id NodeID, name string, cfg SwitchConfig) *Switc
 		panic("san: switch needs ports")
 	}
 	s := &Switch{
-		eng:    eng,
-		id:     id,
-		name:   name,
-		cfg:    cfg,
-		ports:  make([]Port, cfg.Ports),
-		routes: make(map[NodeID]int),
-		backup: make(map[NodeID]int),
-		pool:   sim.NewSemaphore(cfg.PoolPackets),
-		outQ:   make([]*sim.Queue[*Packet], cfg.Ports),
-		arb:    sim.NewArbiter(eng),
+		eng:   eng,
+		id:    id,
+		name:  name,
+		cfg:   cfg,
+		ports: make([]Port, cfg.Ports),
+		pool:  sim.NewSemaphore(cfg.PoolPackets),
+		outQ:  make([]*sim.Queue[*Packet], cfg.Ports),
+		arb:   sim.NewArbiter(eng),
 	}
 	for i := range s.outQ {
 		s.outQ[i] = sim.NewQueue[*Packet]()
@@ -186,23 +183,19 @@ func (s *Switch) SetRoute(dst NodeID, port int) {
 	if port < 0 || port >= s.cfg.Ports {
 		panic(fmt.Sprintf("san: route to port %d of %d-port switch", port, s.cfg.Ports))
 	}
-	s.routes[dst] = port
+	s.routes.slot(dst).primary = int32(port) + 1
 }
 
 // Route returns the output port for dst, or -1 if unroutable.
 func (s *Switch) Route(dst NodeID) int {
-	if p, ok := s.routes[dst]; ok {
-		return p
-	}
-	return -1
+	p, _ := s.routes.ports(dst)
+	return p
 }
 
 // BackupRoute returns the backup output port for dst, or -1 if none.
 func (s *Switch) BackupRoute(dst NodeID) int {
-	if p, ok := s.backup[dst]; ok {
-		return p
-	}
-	return -1
+	_, b := s.routes.ports(dst)
+	return b
 }
 
 // SetBackupRoute directs packets for dst out of port when the primary
@@ -214,7 +207,7 @@ func (s *Switch) SetBackupRoute(dst NodeID, port int) {
 	if port < 0 || port >= s.cfg.Ports {
 		panic(fmt.Sprintf("san: backup route to port %d of %d-port switch", port, s.cfg.Ports))
 	}
-	s.backup[dst] = port
+	s.routes.slot(dst).backup = int32(port) + 1
 }
 
 // portUp reports whether port i can currently transmit: an unattached Out
@@ -229,17 +222,14 @@ func (s *Switch) portUp(i int) bool {
 // returns the primary anyway — the packet is then lost on the dead link,
 // where loss accounting and retransmission live.
 func (s *Switch) pickRoute(dst NodeID) (port int, rerouted bool) {
-	p, ok := s.routes[dst]
-	if ok && s.portUp(p) {
+	p, b := s.routes.ports(dst)
+	if p >= 0 && s.portUp(p) {
 		return p, false
 	}
-	if b, okb := s.backup[dst]; okb && s.portUp(b) {
-		return b, ok // a reroute only if a primary existed and was down
+	if b >= 0 && s.portUp(b) {
+		return b, p >= 0 // a reroute only if a primary existed and was down
 	}
-	if ok {
-		return p, false
-	}
-	return -1, false
+	return p, false
 }
 
 // noteNoRoute accounts an unroutable packet and, under -strict-routes,

@@ -257,55 +257,3 @@ func SortedKeys[V any](m map[string]V) []string {
 	sort.Strings(keys)
 	return keys
 }
-
-// Histogram collects duration samples and reports order statistics —
-// latency distributions for the interference and collective studies.
-type Histogram struct {
-	samples []sim.Time
-	sorted  bool
-	sum     sim.Time
-}
-
-// Add records one sample.
-func (h *Histogram) Add(d sim.Time) {
-	h.samples = append(h.samples, d)
-	h.sum += d
-	h.sorted = false
-}
-
-// N reports the sample count.
-func (h *Histogram) N() int { return len(h.samples) }
-
-// Mean reports the average sample (0 when empty).
-func (h *Histogram) Mean() sim.Time {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	return h.sum / sim.Time(len(h.samples))
-}
-
-// Quantile reports the q-quantile (0 <= q <= 1) by nearest rank; empty
-// histograms report 0.
-func (h *Histogram) Quantile(q float64) sim.Time {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	if !h.sorted {
-		sort.Slice(h.samples, func(i, j int) bool { return h.samples[i] < h.samples[j] })
-		h.sorted = true
-	}
-	if q <= 0 {
-		return h.samples[0]
-	}
-	if q >= 1 {
-		return h.samples[len(h.samples)-1]
-	}
-	idx := int(q * float64(len(h.samples)))
-	if idx >= len(h.samples) {
-		idx = len(h.samples) - 1
-	}
-	return h.samples[idx]
-}
-
-// Max reports the largest sample.
-func (h *Histogram) Max() sim.Time { return h.Quantile(1) }

@@ -153,33 +153,3 @@ func TestSortedKeys(t *testing.T) {
 		t.Fatalf("keys = %v", got)
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	var h Histogram
-	if h.Mean() != 0 || h.Quantile(0.5) != 0 || h.N() != 0 {
-		t.Fatal("empty histogram misbehaves")
-	}
-	for i := 1; i <= 100; i++ {
-		h.Add(sim.Time(i))
-	}
-	if h.N() != 100 {
-		t.Fatalf("n = %d", h.N())
-	}
-	if h.Mean() != 50 { // (1+..+100)/100 = 50.5 truncated
-		t.Fatalf("mean = %v", h.Mean())
-	}
-	if q := h.Quantile(0.5); q != 51 {
-		t.Fatalf("p50 = %v, want 51 (nearest rank)", q)
-	}
-	if q := h.Quantile(0.99); q != 100 {
-		t.Fatalf("p99 = %v", q)
-	}
-	if h.Quantile(0) != 1 || h.Max() != 100 {
-		t.Fatalf("extremes = %v..%v", h.Quantile(0), h.Max())
-	}
-	// Adding after a quantile query re-sorts.
-	h.Add(sim.Time(1000))
-	if h.Max() != 1000 {
-		t.Fatal("late sample lost")
-	}
-}

@@ -135,7 +135,7 @@ func main() {
 
 	if *update {
 		b := baseline{
-			Note:       "Engine microbenchmark baseline; regenerate with: go test -run '^$' -bench . -benchmem ./internal/sim/ ./internal/cache/ ./internal/apps/scalesweep/ | go run ./scripts/benchdiff -update",
+			Note:       "Engine microbenchmark baseline; regenerate with: go test -run '^$' -bench . -benchmem ./internal/sim/ ./internal/cache/ ./internal/apps/scalesweep/ ./internal/collective/ ./internal/cluster/ | go run ./scripts/benchdiff -update",
 			Benchmarks: got,
 		}
 		data, err := json.MarshalIndent(b, "", "  ")
