@@ -221,13 +221,6 @@ func RenderASCII(res *Result) string { return plot.ASCII(res) }
 // RenderSVG draws a result as a standalone SVG figure.
 func RenderSVG(res *Result) []byte { return plot.SVG(res) }
 
-// SetTracer installs a legacy string trace sink applied to every simulation
-// created afterwards (nil disables). Trace lines cover packet send/receive
-// at every link, switch and NIC, handler dispatch/invoke/retire, main-memory
-// cache misses and disk operations — the activesim CLI's -trace flag writes
-// them to a file.
-func SetTracer(fn func(t Time, msg string)) { sim.SetDefaultTracer(fn) }
-
 // Typed tracing and metrics.
 type (
 	// TraceEvent is one typed simulation trace record (category, name,
@@ -245,7 +238,10 @@ type (
 )
 
 // SetTraceSink installs a typed trace sink applied to every simulation
-// created afterwards (nil disables). Sinks installed while experiments run
+// created afterwards (nil disables). Events cover packet send/receive at
+// every link, switch and NIC, handler dispatch/invoke/retire, main-memory
+// cache misses and disk operations; the activesim CLI's -trace flag writes
+// them as text lines. Sinks installed while experiments run
 // in parallel are called from multiple goroutines and must lock —
 // NewChromeTraceWriter's sink already does.
 func SetTraceSink(sink TraceSink) { sim.SetDefaultTraceSink(sink) }

@@ -125,14 +125,14 @@ func realMain() int {
 		// the mutex keeps the trace file and line budget coherent.
 		var mu sync.Mutex
 		lines := 0
-		activesan.SetTracer(func(t activesan.Time, msg string) {
+		activesan.SetTraceSink(func(ev activesan.TraceEvent) {
 			mu.Lock()
 			defer mu.Unlock()
 			if lines >= cf.TraceLimit {
 				return
 			}
 			lines++
-			fmt.Fprintf(w, "%-14v %s\n", t, msg)
+			fmt.Fprintf(w, "%-14v %s\n", ev.At, ev.String())
 		})
 	}
 

@@ -32,9 +32,13 @@
 //
 // -topology switches the reduce sweep's cluster between the paper's
 // reduction tree (the default) and a k-ary fat tree ("fattree" or
-// "fattree:K" — see TOPOLOGIES.md), e.g.
+// "fattree:K" — see TOPOLOGIES.md), which -partitions then splits across
+// simulation partitions (results are byte-identical), e.g.
 //
 //	sansweep -sweep reduce -nodes 4,16,64 -topology fattree
+//
+// -kind picks reduce-to-one (one), distributed reduce (dist) or
+// reduce-to-all (all, the allreduce).
 //
 // -handler-src compiles an HDL handler source file (see HANDLERS.md) and
 // installs it process-wide; it is shared flag wiring with cmd/activesim,
@@ -136,48 +140,14 @@ func parseInts(s string) []int {
 // sweepLines evaluates one line of output per point over a worker pool and
 // prints the lines in point order, so any -parallel value produces the
 // same output as a sequential sweep. A panicking point (fault-plan crash
-// under -strict-routes) is captured on its worker and re-raised — first
-// point first, for determinism — on the caller's goroutine, where the
-// deferred output flushing can see it.
+// under -strict-routes) is re-raised — first point first, for determinism
+// — on the caller's goroutine, where the deferred output flushing can see
+// it.
 func sweepLines(points []int, workers int, eval func(p int) string) {
-	if workers < 1 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(points) {
-		workers = len(points)
-	}
 	lines := make([]string, len(points))
-	if workers <= 1 {
-		for i, p := range points {
-			lines[i] = eval(p)
-		}
-	} else {
-		panics := make([]any, len(points))
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					func() {
-						defer func() { panics[i] = recover() }()
-						lines[i] = eval(points[i])
-					}()
-				}
-			}()
-		}
-		for i := range points {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-		for i, p := range panics {
-			if p != nil {
-				panic(fmt.Sprintf("sweep point %d panicked: %v", points[i], p))
-			}
-		}
-	}
+	apps.Parallel(len(points), workers,
+		func(i int) string { return fmt.Sprintf("sweep point %d", points[i]) },
+		func(i int) { lines[i] = eval(points[i]) })
 	for _, l := range lines {
 		fmt.Print(l)
 	}
@@ -229,24 +199,24 @@ func realMain() int {
 			fmt.Print(res.Format())
 
 		case "reduce":
-			k := reduce.ToOne
+			op := collective.Reduce
 			switch *kind {
 			case "dist":
-				k = reduce.Distributed
+				op = collective.ReduceScatter
 			case "all":
-				k = reduce.ToAll
+				op = collective.Allreduce
 			}
+			prm := collective.DefaultParams()
 			if *rounds > 0 {
 				sweepLines(parseInts(*nodes), *parallel, func(p int) string {
-					iso := reduce.Run(reduce.ToOne, true, p, reduce.DefaultParams()).Latency
-					r := reduce.RunPipelined(p, *rounds, reduce.DefaultParams())
+					iso := collective.Run(collective.Reduce, true, p, prm).Latency
+					r := collective.RunPipelined(p, *rounds, prm)
 					return fmt.Sprintf("p=%-4d rounds=%d total=%v per-round=%v isolated=%v correct=%v\n",
 						p, *rounds, r.Total, r.PerRound, iso, r.Correct)
 				})
 				return 0
 			}
-			res := reduce.SweepParallel(k, parseInts(*nodes), reduce.DefaultParams(), *parallel)
-			fmt.Print(res.Format())
+			fmt.Print(reduce.Sweep(op, parseInts(*nodes), prm, *parallel).Format())
 
 		case "md5":
 			prm := md5app.DefaultParams()

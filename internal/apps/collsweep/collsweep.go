@@ -12,8 +12,6 @@ package collsweep
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"activesan/internal/cluster"
 	"activesan/internal/collective"
@@ -163,14 +161,9 @@ func aggSnapshot(pt BudgetPoint) *metrics.Snapshot {
 	return snap
 }
 
-// RunAll runs the sweep sequentially.
-func RunAll(prm Params) *stats.Result { return RunAllParallel(prm, 1) }
-
-// RunAllParallel fans every measurement — the allreduce points and the
-// budget points — over one pool of `workers` goroutines. Results are
-// slotted by index, so any worker count is byte-identical to a sequential
-// run. workers < 1 selects runtime.NumCPU().
-func RunAllParallel(prm Params, workers int) *stats.Result {
+// RunAll runs every measurement: the allreduce points, the budget points
+// and the host-shuffle reference.
+func RunAll(prm Params) *stats.Result {
 	res := &stats.Result{
 		ID:    "collsweep",
 		Title: "In-network collectives: " + prm.Op.String() + " scaling and the aggregation spill cliff",
@@ -182,52 +175,16 @@ func RunAllParallel(prm Params, workers int) *stats.Result {
 
 	type pair struct{ passive, active Point }
 	points := make([]pair, len(prm.HostCounts))
+	for i, hosts := range prm.HostCounts {
+		points[i].passive = RunPoint(prm.Op, hosts, false, prm.Coll, parts)
+		points[i].active = RunPoint(prm.Op, hosts, true, prm.Coll, parts)
+	}
 	budgets := make([]BudgetPoint, len(prm.Budgets))
-	var aggRef BudgetPoint // the host-shuffle reference at the default budget
-
-	// One flat work list: index i < len(HostCounts) is an allreduce pair,
-	// then the budget points, then the passive reference.
-	njobs := len(prm.HostCounts) + len(prm.Budgets) + 1
-	runIdx := func(i int) {
-		switch {
-		case i < len(prm.HostCounts):
-			points[i].passive = RunPoint(prm.Op, prm.HostCounts[i], false, prm.Coll, parts)
-			points[i].active = RunPoint(prm.Op, prm.HostCounts[i], true, prm.Coll, parts)
-		case i < len(prm.HostCounts)+len(prm.Budgets):
-			b := i - len(prm.HostCounts)
-			budgets[b] = RunBudgetPoint(prm.AggHosts, prm.Budgets[b], true, prm.Coll, parts)
-		default:
-			aggRef = RunBudgetPoint(prm.AggHosts, 0, false, prm.Coll, parts)
-		}
+	for b, budget := range prm.Budgets {
+		budgets[b] = RunBudgetPoint(prm.AggHosts, budget, true, prm.Coll, parts)
 	}
-	if workers < 1 {
-		workers = runtime.NumCPU()
-	}
-	if workers > njobs {
-		workers = njobs
-	}
-	if workers <= 1 {
-		for i := 0; i < njobs; i++ {
-			runIdx(i)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					runIdx(i)
-				}
-			}()
-		}
-		for i := 0; i < njobs; i++ {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
+	// The host-shuffle reference at the default budget.
+	aggRef := RunBudgetPoint(prm.AggHosts, 0, false, prm.Coll, parts)
 
 	var passLat, actLat, passBytes, actBytes stats.Series
 	passLat.Name = "passive (recursive doubling)"

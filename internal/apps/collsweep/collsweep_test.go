@@ -26,16 +26,6 @@ func marshal(t *testing.T, v any) string {
 	return string(b)
 }
 
-// Worker fan-out must not change a byte of the result.
-func TestSweepByteIdenticalAcrossWorkers(t *testing.T) {
-	prm := smallParams()
-	a := marshal(t, RunAllParallel(prm, 1))
-	b := marshal(t, RunAllParallel(prm, 4))
-	if a != b {
-		t.Fatalf("1-worker and 4-worker sweeps differ:\n%s\n%s", a, b)
-	}
-}
-
 // Partitioned engines must not change a byte of the result either.
 func TestSweepByteIdenticalAcrossPartitions(t *testing.T) {
 	prm := smallParams()

@@ -11,8 +11,6 @@ package hdlsweep
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"activesan/internal/apps"
 	"activesan/internal/cluster"
@@ -160,14 +158,8 @@ func wordsEqual(a, b []uint32) bool {
 	return true
 }
 
-// RunAll runs the sweep sequentially.
-func RunAll(prm Params) *stats.Result { return RunAllParallel(prm, 1) }
-
-// RunAllParallel fans the (program, variant) points over `workers`
-// goroutines; output order follows Cases() whatever the completion order,
-// so any worker count is byte-identical to a sequential run. workers < 1
-// selects runtime.NumCPU().
-func RunAllParallel(prm Params, workers int) *stats.Result {
+// RunAll runs every (program, variant) point in Cases() order.
+func RunAll(prm Params) *stats.Result {
 	res := &stats.Result{
 		ID:    "hdlsweep",
 		Title: "HDL handlers: compiled-on-switch vs host interpreter",
@@ -182,45 +174,17 @@ func RunAllParallel(prm Params, workers int) *stats.Result {
 		err             error
 	}
 	points := make([]pair, len(cases))
-	runIdx := func(i int) {
-		c, err := hdl.Compile(cases[i].Src)
+	for i, cs := range cases {
+		c, err := hdl.Compile(cs.Src)
 		if err != nil {
 			points[i].err = err
-			return
+			continue
 		}
-		oracle := hdl.Interpret(c.AST, data, streamBase, cases[i].Params)
+		oracle := hdl.Interpret(c.AST, data, streamBase, cs.Params)
 		points[i].cycles = oracle.Cycles
 		points[i].instrs = len(c.Prog.Instrs)
-		points[i].active = RunActive(c, cases[i].Params, data, oracle.Out, prm)
-		points[i].passive = RunPassive(c, cases[i].Params, data, oracle.Out, prm)
-	}
-	if workers < 1 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(cases) {
-		workers = len(cases)
-	}
-	if workers <= 1 {
-		for i := range cases {
-			runIdx(i)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					runIdx(i)
-				}
-			}()
-		}
-		for i := range cases {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
+		points[i].active = RunActive(c, cs.Params, data, oracle.Out, prm)
+		points[i].passive = RunPassive(c, cs.Params, data, oracle.Out, prm)
 	}
 
 	var actLat, passLat stats.Series

@@ -10,11 +10,9 @@ package latsweep
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
-	"activesan/internal/apps/reduce"
 	"activesan/internal/cluster"
+	"activesan/internal/collective"
 	"activesan/internal/metrics"
 	"activesan/internal/san"
 	"activesan/internal/sim"
@@ -27,14 +25,14 @@ type Params struct {
 	// HostCounts are the swept cluster sizes.
 	HostCounts []int
 	// Reduce calibrates the collective at every point.
-	Reduce reduce.Params
+	Reduce collective.Params
 }
 
 // DefaultParams sweeps 4 to 64 hosts with the paper's 512-byte vectors.
 func DefaultParams() Params {
 	return Params{
 		HostCounts: []int{4, 8, 16, 32, 64},
-		Reduce:     reduce.DefaultParams(),
+		Reduce:     collective.DefaultParams(),
 	}
 }
 
@@ -55,13 +53,11 @@ type Point struct {
 // RunPoint measures one variant at one cluster size on the minimal fat
 // tree, with a telemetry recorder always attached — latsweep is the
 // experiment about telemetry, so it does not consult the process default.
-func RunPoint(hosts int, active bool, prm reduce.Params) Point {
-	eng := sim.NewEngine()
-	cfg := cluster.DefaultFatTreeConfig(hosts)
-	c := cluster.NewFatTreeCluster(eng, cfg)
+func RunPoint(hosts int, active bool, prm collective.Params) Point {
+	c := cluster.NewFatTreeCluster(sim.NewEngine(), cluster.DefaultFatTreeConfig(hosts))
 	rec := telemetry.NewRecorder()
 	rec.Attach(c)
-	r := reduce.RunOn(eng, c, reduce.ToOne, active, hosts, prm)
+	r := collective.RunOn(c, collective.Reduce, active, hosts, prm)
 	snap := metrics.NewSnapshot()
 	rec.Into(snap)
 	pt := Point{Hosts: hosts, Latency: r.Latency, Correct: r.Correct, Metrics: snap}
@@ -93,51 +89,18 @@ func (pt Point) perPacket() string {
 	return s
 }
 
-// RunAll runs the sweep sequentially.
-func RunAll(prm Params) *stats.Result { return RunAllParallel(prm, 1) }
-
-// RunAllParallel fans the sweep points over `workers` goroutines. Output
-// order follows HostCounts whatever the completion order, and the
-// histograms keep exact counts, so any worker count is byte-identical to a
-// sequential run. workers < 1 selects runtime.NumCPU().
-func RunAllParallel(prm Params, workers int) *stats.Result {
+// RunAll runs the sweep. The histograms keep exact counts, so the result
+// is byte-identical from run to run.
+func RunAll(prm Params) *stats.Result {
 	res := &stats.Result{
 		ID:    "latsweep",
 		Title: "Per-hop latency decomposition: active vs passive reduce",
 	}
-	if workers < 1 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(prm.HostCounts) {
-		workers = len(prm.HostCounts)
-	}
 	type pair struct{ passive, active Point }
 	points := make([]pair, len(prm.HostCounts))
-	runIdx := func(i int) {
-		points[i].passive = RunPoint(prm.HostCounts[i], false, prm.Reduce)
-		points[i].active = RunPoint(prm.HostCounts[i], true, prm.Reduce)
-	}
-	if workers <= 1 {
-		for i := range prm.HostCounts {
-			runIdx(i)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					runIdx(i)
-				}
-			}()
-		}
-		for i := range prm.HostCounts {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
+	for i, hosts := range prm.HostCounts {
+		points[i].passive = RunPoint(hosts, false, prm.Reduce)
+		points[i].active = RunPoint(hosts, true, prm.Reduce)
 	}
 
 	var passP50, actP50, passP99, actP99 stats.Series

@@ -1,21 +1,19 @@
 package latsweep
 
 import (
-	"encoding/json"
-	"reflect"
 	"testing"
 
-	"activesan/internal/apps/reduce"
+	"activesan/internal/collective"
 	"activesan/internal/san"
 )
 
 // smallParams keeps the test sweep fast.
 func smallParams() Params {
-	return Params{HostCounts: []int{4, 8}, Reduce: reduce.DefaultParams()}
+	return Params{HostCounts: []int{4, 8}, Reduce: collective.DefaultParams()}
 }
 
 func TestRunPointPopulatesTelemetry(t *testing.T) {
-	pt := RunPoint(8, true, reduce.DefaultParams())
+	pt := RunPoint(8, true, collective.DefaultParams())
 	if !pt.Correct {
 		t.Fatal("active reduce incorrect")
 	}
@@ -41,7 +39,7 @@ func TestRunPointPopulatesTelemetry(t *testing.T) {
 }
 
 func TestPassiveRunsNoHandler(t *testing.T) {
-	pt := RunPoint(8, false, reduce.DefaultParams())
+	pt := RunPoint(8, false, collective.DefaultParams())
 	if !pt.Correct {
 		t.Fatal("passive reduce incorrect")
 	}
@@ -53,33 +51,10 @@ func TestPassiveRunsNoHandler(t *testing.T) {
 	}
 }
 
-func TestRunAllParallelByteIdentical(t *testing.T) {
-	// Exact-count histograms plus index-ordered workers: any -parallel
-	// value must serialize to exactly the same result — the property the
-	// golden file pins.
-	prm := smallParams()
-	seq := RunAll(prm)
-	par := RunAllParallel(prm, 4)
-	a, err := json.Marshal(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a) != string(b) {
-		t.Fatalf("parallel sweep differs from sequential:\n--- seq\n%s\n--- par\n%s", a, b)
-	}
-	if !reflect.DeepEqual(seq.Notes, par.Notes) {
-		t.Fatal("notes differ")
-	}
-}
-
 func TestActiveBeatsPassiveAtScale(t *testing.T) {
 	// The paper's path-length argument, measured: at 16 hosts the active
 	// tree's p99 end-to-end latency beats the host MST's.
-	prm := reduce.DefaultParams()
+	prm := collective.DefaultParams()
 	pass := RunPoint(16, false, prm)
 	act := RunPoint(16, true, prm)
 	pp, ap := pass.Metrics.Get("telemetry/e2e/p99"), act.Metrics.Get("telemetry/e2e/p99")

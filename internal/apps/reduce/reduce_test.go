@@ -1,72 +1,11 @@
 package reduce
 
 import (
+	"strings"
 	"testing"
 
-	"activesan/internal/sim"
+	"activesan/internal/collective"
 )
-
-func TestVectorsDeterministic(t *testing.T) {
-	a := Vector(3, 64)
-	b := Vector(3, 64)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("vector generation not deterministic")
-		}
-	}
-}
-
-func TestSliceBoundsPartition(t *testing.T) {
-	for _, p := range []int{2, 3, 4, 8, 64, 128} {
-		covered := 0
-		prev := 0
-		for j := 0; j < p; j++ {
-			lo, hi := sliceBounds(j, p, 64)
-			if lo != prev {
-				t.Fatalf("p=%d: slice %d starts at %d, want %d", p, j, lo, prev)
-			}
-			covered += hi - lo
-			prev = hi
-		}
-		if covered != 64 {
-			t.Fatalf("p=%d: slices cover %d elems, want 64", p, covered)
-		}
-	}
-}
-
-func TestReduceCorrectBothModes(t *testing.T) {
-	prm := DefaultParams()
-	for _, kind := range []Kind{ToOne, Distributed} {
-		for _, p := range []int{2, 8, 16} {
-			for _, active := range []bool{false, true} {
-				r := Run(kind, active, p, prm)
-				if !r.Correct {
-					t.Errorf("%s p=%d active=%v: wrong result", kind, p, active)
-				}
-				if r.Latency <= 0 {
-					t.Errorf("%s p=%d active=%v: no latency recorded", kind, p, active)
-				}
-			}
-		}
-	}
-}
-
-func TestTable2Semantics(t *testing.T) {
-	// Table 2: Distributed Reduce leaves y_i at node i; Reduce-to-one
-	// leaves the whole y at node 0. Both must equal the element-wise sum.
-	prm := DefaultParams()
-	want := ExpectedSum(8, prm.Elems)
-	one := Run(ToOne, true, 8, prm)
-	dist := Run(Distributed, true, 8, prm)
-	for i := range want {
-		if one.Final[i] != want[i] {
-			t.Fatalf("reduce-to-one element %d = %d, want %d", i, one.Final[i], want[i])
-		}
-		if dist.Final[i] != want[i] {
-			t.Fatalf("distributed element %d = %d, want %d", i, dist.Final[i], want[i])
-		}
-	}
-}
 
 func TestShapeReduceSpeedupGrows(t *testing.T) {
 	// Paper Figures 15/16: the active switch tree scales as log_{N/2}(p)
@@ -75,25 +14,22 @@ func TestShapeReduceSpeedupGrows(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweeps up to 128 nodes")
 	}
-	prm := DefaultParams()
-	for _, kind := range []Kind{ToOne, Distributed} {
-		var prev float64
+	prm := collective.DefaultParams()
+	for _, op := range []collective.Op{collective.Reduce, collective.ReduceScatter} {
 		speedup := func(p int) float64 {
-			rn := Run(kind, false, p, prm)
-			ra := Run(kind, true, p, prm)
+			rn := collective.Run(op, false, p, prm)
+			ra := collective.Run(op, true, p, prm)
 			return float64(rn.Latency) / float64(ra.Latency)
 		}
 		s16 := speedup(16)
 		s64 := speedup(64)
 		s128 := speedup(128)
 		if !(s64 > s16) || !(s128 > s16) {
-			t.Errorf("%s: speedup not growing: s16=%.2f s64=%.2f s128=%.2f", kind, s16, s64, s128)
+			t.Errorf("%s: speedup not growing: s16=%.2f s64=%.2f s128=%.2f", op, s16, s64, s128)
 		}
 		if s128 < 2.0 {
-			t.Errorf("%s: speedup at 128 nodes = %.2f, want well above 2", kind, s128)
+			t.Errorf("%s: speedup at 128 nodes = %.2f, want well above 2", op, s128)
 		}
-		prev = s128
-		_ = prev
 	}
 }
 
@@ -101,119 +37,71 @@ func TestActiveBeatsLowerBoundAtScale(t *testing.T) {
 	// The paper's point: the active reduction beats ceil(log2 p)(a+l), the
 	// host-side lower bound. Approximate a+l by the measured p=2 normal
 	// latency (one round) and check at p=64.
-	prm := DefaultParams()
-	oneRound := Run(ToOne, false, 2, prm).Latency
+	prm := collective.DefaultParams()
+	oneRound := collective.Run(collective.Reduce, false, 2, prm).Latency
 	bound := 6 * oneRound // ceil(log2 64) = 6 rounds
-	got := Run(ToOne, true, 64, prm).Latency
+	got := collective.Run(collective.Reduce, true, 64, prm).Latency
 	if got >= bound {
 		t.Errorf("active latency %v does not beat MST lower bound %v", got, bound)
 	}
 }
 
 func TestSweepSeries(t *testing.T) {
-	res := Sweep(ToOne, []int{2, 8, 32}, DefaultParams())
-	if len(res.Series) != 3 {
-		t.Fatalf("series = %d, want 3 (normal, active, speedup)", len(res.Series))
-	}
-	for _, s := range res.Series[:2] {
-		if len(s.X) != 3 {
-			t.Fatalf("series %q has %d points", s.Name, len(s.X))
+	for _, op := range []collective.Op{collective.Reduce, collective.ReduceScatter, collective.Allreduce} {
+		res := Sweep(op, []int{2, 8, 32}, collective.DefaultParams(), 2)
+		if len(res.Series) != 3 {
+			t.Fatalf("%s: series = %d, want 3 (normal, active, speedup)", op, len(res.Series))
 		}
-		for _, y := range s.Y {
-			if y <= 0 {
-				t.Fatalf("series %q has non-positive latency", s.Name)
+		for _, s := range res.Series[:2] {
+			if len(s.X) != 3 {
+				t.Fatalf("%s: series %q has %d points", op, s.Name, len(s.X))
+			}
+			for _, y := range s.Y {
+				if y <= 0 {
+					t.Fatalf("%s: series %q has non-positive latency", op, s.Name)
+				}
+			}
+		}
+		for _, n := range res.Notes {
+			if strings.Contains(n, "INCORRECT") {
+				t.Fatalf("%s: sweep recorded incorrect results: %s", op, n)
 			}
 		}
 	}
-	for _, n := range res.Notes {
-		if len(n) >= 9 && n[:9] == "p=INCORRE" {
-			t.Fatalf("sweep recorded incorrect results: %s", n)
-		}
-	}
-	_ = sim.Time(0)
 }
 
 func TestReduceToAll(t *testing.T) {
 	// The paper: "the results for Reduce-to-all are similar to those for
-	// Reduce-to-one" — verify correctness and that the active latency is
-	// within ~2x of reduce-to-one (the extra broadcast fan-out).
-	prm := DefaultParams()
-	for _, p := range []int{4, 16} {
-		for _, active := range []bool{false, true} {
-			r := Run(ToAll, active, p, prm)
-			if !r.Correct {
-				t.Errorf("reduce-to-all p=%d active=%v: wrong result", p, active)
-			}
-		}
+	// Reduce-to-one". Reduce-to-all is the allreduce, whose multicast
+	// fan-out keeps the active latency within ~2x of reduce-to-one.
+	prm := collective.DefaultParams()
+	one := collective.Run(collective.Reduce, true, 16, prm)
+	all := collective.Run(collective.Allreduce, true, 16, prm)
+	if !one.Correct || !all.Correct {
+		t.Fatalf("reduce-to-one ok=%v, reduce-to-all ok=%v", one.Correct, all.Correct)
 	}
-	one := Run(ToOne, true, 16, prm)
-	all := Run(ToAll, true, 16, prm)
 	if all.Latency > 2*one.Latency {
 		t.Errorf("reduce-to-all (%v) not similar to reduce-to-one (%v)", all.Latency, one.Latency)
 	}
 }
 
-func TestNonPowerOfTwoNodeCounts(t *testing.T) {
-	// Binomial trees and switch trees must both handle ragged node counts
-	// (partial leaves, odd fan-in).
-	prm := DefaultParams()
-	counts := []int{3, 5, 12, 24, 100}
-	if testing.Short() {
-		counts = []int{3, 12}
-	}
-	for _, p := range counts {
-		for _, active := range []bool{false, true} {
-			for _, kind := range []Kind{ToOne, Distributed} {
-				r := Run(kind, active, p, prm)
-				if !r.Correct {
-					t.Errorf("%s p=%d active=%v: incorrect", kind, p, active)
-				}
-			}
-		}
-	}
-}
-
 func TestPipelinedReductions(t *testing.T) {
-	// Back-to-back reductions overlap across tree levels: the amortized
-	// per-round time of 16 rounds must beat the isolated latency, and every
-	// round's result must be exact.
-	prm := DefaultParams()
+	// Back-to-back reductions overlap across tree levels — "the switch can
+	// overlap the switch CPU execution with its duties as a normal switch"
+	// — so the amortized per-round time of 16 rounds must beat the
+	// isolated latency, and every round's result must be exact.
+	prm := collective.DefaultParams()
 	const p = 32
-	isolated := Run(ToOne, true, p, prm).Latency
-	res := RunPipelined(p, 16, prm)
+	isolated := collective.Run(collective.Reduce, true, p, prm).Latency
+	res := collective.RunPipelined(p, 16, prm)
 	if !res.Correct {
-		t.Fatal("pipelined rounds produced wrong sums")
+		t.Fatal("pipelined rounds produced wrong results")
 	}
 	if res.PerRound >= isolated {
 		t.Fatalf("pipelining gained nothing: per-round %v vs isolated %v", res.PerRound, isolated)
 	}
-}
-
-func TestPipelinedSingleRoundMatchesIsolated(t *testing.T) {
-	prm := DefaultParams()
-	res := RunPipelined(8, 1, prm)
-	if !res.Correct {
-		t.Fatal("single pipelined round incorrect")
-	}
-	iso := Run(ToOne, true, 8, prm).Latency
-	// Same machinery, round-tagged payloads: within 25%.
-	ratio := float64(res.Total) / float64(iso)
-	if ratio < 0.75 || ratio > 1.25 {
-		t.Fatalf("single-round pipelined %v vs isolated %v (ratio %.2f)", res.Total, iso, ratio)
-	}
-}
-
-func TestAllOperators(t *testing.T) {
-	// The paper lists max, min, sum, product and bit-wise ops; all must
-	// reduce correctly on both paths.
-	for _, op := range []Op{OpSum, OpMax, OpMin, OpProd, OpOr, OpAnd} {
-		prm := DefaultParams()
-		prm.Op = op
-		for _, active := range []bool{false, true} {
-			r := Run(ToOne, active, 8, prm)
-			if !r.Correct {
-				t.Errorf("op=%s active=%v: wrong result", op, active)
-			}
-		}
+	prm.Operator = collective.Max
+	if !collective.RunPipelined(p, 4, prm).Correct {
+		t.Fatal("pipelined max rounds produced wrong results")
 	}
 }

@@ -7,9 +7,9 @@ import (
 	"testing"
 	"time"
 
-	"activesan/internal/apps/reduce"
 	"activesan/internal/aswitch"
 	"activesan/internal/cluster"
+	"activesan/internal/collective"
 	"activesan/internal/san"
 	"activesan/internal/sim"
 )
@@ -47,7 +47,7 @@ func benchPoint(b *testing.B, hosts, parts int) {
 		// inflate the per-round critical path.
 		runtime.GC()
 		b.StartTimer()
-		r := reduce.RunOn(c.Eng, c, reduce.ToOne, true, hosts, prm)
+		r := collective.RunOn(c, collective.Reduce, true, hosts, prm)
 		b.StopTimer()
 		if !r.Correct {
 			b.Fatalf("incorrect reduction at %d hosts, %d partitions", hosts, parts)
@@ -251,7 +251,7 @@ func TestPartitionSpeedupProjection(t *testing.T) {
 	var serial, proj []time.Duration
 	for i := 0; i < reps; i++ {
 		c := cluster.NewPartitionedFatTreeCluster(cluster.DefaultFatTreeConfig(hosts), 1)
-		r := reduce.RunOn(c.Eng, c, reduce.ToOne, true, hosts, prm)
+		r := collective.RunOn(c, collective.Reduce, true, hosts, prm)
 		if !r.Correct {
 			t.Fatal("incorrect serial reduction")
 		}
@@ -259,7 +259,7 @@ func TestPartitionSpeedupProjection(t *testing.T) {
 
 		c = cluster.NewPartitionedFatTreeCluster(cluster.DefaultFatTreeConfig(hosts), parts)
 		c.Group.SetSequential(true)
-		r = reduce.RunOn(c.Eng, c, reduce.ToOne, true, hosts, prm)
+		r = collective.RunOn(c, collective.Reduce, true, hosts, prm)
 		if !r.Correct {
 			t.Fatal("incorrect partitioned reduction")
 		}

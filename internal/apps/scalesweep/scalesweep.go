@@ -11,11 +11,9 @@ package scalesweep
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
-	"activesan/internal/apps/reduce"
 	"activesan/internal/cluster"
+	"activesan/internal/collective"
 	"activesan/internal/sim"
 	"activesan/internal/stats"
 )
@@ -31,7 +29,7 @@ type Params struct {
 	// byte-identical whatever the value; see PERFORMANCE.md.
 	Partitions int
 	// Reduce calibrates the collective at every point.
-	Reduce reduce.Params
+	Reduce collective.Params
 }
 
 // DefaultParams sweeps 4 to 1024 hosts with the paper's 512-byte vectors,
@@ -41,7 +39,7 @@ func DefaultParams() Params {
 	return Params{
 		HostCounts: []int{4, 8, 16, 32, 64, 256, 1024},
 		Partitions: -1,
-		Reduce:     reduce.DefaultParams(),
+		Reduce:     collective.DefaultParams(),
 	}
 }
 
@@ -58,17 +56,17 @@ type Point struct {
 // RunPoint measures one variant at one cluster size on the minimal fat
 // tree with the serial engine. The cluster outlives the run so NIC counters
 // can be harvested.
-func RunPoint(hosts int, active bool, prm reduce.Params) Point {
+func RunPoint(hosts int, active bool, prm collective.Params) Point {
 	return RunPointParts(hosts, active, prm, 1)
 }
 
 // RunPointParts is RunPoint over `partitions` simulation partitions (0 =
 // auto from the topology, 1 = serial). Byte-identical to RunPoint at every
 // partition count.
-func RunPointParts(hosts int, active bool, prm reduce.Params, partitions int) Point {
+func RunPointParts(hosts int, active bool, prm collective.Params, partitions int) Point {
 	cfg := cluster.DefaultFatTreeConfig(hosts)
 	c := cluster.NewPartitionedFatTreeCluster(cfg, partitions)
-	r := reduce.RunOn(c.Eng, c, reduce.ToOne, active, hosts, prm)
+	r := collective.RunOn(c, collective.Reduce, active, hosts, prm)
 	var bytes int64
 	for _, h := range c.Hosts {
 		bytes += h.Traffic()
@@ -83,23 +81,12 @@ func RunPointParts(hosts int, active bool, prm reduce.Params, partitions int) Po
 	}
 }
 
-// RunAll runs the sweep sequentially.
-func RunAll(prm Params) *stats.Result { return RunAllParallel(prm, 1) }
-
-// RunAllParallel fans the sweep points over `workers` goroutines (each
-// point simulates active and passive on its own engines). Output order
-// follows HostCounts whatever the completion order, so any worker count is
-// byte-identical to a sequential run. workers < 1 selects runtime.NumCPU().
-func RunAllParallel(prm Params, workers int) *stats.Result {
+// RunAll runs the sweep. Each point simulates active and passive on its
+// own engines.
+func RunAll(prm Params) *stats.Result {
 	res := &stats.Result{
 		ID:    "scalesweep",
 		Title: "Reduce at scale on k-ary fat trees: active vs passive",
-	}
-	if workers < 1 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(prm.HostCounts) {
-		workers = len(prm.HostCounts)
 	}
 	parts := prm.Partitions
 	if parts < 0 {
@@ -107,31 +94,9 @@ func RunAllParallel(prm Params, workers int) *stats.Result {
 	}
 	type pair struct{ passive, active Point }
 	points := make([]pair, len(prm.HostCounts))
-	runIdx := func(i int) {
-		points[i].passive = RunPointParts(prm.HostCounts[i], false, prm.Reduce, parts)
-		points[i].active = RunPointParts(prm.HostCounts[i], true, prm.Reduce, parts)
-	}
-	if workers <= 1 {
-		for i := range prm.HostCounts {
-			runIdx(i)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					runIdx(i)
-				}
-			}()
-		}
-		for i := range prm.HostCounts {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
+	for i, hosts := range prm.HostCounts {
+		points[i].passive = RunPointParts(hosts, false, prm.Reduce, parts)
+		points[i].active = RunPointParts(hosts, true, prm.Reduce, parts)
 	}
 
 	var passLat, actLat, passBytes, actBytes stats.Series

@@ -2,7 +2,6 @@ package scalesweep
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 )
 
@@ -50,29 +49,6 @@ func TestHostIOSavingGrowsWithScale(t *testing.T) {
 			t.Errorf("p=%d: passive/active byte ratio %.3f did not grow (prev %.3f)", p, ratio, prev)
 		}
 		prev = ratio
-	}
-}
-
-// TestSweepDeterministicAcrossWorkers pins byte-identity of the sweep under
-// the parallel harness: the same Params through 1 worker and many workers
-// must serialize identically, including at the largest point.
-func TestSweepDeterministicAcrossWorkers(t *testing.T) {
-	prm := DefaultParams()
-	if testing.Short() {
-		prm.HostCounts = []int{4, 8}
-	}
-	serial := RunAll(prm)
-	parallel := RunAllParallel(prm, 4)
-	a, err := json.Marshal(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(parallel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Errorf("parallel sweep diverges from serial:\n%s\n%s", a, b)
 	}
 }
 

@@ -393,19 +393,19 @@ func DefaultTopology() (kind string, k int) {
 	return defTopoKind, defTopoK
 }
 
-// BuildCollective builds the cluster a collective reduction runs on,
-// honoring the -topology default: the paper's switch tree unless a fat tree
-// was selected. The returned cluster always has a populated Tree.
-func BuildCollective(eng *sim.Engine, cfg TreeConfig) *Cluster {
+// BuildCollective builds the p-host cluster a collective runs on from the
+// process defaults: the paper's switch tree, unless -topology selected a
+// fat tree, which then runs on -partitions simulation partitions (the tree
+// has no partition cut and always runs serial). The returned cluster
+// always has a populated Tree.
+func BuildCollective(p int) *Cluster {
 	kind, k := DefaultTopology()
-	if kind == "fattree" {
-		fcfg := DefaultFatTreeConfig(cfg.Hosts)
-		if k > 0 {
-			fcfg.K = k
-		}
-		fcfg.Switch = cfg.Switch
-		fcfg.Host = cfg.Host
-		return NewFatTreeCluster(eng, fcfg)
+	if kind != "fattree" {
+		return NewTreeCluster(sim.NewEngine(), DefaultTreeConfig(p))
 	}
-	return NewTreeCluster(eng, cfg)
+	cfg := DefaultFatTreeConfig(p)
+	if k > 0 {
+		cfg.K = k
+	}
+	return NewPartitionedFatTreeCluster(cfg, DefaultPartitions())
 }

@@ -282,25 +282,43 @@ func TestFatTreeCrossPodMessage(t *testing.T) {
 
 func TestBuildCollectiveHonorsDefault(t *testing.T) {
 	defer SetDefaultTopology("tree", 0)
+	defer SetDefaultPartitions(1)
 
 	SetDefaultTopology("tree", 0)
-	c := BuildCollective(sim.NewEngine(), DefaultTreeConfig(16))
+	c := BuildCollective(16)
 	if c.Topo.Spec.Switches[0].Name != "leaf0" {
 		t.Fatalf("tree default built %q", c.Topo.Spec.Switches[0].Name)
 	}
 	c.Shutdown()
 
 	SetDefaultTopology("fattree", 0)
-	c = BuildCollective(sim.NewEngine(), DefaultTreeConfig(16))
+	c = BuildCollective(16)
 	if got := len(c.Switches); got != 20 {
 		t.Fatalf("fattree default built %d switches, want 20 (k=4)", got)
+	}
+	if c.Group != nil {
+		t.Fatal("fattree built partitioned under the serial default")
 	}
 	c.Shutdown()
 
 	SetDefaultTopology("fattree", 6)
-	c = BuildCollective(sim.NewEngine(), DefaultTreeConfig(16))
+	c = BuildCollective(16)
 	if got := len(c.Switches); got != 45 {
 		t.Fatalf("fattree:6 built %d switches, want 45 (6*6 + 9)", got)
+	}
+	c.Shutdown()
+
+	// -partitions applies to fat trees; the tree has no cut and stays serial.
+	SetDefaultPartitions(2)
+	c = BuildCollective(16)
+	if c.Group == nil || c.Tree == nil {
+		t.Fatal("fattree under -partitions 2 built no partitioned group or overlay")
+	}
+	c.Shutdown()
+	SetDefaultTopology("tree", 0)
+	c = BuildCollective(16)
+	if c.Group != nil {
+		t.Fatal("tree built partitioned")
 	}
 	c.Shutdown()
 }

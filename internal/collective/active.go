@@ -1,13 +1,15 @@
 package collective
 
 // The active data path: in-switch handlers on the aggregation overlay.
-// Allreduce pairs an up-tree combine (LOAD_REDUCE style: children's vectors
-// admit into per-port argument windows and fold into a switch-memory
-// accumulator) with a down-tree multicast (STORE_MC style: each switch
-// forwards the result once per child subtree and once per member host).
-// Scatter splits a segment per child rank range on the way down; gather
-// concatenates rank slices on the way up. Key aggregation lives in
-// keyagg.go.
+// Allreduce, reduce and reduce-scatter share one up-tree combine handler
+// (LOAD_REDUCE style: children's vectors admit into per-port argument
+// windows and fold into a switch-memory accumulator). They differ only in
+// what the root does with the finished vector: allreduce and barrier
+// multicast it down (STORE_MC style: each switch forwards the result once
+// per child subtree and once per member host), reduce sends it to rank 0,
+// and reduce-scatter sends each rank its slice. Scatter splits a segment
+// per child rank range on the way down; gather concatenates rank slices on
+// the way up. Key aggregation lives in keyagg.go.
 
 import (
 	"activesan/internal/aswitch"
@@ -18,18 +20,20 @@ import (
 	"activesan/internal/sim"
 )
 
-// Collective handler ids sit above the reduce benchmark's (16) so the two
-// suites can never be confused in a trace.
+// Handler ids. The combine handler registers as "reduce", the name the
+// telemetry per-handler histograms key on.
 const (
-	upHandlerID      = 17
-	mcastHandlerID   = 18
-	scatterHandlerID = 19
-	gatherHandlerID  = 20
-	kaHandlerID      = 21
+	combineHandlerID = 16
+	mcastHandlerID   = 17
+	scatterHandlerID = 18
+	gatherHandlerID  = 19
+	kaHandlerID      = 20
 )
 
 // Flows for switch-to-host deliveries and the passive references.
 const (
+	reduceFlow  = 0x7050 // reduce/reduce-scatter result; + rank, binomial reduce-scatter
+	mstFlow     = 0x7060 // + round, binomial reduce
 	resultFlow  = 0x7100 // allreduce/barrier result multicast
 	scatterFlow = 0x7110 // scatter slice delivery
 	gatherFlow  = 0x7120 // gather result to rank 0
@@ -50,6 +54,10 @@ const (
 	scatterAddr = 50 * san.MTU
 )
 
+// accArena is how many accumulators a switch's combine memory holds;
+// pipelined rounds rotate through them.
+const accArena = 4
+
 // segMsg carries a contiguous element segment [Lo, Lo+len(Vals)).
 type segMsg struct {
 	Lo   int
@@ -63,17 +71,31 @@ func segSize(n int) int64 {
 	return int64(n) * 8
 }
 
-// upState is one switch's allreduce combine state plus its down-tree fan-out.
+// upVec is one contributor's vector (or a subtree's partial) for one round;
+// single-shot operations are round 0.
+type upVec struct {
+	Round int
+	Vals  []int64
+}
+
+// roundAcc is one round's accumulator at one switch.
+type roundAcc struct {
+	acc []int64
+	got int
+}
+
+// upState is one switch's combine state plus where its root delivers a
+// finished vector.
 type upState struct {
-	acc      []int64
-	got      int
+	rounds   []roundAcc
 	expected int
 	parent   san.NodeID
 	argAddr  int64
 	accBase  int64
 	vecBytes int64
-	childSw  []san.NodeID
+	childSw  []san.NodeID // allreduce/barrier multicast fan-out
 	members  []san.NodeID
+	hosts    []san.NodeID // rank order: reduce and reduce-scatter delivery
 }
 
 // downState is one switch's multicast fan-out.
@@ -101,65 +123,97 @@ func deliverDown(x *aswitch.Ctx, vec []int64, childSw, members []san.NodeID, vec
 	}
 }
 
-// installAllreduce places the combine and multicast handlers on every
-// overlay-participating switch; pass-through switches stay conventional.
-func installAllreduce(c *cluster.Cluster, sh *shape, prm Params) {
+// installCombine places the combine handler, with `rounds` accumulators,
+// on every overlay-participating switch — plus the multicast handler for
+// allreduce and barrier. Pass-through switches stay conventional.
+func installCombine(c *cluster.Cluster, sh *shape, op Op, prm Params, rounds int) {
+	multicast := op == Allreduce || op == Barrier
 	for _, sw := range c.Switches {
 		id := sw.ID()
 		if c.Tree.Children[id] == 0 {
 			continue
 		}
 		st := &upState{
-			acc:      make([]int64, prm.Elems),
+			rounds:   make([]roundAcc, rounds),
 			expected: c.Tree.Children[id],
 			parent:   c.Tree.Parent[id],
 			argAddr:  sh.slot[id] * san.MTU,
-			accBase:  sw.Space().Alloc(prm.VectorBytes, 64),
+			accBase:  sw.Space().Alloc(prm.VectorBytes*accArena, 64),
 			vecBytes: prm.VectorBytes,
 			childSw:  sh.childSw[id],
 			members:  sh.members[id],
+			hosts:    sh.hostIDs,
 		}
-		sw.SetState(upHandlerID, st)
-		sw.Register(upHandlerID, "coll-reduce", allreduceUpHandler(prm))
-		sw.SetState(mcastHandlerID, &downState{
-			childSw: sh.childSw[id], members: sh.members[id], vecBytes: prm.VectorBytes,
-		})
-		sw.Register(mcastHandlerID, "coll-mcast", mcastHandler(prm))
+		for r := range st.rounds {
+			acc := make([]int64, prm.Elems)
+			for i := range acc {
+				acc[i] = prm.Operator.Identity()
+			}
+			st.rounds[r].acc = acc
+		}
+		sw.SetState(combineHandlerID, st)
+		sw.Register(combineHandlerID, "reduce", combineHandler(op, prm))
+		if multicast {
+			sw.SetState(mcastHandlerID, &downState{
+				childSw: sh.childSw[id], members: sh.members[id], vecBytes: prm.VectorBytes,
+			})
+			sw.Register(mcastHandlerID, "coll-mcast", mcastHandler(prm))
+		}
 	}
 }
 
-// allreduceUpHandler folds arriving vectors; the subtree-complete switch
-// forwards its partial up, and the root turns around into the multicast.
-func allreduceUpHandler(prm Params) aswitch.HandlerFunc {
+// combineHandler folds arriving vectors into the round's accumulator; the
+// subtree-complete switch forwards its partial up, and the root delivers
+// the result as op requires.
+func combineHandler(op Op, prm Params) aswitch.HandlerFunc {
 	return func(x *aswitch.Ctx) {
 		st := x.State().(*upState)
-		vec := x.Args().([]int64)
+		in := x.Args().(upVec)
+		// Read the vector out of the data buffer (valid-bit stalls model
+		// the overlap of copy and compute), then release it.
 		if b, ok := x.CPU().ATB().Lookup(x.BaseAddr()); ok {
 			x.ReadAll(b)
 			x.DeallocateBuf(b)
 		}
-		x.Compute(prm.SwitchAddCycles * int64(len(vec)))
-		for i, v := range vec {
+		x.Compute(prm.SwitchAddCycles * int64(len(in.Vals)))
+		ra := &st.rounds[in.Round]
+		arena := st.accBase + int64(in.Round%accArena)*st.vecBytes
+		for i, v := range in.Vals {
 			// The accumulator lives in switch memory; one line in four is
 			// touched architecturally (it fits the D-cache).
 			if i%4 == 0 {
-				x.MemLoad(st.accBase + int64(i)*8)
+				x.MemLoad(arena + int64(i)*8)
 			}
-			st.acc[i] += v
+			ra.acc[i] = prm.Operator.Apply(ra.acc[i], v)
 		}
-		st.got++
-		if st.got < st.expected {
+		ra.got++
+		if ra.got < st.expected {
 			return
 		}
-		acc := append([]int64(nil), st.acc...)
 		if st.parent != san.NoNode {
 			x.Send(aswitch.SendSpec{
-				Dst: st.parent, Type: san.ActiveMsg, HandlerID: upHandlerID,
-				Addr: st.argAddr, Size: st.vecBytes, Payload: acc,
+				Dst: st.parent, Type: san.ActiveMsg, HandlerID: combineHandlerID,
+				Addr: st.argAddr, Size: st.vecBytes, Payload: upVec{Round: in.Round, Vals: ra.acc},
 			})
 			return
 		}
-		deliverDown(x, acc, st.childSw, st.members, st.vecBytes)
+		switch op {
+		case Reduce:
+			x.Send(aswitch.SendSpec{
+				Dst: st.hosts[0], Type: san.Data, Addr: 0x1000,
+				Size: st.vecBytes, Flow: reduceFlow, Payload: upVec{Round: in.Round, Vals: ra.acc},
+			})
+		case ReduceScatter:
+			for j, dst := range st.hosts {
+				lo, hi := sliceBounds(j, len(st.hosts), len(ra.acc))
+				x.Send(aswitch.SendSpec{
+					Dst: dst, Type: san.Data, Addr: 0x1000,
+					Size: segSize(hi - lo), Flow: reduceFlow, Payload: segMsg{Lo: lo, Vals: ra.acc[lo:hi]},
+				})
+			}
+		default:
+			deliverDown(x, ra.acc, st.childSw, st.members, st.vecBytes)
+		}
 	}
 }
 
@@ -317,8 +371,8 @@ func gatherHandler(prm Params) aswitch.HandlerFunc {
 // installHandlers places the operation's handlers on the overlay.
 func installHandlers(c *cluster.Cluster, sh *shape, op Op, prm Params) {
 	switch op {
-	case Allreduce, Barrier:
-		installAllreduce(c, sh, prm)
+	case Allreduce, Barrier, Reduce, ReduceScatter:
+		installCombine(c, sh, op, prm, 1)
 	case Scatter:
 		installScatter(c, sh, prm)
 	case Gather:
@@ -328,29 +382,58 @@ func installHandlers(c *cluster.Cluster, sh *shape, op Op, prm Params) {
 	}
 }
 
+// sendUp posts rank's vector for each of `rounds` rounds to its leaf
+// switch's combine handler, reading it out of host memory first.
+func sendUp(proc *sim.Proc, c *cluster.Cluster, sh *shape, h *host.Host,
+	rank int, op Op, prm Params, rounds int) {
+	region := h.Space().Alloc(prm.VectorBytes, 64)
+	for r := 0; r < rounds; r++ {
+		vec := roundVector(rank, r, prm.Elems)
+		if op == Barrier {
+			vec = []int64{1}
+		}
+		h.CPU().TouchRange(proc, region, prm.VectorBytes, cache.Load)
+		h.SendMessage(proc, &san.Message{
+			Hdr: san.Header{
+				Dst: c.Tree.HostLeaf[h.ID()], Type: san.ActiveMsg,
+				HandlerID: combineHandlerID, Addr: sh.slot[h.ID()] * san.MTU,
+			},
+			Size:    prm.VectorBytes,
+			Payload: upVec{Round: r, Vals: vec},
+		}, region)
+	}
+}
+
+// recvPayload waits for the next message from src on flow and charges the
+// receive overhead.
+func recvPayload(proc *sim.Proc, h *host.Host, src san.NodeID, flow int64) any {
+	comp := h.RecvFlow(proc, src, flow)
+	h.CPU().BusyFor(proc, h.RecvCost())
+	return comp.Payloads[0]
+}
+
 // runActiveHost is rank `rank`'s process in an active collective.
 func runActiveHost(proc *sim.Proc, c *cluster.Cluster, sh *shape, h *host.Host,
 	rank int, op Op, prm Params, out [][]int64, setFinish func(sim.Time)) {
 	leaf := c.Tree.HostLeaf[h.ID()]
 	switch op {
 	case Allreduce, Barrier:
-		vec := HostVector(rank, prm.Elems)
-		if op == Barrier {
-			vec = []int64{1}
+		sendUp(proc, c, sh, h, rank, op, prm, 1)
+		out[rank] = append([]int64(nil), recvPayload(proc, h, leaf, resultFlow).([]int64)...)
+		setFinish(proc.Now())
+
+	case Reduce:
+		sendUp(proc, c, sh, h, rank, op, prm, 1)
+		if rank != 0 {
+			out[rank] = []int64{}
+			return
 		}
-		region := h.Space().Alloc(prm.VectorBytes, 64)
-		h.CPU().TouchRange(proc, region, prm.VectorBytes, cache.Load)
-		h.SendMessage(proc, &san.Message{
-			Hdr: san.Header{
-				Dst: leaf, Type: san.ActiveMsg,
-				HandlerID: upHandlerID, Addr: sh.slot[h.ID()] * san.MTU,
-			},
-			Size:    prm.VectorBytes,
-			Payload: vec,
-		}, region)
-		comp := h.RecvFlow(proc, leaf, resultFlow)
-		h.CPU().BusyFor(proc, h.RecvCost())
-		out[rank] = append([]int64(nil), comp.Payloads[0].([]int64)...)
+		out[0] = append([]int64(nil), recvPayload(proc, h, sh.root, reduceFlow).(upVec).Vals...)
+		setFinish(proc.Now())
+
+	case ReduceScatter:
+		sendUp(proc, c, sh, h, rank, op, prm, 1)
+		out[rank] = append([]int64(nil), recvPayload(proc, h, sh.root, reduceFlow).(segMsg).Vals...)
 		setFinish(proc.Now())
 
 	case Scatter:
@@ -368,10 +451,7 @@ func runActiveHost(proc *sim.Proc, c *cluster.Cluster, sh *shape, h *host.Host,
 				Payload: segMsg{Lo: 0, Vals: master},
 			}, region)
 		}
-		comp := h.RecvFlow(proc, leaf, scatterFlow)
-		h.CPU().BusyFor(proc, h.RecvCost())
-		s := comp.Payloads[0].(segMsg)
-		out[rank] = append([]int64(nil), s.Vals...)
+		out[rank] = append([]int64(nil), recvPayload(proc, h, leaf, scatterFlow).(segMsg).Vals...)
 		setFinish(proc.Now())
 
 	case Gather:
@@ -389,9 +469,7 @@ func runActiveHost(proc *sim.Proc, c *cluster.Cluster, sh *shape, h *host.Host,
 			Payload: segMsg{Lo: lo, Vals: vals},
 		}, region)
 		if rank == 0 {
-			comp := h.RecvFlow(proc, sh.root, gatherFlow)
-			h.CPU().BusyFor(proc, h.RecvCost())
-			out[0] = append([]int64(nil), comp.Payloads[0].(segMsg).Vals...)
+			out[0] = append([]int64(nil), recvPayload(proc, h, sh.root, gatherFlow).(segMsg).Vals...)
 		} else {
 			out[rank] = []int64{}
 		}

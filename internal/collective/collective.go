@@ -1,11 +1,14 @@
 // Package collective is the in-network collective-operations library: a
 // suite of group communication primitives layered on the aggregation
 // overlay (cluster.Cluster.Tree) that every shipped topology — the paper's
-// reduction tree and the k-ary fat trees — exposes. Four operations ship:
+// reduction tree and the k-ary fat trees — exposes. The operations:
 //
 //   - Allreduce: reduce up the overlay tree, multicast the result down the
 //     same tree (the tiny-switch LOAD_REDUCE / STORE_MC pairing), so every
 //     host ends with the full combined vector.
+//   - Reduce and ReduceScatter: the paper's reduce-to-one and distributed
+//     reduce (Figures 15/16). The same up-tree combine; the root sends the
+//     result to rank 0, or each rank its slice.
 //   - Barrier: the zero-payload allreduce fast path — 8-byte tokens up,
 //     an 8-byte release down.
 //   - Scatter / Gather: the root rank's vector is split down the tree per
@@ -18,7 +21,8 @@
 //
 // Every operation runs active (in-switch handlers) or passive (a host-only
 // reference algorithm: recursive doubling for allreduce/barrier, binomial
-// trees for scatter/gather, a direct combiner shuffle for key aggregation)
+// trees for reduce, scatter and gather, a direct combiner shuffle for key
+// aggregation)
 // and the two variants produce byte-identical per-host results, verified
 // against in-process oracles. Runs work on serial and partitioned clusters
 // alike and are byte-identical at any partition count. See COLLECTIVES.md.
@@ -46,6 +50,8 @@ const (
 	Scatter
 	Gather
 	KeyAgg
+	Reduce
+	ReduceScatter
 )
 
 func (o Op) String() string {
@@ -58,12 +64,89 @@ func (o Op) String() string {
 		return "gather"
 	case KeyAgg:
 		return "keyagg"
+	case Reduce:
+		return "reduce"
+	case ReduceScatter:
+		return "reduce-scatter"
 	default:
 		return "allreduce"
 	}
 }
 
-// ParseOp resolves a -collective flag value.
+// Operator is the combining operator of the vector reductions (allreduce,
+// reduce, reduce-scatter). The paper: "often maximum, minimum, sum,
+// product, or logical bit-wise operations"; its evaluation uses addition.
+type Operator int
+
+// Combining operators.
+const (
+	Sum Operator = iota
+	Max
+	Min
+	Prod
+	Or
+	And
+)
+
+func (o Operator) String() string {
+	switch o {
+	case Max:
+		return "max"
+	case Min:
+		return "min"
+	case Prod:
+		return "prod"
+	case Or:
+		return "or"
+	case And:
+		return "and"
+	default:
+		return "sum"
+	}
+}
+
+// Apply combines two elements.
+func (o Operator) Apply(a, b int64) int64 {
+	switch o {
+	case Max:
+		if a > b {
+			return a
+		}
+		return b
+	case Min:
+		if a < b {
+			return a
+		}
+		return b
+	case Prod:
+		return a * b
+	case Or:
+		return a | b
+	case And:
+		return a & b
+	default:
+		return a + b
+	}
+}
+
+// Identity is the operator's neutral element.
+func (o Operator) Identity() int64 {
+	switch o {
+	case Max:
+		return -1 << 62
+	case Min:
+		return 1<<62 - 1
+	case Prod:
+		return 1
+	case And:
+		return -1
+	default:
+		return 0
+	}
+}
+
+// ParseOp resolves a -collective flag value. Reduce and ReduceScatter run
+// through the reduce sweep (sansweep -sweep reduce), not -collective.
 func ParseOp(s string) (Op, error) {
 	switch s {
 	case "", "allreduce":
@@ -82,10 +165,13 @@ func ParseOp(s string) (Op, error) {
 
 // Params sizes a collective and calibrates its costs.
 type Params struct {
-	// VectorBytes is each rank's allreduce contribution (the paper's
+	// VectorBytes is each rank's vector contribution (the paper's
 	// reduction benchmarks use 512); Elems its length in int64 values.
 	VectorBytes int64
 	Elems       int
+	// Operator combines the vector reductions (the paper's evaluation:
+	// Sum, the zero value). Barrier and key aggregation always sum.
+	Operator Operator
 
 	// HostAddInstr is the host's per-element combine cost; SwitchAddCycles
 	// the switch CPU's.
@@ -162,23 +248,29 @@ func DefaultBudget() int {
 	return defBudget
 }
 
-// HostVector is rank j's deterministic input vector. The salt keeps the
-// inputs distinct from the reduce benchmark's, so a cross-wired handler
-// cannot accidentally pass both suites.
-func HostVector(j, elems int) []int64 {
+// HostVector is rank j's deterministic input vector.
+func HostVector(j, elems int) []int64 { return roundVector(j, 0, elems) }
+
+// roundVector is rank j's input for round r of a pipelined reduction;
+// round 0 is the single-shot HostVector.
+func roundVector(j, r, elems int) []int64 {
 	v := make([]int64, elems)
 	for i := range v {
-		v[i] = int64(apps.Mix64(0xC011EC7<<36|uint64(j)<<20|uint64(i)) % 1000)
+		v[i] = int64(apps.Mix64(uint64(r)<<40|uint64(j)<<20|uint64(i)) % 1000)
 	}
 	return v
 }
 
-// ExpectedAllreduce is the elementwise-sum oracle over all p ranks.
-func ExpectedAllreduce(p, elems int) []int64 {
+// expectedFold is the vector reductions' oracle: o folded elementwise over
+// every rank's round-r vector.
+func expectedFold(o Operator, p, r, elems int) []int64 {
 	out := make([]int64, elems)
+	for i := range out {
+		out[i] = o.Identity()
+	}
 	for j := 0; j < p; j++ {
-		for i, v := range HostVector(j, elems) {
-			out[i] += v
+		for i, v := range roundVector(j, r, elems) {
+			out[i] = o.Apply(out[i], v)
 		}
 	}
 	return out
@@ -243,9 +335,20 @@ func ExpectedPerHost(op Op, p int, prm Params) [][]int64 {
 	out := make([][]int64, p)
 	switch op {
 	case Allreduce:
-		want := ExpectedAllreduce(p, prm.Elems)
+		want := expectedFold(prm.Operator, p, 0, prm.Elems)
 		for j := range out {
 			out[j] = want
+		}
+	case Reduce:
+		for j := range out {
+			out[j] = []int64{}
+		}
+		out[0] = expectedFold(prm.Operator, p, 0, prm.Elems)
+	case ReduceScatter:
+		want := expectedFold(prm.Operator, p, 0, prm.Elems)
+		for j := range out {
+			lo, hi := sliceBounds(j, p, prm.Elems)
+			out[j] = want[lo:hi]
 		}
 	case Barrier:
 		for j := range out {
@@ -412,32 +515,22 @@ func buildShape(c *cluster.Cluster, p int) *shape {
 	return sh
 }
 
-// opParams resolves the wire sizes an operation uses.
+// opParams resolves the wire sizes and operator an operation uses.
 func opParams(op Op, prm Params) Params {
 	if op == Barrier {
-		// The zero-payload fast path: one token element, 8 bytes on the wire.
+		// The zero-payload fast path: one token element, 8 bytes on the
+		// wire, counted by summing.
 		prm.Elems = 1
 		prm.VectorBytes = 8
+		prm.Operator = Sum
 	}
 	return prm
 }
 
-// Run executes one collective on a fresh cluster honoring the process-wide
-// -topology and -partitions defaults, like reduce.Run does for the paper's
-// reduction benchmarks. Partitioned engines require a fat tree (the only
-// topology with a partition cut); the classic tree always runs serial.
+// Run executes one collective on a fresh cluster built from the process
+// defaults (cluster.BuildCollective: -topology and -partitions).
 func Run(op Op, active bool, p int, prm Params) Result {
-	kind, k := cluster.DefaultTopology()
-	if parts := cluster.DefaultPartitions(); kind == "fattree" && parts != 1 {
-		cfg := cluster.DefaultFatTreeConfig(p)
-		if k > 0 {
-			cfg.K = k
-		}
-		return RunOn(cluster.NewPartitionedFatTreeCluster(cfg, parts), op, active, p, prm)
-	}
-	eng := sim.NewEngine()
-	c := cluster.BuildCollective(eng, cluster.DefaultTreeConfig(p))
-	return RunOn(c, op, active, p, prm)
+	return RunOn(cluster.BuildCollective(p), op, active, p, prm)
 }
 
 // RunOn executes one collective on a prebuilt cluster with a populated
@@ -451,58 +544,16 @@ func RunOn(c *cluster.Cluster, op Op, active bool, p int, prm Params) Result {
 	if active {
 		installHandlers(c, sh, op, prm)
 	}
-	c.Start()
-
 	out := make([][]int64, p)
-	finishes := make([]sim.Time, p)
-	run := func(rank int, eng *sim.Engine, done func()) {
+	res := Result{PerHost: out}
+	res.Latency, res.EngineWall = runRanks(c, p, func(proc *sim.Proc, rank int, setFinish func(sim.Time)) {
 		h := c.Host(rank)
-		eng.Spawn(fmt.Sprintf("coll-h%d", rank), func(proc *sim.Proc) {
-			if done != nil {
-				defer done()
-			}
-			setFinish := func(t sim.Time) {
-				if t > finishes[rank] {
-					finishes[rank] = t
-				}
-			}
-			if active {
-				runActiveHost(proc, c, sh, h, rank, op, prm, out, setFinish)
-			} else {
-				runPassiveHost(proc, c, sh, h, rank, op, prm, out, setFinish)
-			}
-		})
-	}
-
-	var wall time.Duration
-	if c.Group == nil {
-		var wg sim.WaitGroup
-		wg.Add(p)
-		for j := 0; j < p; j++ {
-			run(j, c.Eng, wg.Done)
+		if active {
+			runActiveHost(proc, c, sh, h, rank, op, prm, out, setFinish)
+		} else {
+			runPassiveHost(proc, c, sh, h, rank, op, prm, out, setFinish)
 		}
-		c.Eng.Spawn("coll-main", func(proc *sim.Proc) { wg.Wait(proc) })
-		zr := time.Now()
-		c.Eng.Run()
-		wall = time.Since(zr)
-	} else {
-		// Partitioned: each rank's process runs on its partition's engine;
-		// Group.Run drains every partition, and the per-rank finish slots
-		// and output rows are each touched by exactly one partition.
-		for j := 0; j < p; j++ {
-			run(j, c.EngineFor(c.Host(j).ID()), nil)
-		}
-		zr := time.Now()
-		c.Group.Run()
-		wall = time.Since(zr)
-	}
-
-	res := Result{PerHost: out, EngineWall: wall}
-	for _, t := range finishes {
-		if t > res.Latency {
-			res.Latency = t
-		}
-	}
+	})
 	if active && op == KeyAgg {
 		harvestAgg(c, &res)
 	}
@@ -517,6 +568,94 @@ func RunOn(c *cluster.Cluster, op Op, active bool, p int, prm Params) Result {
 		}
 	}
 	return res
+}
+
+// PipelinedResult reports a multi-round active reduction.
+type PipelinedResult struct {
+	Total    sim.Time
+	PerRound sim.Time
+	Correct  bool
+}
+
+// RunPipelined streams `rounds` back-to-back active Reduce operations
+// through the switch tree of a fresh cluster built from the process
+// defaults. Because each tree level works on round r+1 while the next level
+// combines round r — "the switch can overlap the switch CPU execution with
+// its duties as a normal switch" — amortized per-round time beats the
+// isolated latency. Rank 0 checks every round against the oracle.
+func RunPipelined(p, rounds int, prm Params) PipelinedResult {
+	c := cluster.BuildCollective(p)
+	sh := buildShape(c, p)
+	installCombine(c, sh, Reduce, prm, rounds)
+	correct := true // written by rank 0 only
+	total, _ := runRanks(c, p, func(proc *sim.Proc, rank int, setFinish func(sim.Time)) {
+		h := c.Host(rank)
+		sendUp(proc, c, sh, h, rank, Reduce, prm, rounds)
+		if rank != 0 {
+			return
+		}
+		for r := 0; r < rounds; r++ {
+			v := recvPayload(proc, h, sh.root, reduceFlow).(upVec)
+			if !int64SlicesEqual(v.Vals, expectedFold(prm.Operator, p, v.Round, prm.Elems)) {
+				correct = false
+			}
+		}
+		setFinish(proc.Now())
+	})
+	c.Shutdown()
+	return PipelinedResult{Total: total, PerRound: total / sim.Time(rounds), Correct: correct}
+}
+
+// runRanks starts the cluster and runs body as every rank's process — on
+// the serial engine, or on each rank's partition engine — until the
+// simulation drains. It returns the latest time any rank reported through
+// setFinish and the host wall-clock of the run phase alone. Each rank's
+// finish slot is touched only by its own partition.
+func runRanks(c *cluster.Cluster, p int, body func(proc *sim.Proc, rank int, setFinish func(sim.Time))) (sim.Time, time.Duration) {
+	c.Start()
+	finishes := make([]sim.Time, p)
+	spawn := func(rank int, eng *sim.Engine, done func()) {
+		eng.Spawn(fmt.Sprintf("coll-h%d", rank), func(proc *sim.Proc) {
+			if done != nil {
+				defer done()
+			}
+			body(proc, rank, func(t sim.Time) {
+				if t > finishes[rank] {
+					finishes[rank] = t
+				}
+			})
+		})
+	}
+
+	var wall time.Duration
+	if c.Group == nil {
+		var wg sim.WaitGroup
+		wg.Add(p)
+		done := wg.Done
+		for j := 0; j < p; j++ {
+			spawn(j, c.Eng, done)
+		}
+		c.Eng.Spawn("coll-main", func(proc *sim.Proc) { wg.Wait(proc) })
+		zr := time.Now()
+		c.Eng.Run()
+		wall = time.Since(zr)
+	} else {
+		// Group.Run drains every partition, so no cross-engine WaitGroup
+		// is needed.
+		for j := 0; j < p; j++ {
+			spawn(j, c.EngineFor(c.Host(j).ID()), nil)
+		}
+		zr := time.Now()
+		c.Group.Run()
+		wall = time.Since(zr)
+	}
+	var latest sim.Time
+	for _, t := range finishes {
+		if t > latest {
+			latest = t
+		}
+	}
+	return latest, wall
 }
 
 func int64SlicesEqual(a, b []int64) bool {

@@ -9,7 +9,10 @@ import (
 	"activesan/internal/sim"
 )
 
-var allOps = []Op{Allreduce, Barrier, Scatter, Gather, KeyAgg}
+var allOps = []Op{Allreduce, Barrier, Scatter, Gather, KeyAgg, Reduce, ReduceScatter}
+
+// vectorOps are the operations that combine vectors with Params.Operator.
+var vectorOps = []Op{Allreduce, Reduce, ReduceScatter}
 
 func treeRun(op Op, active bool, p int, prm Params) Result {
 	return RunOn(cluster.NewTreeCluster(sim.NewEngine(), cluster.DefaultTreeConfig(p)), op, active, p, prm)
@@ -157,12 +160,119 @@ func TestKeyAggLedgerBalance(t *testing.T) {
 
 // Passive runs must leave switch handler state untouched.
 func TestPassiveTouchesNoSwitchState(t *testing.T) {
-	c := cluster.NewTreeCluster(sim.NewEngine(), cluster.DefaultTreeConfig(8))
-	RunOn(c, Allreduce, false, 8, DefaultParams())
-	for _, sw := range c.Switches {
-		for _, id := range []int{upHandlerID, mcastHandlerID, scatterHandlerID, gatherHandlerID, kaHandlerID} {
-			if sw.HandlerState(id) != nil {
-				t.Fatalf("passive run installed state for handler %d on %s", id, sw.Name())
+	for _, op := range allOps {
+		c := cluster.NewTreeCluster(sim.NewEngine(), cluster.DefaultTreeConfig(8))
+		RunOn(c, op, false, 8, DefaultParams())
+		for _, sw := range c.Switches {
+			for _, id := range []int{combineHandlerID, mcastHandlerID, scatterHandlerID, gatherHandlerID, kaHandlerID} {
+				if sw.HandlerState(id) != nil {
+					t.Fatalf("passive %s installed state for handler %d on %s", op, id, sw.Name())
+				}
+			}
+		}
+	}
+}
+
+// The paper lists max, min, sum, product and bit-wise operators; every
+// vector reduction must apply each one on both paths.
+func TestAllOperators(t *testing.T) {
+	for _, o := range []Operator{Sum, Max, Min, Prod, Or, And} {
+		prm := DefaultParams()
+		prm.Operator = o
+		for _, op := range vectorOps {
+			want := ExpectedPerHost(op, 8, prm)
+			for _, active := range []bool{false, true} {
+				r := treeRun(op, active, 8, prm)
+				if !r.Correct {
+					t.Errorf("%s operator=%s active=%v: wrong result", op, o, active)
+				}
+				requireRows(t, fmt.Sprintf("%s operator=%s active=%v", op, o, active), r.PerHost, want)
+			}
+		}
+	}
+	// Barrier counts ranks whatever the operator.
+	prm := DefaultParams()
+	prm.Operator = Max
+	if r := treeRun(Barrier, true, 8, prm); !r.Correct || r.PerHost[3][0] != 8 {
+		t.Fatalf("barrier under operator max: correct=%v row %v", r.Correct, r.PerHost[3])
+	}
+}
+
+func TestSliceBoundsPartition(t *testing.T) {
+	for _, p := range []int{2, 3, 4, 8, 64, 128} {
+		covered := 0
+		prev := 0
+		for j := 0; j < p; j++ {
+			lo, hi := sliceBounds(j, p, 64)
+			if lo != prev {
+				t.Fatalf("p=%d: slice %d starts at %d, want %d", p, j, lo, prev)
+			}
+			covered += hi - lo
+			prev = hi
+		}
+		if covered != 64 {
+			t.Fatalf("p=%d: slices cover %d elems, want 64", p, covered)
+		}
+	}
+}
+
+// A single-shot reduce is round 0 of the pipeline: one pipelined round is
+// the isolated reduce, to the picosecond.
+func TestPipelinedSingleRoundMatchesIsolated(t *testing.T) {
+	prm := DefaultParams()
+	res := RunPipelined(8, 1, prm)
+	if !res.Correct {
+		t.Fatal("single pipelined round incorrect")
+	}
+	if iso := Run(Reduce, true, 8, prm).Latency; res.Total != iso {
+		t.Fatalf("single-round pipelined %v vs isolated %v", res.Total, iso)
+	}
+}
+
+// Reduce-to-one and distributed-reduce latencies pinned on shapes no
+// golden covers, in picoseconds: ragged trees and a fat tree, serial and
+// partitioned. They were recorded from the paper benchmark's own
+// implementation before it became collective.Reduce and
+// collective.ReduceScatter, so a changed cost or message in the shared
+// combine handler or the binomial host algorithms shows here.
+func TestPinnedReduceLatencies(t *testing.T) {
+	type pin struct {
+		shape           string
+		p, parts        int
+		op              Op
+		passive, active int64
+	}
+	pins := []pin{
+		{"tree", 3, 1, Reduce, 11206500, 9726500},
+		{"tree", 3, 1, ReduceScatter, 22486500, 9758500},
+		{"tree", 12, 1, Reduce, 26606500, 13298500},
+		{"tree", 12, 1, ReduceScatter, 52190500, 13762500},
+		{"tree", 100, 1, Reduce, 51010500, 17758500},
+		{"tree", 100, 1, ReduceScatter, 98930500, 23806500},
+		{"fattree", 64, 1, Reduce, 48218500, 15650500},
+		{"fattree", 64, 1, ReduceScatter, 92642500, 17858500},
+		{"fattree", 64, 2, Reduce, 48218500, 15650500},
+		{"fattree", 64, 2, ReduceScatter, 92642500, 17858500},
+	}
+	prm := DefaultParams()
+	for _, pn := range pins {
+		for _, active := range []bool{false, true} {
+			var r Result
+			if pn.shape == "tree" {
+				r = treeRun(pn.op, active, pn.p, prm)
+			} else {
+				r = fatRun(pn.op, active, pn.p, pn.parts, prm)
+			}
+			want := pn.passive
+			if active {
+				want = pn.active
+			}
+			label := fmt.Sprintf("%s p=%d parts=%d %s active=%v", pn.shape, pn.p, pn.parts, pn.op, active)
+			if !r.Correct {
+				t.Errorf("%s: incorrect result", label)
+			}
+			if int64(r.Latency) != want {
+				t.Errorf("%s: latency %dps, pinned %dps", label, int64(r.Latency), want)
 			}
 		}
 	}
@@ -236,7 +346,8 @@ func TestPropertyPartitionedMatchesReference(t *testing.T) {
 }
 
 func TestParseOp(t *testing.T) {
-	for _, op := range allOps {
+	// Reduce and ReduceScatter run through the reduce sweep, not -collective.
+	for _, op := range []Op{Allreduce, Barrier, Scatter, Gather, KeyAgg} {
 		got, err := ParseOp(op.String())
 		if err != nil || got != op {
 			t.Fatalf("ParseOp(%q) = %v, %v", op.String(), got, err)

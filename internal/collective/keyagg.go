@@ -222,9 +222,7 @@ func runActiveKeyAggHost(proc *sim.Proc, c *cluster.Cluster, sh *shape, h *host.
 	sums := map[int64]int64{}
 	var got int64
 	for {
-		comp := h.RecvFlow(proc, sh.root, kaFlow)
-		h.CPU().BusyFor(proc, h.RecvCost())
-		switch m := comp.Payloads[0].(type) {
+		switch m := recvPayload(proc, h, sh.root, kaFlow).(type) {
 		case kaBatch:
 			got++
 			for _, kv := range m.Recs {

@@ -3,9 +3,11 @@ package collective
 // The passive references: host-only algorithms over plain data messages,
 // the baselines every active run is measured against and must byte-match.
 // Allreduce/barrier use recursive doubling (the standard host-side MPI
-// algorithm, and a stronger baseline than reduce-then-broadcast); scatter
-// and gather use binomial trees; key aggregation is a direct combiner
-// shuffle (fold locally, exchange per home rank, fold again).
+// algorithm, and a stronger baseline than reduce-then-broadcast); reduce is
+// the paper's binomial (MST) tree, whose latency lower bound is
+// ceil(log2 p)(a+l), and reduce-scatter follows it with a binomial scatter;
+// scatter and gather use binomial trees; key aggregation is a direct
+// combiner shuffle (fold locally, exchange per home rank, fold again).
 
 import (
 	"activesan/internal/cache"
@@ -21,6 +23,20 @@ func runPassiveHost(proc *sim.Proc, c *cluster.Cluster, sh *shape, h *host.Host,
 	switch op {
 	case Allreduce, Barrier:
 		runRecursiveDoubling(proc, sh, h, rank, op, prm, out, setFinish)
+	case Reduce:
+		vec, _ := binomialReduce(proc, sh, h, rank, prm)
+		if rank != 0 {
+			out[rank] = []int64{}
+			return
+		}
+		out[0] = vec
+		setFinish(proc.Now())
+	case ReduceScatter:
+		vec, region := binomialReduce(proc, sh, h, rank, prm)
+		hold := scatterDown(proc, sh, h, rank, prm, vec, region, reduceFlow)
+		lo, hi := sliceBounds(rank, sh.p, prm.Elems)
+		out[rank] = append([]int64(nil), hold[lo:hi]...)
+		setFinish(proc.Now())
 	case Scatter:
 		runBinomialScatter(proc, sh, h, rank, prm, out, setFinish)
 	case Gather:
@@ -37,8 +53,34 @@ func combineInto(proc *sim.Proc, h *host.Host, region int64, prm Params, vec, ot
 	h.CPU().TouchRange(proc, region, prm.VectorBytes, cache.Load)
 	h.CPU().Compute(proc, prm.HostAddInstr*int64(len(vec)))
 	for i := range vec {
-		vec[i] += other[i]
+		vec[i] = prm.Operator.Apply(vec[i], other[i])
 	}
+}
+
+// binomialReduce folds every rank's vector into rank 0 over the binomial
+// (MST) tree: in round k a rank with bit k set sends its partial to rank-k
+// and drops out, the others fold in rank+k's. It returns the rank's partial
+// — the full result at rank 0 — and the host region holding it.
+func binomialReduce(proc *sim.Proc, sh *shape, h *host.Host, rank int, prm Params) ([]int64, int64) {
+	region := h.Space().Alloc(prm.VectorBytes, 64)
+	vec := HostVector(rank, prm.Elems)
+	h.CPU().TouchRange(proc, region, prm.VectorBytes, cache.Load)
+	for k := 1; k < sh.p; k <<= 1 {
+		if rank&k != 0 {
+			h.SendMessage(proc, &san.Message{
+				Hdr:     san.Header{Dst: sh.hostIDs[rank-k], Type: san.Data, Addr: 0x1000, Flow: mstFlow + int64(k)},
+				Size:    prm.VectorBytes,
+				Payload: vec,
+			}, region)
+			break
+		}
+		if rank+k < sh.p {
+			other := recvPayload(proc, h, sh.hostIDs[rank+k], mstFlow+int64(k)).([]int64)
+			// Read the freshly DMA'd vector (cold lines) and combine.
+			combineInto(proc, h, region, prm, vec, other)
+		}
+	}
+	return vec, region
 }
 
 // runRecursiveDoubling: log2(p) pairwise exchange rounds; ranks past the
@@ -70,9 +112,7 @@ func runRecursiveDoubling(proc *sim.Proc, sh *shape, h *host.Host,
 		}, region)
 	}
 	recv := func(src int, flow int64) []int64 {
-		comp := h.RecvFlow(proc, sh.hostIDs[src], flow)
-		h.CPU().BusyFor(proc, h.RecvCost())
-		return comp.Payloads[0].([]int64)
+		return recvPayload(proc, h, sh.hostIDs[src], flow).([]int64)
 	}
 
 	if rank >= p2 {
@@ -95,29 +135,39 @@ func runRecursiveDoubling(proc *sim.Proc, sh *shape, h *host.Host,
 	setFinish(proc.Now())
 }
 
-// runBinomialScatter: rank 0's vector splits down the binomial tree, each
-// round handing the upper half of the held rank range to rank+k.
+// runBinomialScatter: rank 0's vector splits down the binomial tree.
 func runBinomialScatter(proc *sim.Proc, sh *shape, h *host.Host,
 	rank int, prm Params, out [][]int64, setFinish func(sim.Time)) {
-	p := sh.p
-	span := 1
-	for span < p {
-		span <<= 1
-	}
 	var hold []int64
 	if rank == 0 {
 		hold = HostVector(0, prm.Elems)
 		region := h.Space().Alloc(prm.VectorBytes, 64)
 		h.CPU().TouchRange(proc, region, prm.VectorBytes, cache.Load)
-	} else {
-		src := rank &^ (rank & -rank)
-		comp := h.RecvFlow(proc, sh.hostIDs[src], binFlow+int64(rank))
-		h.CPU().BusyFor(proc, h.RecvCost())
-		s := comp.Payloads[0].(segMsg)
+	}
+	hold = scatterDown(proc, sh, h, rank, prm, hold, h.Space().Alloc(prm.VectorBytes, 64), binFlow)
+	lo, hi := sliceBounds(rank, sh.p, prm.Elems)
+	out[rank] = append([]int64(nil), hold[lo:hi]...)
+	setFinish(proc.Now())
+}
+
+// scatterDown is one rank's part of a binomial scatter of rank 0's vector
+// hold (other ranks' hold is ignored). Every other rank first receives its
+// range's data from its binomial parent; then each round a rank hands the
+// upper half of its held rank range to rank+k, sending from host region
+// on flow+destination. It returns the vector the rank holds.
+func scatterDown(proc *sim.Proc, sh *shape, h *host.Host,
+	rank int, prm Params, hold []int64, region, flow int64) []int64 {
+	p := sh.p
+	if rank != 0 {
+		src := rank &^ (rank & -rank) // clear lowest set bit
+		s := recvPayload(proc, h, sh.hostIDs[src], flow+int64(rank)).(segMsg)
 		hold = make([]int64, prm.Elems)
 		copy(hold[s.Lo:], s.Vals)
 	}
-	sendRegion := h.Space().Alloc(prm.VectorBytes, 64)
+	span := 1
+	for span < p {
+		span <<= 1
+	}
 	for k := span >> 1; k >= 1; k >>= 1 {
 		if rank%k != 0 || rank&k != 0 {
 			continue
@@ -126,6 +176,7 @@ func runBinomialScatter(proc *sim.Proc, sh *shape, h *host.Host,
 		if d >= p {
 			continue
 		}
+		// Send rank d the data for ranks [d, d+k).
 		lo, _ := sliceBounds(d, p, prm.Elems)
 		end := d + k
 		if end > p {
@@ -133,14 +184,12 @@ func runBinomialScatter(proc *sim.Proc, sh *shape, h *host.Host,
 		}
 		_, hi := sliceBounds(end-1, p, prm.Elems)
 		h.SendMessage(proc, &san.Message{
-			Hdr:     san.Header{Dst: sh.hostIDs[d], Type: san.Data, Addr: 0x1000, Flow: binFlow + int64(d)},
+			Hdr:     san.Header{Dst: sh.hostIDs[d], Type: san.Data, Addr: 0x1000, Flow: flow + int64(d)},
 			Size:    segSize(hi - lo),
 			Payload: segMsg{Lo: lo, Vals: hold[lo:hi]},
-		}, sendRegion)
+		}, region)
 	}
-	lo, hi := sliceBounds(rank, p, prm.Elems)
-	out[rank] = append([]int64(nil), hold[lo:hi]...)
-	setFinish(proc.Now())
+	return hold
 }
 
 // runBinomialGather: the scatter tree inverted — each rank accumulates the
@@ -172,9 +221,7 @@ func runBinomialGather(proc *sim.Proc, sh *shape, h *host.Host,
 			break
 		}
 		if rank+k < p {
-			comp := h.RecvFlow(proc, sh.hostIDs[rank+k], binFlow+int64(rank+k))
-			h.CPU().BusyFor(proc, h.RecvCost())
-			s := comp.Payloads[0].(segMsg)
+			s := recvPayload(proc, h, sh.hostIDs[rank+k], binFlow+int64(rank+k)).(segMsg)
 			h.CPU().TouchRange(proc, 0x1000, segSize(len(s.Vals)), cache.Load)
 			copy(buf[s.Lo:], s.Vals)
 			upper = rank + 2*k
@@ -236,9 +283,7 @@ func runShuffleKeyAgg(proc *sim.Proc, sh *shape, h *host.Host,
 		if j == rank {
 			continue
 		}
-		comp := h.RecvFlow(proc, sh.hostIDs[j], kaShufFlow+int64(j))
-		h.CPU().BusyFor(proc, h.RecvCost())
-		m := comp.Payloads[0].(kaBatch)
+		m := recvPayload(proc, h, sh.hostIDs[j], kaShufFlow+int64(j)).(kaBatch)
 		h.CPU().TouchRange(proc, 0x1000, kaSize(len(m.Recs)), cache.Load)
 		h.CPU().Compute(proc, prm.HostAddInstr*int64(len(m.Recs)))
 		for _, kv := range m.Recs {

@@ -7,9 +7,8 @@ package exp
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
+	"activesan/internal/apps"
 	"activesan/internal/apps/collsweep"
 	"activesan/internal/apps/faultsweep"
 	"activesan/internal/apps/grep"
@@ -24,6 +23,7 @@ import (
 	"activesan/internal/apps/sel"
 	"activesan/internal/apps/tarapp"
 	"activesan/internal/apps/twolevel"
+	"activesan/internal/collective"
 	"activesan/internal/stats"
 )
 
@@ -145,7 +145,7 @@ var Registry = []Experiment{
 		Paper: "Figure 15",
 		Title: "Collective Reduce-to-one: latency vs node count",
 		Run: func(scale int64) *stats.Result {
-			return reduce.Sweep(reduce.ToOne, sweepNodes(scale), reduce.DefaultParams())
+			return reduce.Sweep(collective.Reduce, sweepNodes(scale), collective.DefaultParams(), 1)
 		},
 	},
 	{
@@ -153,7 +153,7 @@ var Registry = []Experiment{
 		Paper: "Figure 16",
 		Title: "Collective Distributed Reduce: latency vs node count",
 		Run: func(scale int64) *stats.Result {
-			return reduce.Sweep(reduce.Distributed, sweepNodes(scale), reduce.DefaultParams())
+			return reduce.Sweep(collective.ReduceScatter, sweepNodes(scale), collective.DefaultParams(), 1)
 		},
 	},
 	{
@@ -298,7 +298,7 @@ func runTable1(int64) *stats.Result {
 	ta := tarapp.DefaultParams()
 	ps := psort.DefaultParams()
 	md := md5app.DefaultParams()
-	rd := reduce.DefaultParams()
+	rd := collective.DefaultParams()
 	rows := []row{
 		{"MPEG filter", fmt.Sprintf("%d B", m.FileSize), fmt.Sprintf("generated %d B, %.1f%% P-frames", m.FileSize, 100*float64(mpeg.PBytes(mpeg.BuildStream(m)))/float64(m.FileSize))},
 		{"HashJoin", fmt.Sprintf("%dM x %dM", hj.RBytes>>20, hj.SBytes>>20), fmt.Sprintf("%d B records, %d-bit filter", hj.RecordSize, hj.BitvecBits)},
@@ -319,14 +319,14 @@ func runTable1(int64) *stats.Result {
 // both against the oracle.
 func runTable2(int64) *stats.Result {
 	res := &stats.Result{ID: "table2", Title: "Collective reduction semantics"}
-	prm := reduce.DefaultParams()
+	prm := collective.DefaultParams()
 	const p = 8
-	one := reduce.Run(reduce.ToOne, true, p, prm)
-	dist := reduce.Run(reduce.Distributed, true, p, prm)
+	one := collective.Run(collective.Reduce, true, p, prm)
+	dist := collective.Run(collective.ReduceScatter, true, p, prm)
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("Reduce-to-one   (p=%d): y at node 0, latency %v, correct=%v", p, one.Latency, one.Correct),
 		fmt.Sprintf("Distributed Red (p=%d): y_i at node i, latency %v, correct=%v", p, dist.Latency, dist.Correct),
-		fmt.Sprintf("y[0..4] = %v", one.Final[:5]),
+		fmt.Sprintf("y[0..4] = %v", one.PerHost[0][:5]),
 	)
 	return res
 }
@@ -340,51 +340,15 @@ func RunAllExperiments(scale int64) []*stats.Result {
 // over a pool of workers. Each experiment builds its own sim.Engine, so
 // runs are independent; results come back ordered by registry index
 // regardless of completion order, making parallel output byte-identical to
-// a sequential run. workers < 1 selects runtime.NumCPU().
+// a sequential run. workers < 1 selects runtime.NumCPU(). A panicking
+// experiment (fault-plan crash under -strict-routes, an invariant failure)
+// is re-raised on the caller's goroutine, first in registry order, so
+// deferred output flushing runs.
 func RunAll(scale int64, workers int) []*stats.Result {
-	if workers < 1 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(Registry) {
-		workers = len(Registry)
-	}
 	out := make([]*stats.Result, len(Registry))
-	if workers == 1 {
-		for i, e := range Registry {
-			out[i] = e.Run(scale)
-		}
-		return out
-	}
-	// A panicking experiment (fault-plan crash under -strict-routes, an
-	// invariant failure) must not kill its worker goroutine where the CLI's
-	// recover cannot see it: capture per-experiment panics and re-raise the
-	// first one — in registry order, for determinism — on the caller's
-	// goroutine after the pool drains, so deferred output flushing runs.
-	panics := make([]any, len(Registry))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				func() {
-					defer func() { panics[i] = recover() }()
-					out[i] = Registry[i].Run(scale)
-				}()
-			}
-		}()
-	}
-	for i := range Registry {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for i, p := range panics {
-		if p != nil {
-			panic(fmt.Sprintf("exp: experiment %s panicked: %v", Registry[i].ID, p))
-		}
-	}
+	apps.Parallel(len(Registry), workers,
+		func(i int) string { return "exp: experiment " + Registry[i].ID },
+		func(i int) { out[i] = Registry[i].Run(scale) })
 	return out
 }
 

@@ -47,9 +47,9 @@ type timer struct {
 // single currently-running Proc. Distinct Engines share no mutable state
 // and may run on separate goroutines simultaneously (the parallel
 // experiment harness relies on this); the only package-level hook,
-// SetDefaultTracer, is atomic. A tracer function installed while engines
-// run in parallel is invoked from every engine's goroutine and must do its
-// own locking.
+// SetDefaultTraceSink, is atomic. A trace sink installed while engines run
+// in parallel is invoked from every engine's goroutine and must do its own
+// locking.
 //
 // Scheduling model: exactly one goroutine is ever active — either the
 // goroutine that called Run (the "main" driver) or one process goroutine.
@@ -122,7 +122,7 @@ type Engine struct {
 }
 
 // TraceEvent is one typed trace record. Cat groups events for filtering
-// ("packet", "handler", "cache", "disk", "generic"), Name is the event kind
+// ("packet", "handler", "cache", "disk"), Name is the event kind
 // within the category ("send", "dispatch", "retire", ...), Comp names the
 // emitting component ("sw0", "h3.cpu"), and Detail carries the rest as
 // preformatted text.
@@ -134,7 +134,7 @@ type TraceEvent struct {
 	Detail string
 }
 
-// String renders the event as the legacy "comp: detail" trace-line body.
+// String renders the event as a "comp: detail" trace-line body.
 func (ev TraceEvent) String() string {
 	if ev.Comp == "" {
 		return ev.Detail
@@ -150,23 +150,13 @@ type TraceSink func(ev TraceEvent)
 // defaultSink, when set, is installed on every new engine — the hook the
 // CLI's -trace/-trace-out flags use to observe experiments that build their
 // own engines internally. Held behind an atomic pointer so engines can be
-// constructed concurrently with SetDefaultTracer/SetDefaultTraceSink.
+// constructed concurrently with SetDefaultTraceSink.
 var defaultSink atomic.Pointer[TraceSink]
 
-// SetDefaultTracer installs (or clears, with nil) a legacy string tracer
-// for all engines created afterwards. Safe to call concurrently with
-// NewEngine; the tracer itself must be safe for concurrent use if engines
-// run in parallel.
-func SetDefaultTracer(fn func(t Time, msg string)) {
-	if fn == nil {
-		defaultSink.Store(nil)
-		return
-	}
-	SetDefaultTraceSink(func(ev TraceEvent) { fn(ev.At, ev.String()) })
-}
-
 // SetDefaultTraceSink installs (or clears, with nil) a typed trace sink for
-// all engines created afterwards.
+// all engines created afterwards. Safe to call concurrently with NewEngine;
+// the sink itself must be safe for concurrent use if engines run in
+// parallel.
 func SetDefaultTraceSink(sink TraceSink) {
 	if sink == nil {
 		defaultSink.Store(nil)
@@ -601,17 +591,6 @@ func (e *Engine) Shutdown() {
 	e.shuttingDown = false
 }
 
-// SetTracer installs a legacy string trace sink; nil disables tracing.
-// Typed events reach fn rendered as "comp: detail" lines, so existing
-// consumers keep seeing the familiar format.
-func (e *Engine) SetTracer(fn func(t Time, msg string)) {
-	if fn == nil {
-		e.SetTraceSink(nil)
-		return
-	}
-	e.SetTraceSink(func(ev TraceEvent) { fn(ev.At, ev.String()) })
-}
-
 // SetTraceSink installs a typed trace sink; nil disables tracing.
 func (e *Engine) SetTraceSink(sink TraceSink) {
 	e.sink = sink
@@ -632,12 +611,5 @@ func (e *Engine) Tracing() bool { return e.tracing }
 func (e *Engine) Emit(cat, name, comp, detail string) {
 	if e.tracing {
 		e.sink(TraceEvent{At: e.now, Cat: cat, Name: name, Comp: comp, Detail: detail})
-	}
-}
-
-// Tracef emits an untyped ("generic") trace line if tracing is enabled.
-func (e *Engine) Tracef(format string, args ...any) {
-	if e.tracing {
-		e.sink(TraceEvent{At: e.now, Cat: "generic", Detail: fmt.Sprintf(format, args...)})
 	}
 }

@@ -428,22 +428,6 @@ func TestServerReserve(t *testing.T) {
 	}
 }
 
-func TestTracer(t *testing.T) {
-	e := NewEngine()
-	var lines int
-	e.SetTracer(func(Time, string) { lines++ })
-	e.Schedule(10, func() { e.Tracef("hello %d", 1) })
-	e.Run()
-	if lines != 1 {
-		t.Fatalf("traced %d lines, want 1", lines)
-	}
-	e.SetTracer(nil)
-	e.Tracef("dropped")
-	if lines != 1 {
-		t.Fatalf("tracing after disable")
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	run := func() []Time {
 		e := NewEngine()
@@ -554,11 +538,11 @@ func TestEventsCounter(t *testing.T) {
 }
 
 func TestDefaultTracerConcurrentWithNewEngine(t *testing.T) {
-	// SetDefaultTracer may race with engine construction on other
+	// SetDefaultTraceSink may race with engine construction on other
 	// goroutines (the parallel experiment harness does exactly this when
 	// -trace and -parallel are combined); under -race this test proves the
 	// hook is atomic.
-	defer SetDefaultTracer(nil)
+	defer SetDefaultTraceSink(nil)
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -567,31 +551,15 @@ func TestDefaultTracerConcurrentWithNewEngine(t *testing.T) {
 			for j := 0; j < 100; j++ {
 				e := NewEngine()
 				e.After(Nanosecond, func() {})
-				e.Tracef("tick %d", j)
+				e.Emit("generic", "tick", "", "tick")
 				e.Run()
 			}
 		}()
 	}
 	var sink atomic.Int64
 	for j := 0; j < 100; j++ {
-		SetDefaultTracer(func(Time, string) { sink.Add(1) })
-		SetDefaultTracer(nil)
+		SetDefaultTraceSink(func(TraceEvent) { sink.Add(1) })
+		SetDefaultTraceSink(nil)
 	}
 	wg.Wait()
-}
-
-func TestSetDefaultTracerAppliesToNewEngines(t *testing.T) {
-	defer SetDefaultTracer(nil)
-	var lines []string
-	SetDefaultTracer(func(at Time, msg string) { lines = append(lines, msg) })
-	e := NewEngine()
-	e.After(Nanosecond, func() { e.Tracef("fired") })
-	e.Run()
-	SetDefaultTracer(nil)
-	quiet := NewEngine()
-	quiet.After(Nanosecond, func() { quiet.Tracef("silent") })
-	quiet.Run()
-	if len(lines) != 1 || lines[0] != "fired" {
-		t.Fatalf("trace lines = %q, want [fired]", lines)
-	}
 }

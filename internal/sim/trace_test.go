@@ -29,46 +29,25 @@ func TestEmitTypedEvents(t *testing.T) {
 	}
 }
 
-func TestLegacyTracerSeesTypedEvents(t *testing.T) {
-	// The string tracer keeps working: typed events render as the familiar
-	// "comp: detail" lines, and Tracef lines pass through unchanged.
-	e := NewEngine()
-	var lines []string
-	e.SetTracer(func(_ Time, msg string) { lines = append(lines, msg) })
-	e.Emit("handler", "dispatch", "sw1", "handler=2 cpu=0")
-	e.Tracef("plain %d", 7)
-	want := []string{"sw1: handler=2 cpu=0", "plain 7"}
-	if len(lines) != len(want) {
-		t.Fatalf("traced %d lines, want %d", len(lines), len(want))
-	}
-	for i := range want {
-		if lines[i] != want[i] {
-			t.Fatalf("line %d = %q, want %q", i, lines[i], want[i])
-		}
-	}
-}
-
 func TestTracingGuard(t *testing.T) {
 	e := NewEngine()
 	if e.Tracing() {
 		t.Fatal("Tracing() = true on a fresh engine")
 	}
 	e.Emit("packet", "send", "x", "dropped silently") // no sink: must not panic
-	e.SetTracer(func(Time, string) {})
-	if !e.Tracing() {
-		t.Fatal("Tracing() = false after SetTracer")
-	}
-	e.SetTracer(nil)
-	if e.Tracing() {
-		t.Fatal("Tracing() = true after SetTracer(nil)")
-	}
-	e.SetTraceSink(func(TraceEvent) {})
+	var n int
+	e.SetTraceSink(func(TraceEvent) { n++ })
 	if !e.Tracing() {
 		t.Fatal("Tracing() = false after SetTraceSink")
 	}
+	e.Emit("packet", "send", "x", "traced")
 	e.SetTraceSink(nil)
 	if e.Tracing() {
 		t.Fatal("Tracing() = true after SetTraceSink(nil)")
+	}
+	e.Emit("packet", "send", "x", "dropped after disable")
+	if n != 1 {
+		t.Fatalf("sink saw %d events, want 1", n)
 	}
 }
 
@@ -98,18 +77,6 @@ func BenchmarkTracingDisabledGuarded(b *testing.B) {
 		if e.Tracing() {
 			e.Emit("packet", "send", "sw0", fmt.Sprintf("src=%d dst=%d size=%d", src, dst, size))
 		}
-	}
-}
-
-// BenchmarkTracingDisabledUnguarded is the anti-pattern for comparison:
-// calling Tracef without checking Tracing() first still boxes the variadic
-// arguments on every call even though nothing is traced.
-func BenchmarkTracingDisabledUnguarded(b *testing.B) {
-	e := NewEngine()
-	src, dst, size := 3, 7, 4096
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e.Tracef("sw0: src=%d dst=%d size=%d", src, dst, size)
 	}
 }
 
