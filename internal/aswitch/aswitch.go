@@ -329,7 +329,7 @@ func (s *ActiveSwitch) SetState(id int, state any) { s.states[id] = state }
 // HandlerState returns the state attached to a handler id.
 func (s *ActiveSwitch) HandlerState(id int) any { return s.states[id] }
 
-// Start launches the base switch port processes and the switch CPUs.
+// Start launches the base switch's port stages and the switch CPUs.
 func (s *ActiveSwitch) Start() {
 	s.Switch.Start()
 	for _, c := range s.cpus {
@@ -347,8 +347,8 @@ func (s *ActiveSwitch) NextFlow() int64 {
 // Deliver implements san.LocalSink: the dispatch unit. It admits the packet
 // into a data buffer, maps it into the owning CPU's ATB, and — for the
 // first packet of an active message — queues a handler invocation. It runs
-// in the input port's process, so blocking here is the credit backpressure
-// the paper relies on.
+// in the input port's local-delivery process while the port waits for it,
+// so blocking here is the credit backpressure the paper relies on.
 func (s *ActiveSwitch) Deliver(p *sim.Proc, pkt *san.Packet, fillRate float64) {
 	var tstart sim.Time
 	if pkt.Stamp != nil {

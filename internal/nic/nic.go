@@ -90,9 +90,38 @@ type NIC struct {
 	complete   san.Completer
 	maxTxQueue int
 
+	// txs and rtxs are the transmit engines' step states.
+	txs  txState
+	rtxs rtxState
+
 	flows   int64
 	stats   Stats
 	started bool
+}
+
+// The engines are step processes (sim.SpawnStep): each wake runs an engine
+// inline until its next wait, making exactly the schedule calls of a
+// blocking loop over the same work, in the same order. A transmit engine
+// sends as san.Link.Send does, split at Send's two waits.
+const (
+	sendNext   = iota // waiting for work
+	sendCredit        // waiting for a link credit
+	sendWire          // waiting for the packet's tail to leave
+)
+
+// txState is the transmit engine's position: the job in progress and the
+// index of its packet being sent.
+type txState struct {
+	wait int
+	job  txJob
+	pkts []*san.Packet
+	next int
+}
+
+// rtxState is the retransmit engine's position.
+type rtxState struct {
+	wait int
+	pkt  *san.Packet
 }
 
 // SetInvalidator installs the DMA-coherence callback.
@@ -183,10 +212,10 @@ func (n *NIC) Start() {
 		panic("nic: double Start")
 	}
 	n.started = true
-	n.eng.Spawn(n.name+".rx", n.rxLoop)
-	n.eng.Spawn(n.name+".tx", n.txLoop)
+	n.eng.SpawnStep(n.name+".rx", n.rxStep)
+	n.eng.SpawnStep(n.name+".tx", n.txStep)
 	if n.tx != nil {
-		n.eng.Spawn(n.name+".rtx", n.rtxLoop)
+		n.eng.SpawnStep(n.name+".rtx", n.rtxStep)
 	}
 }
 
@@ -221,34 +250,40 @@ func (n *NIC) TryRecv() (*Completion, bool) { return n.comps.TryGet() }
 // Pending reports queued-but-unread completions.
 func (n *NIC) Pending() int { return n.comps.Len() }
 
-func (n *NIC) rxLoop(p *sim.Proc) {
+// rxStep is the receive engine: it never waits except for the next packet.
+func (n *NIC) rxStep(p *sim.Proc) {
 	for {
-		pkt := n.in.Recv(p)
-		if n.rel != nil {
-			switch {
-			case pkt.Hdr.Type == san.Ack:
-				switch info := pkt.Payload.(type) {
-				case san.AckInfo:
-					n.tx.OnAck(pkt.Hdr.Src, info)
-				case san.NakInfo:
-					n.tx.OnNak(pkt.Hdr.Src, info)
-				}
-			default:
-				for _, q := range n.rel.Observe(pkt) {
-					n.accept(p, q)
-				}
-			}
-			n.in.ReturnCredit()
-			continue
+		pkt, ok := n.in.RecvOrWait(p)
+		if !ok {
+			return
 		}
-		if pkt.Corrupt {
-			// Without the reliability layer a corrupt packet is simply
-			// lost at the adapter's CRC check.
-			n.in.ReturnCredit()
-			continue
-		}
-		n.accept(p, pkt)
+		n.receive(p, pkt)
 		n.in.ReturnCredit()
+	}
+}
+
+// receive handles one arrived packet; the caller returns its credit.
+func (n *NIC) receive(p *sim.Proc, pkt *san.Packet) {
+	if n.rel != nil {
+		switch {
+		case pkt.Hdr.Type == san.Ack:
+			switch info := pkt.Payload.(type) {
+			case san.AckInfo:
+				n.tx.OnAck(pkt.Hdr.Src, info)
+			case san.NakInfo:
+				n.tx.OnNak(pkt.Hdr.Src, info)
+			}
+		default:
+			for _, q := range n.rel.Observe(pkt) {
+				n.accept(p, q)
+			}
+		}
+		return
+	}
+	// Without the reliability layer a corrupt packet is simply lost at the
+	// adapter's CRC check.
+	if !pkt.Corrupt {
+		n.accept(p, pkt)
 	}
 }
 
@@ -291,42 +326,97 @@ func (n *NIC) accept(p *sim.Proc, pkt *san.Packet) {
 	}
 }
 
-// rtxLoop drains retransmissions and ACK/NAK control packets onto the link;
-// a separate process so timer callbacks never block and retransmissions
+// rtxStep drains retransmissions and ACK/NAK control packets onto the link;
+// a separate engine so timer callbacks never block and retransmissions
 // interleave with fresh traffic rather than preempting it.
-func (n *NIC) rtxLoop(p *sim.Proc) {
+func (n *NIC) rtxStep(p *sim.Proc) {
+	r := &n.rtxs
 	for {
-		pkt := n.rtxq.Get(p)
-		n.out.Send(p, pkt)
-		// Retransmissions and acks are real wire traffic; keeping them in
-		// the counters keeps the host-I/O-traffic metric honest under loss.
-		n.stats.PacketsOut++
-		n.stats.BytesOut += pkt.Size
+		switch r.wait {
+		case sendNext:
+			pkt, ok := n.rtxq.GetOrWait(p)
+			if !ok {
+				return
+			}
+			n.out.TraceSend(pkt)
+			r.pkt = pkt
+			r.wait = sendCredit
+		case sendCredit:
+			if !n.out.CreditOrWait(p) {
+				return
+			}
+			p.WakeAt(n.out.Transmit(r.pkt))
+			r.wait = sendWire
+			return
+		case sendWire:
+			// Retransmissions and acks are real wire traffic; keeping them
+			// in the counters keeps the host-I/O-traffic metric honest
+			// under loss.
+			n.stats.PacketsOut++
+			n.stats.BytesOut += r.pkt.Size
+			r.pkt = nil
+			r.wait = sendNext
+		}
 	}
 }
 
-func (n *NIC) txLoop(p *sim.Proc) {
+// txStep segments each posted message and sends its packets in order,
+// opening the message's latch once the last is on the wire.
+func (n *NIC) txStep(p *sim.Proc) {
+	t := &n.txs
 	for {
-		job := n.txq.Get(p)
-		pkts := job.msg.Packets(job.msg.Split)
-		for _, pkt := range pkts {
-			if pkt.Size > 0 {
-				off := int64(pkt.Hdr.Seq) * san.MTU
-				n.mem.Reserve(job.local+off, pkt.Size)
+		switch t.wait {
+		case sendNext:
+			job, ok := n.txq.GetOrWait(p)
+			if !ok {
+				return
 			}
-			if n.stamp != nil {
-				st := n.stamp(job.at)
-				st.Add(san.HopNIC, n.name, job.at, p.Now())
-				pkt.Stamp = st
+			t.job = job
+			t.pkts = job.msg.Packets(job.msg.Split)
+			t.next = 0
+			n.startPacket(p)
+		case sendCredit:
+			if !n.out.CreditOrWait(p) {
+				return
 			}
-			n.out.Send(p, pkt)
+			p.WakeAt(n.out.Transmit(t.pkts[t.next]))
+			t.wait = sendWire
+			return
+		case sendWire:
+			pkt := t.pkts[t.next]
 			if n.tx != nil {
 				n.tx.Record(pkt)
 			}
 			n.stats.PacketsOut++
 			n.stats.BytesOut += pkt.Size
+			t.next++
+			n.startPacket(p)
 		}
-		n.stats.MessagesOut++
-		job.done.Open()
 	}
+}
+
+// startPacket readies the job's next packet — DMA read, telemetry stamp,
+// send trace — and waits for its credit; past the last packet it completes
+// the job and waits for the next.
+func (n *NIC) startPacket(p *sim.Proc) {
+	t := &n.txs
+	if t.next == len(t.pkts) {
+		n.stats.MessagesOut++
+		t.job.done.Open()
+		t.job, t.pkts = txJob{}, nil
+		t.wait = sendNext
+		return
+	}
+	pkt := t.pkts[t.next]
+	if pkt.Size > 0 {
+		off := int64(pkt.Hdr.Seq) * san.MTU
+		n.mem.Reserve(t.job.local+off, pkt.Size)
+	}
+	if n.stamp != nil {
+		st := n.stamp(t.job.at)
+		st.Add(san.HopNIC, n.name, t.job.at, p.Now())
+		pkt.Stamp = st
+	}
+	n.out.TraceSend(pkt)
+	t.wait = sendCredit
 }

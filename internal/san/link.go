@@ -160,28 +160,41 @@ func (l *Link) FillRate() float64 { return l.cfg.BandwidthBytesPerSec }
 // wire (its tail has left the sender), modelling a DMA engine that moves to
 // the next packet as soon as the line frees.
 func (l *Link) Send(p *sim.Proc, pkt *Packet) {
-	if l.eng.Tracing() {
-		l.traceSend(pkt)
-	}
+	l.TraceSend(pkt)
 	l.credits.Acquire(p)
-	end := l.xmit(pkt)
-	p.SleepUntil(end)
+	p.SleepUntil(l.Transmit(pkt))
 }
 
 // SendAsync is Send without blocking for serialization (the caller only
 // blocks if no credit is available). Used by senders that pipeline many
 // packets from one process.
 func (l *Link) SendAsync(p *sim.Proc, pkt *Packet) {
+	l.TraceSend(pkt)
+	l.credits.Acquire(p)
+	l.Transmit(pkt)
+}
+
+// A step process sends the way Send does, in three parts split at Send's
+// two waits: TraceSend, then CreditOrWait until it reports true, then
+// Transmit, sleeping (Proc.WakeAt) until the time it returns.
+
+// TraceSend emits the packet-send trace event when tracing is on. Send emits
+// it before waiting for a credit, so a staged sender calls it first.
+func (l *Link) TraceSend(pkt *Packet) {
 	if l.eng.Tracing() {
 		l.traceSend(pkt)
 	}
-	l.credits.Acquire(p)
-	l.xmit(pkt)
 }
 
-// xmit serializes pkt on the line and schedules its delivery (or fate, under
-// fault injection), returning the serialization end time.
-func (l *Link) xmit(pkt *Packet) (end sim.Time) {
+// CreditOrWait is the non-blocking credit acquisition for step processes:
+// it takes one send credit, or queues p to be woken when one returns and
+// reports false.
+func (l *Link) CreditOrWait(p *sim.Proc) bool { return l.credits.AcquireOrWait(p) }
+
+// Transmit serializes pkt on the line — the caller already holds a send
+// credit — and schedules its delivery (or fate, under fault injection). It
+// returns the serialization end time, when Send would return.
+func (l *Link) Transmit(pkt *Packet) (end sim.Time) {
 	end = l.line.Reserve(sim.TransferTime(pkt.Wire(), l.cfg.BandwidthBytesPerSec))
 	headAt := end - sim.TransferTime(pkt.Size, l.cfg.BandwidthBytesPerSec) + l.cfg.Propagation
 	l.stats.Packets++
@@ -265,6 +278,11 @@ func (l *Link) Up() bool { return !l.down }
 func (l *Link) Recv(p *sim.Proc) *Packet {
 	return l.rx.Get(p)
 }
+
+// RecvOrWait is the non-blocking Recv for step processes: it returns a
+// delivered packet, or queues p to be woken by the next delivery and
+// reports false.
+func (l *Link) RecvOrWait(p *sim.Proc) (*Packet, bool) { return l.rx.GetOrWait(p) }
 
 // TryRecv returns a delivered packet without blocking.
 func (l *Link) TryRecv() (*Packet, bool) { return l.rx.TryGet() }

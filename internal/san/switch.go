@@ -46,8 +46,9 @@ func DefaultSwitchConfig(ports int) SwitchConfig {
 
 // LocalSink receives packets whose destination is the switch itself. The
 // base switch has none; the active switch installs its data-buffer admission
-// here. Deliver runs in the input port's process and may block — that is
-// exactly the backpressure the paper's credit scheme provides.
+// here. Deliver runs in the input port's local-delivery process and may
+// block, holding the port's stage and its input buffer — that is exactly
+// the backpressure the paper's credit scheme provides.
 type LocalSink interface {
 	Deliver(p *sim.Proc, pkt *Packet, fillRate float64)
 }
@@ -81,8 +82,9 @@ type SwitchStats struct {
 }
 
 // Switch is the conventional central-output-queue switch. Each input port
-// runs a routing process; each output port runs a transmit process; a shared
-// buffer pool provides the central queue.
+// runs a routing stage; each output port runs a transmit stage; a shared
+// buffer pool provides the central queue. The stages are step processes
+// (sim.SpawnStep), so a packet hop costs no goroutine switch.
 type Switch struct {
 	eng    *sim.Engine
 	id     NodeID
@@ -256,88 +258,170 @@ func (s *Switch) SetLocalSink(sink LocalSink) {
 	s.local = sink
 }
 
-// Start spawns the per-port processes. Unattached ports are skipped.
+// Start spawns the per-port step processes. Unattached ports are skipped.
 func (s *Switch) Start() {
 	if s.started {
 		panic("san: double Start")
 	}
 	s.started = true
 	for i := range s.ports {
-		if s.ports[i].In != nil {
-			i := i
-			s.eng.Spawn(fmt.Sprintf("%s.in%d", s.name, i), func(p *sim.Proc) { s.inputLoop(p, i) })
+		if in := s.ports[i].In; in != nil {
+			pt := &inPort{s: s, i: i, in: in}
+			pt.proc = s.eng.SpawnStep(fmt.Sprintf("%s.in%d", s.name, i), pt.step)
 		}
-		if s.ports[i].Out != nil {
-			i := i
-			s.eng.Spawn(fmt.Sprintf("%s.out%d", s.name, i), func(p *sim.Proc) { s.outputLoop(p, i) })
+		if out := s.ports[i].Out; out != nil {
+			pt := &outPort{s: s, q: s.outQ[i], out: out}
+			s.eng.SpawnStep(fmt.Sprintf("%s.out%d", s.name, i), pt.step)
 		}
 	}
 }
 
-// inputLoop routes packets arriving on port i. A packet for the switch
+// The port stages are step processes: each wake runs the stage inline until
+// its next wait. Every state below is one wait of the per-packet pipeline,
+// and each stage makes exactly the schedule calls a blocking loop over the
+// same pipeline makes, in the same order, so the event order is the one a
+// goroutine per port would produce.
+
+// Input-port states: the wait each one resumes from.
+const (
+	inRecv  = iota // a packet's head to arrive
+	inRoute        // the routing decision time to elapse
+	inGrant        // the crossbar grant
+	inPool         // a central-queue slot
+)
+
+// inPort routes packets arriving on input port i. A packet for the switch
 // itself goes to the local sink (blocking for data-buffer admission); other
 // packets take a routing decision, a central-queue slot, and move to their
 // output queue.
-func (s *Switch) inputLoop(p *sim.Proc, i int) {
-	in := s.ports[i].In
+type inPort struct {
+	s     *Switch
+	i     int
+	in    *Link
+	proc  *sim.Proc
+	state int
+	pkt   *Packet
+	out   int // output port chosen at the grant
+	// local runs local-sink deliveries, which block (dispatch latency,
+	// data-buffer admission); created parked at the port's first local
+	// packet.
+	local *sim.Proc
+}
+
+func (pt *inPort) step(p *sim.Proc) {
+	s, in := pt.s, pt.in
 	for {
-		pkt := in.Recv(p)
-		if st := pkt.Stamp; st != nil {
-			st.Open(HopRoute, s.name, p.Now())
-		}
-		p.Sleep(s.cfg.RoutingLatency)
-		if s.eng.Tracing() {
-			s.eng.Emit("packet", "recv", s.name,
-				fmt.Sprintf("in%d %s pkt src=%d dst=%d flow=%d seq=%d size=%d",
-					i, pkt.Hdr.Type, pkt.Hdr.Src, pkt.Hdr.Dst, pkt.Hdr.Flow, pkt.Hdr.Seq, pkt.Size))
-		}
-		if pkt.Corrupt {
-			// Link-level CRC check: damaged packets stop here and rely on
-			// end-to-end retransmission. Drops never contend, so they skip
-			// arbitration.
-			s.stats.CorruptDrops++
-			in.ReturnCredit()
-			continue
-		}
-		// Settle-phase crossbar arbitration: every packet that finished its
-		// routing step at this instant — on any input port, in any event
-		// order — is admitted in input-port-index order at the end of the
-		// instant. Routing itself happens after the grant, so a same-instant
-		// topology change is observed identically by the whole burst.
-		s.arb.Join(p, i)
-		if pkt.Hdr.Dst == s.id {
-			s.stats.Local++
-			if s.local == nil {
-				s.stats.Dropped++
-				in.ReturnCredit()
-				continue
+		switch pt.state {
+		case inRecv:
+			pkt, ok := in.RecvOrWait(p)
+			if !ok {
+				return
 			}
 			if st := pkt.Stamp; st != nil {
-				st.Close(p.Now())
+				st.Open(HopRoute, s.name, p.Now())
 			}
-			s.local.Deliver(p, pkt, in.FillRate())
-			in.ReturnCredit()
-			continue
+			pt.pkt = pkt
+			pt.state = inRoute
+			p.WakeAt(p.Now() + s.cfg.RoutingLatency)
+			return
+		case inRoute:
+			pkt := pt.pkt
+			if s.eng.Tracing() {
+				s.eng.Emit("packet", "recv", s.name,
+					fmt.Sprintf("in%d %s pkt src=%d dst=%d flow=%d seq=%d size=%d",
+						pt.i, pkt.Hdr.Type, pkt.Hdr.Src, pkt.Hdr.Dst, pkt.Hdr.Flow, pkt.Hdr.Seq, pkt.Size))
+			}
+			if pkt.Corrupt {
+				// Link-level CRC check: damaged packets stop here and rely
+				// on end-to-end retransmission. Drops never contend, so they
+				// skip arbitration.
+				s.stats.CorruptDrops++
+				pt.finish()
+				continue
+			}
+			// Settle-phase crossbar arbitration: every packet that finished
+			// its routing step at this instant — on any input port, in any
+			// event order — is admitted in input-port-index order at the
+			// end of the instant. Routing itself happens after the grant, so
+			// a same-instant topology change is observed identically by the
+			// whole burst. A local delivery's grant goes to the helper,
+			// which resumes this stage once the sink has taken the packet.
+			if pkt.Hdr.Dst == s.id && s.local != nil {
+				s.arb.JoinOrWait(pt.helper(), pt.i)
+				pt.state = inRecv
+				return
+			}
+			s.arb.JoinOrWait(p, pt.i)
+			pt.state = inGrant
+			return
+		case inGrant:
+			pkt := pt.pkt
+			if pkt.Hdr.Dst == s.id { // no local sink
+				s.stats.Local++
+				s.stats.Dropped++
+				pt.finish()
+				continue
+			}
+			out, rerouted := s.pickRoute(pkt.Hdr.Dst)
+			if out < 0 {
+				s.noteNoRoute(pkt)
+				pt.finish()
+				continue
+			}
+			if rerouted {
+				s.stats.Rerouted++
+			}
+			pt.out = out
+			pt.state = inPool
+		case inPool:
+			if !s.pool.AcquireOrWait(p) {
+				return
+			}
+			pkt := pt.pkt
+			s.stats.Routed++
+			if st := pkt.Stamp; st != nil {
+				st.Close(p.Now())
+				st.Open(HopQueue, s.name, p.Now())
+			}
+			s.outQ[pt.out].Put(pkt)
+			s.noteDepth(pt.out)
+			pt.finish()
 		}
-		out, rerouted := s.pickRoute(pkt.Hdr.Dst)
-		if out < 0 {
-			s.noteNoRoute(pkt)
-			in.ReturnCredit()
-			continue
-		}
-		if rerouted {
-			s.stats.Rerouted++
-		}
-		s.pool.Acquire(p)
-		s.stats.Routed++
-		if st := pkt.Stamp; st != nil {
-			st.Close(p.Now())
-			st.Open(HopQueue, s.name, p.Now())
-		}
-		s.outQ[out].Put(pkt)
-		s.noteDepth(out)
-		in.ReturnCredit()
 	}
+}
+
+// finish frees the input buffer of the packet just disposed of and readies
+// the stage for the next one.
+func (pt *inPort) finish() {
+	pt.pkt = nil
+	pt.state = inRecv
+	pt.in.ReturnCredit()
+}
+
+// helper returns the port's local-delivery process, creating it on first
+// use. It is created parked, with no start event: ports that never see a
+// local packet cost nothing.
+func (pt *inPort) helper() *sim.Proc {
+	if pt.local == nil {
+		pt.local = pt.s.eng.SpawnParked(pt.proc.Name()+".local", pt.deliverLocal)
+	}
+	return pt.local
+}
+
+// deliverLocal runs on the helper once a local packet is granted: the sink
+// may block, which a step cannot. Afterwards it returns the credit and
+// resumes the input stage inline, as the blocking pipeline would continue
+// straight into its next receive.
+func (pt *inPort) deliverLocal(hp *sim.Proc) {
+	s, pkt := pt.s, pt.pkt
+	pt.pkt = nil
+	s.stats.Local++
+	if st := pkt.Stamp; st != nil {
+		st.Close(hp.Now())
+	}
+	s.local.Deliver(hp, pkt, pt.in.FillRate())
+	pt.in.ReturnCredit()
+	pt.proc.Resume()
 }
 
 // noteDepth records queue and pool occupancy extremes.
@@ -350,16 +434,48 @@ func (s *Switch) noteDepth(out int) {
 	}
 }
 
-// outputLoop drains output queue i onto its link.
-func (s *Switch) outputLoop(p *sim.Proc, i int) {
-	out := s.ports[i].Out
+// Output-port states: the wait each one resumes from.
+const (
+	outGet    = iota // a packet in the output queue
+	outCredit        // a send credit on the link
+	outSent          // the packet's tail to leave
+)
+
+// outPort drains one output queue onto its link, as Link.Send would.
+type outPort struct {
+	s     *Switch
+	q     *sim.Queue[*Packet]
+	out   *Link
+	state int
+	pkt   *Packet
+}
+
+func (pt *outPort) step(p *sim.Proc) {
 	for {
-		pkt := s.outQ[i].Get(p)
-		if st := pkt.Stamp; st != nil {
-			st.Close(p.Now())
+		switch pt.state {
+		case outGet:
+			pkt, ok := pt.q.GetOrWait(p)
+			if !ok {
+				return
+			}
+			if st := pkt.Stamp; st != nil {
+				st.Close(p.Now())
+			}
+			pt.out.TraceSend(pkt)
+			pt.pkt = pkt
+			pt.state = outCredit
+		case outCredit:
+			if !pt.out.CreditOrWait(p) {
+				return
+			}
+			p.WakeAt(pt.out.Transmit(pt.pkt))
+			pt.state = outSent
+			return
+		case outSent:
+			pt.pkt = nil
+			pt.state = outGet
+			pt.s.pool.Release()
 		}
-		out.Send(p, pkt)
-		s.pool.Release()
 	}
 }
 

@@ -37,12 +37,21 @@ func NewArbiter(eng *Engine) *Arbiter {
 // settle grants this instant's joiners in ascending index order. It returns
 // when p's turn comes; joiners with equal indices keep their Join order.
 func (a *Arbiter) Join(p *Proc, index int) {
+	a.JoinOrWait(p, index)
+	p.block()
+}
+
+// JoinOrWait is the non-blocking Join: it stages p behind the given index
+// and returns at once. The grant wakes p — a step process continues in its
+// next state, a parked helper process runs. Unlike the other OrWait forms
+// there is nothing to re-check: the grant itself is p's turn.
+func (a *Arbiter) JoinOrWait(p *Proc, index int) {
 	a.pending = append(a.pending, arbWaiter{index: index, proc: p})
 	if !a.armed {
 		a.armed = true
 		a.eng.Settle(a.settleFn)
 	}
-	p.park()
+	p.wait()
 }
 
 // settle grants the instant's joiners. The unparks schedule the waiters'

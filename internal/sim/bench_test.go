@@ -90,6 +90,45 @@ func BenchmarkProcSwitch(b *testing.B) {
 	e.Run()
 }
 
+// pingPongSteps spawns the step counterpart of BenchmarkProcSwitch's pair:
+// two step processes ping-ponging n rounds through a pair of queues, every
+// round waking each step once — a function call, not a goroutine handoff.
+func pingPongSteps(e *Engine, n int) {
+	ping, pong := NewQueue[int](), NewQueue[int]()
+	pinged, ponged := 0, 0
+	e.SpawnStep("ping", func(p *Proc) {
+		for ponged < n {
+			if pinged == ponged {
+				ping.Put(pinged)
+				pinged++
+			}
+			if _, ok := pong.GetOrWait(p); !ok {
+				return
+			}
+			ponged++
+		}
+	})
+	got := 0
+	e.SpawnStep("pong", func(p *Proc) {
+		for got < n {
+			if _, ok := ping.GetOrWait(p); !ok {
+				return
+			}
+			pong.Put(got)
+			got++
+		}
+	})
+}
+
+// BenchmarkStepSwitch is BenchmarkProcSwitch with step processes: the
+// per-hop cost the fabric's port and NIC stages pay.
+func BenchmarkStepSwitch(b *testing.B) {
+	e := NewEngine()
+	pingPongSteps(e, b.N)
+	b.ReportAllocs()
+	e.Run()
+}
+
 // warmEngine grows an engine's pool, heap, and run queue past what the alloc
 // gates below need, so the measured region only recycles capacity.
 func warmEngine(e *Engine) {
@@ -170,6 +209,22 @@ func TestProcSelfWakeZeroAllocs(t *testing.T) {
 	if wakes < 1<<20 {
 		t.Fatalf("sleeper only woke %d times", wakes)
 	}
+}
+
+func TestStepSwitchZeroAllocs(t *testing.T) {
+	// Step wakes carry the *Proc like goroutine wakes, and the step runs
+	// inline, so a warm ping-pong allocates nothing.
+	e := NewEngine()
+	warmEngine(e)
+	pingPongSteps(e, 1<<16)
+	allocs := testing.AllocsPerRun(1, func() { e.Run() })
+	if allocs != 0 {
+		t.Fatalf("step ping-pong allocated %.1f, want 0", allocs)
+	}
+	if e.Events() < 1<<17 {
+		t.Fatalf("only %d events fired", e.Events())
+	}
+	e.Shutdown()
 }
 
 // TestCancelRecycledSlotIsNoop pins the timer-handle guard: cancelling after

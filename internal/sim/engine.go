@@ -58,7 +58,8 @@ type timer struct {
 // inline, so a process that wakes itself (the dominant pattern — Sleep,
 // zero-delay yields, self-service queues) pays no channel operation at all,
 // and a switch to a different process is a single token handoff instead of
-// a yield-to-engine plus a resume.
+// a yield-to-engine plus a resume. Callbacks and step processes have no
+// goroutine of their own: whichever goroutine drives runs them inline.
 type Engine struct {
 	now Time
 
@@ -96,12 +97,17 @@ type Engine struct {
 	// detection in tests.
 	procs int
 	// all records every spawned process so Shutdown can unwind the
-	// goroutines of perpetual servers (switch port loops and the like).
+	// goroutines of perpetual servers (disk loops, switch CPUs and the
+	// like) and retire step processes.
 	all []*Proc
 
-	// fatal holds a panic raised inside a process goroutine, re-raised from
-	// Run by the main driver when control returns to it.
+	// fatal holds a panic raised while the engine drives — by a process, a
+	// step or an event callback, on whichever goroutine — re-raised from Run
+	// by the main driver when control returns to it.
 	fatal *procPanic
+	// firing is the step process whose step is running, nil otherwise, so
+	// a panic inside a step is attributed to it.
+	firing *Proc
 
 	// mainWake resumes the Run caller when a phase ends (queue drained,
 	// deadline reached, Stop, or a fatal process panic) while a process
@@ -359,32 +365,109 @@ func (e *Engine) nextEventTime() (Time, bool) {
 	return best, ok
 }
 
-// driveMain is the Run caller's drive loop. It fires callbacks inline; when
-// an event resumes a process it hands that goroutine the control token and
-// parks until a driver — whichever process goroutine holds control when the
-// phase ends — wakes it back up.
+// driveMain is the Run caller's drive loop. It fires callbacks and steps
+// inline; when an event resumes a goroutine process it hands that goroutine
+// the control token and parks until a driver — whichever process goroutine
+// holds control when the phase ends — wakes it back up. A panic raised
+// while driving, on any goroutine, re-raises here.
 func (e *Engine) driveMain() {
 	for {
-		if e.fatal != nil {
-			pp := e.fatal
-			e.fatal = nil
-			panic(pp)
-		}
-		if e.stopped {
+		next := e.drive()
+		if next == nil {
+			if pp := e.fatal; pp != nil {
+				e.fatal = nil
+				panic(pp)
+			}
 			return
 		}
-		idx, ok := e.popNext()
-		if !ok {
-			return
-		}
-		fn, proc := e.take(idx)
-		if proc != nil {
-			proc.handoff <- struct{}{}
-			<-e.mainWake
-			continue
-		}
-		fn()
+		next.handoff <- struct{}{}
+		<-e.mainWake
 	}
+}
+
+// drive runs the event loop on the calling goroutine — the Run caller's, or
+// that of a goroutine process that blocked or finished — firing callbacks
+// and steps inline. It returns the goroutine process the next event resumes
+// (for a blocked caller, possibly itself), or nil when the phase is over:
+// queue drained, deadline reached, Stop, Shutdown, or a fatal panic. A
+// blocked process whose own wake is next — the dominant case — gets it
+// straight back, without arming driveInline's panic guard.
+func (e *Engine) drive() *Proc {
+	fn, proc, ok := e.takeNext()
+	if !ok {
+		return nil
+	}
+	if proc != nil && proc.step == nil {
+		return proc
+	}
+	return e.driveInline(fn, proc)
+}
+
+// takeNext pops the phase's next event and consumes it; ok is false when
+// the phase is over.
+func (e *Engine) takeNext() (fn func(), proc *Proc, ok bool) {
+	if e.fatal != nil || e.stopped || e.shuttingDown {
+		return nil, nil, false
+	}
+	idx, ok := e.popNext()
+	if !ok {
+		return nil, nil, false
+	}
+	fn, proc = e.take(idx)
+	return fn, proc, true
+}
+
+// driveInline runs a popped callback or step, and every one after it, until
+// an event resumes a goroutine process or the phase ends. A panic raised by
+// a callback or step is recovered here, recorded as the fatal error naming
+// its source, and ends the phase, so it surfaces from Run whichever
+// goroutine was driving — never from a process's stack, which would blame
+// that process or, on a finished process's exit path, escape every recover.
+func (e *Engine) driveInline(fn func(), proc *Proc) (next *Proc) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.fatal = e.wrapPanic(r, nil)
+			next = nil
+		}
+	}()
+	for {
+		if proc == nil {
+			fn()
+		} else {
+			e.runStep(proc)
+		}
+		var ok bool
+		if fn, proc, ok = e.takeNext(); !ok {
+			return nil
+		}
+		if proc != nil && proc.step == nil {
+			return proc
+		}
+	}
+}
+
+// runStep calls a step process's step, marking it as the firing source.
+func (e *Engine) runStep(p *Proc) {
+	e.firing = p
+	p.step(p)
+	e.firing = nil
+}
+
+// wrapPanic names a recovered panic's source: the step that was running if
+// any, else src (the process whose own code panicked), else an event
+// callback. A value that is already wrapped passes through.
+func (e *Engine) wrapPanic(r any, src *Proc) *procPanic {
+	if pp, ok := r.(*procPanic); ok {
+		return pp
+	}
+	if e.firing != nil {
+		src = e.firing
+		e.firing = nil
+	}
+	if src != nil {
+		return &procPanic{proc: src.name, value: r}
+	}
+	return &procPanic{at: e.now, value: r}
 }
 
 // popNext removes and returns the earliest pending event within the phase
@@ -456,23 +539,11 @@ func (e *Engine) take(idx int32) (fn func(), proc *Proc) {
 // somewhere else — another process, or the Run caller when the phase is over
 // or a fatal panic is pending — and then exits.
 func (e *Engine) exitDrive() {
-	for {
-		if e.fatal != nil || e.stopped || e.shuttingDown {
-			e.mainWake <- struct{}{}
-			return
-		}
-		idx, ok := e.popNext()
-		if !ok {
-			e.mainWake <- struct{}{}
-			return
-		}
-		fn, proc := e.take(idx)
-		if proc != nil {
-			proc.handoff <- struct{}{}
-			return
-		}
-		fn()
+	if next := e.drive(); next != nil {
+		next.handoff <- struct{}{}
+		return
 	}
+	e.mainWake <- struct{}{}
 }
 
 // eventLess orders pool entries by (at, seq) — the simulation's total event
@@ -572,12 +643,20 @@ func (e *Engine) heapDown(i int) int {
 	return i
 }
 
-// Shutdown unwinds every still-blocked process goroutine. Call it after the
-// final Run of a simulation so perpetual server processes do not leak
-// goroutines; the engine must not be used afterwards.
+// Shutdown unwinds every still-blocked process goroutine and retires every
+// step process. Call it after the final Run of a simulation so perpetual
+// server processes do not leak goroutines; the engine must not be used
+// afterwards.
 func (e *Engine) Shutdown() {
 	e.shuttingDown = true
 	for _, p := range e.all {
+		if p.step != nil && !p.done {
+			// No goroutine to unwind: the step simply never runs again.
+			p.done = true
+			p.waiting = false
+			e.procs--
+			continue
+		}
 		if !p.done {
 			p.killed = true
 			p.waiting = false

@@ -2,23 +2,39 @@ package sim
 
 import "fmt"
 
-// Proc is a simulated process: a goroutine that the engine resumes one at a
-// time. Inside the process function, call Sleep/WaitOn/etc. to advance
-// simulated time; the engine never runs two processes (or a process and an
-// event callback) concurrently, so process code may touch shared simulation
-// state without locks.
+// Proc is a simulated process. The engine never runs two processes (or a
+// process and an event callback) concurrently, so process code may touch
+// shared simulation state without locks. A process comes in one of two
+// forms:
+//
+//   - A goroutine process (Spawn) runs a function on its own goroutine that
+//     the engine resumes one at a time. Inside the function, call
+//     Sleep/Queue.Get/etc. to advance simulated time.
+//   - A step process (SpawnStep) has no goroutine. Each of its wake events
+//     calls its step function inline, on whichever goroutine drives the
+//     event loop, and the step returns instead of blocking: it waits through
+//     the non-blocking forms of the primitives (WakeAt, Queue.GetOrWait,
+//     Semaphore.AcquireOrWait, Arbiter.JoinOrWait), which arrange the wake
+//     and report that the step must return. A step machine that makes
+//     exactly the schedule calls of the blocking loop it replaces, in the
+//     same order, leaves the (at, seq) dispatch order — and so every result
+//     — unchanged, while a wake costs a function call instead of a
+//     goroutine handoff.
 type Proc struct {
 	eng  *Engine
 	name string
 
-	// handoff is the process's single control channel: receiving on it
-	// means "your wake event just fired — you are the active goroutine,
+	// handoff is a goroutine process's single control channel: receiving on
+	// it means "your wake event just fired — you are the active goroutine,
 	// continue". A blocked process does not yield to a central engine
-	// goroutine; it drives the event loop itself (see block), so the
-	// old resume/yield channel pair collapses to one channel and a
-	// cross-process switch costs a single token send instead of a
-	// yield-plus-resume.
+	// goroutine; it drives the event loop itself (see block), so a
+	// cross-process switch costs a single token send. Nil for a step
+	// process.
 	handoff chan struct{}
+
+	// step, when non-nil, makes this a step process: its wake events call
+	// step inline instead of handing off to a goroutine.
+	step func(p *Proc)
 
 	done bool
 
@@ -45,7 +61,8 @@ func (p *Proc) Name() string { return p.name }
 // Now returns the current simulated time.
 func (p *Proc) Now() Time { return p.eng.now }
 
-// Done reports whether the process function has returned.
+// Done reports whether the process function has returned (for a step
+// process: whether Shutdown has retired it).
 func (p *Proc) Done() bool { return p.done }
 
 // Spawn creates a process running fn, starting at the current simulated
@@ -57,6 +74,33 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 
 // SpawnAt is like Spawn but the process begins at the given absolute time.
 func (e *Engine) SpawnAt(at Time, name string, fn func(p *Proc)) *Proc {
+	p := e.goProc(name, fn)
+	// The wake event carries the proc itself rather than a closure, so
+	// spawning (and every later sleep/unpark) costs no per-event allocation.
+	e.schedule(at, nil, p)
+	return p
+}
+
+// SpawnParked creates a goroutine process that starts parked, with no start
+// event: it first runs when a primitive it was handed to (for example
+// Arbiter.JoinOrWait) wakes it. Each wake runs fn once, after which the
+// process parks again. A step process uses one as a helper for work that
+// must block — the helper finishes it and resumes the step (Proc.Resume).
+// A helper that is never woken costs no event.
+func (e *Engine) SpawnParked(name string, fn func(p *Proc)) *Proc {
+	p := e.goProc(name, func(p *Proc) {
+		for {
+			fn(p)
+			p.park()
+		}
+	})
+	p.waiting = true
+	return p
+}
+
+// goProc registers a goroutine process running fn and starts its goroutine,
+// which waits for the first handoff.
+func (e *Engine) goProc(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{
 		eng:     e,
 		name:    name,
@@ -72,7 +116,7 @@ func (e *Engine) SpawnAt(at Time, name string, fn func(p *Proc)) *Proc {
 					// Surface the panic in the Run caller: exitDrive hands
 					// control back and driveMain re-raises, so a handler
 					// bug fails the test instead of killing the process.
-					e.fatal = &procPanic{proc: p.name, value: r}
+					e.fatal = e.wrapPanic(r, p)
 				}
 			}
 			p.done = true
@@ -86,19 +130,42 @@ func (e *Engine) SpawnAt(at Time, name string, fn func(p *Proc)) *Proc {
 		}
 		fn(p)
 	}()
-	// The wake event carries the proc itself rather than a closure, so
-	// spawning (and every later sleep/unpark) costs no per-event allocation.
-	e.schedule(at, nil, p)
 	return p
 }
 
-// procPanic wraps a panic raised inside a process goroutine.
+// SpawnStep creates a step process whose first wake event fires at the
+// current simulated time. Every wake calls step(p) inline; step must not
+// block (no Sleep, Get, Acquire or Join), only wait through WakeAt and the
+// OrWait primitives and return. Keep the machine's state outside the
+// function — typically in the struct step is a method of.
+func (e *Engine) SpawnStep(name string, step func(p *Proc)) *Proc {
+	p := &Proc{eng: e, name: name, step: step}
+	e.procs++
+	e.all = append(e.all, p)
+	e.schedule(e.now, nil, p)
+	return p
+}
+
+// Resume runs a step process's step inline on the calling goroutine, as if
+// its wake event had fired, but without scheduling or counting an event. A
+// helper that finished blocking work on the step's behalf calls it to
+// continue the step's machine exactly where the blocking loop would have.
+func (p *Proc) Resume() {
+	p.eng.runStep(p)
+}
+
+// procPanic wraps a panic raised while an engine drives: by a process, a
+// step, or an event callback (proc empty).
 type procPanic struct {
 	proc  string
+	at    Time
 	value any
 }
 
 func (pp *procPanic) Error() string {
+	if pp.proc == "" {
+		return fmt.Sprintf("sim: event callback at %v panicked: %v", pp.at, pp.value)
+	}
 	return fmt.Sprintf("sim: proc %q panicked: %v", pp.proc, pp.value)
 }
 
@@ -106,33 +173,22 @@ func (pp *procPanic) Error() string {
 // yielding to a central engine goroutine, the blocking process drives the
 // event loop itself: if the next event is its own wake-up — the dominant
 // case — it simply continues, with no channel operation or goroutine switch
-// at all. If the next event resumes another process, the token is handed
-// straight to it (one send); and when the phase ends the Run caller is woken
-// instead. It must be called from the process goroutine.
+// at all. If the next event resumes another goroutine process, the token is
+// handed straight to it (one send); and when the phase ends the Run caller
+// is woken instead. It must be called from the process goroutine; a step
+// process has none, so a step that blocks panics.
 func (p *Proc) block() {
+	if p.step != nil {
+		panic("sim: step process " + p.name + " blocked; steps wait through WakeAt and the OrWait forms")
+	}
 	e := p.eng
-	for {
-		if e.fatal != nil || e.stopped {
+	if next := e.drive(); next != p {
+		if next == nil {
 			e.mainWake <- struct{}{}
-			<-p.handoff
-			break
+		} else {
+			next.handoff <- struct{}{}
 		}
-		idx, ok := e.popNext()
-		if !ok {
-			e.mainWake <- struct{}{}
-			<-p.handoff
-			break
-		}
-		fn, proc := e.take(idx)
-		if proc == p {
-			break
-		}
-		if proc != nil {
-			proc.handoff <- struct{}{}
-			<-p.handoff
-			break
-		}
-		fn()
+		<-p.handoff
 	}
 	if p.killed {
 		panic(killedError{})
@@ -152,17 +208,29 @@ func (p *Proc) Sleep(d Time) {
 // SleepUntil suspends the process until the given absolute time; times in
 // the past panic.
 func (p *Proc) SleepUntil(at Time) {
+	p.WakeAt(at)
+	p.block()
+}
+
+// WakeAt is the non-blocking SleepUntil: it schedules the process's next
+// wake at the given absolute time without suspending the caller. A step
+// returns after calling it; times in the past panic.
+func (p *Proc) WakeAt(at Time) {
 	if at < p.eng.now {
 		panic(fmt.Sprintf("sim: SleepUntil into the past (%v < %v) in %s", at, p.eng.now, p.name))
 	}
 	p.eng.schedule(at, nil, p)
-	p.block()
 }
+
+// wait marks the process parked with no scheduled wake-up; something must
+// later call unpark. The OrWait primitives call it and return; a goroutine
+// process then blocks (park).
+func (p *Proc) wait() { p.waiting = true }
 
 // park blocks the process with no scheduled wake-up; something must later
 // call unpark. Used by the synchronization primitives in this package.
 func (p *Proc) park() {
-	p.waiting = true
+	p.wait()
 	p.block()
 }
 

@@ -33,11 +33,24 @@ func (q *Queue[T]) Put(v T) {
 // Get removes and returns the head item, blocking p while the queue is
 // empty. Waiters are served FIFO.
 func (q *Queue[T]) Get(p *Proc) T {
-	for q.Len() == 0 {
-		q.waiters = append(q.waiters, p)
-		p.park()
+	for {
+		if v, ok := q.GetOrWait(p); ok {
+			return v
+		}
+		p.block()
 	}
-	return q.pop()
+}
+
+// GetOrWait is the non-blocking Get for step processes: it removes and
+// returns the head item, or, when the queue is empty, queues p as a waiter
+// and reports false — the next Put wakes p, which calls GetOrWait again.
+func (q *Queue[T]) GetOrWait(p *Proc) (v T, ok bool) {
+	if q.Len() == 0 {
+		q.waiters = append(q.waiters, p)
+		p.wait()
+		return v, false
+	}
+	return q.pop(), true
 }
 
 // TryGet removes the head item without blocking; ok is false if empty.
@@ -95,17 +108,42 @@ func (s *Semaphore) Acquire(p *Proc) { s.AcquireN(p, 1) }
 // available to this waiter (waiters are served FIFO, so a large request is
 // not starved by a stream of small ones).
 func (s *Semaphore) AcquireN(p *Proc, n int) {
-	if len(s.waiters) == 0 && s.count >= n {
-		s.count -= n
-		return
+	for !s.acquireOrWait(p, n) {
+		p.block()
 	}
-	s.waiters = append(s.waiters, p)
-	for s.waiters[0] != p || s.count < n {
-		p.park()
+}
+
+// AcquireOrWait is the non-blocking Acquire for step processes: it takes
+// one permit and reports true, or queues p and reports false — p is woken
+// when it heads the queue and a permit is free, and calls AcquireOrWait
+// again. The FIFO and re-check rules are AcquireN's, which is built on it.
+func (s *Semaphore) AcquireOrWait(p *Proc) bool { return s.acquireOrWait(p, 1) }
+
+// acquireOrWait takes n permits if this call may: a fresh request only when
+// no one is queued ahead, a queued waiter only once it heads the queue. A
+// waiter is only ever woken at the head, so p at the head means p is
+// re-checking after a wake; anywhere else it is a fresh request and joins
+// the tail.
+func (s *Semaphore) acquireOrWait(p *Proc, n int) bool {
+	switch {
+	case len(s.waiters) == 0:
+		if s.count >= n {
+			s.count -= n
+			return true
+		}
+		s.waiters = append(s.waiters, p)
+	case s.waiters[0] == p:
+		if s.count >= n {
+			s.waiters = dequeue(s.waiters)
+			s.count -= n
+			s.wake()
+			return true
+		}
+	default:
+		s.waiters = append(s.waiters, p)
 	}
-	s.waiters = dequeue(s.waiters)
-	s.count -= n
-	s.wake()
+	p.wait()
+	return false
 }
 
 // TryAcquire takes a permit only if one is immediately free and no process
