@@ -7,12 +7,13 @@ import (
 	"testing"
 
 	"activesan/internal/ablation"
+	"activesan/internal/apps"
 )
 
 func BenchmarkAblationInterference(b *testing.B) {
 	var r ablation.InterferenceResult
 	for i := 0; i < b.N; i++ {
-		r = ablation.Interference()
+		r = ablation.Interference(apps.Env{})
 	}
 	b.ReportMetric(100*r.Degradation(), "degradation_pct/goal=0")
 	b.ReportMetric(r.Baseline/1e6, "baseline_MBps")
@@ -21,7 +22,7 @@ func BenchmarkAblationInterference(b *testing.B) {
 func BenchmarkAblationBufferCount(b *testing.B) {
 	var pts []ablation.ThroughputPoint
 	for i := 0; i < b.N; i++ {
-		pts = ablation.BufferCount([]int{4, 16})
+		pts = ablation.BufferCount(apps.Env{}, []int{4, 16})
 	}
 	b.ReportMetric(pts[0].Bytes/1e6, "MBps_4buf")
 	b.ReportMetric(pts[1].Bytes/1e6, "MBps_16buf")
@@ -30,7 +31,7 @@ func BenchmarkAblationBufferCount(b *testing.B) {
 func BenchmarkAblationValidBits(b *testing.B) {
 	var fine, coarse float64
 	for i := 0; i < b.N; i++ {
-		f, c := ablation.ValidBitGranularity()
+		f, c := ablation.ValidBitGranularity(apps.Env{})
 		fine, coarse = f.Micros(), c.Micros()
 	}
 	b.ReportMetric(coarse-fine, "fine_bits_gain_us")
@@ -39,7 +40,7 @@ func BenchmarkAblationValidBits(b *testing.B) {
 func BenchmarkAblationCPUClock(b *testing.B) {
 	var pts []ablation.ThroughputPoint
 	for i := 0; i < b.N; i++ {
-		pts = ablation.CPUClock([]int{250, 1000})
+		pts = ablation.CPUClock(apps.Env{}, []int{250, 1000})
 	}
 	b.ReportMetric(pts[1].Bytes/pts[0].Bytes, "speedup_250_to_1000MHz")
 }

@@ -143,6 +143,9 @@ const (
 type (
 	// Experiment is one paper table or figure.
 	Experiment = exp.Experiment
+	// Config is one run's configuration: the scale divisor plus the trace
+	// sink, fault plan, telemetry and topology its clusters get.
+	Config = exp.Config
 	// Result carries an experiment's runs, breakdown bars and series.
 	Result = stats.Result
 	// Run is one benchmark configuration's metrics.
@@ -153,23 +156,28 @@ type (
 // Table 2).
 func Experiments() []Experiment { return exp.Registry }
 
-// RunExperiment executes one experiment by id ("fig3", "table1", ...) at
-// the given scale divisor; scale 1 is the paper's full problem size.
-func RunExperiment(id string, scale int64) (*Result, error) {
+// DefaultConfig returns the config at the given scale divisor with nothing
+// else set; scale 1 is the paper's full problem size.
+func DefaultConfig(scale int64) Config { return exp.DefaultConfig(scale) }
+
+// RunExperiment executes one experiment by id ("fig3", "table1", ...)
+// under cfg.
+func RunExperiment(id string, cfg Config) (*Result, error) {
 	e, ok := exp.ByID(id)
 	if !ok {
 		return nil, fmt.Errorf("activesan: unknown experiment %q (have %v)", id, exp.IDs())
 	}
-	return e.Run(scale), nil
+	return e.RunConfig(cfg), nil
 }
 
-// RunExperiments executes the whole registry at one scale over a pool of
+// RunExperiments executes the whole registry under cfg over a pool of
 // `workers` goroutines (each experiment simulates on its own Engine, so
 // runs are independent). Results are ordered by registry index regardless
 // of completion order; workers < 1 selects runtime.NumCPU() and workers ==
-// 1 reproduces the sequential harness exactly.
-func RunExperiments(scale int64, workers int) []*Result {
-	return exp.RunAll(scale, workers)
+// 1 reproduces the sequential harness exactly. A config with a trace sink
+// runs one experiment at a time.
+func RunExperiments(cfg Config, workers int) []*Result {
+	return exp.RunAll(cfg, workers)
 }
 
 // Shapes summarizes a result's headline numbers against the paper's.
@@ -226,7 +234,13 @@ type (
 	// TraceEvent is one typed simulation trace record (category, name,
 	// component, detail, timestamp).
 	TraceEvent = sim.TraceEvent
-	// TraceSink consumes typed trace events.
+	// TraceSink consumes typed trace events. Set as a Config's Env.Trace,
+	// it sees every simulation the config runs: packet send/receive at
+	// every link, switch and NIC, handler dispatch/invoke/retire,
+	// main-memory cache misses and disk operations (activesim's -trace
+	// writes them as text lines). A partitioned cluster calls it from
+	// several goroutines, so it must lock — NewChromeTraceWriter's sink
+	// already does.
 	TraceSink = sim.TraceSink
 	// MetricsSnapshot is the per-run secondary-metric tree: every
 	// component counter under a "/"-separated name, plus derived gauges
@@ -237,19 +251,11 @@ type (
 	ChromeTraceWriter = metrics.ChromeTraceWriter
 )
 
-// SetTraceSink installs a typed trace sink applied to every simulation
-// created afterwards (nil disables). Events cover packet send/receive at
-// every link, switch and NIC, handler dispatch/invoke/retire, main-memory
-// cache misses and disk operations; the activesim CLI's -trace flag writes
-// them as text lines. Sinks installed while experiments run
-// in parallel are called from multiple goroutines and must lock —
-// NewChromeTraceWriter's sink already does.
-func SetTraceSink(sink TraceSink) { sim.SetDefaultTraceSink(sink) }
-
 // NewChromeTraceWriter starts a Chrome trace-event JSON stream on w,
-// capped at limit events (0 = unlimited). Install its Sink with
-// SetTraceSink and Close it after the last simulation finishes; the
-// resulting file opens directly in https://ui.perfetto.dev.
+// capped at limit events (0 = unlimited). Set its Sink as a Config's
+// Env.Trace, or on an Engine with SetTraceSink, and Close it after the last
+// simulation finishes; the resulting file opens directly in
+// https://ui.perfetto.dev.
 func NewChromeTraceWriter(w io.Writer, limit int64) *ChromeTraceWriter {
 	return metrics.NewChromeTraceWriter(w, limit)
 }

@@ -20,7 +20,7 @@ func runExp(b *testing.B, id string, scale int64) *activesan.Result {
 	var res *activesan.Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = activesan.RunExperiment(id, scale)
+		res, err = activesan.RunExperiment(id, activesan.DefaultConfig(scale))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -28,10 +28,13 @@
 // dump to the given file when a crash, -strict-routes violation, or
 // invariant panic fires. See OBSERVABILITY.md.
 //
-// -faults arms the JSON fault plan (see RELIABILITY.md) on every simulated
-// cluster; -fault-seed overrides the plan's PRNG seed. -strict-routes turns
-// the first unroutable packet into a panic naming the switch and
-// destination, instead of the default fault/no_route_drops accounting.
+// -faults arms the JSON fault plan (see RELIABILITY.md) on the clusters of
+// fig3, fig5, fig7, fig9, fig11, fig17, hdlsweep, faultsweep and collsweep,
+// the experiments that also honour -telemetry; -fault-seed overrides the
+// plan's PRNG seed. -strict-routes turns the first unroutable packet into
+// a panic naming the switch and destination, instead of the default
+// fault/no_route_drops accounting; like -trace and -trace-out it reaches
+// every experiment.
 //
 // -topology selects the cluster the collective experiments (table2,
 // fig15, fig16) build: "tree" (the paper's reduction tree, the default),
@@ -52,7 +55,12 @@
 //
 // With -run all the registry fans out over -parallel worker goroutines
 // (default: the CPU count); results always print in registry order, so the
-// output is byte-identical to a sequential (-parallel 1) run.
+// output is byte-identical to a sequential (-parallel 1) run. A traced run
+// (-trace, -trace-out or -flight-recorder) runs one experiment at a time,
+// so its trace is the sequential run's too.
+//
+// All flags become one run config (activesan.Config) handed to every
+// experiment; nothing is installed process-wide.
 //
 // -metrics-out dumps every run's secondary-metric snapshot (the full
 // per-component counter tree plus derived gauges and timelines) as JSON;
@@ -74,7 +82,6 @@ import (
 
 	"activesan"
 	"activesan/internal/cliflags"
-	"activesan/internal/san"
 )
 
 func main() { os.Exit(realMain()) }
@@ -93,22 +100,22 @@ func realMain() int {
 	jsonPath := flag.String("json", "", "write all results as JSON to this file")
 	mdPath := flag.String("md", "", "write a markdown report of all results to this file")
 	trace := flag.String("trace", "", "write a simulation event trace to this file (plain text)")
-	strictRoutes := flag.Bool("strict-routes", false,
-		"panic on the first unroutable packet instead of counting a fault/no_route_drop")
 	cf := cliflags.Register()
+	flag.BoolVar(&cf.StrictRoutes, "strict-routes", false,
+		"panic on the first unroutable packet instead of counting a fault/no_route_drop")
 	flag.Parse()
 
 	if *trace != "" && cf.TraceOut != "" {
 		fmt.Fprintln(os.Stderr, "activesim: -trace and -trace-out share the trace hook; pick one")
 		return 2
 	}
-	cleanup, err := cf.Setup()
+	cfg, cleanup, err := cf.Setup()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "activesim:", err)
 		return 2
 	}
 	defer cleanup()
-	san.SetStrictRoutes(*strictRoutes)
+	cfg.Scale = *scale
 
 	if *trace != "" {
 		f, err := os.Create(*trace)
@@ -121,11 +128,11 @@ func realMain() int {
 			w.Flush()
 			f.Close()
 		}()
-		// With -parallel, engines on several goroutines share this sink:
-		// the mutex keeps the trace file and line budget coherent.
+		// Partitioned clusters run engines on several goroutines that share
+		// this sink: the mutex keeps the trace file and line budget coherent.
 		var mu sync.Mutex
 		lines := 0
-		activesan.SetTraceSink(func(ev activesan.TraceEvent) {
+		cfg.Env.Trace = func(ev activesan.TraceEvent) {
 			mu.Lock()
 			defer mu.Unlock()
 			if lines >= cf.TraceLimit {
@@ -133,7 +140,7 @@ func realMain() int {
 			}
 			lines++
 			fmt.Fprintf(w, "%-14v %s\n", ev.At, ev.String())
-		})
+		}
 	}
 
 	if *list || *run == "" {
@@ -157,10 +164,10 @@ func realMain() int {
 		if *run == "all" {
 			// The parallel harness keeps results in registry order, so the
 			// printed report is byte-identical at any worker count.
-			collected = activesan.RunExperiments(*scale, *parallel)
+			collected = activesan.RunExperiments(cfg, *parallel)
 			return 0
 		}
-		res, err := activesan.RunExperiment(*run, *scale)
+		res, err := activesan.RunExperiment(*run, cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1

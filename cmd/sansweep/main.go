@@ -12,23 +12,25 @@
 //
 // Sweep points are independent simulations, so they fan out over -parallel
 // worker goroutines (default: the CPU count); output order is always the
-// sequential order.
+// sequential order. A traced sweep (-trace-out or -flight-recorder) runs one
+// point at a time, so its trace is the sequential sweep's too.
 //
 // -metrics-out collects each sweep point's secondary-metric snapshot into
 // one JSON file keyed by point label; -trace-out streams typed trace events
 // as a Chrome trace-event / Perfetto JSON file (see cmd/activesim).
 //
-// -telemetry arms per-packet per-hop telemetry on every simulated cluster
-// (histograms land in the point snapshots); -flight-recorder keeps a
-// bounded ring of recent trace events per component and dumps it on a
-// crash (see OBSERVABILITY.md).
+// -telemetry arms per-packet per-hop telemetry on the md5 and collective
+// sweeps' clusters (histograms land in the point snapshots);
+// -flight-recorder keeps a bounded ring of recent trace events per
+// component and dumps it on a crash (see OBSERVABILITY.md).
 //
 // -cpuprofile/-memprofile write pprof profiles of the sweep itself (see
 // PERFORMANCE.md for the profiling workflow).
 //
-// -faults arms a JSON fault plan (see RELIABILITY.md) on every simulated
-// cluster, with -fault-seed overriding the plan's PRNG seed — the knobs for
-// sweeping reliability parameters instead of problem sizes.
+// -faults arms a JSON fault plan (see RELIABILITY.md) on the md5 and
+// collective sweeps' clusters, with -fault-seed overriding the plan's PRNG
+// seed — the knobs for sweeping reliability parameters instead of problem
+// sizes. The trace sink (-trace-out, -flight-recorder) reaches every sweep.
 //
 // -topology switches the reduce sweep's cluster between the paper's
 // reduction tree (the default) and a k-ary fat tree ("fattree" or
@@ -41,8 +43,8 @@
 // reduce-to-all (all, the allreduce).
 //
 // -handler-src compiles an HDL handler source file (see HANDLERS.md) and
-// installs it process-wide; it is shared flag wiring with cmd/activesim,
-// where the hdlsweep experiment picks the handler up.
+// reports compile errors; it is shared flag wiring with cmd/activesim,
+// whose hdlsweep experiment runs the handler. No sweep here runs it.
 //
 // -sweep collective compares each in-network collective (see
 // COLLECTIVES.md) against its host-only reference over -nodes host counts;
@@ -70,7 +72,6 @@ import (
 	"activesan/internal/apps/reduce"
 	"activesan/internal/apps/twolevel"
 	"activesan/internal/cliflags"
-	"activesan/internal/cluster"
 	"activesan/internal/collective"
 	"activesan/internal/metrics"
 	"activesan/internal/stats"
@@ -170,12 +171,17 @@ func realMain() int {
 	cf := cliflags.Register()
 	flag.Parse()
 
-	cleanup, err := cf.Setup()
+	cfg, cleanup, err := cf.Setup()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sansweep:", err)
 		return 2
 	}
 	defer cleanup()
+	env, workers := cfg.Env, *parallel
+	if env.Trace != nil {
+		// One point at a time: the trace is the sequential sweep's.
+		workers = 1
+	}
 
 	if cf.MetricsOut != "" {
 		sweepMetrics = make(map[string]*metrics.Snapshot)
@@ -189,10 +195,12 @@ func realMain() int {
 	return cf.RunProtected(func() int {
 		switch *sweep {
 		case "ablation":
-			fmt.Print(ablation.Report())
+			fmt.Print(ablation.Report(env))
 
 		case "twolevel":
-			res := twolevel.RunAll(twolevel.DefaultParams())
+			prm := twolevel.DefaultParams()
+			prm.Env = env
+			res := twolevel.RunAll(prm)
 			for _, r := range res.Runs {
 				record("twolevel/"+r.Config, r)
 			}
@@ -208,22 +216,23 @@ func realMain() int {
 			}
 			prm := collective.DefaultParams()
 			if *rounds > 0 {
-				sweepLines(parseInts(*nodes), *parallel, func(p int) string {
-					iso := collective.Run(collective.Reduce, true, p, prm).Latency
-					r := collective.RunPipelined(p, *rounds, prm)
+				sweepLines(parseInts(*nodes), workers, func(p int) string {
+					iso := collective.Run(env, collective.Reduce, true, p, prm).Latency
+					r := collective.RunPipelined(env, p, *rounds, prm)
 					return fmt.Sprintf("p=%-4d rounds=%d total=%v per-round=%v isolated=%v correct=%v\n",
 						p, *rounds, r.Total, r.PerRound, iso, r.Correct)
 				})
 				return 0
 			}
-			fmt.Print(reduce.Sweep(op, parseInts(*nodes), prm, *parallel).Format())
+			fmt.Print(reduce.Sweep(env, op, parseInts(*nodes), prm, workers).Format())
 
 		case "md5":
 			prm := md5app.DefaultParams()
+			prm.Env = env
 			normal := md5app.Run(apps.Normal, 1, prm)
 			record("md5/normal", normal)
 			fmt.Printf("%-20s %v\n", "normal", normal.Time)
-			sweepLines(parseInts(*cpus), *parallel, func(c int) string {
+			sweepLines(parseInts(*cpus), workers, func(c int) string {
 				r := md5app.Run(apps.ActivePref, c, prm)
 				record(fmt.Sprintf("md5/%s/cpus=%d", r.Config, c), r)
 				return fmt.Sprintf("%-20s %v  speedup %.2f\n", r.Config, r.Time,
@@ -232,15 +241,14 @@ func realMain() int {
 
 		case "collective":
 			// -collective picks the op, -agg-budget the keyagg table size,
-			// -topology/-partitions the cluster; the points are fat trees.
-			op := collective.DefaultOp()
-			parts := cluster.DefaultPartitions()
-			sweepLines(parseInts(*nodes), *parallel, func(p int) string {
+			// -partitions the engine layout; the points are fat trees.
+			op := cfg.Collective
+			sweepLines(parseInts(*nodes), workers, func(p int) string {
 				prm := collective.DefaultParams()
 				if op == collective.KeyAgg {
-					b := collective.DefaultBudget()
-					pas := collsweep.RunBudgetPoint(p, 0, false, prm, parts)
-					act := collsweep.RunBudgetPoint(p, b, true, prm, parts)
+					b := cfg.AggBudget
+					pas := collsweep.RunBudgetPoint(env, p, 0, false, prm)
+					act := collsweep.RunBudgetPoint(env, p, b, true, prm)
 					record(fmt.Sprintf("collective/keyagg/passive/p=%d", p),
 						stats.Run{Config: "passive", Metrics: pas.Metrics})
 					record(fmt.Sprintf("collective/keyagg/active/p=%d", p),
@@ -253,8 +261,8 @@ func realMain() int {
 						p, b, act.Latency, pas.Latency, act.Hits, act.Spills, state,
 						act.HostBytes, pas.HostBytes, act.Correct && pas.Correct)
 				}
-				pas := collsweep.RunPoint(op, p, false, prm, parts)
-				act := collsweep.RunPoint(op, p, true, prm, parts)
+				pas := collsweep.RunPoint(env, op, p, false, prm)
+				act := collsweep.RunPoint(env, op, p, true, prm)
 				record(fmt.Sprintf("collective/%s/passive/p=%d", op, p),
 					stats.Run{Config: "passive", Metrics: pas.Metrics})
 				record(fmt.Sprintf("collective/%s/active/p=%d", op, p),
@@ -268,10 +276,11 @@ func realMain() int {
 			})
 
 		case "sort":
-			sweepLines(parseInts(*hosts), *parallel, func(hcount int) string {
+			sweepLines(parseInts(*hosts), workers, func(hcount int) string {
 				prm := psort.DefaultParams()
 				prm.Hosts = hcount
 				prm.Records = *records
+				prm.Env = env
 				n := psort.Run(apps.NormalPref, prm)
 				a := psort.Run(apps.ActivePref, prm)
 				record(fmt.Sprintf("sort/%s/p=%d", n.Config, hcount), n)

@@ -52,7 +52,7 @@ func Example() {
 
 // ExampleRunExperiment regenerates one of the paper's artifacts.
 func ExampleRunExperiment() {
-	res, err := activesan.RunExperiment("table2", 1)
+	res, err := activesan.RunExperiment("table2", activesan.DefaultConfig(1))
 	if err != nil {
 		panic(err)
 	}

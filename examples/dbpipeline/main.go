@@ -16,7 +16,7 @@ func main() {
 	fmt.Println("Database operators on an active switch (scaled to 1/8 of the paper's tables)")
 	fmt.Println()
 	for _, id := range []string{"fig7", "fig5"} {
-		res, err := activesan.RunExperiment(id, 8)
+		res, err := activesan.RunExperiment(id, activesan.DefaultConfig(8))
 		if err != nil {
 			panic(err)
 		}

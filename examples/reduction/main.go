@@ -13,7 +13,7 @@ import (
 
 func main() {
 	for _, id := range []string{"table2", "fig15", "fig16"} {
-		res, err := activesan.RunExperiment(id, 2)
+		res, err := activesan.RunExperiment(id, activesan.DefaultConfig(2))
 		if err != nil {
 			panic(err)
 		}

@@ -12,12 +12,16 @@
 //   - Send-unit reserve: a send-heavy handler versus the DBA's output
 //     reservation.
 //   - Switch CPU clock: where the host/switch partition stops paying off.
+//
+// Every study takes the run's apps.Env and observes its clusters with it
+// (trace sink, strict routes); none arms a fault plan or telemetry.
 package ablation
 
 import (
 	"fmt"
 	"strings"
 
+	"activesan/internal/apps"
 	"activesan/internal/aswitch"
 	"activesan/internal/cluster"
 	"activesan/internal/host"
@@ -86,12 +90,13 @@ func (r InterferenceResult) Degradation() float64 {
 }
 
 // Interference measures non-active traffic with and without active load.
-func Interference() InterferenceResult {
+func Interference(env apps.Env) InterferenceResult {
 	run := func(active bool) (float64, sim.Time) {
 		eng := sim.NewEngine()
 		ccfg := cluster.DefaultIOClusterConfig()
 		ccfg.Hosts = 3
 		c := cluster.NewIOCluster(eng, ccfg)
+		env.Observe(c)
 		const bulk = 8 << 20
 		const streamLen = 8 << 20
 		c.Store(0).AddFile(&iodev.File{Name: "bg", Size: streamLen})
@@ -183,12 +188,13 @@ type ThroughputPoint struct {
 
 // forwardRun streams total bytes disk -> handler -> host1 with the given
 // switch configuration and returns the achieved throughput.
-func forwardRun(swCfg aswitch.Config, total int64, cycPerByte int64) float64 {
+func forwardRun(env apps.Env, swCfg aswitch.Config, total int64, cycPerByte int64) float64 {
 	eng := sim.NewEngine()
 	ccfg := cluster.DefaultIOClusterConfig()
 	ccfg.Hosts = 2
 	ccfg.Switch = swCfg
 	c := cluster.NewIOCluster(eng, ccfg)
+	env.Observe(c)
 	c.Store(0).AddFile(&iodev.File{Name: "f", Size: total})
 	sw := c.Switch(0)
 	done := sim.NewLatch()
@@ -219,35 +225,35 @@ func forwardRun(swCfg aswitch.Config, total int64, cycPerByte int64) float64 {
 }
 
 // BufferCount sweeps the data-buffer pool size for a forwarding stream.
-func BufferCount(counts []int) []ThroughputPoint {
+func BufferCount(env apps.Env, counts []int) []ThroughputPoint {
 	var out []ThroughputPoint
 	for _, n := range counts {
 		cfg := aswitch.DefaultConfig(8)
 		cfg.NumBuffers = n
-		out = append(out, ThroughputPoint{X: n, Bytes: forwardRun(cfg, 4<<20, 2)})
+		out = append(out, ThroughputPoint{X: n, Bytes: forwardRun(env, cfg, 4<<20, 2)})
 	}
 	return out
 }
 
 // OutReserve sweeps the send-unit reservation for a send-heavy handler.
-func OutReserve(reserves []int) []ThroughputPoint {
+func OutReserve(env apps.Env, reserves []int) []ThroughputPoint {
 	var out []ThroughputPoint
 	for _, n := range reserves {
 		cfg := aswitch.DefaultConfig(8)
 		cfg.OutReserve = n
-		out = append(out, ThroughputPoint{X: n, Bytes: forwardRun(cfg, 4<<20, 2)})
+		out = append(out, ThroughputPoint{X: n, Bytes: forwardRun(env, cfg, 4<<20, 2)})
 	}
 	return out
 }
 
 // CPUClock sweeps the switch processor frequency (MHz) for a compute-heavy
 // filter (8 cycles/byte).
-func CPUClock(mhz []int) []ThroughputPoint {
+func CPUClock(env apps.Env, mhz []int) []ThroughputPoint {
 	var out []ThroughputPoint
 	for _, f := range mhz {
 		cfg := aswitch.DefaultConfig(8)
 		cfg.CPUClock = sim.Clock{Period: sim.Time(1_000_000/f) * sim.Picosecond}
-		out = append(out, ThroughputPoint{X: f, Bytes: forwardRun(cfg, 4<<20, 8)})
+		out = append(out, ThroughputPoint{X: f, Bytes: forwardRun(env, cfg, 4<<20, 8)})
 	}
 	return out
 }
@@ -255,12 +261,13 @@ func CPUClock(mhz []int) []ThroughputPoint {
 // ValidBitGranularity returns one-message pipeline latency with fine
 // (32-byte) and coarse (whole-packet) valid bits: the time from invocation
 // until a handler has touched the head of every packet of a 64 KB message.
-func ValidBitGranularity() (fine, coarse sim.Time) {
+func ValidBitGranularity(env apps.Env) (fine, coarse sim.Time) {
 	run := func(lineBytes int64) sim.Time {
 		eng := sim.NewEngine()
 		ccfg := cluster.DefaultIOClusterConfig()
 		ccfg.Switch.ValidLineBytes = lineBytes
 		c := cluster.NewIOCluster(eng, ccfg)
+		env.Observe(c)
 		const total = 64 * 1024
 		c.Store(0).AddFile(&iodev.File{Name: "f", Size: total})
 		sw := c.Switch(0)
@@ -299,49 +306,49 @@ func ValidBitGranularity() (fine, coarse sim.Time) {
 }
 
 // Report runs every ablation and renders a text summary.
-func Report() string {
+func Report(env apps.Env) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== ablation: design-choice studies ==\n")
 
-	r := Interference()
+	r := Interference(env)
 	fmt.Fprintf(&b, "-- design goal 1: non-active traffic vs a saturated handler --\n")
 	fmt.Fprintf(&b, "host-to-host throughput: %.1f MB/s idle, %.1f MB/s under active load (%.2f%% degradation)\n",
 		r.Baseline/1e6, r.WithActive/1e6, 100*r.Degradation())
 	fmt.Fprintf(&b, "small-message latency:   %v idle, %v under active load\n", r.BaselineLat, r.WithActiveLat)
 
 	fmt.Fprintf(&b, "-- data-buffer pool size (forwarding stream) --\n")
-	for _, pt := range BufferCount([]int{4, 8, 16, 32}) {
+	for _, pt := range BufferCount(env, []int{4, 8, 16, 32}) {
 		fmt.Fprintf(&b, "buffers=%-3d  %.1f MB/s\n", pt.X, pt.Bytes/1e6)
 	}
 
-	fine, coarse := ValidBitGranularity()
+	fine, coarse := ValidBitGranularity(env)
 	fmt.Fprintf(&b, "-- valid-bit granularity (head-of-packet pipeline) --\n")
 	fmt.Fprintf(&b, "32-byte lines: %v   whole-packet: %v (fine bits win by %v)\n",
 		fine, coarse, coarse-fine)
 
 	fmt.Fprintf(&b, "-- send-unit reserve (send-heavy handler) --\n")
-	for _, pt := range OutReserve([]int{1, 2, 4}) {
+	for _, pt := range OutReserve(env, []int{1, 2, 4}) {
 		fmt.Fprintf(&b, "reserve=%-3d  %.1f MB/s\n", pt.X, pt.Bytes/1e6)
 	}
 
 	fmt.Fprintf(&b, "-- active-case request size vs host utilization --\n")
-	for _, pt := range RequestSize([]int64{64 * 1024, 256 * 1024, 1 << 20}) {
+	for _, pt := range RequestSize(env, []int64{64 * 1024, 256 * 1024, 1 << 20}) {
 		fmt.Fprintf(&b, "request=%-5dKB host-util=%.4f\n", pt.X, pt.Bytes/1e6)
 	}
 
-	pl := FilterPlacement()
+	pl := FilterPlacement(env)
 	fmt.Fprintf(&b, "-- filter placement across a two-switch fabric (25%% selective) --\n")
 	fmt.Fprintf(&b, "trunk bytes: %d with the filter on the storage-side switch, %d host-side (%.1fx saved)\n",
 		pl.StorageSide, pl.HostSide, float64(pl.HostSide)/float64(pl.StorageSide))
 
-	tl := UtilTimeline()
+	tl := UtilTimeline(env)
 	fmt.Fprintf(&b, "-- switch CPU utilization over time (6-cycle/byte forward) --\n")
 	for i := 0; i < len(tl.X); i += 8 {
 		fmt.Fprintf(&b, "t=%.1fms util=%.2f\n", tl.X[i]*1000, tl.Y[i])
 	}
 
 	fmt.Fprintf(&b, "-- switch CPU clock (8-cycle/byte filter) --\n")
-	for _, pt := range CPUClock([]int{250, 500, 1000}) {
+	for _, pt := range CPUClock(env, []int{250, 500, 1000}) {
 		fmt.Fprintf(&b, "clock=%-4dMHz %.1f MB/s\n", pt.X, pt.Bytes/1e6)
 	}
 	return b.String()
@@ -350,11 +357,12 @@ func Report() string {
 // UtilTimeline runs a compute-heavy forwarding stream and samples the
 // switch CPU's cumulative utilization every 500 us — the time-resolved
 // view behind the paper's average-utilization bars.
-func UtilTimeline() stats.Series {
+func UtilTimeline(env apps.Env) stats.Series {
 	eng := sim.NewEngine()
 	ccfg := cluster.DefaultIOClusterConfig()
 	ccfg.Hosts = 2
 	c := cluster.NewIOCluster(eng, ccfg)
+	env.Observe(c)
 	const total = 4 << 20
 	c.Store(0).AddFile(&iodev.File{Name: "f", Size: total})
 	sw := c.Switch(0)
@@ -405,11 +413,12 @@ type PlacementResult struct {
 // switch near the data filters before the fabric, one near the host does
 // not. Both runs stream the same 4 MB table through a 25% filter; only the
 // handler's switch differs.
-func FilterPlacement() PlacementResult {
+func FilterPlacement(env apps.Env) PlacementResult {
 	run := func(onStorageSide bool) int64 {
 		eng := sim.NewEngine()
 		cfg := cluster.DefaultIOClusterConfig()
 		c := cluster.NewDualIOCluster(eng, cfg)
+		env.Observe(c)
 		const total = 4 << 20
 		c.Store(0).AddFile(&iodev.File{Name: "f", Size: total})
 		swH, swS := c.Switch(0), c.Switch(1)
@@ -454,12 +463,13 @@ func FilterPlacement() PlacementResult {
 // 30 us per request, so large mapped requests are what push active host
 // utilization toward the paper's "close to 0" while the switch's credits
 // pace the stream regardless.
-func RequestSize(sizes []int64) []ThroughputPoint {
+func RequestSize(env apps.Env, sizes []int64) []ThroughputPoint {
 	var out []ThroughputPoint
 	for _, chunk := range sizes {
 		eng := sim.NewEngine()
 		ccfg := cluster.DefaultIOClusterConfig()
 		c := cluster.NewIOCluster(eng, ccfg)
+		env.Observe(c)
 		const total = 8 << 20
 		c.Store(0).AddFile(&iodev.File{Name: "f", Size: total})
 		sw := c.Switch(0)

@@ -3,6 +3,8 @@ package ablation
 import (
 	"strings"
 	"testing"
+
+	"activesan/internal/apps"
 )
 
 func TestInterferenceDesignGoal1(t *testing.T) {
@@ -10,7 +12,7 @@ func TestInterferenceDesignGoal1(t *testing.T) {
 	// non-active messages. The separate data buffers and the (N+1)th
 	// crossbar port mean host-to-host traffic shares nothing with handler
 	// streams, so degradation must be negligible.
-	r := Interference()
+	r := Interference(apps.Env{})
 	if r.Baseline <= 0 || r.WithActive <= 0 {
 		t.Fatalf("throughputs = %v / %v", r.Baseline, r.WithActive)
 	}
@@ -26,7 +28,7 @@ func TestBufferCountFewSuffice(t *testing.T) {
 	// The paper: "only a limited number of data buffers are needed" for
 	// streaming handlers. Throughput with 4 buffers should already be
 	// within a few percent of 32.
-	pts := BufferCount([]int{4, 32})
+	pts := BufferCount(apps.Env{}, []int{4, 32})
 	small, big := pts[0].Bytes, pts[1].Bytes
 	if small < 0.95*big {
 		t.Fatalf("4 buffers reach %.1f MB/s vs %.1f with 32 — streaming should need few",
@@ -35,7 +37,7 @@ func TestBufferCountFewSuffice(t *testing.T) {
 }
 
 func TestValidBitsFinerIsFaster(t *testing.T) {
-	fine, coarse := ValidBitGranularity()
+	fine, coarse := ValidBitGranularity(apps.Env{})
 	if fine >= coarse {
 		t.Fatalf("32-byte valid bits (%v) not faster than whole-packet (%v)", fine, coarse)
 	}
@@ -44,7 +46,7 @@ func TestValidBitsFinerIsFaster(t *testing.T) {
 func TestOutReserveDoesNotStarve(t *testing.T) {
 	// Even a single reserved output buffer must let a send-heavy handler
 	// make progress (no deadlock, comparable throughput).
-	pts := OutReserve([]int{1, 4})
+	pts := OutReserve(apps.Env{}, []int{1, 4})
 	if pts[0].Bytes <= 0 {
 		t.Fatal("reserve=1 starved the handler")
 	}
@@ -55,7 +57,7 @@ func TestOutReserveDoesNotStarve(t *testing.T) {
 }
 
 func TestCPUClockScalesComputeBoundFilter(t *testing.T) {
-	pts := CPUClock([]int{250, 500, 1000})
+	pts := CPUClock(apps.Env{}, []int{250, 500, 1000})
 	if !(pts[0].Bytes < pts[1].Bytes && pts[1].Bytes < pts[2].Bytes) {
 		t.Fatalf("throughput not monotone in clock: %v", pts)
 	}
@@ -72,7 +74,7 @@ func TestReportRenders(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full ablation report is slow")
 	}
-	rep := Report()
+	rep := Report(apps.Env{})
 	for _, want := range []string{"design goal 1", "valid-bit", "switch CPU clock"} {
 		if !strings.Contains(rep, want) {
 			t.Fatalf("report missing %q:\n%s", want, rep)
@@ -81,7 +83,7 @@ func TestReportRenders(t *testing.T) {
 }
 
 func TestUtilTimeline(t *testing.T) {
-	tl := UtilTimeline()
+	tl := UtilTimeline(apps.Env{})
 	if n := len(tl.X); n < 10 {
 		t.Fatalf("timeline has %d samples", n)
 	}
@@ -98,7 +100,7 @@ func TestUtilTimeline(t *testing.T) {
 }
 
 func TestFilterPlacementSavesTrunkBandwidth(t *testing.T) {
-	pl := FilterPlacement()
+	pl := FilterPlacement(apps.Env{})
 	if pl.StorageSide <= 0 || pl.HostSide <= 0 {
 		t.Fatalf("placement bytes = %+v", pl)
 	}
@@ -111,7 +113,7 @@ func TestFilterPlacementSavesTrunkBandwidth(t *testing.T) {
 }
 
 func TestRequestSizeCutsHostUtil(t *testing.T) {
-	pts := RequestSize([]int64{64 * 1024, 1 << 20})
+	pts := RequestSize(apps.Env{}, []int64{64 * 1024, 1 << 20})
 	small, big := pts[0].Bytes/1e6, pts[1].Bytes/1e6
 	if !(big < small/4) {
 		t.Fatalf("1MB requests (util %.4f) should cut 64KB-request util (%.4f) by >4x", big, small)

@@ -230,33 +230,82 @@ func StreamToSwitch(p *sim.Proc, h *host.Host, store san.NodeID, file string,
 	}
 }
 
-// RunIO is the single-host experiment template: it builds an I/O cluster,
-// lets setup add files and handlers, runs app as host 0's program, and
-// collects metrics over every host. extra returned by app lands in the
-// run's Extra map.
-func RunIO(ccfg cluster.IOClusterConfig, cfg Config,
-	setup func(c *cluster.Cluster),
-	app func(p *sim.Proc, c *cluster.Cluster) map[string]any) stats.Run {
-	return RunIOScoped(ccfg, cfg, setup, app, nil)
+// Env is what a run's configuration hands every cluster an experiment
+// builds: the trace sink, -strict-routes, the fault plan, telemetry, and
+// the collective topology. Its zero value observes nothing and arms
+// nothing.
+type Env struct {
+	// Trace, when set, receives every engine's trace events. A
+	// partitioned cluster calls it from several goroutines, so it must
+	// lock.
+	Trace sim.TraceSink
+	// StrictRoutes makes every switch panic on its first unroutable packet.
+	StrictRoutes bool
+	// Faults, when set, is armed on each cluster, with a non-zero FaultSeed
+	// overriding the plan's own seed.
+	Faults    *fault.Plan
+	FaultSeed uint64
+	// Telemetry attaches a per-hop recorder to each cluster; Spans, when
+	// set, receives its per-hop spans.
+	Telemetry bool
+	Spans     *metrics.ChromeTraceWriter
+	// Topology selects the cluster collectives run on; the fat-tree
+	// sweeps, which always build fat trees, read only its Parts.
+	Topology cluster.Topo
 }
 
-// RunIOScoped is RunIO with host metrics restricted to the given host
-// indices (nil = all hosts). Tar uses it so the remote archive target's
-// activity does not dilute the initiating host's utilization and traffic.
-func RunIOScoped(ccfg cluster.IOClusterConfig, cfg Config,
+// Observe installs the trace sink on every engine of c and the
+// strict-routes setting on every switch. Call before the cluster runs.
+func (e Env) Observe(c *cluster.Cluster) {
+	if e.Trace != nil {
+		if c.Group == nil {
+			c.Eng.SetTraceSink(e.Trace)
+		} else {
+			for r := 0; r < c.Group.Len(); r++ {
+				c.Group.Engine(r).SetTraceSink(e.Trace)
+			}
+		}
+	}
+	if e.StrictRoutes {
+		for _, sw := range c.Switches {
+			sw.SetStrictRoutes(true)
+		}
+	}
+}
+
+// Arm observes c, then arms the fault plan and attaches a telemetry
+// recorder, returning each (nil when off). Call between topology
+// construction and cluster.Start.
+func (e Env) Arm(c *cluster.Cluster) (*fault.Injector, *telemetry.Recorder) {
+	e.Observe(c)
+	var inj *fault.Injector
+	if e.Faults != nil {
+		inj = fault.Arm(c, e.Faults, e.FaultSeed)
+	}
+	var rec *telemetry.Recorder
+	if e.Telemetry {
+		rec = telemetry.NewRecorder(e.Spans)
+		rec.Attach(c)
+	}
+	return inj, rec
+}
+
+// RunIO is the single-host experiment template: it builds an I/O cluster,
+// lets setup add files and handlers, arms env on it, runs app as host 0's
+// program, and collects metrics over every host. extra returned by app
+// lands in the run's Extra map.
+func RunIO(env Env, ccfg cluster.IOClusterConfig, cfg Config,
 	setup func(c *cluster.Cluster),
-	app func(p *sim.Proc, c *cluster.Cluster) map[string]any,
-	hostIdx []int) stats.Run {
-	run, _ := RunIOWith(ccfg, cfg, nil, 0, setup, app, hostIdx)
+	app func(p *sim.Proc, c *cluster.Cluster) map[string]any) stats.Run {
+	run, _ := RunIOWith(env, ccfg, cfg, setup, app, nil)
 	return run
 }
 
-// RunIOWith is RunIOScoped with fault injection: plan (when non-nil) is
-// armed on the cluster between setup and Start, with seed overriding the
-// plan's own; a nil plan falls back to the process-wide default installed by
-// the CLI's -faults flag. The returned injector is nil on a fault-free run.
-func RunIOWith(ccfg cluster.IOClusterConfig, cfg Config,
-	plan *fault.Plan, seed uint64,
+// RunIOWith is RunIO that also returns the fault injector (nil on a
+// fault-free run) and restricts host metrics to the given host indices
+// (nil = all hosts). Tar restricts them so the remote archive target's
+// activity does not dilute the initiating host's utilization and traffic.
+func RunIOWith(env Env, ccfg cluster.IOClusterConfig, cfg Config,
 	setup func(c *cluster.Cluster),
 	app func(p *sim.Proc, c *cluster.Cluster) map[string]any,
 	hostIdx []int) (stats.Run, *fault.Injector) {
@@ -265,13 +314,7 @@ func RunIOWith(ccfg cluster.IOClusterConfig, cfg Config,
 	if setup != nil {
 		setup(c)
 	}
-	var inj *fault.Injector
-	if plan != nil {
-		inj = fault.Arm(c, plan, seed)
-	} else {
-		inj = fault.ArmDefault(c)
-	}
-	rec := telemetry.MaybeAttach(c)
+	inj, rec := env.Arm(c)
 	c.Start()
 	tl := metrics.StartTimelines(c, metrics.DefaultTimelineInterval)
 	var end sim.Time

@@ -155,8 +155,8 @@ func TestRunIOScopedRestrictsHosts(t *testing.T) {
 		c.Host(1).CPU().Compute(p, 9000)
 		return nil
 	}
-	all := RunIO(ccfg, Normal, nil, app)
-	scoped := RunIOScoped(ccfg, Normal, nil, app, []int{0})
+	all := RunIO(Env{}, ccfg, Normal, nil, app)
+	scoped, _ := RunIOWith(Env{}, ccfg, Normal, nil, app, []int{0})
 	if all.Hosts != 2 || scoped.Hosts != 1 {
 		t.Fatalf("hosts = %d / %d", all.Hosts, scoped.Hosts)
 	}

@@ -13,9 +13,9 @@ package collsweep
 import (
 	"fmt"
 
+	"activesan/internal/apps"
 	"activesan/internal/cluster"
 	"activesan/internal/collective"
-	"activesan/internal/fault"
 	"activesan/internal/metrics"
 	"activesan/internal/sim"
 	"activesan/internal/stats"
@@ -26,13 +26,13 @@ import (
 type Params struct {
 	// HostCounts are the swept cluster sizes for the allreduce axis.
 	HostCounts []int
-	// Partitions selects the engine layout per point: negative follows the
-	// process-wide -partitions flag, 0 auto-picks from each point's
-	// topology, 1 forces serial, n >= 2 forces n partitions. Results are
-	// byte-identical whatever the value.
-	Partitions int
+	// Env arms each point's cluster (trace sink, strict routes, fault
+	// plan, telemetry), and its Topology.Parts selects the engine layout:
+	// 0 auto-picks from each point's topology, 1 forces serial, n >= 2
+	// forces n partitions. Results are byte-identical whatever the value.
+	Env apps.Env
 	// Op is the collective swept over HostCounts (allreduce by default;
-	// sansweep's -collective flag selects others).
+	// the -collective flag selects others).
 	Op collective.Op
 	// Coll calibrates the collective at every point.
 	Coll collective.Params
@@ -47,8 +47,8 @@ type Params struct {
 func DefaultParams() Params {
 	return Params{
 		HostCounts: []int{4, 8, 16, 32, 64, 256, 1024},
-		Partitions: -1,
-		Op:         collective.DefaultOp(),
+		Env:        apps.Env{Topology: cluster.Topo{Parts: 1}},
+		Op:         collective.Allreduce,
 		Coll:       collective.DefaultParams(),
 		AggHosts:   16,
 		Budgets:    []int{1, 2, 4, 8, 16, 32, 64, 128},
@@ -57,7 +57,7 @@ func DefaultParams() Params {
 
 // Point is one (hosts, variant) allreduce measurement. Metrics is the
 // telemetry fold (per-hop latency histograms decomposing the collective),
-// present when the process-wide -telemetry recorder is armed.
+// present when the env arms telemetry.
 type Point struct {
 	Hosts     int
 	K         int
@@ -84,20 +84,19 @@ type BudgetPoint struct {
 	Metrics *metrics.Snapshot
 }
 
-// newCluster builds one measurement's fat tree with the process-default
-// fault plan and telemetry recorder armed, so -faults and -telemetry
-// compose with the sweep exactly as they do with the figure experiments.
-func newCluster(hosts, partitions int) (*cluster.Cluster, *telemetry.Recorder) {
-	cfg := cluster.DefaultFatTreeConfig(hosts)
-	c := cluster.NewPartitionedFatTreeCluster(cfg, partitions)
-	fault.ArmDefault(c)
-	return c, telemetry.MaybeAttach(c)
+// newCluster builds one measurement's fat tree with env armed, so -faults
+// and -telemetry compose with the sweep exactly as they do with the figure
+// experiments.
+func newCluster(env apps.Env, hosts int) (*cluster.Cluster, *telemetry.Recorder) {
+	c := cluster.NewPartitionedFatTreeCluster(cluster.DefaultFatTreeConfig(hosts), env.Topology.Parts)
+	_, rec := env.Arm(c)
+	return c, rec
 }
 
 // RunPoint measures one collective variant at one cluster size.
-func RunPoint(op collective.Op, hosts int, active bool, prm collective.Params, partitions int) Point {
+func RunPoint(env apps.Env, op collective.Op, hosts int, active bool, prm collective.Params) Point {
 	cfg := cluster.DefaultFatTreeConfig(hosts)
-	c, rec := newCluster(hosts, partitions)
+	c, rec := newCluster(env, hosts)
 	r := collective.RunOn(c, op, active, hosts, prm)
 	pt := Point{
 		Hosts:     hosts,
@@ -116,9 +115,9 @@ func RunPoint(op collective.Op, hosts int, active bool, prm collective.Params, p
 
 // RunBudgetPoint measures key-grouped aggregation under one switch-memory
 // budget (active), or the host-shuffle reference when active is false.
-func RunBudgetPoint(hosts, budget int, active bool, prm collective.Params, partitions int) BudgetPoint {
+func RunBudgetPoint(env apps.Env, hosts, budget int, active bool, prm collective.Params) BudgetPoint {
 	prm.AggBudget = budget
-	c, rec := newCluster(hosts, partitions)
+	c, rec := newCluster(env, hosts)
 	r := collective.RunOn(c, collective.KeyAgg, active, hosts, prm)
 	pt := BudgetPoint{
 		Budget:    budget,
@@ -168,23 +167,18 @@ func RunAll(prm Params) *stats.Result {
 		ID:    "collsweep",
 		Title: "In-network collectives: " + prm.Op.String() + " scaling and the aggregation spill cliff",
 	}
-	parts := prm.Partitions
-	if parts < 0 {
-		parts = cluster.DefaultPartitions()
-	}
-
 	type pair struct{ passive, active Point }
 	points := make([]pair, len(prm.HostCounts))
 	for i, hosts := range prm.HostCounts {
-		points[i].passive = RunPoint(prm.Op, hosts, false, prm.Coll, parts)
-		points[i].active = RunPoint(prm.Op, hosts, true, prm.Coll, parts)
+		points[i].passive = RunPoint(prm.Env, prm.Op, hosts, false, prm.Coll)
+		points[i].active = RunPoint(prm.Env, prm.Op, hosts, true, prm.Coll)
 	}
 	budgets := make([]BudgetPoint, len(prm.Budgets))
 	for b, budget := range prm.Budgets {
-		budgets[b] = RunBudgetPoint(prm.AggHosts, budget, true, prm.Coll, parts)
+		budgets[b] = RunBudgetPoint(prm.Env, prm.AggHosts, budget, true, prm.Coll)
 	}
-	// The host-shuffle reference at the default budget.
-	aggRef := RunBudgetPoint(prm.AggHosts, 0, false, prm.Coll, parts)
+	// The host-shuffle reference (no switch table).
+	aggRef := RunBudgetPoint(prm.Env, prm.AggHosts, 0, false, prm.Coll)
 
 	var passLat, actLat, passBytes, actBytes stats.Series
 	passLat.Name = "passive (recursive doubling)"

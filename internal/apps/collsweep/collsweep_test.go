@@ -29,10 +29,9 @@ func marshal(t *testing.T, v any) string {
 // Partitioned engines must not change a byte of the result either.
 func TestSweepByteIdenticalAcrossPartitions(t *testing.T) {
 	prm := smallParams()
-	prm.Partitions = 1
 	a := marshal(t, RunAll(prm))
 	for _, parts := range []int{2, 4} {
-		prm.Partitions = parts
+		prm.Env.Topology.Parts = parts
 		if b := marshal(t, RunAll(prm)); a != b {
 			t.Fatalf("serial and %d-partition sweeps differ:\n%s\n%s", parts, a, b)
 		}
@@ -46,8 +45,8 @@ func TestAllreduce64HostAcceptance(t *testing.T) {
 		t.Skip("64-host point is not -short")
 	}
 	prm := collective.DefaultParams()
-	pas := RunPoint(collective.Allreduce, 64, false, prm, 1)
-	act := RunPoint(collective.Allreduce, 64, true, prm, 1)
+	pas := RunPoint(DefaultParams().Env, collective.Allreduce, 64, false, prm)
+	act := RunPoint(DefaultParams().Env, collective.Allreduce, 64, true, prm)
 	if !pas.Correct || !act.Correct {
 		t.Fatalf("incorrect result: passive ok=%v active ok=%v", pas.Correct, act.Correct)
 	}
@@ -67,7 +66,7 @@ func TestBudgetSweepLedger(t *testing.T) {
 	prm := collective.DefaultParams()
 	var prev int64 = -1
 	for _, b := range []int{1, 4, 16, 64, 128} {
-		pt := RunBudgetPoint(16, b, true, prm, 1)
+		pt := RunBudgetPoint(DefaultParams().Env, 16, b, true, prm)
 		if !pt.Correct {
 			t.Errorf("budget=%d: incorrect result", b)
 		}
@@ -95,7 +94,7 @@ func TestBudgetSweepLedger(t *testing.T) {
 // per-hop histograms decompose the active allreduce's latency.
 func TestTelemetryDecomposesCollective(t *testing.T) {
 	c := cluster.NewPartitionedFatTreeCluster(cluster.DefaultFatTreeConfig(16), 1)
-	rec := telemetry.NewRecorder()
+	rec := telemetry.NewRecorder(nil)
 	rec.Attach(c)
 	r := collective.RunOn(c, collective.Allreduce, true, 16, collective.DefaultParams())
 	if !r.Correct {

@@ -50,7 +50,18 @@ func PlanFor(i int, rate float64) *fault.Plan {
 	return p
 }
 
+// withPlan returns prm with plan armed in place of prm.Env's plan; a nil
+// plan leaves prm as it is.
+func withPlan(prm mpeg.Params, plan *fault.Plan) mpeg.Params {
+	if plan != nil {
+		prm.Env.Faults, prm.Env.FaultSeed = plan, 0
+	}
+	return prm
+}
+
 // RunAll executes the loss sweep plus the handler-crash demonstration.
+// Each point arms its own plan; the fault-free baseline and the active
+// reference keep prm.Env's.
 func RunAll(prm mpeg.Params) *stats.Result {
 	res := &stats.Result{
 		ID:    "faultsweep",
@@ -63,7 +74,7 @@ func RunAll(prm mpeg.Params) *stats.Result {
 	var lossPct, goodput, completionMs []float64
 	baseChecksum := ""
 	for i, rate := range LossRates {
-		run, inj := mpeg.RunFaulted(apps.NormalPref, prm, PlanFor(i, rate), 0)
+		run, inj := mpeg.RunFaulted(apps.NormalPref, withPlan(prm, PlanFor(i, rate)))
 		run.Config = fmt.Sprintf("loss=%.1f%%", rate*100)
 		checksum, _ := run.Extra["checksum"].(string)
 		if i == 0 {
@@ -105,7 +116,7 @@ func RunAll(prm mpeg.Params) *stats.Result {
 		AtNS: int64(crashAt / sim.Nanosecond),
 		Kind: fault.HandlerCrash,
 	}}}
-	crashRun, crashInj := mpeg.RunFaulted(apps.Active, prm, plan, 0)
+	crashRun, crashInj := mpeg.RunFaulted(apps.Active, withPlan(prm, plan))
 	crashRun.Config = "active+crash"
 	res.Runs = append(res.Runs, crashRun)
 	fellBack, _ := crashRun.Extra["fallback"].(bool)

@@ -38,7 +38,7 @@ func TestPlanFor(t *testing.T) {
 
 func TestLossRecoveryMatchesBaseline(t *testing.T) {
 	prm := smallParams()
-	base, baseInj := mpeg.RunFaulted(apps.NormalPref, prm, nil, 0)
+	base, baseInj := mpeg.RunFaulted(apps.NormalPref, prm)
 	if baseInj != nil {
 		t.Fatal("nil plan armed an injector")
 	}
@@ -48,7 +48,7 @@ func TestLossRecoveryMatchesBaseline(t *testing.T) {
 	}
 
 	plan := &fault.Plan{Seed: 42, Links: []fault.LinkRule{{Drop: 0.01}}}
-	run, inj := mpeg.RunFaulted(apps.NormalPref, prm, plan, 0)
+	run, inj := mpeg.RunFaulted(apps.NormalPref, withPlan(prm, plan))
 	if inj == nil {
 		t.Fatal("loss plan armed no injector")
 	}
@@ -74,8 +74,8 @@ func TestLossRecoveryMatchesBaseline(t *testing.T) {
 func TestFaultedRunsAreDeterministic(t *testing.T) {
 	prm := smallParams()
 	plan := &fault.Plan{Seed: 7, Links: []fault.LinkRule{{Drop: 0.005}}}
-	a, ai := mpeg.RunFaulted(apps.NormalPref, prm, plan, 0)
-	b, bi := mpeg.RunFaulted(apps.NormalPref, prm, plan, 0)
+	a, ai := mpeg.RunFaulted(apps.NormalPref, withPlan(prm, plan))
+	b, bi := mpeg.RunFaulted(apps.NormalPref, withPlan(prm, plan))
 	if a.Time != b.Time {
 		t.Fatalf("same plan, different completion: %v vs %v", a.Time, b.Time)
 	}
@@ -85,12 +85,13 @@ func TestFaultedRunsAreDeterministic(t *testing.T) {
 	// A different seed must change the loss pattern (with overwhelming
 	// probability at hundreds of draws).
 	other := &fault.Plan{Seed: 8, Links: []fault.LinkRule{{Drop: 0.005}}}
-	c, ci := mpeg.RunFaulted(apps.NormalPref, prm, other, 0)
+	c, ci := mpeg.RunFaulted(apps.NormalPref, withPlan(prm, other))
 	if a.Time == c.Time && ai.Counts() == ci.Counts() {
 		t.Fatal("different seeds produced identical runs")
 	}
 	// The CLI's -fault-seed overrides the plan's own seed.
-	d, di := mpeg.RunFaulted(apps.NormalPref, prm, plan, 8)
+	prm.Env.Faults, prm.Env.FaultSeed = plan, 8
+	d, di := mpeg.RunFaulted(apps.NormalPref, prm)
 	if d.Time != c.Time || di.Counts() != ci.Counts() {
 		t.Fatal("seed override did not reproduce the plan-seeded run")
 	}
@@ -98,7 +99,7 @@ func TestFaultedRunsAreDeterministic(t *testing.T) {
 
 func TestHandlerCrashFallsBackToHost(t *testing.T) {
 	prm := smallParams()
-	normal, _ := mpeg.RunFaulted(apps.NormalPref, prm, nil, 0)
+	normal, _ := mpeg.RunFaulted(apps.NormalPref, prm)
 	want, _ := normal.Extra["checksum"].(string)
 
 	activeBase := mpeg.Run(apps.Active, prm)
@@ -109,7 +110,7 @@ func TestHandlerCrashFallsBackToHost(t *testing.T) {
 		AtNS: int64((activeBase.Time / 3) / sim.Nanosecond),
 		Kind: fault.HandlerCrash,
 	}}}
-	run, inj := mpeg.RunFaulted(apps.Active, prm, plan, 0)
+	run, inj := mpeg.RunFaulted(apps.Active, withPlan(prm, plan))
 	if fellBack, _ := run.Extra["fallback"].(bool); !fellBack {
 		t.Fatal("crash mid-stream did not trigger the host fallback")
 	}

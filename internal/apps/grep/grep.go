@@ -37,6 +37,9 @@ type Params struct {
 	DFASetupInstr int64
 	// ParseInstr is command-line option parsing (always on the host).
 	ParseInstr int64
+
+	// Env observes and arms each configuration's cluster.
+	Env apps.Env
 }
 
 // DefaultParams returns the paper's workload (Table 1) with calibrated
@@ -295,7 +298,7 @@ func Run(cfg apps.Config, prm Params) stats.Run {
 		return map[string]any{"matches": matched}
 	}
 
-	return apps.RunIO(ccfg, cfg, setup, app)
+	return apps.RunIO(prm.Env, ccfg, cfg, setup, app)
 }
 
 // RunAll executes the four configurations and assembles the paper's Figure

@@ -44,6 +44,9 @@ type Params struct {
 	BuildInstr    int64 // insert an R record into the hash table
 	SwitchCheck   int64 // switch-side hash+check cycles
 	SwitchSetBits int64 // switch-side bit-set cycles (R phase)
+
+	// Env observes and arms each configuration's cluster.
+	Env apps.Env
 }
 
 // DefaultParams returns the paper's workload.
@@ -355,7 +358,7 @@ func Run(cfg apps.Config, prm Params) stats.Run {
 		return map[string]any{"passes": passes, "matches": matches, "reported": passes}
 	}
 
-	return apps.RunIO(ccfg, cfg, setup, app)
+	return apps.RunIO(prm.Env, ccfg, cfg, setup, app)
 }
 
 // RunAll executes the four configurations (paper Figures 5/6).

@@ -32,6 +32,10 @@ type Params struct {
 	ActiveChunk int64
 	// DiffSeeds is the size of the riding differential batch.
 	DiffSeeds int
+	// Extra, when set, joins the built-in handlers (-handler-src).
+	Extra *hdl.Compiled
+	// Env observes and arms each point's cluster.
+	Env apps.Env
 }
 
 // DefaultParams processes 1 MB per program.
@@ -51,16 +55,16 @@ type Case struct {
 	Params map[string]uint32
 }
 
-// Cases lists the swept handlers: the ported library plus, when the CLI
-// installed one via -handler-src, the user's extra handler.
-func Cases() []Case {
+// Cases lists the swept handlers: the ported library plus, when set, the
+// user's extra handler.
+func Cases(extra *hdl.Compiled) []Case {
 	cs := []Case{
 		{Name: "select", Src: hdl.SelectHDL, Params: map[string]uint32{"threshold": 64}},
 		{Name: "sum", Src: hdl.SumHDL},
 		{Name: "minmax", Src: hdl.MinMaxHDL},
 	}
-	if x := hdl.Extra(); x != nil {
-		cs = append(cs, Case{Name: x.AST.Name, Src: x.AST.Render()})
+	if extra != nil {
+		cs = append(cs, Case{Name: extra.AST.Name, Src: extra.AST.Render()})
 	}
 	return cs
 }
@@ -97,7 +101,7 @@ type Point struct {
 func RunActive(c *hdl.Compiled, params map[string]uint32, data []byte, oracle []uint32, prm Params) Point {
 	size := int64(len(data))
 	var got []uint32
-	run := apps.RunIO(cluster.DefaultIOClusterConfig(), apps.Active,
+	run := apps.RunIO(prm.Env, cluster.DefaultIOClusterConfig(), apps.Active,
 		func(cl *cluster.Cluster) {
 			cl.Store(0).AddFile(&iodev.File{Name: "s", Size: size, Data: data})
 			cl.Switch(0).Register(handlerID, c.AST.Name, c.Handler(hdl.HandlerSpec{
@@ -127,7 +131,7 @@ func RunActive(c *hdl.Compiled, params map[string]uint32, data []byte, oracle []
 func RunPassive(c *hdl.Compiled, params map[string]uint32, data []byte, oracle []uint32, prm Params) Point {
 	size := int64(len(data))
 	var got []uint32
-	run := apps.RunIO(cluster.DefaultIOClusterConfig(), apps.Normal,
+	run := apps.RunIO(prm.Env, cluster.DefaultIOClusterConfig(), apps.Normal,
 		func(cl *cluster.Cluster) {
 			cl.Store(0).AddFile(&iodev.File{Name: "s", Size: size, Data: data})
 		},
@@ -158,13 +162,13 @@ func wordsEqual(a, b []uint32) bool {
 	return true
 }
 
-// RunAll runs every (program, variant) point in Cases() order.
+// RunAll runs every (program, variant) point in Cases(prm.Extra) order.
 func RunAll(prm Params) *stats.Result {
 	res := &stats.Result{
 		ID:    "hdlsweep",
 		Title: "HDL handlers: compiled-on-switch vs host interpreter",
 	}
-	cases := Cases()
+	cases := Cases(prm.Extra)
 	data := BuildStream(prm)
 
 	type pair struct {

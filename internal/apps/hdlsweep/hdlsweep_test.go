@@ -37,13 +37,14 @@ func TestSweepOutputsMatchOracle(t *testing.T) {
 	if !sawBatch {
 		t.Error("no differential batch note")
 	}
-	if len(res.Runs) != 2*len(Cases()) {
-		t.Errorf("%d runs, want %d (active+passive per handler)", len(res.Runs), 2*len(Cases()))
+	if len(res.Runs) != 2*len(Cases(nil)) {
+		t.Errorf("%d runs, want %d (active+passive per handler)", len(res.Runs), 2*len(Cases(nil)))
 	}
 }
 
-// TestExtraHandlerJoinsSweep: a handler installed via the -handler-src hook
-// becomes a fourth case and passes the oracle check like the built-ins.
+// TestExtraHandlerJoinsSweep: a handler passed as Params.Extra (the
+// -handler-src hook) becomes a fourth case and passes the oracle check like
+// the built-ins.
 func TestExtraHandlerJoinsSweep(t *testing.T) {
 	c, err := hdl.Compile(`
 handler xorfold {
@@ -59,15 +60,14 @@ handler xorfold {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdl.SetExtra(c)
-	defer hdl.SetExtra(nil)
-	cases := Cases()
+	cases := Cases(c)
 	if len(cases) != 4 || cases[3].Name != "xorfold" {
 		t.Fatalf("cases = %d (%v), want the extra handler fourth", len(cases), cases)
 	}
 	prm := shrunk()
 	prm.StreamBytes = 16 << 10
 	prm.DiffSeeds = 1
+	prm.Extra = c
 	res := RunAll(prm)
 	for _, n := range res.Notes {
 		if strings.Contains(n, "DIVERGED") || strings.Contains(n, "COMPILE ERROR") {

@@ -11,6 +11,7 @@ package latsweep
 import (
 	"fmt"
 
+	"activesan/internal/apps"
 	"activesan/internal/cluster"
 	"activesan/internal/collective"
 	"activesan/internal/metrics"
@@ -26,6 +27,9 @@ type Params struct {
 	HostCounts []int
 	// Reduce calibrates the collective at every point.
 	Reduce collective.Params
+	// Env observes each point's cluster (trace sink, strict routes) and
+	// gives its recorder the span writer; no fault plan is armed.
+	Env apps.Env
 }
 
 // DefaultParams sweeps 4 to 64 hosts with the paper's 512-byte vectors.
@@ -52,10 +56,11 @@ type Point struct {
 
 // RunPoint measures one variant at one cluster size on the minimal fat
 // tree, with a telemetry recorder always attached — latsweep is the
-// experiment about telemetry, so it does not consult the process default.
-func RunPoint(hosts int, active bool, prm collective.Params) Point {
+// experiment about telemetry, so it ignores env.Telemetry.
+func RunPoint(env apps.Env, hosts int, active bool, prm collective.Params) Point {
 	c := cluster.NewFatTreeCluster(sim.NewEngine(), cluster.DefaultFatTreeConfig(hosts))
-	rec := telemetry.NewRecorder()
+	env.Observe(c)
+	rec := telemetry.NewRecorder(env.Spans)
 	rec.Attach(c)
 	r := collective.RunOn(c, collective.Reduce, active, hosts, prm)
 	snap := metrics.NewSnapshot()
@@ -99,8 +104,8 @@ func RunAll(prm Params) *stats.Result {
 	type pair struct{ passive, active Point }
 	points := make([]pair, len(prm.HostCounts))
 	for i, hosts := range prm.HostCounts {
-		points[i].passive = RunPoint(hosts, false, prm.Reduce)
-		points[i].active = RunPoint(hosts, true, prm.Reduce)
+		points[i].passive = RunPoint(prm.Env, hosts, false, prm.Reduce)
+		points[i].active = RunPoint(prm.Env, hosts, true, prm.Reduce)
 	}
 
 	var passP50, actP50, passP99, actP99 stats.Series

@@ -3,6 +3,7 @@ package latsweep
 import (
 	"testing"
 
+	"activesan/internal/apps"
 	"activesan/internal/collective"
 	"activesan/internal/san"
 )
@@ -13,7 +14,7 @@ func smallParams() Params {
 }
 
 func TestRunPointPopulatesTelemetry(t *testing.T) {
-	pt := RunPoint(8, true, collective.DefaultParams())
+	pt := RunPoint(apps.Env{}, 8, true, collective.DefaultParams())
 	if !pt.Correct {
 		t.Fatal("active reduce incorrect")
 	}
@@ -39,7 +40,7 @@ func TestRunPointPopulatesTelemetry(t *testing.T) {
 }
 
 func TestPassiveRunsNoHandler(t *testing.T) {
-	pt := RunPoint(8, false, collective.DefaultParams())
+	pt := RunPoint(apps.Env{}, 8, false, collective.DefaultParams())
 	if !pt.Correct {
 		t.Fatal("passive reduce incorrect")
 	}
@@ -55,8 +56,8 @@ func TestActiveBeatsPassiveAtScale(t *testing.T) {
 	// The paper's path-length argument, measured: at 16 hosts the active
 	// tree's p99 end-to-end latency beats the host MST's.
 	prm := collective.DefaultParams()
-	pass := RunPoint(16, false, prm)
-	act := RunPoint(16, true, prm)
+	pass := RunPoint(apps.Env{}, 16, false, prm)
+	act := RunPoint(apps.Env{}, 16, true, prm)
 	pp, ap := pass.Metrics.Get("telemetry/e2e/p99"), act.Metrics.Get("telemetry/e2e/p99")
 	if pp == 0 || ap == 0 {
 		t.Fatalf("p99 missing: passive=%g active=%g", pp, ap)

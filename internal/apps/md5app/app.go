@@ -28,6 +28,9 @@ type Params struct {
 	HostMD5Instr int64
 	// SwitchMD5Cycles is the switch CPU's per-byte digest cost.
 	SwitchMD5Cycles int64
+
+	// Env observes and arms each configuration's cluster.
+	Env apps.Env
 }
 
 // DefaultParams returns the paper's 256 KB workload.
@@ -202,7 +205,7 @@ func Run(cfg apps.Config, cpus int, prm Params) stats.Run {
 		return map[string]any{"digest": fmt.Sprintf("%x", d.Sum())}
 	}
 
-	run := apps.RunIO(ccfg, cfg, setup, app)
+	run := apps.RunIO(prm.Env, ccfg, cfg, setup, app)
 	run.Config = ConfigLabel(cfg, cpus)
 	return run
 }

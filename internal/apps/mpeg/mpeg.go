@@ -13,7 +13,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"sync/atomic"
 
 	"activesan/internal/apps"
 	"activesan/internal/aswitch"
@@ -54,6 +53,9 @@ type Params struct {
 	HostColorInstr int64
 	// SwitchFilterCycles is the switch CPU's per-byte filtering cost.
 	SwitchFilterCycles int64
+
+	// Env observes and arms each configuration's cluster.
+	Env apps.Env
 }
 
 // DefaultParams returns the paper's workload: 2,202,640 bytes, ~63.5%
@@ -213,19 +215,6 @@ func (f *filter) Feed(data []byte) {
 	}
 }
 
-// dbg prints debug traces when enabled. Atomic so SetDebug is safe while
-// experiments run on other goroutines.
-var debugTrace atomic.Bool
-
-func dbg(format string, args ...any) {
-	if debugTrace.Load() {
-		fmt.Printf("[mpeg] "+format+"\n", args...)
-	}
-}
-
-// SetDebug toggles debug tracing (tests/diagnosis only).
-func SetDebug(v bool) { debugTrace.Store(v) }
-
 const handlerID = 11
 
 const (
@@ -244,17 +233,17 @@ type handlerArgs struct {
 
 // Run executes one configuration.
 func Run(cfg apps.Config, prm Params) stats.Run {
-	run, _ := RunFaulted(cfg, prm, nil, 0)
+	run, _ := RunFaulted(cfg, prm)
 	return run
 }
 
-// RunFaulted is Run with a fault plan armed on the cluster (nil plan: the
-// process-wide default, if any). The active configurations gain the
-// handler-crash fallback: when the switch's crash notice arrives mid-stream,
-// the host abandons the offloaded pipeline and transparently re-runs the
-// whole program locally — the workload still completes, with the slowdown
+// RunFaulted is Run that also returns the injector of prm.Env's fault plan
+// (nil without one). The active configurations gain the handler-crash
+// fallback: when the switch's crash notice arrives mid-stream, the host
+// abandons the offloaded pipeline and transparently re-runs the whole
+// program locally — the workload still completes, with the slowdown
 // visible in the run's time and a "fallback" marker in Extra.
-func RunFaulted(cfg apps.Config, prm Params, plan *fault.Plan, seed uint64) (stats.Run, *fault.Injector) {
+func RunFaulted(cfg apps.Config, prm Params) (stats.Run, *fault.Injector) {
 	stream := BuildStream(prm)
 	ccfg := cluster.DefaultIOClusterConfig()
 
@@ -444,8 +433,7 @@ func RunFaulted(cfg apps.Config, prm Params, plan *fault.Plan, seed uint64) (sta
 		return runNormal()
 	}
 
-	run, inj := apps.RunIOWith(ccfg, cfg, plan, seed, setup, app, nil)
-	return run, inj
+	return apps.RunIOWith(prm.Env, ccfg, cfg, setup, app, nil)
 }
 
 // messageAssembler re-parses frame boundaries out of the concatenated

@@ -11,7 +11,6 @@ package psort
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"activesan/internal/apps"
 	"activesan/internal/aswitch"
@@ -53,6 +52,10 @@ type Params struct {
 	LocalSort bool
 	// SortInstrPerCmp is the per-comparison cost of the local sort.
 	SortInstrPerCmp int64
+
+	// Env observes each configuration's cluster: trace sink and
+	// strict routes only (no fault plan or telemetry).
+	Env apps.Env
 }
 
 // DefaultParams returns the paper's workload.
@@ -123,13 +126,6 @@ func recordsIn(prm Params, j int, a, b int64) (lo, hi int64) {
 	return lo, hi
 }
 
-// debugSort enables handler progress traces. Atomic so SetDebug is safe
-// while experiments run on other goroutines.
-var debugSort atomic.Bool
-
-// SetDebug toggles tracing.
-func SetDebug(v bool) { debugSort.Store(v) }
-
 const handlerID = 15
 
 const (
@@ -162,6 +158,7 @@ func Run(cfg apps.Config, prm Params) stats.Run {
 	ccfg.Stores = prm.Hosts
 	ccfg.Switch = aswitch.DefaultConfig(2 * prm.Hosts)
 	c := cluster.NewIOCluster(eng, ccfg)
+	prm.Env.Observe(c)
 	for j := 0; j < prm.Hosts; j++ {
 		c.Store(j).AddFile(&iodev.File{Name: "part", Size: perNodeBytes})
 	}
@@ -194,13 +191,7 @@ func Run(cfg apps.Config, prm Params) stats.Run {
 			}
 			var consumed int64
 			for consumed < total {
-				if debugSort.Load() {
-					fmt.Printf("[psort] consumed=%d/%d at %v\n", consumed, total, x.Now())
-				}
 				b := x.NextArrival()
-				if debugSort.Load() {
-					fmt.Printf("[psort] got buf addr=%#x size=%d\n", b.Addr(), b.Size())
-				}
 				x.ReadAll(b)
 				// Which stream (node) does this buffer belong to?
 				j := int((b.Addr() - streamOrg) / streamSpan)
@@ -217,9 +208,6 @@ func Run(cfg apps.Config, prm Params) stats.Run {
 					}
 					bytesOut[d] += prm.RecordSize
 					if bytesOut[d] >= args.BatchSize {
-						if debugSort.Load() {
-							fmt.Printf("[psort] flush dest=%d count=%d\n", d, batches[d].Count)
-						}
 						flush(d)
 					}
 				}
@@ -265,10 +253,6 @@ func Run(cfg apps.Config, prm Params) stats.Run {
 		end = p.Now()
 	})
 	eng.Run()
-	if debugSort.Load() {
-		fmt.Printf("[psort] post-run: dbaInUse=%d atbLive=%d pending=%d\n",
-			sw.DBA().InUse(), sw.CPU(0).ATB().Live(), sw.CPU(0).PendingArrivals())
-	}
 	run := apps.Collect(cfg, c, end, map[string]any{
 		"counts": append([]int64(nil), counts...),
 		"sums":   append([]uint64(nil), sums...),

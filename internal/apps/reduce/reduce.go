@@ -44,8 +44,8 @@ var DefaultNodeCounts = []int{2, 4, 8, 16, 32, 64, 128}
 // paper's latency-vs-nodes figure with a speedup series: Figure 15 for
 // collective.Reduce, Figure 16 for collective.ReduceScatter, and
 // reduce-to-all for collective.Allreduce. Each point builds its cluster
-// from the process defaults; output is identical at any worker count.
-func Sweep(op collective.Op, nodeCounts []int, prm collective.Params, workers int) *stats.Result {
+// as collective.Run does from env; output is identical at any worker count.
+func Sweep(env apps.Env, op collective.Op, nodeCounts []int, prm collective.Params, workers int) *stats.Result {
 	id, name, normalName := "fig15", "reduce-to-one", "normal (MST)"
 	switch op {
 	case collective.ReduceScatter:
@@ -58,8 +58,8 @@ func Sweep(op collective.Op, nodeCounts []int, prm collective.Params, workers in
 	apps.Parallel(len(nodeCounts), workers,
 		func(i int) string { return fmt.Sprintf("%s p=%d", name, nodeCounts[i]) },
 		func(i int) {
-			points[i].normal = collective.Run(op, false, nodeCounts[i], prm)
-			points[i].active = collective.Run(op, true, nodeCounts[i], prm)
+			points[i].normal = collective.Run(env, op, false, nodeCounts[i], prm)
+			points[i].active = collective.Run(env, op, true, nodeCounts[i], prm)
 		})
 	var normal, active stats.Series
 	normal.Name = normalName

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"activesan/internal/apps"
 	"activesan/internal/collective"
 )
 
@@ -17,8 +18,8 @@ func TestShapeReduceSpeedupGrows(t *testing.T) {
 	prm := collective.DefaultParams()
 	for _, op := range []collective.Op{collective.Reduce, collective.ReduceScatter} {
 		speedup := func(p int) float64 {
-			rn := collective.Run(op, false, p, prm)
-			ra := collective.Run(op, true, p, prm)
+			rn := collective.Run(apps.Env{}, op, false, p, prm)
+			ra := collective.Run(apps.Env{}, op, true, p, prm)
 			return float64(rn.Latency) / float64(ra.Latency)
 		}
 		s16 := speedup(16)
@@ -38,9 +39,9 @@ func TestActiveBeatsLowerBoundAtScale(t *testing.T) {
 	// host-side lower bound. Approximate a+l by the measured p=2 normal
 	// latency (one round) and check at p=64.
 	prm := collective.DefaultParams()
-	oneRound := collective.Run(collective.Reduce, false, 2, prm).Latency
+	oneRound := collective.Run(apps.Env{}, collective.Reduce, false, 2, prm).Latency
 	bound := 6 * oneRound // ceil(log2 64) = 6 rounds
-	got := collective.Run(collective.Reduce, true, 64, prm).Latency
+	got := collective.Run(apps.Env{}, collective.Reduce, true, 64, prm).Latency
 	if got >= bound {
 		t.Errorf("active latency %v does not beat MST lower bound %v", got, bound)
 	}
@@ -48,7 +49,7 @@ func TestActiveBeatsLowerBoundAtScale(t *testing.T) {
 
 func TestSweepSeries(t *testing.T) {
 	for _, op := range []collective.Op{collective.Reduce, collective.ReduceScatter, collective.Allreduce} {
-		res := Sweep(op, []int{2, 8, 32}, collective.DefaultParams(), 2)
+		res := Sweep(apps.Env{}, op, []int{2, 8, 32}, collective.DefaultParams(), 2)
 		if len(res.Series) != 3 {
 			t.Fatalf("%s: series = %d, want 3 (normal, active, speedup)", op, len(res.Series))
 		}
@@ -75,8 +76,8 @@ func TestReduceToAll(t *testing.T) {
 	// Reduce-to-one". Reduce-to-all is the allreduce, whose multicast
 	// fan-out keeps the active latency within ~2x of reduce-to-one.
 	prm := collective.DefaultParams()
-	one := collective.Run(collective.Reduce, true, 16, prm)
-	all := collective.Run(collective.Allreduce, true, 16, prm)
+	one := collective.Run(apps.Env{}, collective.Reduce, true, 16, prm)
+	all := collective.Run(apps.Env{}, collective.Allreduce, true, 16, prm)
 	if !one.Correct || !all.Correct {
 		t.Fatalf("reduce-to-one ok=%v, reduce-to-all ok=%v", one.Correct, all.Correct)
 	}
@@ -92,8 +93,8 @@ func TestPipelinedReductions(t *testing.T) {
 	// isolated latency, and every round's result must be exact.
 	prm := collective.DefaultParams()
 	const p = 32
-	isolated := collective.Run(collective.Reduce, true, p, prm).Latency
-	res := collective.RunPipelined(p, 16, prm)
+	isolated := collective.Run(apps.Env{}, collective.Reduce, true, p, prm).Latency
+	res := collective.RunPipelined(apps.Env{}, p, 16, prm)
 	if !res.Correct {
 		t.Fatal("pipelined rounds produced wrong results")
 	}
@@ -101,7 +102,7 @@ func TestPipelinedReductions(t *testing.T) {
 		t.Fatalf("pipelining gained nothing: per-round %v vs isolated %v", res.PerRound, isolated)
 	}
 	prm.Operator = collective.Max
-	if !collective.RunPipelined(p, 4, prm).Correct {
+	if !collective.RunPipelined(apps.Env{}, p, 4, prm).Correct {
 		t.Fatal("pipelined max rounds produced wrong results")
 	}
 }

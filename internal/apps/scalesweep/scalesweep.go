@@ -12,6 +12,7 @@ package scalesweep
 import (
 	"fmt"
 
+	"activesan/internal/apps"
 	"activesan/internal/cluster"
 	"activesan/internal/collective"
 	"activesan/internal/sim"
@@ -22,24 +23,24 @@ import (
 type Params struct {
 	// HostCounts are the swept cluster sizes.
 	HostCounts []int
-	// Partitions selects the simulation engine layout per point: negative
-	// follows the process-wide -partitions flag (cluster.DefaultPartitions),
-	// 0 picks automatically from each point's topology, 1 forces the serial
-	// engine, and n >= 2 forces exactly n partitions. Results are
-	// byte-identical whatever the value; see PERFORMANCE.md.
-	Partitions int
 	// Reduce calibrates the collective at every point.
 	Reduce collective.Params
+	// Env observes each point's cluster (trace sink, strict routes; no
+	// fault plan or telemetry), and its Topology.Parts selects the engine
+	// layout: 0 picks automatically from each point's topology, 1 forces
+	// the serial engine, and n >= 2 forces exactly n partitions. Results
+	// are byte-identical whatever the value; see PERFORMANCE.md.
+	Env apps.Env
 }
 
-// DefaultParams sweeps 4 to 1024 hosts with the paper's 512-byte vectors,
-// following the process-wide partition setting. The 256- and 1024-host
-// points (k=12 and k=16 trees) are where partitioned simulation pays off.
+// DefaultParams sweeps 4 to 1024 hosts with the paper's 512-byte vectors
+// on the serial engine. The 256- and 1024-host points (k=12 and k=16
+// trees) are where partitioned simulation pays off.
 func DefaultParams() Params {
 	return Params{
 		HostCounts: []int{4, 8, 16, 32, 64, 256, 1024},
-		Partitions: -1,
 		Reduce:     collective.DefaultParams(),
+		Env:        apps.Env{Topology: cluster.Topo{Parts: 1}},
 	}
 }
 
@@ -54,18 +55,13 @@ type Point struct {
 }
 
 // RunPoint measures one variant at one cluster size on the minimal fat
-// tree with the serial engine. The cluster outlives the run so NIC counters
-// can be harvested.
-func RunPoint(hosts int, active bool, prm collective.Params) Point {
-	return RunPointParts(hosts, active, prm, 1)
-}
-
-// RunPointParts is RunPoint over `partitions` simulation partitions (0 =
-// auto from the topology, 1 = serial). Byte-identical to RunPoint at every
-// partition count.
-func RunPointParts(hosts int, active bool, prm collective.Params, partitions int) Point {
+// tree over env.Topology.Parts simulation partitions; the result is
+// byte-identical at every partition count. The cluster outlives the run so
+// NIC counters can be harvested.
+func RunPoint(env apps.Env, hosts int, active bool, prm collective.Params) Point {
 	cfg := cluster.DefaultFatTreeConfig(hosts)
-	c := cluster.NewPartitionedFatTreeCluster(cfg, partitions)
+	c := cluster.NewPartitionedFatTreeCluster(cfg, env.Topology.Parts)
+	env.Observe(c)
 	r := collective.RunOn(c, collective.Reduce, active, hosts, prm)
 	var bytes int64
 	for _, h := range c.Hosts {
@@ -88,15 +84,11 @@ func RunAll(prm Params) *stats.Result {
 		ID:    "scalesweep",
 		Title: "Reduce at scale on k-ary fat trees: active vs passive",
 	}
-	parts := prm.Partitions
-	if parts < 0 {
-		parts = cluster.DefaultPartitions()
-	}
 	type pair struct{ passive, active Point }
 	points := make([]pair, len(prm.HostCounts))
 	for i, hosts := range prm.HostCounts {
-		points[i].passive = RunPointParts(hosts, false, prm.Reduce, parts)
-		points[i].active = RunPointParts(hosts, true, prm.Reduce, parts)
+		points[i].passive = RunPoint(prm.Env, hosts, false, prm.Reduce)
+		points[i].active = RunPoint(prm.Env, hosts, true, prm.Reduce)
 	}
 
 	var passLat, actLat, passBytes, actBytes stats.Series

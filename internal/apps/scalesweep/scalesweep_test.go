@@ -13,9 +13,9 @@ func TestActiveCutsHostIOAt64Hosts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("64-host fat tree (80 switches)")
 	}
-	prm := DefaultParams().Reduce
-	active := RunPoint(64, true, prm)
-	passive := RunPoint(64, false, prm)
+	prm := DefaultParams()
+	active := RunPoint(prm.Env, 64, true, prm.Reduce)
+	passive := RunPoint(prm.Env, 64, false, prm.Reduce)
 	if !active.Correct || !passive.Correct {
 		t.Fatalf("incorrect reduction: active ok=%v, passive ok=%v", active.Correct, passive.Correct)
 	}
@@ -35,15 +35,15 @@ func TestActiveCutsHostIOAt64Hosts(t *testing.T) {
 // moves ~log2(p) vectors per host while active moves one up and at most one
 // down, so the byte ratio must widen as hosts grow.
 func TestHostIOSavingGrowsWithScale(t *testing.T) {
-	prm := DefaultParams().Reduce
+	prm := DefaultParams()
 	counts := []int{4, 16}
 	if !testing.Short() {
 		counts = append(counts, 64)
 	}
 	prev := 0.0
 	for _, p := range counts {
-		a := RunPoint(p, true, prm)
-		b := RunPoint(p, false, prm)
+		a := RunPoint(prm.Env, p, true, prm.Reduce)
+		b := RunPoint(prm.Env, p, false, prm.Reduce)
 		ratio := float64(b.HostBytes) / float64(a.HostBytes)
 		if ratio <= prev {
 			t.Errorf("p=%d: passive/active byte ratio %.3f did not grow (prev %.3f)", p, ratio, prev)
@@ -79,14 +79,16 @@ func TestSerialVsPartitionedByteIdentity(t *testing.T) {
 	if testing.Short() {
 		hosts = 16
 	}
-	prm := DefaultParams().Reduce
+	prm := DefaultParams()
 	for _, active := range []bool{false, true} {
-		want := RunPointParts(hosts, active, prm, 1)
+		want := RunPoint(prm.Env, hosts, active, prm.Reduce)
 		if !want.Correct {
 			t.Fatalf("active=%v: serial point incorrect", active)
 		}
 		for _, parts := range []int{2, 4} {
-			got := RunPointParts(hosts, active, prm, parts)
+			env := prm.Env
+			env.Topology.Parts = parts
+			got := RunPoint(env, hosts, active, prm.Reduce)
 			if got != want {
 				t.Errorf("active=%v partitions=%d diverges from serial:\n got %+v\nwant %+v",
 					active, parts, got, want)

@@ -39,6 +39,9 @@ type Params struct {
 	HostCountInstr int64
 	// SwitchPredCycles is the switch CPU's per-record predicate cost.
 	SwitchPredCycles int64
+
+	// Env observes and arms each configuration's cluster.
+	Env apps.Env
 }
 
 // DefaultParams returns the paper's 128 MB workload.
@@ -190,7 +193,7 @@ func Run(cfg apps.Config, prm Params) stats.Run {
 		return map[string]any{"matches": matched, "reported": matched}
 	}
 
-	return apps.RunIO(ccfg, cfg, setup, app)
+	return apps.RunIO(prm.Env, ccfg, cfg, setup, app)
 }
 
 // RunAll executes the four configurations (paper Figures 7/8).

@@ -33,6 +33,9 @@ type Params struct {
 	HeaderInstr int64
 	// SwitchIOInstr is the switch kernel's cost to initiate a disk request.
 	SwitchIOInstr int64
+
+	// Env observes and arms each configuration's cluster.
+	Env apps.Env
 }
 
 // DefaultParams returns the paper's 4 MB workload as 16 x 256 KB files.
@@ -301,7 +304,8 @@ func Run(cfg apps.Config, prm Params) stats.Run {
 		return map[string]any{"checksum": remoteSum, "files": remoteFiles}
 	}
 
-	return apps.RunIOScoped(ccfg, cfg, setup, app, []int{0})
+	run, _ := apps.RunIOWith(prm.Env, ccfg, cfg, setup, app, []int{0})
+	return run
 }
 
 // RunAll executes the four configurations (paper Figures 11/12). Host

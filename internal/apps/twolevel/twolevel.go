@@ -57,6 +57,10 @@ type Params struct {
 	HostPredInstr    int64
 	SwitchPredCycles int64
 	DiskPredCycles   int64 // per byte on the 200 MHz disk core
+
+	// Env observes each placement's cluster: trace sink and strict routes
+	// only (no fault plan or telemetry).
+	Env apps.Env
 }
 
 // DefaultParams returns a 32 MB table (the study is about placement, not
@@ -107,6 +111,7 @@ func Run(mode Mode, prm Params) stats.Run {
 	eng := sim.NewEngine()
 	ccfg := cluster.DefaultIOClusterConfig()
 	c := cluster.NewIOCluster(eng, ccfg)
+	prm.Env.Observe(c)
 	c.Store(0).AddFile(&iodev.File{Name: "table", Size: prm.TableBytes})
 	sw := c.Switch(0)
 	store := c.Store(0)

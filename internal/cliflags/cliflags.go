@@ -3,9 +3,9 @@
 // fault-injection plan, the collective topology selector, the
 // -handler-src HDL handler loader, and the telemetry/flight-recorder
 // switches. Both commands declare the same flags with the same
-// semantics; this package keeps them from drifting and gives their values
-// one validated Setup path with helpful errors instead of two copies of the
-// boilerplate.
+// semantics; this package keeps them from drifting and turns their values
+// into one validated run config (exp.Config), with helpful errors, instead
+// of two copies of the boilerplate.
 package cliflags
 
 import (
@@ -18,11 +18,11 @@ import (
 
 	"activesan/internal/cluster"
 	"activesan/internal/collective"
+	"activesan/internal/exp"
 	"activesan/internal/fault"
 	"activesan/internal/hdl"
 	"activesan/internal/metrics"
 	"activesan/internal/prof"
-	"activesan/internal/sim"
 	"activesan/internal/telemetry"
 )
 
@@ -42,6 +42,9 @@ type Common struct {
 	HandlerSrc string
 	Telemetry  bool
 	FlightRec  string
+	// StrictRoutes is activesim's -strict-routes, which the command
+	// declares itself (sansweep has no such flag).
+	StrictRoutes bool
 
 	// FR is the armed flight recorder (nil unless -flight-recorder was
 	// given). RunProtected feeds recovered panics into it; cleanup writes
@@ -61,7 +64,7 @@ func Register() *Common {
 	flag.StringVar(&c.CPUProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
 	flag.StringVar(&c.MemProfile, "memprofile", "", "write a pprof heap profile to this file at exit")
 	flag.StringVar(&c.Faults, "faults", "",
-		"arm the fault plan in this JSON file on every simulated cluster (see RELIABILITY.md)")
+		"arm the fault plan in this JSON file on the clusters of the experiments and sweeps that honour it (see RELIABILITY.md)")
 	flag.Uint64Var(&c.FaultSeed, "fault-seed", 0, "override the fault plan's PRNG seed (requires -faults)")
 	flag.StringVar(&c.Topology, "topology", "tree",
 		"collective topology: tree (the paper's reduction tree), fattree, or fattree:K (see TOPOLOGIES.md)")
@@ -74,93 +77,91 @@ func Register() *Common {
 	flag.StringVar(&c.HandlerSrc, "handler-src", "",
 		"compile this HDL handler source file and add it to the hdlsweep experiment (see HANDLERS.md)")
 	flag.BoolVar(&c.Telemetry, "telemetry", false,
-		"stamp every packet with per-hop telemetry and fold latency histograms into metrics (see OBSERVABILITY.md)")
+		"stamp packets with per-hop telemetry and fold latency histograms into metrics, in the experiments and sweeps that honour it (see OBSERVABILITY.md)")
 	flag.StringVar(&c.FlightRec, "flight-recorder", "",
 		"keep a per-component ring of recent trace events; dump to this file on a crash or -strict-routes violation")
 	return c
 }
 
-// parseTopology validates a -topology value, returning the kind and the
-// fat-tree arity override (0 = pick the smallest fit).
-func parseTopology(v string) (kind string, k int, err error) {
+// parseTopology validates a -topology value: the tree, or a fat tree with
+// its arity override (K = 0 picks the smallest fit).
+func parseTopology(v string) (cluster.Topo, error) {
 	switch {
 	case v == "" || v == "tree":
-		return "tree", 0, nil
+		return cluster.Topo{}, nil
 	case v == "fattree":
-		return "fattree", 0, nil
+		return cluster.Topo{FatTree: true}, nil
 	case strings.HasPrefix(v, "fattree:"):
 		k, err := strconv.Atoi(v[len("fattree:"):])
 		if err != nil || k < 2 || k%2 != 0 {
-			return "", 0, fmt.Errorf("fattree arity %q must be an even integer >= 2", v[len("fattree:"):])
+			return cluster.Topo{}, fmt.Errorf("fattree arity %q must be an even integer >= 2", v[len("fattree:"):])
 		}
-		return "fattree", k, nil
+		return cluster.Topo{FatTree: true, K: k}, nil
 	default:
-		return "", 0, fmt.Errorf("unknown topology %q (want tree, fattree, or fattree:K)", v)
+		return cluster.Topo{}, fmt.Errorf("unknown topology %q (want tree, fattree, or fattree:K)", v)
 	}
 }
 
-// Setup validates the parsed values and installs their process-wide effects:
-// the default fault plan, profiling, telemetry, the flight recorder, and the
-// Chrome trace sink. The returned cleanup (never nil) flushes the trace
+// Setup validates the parsed values and returns the run config they
+// describe, with Scale left for the caller to set. It also starts the
+// profilers, the flight recorder and the Chrome trace writer, whose sinks
+// the config carries. The returned cleanup (never nil) flushes the trace
 // file, writes the flight-recorder dump if it triggered, and stops the
 // profilers; defer it from main. RunProtected runs cleanup even when the
 // simulation panics, so -trace-out/-metrics-out are never left truncated.
 // Errors name the flag at fault.
-func (c *Common) Setup() (cleanup func(), err error) {
+func (c *Common) Setup() (cfg exp.Config, cleanup func(), err error) {
 	noop := func() {}
+	cfg = exp.DefaultConfig(0)
 	if c.FaultSeed != 0 && c.Faults == "" {
-		return noop, fmt.Errorf("-fault-seed has no effect without -faults")
+		return cfg, noop, fmt.Errorf("-fault-seed has no effect without -faults")
 	}
-	kind, k, err := parseTopology(c.Topology)
+	topo, err := parseTopology(c.Topology)
 	if err != nil {
-		return noop, fmt.Errorf("-topology: %w", err)
+		return cfg, noop, fmt.Errorf("-topology: %w", err)
 	}
-	cluster.SetDefaultTopology(kind, k)
 	if c.Partitions < 0 {
-		return noop, fmt.Errorf("-partitions: count %d must be >= 0 (0 = auto)", c.Partitions)
+		return cfg, noop, fmt.Errorf("-partitions: count %d must be >= 0 (0 = auto)", c.Partitions)
 	}
-	cluster.SetDefaultPartitions(c.Partitions)
-	op, err := collective.ParseOp(c.Collective)
-	if err != nil {
-		return noop, fmt.Errorf("-collective: %w", err)
+	topo.Parts = c.Partitions
+	cfg.Env.Topology = topo
+	if cfg.Collective, err = collective.ParseOp(c.Collective); err != nil {
+		return cfg, noop, fmt.Errorf("-collective: %w", err)
 	}
-	collective.SetDefaultOp(op)
 	if c.AggBudget < 0 {
-		return noop, fmt.Errorf("-agg-budget: %d must be >= 0 (0 = default)", c.AggBudget)
+		return cfg, noop, fmt.Errorf("-agg-budget: %d must be >= 0 (0 = default)", c.AggBudget)
 	}
 	if c.AggBudget > 0 {
-		collective.SetDefaultBudget(c.AggBudget)
+		cfg.AggBudget = c.AggBudget
 	}
 	if c.Faults != "" {
-		plan, err := fault.Load(c.Faults)
-		if err != nil {
-			return noop, fmt.Errorf("-faults: %w", err)
+		if cfg.Env.Faults, err = fault.Load(c.Faults); err != nil {
+			return cfg, noop, fmt.Errorf("-faults: %w", err)
 		}
-		fault.SetDefault(plan, c.FaultSeed)
+		cfg.Env.FaultSeed = c.FaultSeed
 	}
 	if c.HandlerSrc != "" {
 		src, err := os.ReadFile(c.HandlerSrc)
 		if err != nil {
-			return noop, fmt.Errorf("-handler-src: %w", err)
+			return cfg, noop, fmt.Errorf("-handler-src: %w", err)
 		}
-		compiled, err := hdl.Compile(string(src))
-		if err != nil {
-			return noop, fmt.Errorf("-handler-src: %w", err)
+		if cfg.Handler, err = hdl.Compile(string(src)); err != nil {
+			return cfg, noop, fmt.Errorf("-handler-src: %w", err)
 		}
-		hdl.SetExtra(compiled)
 	}
 	if c.MetricsOut != "" {
 		// Fail on an unwritable directory now, not after the simulation.
 		if err := EnsureParent(c.MetricsOut); err != nil {
-			return noop, fmt.Errorf("-metrics-out: %w", err)
+			return cfg, noop, fmt.Errorf("-metrics-out: %w", err)
 		}
 	}
-	telemetry.SetDefault(c.Telemetry)
+	cfg.Env.Telemetry = c.Telemetry
+	cfg.Env.StrictRoutes = c.StrictRoutes
 	if c.FlightRec != "" {
 		if err := EnsureParent(c.FlightRec); err != nil {
-			return noop, fmt.Errorf("-flight-recorder: %w", err)
+			return cfg, noop, fmt.Errorf("-flight-recorder: %w", err)
 		}
-		c.FR = telemetry.NewFlightRecorder(0)
+		c.FR = telemetry.NewFlightRecorder(0, c.StrictRoutes)
 	}
 	stopProf := prof.Start(c.CPUProfile, c.MemProfile)
 
@@ -168,34 +169,34 @@ func (c *Common) Setup() (cleanup func(), err error) {
 	if c.TraceOut != "" {
 		if err := EnsureParent(c.TraceOut); err != nil {
 			stopProf()
-			return noop, fmt.Errorf("-trace-out: %w", err)
+			return cfg, noop, fmt.Errorf("-trace-out: %w", err)
 		}
 		f, err := os.Create(c.TraceOut)
 		if err != nil {
 			stopProf()
-			return noop, fmt.Errorf("-trace-out: %w", err)
+			return cfg, noop, fmt.Errorf("-trace-out: %w", err)
 		}
-		// The writer locks internally, so -parallel engines share it.
+		// The writer locks internally, so partition engines can share it.
 		w = metrics.NewChromeTraceWriter(f, int64(c.TraceLimit))
 		if c.Telemetry {
 			// Per-hop spans ride the same Perfetto file as the event trace.
-			telemetry.SetDefaultSpanWriter(w)
+			cfg.Env.Spans = w
 		}
 	}
 
-	// Install the trace sink: the flight recorder tees in front of the
-	// Chrome writer (or records alone when there is no -trace-out).
+	// The trace sink: the flight recorder tees in front of the Chrome
+	// writer (or records alone when there is no -trace-out).
 	switch {
 	case c.FR != nil && w != nil:
-		sim.SetDefaultTraceSink(c.FR.Sink(w.Sink()))
+		cfg.Env.Trace = c.FR.Sink(w.Sink())
 	case c.FR != nil:
-		sim.SetDefaultTraceSink(c.FR.Sink(nil))
+		cfg.Env.Trace = c.FR.Sink(nil)
 	case w != nil:
-		sim.SetDefaultTraceSink(w.Sink())
+		cfg.Env.Trace = w.Sink()
 	}
 
 	out, frOut, fr := c.TraceOut, c.FlightRec, c.FR
-	return func() {
+	return cfg, func() {
 		if fr != nil && fr.Triggered() {
 			if err := os.WriteFile(frOut, []byte(fr.Dump()), 0o644); err != nil {
 				fmt.Fprintln(os.Stderr, err)

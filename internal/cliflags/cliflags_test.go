@@ -10,15 +10,11 @@ import (
 	"activesan/internal/apps"
 	"activesan/internal/apps/mpeg"
 	"activesan/internal/cluster"
-	"activesan/internal/fault"
-	"activesan/internal/hdl"
-	"activesan/internal/sim"
-	"activesan/internal/telemetry"
 )
 
 func TestSetupRejectsSeedWithoutPlan(t *testing.T) {
 	c := &Common{FaultSeed: 42}
-	cleanup, err := c.Setup()
+	_, cleanup, err := c.Setup()
 	if err == nil || !strings.Contains(err.Error(), "-faults") {
 		t.Fatalf("err = %v, want a -fault-seed/-faults complaint", err)
 	}
@@ -26,21 +22,20 @@ func TestSetupRejectsSeedWithoutPlan(t *testing.T) {
 }
 
 func TestSetupLoadsFaultPlan(t *testing.T) {
-	defer fault.SetDefault(nil, 0)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "plan.json")
 	if err := os.WriteFile(path, []byte(`{"seed": 3, "links": [{"drop": 0.01}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	c := &Common{Faults: path, FaultSeed: 9}
-	cleanup, err := c.Setup()
+	cfg, cleanup, err := c.Setup()
 	if err != nil {
 		t.Fatalf("Setup: %v", err)
 	}
 	defer cleanup()
-	plan, seed := fault.Default()
+	plan, seed := cfg.Env.Faults, cfg.Env.FaultSeed
 	if plan == nil || plan.Seed != 3 || seed != 9 {
-		t.Fatalf("default plan = %+v seed %d, want seed 3 with override 9", plan, seed)
+		t.Fatalf("config plan = %+v seed %d, want seed 3 with override 9", plan, seed)
 	}
 }
 
@@ -49,14 +44,14 @@ func TestSetupRejectsInvalidPlan(t *testing.T) {
 	path := filepath.Join(dir, "bad.json")
 	os.WriteFile(path, []byte(`{"links": [{"drop": 1.5}]}`), 0o644)
 	c := &Common{Faults: path}
-	cleanup, err := c.Setup()
+	_, cleanup, err := c.Setup()
 	if err == nil || !strings.Contains(err.Error(), "drop=1.5") {
 		t.Fatalf("err = %v, want the out-of-range probability named", err)
 	}
 	cleanup()
 
 	c = &Common{Faults: filepath.Join(dir, "absent.json")}
-	cleanup, err = c.Setup()
+	_, cleanup, err = c.Setup()
 	if err == nil {
 		t.Fatal("missing plan file accepted")
 	}
@@ -64,36 +59,33 @@ func TestSetupRejectsInvalidPlan(t *testing.T) {
 }
 
 func TestSetupInstallsTopologyDefault(t *testing.T) {
-	defer cluster.SetDefaultTopology("tree", 0)
 	cases := []struct {
-		flag string
-		kind string
-		k    int
+		flag  string
+		parts int
+		want  cluster.Topo
 	}{
-		{"", "tree", 0},
-		{"tree", "tree", 0},
-		{"fattree", "fattree", 0},
-		{"fattree:8", "fattree", 8},
+		{"", 1, cluster.Topo{Parts: 1}},
+		{"tree", 1, cluster.Topo{Parts: 1}},
+		{"fattree", 0, cluster.Topo{FatTree: true}},
+		{"fattree:8", 2, cluster.Topo{FatTree: true, K: 8, Parts: 2}},
 	}
 	for _, tc := range cases {
-		c := &Common{Topology: tc.flag}
-		cleanup, err := c.Setup()
+		c := &Common{Topology: tc.flag, Partitions: tc.parts}
+		cfg, cleanup, err := c.Setup()
 		if err != nil {
 			t.Fatalf("Setup(-topology=%q): %v", tc.flag, err)
 		}
 		cleanup()
-		kind, k := cluster.DefaultTopology()
-		if kind != tc.kind || k != tc.k {
-			t.Errorf("-topology=%q installed (%q, %d), want (%q, %d)", tc.flag, kind, k, tc.kind, tc.k)
+		if got := cfg.Env.Topology; got != tc.want {
+			t.Errorf("-topology=%q -partitions=%d configured %+v, want %+v", tc.flag, tc.parts, got, tc.want)
 		}
 	}
 }
 
 func TestSetupRejectsBadTopology(t *testing.T) {
-	defer cluster.SetDefaultTopology("tree", 0)
 	for _, v := range []string{"mesh", "fattree:7", "fattree:0", "fattree:x"} {
 		c := &Common{Topology: v}
-		cleanup, err := c.Setup()
+		_, cleanup, err := c.Setup()
 		cleanup()
 		if err == nil || !strings.Contains(err.Error(), "-topology") {
 			t.Errorf("-topology=%q: err = %v, want a -topology complaint", v, err)
@@ -102,7 +94,6 @@ func TestSetupRejectsBadTopology(t *testing.T) {
 }
 
 func TestSetupCompilesHandlerSrc(t *testing.T) {
-	defer hdl.SetExtra(nil)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "fold.hdl")
 	src := "handler fold {\n\tvar acc\n\ton word x {\n\t\tacc = acc ^ x\n\t}\n\tend {\n\t\temit acc\n\t}\n}\n"
@@ -110,32 +101,27 @@ func TestSetupCompilesHandlerSrc(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := &Common{HandlerSrc: path}
-	cleanup, err := c.Setup()
+	cfg, cleanup, err := c.Setup()
 	if err != nil {
 		t.Fatalf("Setup: %v", err)
 	}
 	defer cleanup()
-	x := hdl.Extra()
-	if x == nil || x.AST.Name != "fold" {
-		t.Fatalf("Extra() = %v, want the compiled fold handler installed", x)
+	if x := cfg.Handler; x == nil || x.AST.Name != "fold" {
+		t.Fatalf("Handler = %v, want the compiled fold handler", x)
 	}
 }
 
 func TestSetupRejectsBadHandlerSrc(t *testing.T) {
-	defer hdl.SetExtra(nil)
 	dir := t.TempDir()
 	bad := filepath.Join(dir, "bad.hdl")
 	os.WriteFile(bad, []byte("handler broken {\n\ton word x { y = 1 }\n}\n"), 0o644)
 	for _, path := range []string{bad, filepath.Join(dir, "absent.hdl")} {
 		c := &Common{HandlerSrc: path}
-		cleanup, err := c.Setup()
+		_, cleanup, err := c.Setup()
 		cleanup()
 		if err == nil || !strings.HasPrefix(err.Error(), "-handler-src:") {
 			t.Errorf("HandlerSrc=%q: err = %v, want a -handler-src-prefixed error", path, err)
 		}
-	}
-	if hdl.Extra() != nil {
-		t.Error("a rejected handler source still installed an extra handler")
 	}
 }
 
@@ -159,12 +145,6 @@ func TestCleanupFlushesOnCrash(t *testing.T) {
 	// handler crash, followed by a strict-routes-style panic out of the
 	// simulation body) must still leave a complete -trace-out document and a
 	// flight-recorder dump on disk — never a truncated fragment.
-	defer func() {
-		sim.SetDefaultTraceSink(nil)
-		telemetry.SetDefault(false)
-		telemetry.SetDefaultSpanWriter(nil)
-		fault.SetDefault(nil, 0)
-	}()
 	dir := t.TempDir()
 	planPath := filepath.Join(dir, "crash.json")
 	plan := `{"events": [{"at_ns": 50000, "kind": "handler_crash", "switch": 0}]}`
@@ -178,7 +158,7 @@ func TestCleanupFlushesOnCrash(t *testing.T) {
 		Telemetry:  true,
 		FlightRec:  filepath.Join(dir, "flight.txt"),
 	}
-	cleanup, err := c.Setup()
+	cfg, cleanup, err := c.Setup()
 	if err != nil {
 		t.Fatalf("Setup: %v", err)
 	}
@@ -188,9 +168,9 @@ func TestCleanupFlushesOnCrash(t *testing.T) {
 
 	prm := mpeg.DefaultParams()
 	prm.FileSize = 256 * 1024
-	dp, seed := fault.Default()
+	prm.Env = cfg.Env
 	code := c.RunProtected(func() int {
-		run, _ := mpeg.RunFaulted(apps.Active, prm, dp, seed)
+		run := mpeg.Run(apps.Active, prm)
 		if run.Extra["fallback"] != true {
 			t.Errorf("crash plan did not force the fallback: Extra=%v", run.Extra)
 		}
@@ -231,7 +211,7 @@ func TestCleanupFlushesOnCrash(t *testing.T) {
 func TestSetupMetricsOutCreatesParent(t *testing.T) {
 	dir := t.TempDir()
 	c := &Common{MetricsOut: filepath.Join(dir, "sub", "metrics.json")}
-	cleanup, err := c.Setup()
+	_, cleanup, err := c.Setup()
 	if err != nil {
 		t.Fatalf("Setup: %v", err)
 	}

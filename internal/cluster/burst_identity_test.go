@@ -67,7 +67,7 @@ func driveBurst(t *testing.T, c *cluster.Cluster, msgSize int64) burstResult {
 		c.Eng.SetTraceSink(func(ev sim.TraceEvent) { streams[0] = append(streams[0], ev) })
 	}
 
-	rec := telemetry.NewRecorder()
+	rec := telemetry.NewRecorder(nil)
 	rec.Attach(c)
 	c.Start()
 	tl := metrics.StartTimelines(c, 20*sim.Microsecond)

@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
 	"activesan/internal/sim"
 )
@@ -115,29 +114,4 @@ func NewPartitionedFatTreeCluster(cfg FatTreeConfig, nparts int) *Cluster {
 	c := BuildPartitioned(g, FatTreeTopology(cfg), FatTreePartition(cfg, nparts))
 	fatTreeOverlay(c, cfg)
 	return c
-}
-
-// The process-wide default partition count, installed by the -partitions
-// flag (mirroring SetDefaultTopology): scale experiments consult it when
-// building their clusters. 1 = serial engine, 0 = auto from topology.
-var (
-	defPartsMu sync.Mutex
-	defParts   = 1
-)
-
-// SetDefaultPartitions installs the process-wide default partition count.
-func SetDefaultPartitions(n int) {
-	if n < 0 {
-		panic(fmt.Sprintf("cluster: negative partition count %d", n))
-	}
-	defPartsMu.Lock()
-	defer defPartsMu.Unlock()
-	defParts = n
-}
-
-// DefaultPartitions returns the process-wide default partition count.
-func DefaultPartitions() int {
-	defPartsMu.Lock()
-	defer defPartsMu.Unlock()
-	return defParts
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sync"
 
 	"activesan/internal/aswitch"
 	"activesan/internal/host"
@@ -369,43 +368,26 @@ func (c *Cluster) SwitchesByRole(role string) []*aswitch.ActiveSwitch {
 	return out
 }
 
-// The process-wide default topology kind, installed by the -topology flag
-// (mirroring fault.SetDefault): collective experiments consult it when
-// building their clusters. Kind "" or "tree" selects the paper's reduction
-// tree; "fattree" selects a k-ary fat tree (k = 0 picks the smallest fit).
-var (
-	defTopoMu   sync.Mutex
-	defTopoKind string
-	defTopoK    int
-)
-
-// SetDefaultTopology installs the process-wide default collective topology.
-func SetDefaultTopology(kind string, k int) {
-	defTopoMu.Lock()
-	defer defTopoMu.Unlock()
-	defTopoKind, defTopoK = kind, k
+// Topo selects the cluster a collective runs on: the paper's reduction tree,
+// or a k-ary fat tree (K = 0 picks the smallest fit) spread over Parts
+// simulation partitions (0 = auto, 1 = the serial engine; see
+// NewPartitionedFatTreeCluster). The tree has no partition cut, so it
+// ignores K and Parts.
+type Topo struct {
+	FatTree bool
+	K       int
+	Parts   int
 }
 
-// DefaultTopology returns the process-wide default collective topology.
-func DefaultTopology() (kind string, k int) {
-	defTopoMu.Lock()
-	defer defTopoMu.Unlock()
-	return defTopoKind, defTopoK
-}
-
-// BuildCollective builds the p-host cluster a collective runs on from the
-// process defaults: the paper's switch tree, unless -topology selected a
-// fat tree, which then runs on -partitions simulation partitions (the tree
-// has no partition cut and always runs serial). The returned cluster
-// always has a populated Tree.
-func BuildCollective(p int) *Cluster {
-	kind, k := DefaultTopology()
-	if kind != "fattree" {
+// BuildCollective builds the p-host cluster a collective runs on. The
+// returned cluster always has a populated Tree.
+func BuildCollective(p int, t Topo) *Cluster {
+	if !t.FatTree {
 		return NewTreeCluster(sim.NewEngine(), DefaultTreeConfig(p))
 	}
 	cfg := DefaultFatTreeConfig(p)
-	if k > 0 {
-		cfg.K = k
+	if t.K > 0 {
+		cfg.K = t.K
 	}
-	return NewPartitionedFatTreeCluster(cfg, DefaultPartitions())
+	return NewPartitionedFatTreeCluster(cfg, t.Parts)
 }

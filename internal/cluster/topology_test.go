@@ -281,42 +281,34 @@ func TestFatTreeCrossPodMessage(t *testing.T) {
 }
 
 func TestBuildCollectiveHonorsDefault(t *testing.T) {
-	defer SetDefaultTopology("tree", 0)
-	defer SetDefaultPartitions(1)
-
-	SetDefaultTopology("tree", 0)
-	c := BuildCollective(16)
+	c := BuildCollective(16, Topo{})
 	if c.Topo.Spec.Switches[0].Name != "leaf0" {
-		t.Fatalf("tree default built %q", c.Topo.Spec.Switches[0].Name)
+		t.Fatalf("tree topology built %q", c.Topo.Spec.Switches[0].Name)
 	}
 	c.Shutdown()
 
-	SetDefaultTopology("fattree", 0)
-	c = BuildCollective(16)
+	c = BuildCollective(16, Topo{FatTree: true, Parts: 1})
 	if got := len(c.Switches); got != 20 {
-		t.Fatalf("fattree default built %d switches, want 20 (k=4)", got)
+		t.Fatalf("fattree built %d switches, want 20 (k=4)", got)
 	}
 	if c.Group != nil {
-		t.Fatal("fattree built partitioned under the serial default")
+		t.Fatal("fattree built partitioned on one partition")
 	}
 	c.Shutdown()
 
-	SetDefaultTopology("fattree", 6)
-	c = BuildCollective(16)
+	c = BuildCollective(16, Topo{FatTree: true, K: 6, Parts: 1})
 	if got := len(c.Switches); got != 45 {
 		t.Fatalf("fattree:6 built %d switches, want 45 (6*6 + 9)", got)
 	}
 	c.Shutdown()
 
-	// -partitions applies to fat trees; the tree has no cut and stays serial.
-	SetDefaultPartitions(2)
-	c = BuildCollective(16)
+	// Parts applies to fat trees; the tree has no cut and stays serial.
+	c = BuildCollective(16, Topo{FatTree: true, Parts: 2})
 	if c.Group == nil || c.Tree == nil {
-		t.Fatal("fattree under -partitions 2 built no partitioned group or overlay")
+		t.Fatal("fattree on 2 partitions built no partitioned group or overlay")
 	}
 	c.Shutdown()
-	SetDefaultTopology("tree", 0)
-	c = BuildCollective(16)
+	c = BuildCollective(16, Topo{Parts: 2})
 	if c.Group != nil {
 		t.Fatal("tree built partitioned")
 	}

@@ -31,7 +31,6 @@ package collective
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"activesan/internal/apps"
@@ -180,15 +179,15 @@ type Params struct {
 
 	// Keys is the key space and Records the per-host record count for
 	// key-grouped aggregation. AggBudget bounds the per-switch aggregation
-	// table in distinct keys; 0 falls back to the process-wide default
-	// installed by the -agg-budget flag (DefaultBudget).
+	// table in distinct keys (at least 1 for an active key aggregation).
 	Keys      int
 	Records   int
 	AggBudget int
 }
 
 // DefaultParams mirrors the paper's 512-byte reduction vectors and sizes
-// key aggregation at 64 keys x 64 records per host.
+// key aggregation at 64 keys x 64 records per host, with a 32-entry
+// per-switch table.
 func DefaultParams() Params {
 	return Params{
 		VectorBytes:     512,
@@ -197,55 +196,8 @@ func DefaultParams() Params {
 		SwitchAddCycles: 1,
 		Keys:            64,
 		Records:         64,
+		AggBudget:       32,
 	}
-}
-
-// budget resolves the effective switch-memory budget.
-func (p Params) budget() int {
-	if p.AggBudget > 0 {
-		return p.AggBudget
-	}
-	return DefaultBudget()
-}
-
-// Process-wide defaults installed by the shared CLI flags (-collective and
-// -agg-budget); the library reads them when a caller leaves the knob zero.
-var (
-	defMu     sync.Mutex
-	defOp     = Allreduce
-	defBudget = 32
-)
-
-// SetDefaultOp installs the process-wide default operation (-collective).
-func SetDefaultOp(o Op) {
-	defMu.Lock()
-	defer defMu.Unlock()
-	defOp = o
-}
-
-// DefaultOp returns the process-wide default operation.
-func DefaultOp() Op {
-	defMu.Lock()
-	defer defMu.Unlock()
-	return defOp
-}
-
-// SetDefaultBudget installs the process-wide aggregation-table budget
-// (-agg-budget); n must be positive.
-func SetDefaultBudget(n int) {
-	if n <= 0 {
-		panic("collective: aggregation budget must be positive")
-	}
-	defMu.Lock()
-	defer defMu.Unlock()
-	defBudget = n
-}
-
-// DefaultBudget returns the process-wide aggregation-table budget.
-func DefaultBudget() int {
-	defMu.Lock()
-	defer defMu.Unlock()
-	return defBudget
 }
 
 // HostVector is rank j's deterministic input vector.
@@ -527,10 +479,19 @@ func opParams(op Op, prm Params) Params {
 	return prm
 }
 
-// Run executes one collective on a fresh cluster built from the process
-// defaults (cluster.BuildCollective: -topology and -partitions).
-func Run(op Op, active bool, p int, prm Params) Result {
-	return RunOn(cluster.BuildCollective(p), op, active, p, prm)
+// Run executes one collective on a fresh cluster built on env's topology
+// (-topology and -partitions) and observed by env's trace sink and
+// strict-routes setting.
+func Run(env apps.Env, op Op, active bool, p int, prm Params) Result {
+	return RunOn(newCluster(env, p), op, active, p, prm)
+}
+
+// newCluster builds and observes the p-host cluster Run and RunPipelined
+// use.
+func newCluster(env apps.Env, p int) *cluster.Cluster {
+	c := cluster.BuildCollective(p, env.Topology)
+	env.Observe(c)
+	return c
 }
 
 // RunOn executes one collective on a prebuilt cluster with a populated
@@ -578,13 +539,13 @@ type PipelinedResult struct {
 }
 
 // RunPipelined streams `rounds` back-to-back active Reduce operations
-// through the switch tree of a fresh cluster built from the process
-// defaults. Because each tree level works on round r+1 while the next level
-// combines round r — "the switch can overlap the switch CPU execution with
-// its duties as a normal switch" — amortized per-round time beats the
-// isolated latency. Rank 0 checks every round against the oracle.
-func RunPipelined(p, rounds int, prm Params) PipelinedResult {
-	c := cluster.BuildCollective(p)
+// through the switch tree of a fresh cluster built as Run builds it.
+// Because each tree level works on round r+1 while the next level combines
+// round r — "the switch can overlap the switch CPU execution with its
+// duties as a normal switch" — amortized per-round time beats the isolated
+// latency. Rank 0 checks every round against the oracle.
+func RunPipelined(env apps.Env, p, rounds int, prm Params) PipelinedResult {
+	c := newCluster(env, p)
 	sh := buildShape(c, p)
 	installCombine(c, sh, Reduce, prm, rounds)
 	correct := true // written by rank 0 only

@@ -220,11 +220,11 @@ func TestSliceBoundsPartition(t *testing.T) {
 // the isolated reduce, to the picosecond.
 func TestPipelinedSingleRoundMatchesIsolated(t *testing.T) {
 	prm := DefaultParams()
-	res := RunPipelined(8, 1, prm)
+	res := RunPipelined(apps.Env{}, 8, 1, prm)
 	if !res.Correct {
 		t.Fatal("single pipelined round incorrect")
 	}
-	if iso := Run(Reduce, true, 8, prm).Latency; res.Total != iso {
+	if iso := Run(apps.Env{}, Reduce, true, 8, prm).Latency; res.Total != iso {
 		t.Fatalf("single-round pipelined %v vs isolated %v", res.Total, iso)
 	}
 }

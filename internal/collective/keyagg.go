@@ -14,6 +14,7 @@ package collective
 // done marker carrying the batch count, which FIFO delivery orders last.
 
 import (
+	"fmt"
 	"sort"
 
 	"activesan/internal/aswitch"
@@ -63,6 +64,9 @@ type kaState struct {
 
 // installKeyAgg places the aggregation handler on overlay switches.
 func installKeyAgg(c *cluster.Cluster, sh *shape, prm Params) {
+	if prm.AggBudget < 1 {
+		panic(fmt.Sprintf("collective: keyagg budget %d must be >= 1", prm.AggBudget))
+	}
 	for _, sw := range c.Switches {
 		id := sw.ID()
 		if c.Tree.Children[id] == 0 {
@@ -70,11 +74,11 @@ func installKeyAgg(c *cluster.Cluster, sh *shape, prm Params) {
 		}
 		st := &kaState{
 			table:    map[int64]int64{},
-			budget:   prm.budget(),
+			budget:   prm.AggBudget,
 			expected: c.Tree.Children[id],
 			parent:   c.Tree.Parent[id],
 			argAddr:  sh.slot[id] * san.MTU,
-			tblBase:  sw.Space().Alloc(int64(prm.budget())*16, 64),
+			tblBase:  sw.Space().Alloc(int64(prm.AggBudget)*16, 64),
 			hosts:    sh.hostIDs,
 			p:        sh.p,
 			sentTo:   make([]int64, sh.p),

@@ -23,9 +23,43 @@ import (
 	"activesan/internal/apps/sel"
 	"activesan/internal/apps/tarapp"
 	"activesan/internal/apps/twolevel"
+	"activesan/internal/cluster"
 	"activesan/internal/collective"
+	"activesan/internal/hdl"
 	"activesan/internal/stats"
 )
+
+// Config is everything that shapes one run of the registry: the scale
+// divisor and the settings the command line passes to each experiment.
+// Nothing else — no process-wide state — reaches a result, so runs under
+// different configs can share a process.
+type Config struct {
+	// Scale divides the paper's problem sizes (1 = full size).
+	Scale int64
+	// Env reaches the clusters the experiments build. The trace sink and
+	// strict routes reach every one; the topology the collective ones
+	// (table2, fig15, fig16; its Parts also scalesweep and collsweep); the
+	// fault plan and telemetry only the experiments built on apps.RunIO
+	// (fig3, fig5, fig7, fig9, fig11, fig17, hdlsweep, faultsweep) and
+	// collsweep.
+	Env apps.Env
+	// Collective is the op collsweep scales (-collective), and AggBudget
+	// its keyagg per-switch table size (-agg-budget).
+	Collective collective.Op
+	AggBudget  int
+	// Handler, when set, joins hdlsweep's built-in handlers (-handler-src).
+	Handler *hdl.Compiled
+}
+
+// DefaultConfig is the config of a command line that sets only the scale.
+func DefaultConfig(scale int64) Config {
+	return Config{
+		Scale:      scale,
+		Env:        apps.Env{Topology: cluster.Topo{Parts: 1}},
+		Collective: collective.Allreduce,
+		AggBudget:  collective.DefaultParams().AggBudget,
+	}
+}
 
 // Experiment is one paper artifact.
 type Experiment struct {
@@ -35,10 +69,16 @@ type Experiment struct {
 	Paper string
 	// Title describes what it shows.
 	Title string
-	// Run executes the experiment at the given scale divisor (1 = the
-	// paper's full problem size).
-	Run func(scale int64) *stats.Result
+
+	run func(cfg Config) *stats.Result
 }
+
+// Run executes the experiment at the given scale divisor (1 = the paper's
+// full problem size) under DefaultConfig.
+func (e Experiment) Run(scale int64) *stats.Result { return e.run(DefaultConfig(scale)) }
+
+// RunConfig executes the experiment under cfg.
+func (e Experiment) RunConfig(cfg Config) *stats.Result { return e.run(cfg) }
 
 func clampScale(s int64) int64 {
 	if s < 1 {
@@ -53,18 +93,19 @@ var Registry = []Experiment{
 		ID:    "table1",
 		Paper: "Table 1",
 		Title: "Applications and problem sizes",
-		Run:   runTable1,
+		run:   runTable1,
 	},
 	{
 		ID:    "fig3",
 		Paper: "Figures 3 and 4",
 		Title: "MPEG filter: performance and execution-time breakdown",
-		Run: func(scale int64) *stats.Result {
+		run: func(cfg Config) *stats.Result {
 			prm := mpeg.DefaultParams()
-			prm.FileSize /= clampScale(scale)
+			prm.FileSize /= clampScale(cfg.Scale)
 			if prm.FileSize < 128*1024 {
 				prm.FileSize = 128 * 1024
 			}
+			prm.Env = cfg.Env
 			return mpeg.RunAll(prm)
 		},
 	},
@@ -72,9 +113,9 @@ var Registry = []Experiment{
 		ID:    "fig5",
 		Paper: "Figures 5 and 6",
 		Title: "HashJoin with bit-vector filter: performance and breakdown",
-		Run: func(scale int64) *stats.Result {
+		run: func(cfg Config) *stats.Result {
 			prm := hashjoin.DefaultParams()
-			s := clampScale(scale)
+			s := clampScale(cfg.Scale)
 			prm.RBytes /= s
 			prm.SBytes /= s
 			if prm.RBytes < 1<<20 {
@@ -83,6 +124,7 @@ var Registry = []Experiment{
 			if prm.SBytes < 4<<20 {
 				prm.SBytes = 4 << 20
 			}
+			prm.Env = cfg.Env
 			return hashjoin.RunAll(prm)
 		},
 	},
@@ -90,12 +132,13 @@ var Registry = []Experiment{
 		ID:    "fig7",
 		Paper: "Figures 7 and 8",
 		Title: "Select: performance and breakdown",
-		Run: func(scale int64) *stats.Result {
+		run: func(cfg Config) *stats.Result {
 			prm := sel.DefaultParams()
-			prm.TableBytes /= clampScale(scale)
+			prm.TableBytes /= clampScale(cfg.Scale)
 			if prm.TableBytes < 4<<20 {
 				prm.TableBytes = 4 << 20
 			}
+			prm.Env = cfg.Env
 			return sel.RunAll(prm)
 		},
 	},
@@ -103,21 +146,24 @@ var Registry = []Experiment{
 		ID:    "fig9",
 		Paper: "Figures 9 and 10",
 		Title: "Grep: performance and breakdown",
-		Run: func(int64) *stats.Result {
+		run: func(cfg Config) *stats.Result {
 			// The paper's file is ~1.1 MB; no scaling needed.
-			return grep.RunAll(grep.DefaultParams())
+			prm := grep.DefaultParams()
+			prm.Env = cfg.Env
+			return grep.RunAll(prm)
 		},
 	},
 	{
 		ID:    "fig11",
 		Paper: "Figures 11 and 12",
 		Title: "Tar: performance and breakdown",
-		Run: func(scale int64) *stats.Result {
+		run: func(cfg Config) *stats.Result {
 			prm := tarapp.DefaultParams()
-			s := clampScale(scale)
+			s := clampScale(cfg.Scale)
 			if s > 1 && prm.Files > 4 {
 				prm.Files = int(int64(prm.Files) / min64(s, 4))
 			}
+			prm.Env = cfg.Env
 			return tarapp.RunAll(prm)
 		},
 	},
@@ -125,12 +171,13 @@ var Registry = []Experiment{
 		ID:    "fig13",
 		Paper: "Figures 13 and 14",
 		Title: "Parallel sort (distribution phase): performance and breakdown",
-		Run: func(scale int64) *stats.Result {
+		run: func(cfg Config) *stats.Result {
 			prm := psort.DefaultParams()
-			prm.Records /= clampScale(scale)
+			prm.Records /= clampScale(cfg.Scale)
 			if prm.Records < 32<<10 {
 				prm.Records = 32 << 10
 			}
+			prm.Env = cfg.Env
 			return psort.RunAll(prm)
 		},
 	},
@@ -138,34 +185,35 @@ var Registry = []Experiment{
 		ID:    "table2",
 		Paper: "Table 2",
 		Title: "Collective reduction semantics (correctness demonstration)",
-		Run:   runTable2,
+		run:   runTable2,
 	},
 	{
 		ID:    "fig15",
 		Paper: "Figure 15",
 		Title: "Collective Reduce-to-one: latency vs node count",
-		Run: func(scale int64) *stats.Result {
-			return reduce.Sweep(collective.Reduce, sweepNodes(scale), collective.DefaultParams(), 1)
+		run: func(cfg Config) *stats.Result {
+			return reduce.Sweep(cfg.Env, collective.Reduce, sweepNodes(cfg.Scale), collective.DefaultParams(), 1)
 		},
 	},
 	{
 		ID:    "fig16",
 		Paper: "Figure 16",
 		Title: "Collective Distributed Reduce: latency vs node count",
-		Run: func(scale int64) *stats.Result {
-			return reduce.Sweep(collective.ReduceScatter, sweepNodes(scale), collective.DefaultParams(), 1)
+		run: func(cfg Config) *stats.Result {
+			return reduce.Sweep(cfg.Env, collective.ReduceScatter, sweepNodes(cfg.Scale), collective.DefaultParams(), 1)
 		},
 	},
 	{
 		ID:    "fig17",
 		Paper: "Figure 17",
 		Title: "MD5 with 1, 2 and 4 switch CPUs",
-		Run: func(scale int64) *stats.Result {
+		run: func(cfg Config) *stats.Result {
 			prm := md5app.DefaultParams()
-			prm.FileSize /= clampScale(scale)
+			prm.FileSize /= clampScale(cfg.Scale)
 			if prm.FileSize < 64*1024 {
 				prm.FileSize = 64 * 1024
 			}
+			prm.Env = cfg.Env
 			return md5app.RunAll(prm)
 		},
 	},
@@ -173,12 +221,13 @@ var Registry = []Experiment{
 		ID:    "twolevel",
 		Paper: "Extension (Section 6)",
 		Title: "Two-level active I/O: active disks below active switches",
-		Run: func(scale int64) *stats.Result {
+		run: func(cfg Config) *stats.Result {
 			prm := twolevel.DefaultParams()
-			prm.TableBytes /= clampScale(scale)
+			prm.TableBytes /= clampScale(cfg.Scale)
 			if prm.TableBytes < 4<<20 {
 				prm.TableBytes = 4 << 20
 			}
+			prm.Env = cfg.Env
 			return twolevel.RunAll(prm)
 		},
 	},
@@ -186,11 +235,12 @@ var Registry = []Experiment{
 		ID:    "scalesweep",
 		Paper: "Extension (scale-out)",
 		Title: "Reduce at scale on k-ary fat trees: active vs passive",
-		Run: func(scale int64) *stats.Result {
+		run: func(cfg Config) *stats.Result {
 			prm := scalesweep.DefaultParams()
-			if clampScale(scale) > 1 {
+			if clampScale(cfg.Scale) > 1 {
 				prm.HostCounts = []int{4, 8, 16}
 			}
+			prm.Env = cfg.Env
 			return scalesweep.RunAll(prm)
 		},
 	},
@@ -198,11 +248,12 @@ var Registry = []Experiment{
 		ID:    "latsweep",
 		Paper: "Extension (telemetry)",
 		Title: "Per-hop latency decomposition: active vs passive reduce",
-		Run: func(scale int64) *stats.Result {
+		run: func(cfg Config) *stats.Result {
 			prm := latsweep.DefaultParams()
-			if clampScale(scale) > 1 {
+			if clampScale(cfg.Scale) > 1 {
 				prm.HostCounts = []int{4, 8, 16}
 			}
+			prm.Env = cfg.Env
 			return latsweep.RunAll(prm)
 		},
 	},
@@ -210,12 +261,13 @@ var Registry = []Experiment{
 		ID:    "hdlsweep",
 		Paper: "Extension (handler authoring)",
 		Title: "HDL handlers: compiled-on-switch vs host interpreter",
-		Run: func(scale int64) *stats.Result {
+		run: func(cfg Config) *stats.Result {
 			prm := hdlsweep.DefaultParams()
-			prm.StreamBytes /= clampScale(scale)
+			prm.StreamBytes /= clampScale(cfg.Scale)
 			if prm.StreamBytes < 16<<10 {
 				prm.StreamBytes = 16 << 10
 			}
+			prm.Env, prm.Extra = cfg.Env, cfg.Handler
 			return hdlsweep.RunAll(prm)
 		},
 	},
@@ -223,12 +275,13 @@ var Registry = []Experiment{
 		ID:    "faultsweep",
 		Paper: "Extension (reliability)",
 		Title: "MPEG filter under injected link loss, plus handler-crash fallback",
-		Run: func(scale int64) *stats.Result {
+		run: func(cfg Config) *stats.Result {
 			prm := mpeg.DefaultParams()
-			prm.FileSize /= clampScale(scale)
+			prm.FileSize /= clampScale(cfg.Scale)
 			if prm.FileSize < 128*1024 {
 				prm.FileSize = 128 * 1024
 			}
+			prm.Env = cfg.Env
 			return faultsweep.RunAll(prm)
 		},
 	},
@@ -236,14 +289,15 @@ var Registry = []Experiment{
 		ID:    "collsweep",
 		Paper: "Extension (in-network collectives)",
 		Title: "In-network collectives: allreduce scaling and the aggregation spill cliff",
-		Run: func(scale int64) *stats.Result {
+		run: func(cfg Config) *stats.Result {
 			prm := collsweep.DefaultParams()
-			if clampScale(scale) > 1 {
+			if clampScale(cfg.Scale) > 1 {
 				// Keep the 64-host point: it is the acceptance anchor for
 				// the active-vs-passive byte reduction.
 				prm.HostCounts = []int{4, 16, 64}
 				prm.Budgets = []int{2, 8, 32, 64}
 			}
+			prm.Env, prm.Op, prm.Coll.AggBudget = cfg.Env, cfg.Collective, cfg.AggBudget
 			return collsweep.RunAll(prm)
 		},
 	},
@@ -284,7 +338,7 @@ func IDs() []string {
 
 // runTable1 echoes the workload configuration, verifying each generator's
 // size against the paper's Table 1.
-func runTable1(int64) *stats.Result {
+func runTable1(Config) *stats.Result {
 	res := &stats.Result{ID: "table1", Title: "Applications and problem sizes"}
 	type row struct {
 		app   string
@@ -317,12 +371,12 @@ func runTable1(int64) *stats.Result {
 
 // runTable2 demonstrates the two reduction semantics of Table 2 and checks
 // both against the oracle.
-func runTable2(int64) *stats.Result {
+func runTable2(cfg Config) *stats.Result {
 	res := &stats.Result{ID: "table2", Title: "Collective reduction semantics"}
 	prm := collective.DefaultParams()
 	const p = 8
-	one := collective.Run(collective.Reduce, true, p, prm)
-	dist := collective.Run(collective.ReduceScatter, true, p, prm)
+	one := collective.Run(cfg.Env, collective.Reduce, true, p, prm)
+	dist := collective.Run(cfg.Env, collective.ReduceScatter, true, p, prm)
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("Reduce-to-one   (p=%d): y at node 0, latency %v, correct=%v", p, one.Latency, one.Correct),
 		fmt.Sprintf("Distributed Red (p=%d): y_i at node i, latency %v, correct=%v", p, dist.Latency, dist.Correct),
@@ -331,24 +385,24 @@ func runTable2(int64) *stats.Result {
 	return res
 }
 
-// RunAllExperiments executes the whole registry at one scale, sequentially.
-func RunAllExperiments(scale int64) []*stats.Result {
-	return RunAll(scale, 1)
-}
-
-// RunAll executes the whole registry at one scale, fanning experiments out
+// RunAll executes the whole registry under cfg, fanning experiments out
 // over a pool of workers. Each experiment builds its own sim.Engine, so
 // runs are independent; results come back ordered by registry index
 // regardless of completion order, making parallel output byte-identical to
-// a sequential run. workers < 1 selects runtime.NumCPU(). A panicking
-// experiment (fault-plan crash under -strict-routes, an invariant failure)
-// is re-raised on the caller's goroutine, first in registry order, so
-// deferred output flushing runs.
-func RunAll(scale int64, workers int) []*stats.Result {
+// a sequential run. workers < 1 selects runtime.NumCPU(). A config with a
+// trace sink runs one experiment at a time, so the trace (and any flight
+// recorder fed by it) is the sequential run's at any worker count. A
+// panicking experiment (fault-plan crash under -strict-routes, an
+// invariant failure) is re-raised on the caller's goroutine, first in
+// registry order, so deferred output flushing runs.
+func RunAll(cfg Config, workers int) []*stats.Result {
+	if cfg.Env.Trace != nil {
+		workers = 1
+	}
 	out := make([]*stats.Result, len(Registry))
 	apps.Parallel(len(Registry), workers,
 		func(i int) string { return "exp: experiment " + Registry[i].ID },
-		func(i int) { out[i] = Registry[i].Run(scale) })
+		func(i int) { out[i] = Registry[i].run(cfg) })
 	return out
 }
 

@@ -24,6 +24,14 @@ func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
 	}
 }
 
+func TestEveryEntryHasRunner(t *testing.T) {
+	for _, e := range Registry {
+		if e.run == nil {
+			t.Errorf("%s: registry entry has no run function", e.ID)
+		}
+	}
+}
+
 func TestByID(t *testing.T) {
 	if _, ok := ByID("fig9"); !ok {
 		t.Fatal("fig9 missing")
@@ -54,7 +62,7 @@ func TestEveryExperimentRunsScaled(t *testing.T) {
 }
 
 func TestTable1MatchesPaperSizes(t *testing.T) {
-	res := runTable1(1)
+	res := runTable1(DefaultConfig(1))
 	joined := strings.Join(res.Notes, "\n")
 	for _, want := range []string{"2202640", "16M x 128M", "1146880", "Big Red Bear", "16M records", "512 B"} {
 		if !strings.Contains(joined, want) {

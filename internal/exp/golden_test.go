@@ -65,7 +65,7 @@ func TestGoldenResults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole registry")
 	}
-	results := exp.RunAll(goldenScale, goldenWorkers)
+	results := exp.RunAll(exp.DefaultConfig(goldenScale), goldenWorkers)
 	for i, e := range exp.Registry {
 		got := marshalResult(t, results[i])
 		path := goldenPath(e.ID)
@@ -131,8 +131,8 @@ func TestExperimentsDeterministic(t *testing.T) {
 	// per-experiment determinism and the independence of concurrent
 	// engines. The registry includes the multi-switch-CPU MD5 case (fig17)
 	// and the tree-topology reductions (fig15/fig16).
-	first := exp.RunAll(goldenScale, goldenWorkers)
-	second := exp.RunAll(goldenScale, 1)
+	first := exp.RunAll(exp.DefaultConfig(goldenScale), goldenWorkers)
+	second := exp.RunAll(exp.DefaultConfig(goldenScale), 1)
 	for i, e := range exp.Registry {
 		a := marshalResult(t, first[i])
 		b := marshalResult(t, second[i])
@@ -167,7 +167,7 @@ func TestRunAllOrderingAndWorkerCounts(t *testing.T) {
 	// and the NumCPU default (workers < 1) — results come back in registry
 	// order with matching IDs.
 	for _, workers := range []int{0, len(exp.Registry) + 5} {
-		results := exp.RunAll(goldenScale, workers)
+		results := exp.RunAll(exp.DefaultConfig(goldenScale), workers)
 		if len(results) != len(exp.Registry) {
 			t.Fatalf("workers=%d: %d results, want %d", workers, len(results), len(exp.Registry))
 		}

@@ -3,7 +3,6 @@ package fault
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"activesan/internal/aswitch"
 	"activesan/internal/cluster"
@@ -186,37 +185,4 @@ func eventSwitch(c *cluster.Cluster, i int, e Event) *aswitch.ActiveSwitch {
 			i, e.Switch, len(c.Switches)))
 	}
 	return c.Switches[e.Switch]
-}
-
-// defaultPlan is the CLI-wide plan installed by -faults; experiments arm it
-// on every cluster they build unless handed an explicit plan.
-var (
-	defMu   sync.Mutex
-	defPlan *Plan
-	defSeed uint64
-)
-
-// SetDefault installs (or, with nil, clears) the process-wide default plan.
-func SetDefault(p *Plan, seed uint64) {
-	defMu.Lock()
-	defer defMu.Unlock()
-	defPlan, defSeed = p, seed
-}
-
-// Default returns the process-wide default plan and seed override.
-func Default() (*Plan, uint64) {
-	defMu.Lock()
-	defer defMu.Unlock()
-	return defPlan, defSeed
-}
-
-// ArmDefault arms the process-wide default plan on a cluster, returning nil
-// when none is installed. Experiment runners call it between topology
-// construction and cluster.Start.
-func ArmDefault(c *cluster.Cluster) *Injector {
-	p, seed := Default()
-	if p == nil {
-		return nil
-	}
-	return Arm(c, p, seed)
 }

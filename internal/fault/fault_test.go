@@ -291,20 +291,3 @@ func TestArmRejectsBadReferences(t *testing.T) {
 	}()
 	Arm(nil, p, 0)
 }
-
-func TestDefaultPlanInstall(t *testing.T) {
-	defer SetDefault(nil, 0)
-	p := &Plan{Seed: 5}
-	SetDefault(p, 9)
-	got, seed := Default()
-	if got != p || seed != 9 {
-		t.Fatalf("Default() = %v, %d", got, seed)
-	}
-	SetDefault(nil, 0)
-	if got, _ := Default(); got != nil {
-		t.Fatal("cleared default still present")
-	}
-	if ArmDefault(nil) != nil {
-		t.Fatal("ArmDefault without a plan armed something")
-	}
-}

@@ -115,14 +115,3 @@ func (c *Compiled) Handler(spec HandlerSpec) aswitch.HandlerFunc {
 		})
 	}
 }
-
-// The process-wide extra handler installed by the CLI's -handler-src flag;
-// hdlsweep folds it into its program set so a user-supplied handler runs
-// through the same active-vs-host differential pipeline as the built-ins.
-var extraHandler *Compiled
-
-// SetExtra installs (or, with nil, clears) the process-wide extra handler.
-func SetExtra(c *Compiled) { extraHandler = c }
-
-// Extra returns the installed extra handler, nil when none.
-func Extra() *Compiled { return extraHandler }

@@ -16,8 +16,8 @@ import (
 // timeline with the category carried through for filtering.
 //
 // The writer locks internally: engines running in parallel all funnel into
-// one file. Install it with sim.SetDefaultTraceSink(w.Sink()) and Close it
-// after the last engine finishes.
+// one file. Install w.Sink() on each engine (or as a run's apps.Env.Trace)
+// and Close it after the last engine finishes.
 type ChromeTraceWriter struct {
 	mu     sync.Mutex
 	bw     *bufio.Writer

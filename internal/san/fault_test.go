@@ -45,10 +45,9 @@ func TestSwitchNoRouteAccounting(t *testing.T) {
 }
 
 func TestStrictRoutesPanicsOnUnroutable(t *testing.T) {
-	SetStrictRoutes(true)
-	defer SetStrictRoutes(false)
 	eng := sim.NewEngine()
 	sw, eps := star(eng, 2)
+	sw.SetStrictRoutes(true)
 	sw.Start()
 	eng.Spawn("src", func(p *sim.Proc) {
 		eps[0].Out.Send(p, &Packet{Hdr: Header{Src: 0, Dst: 99}, Size: 64})

@@ -2,23 +2,9 @@ package san
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"activesan/internal/sim"
 )
-
-// strictRoutes, when set, turns the first unroutable-packet drop into a
-// panic so misrouted configurations fail fast instead of silently losing
-// traffic (activesim's -strict-routes flag). Atomic because parallel sweeps
-// run engines on several goroutines.
-var strictRoutes atomic.Bool
-
-// SetStrictRoutes toggles fail-fast behavior on unroutable packets.
-func SetStrictRoutes(v bool) { strictRoutes.Store(v) }
-
-// StrictRoutes reports whether unroutable packets fail fast; the flight
-// recorder uses it to decide whether a no_route_drop event is a trigger.
-func StrictRoutes() bool { return strictRoutes.Load() }
 
 // SwitchConfig sets the base switch parameters.
 type SwitchConfig struct {
@@ -105,6 +91,10 @@ type Switch struct {
 	// byte-identity rests on (see DESIGN.md, "Settle-phase arbitration").
 	arb *sim.Arbiter
 
+	// strictRoutes turns the first unroutable-packet drop into a panic
+	// (activesim's -strict-routes flag).
+	strictRoutes bool
+
 	started bool
 }
 
@@ -130,6 +120,11 @@ func NewSwitch(eng *sim.Engine, id NodeID, name string, cfg SwitchConfig) *Switc
 	s.stats.MinPoolFree = cfg.PoolPackets
 	return s
 }
+
+// SetStrictRoutes toggles fail-fast behavior on unroutable packets: set,
+// the first one panics naming the switch and destination, so misrouted
+// configurations fail fast instead of silently losing traffic.
+func (s *Switch) SetStrictRoutes(v bool) { s.strictRoutes = v }
 
 // ID returns the switch's node ID.
 func (s *Switch) ID() NodeID { return s.id }
@@ -243,7 +238,7 @@ func (s *Switch) noteNoRoute(pkt *Packet) {
 		s.eng.Emit("fault", "no_route_drop", s.name,
 			fmt.Sprintf("%s pkt src=%d dst=%d flow=%d seq=%d", pkt.Hdr.Type, pkt.Hdr.Src, pkt.Hdr.Dst, pkt.Hdr.Flow, pkt.Hdr.Seq))
 	}
-	if strictRoutes.Load() {
+	if s.strictRoutes {
 		panic(fmt.Sprintf("san: %s has no route for %s packet src=%d dst=%d flow=%d seq=%d (-strict-routes)",
 			s.name, pkt.Hdr.Type, pkt.Hdr.Src, pkt.Hdr.Dst, pkt.Hdr.Flow, pkt.Hdr.Seq))
 	}

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // event is a scheduled callback. Events with equal times fire in scheduling
 // order (seq), which keeps the simulation deterministic.
@@ -46,10 +43,9 @@ type timer struct {
 // all interaction must come from the engine's own callbacks or from the
 // single currently-running Proc. Distinct Engines share no mutable state
 // and may run on separate goroutines simultaneously (the parallel
-// experiment harness relies on this); the only package-level hook,
-// SetDefaultTraceSink, is atomic. A trace sink installed while engines run
-// in parallel is invoked from every engine's goroutine and must do its own
-// locking.
+// experiment harness relies on this). A trace sink shared by engines that
+// run in parallel is invoked from every engine's goroutine and must do its
+// own locking.
 //
 // Scheduling model: exactly one goroutine is ever active — either the
 // goroutine that called Run (the "main" driver) or one process goroutine.
@@ -153,31 +149,9 @@ func (ev TraceEvent) String() string {
 // locking.
 type TraceSink func(ev TraceEvent)
 
-// defaultSink, when set, is installed on every new engine — the hook the
-// CLI's -trace/-trace-out flags use to observe experiments that build their
-// own engines internally. Held behind an atomic pointer so engines can be
-// constructed concurrently with SetDefaultTraceSink.
-var defaultSink atomic.Pointer[TraceSink]
-
-// SetDefaultTraceSink installs (or clears, with nil) a typed trace sink for
-// all engines created afterwards. Safe to call concurrently with NewEngine;
-// the sink itself must be safe for concurrent use if engines run in
-// parallel.
-func SetDefaultTraceSink(sink TraceSink) {
-	if sink == nil {
-		defaultSink.Store(nil)
-		return
-	}
-	defaultSink.Store(&sink)
-}
-
 // NewEngine returns an engine at time zero with an empty event queue.
 func NewEngine() *Engine {
-	e := &Engine{free: heapNone, mainWake: make(chan struct{})}
-	if sink := defaultSink.Load(); sink != nil {
-		e.SetTraceSink(*sink)
-	}
-	return e
+	return &Engine{free: heapNone, mainWake: make(chan struct{})}
 }
 
 // Now returns the current simulated time.

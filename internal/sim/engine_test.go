@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"sync"
-	"sync/atomic"
-	"testing"
-)
+import "testing"
 
 func TestTimeUnits(t *testing.T) {
 	if Second != 1e12*Picosecond {
@@ -535,31 +531,4 @@ func TestEventsCounter(t *testing.T) {
 	if e.Events() != 5 {
 		t.Fatalf("events = %d, want 5", e.Events())
 	}
-}
-
-func TestDefaultTracerConcurrentWithNewEngine(t *testing.T) {
-	// SetDefaultTraceSink may race with engine construction on other
-	// goroutines (the parallel experiment harness does exactly this when
-	// -trace and -parallel are combined); under -race this test proves the
-	// hook is atomic.
-	defer SetDefaultTraceSink(nil)
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				e := NewEngine()
-				e.After(Nanosecond, func() {})
-				e.Emit("generic", "tick", "", "tick")
-				e.Run()
-			}
-		}()
-	}
-	var sink atomic.Int64
-	for j := 0; j < 100; j++ {
-		SetDefaultTraceSink(func(TraceEvent) { sink.Add(1) })
-		SetDefaultTraceSink(nil)
-	}
-	wg.Wait()
 }

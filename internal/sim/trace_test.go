@@ -51,20 +51,6 @@ func TestTracingGuard(t *testing.T) {
 	}
 }
 
-func TestSetDefaultTraceSinkAppliesToNewEngines(t *testing.T) {
-	var events int
-	SetDefaultTraceSink(func(TraceEvent) { events++ })
-	defer SetDefaultTraceSink(nil)
-	e := NewEngine()
-	e.Emit("disk", "read", "d0", "off=0")
-	SetDefaultTraceSink(nil)
-	e2 := NewEngine()
-	e2.Emit("disk", "read", "d0", "off=0")
-	if events != 1 {
-		t.Fatalf("default sink saw %d events, want 1", events)
-	}
-}
-
 // BenchmarkTracingDisabledGuarded measures the recommended hot-path
 // pattern with tracing off: a Tracing() check that skips argument
 // construction entirely. This should be ~1ns — a single predictable

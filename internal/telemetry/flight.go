@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 
-	"activesan/internal/san"
 	"activesan/internal/sim"
 )
 
@@ -44,29 +43,31 @@ func (r *evRing) add(ev sim.TraceEvent) {
 // component did before the crash — so faultsweep debugging does not
 // require a full trace file.
 //
-// The recorder locks internally: parallel sweep workers all tee into one
-// instance.
+// The recorder locks internally: the partition engines of a partitioned
+// cluster all tee into one instance.
 type FlightRecorder struct {
 	mu       sync.Mutex
 	size     int
+	strict   bool
 	rings    map[string]*evRing
 	triggers []string
 	dropped  int
 }
 
 // NewFlightRecorder returns a recorder keeping size events per component
-// (<= 0 selects DefaultRingSize).
-func NewFlightRecorder(size int) *FlightRecorder {
+// (<= 0 selects DefaultRingSize). strictRoutes makes a no-route drop a
+// trigger, as it is under -strict-routes.
+func NewFlightRecorder(size int, strictRoutes bool) *FlightRecorder {
 	if size <= 0 {
 		size = DefaultRingSize
 	}
-	return &FlightRecorder{size: size, rings: make(map[string]*evRing)}
+	return &FlightRecorder{size: size, strict: strictRoutes, rings: make(map[string]*evRing)}
 }
 
 // Sink returns a trace sink that records every event into the rings, arms
 // the recorder on crash-class events, and then forwards to next (which may
-// be nil). Install it with sim.SetDefaultTraceSink so every engine —
-// including parallel sweep workers' — feeds the same recorder.
+// be nil). Install it as the run's trace sink (apps.Env.Trace) so every
+// engine of the run feeds the same recorder.
 func (f *FlightRecorder) Sink(next sim.TraceSink) sim.TraceSink {
 	return func(ev sim.TraceEvent) {
 		f.record(ev)
@@ -93,7 +94,7 @@ func (f *FlightRecorder) record(ev sim.TraceEvent) {
 		switch {
 		case ev.Name == "handler_crash":
 			trigger = fmt.Sprintf("fault: handler_crash on %s at %v", comp, ev.At)
-		case ev.Name == "no_route_drop" && san.StrictRoutes():
+		case ev.Name == "no_route_drop" && f.strict:
 			trigger = fmt.Sprintf("strict-routes: no_route_drop on %s at %v (%s)", comp, ev.At, ev.Detail)
 		}
 	}

@@ -12,38 +12,12 @@ package telemetry
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"activesan/internal/cluster"
 	"activesan/internal/metrics"
 	"activesan/internal/san"
 	"activesan/internal/sim"
 )
-
-// defaultOn is the process-wide telemetry switch, set by the -telemetry
-// flag. MaybeAttach consults it so every harness entry point (activesim,
-// sansweep, apps.RunIOWith) arms recorders with one line.
-var defaultOn atomic.Bool
-
-// SetDefault arms (or disarms) telemetry for subsequently built clusters.
-func SetDefault(on bool) { defaultOn.Store(on) }
-
-// Default reports whether telemetry is armed process-wide.
-func Default() bool { return defaultOn.Load() }
-
-// spanWriter, when set, receives one Perfetto duration span per completed
-// hop (reusing the chrometrace writer installed for -trace-out).
-var spanWriter atomic.Pointer[metrics.ChromeTraceWriter]
-
-// SetDefaultSpanWriter installs (or clears, with nil) the writer that
-// receives per-hop spans from every recorder in the process.
-func SetDefaultSpanWriter(w *metrics.ChromeTraceWriter) {
-	if w == nil {
-		spanWriter.Store(nil)
-		return
-	}
-	spanWriter.Store(w)
-}
 
 // numTypes bounds the per-packet-type aggregate arrays.
 const numTypes = int(san.Ack) + 1
@@ -65,8 +39,9 @@ type pathAccum struct {
 // worker count. Accessors (Stamped, E2E, Into, ...) read without the
 // lock and must only be called once the simulation has quiesced.
 type Recorder struct {
-	c  *cluster.Cluster
-	mu sync.Mutex
+	c     *cluster.Cluster
+	mu    sync.Mutex
+	spans *metrics.ChromeTraceWriter
 
 	stamped   int64
 	completed int64
@@ -79,20 +54,11 @@ type Recorder struct {
 	handlers map[string]*metrics.Hist
 }
 
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{e2e: metrics.NewHist(), handlers: make(map[string]*metrics.Hist)}
-}
-
-// MaybeAttach arms telemetry on c when the process-wide default is on,
-// returning the recorder — or nil, which callers treat as "off".
-func MaybeAttach(c *cluster.Cluster) *Recorder {
-	if !Default() {
-		return nil
-	}
-	r := NewRecorder()
-	r.Attach(c)
-	return r
+// NewRecorder returns an empty recorder. spans, when non-nil, receives one
+// Perfetto duration span per completed hop (the -trace-out writer under
+// -telemetry).
+func NewRecorder(spans *metrics.ChromeTraceWriter) *Recorder {
+	return &Recorder{e2e: metrics.NewHist(), handlers: make(map[string]*metrics.Hist), spans: spans}
 }
 
 // Attach installs the recorder's hooks on every stamping component in c:
@@ -143,7 +109,7 @@ func (r *Recorder) Completer() san.Completer {
 		}
 		r.byType[ti].Observe(e2e)
 		r.path[ti].packets++
-		w := spanWriter.Load()
+		w := r.spans
 		for _, h := range st.Hops {
 			if h.End < h.Start {
 				continue

@@ -24,8 +24,14 @@ func smallMPEG() mpeg.Params {
 	return prm
 }
 
+// telemetryMPEG is smallMPEG with telemetry armed.
+func telemetryMPEG() mpeg.Params {
+	prm := smallMPEG()
+	prm.Env.Telemetry = true
+	return prm
+}
+
 func TestTelemetryOffLeavesNoTrace(t *testing.T) {
-	telemetry.SetDefault(false)
 	run := mpeg.Run(apps.Active, smallMPEG())
 	for name := range run.Metrics.Values {
 		if strings.HasPrefix(name, "telemetry/") {
@@ -35,9 +41,7 @@ func TestTelemetryOffLeavesNoTrace(t *testing.T) {
 }
 
 func TestTelemetryHistogramsPopulate(t *testing.T) {
-	telemetry.SetDefault(true)
-	defer telemetry.SetDefault(false)
-	run := mpeg.Run(apps.Active, smallMPEG())
+	run := mpeg.Run(apps.Active, telemetryMPEG())
 	m := run.Metrics
 	if m.Get("telemetry/stamped") == 0 || m.Get("telemetry/completed") == 0 {
 		t.Fatalf("stamped=%g completed=%g, want both > 0",
@@ -83,10 +87,8 @@ func TestTelemetryHistogramsPopulate(t *testing.T) {
 }
 
 func TestTelemetryDeterministicAcrossRuns(t *testing.T) {
-	telemetry.SetDefault(true)
-	defer telemetry.SetDefault(false)
-	a := mpeg.Run(apps.ActivePref, smallMPEG())
-	b := mpeg.Run(apps.ActivePref, smallMPEG())
+	a := mpeg.Run(apps.ActivePref, telemetryMPEG())
+	b := mpeg.Run(apps.ActivePref, telemetryMPEG())
 	for name, va := range a.Metrics.Values {
 		if !strings.HasPrefix(name, "telemetry/") {
 			continue
@@ -97,17 +99,19 @@ func TestTelemetryDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// crashPlan schedules a handler crash early in the run.
-func crashPlan() *fault.Plan {
-	return &fault.Plan{Events: []fault.Event{{AtNS: 50_000, Kind: fault.HandlerCrash, Switch: 0}}}
+// crashedMPEG is smallMPEG under a handler crash early in the run, traced
+// into fr.
+func crashedMPEG(fr *telemetry.FlightRecorder) mpeg.Params {
+	prm := smallMPEG()
+	prm.Env.Trace = fr.Sink(nil)
+	prm.Env.Faults = &fault.Plan{Events: []fault.Event{{AtNS: 50_000, Kind: fault.HandlerCrash, Switch: 0}}}
+	prm.Env.FaultSeed = 1
+	return prm
 }
 
 func TestFlightRecorderTriggersOnHandlerCrash(t *testing.T) {
-	fr := telemetry.NewFlightRecorder(0)
-	sim.SetDefaultTraceSink(fr.Sink(nil))
-	defer sim.SetDefaultTraceSink(nil)
-
-	run, _ := mpeg.RunFaulted(apps.Active, smallMPEG(), crashPlan(), 1)
+	fr := telemetry.NewFlightRecorder(0, false)
+	run := mpeg.Run(apps.Active, crashedMPEG(fr))
 	if run.Extra["fallback"] != true {
 		t.Fatalf("crash plan did not force the host fallback: Extra=%v", run.Extra)
 	}
@@ -140,10 +144,8 @@ func TestFlightRecorderTriggersOnHandlerCrash(t *testing.T) {
 func TestFlightRecorderDumpDeterministic(t *testing.T) {
 	dumps := make([]string, 2)
 	for i := range dumps {
-		fr := telemetry.NewFlightRecorder(0)
-		sim.SetDefaultTraceSink(fr.Sink(nil))
-		mpeg.RunFaulted(apps.Active, smallMPEG(), crashPlan(), 1)
-		sim.SetDefaultTraceSink(nil)
+		fr := telemetry.NewFlightRecorder(0, false)
+		mpeg.Run(apps.Active, crashedMPEG(fr))
 		dumps[i] = fr.Dump()
 	}
 	if dumps[0] != dumps[1] {
@@ -152,7 +154,7 @@ func TestFlightRecorderDumpDeterministic(t *testing.T) {
 }
 
 func TestFlightRecorderTeesToNext(t *testing.T) {
-	fr := telemetry.NewFlightRecorder(4)
+	fr := telemetry.NewFlightRecorder(4, false)
 	var forwarded []sim.TraceEvent
 	sink := fr.Sink(func(ev sim.TraceEvent) { forwarded = append(forwarded, ev) })
 	for i := 0; i < 10; i++ {
@@ -175,16 +177,14 @@ func TestFlightRecorderTeesToNext(t *testing.T) {
 }
 
 func TestFlightRecorderStrictRoutesTrigger(t *testing.T) {
-	fr := telemetry.NewFlightRecorder(0)
-	sink := fr.Sink(nil)
+	fr := telemetry.NewFlightRecorder(0, false)
 	// Without -strict-routes a no_route_drop is informational.
-	sink(sim.TraceEvent{Cat: "fault", Name: "no_route_drop", Comp: "sw0"})
+	fr.Sink(nil)(sim.TraceEvent{Cat: "fault", Name: "no_route_drop", Comp: "sw0"})
 	if fr.Triggered() {
 		t.Fatal("no_route_drop triggered without -strict-routes")
 	}
-	san.SetStrictRoutes(true)
-	defer san.SetStrictRoutes(false)
-	sink(sim.TraceEvent{Cat: "fault", Name: "no_route_drop", Comp: "sw0", Detail: "dst=7"})
+	fr = telemetry.NewFlightRecorder(0, true)
+	fr.Sink(nil)(sim.TraceEvent{Cat: "fault", Name: "no_route_drop", Comp: "sw0", Detail: "dst=7"})
 	if !fr.Triggered() {
 		t.Fatal("no_route_drop did not trigger under -strict-routes")
 	}
@@ -197,7 +197,7 @@ func TestRecorderSkipsAbandonedHops(t *testing.T) {
 	// A hop opened but never closed (packet dropped mid-queue) has End <
 	// Start; completion must skip it rather than observe a negative
 	// duration.
-	rec := telemetry.NewRecorder()
+	rec := telemetry.NewRecorder(nil)
 	complete := rec.Completer()
 	st := &san.Stamp{Origin: 100}
 	st.Add(san.HopWire, "l0", 100, 200)
