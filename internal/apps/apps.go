@@ -60,30 +60,17 @@ func (c Config) Outstanding() int {
 	return 1
 }
 
-// Rand is a splitmix64 generator: deterministic, seedable, and cheap enough
-// to regenerate workload content on the fly (so multi-hundred-megabyte
-// tables never need materializing).
-type Rand struct{ state uint64 }
+// Rand is sim.Rand with int64 bounds, the form the workload generators draw
+// with: deterministic, seedable, and cheap enough to regenerate workload
+// content on the fly (so multi-hundred-megabyte tables never need
+// materializing).
+type Rand struct{ sim.Rand }
 
 // NewRand seeds a generator.
-func NewRand(seed uint64) *Rand { return &Rand{state: seed} }
+func NewRand(seed uint64) *Rand { return &Rand{*sim.NewRand(seed)} }
 
-// Next returns the next 64-bit value.
-func (r *Rand) Next() uint64 {
-	r.state += 0x9E3779B97F4A7C15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-// Intn returns a value in [0, n).
-func (r *Rand) Intn(n int64) int64 {
-	if n <= 0 {
-		panic("apps: Intn of non-positive bound")
-	}
-	return int64(r.Next() % uint64(n))
-}
+// Intn returns a value in [0, n); n must be positive.
+func (r *Rand) Intn(n int64) int64 { return r.Int63n(n) }
 
 // Mix64 hashes x with the splitmix64 finalizer — the pure function used to
 // derive record contents from indices.

@@ -21,11 +21,8 @@ import (
 
 // Params sizes the workload and calibrates per-byte costs.
 type Params struct {
-	FileSize int64
-	Pattern  string
-	// Patterns, when set, searches for several patterns at once through an
-	// Aho-Corasick automaton (grep -e); it overrides Pattern.
-	Patterns  []string
+	FileSize  int64
+	Pattern   string
 	Matches   int
 	ChunkSize int64
 
@@ -188,26 +185,6 @@ const (
 	resultFlow = 0x7001
 )
 
-// lineScanner abstracts the single- and multi-pattern scanners.
-type lineScanner interface {
-	Feed([]byte)
-	Flush()
-}
-
-// newScanner builds the matcher for the configured pattern set, returning
-// the scanner, its setup instruction cost, and an accessor for the matched
-// lines.
-func newScanner(prm Params) (lineScanner, int64, func() [][]byte) {
-	if len(prm.Patterns) > 0 {
-		d := BuildMultiDFA(prm.Patterns)
-		s := NewMultiScanner(d)
-		// Setup scales with automaton size (trie + failure links).
-		return s, prm.DFASetupInstr * int64(d.States()) / int64(len(prm.Pattern)+1), func() [][]byte { return s.Lines }
-	}
-	s := NewScanner(BuildDFA(prm.Pattern))
-	return s, prm.DFASetupInstr, func() [][]byte { return s.Lines }
-}
-
 // Run executes one configuration and returns its metrics.
 func Run(cfg apps.Config, prm Params) stats.Run {
 	corpus := BuildCorpus(prm)
@@ -225,8 +202,8 @@ func Run(cfg apps.Config, prm Params) stats.Run {
 			x.ReleaseArgs()
 			// DFA setup on the switch (the paper moves phases 2 and 3 off
 			// the host).
-			scan, setup, lines := newScanner(prm)
-			x.Compute(setup)
+			scan := NewScanner(BuildDFA(prm.Pattern))
+			x.Compute(prm.DFASetupInstr)
 			cursor := int64(streamBase)
 			end := int64(streamBase) + prm.FileSize
 			for cursor < end {
@@ -240,7 +217,7 @@ func Run(cfg apps.Config, prm Params) stats.Run {
 			scan.Flush()
 			// Ship only the matched lines back to the host.
 			var out []byte
-			for _, l := range lines() {
+			for _, l := range scan.Lines {
 				out = append(out, l...)
 				out = append(out, '\n')
 			}
@@ -279,8 +256,8 @@ func Run(cfg apps.Config, prm Params) stats.Run {
 		}
 
 		// Normal: DFA setup then scan on the host.
-		scan, setup, lines := newScanner(prm)
-		h.CPU().Compute(p, setup)
+		scan := NewScanner(BuildDFA(prm.Pattern))
+		h.CPU().Compute(p, prm.DFASetupInstr)
 		buf := h.Space().Alloc(prm.ChunkSize, 4096)
 		apps.StreamChunks(p, h, store, "input", prm.FileSize, prm.ChunkSize, buf,
 			cfg.Outstanding(), func(off, n int64, payloads []any) {
@@ -294,7 +271,7 @@ func Run(cfg apps.Config, prm Params) stats.Run {
 				}
 			})
 		scan.Flush()
-		matched = len(lines())
+		matched = len(scan.Lines)
 		return map[string]any{"matches": matched}
 	}
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"activesan/internal/apps"
 )
@@ -42,6 +43,44 @@ func TestDFASplitAcrossFeeds(t *testing.T) {
 	s.Flush()
 	if len(s.Lines) != 1 {
 		t.Fatalf("split feed matched %d lines, want 1", len(s.Lines))
+	}
+}
+
+func TestDFAAgreesWithLineContains(t *testing.T) {
+	// Property: on arbitrary small-alphabet corpora, where self-overlapping
+	// patterns keep falling back, the DFA scanner reports exactly the lines
+	// that contain the pattern.
+	f := func(raw []byte, pat uint8) bool {
+		corpus := make([]byte, len(raw))
+		for i, b := range raw {
+			if b%17 == 0 {
+				corpus[i] = '\n'
+			} else {
+				corpus[i] = 'a' + b%4
+			}
+		}
+		pattern := []string{"ab", "aba", "bba", "abab"}[pat%4]
+		s := NewScanner(BuildDFA(pattern))
+		s.Feed(corpus)
+		s.Flush()
+		var want [][]byte
+		for _, line := range bytes.Split(corpus, []byte{'\n'}) {
+			if bytes.Contains(line, []byte(pattern)) {
+				want = append(want, line)
+			}
+		}
+		if len(s.Lines) != len(want) {
+			return false
+		}
+		for i := range want {
+			if !bytes.Equal(s.Lines[i], want[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -10,11 +10,9 @@ package psort
 
 import (
 	"fmt"
-	"sort"
 
 	"activesan/internal/apps"
 	"activesan/internal/aswitch"
-	"activesan/internal/cache"
 	"activesan/internal/cluster"
 	"activesan/internal/host"
 	"activesan/internal/iodev"
@@ -45,14 +43,6 @@ type Params struct {
 	// SwitchDistCycles is the switch CPU's per-record classify cost.
 	SwitchDistCycles int64
 
-	// LocalSort enables the paper's second phase ("each node sorts its
-	// local data using any sorting algorithm"), which the paper leaves out
-	// of its figures because it is identical in both cases. When set,
-	// batches carry the real keys and every node sorts what it received.
-	LocalSort bool
-	// SortInstrPerCmp is the per-comparison cost of the local sort.
-	SortInstrPerCmp int64
-
 	// Env observes each configuration's cluster: trace sink and
 	// strict routes only (no fault plan or telemetry).
 	Env apps.Env
@@ -71,7 +61,6 @@ func DefaultParams() Params {
 		HostDistInstr:    24,
 		HostRecvInstr:    8,
 		SwitchDistCycles: 24,
-		SortInstrPerCmp:  8,
 	}
 }
 
@@ -91,9 +80,6 @@ type Batch struct {
 	KeySum uint64
 	End    bool
 	From   int
-	// Keys carries the actual key values when the local-sort phase is
-	// enabled.
-	Keys []uint64
 }
 
 // Oracle computes each destination's expected record count and key sum.
@@ -203,9 +189,6 @@ func Run(cfg apps.Config, prm Params) stats.Run {
 					x.Compute(prm.SwitchDistCycles)
 					batches[d].Count++
 					batches[d].KeySum += k
-					if prm.LocalSort {
-						batches[d].Keys = append(batches[d].Keys, k)
-					}
 					bytesOut[d] += prm.RecordSize
 					if bytesOut[d] >= args.BatchSize {
 						flush(d)
@@ -271,7 +254,6 @@ func runNormalNode(p *sim.Proc, c *cluster.Cluster, h *host.Host, j int,
 	bytesOut := make([]int64, prm.Hosts)
 	buf := h.Space().Alloc(prm.ChunkSize, 4096)
 
-	var localKeys []uint64
 	flush := func(d int) {
 		if batches[d].Count == 0 {
 			return
@@ -283,9 +265,6 @@ func runNormalNode(p *sim.Proc, c *cluster.Cluster, h *host.Host, j int,
 			// Local records stay: count them directly.
 			*count += b.Count
 			*sum += b.KeySum
-			if prm.LocalSort {
-				localKeys = append(localKeys, b.Keys...)
-			}
 		} else {
 			h.SendMessage(p, &san.Message{
 				Hdr:     san.Header{Dst: hostIDs[d], Type: san.Data, Addr: recvAddr, Flow: distFlow + int64(j)},
@@ -308,9 +287,6 @@ func runNormalNode(p *sim.Proc, c *cluster.Cluster, h *host.Host, j int,
 				d := Dest(k, prm.Hosts)
 				batches[d].Count++
 				batches[d].KeySum += k
-				if prm.LocalSort {
-					batches[d].Keys = append(batches[d].Keys, k)
-				}
 				bytesOut[d] += prm.RecordSize
 				if bytesOut[d] >= prm.BatchSize {
 					flush(d)
@@ -327,16 +303,7 @@ func runNormalNode(p *sim.Proc, c *cluster.Cluster, h *host.Host, j int,
 			}, buf)
 		}
 	}
-	var keys []uint64
-	if prm.LocalSort {
-		keys = append(keys, localKeys...)
-	}
-	drainIncoming(p, h, prm, prm.Hosts-1, count, sum, &keys)
-	if prm.LocalSort {
-		if !localSort(p, h, prm, keys) {
-			panic("psort: local sort produced unsorted keys")
-		}
-	}
+	drainIncoming(p, h, prm, prm.Hosts-1, count, sum)
 }
 
 // runActiveNode streams the local partition at the switch; node 0 also owns
@@ -358,21 +325,15 @@ func runActiveNode(p *sim.Proc, c *cluster.Cluster, h *host.Host, j int,
 	apps.StreamToSwitch(p, h, c.Store(j).ID(), "part", perNodeBytes, prm.ActiveChunk,
 		sw.ID(), streamBase(j), 0, 0x6040+int64(j), cfg.Outstanding())
 	// One "end" batch arrives from the switch.
-	var keys []uint64
-	drainIncoming(p, h, prm, 1, count, sum, &keys)
-	if prm.LocalSort {
-		if !localSort(p, h, prm, keys) {
-			panic("psort: local sort produced unsorted keys")
-		}
-	}
+	drainIncoming(p, h, prm, 1, count, sum)
 	if j == 0 {
 		h.RecvFlow(p, sw.ID(), doneFlow)
 	}
 }
 
 // drainIncoming consumes redistribution batches until the expected number
-// of End markers arrive, collecting keys when the local-sort phase is on.
-func drainIncoming(p *sim.Proc, h *host.Host, prm Params, ends int, count *int64, sum *uint64, keys *[]uint64) {
+// of End markers arrive.
+func drainIncoming(p *sim.Proc, h *host.Host, prm Params, ends int, count *int64, sum *uint64) {
 	for ends > 0 {
 		comp := h.RecvAny(p)
 		b, ok := comp.Payloads[0].(Batch)
@@ -385,37 +346,8 @@ func drainIncoming(p *sim.Proc, h *host.Host, prm Params, ends int, count *int64
 		}
 		*count += b.Count
 		*sum += b.KeySum
-		if prm.LocalSort && keys != nil {
-			*keys = append(*keys, b.Keys...)
-		}
 		h.CPU().Compute(p, prm.HostRecvInstr*b.Count)
 	}
-}
-
-// localSort runs the paper's second phase on one node: a real sort of the
-// received keys, charged as n log2 n comparisons plus the merge passes'
-// memory traffic. It reports whether the result is sorted.
-func localSort(p *sim.Proc, h *host.Host, prm Params, keys []uint64) bool {
-	n := int64(len(keys))
-	if n == 0 {
-		return true
-	}
-	logN := int64(1)
-	for v := n; v > 1; v >>= 1 {
-		logN++
-	}
-	region := h.Space().AllocRegion(n*8, 4096)
-	h.CPU().Compute(p, prm.SortInstrPerCmp*n*logN)
-	for pass := int64(0); pass < logN; pass++ {
-		h.CPU().TouchRange(p, region.Base, region.Len, cache.Load)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for i := 1; i < len(keys); i++ {
-		if keys[i-1] > keys[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // RunAll executes the four configurations (paper Figures 13/14).

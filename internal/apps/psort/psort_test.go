@@ -107,31 +107,6 @@ func TestShapeSort(t *testing.T) {
 	}
 }
 
-func TestLocalSortPhase(t *testing.T) {
-	// Phase two of the paper's sort: every node really sorts the keys it
-	// received; counts stay correct and the run gets longer (the sort is
-	// charged to the host CPUs).
-	prm := testParams()
-	prm.Records = 16 << 10
-	base := Run(apps.NormalPref, prm)
-
-	prm.LocalSort = true
-	wantCounts, wantSums := prm.Oracle()
-	for _, cfg := range []apps.Config{apps.NormalPref, apps.ActivePref} {
-		run := Run(cfg, prm)
-		counts := run.Extra["counts"].([]int64)
-		sums := run.Extra["sums"].([]uint64)
-		for j := 0; j < prm.Hosts; j++ {
-			if counts[j] != wantCounts[j] || sums[j] != wantSums[j] {
-				t.Errorf("%s with local sort: node %d distribution wrong", cfg, j)
-			}
-		}
-		if run.Time <= base.Time {
-			t.Errorf("%s: local sort added no time (%v <= %v)", cfg, run.Time, base.Time)
-		}
-	}
-}
-
 func TestOtherNodeCounts(t *testing.T) {
 	// Traffic follows p/(3p-2) at p=2 and p=8 as well.
 	if testing.Short() {

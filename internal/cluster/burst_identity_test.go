@@ -4,9 +4,9 @@ package cluster_test
 // at the identical instant, so packets from different partitions collide at
 // shared switches with exactly equal timestamps — the one pattern that used
 // to be tie-broken by event-insertion order, which barrier injection cannot
-// reproduce. With the settle-phase crossbar, metrics, timelines, telemetry
-// histograms, and the trace-event multiset must be byte-identical at any
-// partition count, on fat trees and on seeded random fabrics alike.
+// reproduce. With the settle-phase crossbar, metrics, telemetry histograms,
+// and the trace-event multiset must be byte-identical at any partition
+// count, on fat trees and on seeded random fabrics alike.
 
 import (
 	"fmt"
@@ -23,11 +23,9 @@ import (
 
 // burstResult is everything the identity property compares: the metric
 // snapshot (cluster collection plus telemetry histograms and watermarks),
-// the sampled timeline series, the final virtual time, and the canonically
-// ordered trace stream.
+// the final virtual time, and the canonically ordered trace stream.
 type burstResult struct {
 	values map[string]float64
-	series map[string]metrics.Series
 	end    sim.Time
 	trace  []sim.TraceEvent
 }
@@ -35,8 +33,7 @@ type burstResult struct {
 // runBurst builds spec at the given partition count and fires the
 // synchronized all-to-all burst: at t=0 every host sends one message to the
 // host half a ring away — a permutation that pushes every message through
-// shared fabric — and each receiver then acks to a collector on host 0,
-// which stops the timelines at the workload's virtual end.
+// shared fabric — and each receiver then acks to a collector on host 0.
 func runBurst(t *testing.T, spec cluster.Topology, nparts int, msgSize int64) burstResult {
 	t.Helper()
 	var c *cluster.Cluster
@@ -70,7 +67,6 @@ func driveBurst(t *testing.T, c *cluster.Cluster, msgSize int64) burstResult {
 	rec := telemetry.NewRecorder(nil)
 	rec.Attach(c)
 	c.Start()
-	tl := metrics.StartTimelines(c, 20*sim.Microsecond)
 
 	nh := len(c.Hosts)
 	shift := nh / 2
@@ -100,7 +96,6 @@ func driveBurst(t *testing.T, c *cluster.Cluster, msgSize int64) burstResult {
 		for i := 0; i < nh; i++ {
 			coll.RecvFlow(p, c.Host(i).ID(), int64(5000+i))
 		}
-		tl.Stop()
 	})
 
 	res := burstResult{}
@@ -108,11 +103,9 @@ func driveBurst(t *testing.T, c *cluster.Cluster, msgSize int64) burstResult {
 	res.values = metrics.Collect(c, res.end).Values
 	tsnap := metrics.NewSnapshot()
 	rec.Into(tsnap)
-	tl.Into(tsnap)
 	for k, v := range tsnap.Values {
 		res.values[k] = v
 	}
-	res.series = tsnap.Series
 	for _, s := range streams {
 		res.trace = append(res.trace, s...)
 	}
@@ -128,9 +121,6 @@ func compareBurst(t *testing.T, label string, nparts int, want, got burstResult)
 	}
 	if !reflect.DeepEqual(got.values, want.values) {
 		reportValueDiff(t, 0, nparts, want.values, got.values)
-	}
-	if !reflect.DeepEqual(got.series, want.series) {
-		t.Errorf("%s, %d partitions: timeline series differ:\nserial %v\ngot    %v", label, nparts, want.series, got.series)
 	}
 	if !reflect.DeepEqual(got.trace, want.trace) {
 		reportTraceDiff(t, 0, nparts, want.trace, got.trace)
@@ -157,7 +147,7 @@ func TestSynchronizedBurstIdentity(t *testing.T) {
 		}
 	})
 	t.Run("random", func(t *testing.T) {
-		r := &propRand{s: 0xb1257_1d}
+		r := sim.NewRand(0xb1257_1d)
 		rounds := 3
 		if testing.Short() {
 			rounds = 1

@@ -20,26 +20,11 @@ import (
 	"activesan/internal/sim"
 )
 
-// propRand is the suite's splitmix64 PRNG (duplicated from the route fuzzer,
-// which lives in the internal test package): tiny, seedable, and independent
-// of math/rand so the generated fabrics are stable across Go releases.
-type propRand struct{ s uint64 }
-
-func (r *propRand) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (r *propRand) intn(n int) int { return int(r.next() % uint64(n)) }
-
 // randomFabric builds a random connected topology: a spanning tree over
 // 3..10 switches plus up to 3 extra edges, 0..2 hosts per switch (at least
 // two overall, so the message ring is non-degenerate), and one store.
-func randomFabric(r *propRand) cluster.Topology {
-	n := 3 + r.intn(8)
+func randomFabric(r *sim.Rand) cluster.Topology {
+	n := 3 + r.Intn(8)
 	var t cluster.Topology
 	for i := 0; i < n; i++ {
 		name := string(rune('a'+i/26)) + string(rune('a'+i%26)) + "sw"
@@ -47,12 +32,12 @@ func randomFabric(r *propRand) cluster.Topology {
 	}
 	have := map[[2]int]bool{}
 	for i := 1; i < n; i++ {
-		p := r.intn(i)
+		p := r.Intn(i)
 		t.Links = append(t.Links, cluster.LinkSpec{A: p, B: i})
 		have[[2]int{p, i}] = true
 	}
-	for e := r.intn(4); e > 0; e-- {
-		a, b := r.intn(n), r.intn(n)
+	for e := r.Intn(4); e > 0; e-- {
+		a, b := r.Intn(n), r.Intn(n)
 		if a == b {
 			continue
 		}
@@ -66,14 +51,14 @@ func randomFabric(r *propRand) cluster.Topology {
 		t.Links = append(t.Links, cluster.LinkSpec{A: a, B: b})
 	}
 	for i := 0; i < n; i++ {
-		for h := r.intn(3); h > 0; h-- {
+		for h := r.Intn(3); h > 0; h-- {
 			t.Hosts = append(t.Hosts, cluster.NodeSpec{Switch: i})
 		}
 	}
 	for len(t.Hosts) < 2 {
 		t.Hosts = append(t.Hosts, cluster.NodeSpec{Switch: len(t.Hosts) % n})
 	}
-	t.Stores = append(t.Stores, cluster.NodeSpec{Switch: r.intn(n)})
+	t.Stores = append(t.Stores, cluster.NodeSpec{Switch: r.Intn(n)})
 	cfg := cluster.DefaultIOClusterConfig()
 	t.Switch, t.Host, t.IO = cfg.Switch, cfg.Host, cfg.IO
 	return t
@@ -183,7 +168,7 @@ func propRounds(t *testing.T) int {
 // event before a cross-cut message that should precede it) perturbs packet
 // timing and fails the trace comparison.
 func TestPartitionFabricIdentity(t *testing.T) {
-	r := &propRand{s: 0x9a57171001}
+	r := sim.NewRand(0x9a57171001)
 	for round := 0; round < propRounds(t); round++ {
 		spec := randomFabric(r)
 		want := runFabric(t, spec, 1)
@@ -286,7 +271,7 @@ func TestFatTreePartitionPlacement(t *testing.T) {
 // drains it, but a rank used after an unused one would mean the chunk walk
 // skipped part of the BFS order.
 func TestPartitionTopologyCovers(t *testing.T) {
-	r := &propRand{s: 0x9a57171002}
+	r := sim.NewRand(0x9a57171002)
 	for round := 0; round < 20; round++ {
 		spec := randomFabric(r)
 		for _, nparts := range []int{2, 3, 4, 8} {

@@ -11,24 +11,10 @@ import (
 	"activesan/internal/sim"
 )
 
-// fuzzRand is a splitmix64 PRNG: tiny, seedable, and independent of
-// math/rand so the suite is stable across Go releases.
-type fuzzRand struct{ s uint64 }
-
-func (r *fuzzRand) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (r *fuzzRand) intn(n int) int { return int(r.next() % uint64(n)) }
-
 // randomSpec builds a random connected topology: a random spanning tree over
 // 3..10 switches plus up to 3 extra edges, 0..2 hosts per switch, one store.
-func randomSpec(r *fuzzRand) Topology {
-	n := 3 + r.intn(8)
+func randomSpec(r *sim.Rand) Topology {
+	n := 3 + r.Intn(8)
 	var t Topology
 	for i := 0; i < n; i++ {
 		t.Switches = append(t.Switches, SwitchSpec{Name: fuzzName(i)})
@@ -36,12 +22,12 @@ func randomSpec(r *fuzzRand) Topology {
 	// Random spanning tree: attach each new switch to an earlier one.
 	have := map[[2]int]bool{}
 	for i := 1; i < n; i++ {
-		p := r.intn(i)
+		p := r.Intn(i)
 		t.Links = append(t.Links, LinkSpec{A: p, B: i})
 		have[[2]int{p, i}] = true
 	}
-	for e := r.intn(4); e > 0; e-- {
-		a, b := r.intn(n), r.intn(n)
+	for e := r.Intn(4); e > 0; e-- {
+		a, b := r.Intn(n), r.Intn(n)
 		if a == b {
 			continue
 		}
@@ -55,14 +41,14 @@ func randomSpec(r *fuzzRand) Topology {
 		t.Links = append(t.Links, LinkSpec{A: a, B: b})
 	}
 	for i := 0; i < n; i++ {
-		for h := r.intn(3); h > 0; h-- {
+		for h := r.Intn(3); h > 0; h-- {
 			t.Hosts = append(t.Hosts, NodeSpec{Switch: i})
 		}
 	}
 	if len(t.Hosts) == 0 {
 		t.Hosts = append(t.Hosts, NodeSpec{Switch: 0})
 	}
-	t.Stores = append(t.Stores, NodeSpec{Switch: r.intn(n)})
+	t.Stores = append(t.Stores, NodeSpec{Switch: r.Intn(n)})
 	cfg := DefaultIOClusterConfig()
 	t.Switch, t.Host, t.IO = cfg.Switch, cfg.Host, cfg.IO
 	return t
@@ -117,7 +103,7 @@ func fuzzRounds(t *testing.T) int {
 // must reach the destination's switch within a TTL bound (no loops, no
 // dead ends).
 func TestRouteFuzzLoopFree(t *testing.T) {
-	r := &fuzzRand{s: 0x5eed0001}
+	r := sim.NewRand(0x5eed0001)
 	for round := 0; round < fuzzRounds(t); round++ {
 		spec := randomSpec(r)
 		c := Build(sim.NewEngine(), spec)
@@ -157,7 +143,7 @@ func TestRouteFuzzLoopFree(t *testing.T) {
 // identical primary and backup route tables — the spec fully determines
 // routing, with no map-iteration or timing dependence.
 func TestRouteFuzzDeterminism(t *testing.T) {
-	r := &fuzzRand{s: 0x5eed0002}
+	r := sim.NewRand(0x5eed0002)
 	for round := 0; round < fuzzRounds(t); round++ {
 		spec := randomSpec(r)
 		c1 := Build(sim.NewEngine(), spec)
@@ -215,17 +201,17 @@ func walkTo(t *testing.T, c *Cluster, round, start int, dst san.NodeID) {
 // TTL bound, and every down edge must be deliverable by the installed
 // route tables.
 func TestRouteFuzzMulticastDownTree(t *testing.T) {
-	r := &fuzzRand{s: 0x5eed0004}
+	r := sim.NewRand(0x5eed0004)
 	fatHosts := []int{4, 8, 16, 32, 64}
 	for round := 0; round < fuzzRounds(t); round++ {
 		var c *Cluster
 		if round%2 == 0 {
-			cfg := DefaultTreeConfig(2 + r.intn(23))
-			cfg.HostsPerLeaf = 2 + r.intn(7)
-			cfg.Arity = 2 + r.intn(7)
+			cfg := DefaultTreeConfig(2 + r.Intn(23))
+			cfg.HostsPerLeaf = 2 + r.Intn(7)
+			cfg.Arity = 2 + r.Intn(7)
 			c = NewTreeCluster(sim.NewEngine(), cfg)
 		} else {
-			c = NewPartitionedFatTreeCluster(DefaultFatTreeConfig(fatHosts[r.intn(len(fatHosts))]), 1)
+			c = NewPartitionedFatTreeCluster(DefaultFatTreeConfig(fatHosts[r.Intn(len(fatHosts))]), 1)
 		}
 		tree := c.Tree
 		if tree == nil {
@@ -304,7 +290,7 @@ func TestRouteFuzzMulticastDownTree(t *testing.T) {
 // same BFS distance from the destination as the primary's next hop, and
 // differs from the primary port.
 func TestRouteFuzzBackupEqualCost(t *testing.T) {
-	r := &fuzzRand{s: 0x5eed0003}
+	r := sim.NewRand(0x5eed0003)
 	for round := 0; round < fuzzRounds(t); round++ {
 		spec := randomSpec(r)
 		c := Build(sim.NewEngine(), spec)

@@ -47,7 +47,7 @@ func TestRouteTableDigests(t *testing.T) {
 	fat256.Switch = aswitch.DefaultConfig(16)
 	dual := DefaultIOClusterConfig()
 	dual.Hosts, dual.Stores = 4, 3
-	r := &fuzzRand{s: 0x5eed0013}
+	r := sim.NewRand(0x5eed0013)
 	cases := []struct {
 		name  string
 		build func() *Cluster

@@ -278,12 +278,12 @@ func TestPinnedReduceLatencies(t *testing.T) {
 	}
 }
 
-// propRand is a deterministic splitmix64 stream for the property tests.
-type propRand struct{ s uint64 }
-
-func (r *propRand) next(n int) int {
-	r.s += 0x9E3779B97F4A7C15
-	return int(apps.Mix64(r.s) % uint64(n))
+// propRand returns the property tests' generator. Its first draw is skipped
+// so each seed keeps generating the shapes it always has.
+func propRand(seed uint64) *sim.Rand {
+	r := sim.NewRand(seed)
+	r.Next()
+	return r
 }
 
 // Satellite property test, random-shape arm: for seeded random tree shapes
@@ -294,13 +294,13 @@ func TestPropertyRandomTreeShapes(t *testing.T) {
 	if testing.Short() {
 		rounds = 4
 	}
-	rng := &propRand{s: 0xC0115EED}
+	rng := propRand(0xC0115EED)
 	for i := 0; i < rounds; i++ {
-		cfg := cluster.DefaultTreeConfig(2 + rng.next(23))
-		cfg.HostsPerLeaf = 2 + rng.next(7)
-		cfg.Arity = 2 + rng.next(7)
+		cfg := cluster.DefaultTreeConfig(2 + rng.Intn(23))
+		cfg.HostsPerLeaf = 2 + rng.Intn(7)
+		cfg.Arity = 2 + rng.Intn(7)
 		prm := DefaultParams()
-		prm.Elems = 4 + rng.next(61)
+		prm.Elems = 4 + rng.Intn(61)
 		prm.VectorBytes = int64(prm.Elems) * 8
 		for _, op := range []Op{Allreduce, Gather} {
 			want := ExpectedPerHost(op, cfg.Hosts, prm)
@@ -322,11 +322,11 @@ func TestPropertyPartitionedMatchesReference(t *testing.T) {
 	if testing.Short() {
 		rounds = 2
 	}
-	rng := &propRand{s: 0xFA77EE}
+	rng := propRand(0xFA77EE)
 	for i := 0; i < rounds; i++ {
-		hosts := []int{8, 16}[rng.next(2)]
+		hosts := []int{8, 16}[rng.Intn(2)]
 		prm := DefaultParams()
-		prm.Elems = 4 + rng.next(61)
+		prm.Elems = 4 + rng.Intn(61)
 		prm.VectorBytes = int64(prm.Elems) * 8
 		for _, op := range []Op{Allreduce, Gather} {
 			want := ExpectedPerHost(op, hosts, prm)

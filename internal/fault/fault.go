@@ -198,37 +198,3 @@ func (p *Plan) retxConfig() san.RetxConfig {
 	}
 	return cfg
 }
-
-// Rand is a splitmix64 PRNG — the repo's standard deterministic generator
-// (a private copy of apps.Rand, which this package cannot import without a
-// cycle). One instance per armed injector; a single engine serializes all
-// draws, so sequences reproduce exactly.
-type Rand struct{ s uint64 }
-
-// NewRand seeds a generator; zero seeds get a fixed arbitrary constant.
-func NewRand(seed uint64) *Rand {
-	if seed == 0 {
-		seed = 0x9E3779B97F4A7C15
-	}
-	return &Rand{s: seed}
-}
-
-// Next returns the next 64-bit value.
-func (r *Rand) Next() uint64 {
-	r.s += 0x9E3779B97F4A7C15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-// Float64 returns a uniform value in [0,1).
-func (r *Rand) Float64() float64 { return float64(r.Next()>>11) / float64(1<<53) }
-
-// Int63n returns a uniform value in [0,n).
-func (r *Rand) Int63n(n int64) int64 {
-	if n <= 0 {
-		return 0
-	}
-	return int64(r.Next() % uint64(n))
-}

@@ -111,32 +111,6 @@ func TestNeedsRetx(t *testing.T) {
 	}
 }
 
-func TestRandDeterminism(t *testing.T) {
-	a, b := NewRand(123), NewRand(123)
-	for i := 0; i < 1000; i++ {
-		if a.Next() != b.Next() {
-			t.Fatalf("same seed diverged at draw %d", i)
-		}
-	}
-	if NewRand(0).Next() != NewRand(0).Next() {
-		t.Fatal("zero seed is not deterministic")
-	}
-	if NewRand(1).Next() == NewRand(2).Next() {
-		t.Fatal("different seeds produced the same first draw")
-	}
-	r := NewRand(99)
-	for i := 0; i < 1000; i++ {
-		f := r.Float64()
-		if f < 0 || f >= 1 {
-			t.Fatalf("Float64=%v outside [0,1)", f)
-		}
-		n := r.Int63n(10)
-		if n < 0 || n >= 10 {
-			t.Fatalf("Int63n(10)=%d", n)
-		}
-	}
-}
-
 func TestCompileRuleFirstMatchWins(t *testing.T) {
 	p := &Plan{Links: []LinkRule{
 		{Match: "trunk", Drop: 0.5},

@@ -72,7 +72,7 @@ type linkRule struct {
 // PERFORMANCE.md.
 type Injector struct {
 	mu    sync.Mutex
-	rng   *Rand
+	rng   *sim.Rand
 	rules map[*san.Link]*linkRule // nil value: observe-only link
 	disks map[string]*DiskRule    // by store name
 
@@ -102,8 +102,11 @@ type Injector struct {
 }
 
 func newInjector(seed uint64) *Injector {
+	if seed == 0 {
+		seed = 0x9E3779B97F4A7C15 // zero seeds get a fixed arbitrary constant
+	}
 	return &Injector{
-		rng:         NewRand(seed),
+		rng:         sim.NewRand(seed),
 		rules:       map[*san.Link]*linkRule{},
 		disks:       map[string]*DiskRule{},
 		pending:     map[identity]int64{},

@@ -6,32 +6,12 @@ package hdl
 // generator emits source through (*Program).Render, so every random program
 // also exercises the lexer and parser.
 
-// Rand is a splitmix64 generator — the repo's standard seeded PRNG, kept
-// private to hdl to avoid an import cycle with the apps packages.
-type Rand struct{ s uint64 }
-
-// NewRand seeds a generator.
-func NewRand(seed uint64) *Rand { return &Rand{s: seed} }
-
-// Next returns the next 64 random bits.
-func (r *Rand) Next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return z
-}
-
-// Intn returns a value in [0, n).
-func (r *Rand) Intn(n int) int { return int(r.Next() % uint64(n)) }
+import "activesan/internal/sim"
 
 // genCtx tracks what names an expression may reference at the current
 // point, mirroring the checker's scoping rules.
 type genCtx struct {
-	r      *Rand
+	r      *sim.Rand
 	vars   []string
 	params []string
 	consts []string
@@ -46,7 +26,7 @@ type genCtx struct {
 // it returns passes Check, compiles within the encoding limits, and
 // terminates (the language's only loop is the bounded stream walk).
 func GenProgram(seed uint64) *Program {
-	r := NewRand(seed)
+	r := sim.NewRand(seed)
 	p := &Program{Name: "gen"}
 	g := &genCtx{r: r}
 
@@ -97,7 +77,7 @@ func GenProgram(seed uint64) *Program {
 // genConst picks constant values across the interesting ranges: small
 // single-instruction immediates, wide 32-bit values needing the byte-chunk
 // build, and boundary cases.
-func genConst(r *Rand) int64 {
+func genConst(r *sim.Rand) int64 {
 	switch r.Intn(6) {
 	case 0:
 		return int64(r.Intn(2048)) - 1024 // [-1024, 1023], one instruction
@@ -196,7 +176,7 @@ func (g *genCtx) leaf() Expr {
 // GenStream builds a random packet stream: lengths cover empty, tiny, and
 // multi-buffer cases, with byte values across the full range.
 func GenStream(seed uint64) []byte {
-	r := NewRand(seed)
+	r := sim.NewRand(seed)
 	n := []int{0, 1, 3, 4, 7, 16, 33, 64, 100, 257}[r.Intn(10)] + r.Intn(32)
 	b := make([]byte, n)
 	for i := range b {
@@ -207,7 +187,7 @@ func GenStream(seed uint64) []byte {
 
 // GenParams binds random values to a program's parameters.
 func GenParams(p *Program, seed uint64) map[string]uint32 {
-	r := NewRand(seed)
+	r := sim.NewRand(seed)
 	m := make(map[string]uint32, len(p.Params))
 	for _, name := range p.Params {
 		m[name] = uint32(r.Next())

@@ -26,25 +26,19 @@ type OSConfig struct {
 	IOPerKB sim.Time
 	// SendOverhead is the user-level queue-pair post cost per message.
 	SendOverhead sim.Time
-	// RecvOverhead is the polling receive cost per message.
+	// RecvOverhead is the polling receive cost per message. The paper's
+	// receivers poll, "which favors the normal case".
 	RecvOverhead sim.Time
-	// InterruptRecv switches message completion from polling to
-	// interrupts, charging InterruptOverhead per message instead. The
-	// paper's receivers poll, "which favors the normal case"; this knob
-	// quantifies that choice.
-	InterruptRecv     bool
-	InterruptOverhead sim.Time
 }
 
 // DefaultOSConfig returns the paper's measured overheads plus small
 // user-level messaging costs typical of 2002 SAN stacks (VIA-style).
 func DefaultOSConfig() OSConfig {
 	return OSConfig{
-		IOPerRequest:      30 * sim.Microsecond,
-		IOPerKB:           270 * sim.Nanosecond,
-		SendOverhead:      4 * sim.Microsecond,
-		RecvOverhead:      3 * sim.Microsecond,
-		InterruptOverhead: 8 * sim.Microsecond,
+		IOPerRequest: 30 * sim.Microsecond,
+		IOPerKB:      270 * sim.Nanosecond,
+		SendOverhead: 4 * sim.Microsecond,
+		RecvOverhead: 3 * sim.Microsecond,
 	}
 }
 
@@ -322,13 +316,8 @@ func (h *Host) RecvAny(p *sim.Proc) *nic.Completion {
 	return c
 }
 
-// RecvCost is the per-message completion cost under the configured
-// notification mode: the polling overhead by default, the interrupt
-// overhead when OSConfig.InterruptRecv is set.
+// RecvCost is the per-message completion cost: the polling overhead.
 func (h *Host) RecvCost() sim.Time {
-	if h.cfg.OS.InterruptRecv {
-		return h.cfg.OS.InterruptOverhead
-	}
 	return h.cfg.OS.RecvOverhead
 }
 

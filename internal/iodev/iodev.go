@@ -12,11 +12,8 @@ import (
 	"activesan/internal/sim"
 )
 
-// DiskConfig describes the disk pair. By default the two spindles are
-// modeled as one aggregate device at the total bandwidth (the paper only
-// constrains the total); setting Disks > 1 switches to explicit striping,
-// where each spindle streams at BandwidthBytesPerSec/Disks and stripes of
-// StripeUnit bytes round-robin across them.
+// DiskConfig describes the disk pair, modeled as one aggregate device at
+// the total bandwidth (the paper only constrains the total).
 type DiskConfig struct {
 	// Seek is the average positioning time paid on non-sequential access.
 	Seek sim.Time
@@ -24,10 +21,6 @@ type DiskConfig struct {
 	Rotation sim.Time
 	// BandwidthBytesPerSec is the total streaming rate (paper: 100 MB/s).
 	BandwidthBytesPerSec float64
-	// Disks > 1 enables explicit striping.
-	Disks int
-	// StripeUnit is the striping granularity (default 64 KB).
-	StripeUnit int64
 }
 
 // BusConfig describes the SCSI bus.
@@ -196,8 +189,6 @@ type StorageNode struct {
 	diskFreeAt sim.Time
 	lastFile   string
 	lastEnd    int64
-	// spindles tracks per-disk timelines for explicit striping.
-	spindles []spindle
 
 	// writes tracks expected write streams by flow id.
 	writes map[int64]*writeState
@@ -227,27 +218,17 @@ type writeState struct {
 	src san.NodeID
 }
 
-// queuedReq is a request packet with its arrival time, so spindle
-// timelines can start when the work arrived rather than when the TCA got
-// to it.
+// queuedReq is a request packet with its arrival time, so the telemetry
+// disk hop starts when the work arrived rather than when the TCA got to
+// it.
 type queuedReq struct {
 	pkt *san.Packet
 	at  sim.Time
 }
 
-// spindle is one physical disk's timeline under explicit striping.
-type spindle struct {
-	freeAt   sim.Time
-	lastFile string
-	lastEnd  int64
-}
-
 // New builds a storage node attached via the given links.
 func New(eng *sim.Engine, id san.NodeID, name string, in, out *san.Link, cfg Config) *StorageNode {
-	if cfg.Disk.Disks > 1 && cfg.Disk.StripeUnit <= 0 {
-		cfg.Disk.StripeUnit = 64 * 1024
-	}
-	s := &StorageNode{
+	return &StorageNode{
 		eng:     eng,
 		id:      id,
 		name:    name,
@@ -261,10 +242,6 @@ func New(eng *sim.Engine, id san.NodeID, name string, in, out *san.Link, cfg Con
 		fcpu:    sim.NewServer(eng, name+".fcpu"),
 		writes:  make(map[int64]*writeState),
 	}
-	if cfg.Disk.Disks > 1 {
-		s.spindles = make([]spindle, cfg.Disk.Disks)
-	}
-	return s
 }
 
 // RegisterFilter installs an active-disk pushdown filter under id (> 0).
@@ -555,14 +532,6 @@ func (s *StorageNode) serveRead(p *sim.Proc, req ReadReq, arrived sim.Time) {
 	s.diskFreeAt = first + sim.TransferTime(req.Len, s.cfg.Disk.BandwidthBytesPerSec)
 	s.lastFile = req.File
 	s.lastEnd = req.Off + req.Len
-	var ready func(endOff int64) sim.Time
-	if len(s.spindles) > 1 {
-		ready = s.stripedReadiness(arrived, req)
-	} else {
-		ready = func(endOff int64) sim.Time {
-			return first + sim.TransferTime(endOff, s.cfg.Disk.BandwidthBytesPerSec)
-		}
-	}
 
 	hdr := san.Header{
 		Src:       s.id,
@@ -605,7 +574,7 @@ func (s *StorageNode) serveRead(p *sim.Proc, req ReadReq, arrived sim.Time) {
 	// Per-request SCSI arbitration/selection.
 	s.bus.Reserve(s.cfg.Bus.Arbitration)
 	for i, pkt := range pkts {
-		at := ready(int64(i+1) * san.MTU)
+		at := first + sim.TransferTime(int64(i+1)*san.MTU, s.cfg.Disk.BandwidthBytesPerSec)
 		if at > p.Now() {
 			p.SleepUntil(at)
 		}
@@ -683,65 +652,5 @@ func (s *StorageNode) serveFilteredRead(p *sim.Proc, req ReadReq, f *File, flt *
 			Src: s.id, Dst: req.Notify, Type: san.Control,
 			Flow: req.NotifyFlow, Last: true,
 		}})
-	}
-}
-
-// stripedReadiness builds the per-chunk readiness function for explicit
-// striping: stripes of StripeUnit bytes round-robin across the spindles,
-// each streaming at 1/Disks of the total bandwidth with its own
-// sequential-access tracking.
-func (s *StorageNode) stripedReadiness(now sim.Time, req ReadReq) func(endOff int64) sim.Time {
-	d := len(s.spindles)
-	perDiskBW := s.cfg.Disk.BandwidthBytesPerSec / float64(d)
-	su := s.cfg.Disk.StripeUnit
-
-	// Start each spindle: pay its own seek when it is not already
-	// positioned after the previous request on this file.
-	starts := make([]sim.Time, d)
-	for i := range s.spindles {
-		sp := &s.spindles[i]
-		st := sp.freeAt
-		if st < now {
-			st = now
-		}
-		firstStripe := (req.Off / su) // first stripe of this request
-		_ = firstStripe
-		if sp.lastFile != req.File || sp.lastEnd != req.Off {
-			st += s.cfg.Disk.Seek + s.cfg.Disk.Rotation
-		}
-		starts[i] = st
-		sp.lastFile = req.File
-		sp.lastEnd = req.Off + req.Len
-	}
-
-	// Precompute each stripe's completion curve: within stripe k (disk
-	// k%d), byte w is ready at stripeStart + w/perDiskBW, where
-	// stripeStart advances per disk.
-	nStripes := int((req.Len + su - 1) / su)
-	stripeStart := make([]sim.Time, nStripes)
-	diskCursor := append([]sim.Time(nil), starts...)
-	for k := 0; k < nStripes; k++ {
-		// Stripe placement follows the absolute file offset, so
-		// consecutive requests engage different spindles.
-		disk := int(((req.Off + int64(k)*su) / su) % int64(d))
-		stripeStart[k] = diskCursor[disk]
-		n := req.Len - int64(k)*su
-		if n > su {
-			n = su
-		}
-		diskCursor[disk] += sim.TransferTime(n, perDiskBW)
-	}
-	for i := range s.spindles {
-		s.spindles[i].freeAt = diskCursor[i]
-	}
-
-	return func(endOff int64) sim.Time {
-		if endOff > req.Len {
-			endOff = req.Len
-		}
-		last := endOff - 1
-		k := last / su
-		w := last % su
-		return stripeStart[k] + sim.TransferTime(w+1, s.cfg.Disk.BandwidthBytesPerSec/float64(d))
 	}
 }

@@ -219,90 +219,3 @@ func TestDuplicateFilePanics(t *testing.T) {
 	}()
 	s.AddFile(&File{Name: "x", Size: 1})
 }
-
-func TestExplicitStriping(t *testing.T) {
-	// With two explicit spindles, a large sequential read still reaches
-	// the total bandwidth (both stream in parallel), but the first stripe
-	// ramps at a single disk's rate.
-	run := func(disks int) (first, last sim.Time) {
-		eng := sim.NewEngine()
-		cfg := DefaultConfig()
-		cfg.Disk.Disks = disks
-		cfg.Disk.StripeUnit = 64 * 1024
-		lcfg := san.DefaultLinkConfig()
-		toStore := san.NewLink(eng, "to", lcfg)
-		fromStore := san.NewLink(eng, "from", lcfg)
-		s := New(eng, 200, "d0", toStore, fromStore, cfg)
-		const total = 1 << 20
-		s.AddFile(&File{Name: "f", Size: total})
-		s.Start()
-		eng.Spawn("client", func(p *sim.Proc) {
-			request(p, toStore, ReadReq{File: "f", Len: total, Dst: 1, Type: san.Data, Flow: 1}, 1)
-			for got := int64(0); got < total; {
-				pkt := fromStore.Recv(p)
-				if first == 0 {
-					first = p.Now()
-				}
-				got += pkt.Size
-				last = p.Now()
-				fromStore.ReturnCredit()
-			}
-		})
-		eng.Run()
-		eng.Shutdown()
-		return first, last
-	}
-	f1, l1 := run(1)
-	f2, l2 := run(2)
-	// Total completion within 15% either way (same aggregate bandwidth).
-	r := float64(l2) / float64(l1)
-	if r < 0.85 || r > 1.2 {
-		t.Fatalf("striped completion ratio %.3f (1 disk %v, 2 disks %v)", r, l1, l2)
-	}
-	// First-byte latency is seek-bound in both models.
-	if f1 < 8*sim.Millisecond || f2 < 8*sim.Millisecond {
-		t.Fatalf("first packet before seek: %v / %v", f1, f2)
-	}
-}
-
-func TestStripingAlternatesSpindles(t *testing.T) {
-	eng := sim.NewEngine()
-	cfg := DefaultConfig()
-	cfg.Disk.Disks = 2
-	cfg.Disk.StripeUnit = 64 * 1024
-	lcfg := san.DefaultLinkConfig()
-	toStore := san.NewLink(eng, "to", lcfg)
-	fromStore := san.NewLink(eng, "from", lcfg)
-	s := New(eng, 200, "d0", toStore, fromStore, cfg)
-	s.AddFile(&File{Name: "f", Size: 256 * 1024})
-	s.Start()
-	// Two consecutive 64 KB requests land on different spindles and can
-	// overlap: the second's data is not delayed behind the first's disk.
-	var firstDone, secondDone sim.Time
-	eng.Spawn("client", func(p *sim.Proc) {
-		request(p, toStore, ReadReq{File: "f", Off: 0, Len: 64 * 1024, Dst: 1, Type: san.Data, Flow: 1}, 1)
-		request(p, toStore, ReadReq{File: "f", Off: 64 * 1024, Len: 64 * 1024, Dst: 1, Type: san.Data, Flow: 2}, 2)
-		var got1, got2 int64
-		for got1 < 64*1024 || got2 < 64*1024 {
-			pkt := fromStore.Recv(p)
-			if pkt.Hdr.Flow == 1 {
-				got1 += pkt.Size
-				firstDone = p.Now()
-			} else {
-				got2 += pkt.Size
-				secondDone = p.Now()
-			}
-			fromStore.ReturnCredit()
-		}
-	})
-	eng.Run()
-	defer eng.Shutdown()
-	// Request 2's spindle pays its own seek; with one aggregate disk it
-	// would start only after request 1 finished streaming. Overlap means
-	// the gap between completions is below a full 64 KB single-spindle
-	// stream time (1.31 ms).
-	gap := secondDone - firstDone
-	if gap >= 1310*sim.Microsecond {
-		t.Fatalf("no spindle overlap: completion gap %v", gap)
-	}
-}

@@ -51,10 +51,10 @@ func (c Config) validate() error {
 
 // Stats accumulates memory-system activity.
 type Stats struct {
-	Accesses  int64
-	PageHits  int64
-	PageMisse int64
-	Bytes     int64
+	Accesses   int64
+	PageHits   int64
+	PageMisses int64
+	Bytes      int64
 }
 
 // RDRAM is one memory channel with its controller. Accesses are serialized
@@ -115,23 +115,9 @@ func (m *RDRAM) latency(addr int64) sim.Time {
 		m.stats.PageHits++
 		return m.cfg.PageHit
 	}
-	m.stats.PageMisse++
+	m.stats.PageMisses++
 	m.open[bank] = row
 	return m.cfg.PageMiss
-}
-
-// Access performs a blocking memory access of size bytes at addr: the caller
-// waits for bus queueing, the page hit/miss latency, and the data transfer.
-// It returns the total time the caller was delayed.
-func (m *RDRAM) Access(p *sim.Proc, addr int64, size int64) sim.Time {
-	start := p.Now()
-	lat := m.latency(addr)
-	m.stats.Accesses++
-	m.stats.Bytes += size
-	xfer := sim.TransferTime(size, m.cfg.BandwidthBytesPerSec)
-	end := m.bus.Reserve(xfer) + lat
-	p.SleepUntil(end)
-	return p.Now() - start
 }
 
 // Reserve books bus occupancy and latency for an access without blocking,
@@ -143,23 +129,4 @@ func (m *RDRAM) Reserve(addr int64, size int64) sim.Time {
 	m.stats.Bytes += size
 	xfer := sim.TransferTime(size, m.cfg.BandwidthBytesPerSec)
 	return m.bus.Reserve(xfer) + lat
-}
-
-// Stream charges a large sequential transfer (e.g. an I/O buffer fill) as a
-// pipelined burst: one activation latency plus occupancy for all bytes.
-// The caller blocks until the burst completes.
-func (m *RDRAM) Stream(p *sim.Proc, addr int64, size int64) sim.Time {
-	start := p.Now()
-	lat := m.latency(addr)
-	m.stats.Accesses++
-	m.stats.Bytes += size
-	// Mark every page the burst touches as open so later accesses behave.
-	for a := addr + m.cfg.PageSize; a < addr+size; a += m.cfg.PageSize {
-		bank, row := m.bankRow(a)
-		m.open[bank] = row
-	}
-	xfer := sim.TransferTime(size, m.cfg.BandwidthBytesPerSec)
-	end := m.bus.Reserve(xfer) + lat
-	p.SleepUntil(end)
-	return p.Now() - start
 }

@@ -34,20 +34,16 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestPageHitMissClassification(t *testing.T) {
-	eng := sim.NewEngine()
-	m := New(eng, "mem", DefaultConfig())
-	eng.Spawn("cpu", func(p *sim.Proc) {
-		// First touch of a page is a miss; a second touch in the same page
-		// hits; a touch of a different row in the same bank misses again.
-		m.Access(p, 0, 128)
-		m.Access(p, 64, 128)
-		sameBankNewRow := DefaultConfig().PageSize * int64(DefaultConfig().Banks)
-		m.Access(p, sameBankNewRow, 128)
-	})
-	eng.Run()
+	m := New(sim.NewEngine(), "mem", DefaultConfig())
+	// First touch of a page is a miss; a second touch in the same page
+	// hits; a touch of a different row in the same bank misses again.
+	m.Reserve(0, 128)
+	m.Reserve(64, 128)
+	sameBankNewRow := DefaultConfig().PageSize * int64(DefaultConfig().Banks)
+	m.Reserve(sameBankNewRow, 128)
 	st := m.Stats()
-	if st.PageHits != 1 || st.PageMisse != 2 {
-		t.Fatalf("hits/misses = %d/%d, want 1/2", st.PageHits, st.PageMisse)
+	if st.PageHits != 1 || st.PageMisses != 2 {
+		t.Fatalf("hits/misses = %d/%d, want 1/2", st.PageHits, st.PageMisses)
 	}
 	if st.Bytes != 384 {
 		t.Fatalf("bytes = %d, want 384", st.Bytes)
@@ -55,40 +51,30 @@ func TestPageHitMissClassification(t *testing.T) {
 }
 
 func TestAccessLatency(t *testing.T) {
-	eng := sim.NewEngine()
-	m := New(eng, "mem", DefaultConfig())
-	var miss, hit sim.Time
-	eng.Spawn("cpu", func(p *sim.Proc) {
-		miss = m.Access(p, 0, 128)
-		hit = m.Access(p, 128, 128)
-	})
-	eng.Run()
+	m := New(sim.NewEngine(), "mem", DefaultConfig())
 	// 128 bytes at 1.6 GB/s = 80 ns of occupancy.
-	wantMiss := 122*sim.Nanosecond + sim.TransferTime(128, 1.6e9)
-	wantHit := 100*sim.Nanosecond + sim.TransferTime(128, 1.6e9)
-	if miss != wantMiss {
-		t.Errorf("miss access took %v, want %v", miss, wantMiss)
+	xfer := sim.TransferTime(128, 1.6e9)
+	// A miss completes after its transfer plus the 122 ns miss latency.
+	if miss, want := m.Reserve(0, 128), xfer+122*sim.Nanosecond; miss != want {
+		t.Errorf("miss completes at %v, want %v", miss, want)
 	}
-	if hit != wantHit {
-		t.Errorf("hit access took %v, want %v", hit, wantHit)
+	// A hit queues behind the first transfer on the bus, then pays the
+	// 100 ns hit latency.
+	if hit, want := m.Reserve(128, 128), 2*xfer+100*sim.Nanosecond; hit != want {
+		t.Errorf("hit completes at %v, want %v", hit, want)
 	}
 }
 
 func TestBandwidthContention(t *testing.T) {
-	eng := sim.NewEngine()
-	m := New(eng, "mem", DefaultConfig())
+	m := New(sim.NewEngine(), "mem", DefaultConfig())
 	var last sim.Time
 	const n = 10
 	for i := 0; i < n; i++ {
-		i := i
-		eng.Spawn("dma", func(p *sim.Proc) {
-			m.Access(p, int64(i)*131072, 131072) // 128 KB apart: all misses
-			if p.Now() > last {
-				last = p.Now()
-			}
-		})
+		// 128 KB apart: all misses.
+		if end := m.Reserve(int64(i)*131072, 131072); end > last {
+			last = end
+		}
 	}
-	eng.Run()
 	// 10 x 128 KB at 1.6 GB/s is 819.2 us of pure occupancy; queueing must
 	// push the last completion past that.
 	minTotal := sim.TransferTime(n*131072, 1.6e9)
@@ -97,21 +83,6 @@ func TestBandwidthContention(t *testing.T) {
 	}
 	if last > minTotal+10*122*sim.Nanosecond {
 		t.Fatalf("last completion %v much later than bus-limited %v", last, minTotal)
-	}
-}
-
-func TestStreamOpensPages(t *testing.T) {
-	eng := sim.NewEngine()
-	m := New(eng, "mem", DefaultConfig())
-	eng.Spawn("io", func(p *sim.Proc) {
-		m.Stream(p, 0, 64*1024) // touches 32 pages
-		// A follow-up access inside the streamed range should page-hit.
-		m.Access(p, 40960, 128)
-	})
-	eng.Run()
-	st := m.Stats()
-	if st.PageHits != 1 {
-		t.Fatalf("page hits = %d, want 1 (stream should open pages)", st.PageHits)
 	}
 }
 

@@ -227,7 +227,7 @@ func addMem(s *Snapshot, prefix string, m *memsys.RDRAM, elapsed sim.Time) {
 	ms := m.Stats()
 	s.SetInt(prefix+"/accesses", ms.Accesses)
 	s.SetInt(prefix+"/page_hits", ms.PageHits)
-	s.SetInt(prefix+"/page_misses", ms.PageMisse)
+	s.SetInt(prefix+"/page_misses", ms.PageMisses)
 	s.SetInt(prefix+"/bytes", ms.Bytes)
 	s.Set(prefix+"/bus_util", ratio(float64(m.BusBusyTime()), float64(elapsed)))
 }

@@ -31,8 +31,14 @@ type Timelines struct {
 	samplers map[string]*sim.Sampler
 }
 
-// StartTimelines begins sampling the standard gauges every interval.
+// StartTimelines begins sampling the standard gauges every interval. The
+// cluster must run on one engine: a sampler is a process on its engine, so
+// on a partitioned cluster it would run on rank 0 alone and read the other
+// partitions mid-window.
 func StartTimelines(c *cluster.Cluster, interval sim.Time) *Timelines {
+	if c.Group != nil {
+		panic("metrics: timelines need a single-engine cluster")
+	}
 	t := &Timelines{samplers: make(map[string]*sim.Sampler)}
 
 	var links []*san.Link
@@ -102,7 +108,7 @@ func StartTimelines(c *cluster.Cluster, interval sim.Time) *Timelines {
 // sampling continues at the doubled interval instead of stopping.
 func (t *Timelines) start(c *cluster.Cluster, name string, interval sim.Time, fn func(iv sim.Time) float64) {
 	var s *sim.Sampler
-	sample := func() float64 {
+	s = sim.StartSampler(c.Eng, interval, func() float64 {
 		// The value first (its window was covered by the current interval),
 		// then the decimation, then the sampler appends the pair — which
 		// lands on the doubled grid.
@@ -111,18 +117,7 @@ func (t *Timelines) start(c *cluster.Cluster, name string, interval sim.Time, fn
 			s.Decimate()
 		}
 		return v
-	}
-	if c.Group != nil {
-		// Partitioned cluster: sample at barrier epochs, where every engine
-		// sits at one coherent virtual instant, so a gauge that reads the
-		// whole fabric (all switches' queues, all links' busy time) never
-		// observes a partition mid-window. The epoch grid is the same
-		// k*interval grid the serial sampler walks, so timelines are
-		// identical at any partition count.
-		s = c.Group.StartSampler(interval, sample)
-	} else {
-		s = sim.StartSampler(c.Eng, interval, sample)
-	}
+	})
 	t.samplers[name] = s
 }
 

@@ -12,30 +12,17 @@ import (
 	"activesan/internal/sim"
 )
 
-// invRand is a splitmix64 PRNG — seeded and stable across Go releases.
-type invRand struct{ s uint64 }
-
-func (r *invRand) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (r *invRand) intn(n int) int { return int(r.next() % uint64(n)) }
-
 // invInjector drops/corrupts/delays packets with fixed percentages, from the
 // shared seeded PRNG.
 type invInjector struct {
-	r           *invRand
+	r           *sim.Rand
 	dropPct     uint64
 	corruptPct  uint64
 	maxDelayNic uint64 // max extra delay in nanoseconds, 0 = never delay
 }
 
 func (i *invInjector) OnTransmit(_ *Link, _ *Packet) (FaultVerdict, sim.Time) {
-	v := i.r.next() % 100
+	v := i.r.Next() % 100
 	switch {
 	case v < i.dropPct:
 		return FaultDrop, 0
@@ -43,7 +30,7 @@ func (i *invInjector) OnTransmit(_ *Link, _ *Packet) (FaultVerdict, sim.Time) {
 		return FaultCorrupt, 0
 	}
 	if i.maxDelayNic > 0 && v%5 == 0 {
-		return FaultPass, sim.Time(i.r.next()%i.maxDelayNic) * sim.Nanosecond
+		return FaultPass, sim.Time(i.r.Next()%i.maxDelayNic) * sim.Nanosecond
 	}
 	return FaultPass, 0
 }
@@ -59,8 +46,8 @@ type invFabric struct {
 
 // buildInvFabric wires 2..5 switches in a random tree with 1..2 endpoints
 // each. Endpoint i has NodeID(i); switch j has NodeID(100+j).
-func buildInvFabric(eng *sim.Engine, r *invRand, linkCfg LinkConfig) *invFabric {
-	nsw := 2 + r.intn(4)
+func buildInvFabric(eng *sim.Engine, r *sim.Rand, linkCfg LinkConfig) *invFabric {
+	nsw := 2 + r.Intn(4)
 	f := &invFabric{}
 	adj := make([]map[int]int, nsw) // neighbor switch -> local port
 	epAt := make([][]int, nsw)      // switch -> endpoint indexes
@@ -70,7 +57,7 @@ func buildInvFabric(eng *sim.Engine, r *invRand, linkCfg LinkConfig) *invFabric 
 	for i := 0; i < nsw; i++ {
 		epAt[i] = append(epAt[i], len(f.epSwitch))
 		f.epSwitch = append(f.epSwitch, i)
-		if r.intn(2) == 0 {
+		if r.Intn(2) == 0 {
 			epAt[i] = append(epAt[i], len(f.epSwitch))
 			f.epSwitch = append(f.epSwitch, i)
 		}
@@ -78,7 +65,7 @@ func buildInvFabric(eng *sim.Engine, r *invRand, linkCfg LinkConfig) *invFabric 
 	type trunk struct{ a, b int }
 	var trunks []trunk
 	for i := 1; i < nsw; i++ {
-		trunks = append(trunks, trunk{r.intn(i), i})
+		trunks = append(trunks, trunk{r.Intn(i), i})
 	}
 	for i := 0; i < nsw; i++ {
 		ports := len(epAt[i])
@@ -158,27 +145,27 @@ func buildInvFabric(eng *sim.Engine, r *invRand, linkCfg LinkConfig) *invFabric 
 // sometimes a switch id — dropped for lack of a local sink), receivers drain
 // forever holding each credit for hold(e) first. Returns sent and received
 // clean/corrupt counts after the engine quiesces.
-func (f *invFabric) run(eng *sim.Engine, r *invRand, perEp int, hold func(e int) sim.Time) (sent int, clean, corrupt int) {
+func (f *invFabric) run(eng *sim.Engine, r *sim.Rand, perEp int, hold func(e int) sim.Time) (sent int, clean, corrupt int) {
 	nep := len(f.eps)
 	cleanBy := make([]int, nep)
 	corruptBy := make([]int, nep)
 	total := 0
 	for e := range f.eps {
 		e := e
-		count := 1 + r.intn(perEp)
+		count := 1 + r.Intn(perEp)
 		total += count
 		dsts := make([]NodeID, count)
 		for i := range dsts {
-			switch r.intn(10) {
+			switch r.Intn(10) {
 			case 0:
 				dsts[i] = 999 // unroutable everywhere
 			case 1:
-				dsts[i] = NodeID(100 + r.intn(len(f.sws))) // a switch: no local sink
+				dsts[i] = NodeID(100 + r.Intn(len(f.sws))) // a switch: no local sink
 			default:
-				dsts[i] = NodeID(r.intn(nep))
+				dsts[i] = NodeID(r.Intn(nep))
 			}
 		}
-		size := int64(64 + r.intn(1024))
+		size := int64(64 + r.Intn(1024))
 		eng.Spawn("tx", func(p *sim.Proc) {
 			for _, dst := range dsts {
 				f.eps[e].Out.Send(p, &Packet{Hdr: Header{Src: NodeID(e), Dst: dst}, Size: size})
@@ -254,7 +241,7 @@ func invRounds() int {
 //
 // — no packet is ever lost without a cause counter naming why.
 func TestInvariantPacketConservation(t *testing.T) {
-	r := &invRand{s: 0x1a7e57}
+	r := sim.NewRand(0x1a7e57)
 	for round := 0; round < invRounds(); round++ {
 		eng := sim.NewEngine()
 		f := buildInvFabric(eng, r, DefaultLinkConfig())
@@ -278,7 +265,7 @@ func TestInvariantPacketConservation(t *testing.T) {
 // hard: tiny credit windows plus heavy loss, so only the drop path's credit
 // restoration lets senders finish at all.
 func TestInvariantCreditsRestoredUnderFaults(t *testing.T) {
-	r := &invRand{s: 0xc4ed17}
+	r := sim.NewRand(0xc4ed17)
 	for round := 0; round < invRounds(); round++ {
 		eng := sim.NewEngine()
 		cfg := DefaultLinkConfig()
@@ -303,15 +290,15 @@ func TestInvariantCreditsRestoredUnderFaults(t *testing.T) {
 // stalls reshape every queue and backpressure interaction, but quiescence
 // must still find all credits and pool slots home, and conservation intact.
 func TestInvariantCreditsRestoredWithSlowReceivers(t *testing.T) {
-	r := &invRand{s: 0x51033}
+	r := sim.NewRand(0x51033)
 	for round := 0; round < invRounds(); round++ {
 		eng := sim.NewEngine()
 		cfg := DefaultLinkConfig()
-		cfg.Credits = 1 + r.intn(3)
+		cfg.Credits = 1 + r.Intn(3)
 		f := buildInvFabric(eng, r, cfg)
 		holds := make([]sim.Time, len(f.eps))
 		for i := range holds {
-			holds[i] = sim.Time(r.intn(2000)) * sim.Nanosecond
+			holds[i] = sim.Time(r.Intn(2000)) * sim.Nanosecond
 		}
 		sent, clean, corrupt := f.run(eng, r, 8, func(e int) sim.Time { return holds[e] })
 		if corrupt != 0 {
@@ -334,7 +321,7 @@ func TestInvariantCreditsRestoredWithSlowReceivers(t *testing.T) {
 // and Routed plus Local plus Dropped plus CorruptDrops must cover every
 // arrival the fabric's links delivered into switches.
 func TestInvariantDropCausesSumToDropped(t *testing.T) {
-	r := &invRand{s: 0xd06f00d}
+	r := sim.NewRand(0xd06f00d)
 	for round := 0; round < invRounds(); round++ {
 		eng := sim.NewEngine()
 		f := buildInvFabric(eng, r, DefaultLinkConfig())

@@ -16,23 +16,10 @@ import (
 	"activesan/internal/sim"
 )
 
-// settleRand is a seedable splitmix64 stream, independent of math/rand so
-// the generated arrival sets are stable across Go releases.
-type settleRand struct{ s uint64 }
-
-func (r *settleRand) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (r *settleRand) intn(n int) int { return int(r.next() % uint64(n)) }
-
-func (r *settleRand) shuffle(xs []int) {
+// shuffle permutes xs in place from r (Fisher–Yates).
+func shuffle(r *sim.Rand, xs []int) {
 	for i := len(xs) - 1; i > 0; i-- {
-		j := r.intn(i + 1)
+		j := r.Intn(i + 1)
 		xs[i], xs[j] = xs[j], xs[i]
 	}
 }
@@ -101,23 +88,23 @@ func intsEqual(a, b []int) bool {
 // ascending input-port order, with the injected packet (pseudo-port N)
 // always last.
 func TestSettleServiceOrderIsPortOrder(t *testing.T) {
-	r := &settleRand{s: 0x5e771e01}
+	r := sim.NewRand(0x5e771e01)
 	for round := 0; round < 40; round++ {
-		n := 4 + r.intn(5) // 4..8 ports
-		dst := r.intn(n)
+		n := 4 + r.Intn(5) // 4..8 ports
+		dst := r.Intn(n)
 		var pool []int
 		for i := 0; i < n; i++ {
 			if i != dst {
 				pool = append(pool, i)
 			}
 		}
-		r.shuffle(pool)
-		srcs := pool[:2+r.intn(len(pool)-1)]
+		shuffle(r, pool)
+		srcs := pool[:2+r.Intn(len(pool)-1)]
 		sizes := make([]int64, len(srcs))
 		for i := range sizes {
-			sizes[i] = int64(64 + r.intn(int(MTU)-64))
+			sizes[i] = int64(64 + r.Intn(int(MTU)-64))
 		}
-		inject := r.intn(2) == 1
+		inject := r.Intn(2) == 1
 
 		want := append([]int(nil), srcs...)
 		for i := 1; i < len(want); i++ { // insertion sort: the expected order
@@ -141,12 +128,12 @@ func TestSettleServiceOrderIsPortOrder(t *testing.T) {
 // are inserted in a different order. Sizes travel with their port, so every
 // permutation describes the same physical burst.
 func TestSettleOrderInvariantUnderPermutation(t *testing.T) {
-	r := &settleRand{s: 0x5e771e02}
+	r := sim.NewRand(0x5e771e02)
 	const n, dst = 8, 3
 	base := []int{0, 1, 2, 4, 5, 6, 7}
 	sizeOf := map[int]int64{}
 	for _, src := range base {
-		sizeOf[src] = int64(64 + r.intn(int(MTU)-64))
+		sizeOf[src] = int64(64 + r.Intn(int(MTU)-64))
 	}
 	perms := [][]int{append([]int(nil), base...)}
 	rev := make([]int, len(base))
@@ -156,7 +143,7 @@ func TestSettleOrderInvariantUnderPermutation(t *testing.T) {
 	perms = append(perms, rev)
 	for k := 0; k < 6; k++ {
 		p := append([]int(nil), base...)
-		r.shuffle(p)
+		shuffle(r, p)
 		perms = append(perms, p)
 	}
 	var want []int

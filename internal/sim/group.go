@@ -157,15 +157,6 @@ func (s *injSorter) Less(i, j int) bool {
 	return x.seq < y.seq
 }
 
-// groupSampler is a Sampler driven at barrier epochs instead of by its own
-// process, so the timeline observes one coherent virtual time across
-// partitions.
-type groupSampler struct {
-	s    *Sampler
-	fn   func() float64
-	next Time
-}
-
 // Group runs a set of Engines as one partitioned simulation. Build each
 // partition's components on its own engine, Connect a Channel per cut-link
 // direction, then Run. All Group methods must be called from a single
@@ -201,8 +192,6 @@ type Group struct {
 	// back. Without this horizon term a partition with no inbound delivery
 	// channel would run unboundedly ahead of its own future credit returns.
 	pairCredLA [][]Time
-
-	samplers []*groupSampler
 
 	started    bool
 	shutdown   bool
@@ -328,20 +317,6 @@ func (g *Group) Connect(src, dst int, lookahead, creditLA Time) *Channel {
 	return c
 }
 
-// StartSampler begins sampling fn at fixed virtual intervals, like
-// Engine.StartSampler but synchronized to barrier epochs: every engine is
-// held below the next epoch, so each sample observes the whole fabric at one
-// coherent instant. fn runs on the coordinator goroutine and may read state
-// from any partition.
-func (g *Group) StartSampler(interval Time, fn func() float64) *Sampler {
-	if interval <= 0 {
-		panic("sim: sampler interval must be positive")
-	}
-	s := &Sampler{interval: interval}
-	g.samplers = append(g.samplers, &groupSampler{s: s, fn: fn, next: interval})
-	return s
-}
-
 // satAdd adds a non-negative delta to a time, saturating at Forever.
 func satAdd(a, b Time) Time {
 	if a >= Forever-b {
@@ -360,15 +335,11 @@ func (g *Group) Run() Time {
 		g.injectAll()
 		T := g.minNext()
 		if T == Forever {
-			if !g.drainEpoch() {
-				break
-			}
-			continue
+			break
 		}
-		epochCap := g.fireSamplers(T)
 		g.rounds++
 		g.computeHorizons()
-		if !g.runRound(epochCap) {
+		if !g.runRound() {
 			g.microStep(T)
 		}
 	}
@@ -498,67 +469,6 @@ func (g *Group) minNext() Time {
 	return T
 }
 
-// fireSamplers emits every sample epoch <= T — at an epoch, all events
-// before it have executed on every partition and none at or after it have,
-// so the sample is exact — and returns the next epoch (Forever when no
-// sampler is live), which caps this round's window deadlines.
-func (g *Group) fireSamplers(T Time) Time {
-	if len(g.samplers) == 0 {
-		return Forever
-	}
-	for {
-		epoch := Forever
-		for _, gs := range g.samplers {
-			if !gs.s.stop && gs.next < epoch {
-				epoch = gs.next
-			}
-		}
-		if epoch > T {
-			return epoch
-		}
-		for _, gs := range g.samplers {
-			if gs.s.stop || gs.next != epoch {
-				continue
-			}
-			v := gs.fn()
-			// Like the serial sampler, Stop inside fn ends the timeline
-			// *after* the current sample.
-			gs.s.X = append(gs.s.X, epoch.Seconds())
-			gs.s.Y = append(gs.s.Y, v)
-			if gs.s.stop {
-				continue
-			}
-			// Read the interval after fn: Decimate doubles it mid-flight.
-			gs.next = satAdd(epoch, gs.s.interval)
-		}
-	}
-}
-
-// drainEpoch keeps live samplers' timelines going after every engine has
-// drained, mirroring the serial sampler whose process holds the event queue
-// open until Stop: the earliest pending epoch fires with all engine clocks
-// advanced to it, so Run's return value and the timeline length match the
-// serial run's. Reports false when no live sampler remains — the true end of
-// the simulation.
-func (g *Group) drainEpoch() bool {
-	epoch := Forever
-	for _, gs := range g.samplers {
-		if !gs.s.stop && gs.next < epoch {
-			epoch = gs.next
-		}
-	}
-	if epoch == Forever {
-		return false
-	}
-	for _, e := range g.engines {
-		if e.now < epoch {
-			e.now = epoch
-		}
-	}
-	g.fireSamplers(epoch)
-	return true
-}
-
 // computeHorizons bounds, per partition, the earliest message any other
 // partition can still send it. reach[r] is first relaxed to a lower bound on
 // r's earliest possible future action — its own next event, or the earliest
@@ -645,19 +555,14 @@ func (g *Group) computeHorizons() {
 }
 
 // runRound starts a window on every partition whose next event lies strictly
-// inside its horizon (deadline horizon-1, further capped below the next
-// sample epoch), waits for all of them, and reports whether any partition
-// ran. Partitions run concurrently; the horizon guarantees no message can
-// arrive inside a window.
-func (g *Group) runRound(epochCap Time) bool {
+// inside its horizon (deadline horizon-1), waits for all of them, and reports
+// whether any partition ran. Partitions run concurrently; the horizon
+// guarantees no message can arrive inside a window.
+func (g *Group) runRound() bool {
 	ran := false
 	for i := range g.engines {
-		deadline := g.horizon[i] - 1
-		if epochCap-1 < deadline {
-			deadline = epochCap - 1
-		}
-		g.dl[i] = deadline
-		g.active[i] = g.next[i] <= deadline
+		g.dl[i] = g.horizon[i] - 1
+		g.active[i] = g.next[i] <= g.dl[i]
 		ran = ran || g.active[i]
 	}
 	if !ran {

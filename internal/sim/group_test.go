@@ -10,9 +10,8 @@ import (
 // The Group tests pin the partitioned-engine contract from PERFORMANCE.md:
 // deliveries land at exact virtual times, same-time cross-partition messages
 // inject in (time, channel, sequence) order, credits retire deliveries in
-// FIFO order, rounds that fit no conservative window degrade to single-
-// instant micro-steps, and samplers observe the same timeline the serial
-// engine would produce.
+// FIFO order, and rounds that fit no conservative window degrade to single-
+// instant micro-steps.
 
 // TestGroupDeliverTiming: a message posted during a window runs on the
 // receiving engine at exactly the requested virtual time, and Run returns
@@ -132,66 +131,6 @@ func TestGroupMicroStep(t *testing.T) {
 	}
 }
 
-// groupSamplerWorkload drives the same counter timeline through a serial
-// engine and a 2-partition group (with one cross-partition delivery) and
-// returns both samplers for comparison.
-func groupSamplerWorkload() (serial, grouped *Sampler, cleanup func()) {
-	bump := []Time{3, 7, 13, 17, 23, 27}
-
-	// Serial: one counter, bumped at each instant, sampled every 5 ns.
-	se := NewEngine()
-	sc := 0
-	for _, at := range bump {
-		se.Schedule(at, func() { sc++ })
-	}
-	var ss *Sampler
-	ss = StartSampler(se, 5, func() float64 {
-		if ss.N() >= 5 {
-			ss.Stop() // sixth sample still recorded, then the timeline ends
-		}
-		return float64(sc)
-	})
-	se.Run()
-
-	// Grouped: the bumps split across two partitions; the t=7 bump arrives
-	// as a cross-partition delivery so the sampler must not observe the
-	// sending window early.
-	g := NewGroup(2)
-	ch := g.Connect(0, 1, 4, 0)
-	c0, c1 := 0, 0
-	g.Engine(0).Schedule(3, func() {
-		c0++
-		ch.Deliver(7, func() { c1++ })
-	})
-	g.Engine(0).Schedule(13, func() { c0++ })
-	g.Engine(0).Schedule(23, func() { c0++ })
-	g.Engine(1).Schedule(17, func() { c1++ })
-	g.Engine(1).Schedule(27, func() { c1++ })
-	var gs *Sampler
-	gs = g.StartSampler(5, func() float64 {
-		if gs.N() >= 5 {
-			gs.Stop()
-		}
-		return float64(c0 + c1)
-	})
-	g.Run()
-	return ss, gs, g.Shutdown
-}
-
-// TestGroupSamplerMatchesSerial: a Group sampler fires on the same epoch
-// grid with the same values as the serial process-based sampler — the
-// timeline seam partitioned clusters rely on.
-func TestGroupSamplerMatchesSerial(t *testing.T) {
-	ss, gs, cleanup := groupSamplerWorkload()
-	defer cleanup()
-	if ss.N() != 6 {
-		t.Fatalf("serial sampler took %d samples, want 6", ss.N())
-	}
-	if !reflect.DeepEqual(ss.X, gs.X) || !reflect.DeepEqual(ss.Y, gs.Y) {
-		t.Fatalf("timelines differ:\nserial X=%v Y=%v\ngroup  X=%v Y=%v", ss.X, ss.Y, gs.X, gs.Y)
-	}
-}
-
 // TestGroupSequentialEquivalence: SetSequential runs windows inline with
 // identical results, and makes the busy-time accounting live.
 func TestGroupSequentialEquivalence(t *testing.T) {
@@ -273,7 +212,6 @@ func TestGroupConnectValidation(t *testing.T) {
 	mustPanic("same-rank channel", func() { g.Connect(0, 0, 5, 0) })
 	mustPanic("zero lookahead", func() { g.Connect(0, 1, 0, 0) })
 	mustPanic("negative credit lookahead", func() { g.Connect(0, 1, 5, -1) })
-	mustPanic("zero-interval sampler", func() { g.StartSampler(0, func() float64 { return 0 }) })
 	g.Run()
 	mustPanic("Connect after Run", func() { g.Connect(0, 1, 5, 0) })
 }

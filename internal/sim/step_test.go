@@ -19,20 +19,6 @@ import (
 // both would pass the comparison; the goroutine runs are therefore also
 // pinned to a digest.
 
-// stepRand is a seedable splitmix64 stream, independent of math/rand so the
-// generated programs are stable across Go releases.
-type stepRand struct{ s uint64 }
-
-func (r *stepRand) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (r *stepRand) intn(n int) int { return int(r.next() % uint64(n)) }
-
 type opKind int
 
 const (
@@ -62,33 +48,33 @@ type stepProgram struct {
 }
 
 func genStepProgram(seed uint64) stepProgram {
-	r := &stepRand{s: seed}
+	r := NewRand(seed)
 	var sp stepProgram
-	sp.permits = [2]int{r.intn(3), r.intn(3)}
-	n := 2 + r.intn(4)
+	sp.permits = [2]int{r.Intn(3), r.Intn(3)}
+	n := 2 + r.Intn(4)
 	for a := 0; a < n; a++ {
-		prog := make([]progOp, 4+r.intn(12))
+		prog := make([]progOp, 4+r.Intn(12))
 		for i := range prog {
-			o := progOp{kind: opKind(r.intn(int(numOps))), res: r.intn(2)}
+			o := progOp{kind: opKind(r.Intn(int(numOps))), res: r.Intn(2)}
 			switch o.kind {
 			case opSleep:
-				o.arg = r.intn(4)
+				o.arg = r.Intn(4)
 			case opPut:
 				o.arg = 100*a + i
 			case opJoin, opDeliver:
-				o.arg = r.intn(4)
+				o.arg = r.Intn(4)
 			}
 			prog[i] = o
 		}
 		sp.actors = append(sp.actors, prog)
-		sp.mixed = append(sp.mixed, r.intn(2) == 0)
+		sp.mixed = append(sp.mixed, r.Intn(2) == 0)
 	}
-	for i := r.intn(6); i > 0; i-- {
+	for i := r.Intn(6); i > 0; i-- {
 		kind := opPut
-		if r.intn(2) == 0 {
+		if r.Intn(2) == 0 {
 			kind = opRelease
 		}
-		sp.feeds = append(sp.feeds, progOp{kind: kind, res: r.intn(2), arg: r.intn(12)})
+		sp.feeds = append(sp.feeds, progOp{kind: kind, res: r.Intn(2), arg: r.Intn(12)})
 	}
 	return sp
 }

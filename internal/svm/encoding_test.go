@@ -1,14 +1,16 @@
 package svm
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"activesan/internal/sim"
 )
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	for name, src := range map[string]string{
-		"select": SelectSource, "sum": SumWordsSource,
-		"minmax": MinMaxSource, "histogram": HistogramSource,
+		"histogram": HistogramSource, "matchcount": MatchCountSource,
 	} {
 		p := MustAssemble(src)
 		img, err := EncodeProgram(p)
@@ -44,11 +46,10 @@ func TestDecodedProgramRunsIdentically(t *testing.T) {
 		}
 		return env.Out
 	}
-	p := MustAssemble(MinMaxSource)
+	p := MustAssemble(HistogramSource)
 	img, _ := EncodeProgram(p)
 	q, _ := DecodeProgram(img)
-	a, b := run(p), run(q)
-	if len(a) != len(b) || a[0] != b[0] || a[1] != b[1] {
+	if a, b := run(p), run(q); !reflect.DeepEqual(a, b) {
 		t.Fatalf("decoded program diverged: %v vs %v", a, b)
 	}
 }
@@ -78,14 +79,7 @@ func TestEncodeInstrProperty(t *testing.T) {
 // programs up to the encodable size — not just the hand-picked library
 // sources above. Seeded splitmix64 keeps failures reproducible.
 func TestEncodeProgramProperty(t *testing.T) {
-	seed := uint64(0x5EED)
-	next := func() uint64 {
-		seed += 0x9E3779B97F4A7C15
-		z := seed
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		return z ^ (z >> 31)
-	}
+	next := sim.NewRand(0x5EED).Next
 	trials := 300
 	if testing.Short() {
 		trials = 100

@@ -9,7 +9,7 @@ import (
 // Example assembles and executes a handler program against an in-memory
 // stream with the stand-alone SliceEnv — the cmd/swasm dry-run flow.
 func Example() {
-	prog, err := svm.Assemble(svm.MinMaxSource)
+	prog, err := svm.Assemble(svm.HistogramSource)
 	if err != nil {
 		panic(err)
 	}
@@ -22,6 +22,6 @@ func Example() {
 	if _, err := m.Run(); err != nil {
 		panic(err)
 	}
-	fmt.Printf("min=%d max=%d\n", env.Out[0], env.Out[1])
-	// Output: min=4 max=200
+	fmt.Println("buckets:", env.Out)
+	// Output: buckets: [3 0 0 1]
 }

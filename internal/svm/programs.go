@@ -4,73 +4,6 @@ package svm
 // register calling convention; all expect the stream mapped at r1 with the
 // end address in r2 and deallocate buffers as they go.
 
-// SelectSource counts fixed-size records whose first (key) byte is below a
-// threshold.
-//
-// In: r1=stream cursor, r2=stream end, r5=threshold, r6=record size.
-// Out: emits the match count.
-const SelectSource = `
-; count records with key byte < threshold
-loop:
-	bge  r1, r2, done
-	lb   r4, 0(r1)
-	blt  r4, r5, keep
-	j    next
-keep:
-	addi r3, r3, 1
-next:
-	add  r1, r1, r6
-	dealloc r1
-	j    loop
-done:
-	emit r3
-	stop
-`
-
-// SumWordsSource adds up the stream's 32-bit little-endian words.
-//
-// In: r1=stream cursor, r2=stream end.
-// Out: emits the wrapping 32-bit sum.
-const SumWordsSource = `
-; sum 32-bit words
-loop:
-	bge  r1, r2, done
-	lw   r4, 0(r1)
-	add  r3, r3, r4
-	addi r1, r1, 4
-	dealloc r1
-	j    loop
-done:
-	emit r3
-	stop
-`
-
-// MinMaxSource scans bytes tracking the minimum and maximum values.
-//
-// In: r1=stream cursor, r2=stream end.
-// Out: emits min then max.
-const MinMaxSource = `
-; byte min/max scan
-	li   r5, 255        ; min
-	li   r6, 0          ; max
-loop:
-	bge  r1, r2, done
-	lb   r4, 0(r1)
-	bge  r4, r5, chkmax
-	mv   r5, r4
-chkmax:
-	bge  r6, r4, next
-	mv   r6, r4
-next:
-	addi r1, r1, 1
-	dealloc r1
-	j    loop
-done:
-	emit r5
-	emit r6
-	stop
-`
-
 // HistogramSource counts bytes into a 4-bucket histogram by the top two
 // bits, using private memory for the counters — exercising the D-cache
 // path.

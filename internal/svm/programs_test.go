@@ -1,7 +1,6 @@
 package svm
 
 import (
-	"encoding/binary"
 	"hash/crc32"
 	"testing"
 	"testing/quick"
@@ -32,28 +31,6 @@ func runLib(t *testing.T, src string, data []byte, init map[uint8]uint32) *Slice
 	return env
 }
 
-func TestSumWordsProgram(t *testing.T) {
-	data := make([]byte, 256)
-	var want uint32
-	for i := 0; i < len(data)/4; i++ {
-		v := uint32(i * 2654435761)
-		binary.LittleEndian.PutUint32(data[i*4:], v)
-		want += v
-	}
-	env := runLib(t, SumWordsSource, data, nil)
-	if env.Out[0] != want {
-		t.Fatalf("sum = %#x, want %#x", env.Out[0], want)
-	}
-}
-
-func TestMinMaxProgram(t *testing.T) {
-	data := []byte{42, 17, 200, 3, 99, 254, 8}
-	env := runLib(t, MinMaxSource, data, nil)
-	if env.Out[0] != 3 || env.Out[1] != 254 {
-		t.Fatalf("min/max = %v, want [3 254]", env.Out)
-	}
-}
-
 func TestHistogramProgram(t *testing.T) {
 	data := make([]byte, 400)
 	var want [4]uint32
@@ -74,26 +51,10 @@ func TestHistogramProgram(t *testing.T) {
 	}
 }
 
-func TestSelectProgramLibraryCopy(t *testing.T) {
-	const recSize = 8
-	data := make([]byte, recSize*100)
-	want := uint32(0)
-	for i := 0; i < 100; i++ {
-		data[i*recSize] = byte(i * 13)
-		if data[i*recSize] < 100 {
-			want++
-		}
-	}
-	env := runLib(t, SelectSource, data, map[uint8]uint32{5: 100, 6: recSize})
-	if env.Out[0] != want {
-		t.Fatalf("select = %d, want %d", env.Out[0], want)
-	}
-}
-
 func TestLibraryProgramsAssemble(t *testing.T) {
 	for name, src := range map[string]string{
-		"select": SelectSource, "sum": SumWordsSource,
-		"minmax": MinMaxSource, "histogram": HistogramSource,
+		"histogram": HistogramSource, "matchcount": MatchCountSource,
+		"crc32": CRC32Source,
 	} {
 		if p := MustAssemble(src); len(p.Instrs) == 0 {
 			t.Fatalf("%s assembled empty", name)
@@ -102,7 +63,7 @@ func TestLibraryProgramsAssemble(t *testing.T) {
 }
 
 func TestSliceEnvAccounting(t *testing.T) {
-	env := runLib(t, SumWordsSource, make([]byte, 64), nil)
+	env := runLib(t, HistogramSource, make([]byte, 64), nil)
 	if env.Cycles == 0 || env.Fetches == 0 {
 		t.Fatal("no work accounted")
 	}
