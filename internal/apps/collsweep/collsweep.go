@@ -95,12 +95,18 @@ func newCluster(env apps.Env, hosts int) (*cluster.Cluster, *telemetry.Recorder)
 
 // RunPoint measures one collective variant at one cluster size.
 func RunPoint(env apps.Env, op collective.Op, hosts int, active bool, prm collective.Params) Point {
-	cfg := cluster.DefaultFatTreeConfig(hosts)
 	c, rec := newCluster(env, hosts)
+	return pointOn(c, rec, op, hosts, active, prm)
+}
+
+// pointOn measures one collective variant on c, the fat tree newCluster
+// built for the given host count and armed with rec (nil when telemetry is
+// off).
+func pointOn(c *cluster.Cluster, rec *telemetry.Recorder, op collective.Op, hosts int, active bool, prm collective.Params) Point {
 	r := collective.RunOn(c, op, active, hosts, prm)
 	pt := Point{
 		Hosts:     hosts,
-		K:         cfg.K,
+		K:         cluster.DefaultFatTreeConfig(hosts).K,
 		Switches:  len(c.Switches),
 		Latency:   r.Latency,
 		HostBytes: hostBytes(c),
@@ -116,8 +122,14 @@ func RunPoint(env apps.Env, op collective.Op, hosts int, active bool, prm collec
 // RunBudgetPoint measures key-grouped aggregation under one switch-memory
 // budget (active), or the host-shuffle reference when active is false.
 func RunBudgetPoint(env apps.Env, hosts, budget int, active bool, prm collective.Params) BudgetPoint {
-	prm.AggBudget = budget
 	c, rec := newCluster(env, hosts)
+	return budgetPointOn(c, rec, hosts, budget, active, prm)
+}
+
+// budgetPointOn measures key-grouped aggregation on c, as pointOn does the
+// swept collective.
+func budgetPointOn(c *cluster.Cluster, rec *telemetry.Recorder, hosts, budget int, active bool, prm collective.Params) BudgetPoint {
+	prm.AggBudget = budget
 	r := collective.RunOn(c, collective.KeyAgg, active, hosts, prm)
 	pt := BudgetPoint{
 		Budget:    budget,

@@ -7,6 +7,7 @@ import (
 	"activesan/internal/cluster"
 	"activesan/internal/collective"
 	"activesan/internal/metrics"
+	"activesan/internal/sim"
 	"activesan/internal/telemetry"
 )
 
@@ -26,14 +27,42 @@ func marshal(t *testing.T, v any) string {
 	return string(b)
 }
 
-// Partitioned engines must not change a byte of the result either.
+// Partitioned engines must not change a byte of the result either: the
+// whole sweep through the run config's Parts, under the default dispatch,
+// and then each point again with concurrent dispatch pinned, so the race
+// detector sees every round's windows overlap however narrow they are.
 func TestSweepByteIdenticalAcrossPartitions(t *testing.T) {
 	prm := smallParams()
+	serial := prm.Env
 	a := marshal(t, RunAll(prm))
 	for _, parts := range []int{2, 4} {
 		prm.Env.Topology.Parts = parts
 		if b := marshal(t, RunAll(prm)); a != b {
 			t.Fatalf("serial and %d-partition sweeps differ:\n%s\n%s", parts, a, b)
+		}
+		pinned := func(hosts int) (*cluster.Cluster, *telemetry.Recorder) {
+			c, rec := newCluster(prm.Env, hosts)
+			c.Group.SetDispatch(sim.DispatchConcurrent)
+			return c, rec
+		}
+		for _, hosts := range prm.HostCounts {
+			for _, active := range []bool{false, true} {
+				want := marshal(t, RunPoint(serial, prm.Op, hosts, active, prm.Coll))
+				c, rec := pinned(hosts)
+				if got := marshal(t, pointOn(c, rec, prm.Op, hosts, active, prm.Coll)); got != want {
+					t.Fatalf("%d hosts active=%v: %d partitions with concurrent dispatch differ from serial:\n%s\n%s",
+						hosts, active, parts, got, want)
+				}
+			}
+		}
+		// Budget 0 is the host-shuffle reference.
+		for _, budget := range append([]int{0}, prm.Budgets...) {
+			want := marshal(t, RunBudgetPoint(serial, prm.AggHosts, budget, budget > 0, prm.Coll))
+			c, rec := pinned(prm.AggHosts)
+			if got := marshal(t, budgetPointOn(c, rec, prm.AggHosts, budget, budget > 0, prm.Coll)); got != want {
+				t.Fatalf("budget %d: %d partitions with concurrent dispatch differ from serial:\n%s\n%s",
+					budget, parts, got, want)
+			}
 		}
 	}
 }

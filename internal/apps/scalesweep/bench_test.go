@@ -20,8 +20,9 @@ import (
 // b.ReportMetric and tracked in BENCH_engine.json) is the Engine.Run /
 // Group.Run call alone — the number PERFORMANCE.md quotes.
 //
-// Partitioned points run under Group.SetSequential so the busy-time
-// accounting is exact on any host, and additionally report `proj-ns/op`:
+// Partitioned points run under inline dispatch (sim.DispatchInline) so the
+// busy-time accounting is exact on any host, and additionally report
+// `proj-ns/op`:
 // the projected wall clock with one core per partition (measured run time
 // minus total engine work plus the per-round critical path — see
 // Group.CriticalPath). On a single-core CI runner the measured run-ns/op of
@@ -30,7 +31,9 @@ import (
 // partitions comes from the Exchange pair below (the reduce collective is
 // latency-bound — a dependency chain through the aggregation tree — and
 // only reaches ~2x at 4 ranks); the regression floor is asserted in
-// TestPartitionSpeedupProjection at the 1024-host point.
+// TestPartitionSpeedupProjection at the 1024-host point. The *Parts2 pairs
+// further down measure instead of project: they run the default dispatch
+// on the machine's real cores.
 func benchPoint(b *testing.B, hosts, parts int) {
 	prm := DefaultParams().Reduce
 	var run, proj []time.Duration
@@ -40,7 +43,7 @@ func benchPoint(b *testing.B, hosts, parts int) {
 		b.StopTimer()
 		c := cluster.NewPartitionedFatTreeCluster(cluster.DefaultFatTreeConfig(hosts), parts)
 		if c.Group != nil {
-			c.Group.SetSequential(true)
+			c.Group.SetDispatch(sim.DispatchInline)
 		}
 		// Collect outside the timed region so a GC pause from the previous
 		// iteration's garbage doesn't land inside one rank's window and
@@ -71,6 +74,78 @@ func BenchmarkReduce256Parts4(b *testing.B)  { benchPoint(b, 256, 4) }
 func BenchmarkReduce1024Serial(b *testing.B) { benchPoint(b, 1024, 1) }
 func BenchmarkReduce1024Parts8(b *testing.B) { benchPoint(b, 1024, 8) }
 
+// reduce1024 runs the active reduce on a fresh 1024-host fat tree at parts
+// partitions under the given dispatch, and reports its engine wall time and
+// how many barrier rounds went to the worker goroutines.
+func reduce1024(tb testing.TB, parts int, d sim.Dispatch) (time.Duration, int64) {
+	const hosts = 1024
+	c := cluster.NewPartitionedFatTreeCluster(cluster.DefaultFatTreeConfig(hosts), parts)
+	if c.Group != nil {
+		c.Group.SetDispatch(d)
+	}
+	runtime.GC()
+	r := collective.RunOn(c, collective.Reduce, true, hosts, DefaultParams().Reduce)
+	if !r.Correct {
+		tb.Fatalf("incorrect reduction at %d hosts, %d partitions", hosts, parts)
+	}
+	if c.Group == nil {
+		return r.EngineWall, 0
+	}
+	return r.EngineWall, c.Group.ConcurrentRounds()
+}
+
+// benchMeasured runs b.N back-to-back pairs of one workload, serially and on
+// 2 partitions under the default (adaptive) dispatch, and reports the
+// partitioned run's median wall as `run-ns/op`, its deterministic
+// `concurrent-rounds`, and `measured-speedup-x`: the median over pairs of
+// serial wall divided by partitioned wall. Unlike proj-ns/op this is the
+// real speedup on the machine's cores, overlap and barrier both included.
+func benchMeasured(b *testing.B, run func(parts int) (time.Duration, int64)) {
+	var walls []time.Duration
+	var ratios []float64
+	var conc int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, _ := run(1)
+		p, n := run(2)
+		walls = append(walls, p)
+		ratios = append(ratios, float64(s)/float64(p))
+		conc = n
+	}
+	sort.Float64s(ratios)
+	b.ReportMetric(float64(medianDur(walls).Nanoseconds()), "run-ns/op")
+	b.ReportMetric(float64(conc), "concurrent-rounds")
+	b.ReportMetric(ratios[len(ratios)/2], "measured-speedup-x")
+}
+
+// BenchmarkReduce1024Parts2 measures the latency-bound reduce at 1024 hosts
+// on 2 partitions: a handful of wide rounds carry the win.
+func BenchmarkReduce1024Parts2(b *testing.B) {
+	benchMeasured(b, func(parts int) (time.Duration, int64) { return reduce1024(b, parts, sim.DispatchAdaptive) })
+}
+
+// BenchmarkExchange256Parts2 measures the neighbor exchange at 256 hosts on
+// 2 partitions, whose windows mostly hold fewer events than the adaptive
+// threshold.
+func BenchmarkExchange256Parts2(b *testing.B) {
+	benchMeasured(b, func(parts int) (time.Duration, int64) {
+		x := runExchange(256, 16, parts, sim.DispatchAdaptive)
+		return x.run, x.conc
+	})
+}
+
+// TestReduce1024DispatchesWideRounds pins how many rounds of the 1024-host
+// reduce on 2 partitions adaptive dispatch sends to the workers. The count
+// is a pure function of the workload; these are the rounds that give the
+// partitioned run its measured win, so losing them is a regression.
+func TestReduce1024DispatchesWideRounds(t *testing.T) {
+	const want = 6
+	if _, n := reduce1024(t, 2, sim.DispatchAdaptive); n != want {
+		t.Fatalf("adaptive dispatch sent %d rounds to the workers, want %d", n, want)
+	}
+}
+
 // runExchange drives a bulk-synchronous neighbor exchange: every host sends
 // a 4 KB message each round, to its edge-switch neighbor (i XOR 1) on most
 // rounds and across the fabric (i + hosts/2) every sixteenth — the
@@ -83,7 +158,9 @@ func BenchmarkReduce1024Parts8(b *testing.B) { benchPoint(b, 1024, 8) }
 // tree the hosts span 7.1 pods and one rank ends up with 40 hosts against
 // the others' 72, which caps the critical-path speedup near 2.9x for
 // reasons that have nothing to do with the engine.
-func runExchange(hosts, k, parts int) exchangeResult {
+//
+// A partitioned run uses dispatch d.
+func runExchange(hosts, k, parts int, d sim.Dispatch) exchangeResult {
 	cfg := cluster.DefaultFatTreeConfig(hosts)
 	if k > 0 {
 		cfg.K = k
@@ -92,7 +169,7 @@ func runExchange(hosts, k, parts int) exchangeResult {
 	c := cluster.NewPartitionedFatTreeCluster(cfg, parts)
 	defer c.Shutdown()
 	if c.Group != nil {
-		c.Group.SetSequential(true)
+		c.Group.SetDispatch(d)
 	}
 	c.Start()
 	// Flows number from 1: nic.Post reads flow 0 as a request for a fresh
@@ -125,6 +202,7 @@ func runExchange(hosts, k, parts int) exchangeResult {
 		x.busy = c.Group.BusyTime()
 		x.proj = x.run - x.busy + c.Group.CriticalPath()
 		x.evTotal, x.evCrit = c.Group.EventsTotal(), c.Group.EventsCritical()
+		x.conc = c.Group.ConcurrentRounds()
 	}
 	for _, n := range done {
 		if n == exchangeRounds {
@@ -138,12 +216,14 @@ func runExchange(hosts, k, parts int) exchangeResult {
 const exchangeRounds = 32
 
 // exchangeResult is one runExchange: the Engine/Group Run wall; when
-// partitioned, the busy-time projection and the noise-robust inputs of
-// BenchmarkExchangeSpeedup256 (busy wall and deterministic event counts);
-// the simulated end time; and how many hosts finished every round.
+// partitioned, the busy-time projection, the noise-robust inputs of
+// BenchmarkExchangeSpeedup256 (busy wall and deterministic event counts) and
+// the rounds run on the workers; the simulated end time; and how many hosts
+// finished every round.
 type exchangeResult struct {
 	run, busy, proj time.Duration
 	evTotal, evCrit int64
+	conc            int64
 	end             sim.Time
 	finished        int
 }
@@ -156,7 +236,7 @@ func benchExchange(b *testing.B, hosts, k, parts int) {
 		b.StopTimer()
 		runtime.GC()
 		b.StartTimer()
-		x := runExchange(hosts, k, parts)
+		x := runExchange(hosts, k, parts, sim.DispatchInline)
 		b.StopTimer()
 		runs = append(runs, x.run)
 		if parts > 1 {
@@ -193,9 +273,9 @@ func BenchmarkExchangeSpeedup256(b *testing.B) {
 	var ratios []float64
 	for i := 0; i < b.N; i++ {
 		runtime.GC()
-		s := runExchange(256, 16, 1)
+		s := runExchange(256, 16, 1, sim.DispatchInline)
 		runtime.GC()
-		p := runExchange(256, 16, 4)
+		p := runExchange(256, 16, 4, sim.DispatchInline)
 		projected := time.Duration(float64(s.run)*float64(p.evCrit)/float64(p.evTotal)) + (p.run - p.busy)
 		ratios = append(ratios, float64(s.run)/float64(projected))
 	}
@@ -210,16 +290,23 @@ func BenchmarkExchangeSpeedup256(b *testing.B) {
 // the arbitration-tie boundary in PERFORMANCE.md — which is why the bench
 // pattern spaces its cross-fabric rounds and why this test pins it.) Every
 // host must also finish every round: an equal end time alone would not
-// notice hosts that stall waiting on a message that never comes.
+// notice hosts that stall waiting on a message that never comes. The
+// partitioned run repeats under pinned concurrent dispatch, so the race
+// detector sees its windows overlap however narrow they are.
 func TestExchangeIdentity(t *testing.T) {
-	serial := runExchange(256, 16, 1)
-	part := runExchange(256, 16, 4)
-	if serial.end != part.end {
-		t.Fatalf("exchange end time diverged: serial %v, 4 partitions %v", serial.end, part.end)
+	serial := runExchange(256, 16, 1, sim.DispatchAdaptive)
+	if serial.finished != 256 {
+		t.Fatalf("hosts finishing all %d rounds serially: %d of 256", exchangeRounds, serial.finished)
 	}
-	if serial.finished != 256 || part.finished != 256 {
-		t.Fatalf("hosts finishing all %d rounds: %d of 256 serially, %d of 256 at 4 partitions",
-			exchangeRounds, serial.finished, part.finished)
+	for _, d := range []sim.Dispatch{sim.DispatchAdaptive, sim.DispatchConcurrent} {
+		part := runExchange(256, 16, 4, d)
+		if serial.end != part.end {
+			t.Fatalf("dispatch %v: exchange end time diverged: serial %v, 4 partitions %v", d, serial.end, part.end)
+		}
+		if part.finished != 256 {
+			t.Fatalf("dispatch %v: hosts finishing all %d rounds at 4 partitions: %d of 256",
+				d, exchangeRounds, part.finished)
+		}
 	}
 }
 
@@ -236,8 +323,8 @@ func medianDur(ds []time.Duration) time.Duration {
 
 // TestPartitionSpeedupProjection is the perf acceptance gate for the
 // partitioned engine at the headline point (1024 hosts, 8 partitions): the
-// projected parallel run time — exact busy-time accounting under
-// SetSequential, see Group.CriticalPath — must beat the measured serial
+// projected parallel run time — exact busy-time accounting under inline
+// dispatch, see Group.CriticalPath — must beat the measured serial
 // engine by a healthy margin. The recorded baseline (BENCH_engine.json,
 // PERFORMANCE.md) shows >=3x; the test floor is 2x so scheduler noise on a
 // loaded runner cannot flake it, while a real lost-parallelism regression
@@ -258,7 +345,7 @@ func TestPartitionSpeedupProjection(t *testing.T) {
 		serial = append(serial, r.EngineWall)
 
 		c = cluster.NewPartitionedFatTreeCluster(cluster.DefaultFatTreeConfig(hosts), parts)
-		c.Group.SetSequential(true)
+		c.Group.SetDispatch(sim.DispatchInline)
 		r = collective.RunOn(c, collective.Reduce, true, hosts, prm)
 		if !r.Correct {
 			t.Fatal("incorrect partitioned reduction")

@@ -59,9 +59,14 @@ type Point struct {
 // byte-identical at every partition count. The cluster outlives the run so
 // NIC counters can be harvested.
 func RunPoint(env apps.Env, hosts int, active bool, prm collective.Params) Point {
-	cfg := cluster.DefaultFatTreeConfig(hosts)
-	c := cluster.NewPartitionedFatTreeCluster(cfg, env.Topology.Parts)
+	c := cluster.NewPartitionedFatTreeCluster(cluster.DefaultFatTreeConfig(hosts), env.Topology.Parts)
 	env.Observe(c)
+	return pointOn(c, hosts, active, prm)
+}
+
+// pointOn measures one variant on c, the minimal fat tree for the given
+// host count, already built and observed.
+func pointOn(c *cluster.Cluster, hosts int, active bool, prm collective.Params) Point {
 	r := collective.RunOn(c, collective.Reduce, active, hosts, prm)
 	var bytes int64
 	for _, h := range c.Hosts {
@@ -69,7 +74,7 @@ func RunPoint(env apps.Env, hosts int, active bool, prm collective.Params) Point
 	}
 	return Point{
 		Hosts:     hosts,
-		K:         cfg.K,
+		K:         cluster.DefaultFatTreeConfig(hosts).K,
 		Switches:  len(c.Switches),
 		Latency:   r.Latency,
 		HostBytes: bytes,

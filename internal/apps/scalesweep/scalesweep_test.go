@@ -3,6 +3,9 @@ package scalesweep
 import (
 	"bytes"
 	"testing"
+
+	"activesan/internal/cluster"
+	"activesan/internal/sim"
 )
 
 // TestActiveCutsHostIOAt64Hosts is the headline acceptance check: a 64-host
@@ -73,7 +76,10 @@ func TestEveryPointCorrect(t *testing.T) {
 // through 2 and 4 partitions must agree on every field — virtual latency,
 // host bytes, correctness — not approximately but exactly. Any conservatism
 // bug in the partition barriers (a message injected late, a reordered
-// same-time pair) shows up here as a latency or byte diff.
+// same-time pair) shows up here as a latency or byte diff. Each partitioned
+// point runs once through the run config's Parts, under the default
+// dispatch, and once more with concurrent dispatch pinned, so the race
+// detector sees every round's windows overlap however narrow they are.
 func TestSerialVsPartitionedByteIdentity(t *testing.T) {
 	hosts := 64
 	if testing.Short() {
@@ -91,6 +97,12 @@ func TestSerialVsPartitionedByteIdentity(t *testing.T) {
 			got := RunPoint(env, hosts, active, prm.Reduce)
 			if got != want {
 				t.Errorf("active=%v partitions=%d diverges from serial:\n got %+v\nwant %+v",
+					active, parts, got, want)
+			}
+			c := cluster.NewPartitionedFatTreeCluster(cluster.DefaultFatTreeConfig(hosts), parts)
+			c.Group.SetDispatch(sim.DispatchConcurrent)
+			if got := pointOn(c, hosts, active, prm.Reduce); got != want {
+				t.Errorf("active=%v partitions=%d concurrent dispatch diverges from serial:\n got %+v\nwant %+v",
 					active, parts, got, want)
 			}
 		}

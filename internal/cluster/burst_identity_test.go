@@ -34,15 +34,10 @@ type burstResult struct {
 // synchronized all-to-all burst: at t=0 every host sends one message to the
 // host half a ring away — a permutation that pushes every message through
 // shared fabric — and each receiver then acks to a collector on host 0.
-func runBurst(t *testing.T, spec cluster.Topology, nparts int, msgSize int64) burstResult {
+// A partitioned group dispatches its windows by d.
+func runBurst(t *testing.T, spec cluster.Topology, nparts int, d sim.Dispatch, msgSize int64) burstResult {
 	t.Helper()
-	var c *cluster.Cluster
-	if nparts == 1 {
-		c = cluster.Build(sim.NewEngine(), spec)
-	} else {
-		c = cluster.BuildPartitioned(sim.NewGroup(nparts), spec, cluster.PartitionTopology(spec, nparts))
-	}
-	return driveBurst(t, c, msgSize)
+	return driveBurst(t, newPartitioned(spec, nparts, d), msgSize)
 }
 
 // driveBurst runs the synchronized burst on an already-built cluster.
@@ -114,16 +109,16 @@ func driveBurst(t *testing.T, c *cluster.Cluster, msgSize int64) burstResult {
 }
 
 // compareBurst asserts got is byte-identical to the serial oracle.
-func compareBurst(t *testing.T, label string, nparts int, want, got burstResult) {
+func compareBurst(t *testing.T, label string, want, got burstResult) {
 	t.Helper()
 	if got.end != want.end {
-		t.Errorf("%s, %d partitions: end %v, serial %v", label, nparts, got.end, want.end)
+		t.Errorf("%s: end %v, serial %v", label, got.end, want.end)
 	}
 	if !reflect.DeepEqual(got.values, want.values) {
-		reportValueDiff(t, 0, nparts, want.values, got.values)
+		reportValueDiff(t, label, want.values, got.values)
 	}
 	if !reflect.DeepEqual(got.trace, want.trace) {
-		reportTraceDiff(t, 0, nparts, want.trace, got.trace)
+		reportTraceDiff(t, label, want.trace, got.trace)
 	}
 }
 
@@ -131,19 +126,21 @@ func compareBurst(t *testing.T, label string, nparts int, want, got burstResult)
 // identity guarantee. The fat-tree arm collides same-instant arrivals at
 // edge, aggregation, and core switches; the random-fabric arm does the same
 // on irregular graphs where the BFS partitioner produces uneven cuts. Both
-// must hold at 1, 2, 4, and 8 partitions.
+// must hold at 1, 2, 4, and 8 partitions, under every pinnedDispatch mode.
 func TestSynchronizedBurstIdentity(t *testing.T) {
 	t.Run("fattree", func(t *testing.T) {
 		cfg := cluster.DefaultFatTreeConfig(16)
-		mk := func(nparts int) *cluster.Cluster {
-			return cluster.NewPartitionedFatTreeCluster(cfg, nparts)
-		}
-		want := driveBurst(t, mk(1), 8<<10)
+		want := driveBurst(t, cluster.NewPartitionedFatTreeCluster(cfg, 1), 8<<10)
 		if len(want.trace) == 0 {
 			t.Fatal("serial run emitted no trace events")
 		}
 		for _, nparts := range []int{2, 4, 8} {
-			compareBurst(t, "fattree", nparts, want, driveBurst(t, mk(nparts), 8<<10))
+			for _, d := range pinnedDispatch {
+				c := cluster.NewPartitionedFatTreeCluster(cfg, nparts)
+				c.Group.SetDispatch(d)
+				label := fmt.Sprintf("fattree, %d partitions, %v dispatch", nparts, d)
+				compareBurst(t, label, want, driveBurst(t, c, 8<<10))
+			}
 		}
 	})
 	t.Run("random", func(t *testing.T) {
@@ -155,12 +152,15 @@ func TestSynchronizedBurstIdentity(t *testing.T) {
 		for round := 0; round < rounds; round++ {
 			spec := randomFabric(r)
 			label := fmt.Sprintf("random round %d", round)
-			want := runBurst(t, spec, 1, 4<<10)
+			want := runBurst(t, spec, 1, sim.DispatchAdaptive, 4<<10)
 			if len(want.trace) == 0 {
 				t.Fatalf("%s: serial run emitted no trace events", label)
 			}
 			for _, nparts := range []int{2, 4, 8} {
-				compareBurst(t, label, nparts, want, runBurst(t, spec, nparts, 4<<10))
+				for _, d := range pinnedDispatch {
+					got := runBurst(t, spec, nparts, d, 4<<10)
+					compareBurst(t, fmt.Sprintf("%s, %d partitions, %v dispatch", label, nparts, d), want, got)
+				}
 			}
 		}
 	})

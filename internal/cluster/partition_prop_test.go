@@ -92,19 +92,30 @@ func traceLess(a, b sim.TraceEvent) bool {
 	return a.Detail < b.Detail
 }
 
-// runFabric builds spec at the given partition count (1 = serial Build) and
+// pinnedDispatch lists the dispatch modes the identity tests run each
+// partitioned point under: the default, which runs narrow windows inline,
+// and concurrent, pinned so the race detector sees every round's windows
+// overlap however narrow they are.
+var pinnedDispatch = []sim.Dispatch{sim.DispatchAdaptive, sim.DispatchConcurrent}
+
+// newPartitioned builds spec over nparts partitions (1 = serial Build) with
+// the group's windows dispatched by d.
+func newPartitioned(spec cluster.Topology, nparts int, d sim.Dispatch) *cluster.Cluster {
+	if nparts == 1 {
+		return cluster.Build(sim.NewEngine(), spec)
+	}
+	g := sim.NewGroup(nparts)
+	g.SetDispatch(d)
+	return cluster.BuildPartitioned(g, spec, cluster.PartitionTopology(spec, nparts))
+}
+
+// runFabric builds spec at the given partition count and dispatch and
 // drives the standard workload: every host reads a slice of a shared file
 // from the store and passes a 4 KB message around a host ring. Procs spawn
 // on each host's home engine, exactly as partitioned applications must.
-func runFabric(t *testing.T, spec cluster.Topology, nparts int) fabricResult {
+func runFabric(t *testing.T, spec cluster.Topology, nparts int, d sim.Dispatch) fabricResult {
 	t.Helper()
-	var c *cluster.Cluster
-	if nparts == 1 {
-		c = cluster.Build(sim.NewEngine(), spec)
-	} else {
-		part := cluster.PartitionTopology(spec, nparts)
-		c = cluster.BuildPartitioned(sim.NewGroup(nparts), spec, part)
-	}
+	c := newPartitioned(spec, nparts, d)
 	defer c.Shutdown()
 
 	// One buffer per engine: partition workers emit concurrently, and each
@@ -166,25 +177,29 @@ func propRounds(t *testing.T) int {
 // partitions yields byte-identical metric snapshots, final virtual times,
 // and trace-event multisets. Any conservatism hole (a window executing an
 // event before a cross-cut message that should precede it) perturbs packet
-// timing and fails the trace comparison.
+// timing and fails the trace comparison. Each partitioned point runs under
+// every pinnedDispatch mode.
 func TestPartitionFabricIdentity(t *testing.T) {
 	r := sim.NewRand(0x9a57171001)
 	for round := 0; round < propRounds(t); round++ {
 		spec := randomFabric(r)
-		want := runFabric(t, spec, 1)
+		want := runFabric(t, spec, 1, sim.DispatchAdaptive)
 		if len(want.trace) == 0 {
 			t.Fatalf("round %d: serial run emitted no trace events", round)
 		}
 		for _, nparts := range []int{2, 4, 8} {
-			got := runFabric(t, spec, nparts)
-			if got.end != want.end {
-				t.Errorf("round %d, %d partitions: end %v, serial %v", round, nparts, got.end, want.end)
-			}
-			if !reflect.DeepEqual(got.values, want.values) {
-				reportValueDiff(t, round, nparts, want.values, got.values)
-			}
-			if !reflect.DeepEqual(got.trace, want.trace) {
-				reportTraceDiff(t, round, nparts, want.trace, got.trace)
+			for _, d := range pinnedDispatch {
+				label := fmt.Sprintf("round %d, %d partitions, %v dispatch", round, nparts, d)
+				got := runFabric(t, spec, nparts, d)
+				if got.end != want.end {
+					t.Errorf("%s: end %v, serial %v", label, got.end, want.end)
+				}
+				if !reflect.DeepEqual(got.values, want.values) {
+					reportValueDiff(t, label, want.values, got.values)
+				}
+				if !reflect.DeepEqual(got.trace, want.trace) {
+					reportTraceDiff(t, label, want.trace, got.trace)
+				}
 			}
 		}
 	}
@@ -192,7 +207,7 @@ func TestPartitionFabricIdentity(t *testing.T) {
 
 // reportValueDiff prints only the metrics that differ, so a failure names
 // the component that diverged instead of dumping two full snapshots.
-func reportValueDiff(t *testing.T, round, nparts int, want, got map[string]float64) {
+func reportValueDiff(t *testing.T, label string, want, got map[string]float64) {
 	t.Helper()
 	keys := map[string]bool{}
 	for k := range want {
@@ -210,13 +225,13 @@ func reportValueDiff(t *testing.T, round, nparts int, want, got map[string]float
 		w, okW := want[k]
 		g, okG := got[k]
 		if okW != okG || w != g {
-			t.Errorf("round %d, %d partitions: metric %s = %v, serial %v", round, nparts, k, g, w)
+			t.Errorf("%s: metric %s = %v, serial %v", label, k, g, w)
 		}
 	}
 }
 
 // reportTraceDiff finds the first diverging event in the canonical order.
-func reportTraceDiff(t *testing.T, round, nparts int, want, got []sim.TraceEvent) {
+func reportTraceDiff(t *testing.T, label string, want, got []sim.TraceEvent) {
 	t.Helper()
 	n := len(want)
 	if len(got) < n {
@@ -224,11 +239,11 @@ func reportTraceDiff(t *testing.T, round, nparts int, want, got []sim.TraceEvent
 	}
 	for i := 0; i < n; i++ {
 		if want[i] != got[i] {
-			t.Errorf("round %d, %d partitions: trace[%d] = %v, serial %v", round, nparts, i, got[i], want[i])
+			t.Errorf("%s: trace[%d] = %v, serial %v", label, i, got[i], want[i])
 			return
 		}
 	}
-	t.Errorf("round %d, %d partitions: trace length %d, serial %d", round, nparts, len(got), len(want))
+	t.Errorf("%s: trace length %d, serial %d", label, len(got), len(want))
 }
 
 // TestFatTreePartitionPlacement pins the cut-selection contract for fat

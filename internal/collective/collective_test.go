@@ -19,8 +19,24 @@ func treeRun(op Op, active bool, p int, prm Params) Result {
 }
 
 func fatRun(op Op, active bool, hosts, parts int, prm Params) Result {
-	return RunOn(cluster.NewPartitionedFatTreeCluster(cluster.DefaultFatTreeConfig(hosts), parts), op, active, hosts, prm)
+	return fatRunPinned(op, active, hosts, parts, prm, sim.DispatchAdaptive)
 }
+
+// fatRunPinned is fatRun with a partitioned group's window dispatch pinned
+// to d.
+func fatRunPinned(op Op, active bool, hosts, parts int, prm Params, d sim.Dispatch) Result {
+	c := cluster.NewPartitionedFatTreeCluster(cluster.DefaultFatTreeConfig(hosts), parts)
+	if c.Group != nil {
+		c.Group.SetDispatch(d)
+	}
+	return RunOn(c, op, active, hosts, prm)
+}
+
+// pinnedDispatch lists the dispatch modes the identity tests run every
+// partitioned point under: the default, which runs narrow windows inline,
+// and concurrent, pinned so the race detector sees every round's windows
+// overlap however narrow they are.
+var pinnedDispatch = []sim.Dispatch{sim.DispatchAdaptive, sim.DispatchConcurrent}
 
 func requireRows(t *testing.T, label string, got, want [][]int64) {
 	t.Helper()
@@ -82,22 +98,25 @@ func TestOpsMatchOracleOnFatTree(t *testing.T) {
 }
 
 // The partition-parallel engine must not change a single byte or timestamp:
-// every op, serial vs 2 vs 4 partitions on a 16-host fat tree.
+// every op, serial vs 2 vs 4 partitions on a 16-host fat tree, under every
+// pinnedDispatch mode.
 func TestPartitionedByteIdentity(t *testing.T) {
 	prm := DefaultParams()
 	for _, op := range allOps {
 		for _, active := range []bool{true, false} {
 			base := fatRun(op, active, 16, 1, prm)
 			for _, parts := range []int{2, 4} {
-				got := fatRun(op, active, 16, parts, prm)
-				label := fmt.Sprintf("%s active=%v parts=%d", op, active, parts)
-				requireRows(t, label, got.PerHost, base.PerHost)
-				if got.Latency != base.Latency {
-					t.Errorf("%s: latency %v, serial %v", label, got.Latency, base.Latency)
-				}
-				if got.AggHits != base.AggHits || got.AggSpills != base.AggSpills {
-					t.Errorf("%s: agg ledger (%d,%d), serial (%d,%d)",
-						label, got.AggHits, got.AggSpills, base.AggHits, base.AggSpills)
+				for _, d := range pinnedDispatch {
+					got := fatRunPinned(op, active, 16, parts, prm, d)
+					label := fmt.Sprintf("%s active=%v parts=%d dispatch=%v", op, active, parts, d)
+					requireRows(t, label, got.PerHost, base.PerHost)
+					if got.Latency != base.Latency {
+						t.Errorf("%s: latency %v, serial %v", label, got.Latency, base.Latency)
+					}
+					if got.AggHits != base.AggHits || got.AggSpills != base.AggSpills {
+						t.Errorf("%s: agg ledger (%d,%d), serial (%d,%d)",
+							label, got.AggHits, got.AggSpills, base.AggHits, base.AggSpills)
+					}
 				}
 			}
 		}
@@ -108,7 +127,8 @@ func TestPartitionedByteIdentity(t *testing.T) {
 // every rank starts at the identical instant (the per-rank injection stagger
 // that used to dodge same-instant ties is gone), so same-instant arrivals
 // collide at shared switches on purpose. The settle-phase crossbar must keep
-// the run byte-identical at 1, 2, 4, and 8 partitions.
+// the run byte-identical at 1, 2, 4, and 8 partitions, under every
+// pinnedDispatch mode.
 func TestKeyAggSynchronizedShuffleIdentity(t *testing.T) {
 	prm := DefaultParams()
 	want := ExpectedPerHost(KeyAgg, 16, opParams(KeyAgg, prm))
@@ -118,15 +138,17 @@ func TestKeyAggSynchronizedShuffleIdentity(t *testing.T) {
 		t.Fatal("serial shuffle incorrect")
 	}
 	for _, parts := range []int{2, 4, 8} {
-		got := fatRun(KeyAgg, false, 16, parts, prm)
-		label := fmt.Sprintf("keyagg shuffle parts=%d", parts)
-		requireRows(t, label, got.PerHost, base.PerHost)
-		if got.Latency != base.Latency {
-			t.Errorf("%s: latency %v, serial %v", label, got.Latency, base.Latency)
-		}
-		if got.AggHits != base.AggHits || got.AggSpills != base.AggSpills {
-			t.Errorf("%s: agg ledger (%d,%d), serial (%d,%d)",
-				label, got.AggHits, got.AggSpills, base.AggHits, base.AggSpills)
+		for _, d := range pinnedDispatch {
+			got := fatRunPinned(KeyAgg, false, 16, parts, prm, d)
+			label := fmt.Sprintf("keyagg shuffle parts=%d dispatch=%v", parts, d)
+			requireRows(t, label, got.PerHost, base.PerHost)
+			if got.Latency != base.Latency {
+				t.Errorf("%s: latency %v, serial %v", label, got.Latency, base.Latency)
+			}
+			if got.AggHits != base.AggHits || got.AggSpills != base.AggSpills {
+				t.Errorf("%s: agg ledger (%d,%d), serial (%d,%d)",
+					label, got.AggHits, got.AggSpills, base.AggHits, base.AggSpills)
+			}
 		}
 	}
 }
@@ -316,7 +338,7 @@ func TestPropertyRandomTreeShapes(t *testing.T) {
 
 // Satellite property test, partition arm: random vector sizes on fat trees
 // at 1/2/4 partitions — active allreduce/gather match the reference fold and
-// are byte-identical across partition counts.
+// are byte-identical across partition counts and dispatch modes.
 func TestPropertyPartitionedMatchesReference(t *testing.T) {
 	rounds := 6
 	if testing.Short() {
@@ -330,15 +352,16 @@ func TestPropertyPartitionedMatchesReference(t *testing.T) {
 		prm.VectorBytes = int64(prm.Elems) * 8
 		for _, op := range []Op{Allreduce, Gather} {
 			want := ExpectedPerHost(op, hosts, prm)
-			var base Result
-			for pi, parts := range []int{1, 2, 4} {
-				got := fatRun(op, true, hosts, parts, prm)
-				label := fmt.Sprintf("round %d: hosts=%d elems=%d %s parts=%d", i, hosts, prm.Elems, op, parts)
-				requireRows(t, label, got.PerHost, want)
-				if pi == 0 {
-					base = got
-				} else if got.Latency != base.Latency {
-					t.Errorf("%s: latency %v, serial %v", label, got.Latency, base.Latency)
+			base := fatRun(op, true, hosts, 1, prm)
+			requireRows(t, fmt.Sprintf("round %d: hosts=%d elems=%d %s serial", i, hosts, prm.Elems, op), base.PerHost, want)
+			for _, parts := range []int{2, 4} {
+				for _, d := range pinnedDispatch {
+					got := fatRunPinned(op, true, hosts, parts, prm, d)
+					label := fmt.Sprintf("round %d: hosts=%d elems=%d %s parts=%d dispatch=%v", i, hosts, prm.Elems, op, parts, d)
+					requireRows(t, label, got.PerHost, want)
+					if got.Latency != base.Latency {
+						t.Errorf("%s: latency %v, serial %v", label, got.Latency, base.Latency)
+					}
 				}
 			}
 		}

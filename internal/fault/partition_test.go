@@ -20,11 +20,15 @@ import (
 // layer flaps down and back up, with retransmission recovering the packets
 // lost in the window. At 4 partitions each pod is its own rank, so the
 // flapped links cross partition cuts and the down/up events schedule on
-// several engines at the same virtual instant.
-func flapRun(t *testing.T, nparts int) (Counts, int) {
+// several engines at the same virtual instant. A partitioned group
+// dispatches its windows by d.
+func flapRun(t *testing.T, nparts int, d sim.Dispatch) (Counts, int) {
 	t.Helper()
 	c := cluster.NewPartitionedFatTreeCluster(cluster.DefaultFatTreeConfig(16), nparts)
 	defer c.Shutdown()
+	if c.Group != nil {
+		c.Group.SetDispatch(d)
+	}
 	plan := &Plan{
 		Events: []Event{
 			{AtNS: 2_000, Kind: LinkDown, Link: "core"},
@@ -65,8 +69,11 @@ func flapRun(t *testing.T, nparts int) (Counts, int) {
 	return in.Counts(), delivered
 }
 
+// TestPartitionedLinkFlapAcrossCut runs the partitioned point under the
+// default dispatch and again with concurrent dispatch pinned, so the race
+// detector sees the cut's windows overlap however narrow they are.
 func TestPartitionedLinkFlapAcrossCut(t *testing.T) {
-	serial, deliveredSerial := flapRun(t, 1)
+	serial, deliveredSerial := flapRun(t, 1, sim.DispatchAdaptive)
 	if deliveredSerial != 8 {
 		t.Fatalf("serial run delivered %d of 8 messages", deliveredSerial)
 	}
@@ -80,11 +87,13 @@ func TestPartitionedLinkFlapAcrossCut(t *testing.T) {
 		t.Fatalf("serial ledger unbalanced: %+v", serial)
 	}
 
-	part, deliveredPart := flapRun(t, 4)
-	if deliveredPart != deliveredSerial {
-		t.Fatalf("partitioned run delivered %d, serial %d", deliveredPart, deliveredSerial)
-	}
-	if part != serial {
-		t.Fatalf("ledger differs across partition counts:\nserial      %+v\n4 partitions %+v", serial, part)
+	for _, d := range []sim.Dispatch{sim.DispatchAdaptive, sim.DispatchConcurrent} {
+		part, deliveredPart := flapRun(t, 4, d)
+		if deliveredPart != deliveredSerial {
+			t.Fatalf("%v dispatch: partitioned run delivered %d, serial %d", d, deliveredPart, deliveredSerial)
+		}
+		if part != serial {
+			t.Fatalf("%v dispatch: ledger differs across partition counts:\nserial      %+v\n4 partitions %+v", d, serial, part)
+		}
 	}
 }

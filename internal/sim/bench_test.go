@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // The engine microbenchmarks pin the hot-path costs that every experiment
 // pays per event: heap scheduling, the same-time run-queue bypass, timer
@@ -356,6 +359,84 @@ func BenchmarkGroupCrossSend(b *testing.B) {
 	g.Run()
 }
 
+// BenchmarkGroupWindow is the crossover benchmark behind the adaptive
+// dispatch threshold (concurrentMin). Two ranks each hold n independent
+// events at the start of every window, so the queued count the adaptive
+// rule reads equals the events the window fires; each event does about
+// what an average fabric event costs, on memory private to its rank, and
+// re-arms itself one lookahead later. The pair runs inline and on the
+// workers. ns/op is per event pair (one event on each rank), so the
+// fixed-iteration alloc pass stays short; the smallest n at which the
+// concurrent run wins by 10% sets concurrentMin (PERFORMANCE.md).
+func BenchmarkGroupWindow(b *testing.B) {
+	for _, mode := range []struct {
+		name string
+		d    Dispatch
+	}{{"inline", DispatchInline}, {"concurrent", DispatchConcurrent}} {
+		for _, n := range []int{64, 128, 256, 512, 1024, 2048, 4096} {
+			b.Run(fmt.Sprintf("%s/n=%d", mode.name, n), func(b *testing.B) {
+				benchWindow(b, mode.d, n)
+			})
+		}
+	}
+}
+
+// windowWork stands in for one fabric event: a short xorshift walk over
+// the rank's private buffer. It returns the walk's state for the next event.
+func windowWork(buf []uint64, x uint64) uint64 {
+	for i := 0; i < 24; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		buf[x%uint64(len(buf))] += x
+	}
+	return x
+}
+
+func benchWindow(b *testing.B, d Dispatch, n int) {
+	const lookahead = 1 << 20 // wider than any window's span of event times
+	g := NewGroup(2)
+	defer g.Shutdown()
+	g.SetDispatch(d)
+	g.Connect(0, 1, lookahead, 0)
+	g.Connect(1, 0, lookahead, 0)
+	// arm schedules total events per rank, n per window.
+	arms := make([]func(total int), 2)
+	for r := range arms {
+		e := g.Engine(r)
+		buf := make([]uint64, 4096)
+		x := uint64(r + 1)
+		armed := 0
+		var total int
+		var fire func()
+		fire = func() {
+			x = windowWork(buf, x)
+			if armed < total {
+				armed++
+				e.Schedule(e.Now()+lookahead, fire)
+			}
+		}
+		arms[r] = func(t int) {
+			armed, total = 0, t
+			start := e.Now() + lookahead
+			for armed < min(n, t) {
+				e.Schedule(start+Time(armed), fire)
+				armed++
+			}
+		}
+	}
+	run := func(total int) {
+		for _, arm := range arms {
+			arm(total)
+		}
+		g.Run()
+	}
+	run(n) // warm: grow the event pools, start the workers
+	b.ReportAllocs()
+	b.ResetTimer()
+	run(b.N)
+}
+
 // benchHorizonGroup builds the horizon benchmark fixture: 8 fully meshed
 // partitions (56 channels) with outstanding deliveries on a quarter of them,
 // the shape of a mid-collective fat-tree round.
@@ -394,7 +475,9 @@ func BenchmarkGroupHorizon(b *testing.B) {
 // scratch slices are grown, a ping-pong round — buffered message, dirty-list
 // drain, injection sort, horizon relaxation, window dispatch — recycles
 // everything. An accidental per-round closure or slice regrowth fails here
-// rather than taxing every partitioned run.
+// rather than taxing every partitioned run. A ping-pong round has one active
+// rank holding one event, so adaptive dispatch must also run every round
+// inline, never handing one to the workers.
 func TestGroupBarrierZeroAllocs(t *testing.T) {
 	g := NewGroup(2)
 	defer g.Shutdown()
@@ -427,5 +510,8 @@ func TestGroupBarrierZeroAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(5, run)
 	if allocs != 0 {
 		t.Fatalf("barrier loop allocated %.1f per run, want 0", allocs)
+	}
+	if n := g.ConcurrentRounds(); n != 0 {
+		t.Fatalf("%d of %d ping-pong rounds went to the workers", n, g.Rounds())
 	}
 }

@@ -151,7 +151,15 @@ type TraceSink func(ev TraceEvent)
 
 // NewEngine returns an engine at time zero with an empty event queue.
 func NewEngine() *Engine {
-	return &Engine{free: heapNone, mainWake: make(chan struct{})}
+	e := new(Engine)
+	e.init()
+	return e
+}
+
+// init readies a zero Engine: time zero, an empty event queue.
+func (e *Engine) init() {
+	e.free = heapNone
+	e.mainWake = make(chan struct{})
 }
 
 // Now returns the current simulated time.
@@ -337,6 +345,40 @@ func (e *Engine) nextEventTime() (Time, bool) {
 		}
 	}
 	return best, ok
+}
+
+// queuedBy counts the queued events at or before deadline, stopping at
+// limit. It walks the run queue from its head, then the heap, skipping every
+// subtree whose root lies past the deadline (the heap orders each child
+// after its parent), so it visits O(limit) slots and allocates nothing. The
+// Group calls it at barriers to size a round's windows.
+func (e *Engine) queuedBy(deadline Time, limit int) int {
+	n := 0
+	for i := e.runqHead; i < len(e.runq) && n < limit; i++ {
+		ev := &e.pool[e.runq[i]]
+		if ev.at > deadline {
+			return n
+		}
+		if ev.fn != nil || ev.proc != nil { // skip cancelled entries
+			n++
+		}
+	}
+	if n < limit && len(e.heap) > 0 && e.pool[e.heap[0]].at <= deadline {
+		n += e.heapQueuedBy(0, deadline, limit-n)
+	}
+	return n
+}
+
+// heapQueuedBy counts the entries at or before deadline in the heap subtree
+// rooted at position i, whose own entry is one of them, stopping at limit.
+func (e *Engine) heapQueuedBy(i int, deadline Time, limit int) int {
+	n := 1
+	for c := i<<2 + 1; c <= i<<2+4 && c < len(e.heap) && n < limit; c++ {
+		if e.pool[e.heap[c]].at <= deadline {
+			n += e.heapQueuedBy(c, deadline, limit-n)
+		}
+	}
+	return n
 }
 
 // driveMain is the Run caller's drive loop. It fires callbacks and steps

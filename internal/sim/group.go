@@ -55,9 +55,10 @@ type xmsg struct {
 // per-link FIFO credit return, which does not hold across links.
 //
 // Concurrency contract: Deliver is called only by the source engine's
-// goroutine during a window, Credit only by the destination's; the
-// coordinator drains both at barriers. The Group's worker start/done
-// channel handoffs order every access, so no locking is needed.
+// window, Credit only by the destination's; the coordinator drains both at
+// barriers. A window runs either on the coordinator itself or on a worker
+// whose start/done channel handoffs order every access, so no locking is
+// needed.
 type Channel struct {
 	g   *Group
 	idx int // global channel index: the deterministic same-time tie-break
@@ -118,11 +119,61 @@ type groupWorker struct {
 	done  chan windowResult
 }
 
-// windowResult is what a worker reports back after one window.
+// windowResult is one window's wall-clock cost and recovered panic, if any.
 type windowResult struct {
 	busy time.Duration
 	pp   *procPanic
 }
+
+// Dispatch selects where a Group runs the windows of each barrier round.
+// Windows within a round are independent, so every mode yields the same
+// results, traces and event counts; only wall-clock cost differs.
+type Dispatch int
+
+const (
+	// DispatchAdaptive, the default, sends a round to the worker
+	// goroutines only when at least two active ranks each hold
+	// concurrentMin queued events inside their windows, and runs every
+	// other round inline.
+	DispatchAdaptive Dispatch = iota
+	// DispatchInline runs every window on the coordinator in rank order.
+	// BusyTime and CriticalPath are then exact on machines with fewer cores
+	// than partitions; the speedup projections rely on it.
+	DispatchInline
+	// DispatchConcurrent sends every round to the workers, however small,
+	// so race tests see partitions run side by side.
+	DispatchConcurrent
+)
+
+// String names the mode.
+func (d Dispatch) String() string {
+	switch d {
+	case DispatchAdaptive:
+		return "adaptive"
+	case DispatchInline:
+		return "inline"
+	case DispatchConcurrent:
+		return "concurrent"
+	}
+	return fmt.Sprintf("Dispatch(%d)", int(d))
+}
+
+// concurrentMin is the adaptive dispatch threshold in queued events per
+// window. Below it a window costs less than the two goroutine handoffs that
+// would overlap it with another: BenchmarkGroupWindow measures the
+// crossover, and PERFORMANCE.md ("Partitioned simulation") records it.
+const concurrentMin = 512
+
+// groupEngine pads a partition's engine so that no two engines of a Group
+// share a cache line: every event writes its engine's clock and counters
+// while a neighbouring rank's window reads its own deadline and flags.
+type groupEngine struct {
+	Engine
+	_ [cacheLine]byte
+}
+
+// cacheLine is the coherence granule groupEngine pads to.
+const cacheLine = 64
 
 // injItem is one message flattened for barrier injection, carrying its
 // deterministic sort key (at, tie, seq).
@@ -160,8 +211,10 @@ func (s *injSorter) Less(i, j int) bool {
 // Group runs a set of Engines as one partitioned simulation. Build each
 // partition's components on its own engine, Connect a Channel per cut-link
 // direction, then Run. All Group methods must be called from a single
-// goroutine (the coordinator); during windows the engines run concurrently
-// on worker goroutines.
+// goroutine (the coordinator). Each barrier round runs its windows either
+// concurrently on one worker goroutine per rank or inline on the
+// coordinator; SetDispatch picks the rule, and by default only rounds with
+// at least two wide windows go to the workers.
 type Group struct {
 	engines  []*Engine
 	channels []*Channel
@@ -193,12 +246,13 @@ type Group struct {
 	// channel would run unboundedly ahead of its own future credit returns.
 	pairCredLA [][]Time
 
-	started    bool
-	shutdown   bool
-	sequential bool
+	started  bool
+	shutdown bool
+	mode     Dispatch
 
 	rounds     int64
 	microSteps int64
+	concRounds int64
 	busyTotal  time.Duration
 	busyCrit   time.Duration
 	evTotal    int64
@@ -226,8 +280,10 @@ func NewGroup(n int) *Group {
 	}
 	g.pairCredLA = make([][]Time, n)
 	g.injSort = &injSorter{g}
+	padded := make([]groupEngine, n)
 	for i := range g.engines {
-		g.engines[i] = NewEngine()
+		padded[i].init()
+		g.engines[i] = &padded[i].Engine
 		g.workers[i] = groupWorker{start: make(chan Time), done: make(chan windowResult)}
 		g.pairLA[i] = make([]Time, n)
 		g.pairCredLA[i] = make([]Time, n)
@@ -253,6 +309,11 @@ func (g *Group) Rounds() int64 { return g.rounds }
 // (cross-partition activity dense enough that no window fit the lookahead).
 func (g *Group) MicroSteps() int64 { return g.microSteps }
 
+// ConcurrentRounds reports how many rounds ran their windows on the worker
+// goroutines. Under adaptive dispatch it is a pure function of the
+// workload, like Rounds.
+func (g *Group) ConcurrentRounds() int64 { return g.concRounds }
+
 // BusyTime reports the summed wall-clock cost of every window run so far —
 // the total engine work, regardless of how many cores overlapped it.
 func (g *Group) BusyTime() time.Duration { return g.busyTotal }
@@ -262,15 +323,15 @@ func (g *Group) BusyTime() time.Duration { return g.busyTotal }
 // windows within a round are independent. On a machine with fewer cores the
 // measured wall time exceeds this; wall - BusyTime + CriticalPath projects
 // the fully parallel run time (barrier overhead included unchanged). Exact
-// only under SetSequential — overlapping workers also clock time spent
+// only under DispatchInline — overlapping workers also clock time spent
 // descheduled, inflating both totals.
 func (g *Group) CriticalPath() time.Duration { return g.busyCrit }
 
 // EventsTotal reports how many events fired across all partitions, and
 // EventsCritical the summed per-round maximum — the event count on the
 // critical path. Unlike the wall-clock pair above, both are deterministic
-// (a replay of the same workload yields the same counts, sequential or
-// concurrent), so EventsTotal/EventsCritical measures the workload's
+// (a replay of the same workload yields the same counts under every
+// Dispatch), so EventsTotal/EventsCritical measures the workload's
 // available parallelism free of scheduler noise: a preemption inside one
 // rank's window inflates that round's wall-clock maximum but cannot change
 // how many events the window executed.
@@ -279,12 +340,9 @@ func (g *Group) EventsTotal() int64 { return g.evTotal }
 // EventsCritical — see EventsTotal.
 func (g *Group) EventsCritical() int64 { return g.evCrit }
 
-// SetSequential makes Run execute windows one partition at a time on the
-// coordinator goroutine instead of concurrently on workers. Results are
-// identical (windows within a round are independent); the point is exact
-// BusyTime/CriticalPath accounting on machines with fewer cores than
-// partitions, where overlapped workers cannot time themselves honestly.
-func (g *Group) SetSequential(on bool) { g.sequential = on }
+// SetDispatch selects where Run executes each round's windows; the default
+// is DispatchAdaptive. Results are identical under every mode.
+func (g *Group) SetDispatch(d Dispatch) { g.mode = d }
 
 // Connect registers the channel for one cut-link direction: deliveries run
 // on dst's engine, credits return to src's. lookahead must be positive (a
@@ -375,28 +433,29 @@ func (g *Group) startWorkers() {
 	for i := range g.workers {
 		go func(rank int, e *Engine, w groupWorker) {
 			for deadline := range w.start {
-				t0 := time.Now()
-				pp := runWindowRecover(e, rank, deadline)
-				w.done <- windowResult{busy: time.Since(t0), pp: pp}
+				w.done <- runWindowTimed(e, rank, deadline)
 			}
 		}(i, g.engines[i], g.workers[i])
 	}
 }
 
-// runWindowRecover runs one window, converting a propagated process panic
-// into a value the coordinator re-raises on its own goroutine.
-func runWindowRecover(e *Engine, rank int, deadline Time) (pp *procPanic) {
+// runWindowTimed runs one window on the calling goroutine, a worker or the
+// coordinator, and reports its wall-clock cost. A propagated process panic
+// comes back as a value the coordinator re-raises on its own goroutine.
+func runWindowTimed(e *Engine, rank int, deadline Time) (res windowResult) {
+	t0 := time.Now()
 	defer func() {
+		res.busy = time.Since(t0)
 		if r := recover(); r != nil {
 			if p, ok := r.(*procPanic); ok {
-				pp = p
+				res.pp = p
 			} else {
-				pp = &procPanic{proc: fmt.Sprintf("partition %d", rank), value: r}
+				res.pp = &procPanic{proc: fmt.Sprintf("partition %d", rank), value: r}
 			}
 		}
 	}()
 	e.runWindow(deadline)
-	return nil
+	return res
 }
 
 // injectAll drains every channel's buffered messages into their target
@@ -554,10 +613,11 @@ func (g *Group) computeHorizons() {
 	}
 }
 
-// runRound starts a window on every partition whose next event lies strictly
-// inside its horizon (deadline horizon-1), waits for all of them, and reports
-// whether any partition ran. Partitions run concurrently; the horizon
-// guarantees no message can arrive inside a window.
+// runRound runs a window on every partition whose next event lies strictly
+// inside its horizon (deadline horizon-1) and reports whether any partition
+// ran. The horizon guarantees no message can arrive inside a window, so the
+// windows are independent: dispatch may overlap them on the workers or run
+// them one after another on the coordinator, with identical results.
 func (g *Group) runRound() bool {
 	ran := false
 	for i := range g.engines {
@@ -586,62 +646,46 @@ func (g *Group) microStep(T Time) {
 	g.dispatch()
 }
 
-// dispatch runs every active rank's window at its g.dl deadline —
-// concurrently on the workers, or inline in sequential mode — then re-raises
-// the lowest-ranked window panic on the coordinator goroutine.
+// dispatch runs every active rank's window at its g.dl deadline, on the
+// workers or inline as concurrentRound decides, then re-raises the
+// lowest-ranked window panic on the coordinator goroutine. Both paths share
+// one accounting loop, taking ranks in order.
 func (g *Group) dispatch() {
-	var fatal *procPanic
-	var crit time.Duration
-	var evCrit int64
-	if g.sequential {
-		for i := range g.engines {
-			if !g.active[i] {
-				continue
-			}
-			ev0 := g.engines[i].Events()
-			t0 := time.Now()
-			pp := runWindowRecover(g.engines[i], i, g.dl[i])
-			busy := time.Since(t0)
-			g.busyTotal += busy
-			if busy > crit {
-				crit = busy
-			}
-			dev := g.engines[i].Events() - ev0
-			g.evTotal += dev
-			if dev > evCrit {
-				evCrit = dev
-			}
-			if pp != nil && fatal == nil {
-				fatal = pp
-			}
-		}
-	} else {
-		// Events() is read on the coordinator while each engine is quiescent:
-		// before its start send and after its done receive, both of which
-		// order memory with the worker goroutine.
-		for i := range g.engines {
-			if g.active[i] {
-				g.ev0[i] = g.engines[i].Events()
+	concurrent := g.concurrentRound()
+	if concurrent {
+		g.concRounds++
+	}
+	// Events() is read on the coordinator while each engine is quiescent:
+	// before its start send and after its done receive, both of which
+	// order memory with the worker goroutine.
+	for i, e := range g.engines {
+		if g.active[i] {
+			g.ev0[i] = e.Events()
+			if concurrent {
 				g.workers[i].start <- g.dl[i]
 			}
 		}
-		for i := range g.engines {
-			if !g.active[i] {
-				continue
-			}
-			r := <-g.workers[i].done
-			g.busyTotal += r.busy
-			if r.busy > crit {
-				crit = r.busy
-			}
-			dev := g.engines[i].Events() - g.ev0[i]
-			g.evTotal += dev
-			if dev > evCrit {
-				evCrit = dev
-			}
-			if r.pp != nil && fatal == nil {
-				fatal = r.pp
-			}
+	}
+	var fatal *procPanic
+	var crit time.Duration
+	var evCrit int64
+	for i, e := range g.engines {
+		if !g.active[i] {
+			continue
+		}
+		var r windowResult
+		if concurrent {
+			r = <-g.workers[i].done
+		} else {
+			r = runWindowTimed(e, i, g.dl[i])
+		}
+		g.busyTotal += r.busy
+		crit = max(crit, r.busy)
+		dev := e.Events() - g.ev0[i]
+		g.evTotal += dev
+		evCrit = max(evCrit, dev)
+		if r.pp != nil && fatal == nil {
+			fatal = r.pp
 		}
 	}
 	g.busyCrit += crit
@@ -649,4 +693,40 @@ func (g *Group) dispatch() {
 	if fatal != nil {
 		panic(fatal)
 	}
+}
+
+// concurrentRound reports whether the current round's windows go to the
+// workers. Adaptive dispatch sends a round only when at least two active
+// ranks each already hold concurrentMin queued events inside their windows:
+// a narrower window finishes before the handoffs that would overlap it pay
+// off. Queued events are simulation state, so the choice, and the
+// ConcurrentRounds count, repeat exactly from run to run.
+func (g *Group) concurrentRound() bool {
+	switch g.mode {
+	case DispatchInline:
+		return false
+	case DispatchConcurrent:
+		return true
+	}
+	left := 0 // active ranks not yet counted
+	for _, on := range g.active {
+		if on {
+			left++
+		}
+	}
+	wide := 0
+	for i, e := range g.engines {
+		if wide == 2 || wide+left < 2 {
+			break
+		}
+		if !g.active[i] {
+			continue
+		}
+		left--
+		// pending bounds the count from above at no cost.
+		if e.pending() >= concurrentMin && e.queuedBy(g.dl[i], concurrentMin) == concurrentMin {
+			wide++
+		}
+	}
+	return wide == 2
 }

@@ -131,13 +131,13 @@ func TestGroupMicroStep(t *testing.T) {
 	}
 }
 
-// TestGroupSequentialEquivalence: SetSequential runs windows inline with
-// identical results, and makes the busy-time accounting live.
+// TestGroupSequentialEquivalence: inline dispatch runs windows with results
+// identical to the workers', and makes the busy-time accounting live.
 func TestGroupSequentialEquivalence(t *testing.T) {
-	run := func(sequential bool) (Time, []Time, int64, int64) {
+	run := func(d Dispatch) (Time, []Time, int64, int64) {
 		g := NewGroup(2)
 		defer g.Shutdown()
-		g.SetSequential(sequential)
+		g.SetDispatch(d)
 		ch := g.Connect(0, 1, 5, 2)
 		var at []Time
 		g.Engine(0).Schedule(1, func() {
@@ -145,18 +145,18 @@ func TestGroupSequentialEquivalence(t *testing.T) {
 			ch.Deliver(9, func() { at = append(at, g.Engine(1).Now()) })
 		})
 		end := g.Run()
-		if sequential && (g.BusyTime() <= 0 || g.CriticalPath() <= 0 || g.CriticalPath() > g.BusyTime()) {
-			t.Fatalf("sequential accounting: busy=%v crit=%v", g.BusyTime(), g.CriticalPath())
+		if d == DispatchInline && (g.BusyTime() <= 0 || g.CriticalPath() <= 0 || g.CriticalPath() > g.BusyTime()) {
+			t.Fatalf("inline accounting: busy=%v crit=%v", g.BusyTime(), g.CriticalPath())
 		}
 		if g.EventsTotal() <= 0 || g.EventsCritical() <= 0 || g.EventsCritical() > g.EventsTotal() {
 			t.Fatalf("event accounting: total=%d crit=%d", g.EventsTotal(), g.EventsCritical())
 		}
 		return end, at, g.EventsTotal(), g.EventsCritical()
 	}
-	endC, atC, evTotC, evCritC := run(false)
-	endS, atS, evTotS, evCritS := run(true)
+	endC, atC, evTotC, evCritC := run(DispatchConcurrent)
+	endS, atS, evTotS, evCritS := run(DispatchInline)
 	if endC != endS || !reflect.DeepEqual(atC, atS) {
-		t.Fatalf("sequential run diverged: end %d vs %d, deliveries %v vs %v", endC, endS, atC, atS)
+		t.Fatalf("inline run diverged: end %d vs %d, deliveries %v vs %v", endC, endS, atC, atS)
 	}
 	// The wall-clock pair is timing-dependent, but the event counts must be
 	// exactly reproducible in either execution mode.
@@ -169,9 +169,9 @@ func TestGroupSequentialEquivalence(t *testing.T) {
 // the coordinator goroutine; with several failing ranks the lowest wins, so
 // the surfaced crash is deterministic.
 func TestGroupPanicPropagation(t *testing.T) {
-	for _, sequential := range []bool{false, true} {
+	for _, d := range allDispatch {
 		g := NewGroup(2)
-		g.SetSequential(sequential)
+		g.SetDispatch(d)
 		g.Engine(1).Schedule(5, func() { panic("boom-rank1") })
 		g.Engine(0).Schedule(5, func() { panic("boom-rank0") })
 		func() {
@@ -179,20 +179,23 @@ func TestGroupPanicPropagation(t *testing.T) {
 			defer func() {
 				r := recover()
 				if r == nil {
-					t.Fatalf("sequential=%v: Run did not panic", sequential)
+					t.Fatalf("dispatch %v: Run did not panic", d)
 				}
 				msg := fmt.Sprint(r)
 				if pp, ok := r.(*procPanic); ok {
 					msg = fmt.Sprint(pp.value)
 				}
 				if !strings.Contains(msg, "boom-rank0") {
-					t.Fatalf("sequential=%v: surfaced %q, want the rank-0 panic", sequential, msg)
+					t.Fatalf("dispatch %v: surfaced %q, want the rank-0 panic", d, msg)
 				}
 			}()
 			g.Run()
 		}()
 	}
 }
+
+// allDispatch lists every Dispatch mode, for tests that must hold in each.
+var allDispatch = []Dispatch{DispatchAdaptive, DispatchInline, DispatchConcurrent}
 
 // TestGroupConnectValidation: the wiring mistakes that would silently break
 // conservatism all panic at Connect time.

@@ -418,15 +418,15 @@ func TestStepThatBlocksPanics(t *testing.T) {
 }
 
 // A step panicking inside a partition window surfaces from Group.Run as the
-// wrapped error naming the step, on both window drivers.
+// wrapped error naming the step, under every dispatch mode.
 func TestGroupStepPanicNamesStep(t *testing.T) {
-	for _, sequential := range []bool{false, true} {
+	for _, d := range allDispatch {
 		g := NewGroup(2)
-		g.SetSequential(sequential)
+		g.SetDispatch(d)
 		g.Engine(1).SpawnStep("sw.in0", panicStep(5))
 		pp := recoverRun(t, func() { g.Run() })
 		if pp.proc != "sw.in0" || pp.value != "boom" {
-			t.Fatalf("sequential=%v: surfaced %v, want the step named", sequential, pp)
+			t.Fatalf("dispatch %v: surfaced %v, want the step named", d, pp)
 		}
 		g.Shutdown()
 	}
