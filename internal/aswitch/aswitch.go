@@ -273,7 +273,14 @@ func (s *ActiveSwitch) Restart() {
 // notifyCrash tells an invoker its handler died, via a best-effort Control
 // packet through the still-working base switch.
 func (s *ActiveSwitch) notifyCrash(p *sim.Proc, dst san.NodeID, handler int, flow int64) {
-	pkt := &san.Packet{
+	// An unroutable invoker means nobody to notify; drop the notice.
+	_ = s.Inject(p, s.crashNotice(dst, handler, flow))
+}
+
+// crashNotice builds the Control packet that tells invoker dst its handler
+// died.
+func (s *ActiveSwitch) crashNotice(dst san.NodeID, handler int, flow int64) *san.Packet {
+	return &san.Packet{
 		Hdr: san.Header{
 			Src: s.ID(), Dst: dst, Type: san.Control,
 			Flow: s.NextFlow(), Last: true,
@@ -281,8 +288,6 @@ func (s *ActiveSwitch) notifyCrash(p *sim.Proc, dst san.NodeID, handler int, flo
 		Size:    16,
 		Payload: CrashNotice{Handler: handler, Flow: flow},
 	}
-	// An unroutable invoker means nobody to notify; drop the notice.
-	_ = s.Inject(p, pkt)
 }
 
 // HandlerStatsFor returns the per-handler counters for a jump-table entry.
@@ -344,76 +349,128 @@ func (s *ActiveSwitch) NextFlow() int64 {
 	return s.flows<<16 | int64(s.ID())&0xFFFF
 }
 
-// Deliver implements san.LocalSink: the dispatch unit. It admits the packet
-// into a data buffer, maps it into the owning CPU's ATB, and — for the
-// first packet of an active message — queues a handler invocation. It runs
-// in the input port's local-delivery process while the port waits for it,
-// so blocking here is the credit backpressure the paper relies on.
-func (s *ActiveSwitch) Deliver(p *sim.Proc, pkt *san.Packet, fillRate float64) {
-	var tstart sim.Time
-	if pkt.Stamp != nil {
-		tstart = p.Now()
-	}
-	p.Sleep(s.cfg.DispatchLatency)
-	if s.crashed {
-		// The active plane is down: refuse invocations (telling the invoker
-		// why) and discard stream data. The input port returns the credit as
-		// usual, so the fabric stays live around the dead handler plane.
-		if pkt.Hdr.Type == san.ActiveMsg && pkt.Hdr.Seq == 0 {
-			s.crash.Rejected++
-			s.notifyCrash(p, pkt.Hdr.Src, pkt.Hdr.HandlerID, pkt.Hdr.Flow)
-		} else if pkt.Size > 0 {
-			s.crash.DataDropped++
-		}
-		return
-	}
-	cpuID := pkt.Hdr.CPUID
-	if cpuID < 0 {
-		if pkt.Hdr.Type == san.ActiveMsg && pkt.Hdr.Seq == 0 {
-			cpuID = s.rr
-			s.rr = (s.rr + 1) % len(s.cpus)
-		} else {
-			cpuID = 0
-		}
-	}
-	if cpuID >= len(s.cpus) {
-		cpuID = 0
-	}
-	c := s.cpus[cpuID]
+// NewDelivery implements san.LocalSink: each input port runs the dispatch
+// unit on its own process, through its own dispatch machine.
+func (s *ActiveSwitch) NewDelivery() san.LocalDelivery { return &dispatch{s: s} }
 
-	if pkt.Size > 0 {
-		buf := s.dba.AllocInput(p)
-		if s.crashed {
-			// The crash landed while we blocked for a buffer: give it back
-			// and discard, or the scrubbed DBA would leak this slot.
-			s.dba.Free(buf)
-			s.crash.DataDropped++
-			return
-		}
-		buf.addr = pkt.Hdr.Addr
-		buf.size = pkt.Size
-		buf.fillStart = p.Now()
-		buf.fillRate = fillRate
-		buf.lineBytes = s.cfg.ValidLineBytes
-		buf.last = pkt.Hdr.Last
-		buf.payload = pkt.Payload
-		for !c.atb.CanInstall(buf) {
-			s.mapSig.Wait(p)
+// Dispatch-unit states: the wait each one resumes from.
+const (
+	dispatchStart   = iota // a granted packet, not yet started
+	dispatchLatency        // the dispatch unit's per-packet time
+	dispatchBuffer         // a data buffer
+	dispatchSlot           // the buffer's ATB slot to be free
+	dispatchMapped         // an ATB mapping change, while the slot is taken
+	dispatchNotice         // the crash notice's injection
+)
+
+// dispatch is the dispatch unit serving one input port, a step machine on
+// the port's process: one state per wait of the per-packet pipeline below.
+type dispatch struct {
+	s      *ActiveSwitch
+	wait   int
+	tstart sim.Time
+	c      *SwitchCPU
+	buf    *DataBuffer
+	notice *san.Packet
+	inj    san.Injection
+}
+
+// DeliverOrWait is the dispatch unit. It admits the packet into a data
+// buffer, maps it into the owning CPU's ATB, and — for the first packet of
+// an active message — queues a handler invocation. The input port waits
+// for it, so its waits are the credit backpressure the paper relies on.
+func (d *dispatch) DeliverOrWait(p *sim.Proc, pkt *san.Packet, fillRate float64) bool {
+	s := d.s
+	for {
+		switch d.wait {
+		case dispatchStart:
+			if pkt.Stamp != nil {
+				d.tstart = p.Now()
+			}
+			if lat := s.cfg.DispatchLatency; lat < 0 {
+				panic(fmt.Sprintf("sim: negative sleep %v in %s", lat, p.Name()))
+			}
+			p.WakeAt(p.Now() + s.cfg.DispatchLatency)
+			d.wait = dispatchLatency
+			return false
+		case dispatchLatency:
 			if s.crashed {
+				// The active plane is down: refuse invocations (telling the
+				// invoker why) and discard stream data. The input port
+				// returns the credit as usual, so the fabric stays live
+				// around the dead handler plane.
+				if invokes(pkt) {
+					s.crash.Rejected++
+					d.notice = s.crashNotice(pkt.Hdr.Src, pkt.Hdr.HandlerID, pkt.Hdr.Flow)
+					d.wait = dispatchNotice
+					continue
+				}
+				if pkt.Size > 0 {
+					s.crash.DataDropped++
+				}
+				return d.reset()
+			}
+			d.c = s.cpuFor(pkt)
+			if pkt.Size == 0 {
+				return d.admit(p, pkt)
+			}
+			d.wait = dispatchBuffer
+		case dispatchBuffer:
+			buf, ok := s.dba.AllocInputOrWait(p)
+			if !ok {
+				return false
+			}
+			if s.crashed {
+				// The crash landed while we waited for a buffer: give it
+				// back and discard, or the scrubbed DBA would leak this slot.
 				s.dba.Free(buf)
 				s.crash.DataDropped++
-				return
+				return d.reset()
 			}
+			buf.addr = pkt.Hdr.Addr
+			buf.size = pkt.Size
+			buf.fillStart = p.Now()
+			buf.fillRate = fillRate
+			buf.lineBytes = s.cfg.ValidLineBytes
+			buf.last = pkt.Hdr.Last
+			buf.payload = pkt.Payload
+			d.buf = buf
+			d.wait = dispatchSlot
+		case dispatchMapped:
+			if s.crashed {
+				s.dba.Free(d.buf)
+				s.crash.DataDropped++
+				return d.reset()
+			}
+			d.wait = dispatchSlot
+		case dispatchSlot:
+			if !d.c.atb.CanInstall(d.buf) {
+				s.mapSig.AddWaiter(p)
+				d.wait = dispatchMapped
+				return false
+			}
+			d.c.atb.Install(d.buf)
+			d.c.arrivals = append(d.c.arrivals, d.buf)
+			s.stats.PacketsAdmitted++
+			return d.admit(p, pkt)
+		case dispatchNotice:
+			// An unroutable invoker means nobody to notify; drop the notice.
+			if done, _ := s.InjectOrWait(p, d.notice, &d.inj); !done {
+				return false
+			}
+			return d.reset()
 		}
-		c.atb.Install(buf)
-		c.arrivals = append(c.arrivals, buf)
-		s.stats.PacketsAdmitted++
 	}
+}
 
-	if pkt.Hdr.Type == san.ActiveMsg && pkt.Hdr.Seq == 0 {
+// admit finishes an admitted packet: the first packet of an active message
+// queues its handler invocation, and the packet's life ends here.
+func (d *dispatch) admit(p *sim.Proc, pkt *san.Packet) bool {
+	s, c := d.s, d.c
+	if invokes(pkt) {
 		inv := &Invocation{
 			HandlerID: pkt.Hdr.HandlerID,
-			CPUID:     cpuID,
+			CPUID:     c.id,
 			Src:       pkt.Hdr.Src,
 			BaseAddr:  pkt.Hdr.Addr,
 			Flow:      pkt.Hdr.Flow,
@@ -425,7 +482,7 @@ func (s *ActiveSwitch) Deliver(p *sim.Proc, pkt *san.Packet, fillRate float64) {
 		}
 		if s.eng.Tracing() {
 			s.eng.Emit("handler", "dispatch", s.Name(),
-				fmt.Sprintf("dispatch handler=%d cpu=%d src=%d", inv.HandlerID, cpuID, inv.Src))
+				fmt.Sprintf("dispatch handler=%d cpu=%d src=%d", inv.HandlerID, c.id, inv.Src))
 		}
 		c.invq.Put(inv)
 	}
@@ -434,10 +491,42 @@ func (s *ActiveSwitch) Deliver(p *sim.Proc, pkt *san.Packet, fillRate float64) {
 		// its active-plane hop; handler execution time is reported separately
 		// through the handlerDone hook (it runs asynchronously on the switch
 		// CPU, after this packet's life ends).
-		st.Add(san.HopHandler, s.Name(), tstart, p.Now())
+		st.Add(san.HopHandler, s.Name(), d.tstart, p.Now())
 		s.complete(st, p.Now(), pkt.Hdr.Type)
 	}
 	s.mapSig.Fire()
+	return d.reset()
+}
+
+// reset readies the machine for the port's next local packet and reports
+// the current one delivered.
+func (d *dispatch) reset() bool {
+	*d = dispatch{s: d.s}
+	return true
+}
+
+// invokes reports whether pkt is the first packet of an active message.
+func invokes(pkt *san.Packet) bool {
+	return pkt.Hdr.Type == san.ActiveMsg && pkt.Hdr.Seq == 0
+}
+
+// cpuFor picks the switch CPU a packet is for: its header's, or for an
+// invocation that names none the next in round-robin order; out-of-range
+// ids and unnamed stream data go to CPU 0.
+func (s *ActiveSwitch) cpuFor(pkt *san.Packet) *SwitchCPU {
+	cpuID := pkt.Hdr.CPUID
+	if cpuID < 0 {
+		if invokes(pkt) {
+			cpuID = s.rr
+			s.rr = (s.rr + 1) % len(s.cpus)
+		} else {
+			cpuID = 0
+		}
+	}
+	if cpuID >= len(s.cpus) {
+		cpuID = 0
+	}
+	return s.cpus[cpuID]
 }
 
 // SwitchCPU is one embedded processor with its private ATB, caches and

@@ -29,25 +29,47 @@ func TestDataBufferValidAt(t *testing.T) {
 	}
 }
 
+// allocInput takes an input buffer that must be free at once.
+func allocInput(t *testing.T, d *DBA, p *sim.Proc) *DataBuffer {
+	t.Helper()
+	b, ok := d.AllocInputOrWait(p)
+	if !ok {
+		t.Fatal("no input buffer free")
+	}
+	return b
+}
+
 func TestDBAReserveSplit(t *testing.T) {
 	eng := sim.NewEngine()
 	d := NewDBA(16, 2)
 	var inputs []*DataBuffer
+	var waited bool
+	var waiter *DataBuffer
 	eng.Spawn("p", func(p *sim.Proc) {
-		// 14 input allocations succeed without blocking; the 15th blocks.
+		// 14 input allocations succeed at once.
 		for i := 0; i < 14; i++ {
-			inputs = append(inputs, d.AllocInput(p))
+			inputs = append(inputs, allocInput(t, d, p))
 		}
 		// Output reserve still available.
 		ob := d.AllocOutput(p)
 		d.Free(ob)
 		// Free one input, and the pool must accept another.
 		d.Free(inputs[0])
-		inputs[0] = d.AllocInput(p)
+		inputs[0] = allocInput(t, d, p)
+		// The 15th waits until an input buffer frees.
+		p.Sleep(sim.Nanosecond)
+		d.Free(inputs[13])
+		inputs = inputs[:13]
+	})
+	eng.SpawnStep("late", func(p *sim.Proc) {
+		var ok bool
+		if waiter, ok = d.AllocInputOrWait(p); !ok {
+			waited = true
+		}
 	})
 	eng.Run()
-	if len(inputs) != 14 {
-		t.Fatalf("allocated %d input buffers", len(inputs))
+	if !waited || waiter == nil {
+		t.Fatalf("15th input allocation: waited %v, got a buffer %v; want it to wait, then get one", waited, waiter != nil)
 	}
 	if d.InUse() != 14 {
 		t.Fatalf("in use = %d, want 14", d.InUse())
@@ -61,7 +83,7 @@ func TestDBADoubleFreePanics(t *testing.T) {
 	eng := sim.NewEngine()
 	d := NewDBA(4, 1)
 	eng.Spawn("p", func(p *sim.Proc) {
-		b := d.AllocInput(p)
+		b := allocInput(t, d, p)
 		d.Free(b)
 		defer func() {
 			if recover() == nil {
@@ -611,5 +633,244 @@ func TestRoundRobinDispatch(t *testing.T) {
 	}
 	if counts[0] != 2 || counts[1] != 2 {
 		t.Fatalf("round robin skewed: %v", ran)
+	}
+}
+
+// The dispatch unit's crash branches. Each scenario pins the counters, the
+// CrashNotice's arrival at the invoker and the run's event count, so a
+// rewrite of the dispatch unit must keep all three.
+
+// invoke is a one-packet active message from node src to handler id.
+func invoke(sw *ActiveSwitch, src, id int, addr, flow int64) *san.Packet {
+	return &san.Packet{
+		Hdr:  san.Header{Src: san.NodeID(src), Dst: sw.ID(), Type: san.ActiveMsg, HandlerID: id, Addr: addr, Flow: flow, Last: true},
+		Size: 32,
+	}
+}
+
+// recvNotice receives the next packet on l and checks it is a CrashNotice
+// for handler id and flow.
+func recvNotice(t *testing.T, p *sim.Proc, l *san.Link, id int, flow int64) sim.Time {
+	t.Helper()
+	pkt := l.Recv(p)
+	l.ReturnCredit()
+	if n, ok := pkt.Payload.(CrashNotice); !ok || pkt.Hdr.Type != san.Control || n != (CrashNotice{Handler: id, Flow: flow}) {
+		t.Errorf("invoker got %s packet with payload %+v, want a CrashNotice{%d %d}", pkt.Hdr.Type, pkt.Payload, id, flow)
+	}
+	return p.Now()
+}
+
+// pinEvents checks the run fired exactly want events: a dispatch unit that
+// adds or loses a wait shifts the count.
+func pinEvents(t *testing.T, eng *sim.Engine, want int64) {
+	t.Helper()
+	if got := eng.Events(); got != want {
+		t.Fatalf("run fired %d events, want %d", got, want)
+	}
+}
+
+// stuckHandler waits for stream data that never comes, so a crash aborts
+// it and scrubs every buffer it holds.
+func stuckHandler(x *Ctx) {
+	x.ReleaseArgs()
+	x.WaitStream(0x100000)
+}
+
+func TestCrashedSwitchRejectsInvocation(t *testing.T) {
+	eng := sim.NewEngine()
+	sw, eps := rig(eng, 2, DefaultConfig(2))
+	sw.Register(1, "never", func(*Ctx) { t.Error("a handler ran on a crashed switch") })
+	sw.Start()
+	sw.Crash()
+	var at sim.Time
+	eng.Spawn("host", func(p *sim.Proc) {
+		eps[1].Out.Send(p, invoke(sw, 1, 1, 0x8000, 7))
+		at = recvNotice(t, p, eps[1].In, 1, 7)
+	})
+	eng.Run()
+	defer eng.Shutdown()
+	pinEvents(t, eng, 19)
+	if want := 160 * sim.Nanosecond; at != want {
+		t.Fatalf("CrashNotice arrived at %v, want %v", at, want)
+	}
+	if got, want := sw.CrashStatsCopy(), (CrashStats{Crashes: 1, Rejected: 1}); got != want {
+		t.Fatalf("crash stats = %+v, want %+v", got, want)
+	}
+	if st := sw.ActiveStats(); st.Invocations != 0 || st.PacketsAdmitted != 0 {
+		t.Fatalf("a crashed switch admitted work: %+v", st)
+	}
+}
+
+func TestCrashedSwitchDropsStreamData(t *testing.T) {
+	eng := sim.NewEngine()
+	sw, eps := rig(eng, 2, DefaultConfig(2))
+	sw.Start()
+	sw.Crash()
+	eng.Spawn("host", func(p *sim.Proc) {
+		m := &san.Message{Hdr: san.Header{Src: 0, Dst: sw.ID(), Type: san.Data, Addr: 0x10000, Flow: 3}, Size: 3 * 512}
+		for _, pkt := range m.Packets(nil) {
+			eps[0].Out.Send(p, pkt)
+		}
+	})
+	end := eng.Run()
+	defer eng.Shutdown()
+	pinEvents(t, eng, 27)
+	if want := 1584 * sim.Nanosecond; end != want {
+		t.Fatalf("run ended at %v, want %v", end, want)
+	}
+	if got, want := sw.CrashStatsCopy(), (CrashStats{Crashes: 1, DataDropped: 3}); got != want {
+		t.Fatalf("crash stats = %+v, want %+v", got, want)
+	}
+	if n := sw.DBA().InUse(); n != 0 || sw.ActiveStats().PacketsAdmitted != 0 {
+		t.Fatalf("dropped data holds %d buffers", n)
+	}
+}
+
+// A crash that lands while a packet waits for a data buffer: the handler's
+// abort frees the buffers, the waiting packet takes one, sees the crash,
+// frees it and counts the drop.
+func TestCrashWhileWaitingForDataBuffer(t *testing.T) {
+	eng := sim.NewEngine()
+	sw, eps := rig(eng, 2, DefaultConfig(2))
+	sw.Register(1, "stuck", stuckHandler)
+	sw.Start()
+	const crashAt = 50 * sim.Microsecond
+	inUse := -1
+	eng.Schedule(crashAt, func() {
+		inUse = sw.DBA().InUse()
+		sw.Crash()
+	})
+	var at sim.Time
+	eng.Spawn("host", func(p *sim.Proc) {
+		eps[0].Out.Send(p, invoke(sw, 0, 1, 0x8000, 7))
+		// 15 packets for 14 admission slots: the last waits for a buffer.
+		m := &san.Message{Hdr: san.Header{Src: 0, Dst: sw.ID(), Type: san.Data, Addr: 0x10000, Flow: 8}, Size: 15 * 512}
+		for _, pkt := range m.Packets(nil) {
+			eps[0].Out.Send(p, pkt)
+		}
+		at = recvNotice(t, p, eps[0].In, 1, 7)
+	})
+	eng.Run()
+	defer eng.Shutdown()
+	pinEvents(t, eng, 142)
+	if inUse != 14 {
+		t.Fatalf("%d buffers held when the crash landed, want all 14 admission slots", inUse)
+	}
+	if want := 50026 * sim.Nanosecond; at != want {
+		t.Fatalf("CrashNotice arrived at %v, want %v", at, want)
+	}
+	if got, want := sw.CrashStatsCopy(), (CrashStats{Crashes: 1, Aborted: 1, DataDropped: 1}); got != want {
+		t.Fatalf("crash stats = %+v, want %+v", got, want)
+	}
+	if n := sw.DBA().InUse(); n != 0 {
+		t.Fatalf("DBA holds %d buffers after the crash, want 0", n)
+	}
+	if st := sw.ActiveStats(); st.PacketsAdmitted != 15 {
+		t.Fatalf("admitted %d packets, want 15 (the arguments and 14 stream packets)", st.PacketsAdmitted)
+	}
+}
+
+// A crash that lands while a packet waits for an ATB slot: the waiting
+// packet wakes on the crash, frees its buffer and counts the drop.
+func TestCrashWhileWaitingForATBSlot(t *testing.T) {
+	eng := sim.NewEngine()
+	sw, eps := rig(eng, 2, DefaultConfig(2))
+	sw.Register(1, "stuck", stuckHandler)
+	sw.Start()
+	const crashAt = 50 * sim.Microsecond
+	inUse := -1
+	eng.Schedule(crashAt, func() {
+		inUse = sw.DBA().InUse()
+		sw.Crash()
+	})
+	var at sim.Time
+	eng.Spawn("host", func(p *sim.Proc) {
+		eps[0].Out.Send(p, invoke(sw, 0, 1, 0x8000, 7))
+		// Two blocks 16 MTUs apart share one direct-mapped ATB slot.
+		for _, addr := range []int64{0x10000, 0x10000 + 16*san.MTU} {
+			eps[0].Out.Send(p, &san.Packet{
+				Hdr:  san.Header{Src: 0, Dst: sw.ID(), Type: san.Data, Addr: addr, Flow: 8},
+				Size: 512,
+			})
+		}
+		at = recvNotice(t, p, eps[0].In, 1, 7)
+	})
+	eng.Run()
+	defer eng.Shutdown()
+	pinEvents(t, eng, 38)
+	if inUse != 2 {
+		t.Fatalf("%d buffers held when the crash landed, want 2", inUse)
+	}
+	if want := 50026 * sim.Nanosecond; at != want {
+		t.Fatalf("CrashNotice arrived at %v, want %v", at, want)
+	}
+	if got, want := sw.CrashStatsCopy(), (CrashStats{Crashes: 1, Aborted: 1, DataDropped: 1}); got != want {
+		t.Fatalf("crash stats = %+v, want %+v", got, want)
+	}
+	if n := sw.DBA().InUse(); n != 0 {
+		t.Fatalf("DBA holds %d buffers after the crash, want 0", n)
+	}
+	if st := sw.ActiveStats(); st.PacketsAdmitted != 2 {
+		t.Fatalf("admitted %d packets, want 2 (the arguments and the first stream packet)", st.PacketsAdmitted)
+	}
+}
+
+// stepSender sends its packets in order from a step process, splitting each
+// send at Link.Send's two waits.
+type stepSender struct {
+	l    *san.Link
+	pkts []*san.Packet
+	next int
+	sent bool // the packet at next is on the wire
+}
+
+func (s *stepSender) step(p *sim.Proc) {
+	for s.next < len(s.pkts) {
+		if s.sent {
+			s.sent = false
+			s.next++
+			continue
+		}
+		if !s.l.CreditOrWait(p) {
+			return
+		}
+		p.WakeAt(s.l.Transmit(s.pkts[s.next]))
+		s.sent = true
+		return
+	}
+}
+
+// A stream into a handler costs the same goroutine handoffs whatever its
+// length: with a step sender the switch CPU is the only goroutine, and the
+// input port admits each packet inline on whichever goroutine drives.
+func TestStreamHandoffsIndependentOfLength(t *testing.T) {
+	handoffs := func(packets int) int64 {
+		eng := sim.NewEngine()
+		sw, eps := rig(eng, 2, DefaultConfig(2))
+		const base = int64(0x10000)
+		done := 0
+		sw.Register(1, "slurp", func(x *Ctx) {
+			x.ReleaseArgs()
+			cursor := base
+			for ; done < packets; done++ {
+				b := x.WaitStream(cursor)
+				x.ReadAll(b)
+				cursor = b.End()
+				x.Deallocate(cursor)
+			}
+		})
+		sw.Start()
+		m := &san.Message{Hdr: san.Header{Src: 0, Dst: sw.ID(), Type: san.Data, Addr: base, Flow: 8}, Size: int64(packets) * san.MTU}
+		snd := &stepSender{l: eps[0].Out, pkts: append([]*san.Packet{invoke(sw, 0, 1, 0x8000, 7)}, m.Packets(nil)...)}
+		eng.SpawnStep("sender", snd.step)
+		eng.Run()
+		defer eng.Shutdown()
+		if done != packets || sw.DBA().InUse() != 0 {
+			t.Fatalf("handler consumed %d of %d packets, %d buffers held", done, packets, sw.DBA().InUse())
+		}
+		return eng.Handoffs()
+	}
+	if short, long := handoffs(16), handoffs(256); short != long {
+		t.Fatalf("a 16-packet stream cost %d goroutine handoffs, a 256-packet stream %d", short, long)
 	}
 }

@@ -127,12 +127,15 @@ func NewDBA(n, outReserve int) *DBA {
 	return d
 }
 
-// AllocInput takes an admission slot and a buffer for an arriving packet,
-// blocking until one is free (this is the backpressure that holds inbound
-// credits).
-func (d *DBA) AllocInput(p *sim.Proc) *DataBuffer {
-	d.inputPermits.Acquire(p)
-	return d.take(false)
+// AllocInputOrWait takes an admission slot and a buffer for an arriving
+// packet, or queues p for the next free slot and reports false — p is woken
+// when one frees and calls it again. The dispatch unit waits here, holding
+// its input port, which is the backpressure that holds inbound credits.
+func (d *DBA) AllocInputOrWait(p *sim.Proc) (*DataBuffer, bool) {
+	if !d.inputPermits.AcquireOrWait(p) {
+		return nil, false
+	}
+	return d.take(false), true
 }
 
 // AllocOutput takes a send-unit buffer for message composition.

@@ -98,9 +98,15 @@ type ReadReq struct {
 	Flow      int64
 
 	// Stripe/Ways/WayStride distribute the stream across switch CPUs (the
-	// paper's MD5 variant): block b = offset/Stripe goes to CPU b mod Ways,
-	// mapped at DstAddr + way*WayStride + (b/Ways)*Stripe + offset%Stripe.
-	// Stripe must be a multiple of the MTU; Ways <= 1 disables striping.
+	// paper's MD5 variant): the packet at file offset g is in block
+	// b = g/Stripe, goes to CPU way = b mod Ways, and is mapped at
+	// DstAddr + way*WayStride + (b/Ways)*Stripe + g%Stripe. Stripe must be
+	// a multiple of the MTU. Striping applies whenever Ways >= 1 and
+	// Stripe > 0: with Ways == 1 every packet goes to CPU 0 and is still
+	// addressed by its file offset, at DstAddr + g, which md5app's
+	// single-CPU run relies on to chain successive reads. With Ways or
+	// Stripe zero the packets keep CPUID and are addressed by their offset
+	// within the read.
 	Stripe    int64
 	Ways      int
 	WayStride int64
@@ -207,6 +213,10 @@ type StorageNode struct {
 	stamp       san.Stamper
 	complete    san.Completer
 	maxReqQueue int
+
+	// disk and rtx are the disk and retransmit engines' step states.
+	disk diskState
+	rtx  rtxState
 
 	stats   Stats
 	started bool
@@ -337,47 +347,60 @@ func (s *StorageNode) RelStats() (san.TxStats, san.RxStats) {
 	return s.tx.Stats(), s.rel.Stats()
 }
 
-// Start spawns the TCA receive process and the disk service process.
+// Start spawns the TCA receive engine and the disk engine, and the
+// retransmit engine when reliability is armed.
 func (s *StorageNode) Start() {
 	if s.started {
 		panic("iodev: double Start")
 	}
 	s.started = true
-	s.eng.Spawn(s.name+".tca", s.rxLoop)
-	s.eng.Spawn(s.name+".disk", s.diskLoop)
+	s.eng.SpawnStep(s.name+".tca", s.rxStep)
+	s.eng.SpawnStep(s.name+".disk", s.diskStep)
 	if s.tx != nil {
-		s.eng.Spawn(s.name+".rtx", s.rtxLoop)
+		s.eng.SpawnStep(s.name+".rtx", s.rtxStep)
 	}
 }
 
-// rxLoop accepts request packets and write data.
-func (s *StorageNode) rxLoop(p *sim.Proc) {
+// The engines are step processes (sim.SpawnStep): each wake runs an engine
+// inline until its next wait, making exactly the schedule calls of a
+// blocking loop over the same work, in the same order. An engine sends as
+// san.Link.Send does, split at Send's two waits: TraceSend, a link credit,
+// then the wire.
+
+// rxStep is the TCA's receive engine: it accepts request packets and write
+// data, and never waits except for the next packet.
+func (s *StorageNode) rxStep(p *sim.Proc) {
 	for {
-		pkt := s.in.Recv(p)
-		if s.rel != nil {
-			if pkt.Hdr.Type == san.Ack {
-				switch info := pkt.Payload.(type) {
-				case san.AckInfo:
-					s.tx.OnAck(pkt.Hdr.Src, info)
-				case san.NakInfo:
-					s.tx.OnNak(pkt.Hdr.Src, info)
-				}
-			} else {
-				for _, q := range s.rel.Observe(pkt) {
-					s.accept(p, q)
-				}
-			}
-			s.in.ReturnCredit()
-			continue
+		pkt, ok := s.in.RecvOrWait(p)
+		if !ok {
+			return
 		}
-		if pkt.Corrupt {
-			// Without the reliability layer a corrupt packet stops at the
-			// TCA's CRC check.
-			s.in.ReturnCredit()
-			continue
-		}
-		s.accept(p, pkt)
+		s.receive(p, pkt)
 		s.in.ReturnCredit()
+	}
+}
+
+// receive handles one arrived packet; the caller returns its credit.
+func (s *StorageNode) receive(p *sim.Proc, pkt *san.Packet) {
+	if s.rel != nil {
+		if pkt.Hdr.Type == san.Ack {
+			switch info := pkt.Payload.(type) {
+			case san.AckInfo:
+				s.tx.OnAck(pkt.Hdr.Src, info)
+			case san.NakInfo:
+				s.tx.OnNak(pkt.Hdr.Src, info)
+			}
+			return
+		}
+		for _, q := range s.rel.Observe(pkt) {
+			s.accept(p, q)
+		}
+		return
+	}
+	// Without the reliability layer a corrupt packet stops at the TCA's
+	// CRC check.
+	if !pkt.Corrupt {
+		s.accept(p, pkt)
 	}
 }
 
@@ -387,7 +410,7 @@ func (s *StorageNode) accept(p *sim.Proc, pkt *san.Packet) {
 	case san.IORequest:
 		// Register writes immediately so their data — possibly right
 		// behind the request — is never dropped; reads queue for the
-		// disk process.
+		// disk engine.
 		if w, isW := pkt.Payload.(WriteReq); isW {
 			s.writes[pkt.Hdr.Flow] = &writeState{req: w, src: pkt.Hdr.Src}
 		} else {
@@ -405,16 +428,48 @@ func (s *StorageNode) accept(p *sim.Proc, pkt *san.Packet) {
 	}
 }
 
-// rtxLoop drains retransmissions and ACK/NAK control packets onto the link.
-func (s *StorageNode) rtxLoop(p *sim.Proc) {
+// Retransmit-engine states: the wait each one resumes from.
+const (
+	rtxNext   = iota // a queued packet
+	rtxCredit        // a link credit
+	rtxWire          // the packet's tail to leave
+)
+
+// rtxState is the retransmit engine's position.
+type rtxState struct {
+	wait int
+	pkt  *san.Packet
+}
+
+// rtxStep drains retransmissions and ACK/NAK control packets onto the link.
+func (s *StorageNode) rtxStep(p *sim.Proc) {
+	r := &s.rtx
 	for {
-		pkt := s.rtxq.Get(p)
-		s.out.Send(p, pkt)
+		switch r.wait {
+		case rtxNext:
+			pkt, ok := s.rtxq.GetOrWait(p)
+			if !ok {
+				return
+			}
+			s.out.TraceSend(pkt)
+			r.pkt = pkt
+			r.wait = rtxCredit
+		case rtxCredit:
+			if !s.out.CreditOrWait(p) {
+				return
+			}
+			p.WakeAt(s.out.Transmit(r.pkt))
+			r.wait = rtxWire
+			return
+		case rtxWire:
+			r.pkt = nil
+			r.wait = rtxNext
+		}
 	}
 }
 
 // sendTracked puts pkt on the wire and records it for retransmission when
-// reliability is armed.
+// reliability is armed; the write-ack process sends with it.
 func (s *StorageNode) sendTracked(p *sim.Proc, pkt *san.Packet) {
 	s.out.Send(p, pkt)
 	if s.tx != nil {
@@ -478,20 +533,127 @@ func (s *StorageNode) diskReserve(file string, off, n int64) sim.Time {
 	return s.diskFreeAt
 }
 
-// diskLoop services read requests one at a time, streaming each as MTU
+// Disk-engine states: the wait each one resumes from. A read streams as
+// chunks of at most one MTU, each pipelined from the platters through the
+// SCSI bus (and, under a pushdown filter, the filter processor first) onto
+// the link; a filtered read ends with its trailer packet, and any read with
+// its Notify packet.
+const (
+	diskNext    = iota // a read request
+	diskPlatter        // the chunk to leave the platters, waited only if ahead
+	diskFilter         // the filter processor's scan of the chunk
+	diskBus            // the chunk's SCSI bus transfer
+	diskCredit         // a link credit for the packet
+	diskWire           // the packet's tail to leave
+)
+
+// What the disk engine's packet on the wire is, and so what follows it.
+const (
+	sendingChunk = iota
+	sendingTrailer
+	sendingNotify
+)
+
+// diskState is the disk engine's position in the read it serves.
+type diskState struct {
+	wait    int
+	req     ReadReq
+	f       *File
+	flt     *Filter // nil for a plain read
+	arrived sim.Time
+	first   sim.Time // when the first chunk starts leaving the platters
+	hdr     san.Header
+	pkts    []*san.Packet // a plain read's packets
+	next    int           // the chunk in progress
+	// A filtered read's chunk size, the bytes and payload the filter kept
+	// of it, and the stream's running totals.
+	n, keep int64
+	out     any
+	kept    int64
+	seq     int
+	// pkt is the packet being sent and sending says what it is.
+	pkt     *san.Packet
+	sending int
+}
+
+// diskStep services read requests one at a time, streaming each as MTU
 // packets pipelined through the SCSI bus and the network link.
-func (s *StorageNode) diskLoop(p *sim.Proc) {
+func (s *StorageNode) diskStep(p *sim.Proc) {
+	d := &s.disk
 	for {
-		q := s.reqs.Get(p)
-		req, ok := q.pkt.Payload.(ReadReq)
-		if !ok {
-			continue
+		switch d.wait {
+		case diskNext:
+			q, ok := s.reqs.GetOrWait(p)
+			if !ok {
+				return
+			}
+			req, ok := q.pkt.Payload.(ReadReq)
+			if !ok {
+				continue
+			}
+			s.startRead(p, req, q.at)
+			if s.nextChunk(p) {
+				return
+			}
+		case diskPlatter:
+			if d.flt != nil {
+				// The embedded filter processor scans every byte.
+				p.WakeAt(s.fcpu.Reserve(d.flt.Clock.Cycles(d.flt.CyclesPerByte * d.n)))
+				d.wait = diskFilter
+				return
+			}
+			p.WakeAt(s.bus.Reserve(sim.TransferTime(d.pkts[d.next].Size, s.cfg.Bus.BandwidthBytesPerSec)))
+			d.wait = diskBus
+			return
+		case diskFilter:
+			off := d.req.Off + int64(d.next)*san.MTU
+			keep, out := d.flt.Fn(off, d.n, d.f.payload(off, d.n))
+			if keep < 0 || keep > d.n {
+				panic(fmt.Sprintf("iodev: filter %q kept %d of %d bytes", d.flt.Name, keep, d.n))
+			}
+			s.stats.FilteredBytes += d.n - keep
+			if keep == 0 {
+				d.next++
+				if s.nextChunk(p) {
+					return
+				}
+				continue
+			}
+			d.keep, d.out = keep, out
+			p.WakeAt(s.bus.Reserve(sim.TransferTime(keep, s.cfg.Bus.BandwidthBytesPerSec)))
+			d.wait = diskBus
+			return
+		case diskBus:
+			s.sendChunk(p)
+		case diskCredit:
+			if !s.out.CreditOrWait(p) {
+				return
+			}
+			p.WakeAt(s.out.Transmit(d.pkt))
+			d.wait = diskWire
+			return
+		case diskWire:
+			if s.tx != nil {
+				s.tx.Record(d.pkt)
+			}
+			switch d.sending {
+			case sendingChunk:
+				d.next++
+				if s.nextChunk(p) {
+					return
+				}
+			case sendingTrailer:
+				s.sendNotify(p)
+			default:
+				s.disk = diskState{}
+			}
 		}
-		s.serveRead(p, req, q.at)
 	}
 }
 
-func (s *StorageNode) serveRead(p *sim.Proc, req ReadReq, arrived sim.Time) {
+// startRead validates a read, books the disk for all of it and readies the
+// engine's first chunk.
+func (s *StorageNode) startRead(p *sim.Proc, req ReadReq, arrived sim.Time) {
 	f := s.files[req.File]
 	if f == nil {
 		panic(fmt.Sprintf("iodev: read of unknown file %q on %s", req.File, s.name))
@@ -533,7 +695,9 @@ func (s *StorageNode) serveRead(p *sim.Proc, req ReadReq, arrived sim.Time) {
 	s.lastFile = req.File
 	s.lastEnd = req.Off + req.Len
 
-	hdr := san.Header{
+	d := &s.disk
+	*d = diskState{req: req, f: f, arrived: arrived, first: first}
+	d.hdr = san.Header{
 		Src:       s.id,
 		Dst:       req.Dst,
 		Type:      req.Type,
@@ -547,110 +711,114 @@ func (s *StorageNode) serveRead(p *sim.Proc, req ReadReq, arrived sim.Time) {
 		if req.Ways > 1 {
 			panic("iodev: pushdown filters do not compose with CPU striping")
 		}
-		flt := s.filters[req.FilterID]
-		if flt == nil {
+		d.flt = s.filters[req.FilterID]
+		if d.flt == nil {
 			panic(fmt.Sprintf("iodev: read names unregistered filter %d on %s", req.FilterID, s.name))
 		}
-		s.serveFilteredRead(p, req, f, flt, arrived, first, hdr)
-		return
-	}
-
-	m := &san.Message{Hdr: hdr, Size: req.Len}
-	pkts := m.Packets(func(_ int, off, n int64) any { return f.payload(req.Off+off, n) })
-	if req.Ways >= 1 && req.Stripe > 0 {
-		if req.Stripe%san.MTU != 0 {
-			panic(fmt.Sprintf("iodev: stripe %d must be a positive MTU multiple", req.Stripe))
-		}
-		for _, pkt := range pkts {
-			g := req.Off + int64(pkt.Hdr.Seq)*san.MTU
-			blk := g / req.Stripe
-			way := int(blk % int64(req.Ways))
-			pkt.Hdr.CPUID = way
-			pkt.Hdr.Addr = req.DstAddr + int64(way)*req.WayStride +
-				(blk/int64(req.Ways))*req.Stripe + g%req.Stripe
+	} else {
+		m := &san.Message{Hdr: d.hdr, Size: req.Len}
+		d.pkts = m.Packets(func(_ int, off, n int64) any { return f.payload(req.Off+off, n) })
+		if req.Ways >= 1 && req.Stripe > 0 {
+			if req.Stripe%san.MTU != 0 {
+				panic(fmt.Sprintf("iodev: stripe %d must be a positive MTU multiple", req.Stripe))
+			}
+			for _, pkt := range d.pkts {
+				g := req.Off + int64(pkt.Hdr.Seq)*san.MTU
+				blk := g / req.Stripe
+				way := int(blk % int64(req.Ways))
+				pkt.Hdr.CPUID = way
+				pkt.Hdr.Addr = req.DstAddr + int64(way)*req.WayStride +
+					(blk/int64(req.Ways))*req.Stripe + g%req.Stripe
+			}
 		}
 	}
-
 	// Per-request SCSI arbitration/selection.
 	s.bus.Reserve(s.cfg.Bus.Arbitration)
-	for i, pkt := range pkts {
-		at := first + sim.TransferTime(int64(i+1)*san.MTU, s.cfg.Disk.BandwidthBytesPerSec)
-		if at > p.Now() {
-			p.SleepUntil(at)
-		}
-		s.bus.Use(p, sim.TransferTime(pkt.Size, s.cfg.Bus.BandwidthBytesPerSec))
-		if s.stamp != nil {
-			st := s.stamp(arrived)
-			st.Add(san.HopDisk, s.name, arrived, p.Now())
-			pkt.Stamp = st
-		}
-		s.sendTracked(p, pkt)
-	}
-	if req.Notify != san.NoNode && req.Notify != 0 {
-		s.sendTracked(p, &san.Packet{Hdr: san.Header{
-			Src: s.id, Dst: req.Notify, Type: san.Control,
-			Flow: req.NotifyFlow, Last: true,
-		}})
-	}
 }
 
-// serveFilteredRead streams a read through a registered pushdown filter:
-// each MTU chunk leaves the platters, pays the embedded processor's
-// per-byte cost, and only its surviving bytes go on the wire. The stream
-// ends with an 8-byte trailer packet (Last=true) whose payload is the
-// total bytes kept, so consumers of the variable-length output can
-// terminate.
-func (s *StorageNode) serveFilteredRead(p *sim.Proc, req ReadReq, f *File, flt *Filter, arrived, first sim.Time, hdr san.Header) {
-	s.bus.Reserve(s.cfg.Bus.Arbitration)
-	var kept int64
-	seq := 0
-	for off := int64(0); off < req.Len; off += san.MTU {
-		n := req.Len - off
-		if n > san.MTU {
-			n = san.MTU
+// nextChunk starts the read's chunk d.next, waiting for it to leave the
+// platters if that instant is still ahead, and reports whether it arranged
+// that wake. Past the last chunk it sends a filtered read's trailer, or the
+// Notify packet, or ends the read.
+func (s *StorageNode) nextChunk(p *sim.Proc) bool {
+	d := &s.disk
+	off := int64(d.next) * san.MTU
+	var ready sim.Time
+	if d.flt == nil {
+		if d.next == len(d.pkts) {
+			s.sendNotify(p)
+			return false
 		}
-		ready := first + sim.TransferTime(off+n, s.cfg.Disk.BandwidthBytesPerSec)
-		if ready > p.Now() {
-			p.SleepUntil(ready)
+		ready = d.first + sim.TransferTime(off+san.MTU, s.cfg.Disk.BandwidthBytesPerSec)
+	} else {
+		if off >= d.req.Len {
+			s.sendTrailer(p)
+			return false
 		}
-		// The embedded filter processor scans every byte.
-		s.fcpu.Use(p, flt.Clock.Cycles(flt.CyclesPerByte*n))
-		keep, out := flt.Fn(req.Off+off, n, f.payload(req.Off+off, n))
-		if keep < 0 || keep > n {
-			panic(fmt.Sprintf("iodev: filter %q kept %d of %d bytes", flt.Name, keep, n))
-		}
-		s.stats.FilteredBytes += n - keep
-		if keep == 0 {
-			continue
-		}
-		s.bus.Use(p, sim.TransferTime(keep, s.cfg.Bus.BandwidthBytesPerSec))
-		pkt := &san.Packet{Hdr: hdr, Size: keep, Payload: out}
-		pkt.Hdr.Seq = seq
-		pkt.Hdr.Addr = hdr.Addr + kept
-		seq++
-		kept += keep
-		if s.stamp != nil {
-			st := s.stamp(arrived)
-			st.Add(san.HopDisk, s.name, arrived, p.Now())
-			pkt.Stamp = st
-		}
-		s.sendTracked(p, pkt)
+		d.n = min(d.req.Len-off, san.MTU)
+		ready = d.first + sim.TransferTime(off+d.n, s.cfg.Disk.BandwidthBytesPerSec)
 	}
-	// Trailer: total kept, Last set.
-	trailer := &san.Packet{Hdr: hdr, Size: 8, Payload: kept}
-	trailer.Hdr.Seq = seq
-	trailer.Hdr.Addr = hdr.Addr + kept
+	d.wait = diskPlatter
+	if ready > p.Now() {
+		p.WakeAt(ready)
+		return true
+	}
+	return false
+}
+
+// sendChunk sends the chunk that has crossed the SCSI bus: a plain read's
+// next packet, or a packet of the bytes the filter kept.
+func (s *StorageNode) sendChunk(p *sim.Proc) {
+	d := &s.disk
+	if d.flt == nil {
+		s.startSend(p, d.pkts[d.next], sendingChunk)
+		return
+	}
+	pkt := &san.Packet{Hdr: d.hdr, Size: d.keep, Payload: d.out}
+	pkt.Hdr.Seq = d.seq
+	pkt.Hdr.Addr = d.hdr.Addr + d.kept
+	d.seq++
+	d.kept += d.keep
+	d.out = nil
+	s.startSend(p, pkt, sendingChunk)
+}
+
+// sendTrailer ends a filtered stream with an 8-byte trailer packet
+// (Last=true) whose payload is the total bytes kept, so consumers of the
+// variable-length output can terminate.
+func (s *StorageNode) sendTrailer(p *sim.Proc) {
+	d := &s.disk
+	trailer := &san.Packet{Hdr: d.hdr, Size: 8, Payload: d.kept}
+	trailer.Hdr.Seq = d.seq
+	trailer.Hdr.Addr = d.hdr.Addr + d.kept
 	trailer.Hdr.Last = true
-	if s.stamp != nil {
-		st := s.stamp(arrived)
-		st.Add(san.HopDisk, s.name, arrived, p.Now())
-		trailer.Stamp = st
+	s.startSend(p, trailer, sendingTrailer)
+}
+
+// sendNotify sends the read's Notify packet, if it asked for one, or ends
+// the read.
+func (s *StorageNode) sendNotify(p *sim.Proc) {
+	req := s.disk.req
+	if req.Notify == san.NoNode || req.Notify == 0 {
+		s.disk = diskState{}
+		return
 	}
-	s.sendTracked(p, trailer)
-	if req.Notify != san.NoNode && req.Notify != 0 {
-		s.sendTracked(p, &san.Packet{Hdr: san.Header{
-			Src: s.id, Dst: req.Notify, Type: san.Control,
-			Flow: req.NotifyFlow, Last: true,
-		}})
+	s.startSend(p, &san.Packet{Hdr: san.Header{
+		Src: s.id, Dst: req.Notify, Type: san.Control,
+		Flow: req.NotifyFlow, Last: true,
+	}}, sendingNotify)
+}
+
+// startSend readies pkt for the wire: read data and the trailer carry the
+// disk hop's telemetry stamp. The engine then waits for a link credit.
+func (s *StorageNode) startSend(p *sim.Proc, pkt *san.Packet, sending int) {
+	d := &s.disk
+	if s.stamp != nil && sending != sendingNotify {
+		st := s.stamp(d.arrived)
+		st.Add(san.HopDisk, s.name, d.arrived, p.Now())
+		pkt.Stamp = st
 	}
+	s.out.TraceSend(pkt)
+	d.pkt, d.sending = pkt, sending
+	d.wait = diskCredit
 }

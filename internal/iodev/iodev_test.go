@@ -219,3 +219,33 @@ func TestDuplicateFilePanics(t *testing.T) {
 	}()
 	s.AddFile(&File{Name: "x", Size: 1})
 }
+
+// A client that receives a read's packets one at a time costs the same
+// goroutine handoffs whatever the read's length: the storage node's disk
+// and TCA processes run inline on whichever goroutine drives, so the
+// client's own goroutine carries the whole stream.
+func TestReadHandoffsIndependentOfLength(t *testing.T) {
+	handoffs := func(packets int) int64 {
+		eng := sim.NewEngine()
+		s, toStore, fromStore := rig(eng)
+		n := int64(packets) * san.MTU
+		s.AddFile(&File{Name: "f", Size: n})
+		got := 0
+		eng.Spawn("client", func(p *sim.Proc) {
+			request(p, toStore, ReadReq{File: "f", Len: n, Dst: 1, Type: san.Data, Flow: 1}, 1)
+			for ; got < packets; got++ {
+				fromStore.Recv(p)
+				fromStore.ReturnCredit()
+			}
+		})
+		eng.Run()
+		defer eng.Shutdown()
+		if got != packets {
+			t.Fatalf("client received %d of %d packets", got, packets)
+		}
+		return eng.Handoffs()
+	}
+	if short, long := handoffs(4), handoffs(128); short != long {
+		t.Fatalf("a 4-packet read cost %d goroutine handoffs, a 128-packet read %d", short, long)
+	}
+}

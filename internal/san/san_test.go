@@ -245,9 +245,12 @@ type captureSink struct {
 	rate float64
 }
 
-func (c *captureSink) Deliver(_ *sim.Proc, pkt *Packet, rate float64) {
+func (c *captureSink) NewDelivery() LocalDelivery { return c }
+
+func (c *captureSink) DeliverOrWait(_ *sim.Proc, pkt *Packet, rate float64) bool {
 	c.pkts = append(c.pkts, pkt)
 	c.rate = rate
+	return true
 }
 
 func TestSwitchLocalSink(t *testing.T) {

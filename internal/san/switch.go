@@ -31,12 +31,23 @@ func DefaultSwitchConfig(ports int) SwitchConfig {
 }
 
 // LocalSink receives packets whose destination is the switch itself. The
-// base switch has none; the active switch installs its data-buffer admission
-// here. Deliver runs in the input port's local-delivery process and may
-// block, holding the port's stage and its input buffer — that is exactly
-// the backpressure the paper's credit scheme provides.
+// base switch has none; the active switch installs its dispatch unit here.
+// Each input port delivers through its own LocalDelivery, which the port
+// asks for at its first local packet.
 type LocalSink interface {
-	Deliver(p *sim.Proc, pkt *Packet, fillRate float64)
+	NewDelivery() LocalDelivery
+}
+
+// LocalDelivery is one input port's local-delivery step machine. It runs on
+// the port's own step process, and while it waits the port's stage and its
+// input buffer stay held — exactly the backpressure the paper's credit
+// scheme provides. The port calls DeliverOrWait with the packet once the
+// crossbar grants it, and again with the same packet on every later wake,
+// until it reports true; the port then returns the packet's credit. A false
+// return means the delivery arranged the port's next wake, as the OrWait
+// primitives do.
+type LocalDelivery interface {
+	DeliverOrWait(p *sim.Proc, pkt *Packet, fillRate float64) bool
 }
 
 // Port is one external attachment: In carries packets from the device into
@@ -262,7 +273,7 @@ func (s *Switch) Start() {
 	for i := range s.ports {
 		if in := s.ports[i].In; in != nil {
 			pt := &inPort{s: s, i: i, in: in}
-			pt.proc = s.eng.SpawnStep(fmt.Sprintf("%s.in%d", s.name, i), pt.step)
+			s.eng.SpawnStep(fmt.Sprintf("%s.in%d", s.name, i), pt.step)
 		}
 		if out := s.ports[i].Out; out != nil {
 			pt := &outPort{s: s, q: s.outQ[i], out: out}
@@ -283,24 +294,23 @@ const (
 	inRoute        // the routing decision time to elapse
 	inGrant        // the crossbar grant
 	inPool         // a central-queue slot
+	inLocal        // the local delivery's next wake
 )
 
 // inPort routes packets arriving on input port i. A packet for the switch
-// itself goes to the local sink (blocking for data-buffer admission); other
-// packets take a routing decision, a central-queue slot, and move to their
-// output queue.
+// itself goes to the local sink, which may wait (dispatch latency,
+// data-buffer admission) on the port's own process; other packets take a
+// routing decision, a central-queue slot, and move to their output queue.
 type inPort struct {
 	s     *Switch
 	i     int
 	in    *Link
-	proc  *sim.Proc
 	state int
 	pkt   *Packet
 	out   int // output port chosen at the grant
-	// local runs local-sink deliveries, which block (dispatch latency,
-	// data-buffer admission); created parked at the port's first local
+	// local is the port's local-delivery state, created at its first local
 	// packet.
-	local *sim.Proc
+	local LocalDelivery
 }
 
 func (pt *inPort) step(p *sim.Proc) {
@@ -339,22 +349,26 @@ func (pt *inPort) step(p *sim.Proc) {
 			// event order — is admitted in input-port-index order at the
 			// end of the instant. Routing itself happens after the grant, so
 			// a same-instant topology change is observed identically by the
-			// whole burst. A local delivery's grant goes to the helper,
-			// which resumes this stage once the sink has taken the packet.
-			if pkt.Hdr.Dst == s.id && s.local != nil {
-				s.arb.JoinOrWait(pt.helper(), pt.i)
-				pt.state = inRecv
-				return
-			}
+			// whole burst.
 			s.arb.JoinOrWait(p, pt.i)
 			pt.state = inGrant
 			return
 		case inGrant:
 			pkt := pt.pkt
-			if pkt.Hdr.Dst == s.id { // no local sink
+			if pkt.Hdr.Dst == s.id {
 				s.stats.Local++
-				s.stats.Dropped++
-				pt.finish()
+				if s.local == nil {
+					s.stats.Dropped++
+					pt.finish()
+					continue
+				}
+				if st := pkt.Stamp; st != nil {
+					st.Close(p.Now())
+				}
+				if pt.local == nil {
+					pt.local = s.local.NewDelivery()
+				}
+				pt.state = inLocal
 				continue
 			}
 			out, rerouted := s.pickRoute(pkt.Hdr.Dst)
@@ -381,6 +395,11 @@ func (pt *inPort) step(p *sim.Proc) {
 			s.outQ[pt.out].Put(pkt)
 			s.noteDepth(pt.out)
 			pt.finish()
+		case inLocal:
+			if !pt.local.DeliverOrWait(p, pt.pkt, pt.in.FillRate()) {
+				return
+			}
+			pt.finish()
 		}
 	}
 }
@@ -391,32 +410,6 @@ func (pt *inPort) finish() {
 	pt.pkt = nil
 	pt.state = inRecv
 	pt.in.ReturnCredit()
-}
-
-// helper returns the port's local-delivery process, creating it on first
-// use. It is created parked, with no start event: ports that never see a
-// local packet cost nothing.
-func (pt *inPort) helper() *sim.Proc {
-	if pt.local == nil {
-		pt.local = pt.s.eng.SpawnParked(pt.proc.Name()+".local", pt.deliverLocal)
-	}
-	return pt.local
-}
-
-// deliverLocal runs on the helper once a local packet is granted: the sink
-// may block, which a step cannot. Afterwards it returns the credit and
-// resumes the input stage inline, as the blocking pipeline would continue
-// straight into its next receive.
-func (pt *inPort) deliverLocal(hp *sim.Proc) {
-	s, pkt := pt.s, pt.pkt
-	pt.pkt = nil
-	s.stats.Local++
-	if st := pkt.Stamp; st != nil {
-		st.Close(hp.Now())
-	}
-	s.local.Deliver(hp, pkt, pt.in.FillRate())
-	pt.in.ReturnCredit()
-	pt.proc.Resume()
 }
 
 // noteDepth records queue and pool occupancy extremes.
@@ -481,19 +474,74 @@ func (pt *outPort) step(p *sim.Proc) {
 // and enqueues on the proper output.
 func (s *Switch) Inject(p *sim.Proc, pkt *Packet) error {
 	s.arb.Join(p, s.cfg.Ports)
+	out, err := s.injectRoute(pkt)
+	if err != nil {
+		return err
+	}
+	s.pool.Acquire(p)
+	s.injectQueue(p, out, pkt)
+	return nil
+}
+
+// Injection carries a step process's Inject across Inject's two waits, the
+// crossbar grant and the central-queue slot. Its zero value starts one.
+type Injection struct {
+	wait int
+	out  int
+}
+
+// Injection waits.
+const (
+	injJoin  = iota // not yet arbitrating
+	injGrant        // the crossbar grant
+	injSlot         // a central-queue slot
+)
+
+// InjectOrWait is the non-blocking Inject for step processes, built from
+// the same pieces. Call it with a zero Injection, then with the same packet
+// and Injection on every later wake, until it reports done; err is then
+// Inject's result, and the Injection is zero again.
+func (s *Switch) InjectOrWait(p *sim.Proc, pkt *Packet, in *Injection) (done bool, err error) {
+	switch in.wait {
+	case injJoin:
+		s.arb.JoinOrWait(p, s.cfg.Ports)
+		in.wait = injGrant
+		return false, nil
+	case injGrant:
+		out, err := s.injectRoute(pkt)
+		if err != nil {
+			*in = Injection{}
+			return true, err
+		}
+		in.out, in.wait = out, injSlot
+	}
+	if !s.pool.AcquireOrWait(p) {
+		return false, nil
+	}
+	s.injectQueue(p, in.out, pkt)
+	*in = Injection{}
+	return true, nil
+}
+
+// injectRoute picks an injected packet's output port once the crossbar has
+// granted it.
+func (s *Switch) injectRoute(pkt *Packet) (int, error) {
 	out, rerouted := s.pickRoute(pkt.Hdr.Dst)
 	if out < 0 {
-		return fmt.Errorf("san: %s cannot route injected packet to node %d", s.name, pkt.Hdr.Dst)
+		return 0, fmt.Errorf("san: %s cannot route injected packet to node %d", s.name, pkt.Hdr.Dst)
 	}
 	if rerouted {
 		s.stats.Rerouted++
 	}
-	s.pool.Acquire(p)
+	return out, nil
+}
+
+// injectQueue enqueues an injected packet that holds a central-queue slot.
+func (s *Switch) injectQueue(p *sim.Proc, out int, pkt *Packet) {
 	s.stats.Routed++
 	if st := pkt.Stamp; st != nil {
 		st.Open(HopQueue, s.name, p.Now())
 	}
 	s.outQ[out].Put(pkt)
 	s.noteDepth(out)
-	return nil
 }

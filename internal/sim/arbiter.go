@@ -42,9 +42,9 @@ func (a *Arbiter) Join(p *Proc, index int) {
 }
 
 // JoinOrWait is the non-blocking Join: it stages p behind the given index
-// and returns at once. The grant wakes p — a step process continues in its
-// next state, a parked helper process runs. Unlike the other OrWait forms
-// there is nothing to re-check: the grant itself is p's turn.
+// and returns at once, and the grant wakes p — a step process continues in
+// its next state. Unlike the other OrWait forms there is nothing to
+// re-check: the grant itself is p's turn.
 func (a *Arbiter) JoinOrWait(p *Proc, index int) {
 	a.pending = append(a.pending, arbWaiter{index: index, proc: p})
 	if !a.armed {

@@ -79,6 +79,9 @@ type Engine struct {
 
 	seq   int64
 	fired int64
+	// handoffs counts goroutine handoffs: control passed to a process
+	// goroutine other than the one driving (see Handoffs).
+	handoffs int64
 
 	// settleq holds end-of-instant hooks (Settle). A hook is promoted to an
 	// ordinary event at e.now the moment the current instant quiesces — no
@@ -93,8 +96,8 @@ type Engine struct {
 	// detection in tests.
 	procs int
 	// all records every spawned process so Shutdown can unwind the
-	// goroutines of perpetual servers (disk loops, switch CPUs and the
-	// like) and retire step processes.
+	// goroutines of perpetual servers (switch CPUs and the like) and retire
+	// step processes.
 	all []*Proc
 
 	// fatal holds a panic raised while the engine drives — by a process, a
@@ -170,6 +173,13 @@ func (e *Engine) LiveProcs() int { return e.procs }
 
 // Events reports how many events have fired — the simulation's work metric.
 func (e *Engine) Events() int64 { return e.fired }
+
+// Handoffs reports how many times control has passed from the driving
+// goroutine to a different process goroutine: a channel send and receive
+// each, against a function call for a callback, a step or a process that
+// wakes itself. Handing control back to the Run caller at the end of a
+// phase is not counted.
+func (e *Engine) Handoffs() int64 { return e.handoffs }
 
 // pending reports how many events are queued (heap plus live run queue).
 func (e *Engine) pending() int { return len(e.heap) + len(e.runq) - e.runqHead }
@@ -396,6 +406,7 @@ func (e *Engine) driveMain() {
 			}
 			return
 		}
+		e.handoffs++
 		next.handoff <- struct{}{}
 		<-e.mainWake
 	}
@@ -556,6 +567,7 @@ func (e *Engine) take(idx int32) (fn func(), proc *Proc) {
 // or a fatal panic is pending — and then exits.
 func (e *Engine) exitDrive() {
 	if next := e.drive(); next != nil {
+		e.handoffs++
 		next.handoff <- struct{}{}
 		return
 	}

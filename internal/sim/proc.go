@@ -14,12 +14,12 @@ import "fmt"
 //     calls its step function inline, on whichever goroutine drives the
 //     event loop, and the step returns instead of blocking: it waits through
 //     the non-blocking forms of the primitives (WakeAt, Queue.GetOrWait,
-//     Semaphore.AcquireOrWait, Arbiter.JoinOrWait), which arrange the wake
-//     and report that the step must return. A step machine that makes
-//     exactly the schedule calls of the blocking loop it replaces, in the
-//     same order, leaves the (at, seq) dispatch order — and so every result
-//     — unchanged, while a wake costs a function call instead of a
-//     goroutine handoff.
+//     Semaphore.AcquireOrWait, Arbiter.JoinOrWait, Signal.AddWaiter), which
+//     arrange the wake and report that the step must return. A step machine
+//     that makes exactly the schedule calls of the blocking loop it
+//     replaces, in the same order, leaves the (at, seq) dispatch order — and
+//     so every result — unchanged, while a wake costs a function call
+//     instead of a goroutine handoff.
 type Proc struct {
 	eng  *Engine
 	name string
@@ -81,23 +81,6 @@ func (e *Engine) SpawnAt(at Time, name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// SpawnParked creates a goroutine process that starts parked, with no start
-// event: it first runs when a primitive it was handed to (for example
-// Arbiter.JoinOrWait) wakes it. Each wake runs fn once, after which the
-// process parks again. A step process uses one as a helper for work that
-// must block — the helper finishes it and resumes the step (Proc.Resume).
-// A helper that is never woken costs no event.
-func (e *Engine) SpawnParked(name string, fn func(p *Proc)) *Proc {
-	p := e.goProc(name, func(p *Proc) {
-		for {
-			fn(p)
-			p.park()
-		}
-	})
-	p.waiting = true
-	return p
-}
-
 // goProc registers a goroutine process running fn and starts its goroutine,
 // which waits for the first handoff.
 func (e *Engine) goProc(name string, fn func(p *Proc)) *Proc {
@@ -135,23 +118,16 @@ func (e *Engine) goProc(name string, fn func(p *Proc)) *Proc {
 
 // SpawnStep creates a step process whose first wake event fires at the
 // current simulated time. Every wake calls step(p) inline; step must not
-// block (no Sleep, Get, Acquire or Join), only wait through WakeAt and the
-// OrWait primitives and return. Keep the machine's state outside the
-// function — typically in the struct step is a method of.
+// block (no Sleep, Get, Acquire, Join or Wait), only wait through WakeAt,
+// the OrWait primitives and Signal.AddWaiter, and return. Keep the
+// machine's state outside the function — typically in the struct step is
+// a method of.
 func (e *Engine) SpawnStep(name string, step func(p *Proc)) *Proc {
 	p := &Proc{eng: e, name: name, step: step}
 	e.procs++
 	e.all = append(e.all, p)
 	e.schedule(e.now, nil, p)
 	return p
-}
-
-// Resume runs a step process's step inline on the calling goroutine, as if
-// its wake event had fired, but without scheduling or counting an event. A
-// helper that finished blocking work on the step's behalf calls it to
-// continue the step's machine exactly where the blocking loop would have.
-func (p *Proc) Resume() {
-	p.eng.runStep(p)
 }
 
 // procPanic wraps a panic raised while an engine drives: by a process, a
@@ -186,6 +162,7 @@ func (p *Proc) block() {
 		if next == nil {
 			e.mainWake <- struct{}{}
 		} else {
+			e.handoffs++
 			next.handoff <- struct{}{}
 		}
 		<-p.handoff
@@ -223,8 +200,8 @@ func (p *Proc) WakeAt(at Time) {
 }
 
 // wait marks the process parked with no scheduled wake-up; something must
-// later call unpark. The OrWait primitives call it and return; a goroutine
-// process then blocks (park).
+// later call unpark. The non-blocking primitives call it and return; a
+// goroutine process then blocks (park).
 func (p *Proc) wait() { p.waiting = true }
 
 // park blocks the process with no scheduled wake-up; something must later

@@ -9,15 +9,16 @@ import (
 )
 
 // Step processes must be indistinguishable from goroutine processes: the
-// fabric's port and NIC stages were converted from blocking loops on the
-// promise that a step machine making the same schedule calls leaves the
-// (at, seq) dispatch order untouched. The property test below runs seeded
-// random programs over every primitive with a non-blocking form, once with
-// every actor a goroutine process, once with every actor a step process and
-// once mixed, and requires identical action logs and event counts. Because
-// the blocking primitives are built on the OrWait forms, a defect shared by
-// both would pass the comparison; the goroutine runs are therefore also
-// pinned to a digest.
+// fabric's port, NIC and storage engines and the active switch's dispatch
+// unit were converted from blocking loops on the promise that a step
+// machine making the same schedule calls leaves the (at, seq) dispatch
+// order untouched. The property test below runs seeded random programs over
+// every primitive with a non-blocking form, once with every actor a
+// goroutine process, once with every actor a step process and once mixed,
+// and requires identical action logs and event counts. Because the blocking
+// primitives are built on the non-blocking forms, a defect shared by both
+// would pass the comparison; the goroutine runs are therefore also pinned to
+// a digest.
 
 type opKind int
 
@@ -28,7 +29,9 @@ const (
 	opAcquire               // semaphore res: Acquire
 	opRelease               // semaphore res: Release
 	opJoin                  // arbiter: Join(arg)
-	opDeliver               // arbiter: Join(arg), then Sleep(1 ns) — on a helper for steps
+	opDeliver               // arbiter: Join(arg), then Sleep(1 ns)
+	opWait                  // signal res: Wait
+	opFire                  // signal res: Fire
 	numOps
 )
 
@@ -39,11 +42,12 @@ type progOp struct {
 }
 
 // stepProgram is one random scenario: per-actor programs over two queues,
-// two semaphores and an arbiter, plus engine callbacks that feed them.
+// two semaphores, two signals and an arbiter, plus engine callbacks that
+// feed them.
 type stepProgram struct {
 	actors  [][]progOp
 	permits [2]int
-	feeds   []progOp // opPut or opRelease, fired at Time(arg) ns
+	feeds   []progOp // opPut, opRelease or opFire, fired at Time(arg) ns
 	mixed   []bool   // per actor, for the mixed run: true = step process
 }
 
@@ -70,10 +74,7 @@ func genStepProgram(seed uint64) stepProgram {
 		sp.mixed = append(sp.mixed, r.Intn(2) == 0)
 	}
 	for i := r.Intn(6); i > 0; i-- {
-		kind := opPut
-		if r.Intn(2) == 0 {
-			kind = opRelease
-		}
+		kind := [...]opKind{opPut, opRelease, opFire}[r.Intn(3)]
 		sp.feeds = append(sp.feeds, progOp{kind: kind, res: r.Intn(2), arg: r.Intn(12)})
 	}
 	return sp
@@ -84,6 +85,7 @@ type stepWorld struct {
 	e       *Engine
 	q       [2]*Queue[int]
 	s       [2]*Semaphore
+	sig     [2]*Signal
 	arb     *Arbiter
 	log     []string
 	runaway bool
@@ -106,24 +108,29 @@ func runStepProgram(t *testing.T, sp stepProgram, asStep func(a int) bool) ([]st
 	for i := range w.q {
 		w.q[i] = NewQueue[int]()
 		w.s[i] = NewSemaphore(sp.permits[i])
+		w.sig[i] = NewSignal()
 	}
 	for _, f := range sp.feeds {
 		f := f
 		w.e.Schedule(Time(f.arg)*Nanosecond, func() {
-			if f.kind == opPut {
+			switch f.kind {
+			case opPut:
 				w.q[f.res].Put(-1)
 				w.note("feed", "put q%d", f.res)
-				return
+			case opRelease:
+				w.s[f.res].Release()
+				w.note("feed", "release s%d", f.res)
+			case opFire:
+				w.sig[f.res].Fire()
+				w.note("feed", "fire g%d", f.res)
 			}
-			w.s[f.res].Release()
-			w.note("feed", "release s%d", f.res)
 		})
 	}
 	for a, prog := range sp.actors {
 		name := fmt.Sprintf("a%d", a)
 		if asStep(a) {
 			sa := &stepActor{w: w, name: name, prog: prog}
-			sa.proc = w.e.SpawnStep(name, sa.step)
+			w.e.SpawnStep(name, sa.step)
 			continue
 		}
 		prog := prog
@@ -164,24 +171,28 @@ func (w *stepWorld) runGoroutine(p *Proc, name string, prog []progOp) {
 			w.arb.Join(p, o.arg)
 			p.Sleep(Nanosecond)
 			w.note(name, "delivered %d", o.arg)
+		case opWait:
+			w.sig[o.res].Wait(p)
+			w.note(name, "woke g%d", o.res)
+		case opFire:
+			w.sig[o.res].Fire()
+			w.note(name, "fired g%d", o.res)
 		}
 	}
 	w.note(name, "done")
 }
 
-// stepActor is the same actor as a step machine: pc is the op in progress,
-// pending marks that its wait has been arranged and the next wake completes
-// it. opDeliver hands the blocking part to a lazily created parked helper,
-// the way a switch input port hands a local packet to its sink.
+// stepActor is the same actor as a step machine: pc is the op in progress
+// and stage counts the waits of it already arranged, so the next wake
+// completes the next one. opDeliver joins and then sleeps on the actor's own
+// process, as a switch input port runs its local delivery.
 type stepActor struct {
-	w       *stepWorld
-	name    string
-	prog    []progOp
-	proc    *Proc
-	helper  *Proc
-	pc      int
-	pending bool
-	calls   int
+	w     *stepWorld
+	name  string
+	prog  []progOp
+	pc    int
+	stage int
+	calls int
 }
 
 func (sa *stepActor) step(p *Proc) {
@@ -195,12 +206,11 @@ func (sa *stepActor) step(p *Proc) {
 		o := sa.prog[sa.pc]
 		switch o.kind {
 		case opSleep:
-			if !sa.pending {
-				sa.pending = true
+			if sa.stage == 0 {
+				sa.stage = 1
 				p.WakeAt(p.Now() + Time(o.arg)*Nanosecond)
 				return
 			}
-			sa.pending = false
 			w.note(sa.name, "slept")
 		case opPut:
 			w.q[o.res].Put(o.arg)
@@ -220,38 +230,45 @@ func (sa *stepActor) step(p *Proc) {
 			w.s[o.res].Release()
 			w.note(sa.name, "released s%d", o.res)
 		case opJoin:
-			if !sa.pending {
-				sa.pending = true
+			if sa.stage == 0 {
+				sa.stage = 1
 				w.arb.JoinOrWait(p, o.arg)
 				return
 			}
-			sa.pending = false
 			w.note(sa.name, "granted %d", o.arg)
 		case opDeliver:
-			if sa.helper == nil {
-				sa.helper = w.e.SpawnParked(sa.name+".helper", sa.deliver)
+			switch sa.stage {
+			case 0:
+				sa.stage = 1
+				w.arb.JoinOrWait(p, o.arg)
+				return
+			case 1:
+				sa.stage = 2
+				p.WakeAt(p.Now() + Nanosecond)
+				return
 			}
-			w.arb.JoinOrWait(sa.helper, o.arg)
-			return
+			w.note(sa.name, "delivered %d", o.arg)
+		case opWait:
+			if sa.stage == 0 {
+				sa.stage = 1
+				w.sig[o.res].AddWaiter(p)
+				return
+			}
+			w.note(sa.name, "woke g%d", o.res)
+		case opFire:
+			w.sig[o.res].Fire()
+			w.note(sa.name, "fired g%d", o.res)
 		}
 		sa.pc++
+		sa.stage = 0
 	}
 	w.note(sa.name, "done")
-}
-
-// deliver is the helper's half of opDeliver: it blocks, then resumes the
-// step inline.
-func (sa *stepActor) deliver(hp *Proc) {
-	hp.Sleep(Nanosecond)
-	sa.w.note(sa.name, "delivered %d", sa.prog[sa.pc].arg)
-	sa.pc++
-	sa.proc.Resume()
 }
 
 // stepEquivDigest pins the goroutine runs of seeds 1..stepEquivSeeds.
 const (
 	stepEquivSeeds  = 300
-	stepEquivDigest = 0xfb5153343b1d65c4
+	stepEquivDigest = 0x20494aad22d44612
 )
 
 func TestStepProcessesMatchGoroutines(t *testing.T) {
@@ -376,35 +393,6 @@ func TestPanicSurfacesFromEveryDrivePath(t *testing.T) {
 	}
 }
 
-// A step resumed by its helper runs on the helper's goroutine; a panic
-// there still names the step, not the helper.
-func TestPanicInResumedStepNamesStep(t *testing.T) {
-	e := NewEngine()
-	arb := NewArbiter(e)
-	var st *Proc
-	helper := e.SpawnParked("helper", func(hp *Proc) {
-		hp.Sleep(Nanosecond)
-		st.Resume()
-	})
-	joined := false
-	st = e.SpawnStep("st", func(p *Proc) {
-		if !joined {
-			joined = true
-			arb.JoinOrWait(helper, 0)
-			return
-		}
-		panic("boom")
-	})
-	pp := recoverRun(t, func() { e.Run() })
-	if pp.proc != "st" || pp.value != "boom" {
-		t.Fatalf("surfaced %v, want the step named", pp)
-	}
-	e.Shutdown()
-	if n := e.LiveProcs(); n != 0 {
-		t.Fatalf("LiveProcs = %d after Shutdown", n)
-	}
-}
-
 // A step that calls a blocking primitive has no goroutine to park: it fails
 // loudly, named, instead of deadlocking the engine.
 func TestStepThatBlocksPanics(t *testing.T) {
@@ -432,52 +420,25 @@ func TestGroupStepPanicNamesStep(t *testing.T) {
 	}
 }
 
-// Shutdown retires live step processes and unwinds parked helpers, woken or
-// never woken, leaving no live process.
-func TestShutdownRetiresStepsAndHelpers(t *testing.T) {
+// Shutdown retires live step processes, leaving no live process.
+func TestShutdownRetiresSteps(t *testing.T) {
 	e := NewEngine()
 	q := NewQueue[int]()
-	arb := NewArbiter(e)
 	var steps []*Proc
 	for i := 0; i < 3; i++ {
 		steps = append(steps, e.SpawnStep("st", func(p *Proc) { q.GetOrWait(p) }))
 	}
-	idle := e.SpawnParked("idle", func(*Proc) { t.Error("a never-woken helper ran") })
-	woken := e.SpawnParked("woken", func(hp *Proc) { hp.Sleep(Nanosecond) })
-	e.Schedule(0, func() { arb.JoinOrWait(woken, 0) })
 	e.Run()
-	if n := e.LiveProcs(); n != 5 {
-		t.Fatalf("LiveProcs = %d before Shutdown, want 5", n)
+	if n := e.LiveProcs(); n != 3 {
+		t.Fatalf("LiveProcs = %d before Shutdown, want 3", n)
 	}
 	e.Shutdown()
 	if n := e.LiveProcs(); n != 0 {
 		t.Fatalf("LiveProcs = %d after Shutdown, want 0", n)
 	}
-	for _, p := range append(steps, idle, woken) {
+	for _, p := range steps {
 		if !p.Done() {
 			t.Fatalf("%s not done after Shutdown", p.Name())
 		}
-	}
-}
-
-// A parked helper that is never woken schedules nothing: it costs no event
-// and leaves nothing pending.
-func TestParkedHelperAddsNoEvent(t *testing.T) {
-	events := func(helpers int) int64 {
-		e := NewEngine()
-		for i := 0; i < helpers; i++ {
-			e.SpawnParked("helper", func(*Proc) {})
-		}
-		e.Spawn("work", func(p *Proc) { p.Sleep(Nanosecond) })
-		e.Run()
-		if n := e.pending(); n != 0 {
-			t.Fatalf("%d events pending after Run", n)
-		}
-		ev := e.Events()
-		e.Shutdown()
-		return ev
-	}
-	if with, without := events(4), events(0); with != without {
-		t.Fatalf("4 parked helpers: %d events, none: %d", with, without)
 	}
 }

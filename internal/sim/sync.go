@@ -186,8 +186,18 @@ func (s *Signal) Fires() int { return s.fires }
 
 // Wait blocks p until the next Fire.
 func (s *Signal) Wait(p *Proc) {
+	s.AddWaiter(p)
+	p.block()
+}
+
+// AddWaiter is the non-blocking Wait for step processes: it queues p to be
+// woken by the next Fire and returns at once. Like Arbiter.JoinOrWait it has
+// nothing to re-check — the wake is the Fire — so a step that waits for a
+// condition checks it again on the wake and, if it still fails, calls
+// AddWaiter again, as a blocking caller loops around Wait.
+func (s *Signal) AddWaiter(p *Proc) {
 	s.waiters = append(s.waiters, p)
-	p.park()
+	p.wait()
 }
 
 // Fire wakes all current waiters.
