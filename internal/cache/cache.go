@@ -26,6 +26,9 @@ func (c Config) validate() error {
 	if c.LineSize&(c.LineSize-1) != 0 {
 		return fmt.Errorf("cache %q: line size %d not a power of two", c.Name, c.LineSize)
 	}
+	if c.LineSize < 4 { // a tag word's two flag bits sit in the line offset
+		return fmt.Errorf("cache %q: line size %d below 4 bytes", c.Name, c.LineSize)
+	}
 	n := c.sets()
 	if n <= 0 || n&(n-1) != 0 {
 		return fmt.Errorf("cache %q: %d sets (size/line/assoc must give a power of two)", c.Name, n)
@@ -50,31 +53,29 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
-type line struct {
-	tag   int64
-	valid bool
-	dirty bool
-	lru   int64 // higher = more recently used
-}
+// A tag word holds one way: the line address shifted left two bits, then a
+// dirty bit and a valid bit. Zero is an invalid way. Lines of at least 4
+// bytes (Config.validate) shift off two address bits, so the word keeps the
+// whole line address and two lines never share a word.
+const (
+	validBit uint64 = 1 << iota
+	dirtyBit
+)
 
 // Cache is a single set-associative array. It models tags only — data
 // contents live in the benchmark's own Go values.
 type Cache struct {
 	cfg Config
-	// lines holds every tag, set-major: way w of set s is lines[s*assoc+w].
-	// One pointer-free array costs one allocation and no GC scanning.
-	lines   []line
+	// tags holds every way's tag word, set-major: set s is
+	// tags[s*assoc : (s+1)*assoc], most recently touched line first. A hit
+	// or a fill moves its line to the front, so the last way of a full set
+	// is its least recently used line. Invalidate leaves a hole (a zero
+	// word) in place; the valid lines keep their order around it.
+	tags    []uint64
 	assoc   int64
 	setMask int64
 	shift   uint
-	tick    int64
 	stats   Stats
-
-	// mru holds each set's most-recently-touched way — a probe hint only,
-	// validated on every use. Consecutive references to a hot line (the
-	// dominant access pattern in streaming handlers) hit on the first tag
-	// compare instead of scanning the set.
-	mru []int32
 }
 
 // New builds a cache; invalid geometry panics (experiment-setup error).
@@ -89,11 +90,10 @@ func New(cfg Config) *Cache {
 	}
 	return &Cache{
 		cfg:     cfg,
-		lines:   make([]line, n*int64(cfg.Assoc)),
+		tags:    make([]uint64, n*int64(cfg.Assoc)),
 		assoc:   int64(cfg.Assoc),
 		setMask: n - 1,
 		shift:   shift,
-		mru:     make([]int32, n),
 	}
 }
 
@@ -103,80 +103,68 @@ func (c *Cache) Config() Config { return c.cfg }
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-func (c *Cache) index(addr int64) (set int64, tag int64) {
+// lookup returns the ways of addr's set and key, the tag word of addr's
+// line with both flag bits set: way w holds the line when w|dirtyBit == key.
+func (c *Cache) lookup(addr int64) (ways []uint64, key uint64) {
 	lineAddr := addr >> c.shift
-	// The tag keeps the full line address: it can never collide across sets
-	// and needs no extra masking on each compare.
-	return lineAddr & c.setMask, lineAddr
-}
-
-// ways returns set's lines.
-func (c *Cache) ways(set int64) []line {
-	lo := set * c.assoc
-	return c.lines[lo : lo+c.assoc : lo+c.assoc]
+	lo := (lineAddr & c.setMask) * c.assoc
+	return c.tags[lo : lo+c.assoc : lo+c.assoc], uint64(lineAddr)<<2 | dirtyBit | validBit
 }
 
 // Access looks up addr, allocating the line on a miss. It returns whether
 // the access hit and, on miss, whether a dirty victim was written back.
 // write marks the line dirty.
 func (c *Cache) Access(addr int64, write bool) (hit bool, writeback bool) {
-	set, tag := c.index(addr)
-	ways := c.ways(set)
-	c.tick++
+	ways, key := c.lookup(addr)
 	c.stats.Accesses++
-	// MRU-first probe: re-touching the set's hottest line — the common case
-	// for streaming reference patterns — resolves on one tag compare.
-	if m := c.mru[set]; int(m) < len(ways) {
-		if w := &ways[m]; w.valid && w.tag == tag {
-			w.lru = c.tick
-			if write {
-				w.dirty = true
-			}
-			c.stats.Hits++
-			return true, false
+	if w := ways[0]; w|dirtyBit == key { // a repeat touch moves nothing
+		if write {
+			ways[0] = key
 		}
+		c.stats.Hits++
+		return true, false
 	}
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			ways[i].lru = c.tick
+	for i := 1; i < len(ways); i++ {
+		if w := ways[i]; w|dirtyBit == key {
 			if write {
-				ways[i].dirty = true
+				w = key
 			}
-			c.mru[set] = int32(i)
+			copy(ways[1:i+1], ways[:i])
+			ways[0] = w
 			c.stats.Hits++
 			return true, false
 		}
 	}
 	c.stats.Misses++
-	// Choose victim: first invalid way, else least recently used.
-	victim := 0
-	for i := range ways {
-		if !ways[i].valid {
+	// The fill takes the first hole, else evicts the last way.
+	victim := len(ways) - 1
+	for i, w := range ways[:victim] {
+		if w == 0 {
 			victim = i
 			break
 		}
-		if ways[i].lru < ways[victim].lru {
-			victim = i
-		}
 	}
-	if ways[victim].valid {
+	if w := ways[victim]; w != 0 {
 		c.stats.Evictions++
-		if ways[victim].dirty {
+		if w&dirtyBit != 0 {
 			writeback = true
 			c.stats.Writebacks++
 		}
 	}
-	ways[victim] = line{tag: tag, valid: true, dirty: write, lru: c.tick}
-	c.mru[set] = int32(victim)
+	copy(ways[1:victim+1], ways[:victim])
+	if !write {
+		key &^= dirtyBit
+	}
+	ways[0] = key
 	return false, writeback
 }
 
-// Contains reports whether addr's line is resident, without touching LRU or
-// counters. Used by tests and invariant checks.
+// Contains reports whether addr's line is resident, without touching
+// recency or counters. Used by tests and invariant checks.
 func (c *Cache) Contains(addr int64) bool {
-	set, tag := c.index(addr)
-	for _, w := range c.ways(set) {
-		if w.valid && w.tag == tag {
+	ways, key := c.lookup(addr)
+	for _, w := range ways {
+		if w|dirtyBit == key {
 			return true
 		}
 	}
@@ -186,11 +174,10 @@ func (c *Cache) Contains(addr int64) bool {
 // Invalidate removes addr's line if resident (DMA coherence), reporting
 // whether it was present.
 func (c *Cache) Invalidate(addr int64) bool {
-	set, tag := c.index(addr)
-	ways := c.ways(set)
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			ways[i] = line{}
+	ways, key := c.lookup(addr)
+	for i, w := range ways {
+		if w|dirtyBit == key {
+			ways[i] = 0
 			return true
 		}
 	}
@@ -200,12 +187,12 @@ func (c *Cache) Invalidate(addr int64) bool {
 // Flush invalidates every line, returning how many dirty lines were
 // discarded (the caller decides whether to charge writebacks).
 func (c *Cache) Flush() (dirty int) {
-	for i := range c.lines {
-		if c.lines[i].valid && c.lines[i].dirty {
+	for _, w := range c.tags {
+		if w&dirtyBit != 0 {
 			dirty++
 		}
 	}
-	clear(c.lines)
+	clear(c.tags)
 	return dirty
 }
 

@@ -17,6 +17,7 @@ func TestConfigValidate(t *testing.T) {
 		{Name: "zero"},
 		{Name: "odd-line", Size: 1024, LineSize: 48, Assoc: 2},
 		{Name: "odd-sets", Size: 3 * 1024, LineSize: 64, Assoc: 2},
+		{Name: "tiny-line", Size: 64, LineSize: 2, Assoc: 2},
 	}
 	for _, c := range bad {
 		if err := c.validate(); err == nil {

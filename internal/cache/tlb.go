@@ -3,12 +3,12 @@ package cache
 // TLB models a fully-associative translation buffer with LRU replacement
 // (the paper's hosts have 64-entry instruction and data TLBs).
 type TLB struct {
-	entries  int
 	pageBits uint
-	vpns     []int64
-	lru      []int64
-	tick     int64
-	stats    Stats
+	// vpns holds the cached page numbers, most recently used first, so a
+	// miss evicts the last entry. Entries start as page -1, which therefore
+	// hits until misses have pushed every unused entry out.
+	vpns  []int64
+	stats Stats
 }
 
 // NewTLB returns a TLB with the given entry count and page size.
@@ -24,7 +24,7 @@ func NewTLB(entries int, pageSize int64) *TLB {
 	for i := range vpns {
 		vpns[i] = -1
 	}
-	return &TLB{entries: entries, pageBits: bits, vpns: vpns, lru: make([]int64, entries)}
+	return &TLB{pageBits: bits, vpns: vpns}
 }
 
 // Stats returns a copy of the counters.
@@ -34,23 +34,28 @@ func (t *TLB) Stats() Stats { return t.stats }
 // the translation hit.
 func (t *TLB) Lookup(addr int64) bool {
 	vpn := addr >> t.pageBits
-	t.tick++
+	v := t.vpns
 	t.stats.Accesses++
-	victim := 0
-	for i, v := range t.vpns {
-		if v == vpn {
-			t.lru[i] = t.tick
-			t.stats.Hits++
-			return true
-		}
-		if t.lru[i] < t.lru[victim] {
-			victim = i
+	if v[0] == vpn { // the current page
+		t.stats.Hits++
+		return true
+	}
+	last := len(v) - 1
+	hit := false
+	for i := 1; i < len(v); i++ {
+		if v[i] == vpn {
+			last, hit = i, true
+			break
 		}
 	}
-	t.stats.Misses++
-	t.vpns[victim] = vpn
-	t.lru[victim] = t.tick
-	return false
+	copy(v[1:last+1], v[:last])
+	v[0] = vpn
+	if hit {
+		t.stats.Hits++
+	} else {
+		t.stats.Misses++
+	}
+	return hit
 }
 
 // PageSize returns the translation granularity in bytes.

@@ -298,6 +298,14 @@ func installShortestPaths(info *TopoInfo) {
 		destsAt[st.Switch] = append(destsAt[st.Switch], StoreIDBase+san.NodeID(j))
 	}
 
+	// Every switch routes to every other node (Validate rejects a split
+	// graph), so each table gets its three id runs at full size up front.
+	for _, sw := range info.Sw {
+		sw.ReserveRoutes(HostIDBase, len(info.Spec.Hosts))
+		sw.ReserveRoutes(StoreIDBase, len(info.Spec.Stores))
+		sw.ReserveRoutes(SwitchIDBase, n)
+	}
+
 	dist := make([]int, n)
 	queue := make([]int, 0, n)
 	var cand []int

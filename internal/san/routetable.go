@@ -86,6 +86,35 @@ func (t *routeTable) slot(dst NodeID) *routeEntry {
 	return t.find(dst)
 }
 
+// reserve widens the table so that one run spans ids lo .. lo+n-1, taking
+// in every run the span overlaps or touches. Ids it adds read as no route,
+// and setting a route inside the span then only writes.
+func (t *routeTable) reserve(lo NodeID, n int) {
+	if n <= 0 {
+		return
+	}
+	hi := lo + NodeID(n)
+	i := 0 // the first run that ends at or after lo
+	for i < len(t.runs) && t.runs[i].end() < lo {
+		i++
+	}
+	j := i // one past the last run that starts at or before hi
+	for j < len(t.runs) && t.runs[j].base <= hi {
+		j++
+	}
+	if j > i {
+		lo, hi = min(lo, t.runs[i].base), max(hi, t.runs[j-1].end())
+		if j == i+1 && t.runs[i].base == lo && t.runs[i].end() == hi {
+			return // one run already spans it
+		}
+	}
+	ents := make([]routeEntry, int(hi-lo))
+	for _, r := range t.runs[i:j] {
+		copy(ents[r.base-lo:], r.ents)
+	}
+	t.runs = slices.Replace(t.runs, i, j, routeRun{base: lo, ents: ents})
+}
+
 // join merges run i+1 into run i if run i now ends where it begins.
 func (t *routeTable) join(i int) {
 	if i < 0 || i+1 >= len(t.runs) || t.runs[i].end() != t.runs[i+1].base {

@@ -112,6 +112,86 @@ func TestRouteTableAmortisedGrowth(t *testing.T) {
 	}
 }
 
+// TestRouteTableReserveJoins pins how a reserved span joins the runs it
+// overlaps or touches on either side, keeping their routes, and stays
+// apart from runs it does not reach.
+func TestRouteTableReserveJoins(t *testing.T) {
+	var tab routeTable
+	tab.slot(10).primary = 1 // three runs, over maxRunGap apart
+	tab.slot(100).primary = 2
+	tab.slot(300).primary = 3
+	steps := []struct {
+		lo   NodeID
+		n    int
+		want [][2]NodeID // each run's [base, end)
+	}{
+		{11, 89, [][2]NodeID{{10, 101}, {300, 301}}}, // touches both neighbours
+		{5, 3, [][2]NodeID{{5, 8}, {10, 101}, {300, 301}}},
+		{8, 2, [][2]NodeID{{5, 101}, {300, 301}}},
+		{20, 5, [][2]NodeID{{5, 101}, {300, 301}}}, // inside a run: no change
+		{0, 0, [][2]NodeID{{5, 101}, {300, 301}}},
+		{90, 250, [][2]NodeID{{5, 340}}},
+	}
+	for _, st := range steps {
+		tab.reserve(st.lo, st.n)
+		var got [][2]NodeID
+		for _, r := range tab.runs {
+			got = append(got, [2]NodeID{r.base, r.end()})
+		}
+		if !slices.Equal(got, st.want) {
+			t.Fatalf("after reserve(%d, %d): runs %v, want %v", st.lo, st.n, got, st.want)
+		}
+	}
+	for id, want := range map[NodeID]int{10: 0, 100: 1, 300: 2, 5: -1, 99: -1, 339: -1} {
+		if p, _ := tab.ports(id); p != want {
+			t.Errorf("id %d: port %d, want %d", id, p, want)
+		}
+	}
+}
+
+// TestReservedRoutesAllocateNothing pins what installShortestPaths relies
+// on: once a switch has reserved the id runs of a 1024-host k=16 fat tree
+// (hosts from 1, 320 switches from 1<<20), setting the primary and backup
+// route of every id allocates nothing, and each run holds exactly its ids.
+// Every measured run fills a switch whose table nothing has written yet.
+func TestReservedRoutesAllocateNothing(t *testing.T) {
+	const hostBase, switchBase NodeID = 1, 1 << 20
+	const hosts, switches, runs = 1024, 320, 4
+	sws := make([]*Switch, runs+1) // AllocsPerRun adds a warm-up call
+	for i := range sws {
+		sws[i] = NewSwitch(sim.NewEngine(), switchBase+7, "sw", DefaultSwitchConfig(16))
+		sws[i].ReserveRoutes(hostBase, hosts)
+		sws[i].ReserveRoutes(switchBase, switches)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		s := sws[next]
+		next++
+		for id := hostBase; id < hostBase+hosts; id++ {
+			s.SetRoute(id, int(id)%16)
+			s.SetBackupRoute(id, int(id+1)%16)
+		}
+		for id := switchBase; id < switchBase+switches; id++ {
+			if id != s.ID() {
+				s.SetRoute(id, int(id)%16)
+				s.SetBackupRoute(id, int(id+1)%16)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("setting every route after ReserveRoutes took %.1f allocations per switch", allocs)
+	}
+	for _, s := range sws {
+		var got []int
+		for _, run := range s.routes.runs {
+			got = append(got, len(run.ents))
+		}
+		if !slices.Equal(got, []int{hosts, switches}) {
+			t.Fatalf("run lengths %v, want [%d %d]", got, hosts, switches)
+		}
+	}
+}
+
 // TestRouteTablePickRoute pins pickRoute's fallback over the table: the
 // primary while its link is up, else a backup that is up (a reroute only
 // when a primary exists), else the primary anyway, else no route.
@@ -156,8 +236,9 @@ func TestRouteTablePickRoute(t *testing.T) {
 
 // TestRouteTableMatchesMap checks the table against a map under random
 // route sequences — ascending, descending and shuffled ids, clustered and
-// sparse, negative ones included — and checks the run layout after each:
-// runs sorted, apart, and no longer than their set ids justify.
+// sparse, negative ones included, with ReserveRoutes spans between the
+// sets — and checks the run layout after each: runs sorted, apart, and no
+// longer than their set and reserved ids justify.
 func TestRouteTableMatchesMap(t *testing.T) {
 	r := rand.New(rand.NewPCG(7, 13))
 	bases := []NodeID{-300, 0, 1000, 1 << 19, 1 << 20}
@@ -182,7 +263,15 @@ func TestRouteTableMatchesMap(t *testing.T) {
 
 		s := NewSwitch(sim.NewEngine(), NoNode, "sw", DefaultSwitchConfig(16))
 		prim, back := map[NodeID]int{}, map[NodeID]int{}
+		held := map[NodeID]bool{}
 		for _, id := range ids {
+			if r.IntN(16) == 0 {
+				lo, n := bases[r.IntN(len(bases))]+NodeID(r.IntN(300)-50), r.IntN(150)
+				s.ReserveRoutes(lo, n)
+				for i := 0; i < n; i++ {
+					held[lo+NodeID(i)] = true
+				}
+			}
 			p := r.IntN(16)
 			if r.IntN(3) == 0 {
 				s.SetBackupRoute(id, p)
@@ -209,24 +298,23 @@ func TestRouteTableMatchesMap(t *testing.T) {
 		}
 		tab := &s.routes
 
-		set := map[NodeID]bool{}
 		for _, id := range ids {
-			set[id] = true
+			held[id] = true
 		}
 		for i, run := range tab.runs {
 			if i > 0 && tab.runs[i-1].end() >= run.base {
 				t.Fatalf("round %d: run %d [%d,%d) touches run %d ending at %d",
 					round, i, run.base, run.end(), i-1, tab.runs[i-1].end())
 			}
-			held := 0
+			justified := 0
 			for id := run.base; id < run.end(); id++ {
-				if set[id] {
-					held++
+				if held[id] {
+					justified++
 				}
 			}
-			if len(run.ents) > 2*maxRunGap*held {
-				t.Fatalf("round %d: run [%d,%d) spans %d ids for %d routes",
-					round, run.base, run.end(), len(run.ents), held)
+			if len(run.ents) > 2*maxRunGap*justified {
+				t.Fatalf("round %d: run [%d,%d) spans %d ids for %d set or reserved",
+					round, run.base, run.end(), len(run.ents), justified)
 			}
 		}
 	}

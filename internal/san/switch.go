@@ -194,6 +194,16 @@ func (s *Switch) SetRoute(dst NodeID, port int) {
 	s.routes.slot(dst).primary = int32(port) + 1
 }
 
+// ReserveRoutes sizes the route table to hold ids first .. first+n-1 in one
+// dense run, so that setting their routes afterwards allocates nothing. It
+// sets no route: reserved ids read as unroutable until SetRoute.
+func (s *Switch) ReserveRoutes(first NodeID, n int) {
+	if s.started {
+		panic("san: ReserveRoutes after Start")
+	}
+	s.routes.reserve(first, n)
+}
+
 // Route returns the output port for dst, or -1 if unroutable.
 func (s *Switch) Route(dst NodeID) int {
 	p, _ := s.routes.ports(dst)

@@ -19,29 +19,39 @@ func nop() {}
 // future times, fire in batches, and their slots recycle through the pool.
 func BenchmarkSchedule(b *testing.B) {
 	e := NewEngine()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		// Spread arrival times so events exercise real heap sifts.
-		e.Schedule(e.now+Time(1+i%97), nop)
-		if e.pending() >= 1024 {
-			e.Run()
+	run := func(n int) {
+		for i := 0; i < n; i++ {
+			// Spread arrival times so events exercise real heap sifts.
+			e.Schedule(e.now+Time(1+i%97), nop)
+			if e.pending() >= 1024 {
+				e.Run()
+			}
 		}
+		e.Run()
 	}
-	e.Run()
+	run(1024) // warm: grow the event pool, so B/op shows the steady state
+	b.ReportAllocs()
+	b.ResetTimer()
+	run(b.N)
 }
 
 // BenchmarkSameTimeEvent measures the run-queue bypass: events scheduled at
 // the current instant never touch the heap.
 func BenchmarkSameTimeEvent(b *testing.B) {
 	e := NewEngine()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e.Schedule(e.now, nop)
-		if e.pending() >= 256 {
-			e.Run()
+	run := func(n int) {
+		for i := 0; i < n; i++ {
+			e.Schedule(e.now, nop)
+			if e.pending() >= 256 {
+				e.Run()
+			}
 		}
+		e.Run()
 	}
-	e.Run()
+	run(256) // warm: grow the run queue
+	b.ReportAllocs()
+	b.ResetTimer()
+	run(b.N)
 }
 
 // BenchmarkScheduleCancel measures the sampler's timer pattern: schedule a
@@ -340,7 +350,7 @@ func BenchmarkGroupCrossSend(b *testing.B) {
 	defer g.Shutdown()
 	ch := g.Connect(0, 1, 10, 0)
 	const batch = 256
-	n, sent := b.N, 0
+	var n, sent int
 	ack := func() { ch.Credit(nop) }
 	var post func()
 	post = func() {
@@ -353,10 +363,15 @@ func BenchmarkGroupCrossSend(b *testing.B) {
 			g.Engine(0).Schedule(now+20, post)
 		}
 	}
+	run := func(total int) {
+		n, sent = total, 0
+		g.Engine(0).Schedule(g.Engine(0).Now(), post)
+		g.Run()
+	}
+	run(4 * batch) // warm: grow the window buffers and event pools
 	b.ReportAllocs()
 	b.ResetTimer()
-	g.Engine(0).Schedule(0, post)
-	g.Run()
+	run(b.N)
 }
 
 // BenchmarkGroupWindow is the crossover benchmark behind the adaptive

@@ -15,12 +15,15 @@
 //
 // Two regression gates, chosen per context:
 //
-//   - allocs/op is always gated. At micro scale (baseline <= 64 allocs/op)
-//     the comparison is exact: the engine's pooled hot paths promise zero
-//     steady-state allocations, and that promise is deterministic, so CI
-//     can enforce it even on noisy shared runners. Macro benchmarks (whole
-//     collectives, millions of allocations) get 1.5x head-room — their
-//     counts scale with workload shape, not with a pooling promise.
+//   - allocs/op and B/op are always gated, with the same tiers. At micro
+//     scale (baseline <= 64 allocs/op) the comparison is exact: the
+//     engine's pooled hot paths promise zero steady-state allocations, and
+//     that promise is deterministic, so CI can enforce it even on noisy
+//     shared runners. Macro benchmarks (whole collectives, millions of
+//     allocations) get 1.5x head-room on both — their counts and bytes
+//     scale with workload shape, not with a pooling promise. Gating bytes
+//     catches memory that grows without more allocations, such as a fabric
+//     build's cache tag arrays widening.
 //   - ns/op is gated only when -threshold is positive (e.g. 0.25 allows a
 //     25% slowdown). Wall-clock on CI runners is noisy, so CI passes
 //     -allocs-only and the timing table is informational there; run the
@@ -44,6 +47,7 @@ import (
 type entry struct {
 	NsPerOp     float64            `json:"ns_per_op"`
 	AllocsPerOp int64              `json:"allocs_per_op"`
+	BytesPerOp  int64              `json:"bytes_per_op"`
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
@@ -84,7 +88,7 @@ func parse(r io.Reader) (map[string]entry, error) {
 			case "allocs/op":
 				e.AllocsPerOp = int64(v)
 			case "B/op":
-				// Alloc bytes ride along with allocs/op; the count is the gate.
+				e.BytesPerOp = int64(v)
 			default:
 				if e.Metrics == nil {
 					e.Metrics = make(map[string]float64)
@@ -97,10 +101,11 @@ func parse(r io.Reader) (map[string]entry, error) {
 	return got, sc.Err()
 }
 
-// allocRegressed applies the tiered allocation gate: exact at micro scale,
-// 1.5x head-room for macro benchmarks whose counts track workload size.
-func allocRegressed(base, cur int64) bool {
-	if base <= 64 {
+// allocRegressed applies the tiered allocation gate to a count or a byte
+// total: exact at micro scale (the baseline's allocs/op at most 64), 1.5x
+// head-room for macro benchmarks whose allocations track workload size.
+func allocRegressed(baseAllocs, base, cur int64) bool {
+	if baseAllocs <= 64 {
 		return cur > base
 	}
 	return float64(cur) > float64(base)*1.5
@@ -109,7 +114,7 @@ func allocRegressed(base, cur int64) bool {
 func main() {
 	basePath := flag.String("baseline", "BENCH_engine.json", "baseline file to compare against")
 	threshold := flag.Float64("threshold", 0, "fail if ns/op regresses by more than this fraction (0 disables the timing gate)")
-	allocsOnly := flag.Bool("allocs-only", false, "gate only on allocs/op (timing table is informational)")
+	allocsOnly := flag.Bool("allocs-only", false, "gate only on allocs/op and B/op (timing table is informational)")
 	update := flag.Bool("update", false, "rewrite the baseline from the input instead of comparing")
 	flag.Parse()
 
@@ -169,12 +174,12 @@ func main() {
 	sort.Strings(names)
 
 	failed := false
-	fmt.Printf("%-28s %12s %12s %8s %14s\n", "benchmark", "base ns/op", "ns/op", "delta", "allocs (b→c)")
+	fmt.Printf("%-28s %12s %12s %8s %14s %24s\n", "benchmark", "base ns/op", "ns/op", "delta", "allocs (b→c)", "B/op (b→c)")
 	for _, name := range names {
 		cur := got[name]
 		b, known := base.Benchmarks[name]
 		if !known {
-			fmt.Printf("%-28s %12s %12.1f %8s %11s %d\n", name, "-", cur.NsPerOp, "new", "-", cur.AllocsPerOp)
+			fmt.Printf("%-28s %12s %12.1f %8s %11s %-3d %11s %d\n", name, "-", cur.NsPerOp, "new", "-", cur.AllocsPerOp, "-", cur.BytesPerOp)
 			printMetrics(cur.Metrics, nil)
 			continue
 		}
@@ -183,16 +188,20 @@ func main() {
 			delta = (cur.NsPerOp - b.NsPerOp) / b.NsPerOp
 		}
 		mark := ""
-		if allocRegressed(b.AllocsPerOp, cur.AllocsPerOp) {
+		if allocRegressed(b.AllocsPerOp, b.AllocsPerOp, cur.AllocsPerOp) {
 			mark = "  ALLOC REGRESSION"
+			failed = true
+		}
+		if allocRegressed(b.AllocsPerOp, b.BytesPerOp, cur.BytesPerOp) {
+			mark += "  BYTES REGRESSION"
 			failed = true
 		}
 		if !*allocsOnly && *threshold > 0 && delta > *threshold {
 			mark += "  TIME REGRESSION"
 			failed = true
 		}
-		fmt.Printf("%-28s %12.1f %12.1f %+7.1f%% %8d → %-3d%s\n",
-			name, b.NsPerOp, cur.NsPerOp, delta*100, b.AllocsPerOp, cur.AllocsPerOp, mark)
+		fmt.Printf("%-28s %12.1f %12.1f %+7.1f%% %8d → %-3d %11d → %-9d%s\n",
+			name, b.NsPerOp, cur.NsPerOp, delta*100, b.AllocsPerOp, cur.AllocsPerOp, b.BytesPerOp, cur.BytesPerOp, mark)
 		printMetrics(cur.Metrics, b.Metrics)
 	}
 	for name := range base.Benchmarks {
