@@ -555,17 +555,6 @@ func (c *SwitchCPU) ATB() *ATB { return c.atb }
 // Runs reports how many handler invocations this CPU has executed.
 func (c *SwitchCPU) Runs() int64 { return c.runs }
 
-// PendingArrivals reports live, unconsumed mapped buffers (diagnostics).
-func (c *SwitchCPU) PendingArrivals() int {
-	n := 0
-	for _, b := range c.arrivals {
-		if b.live && !b.consumed {
-			n++
-		}
-	}
-	return n
-}
-
 // invokeCycles is the dispatch-to-first-instruction cost of starting a
 // handler (jump table read, register setup).
 const invokeCycles = 16

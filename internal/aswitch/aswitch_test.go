@@ -815,28 +815,17 @@ func TestCrashWhileWaitingForATBSlot(t *testing.T) {
 	}
 }
 
-// stepSender sends its packets in order from a step process, splitting each
-// send at Link.Send's two waits.
+// stepSender sends its packets in order from a step process.
 type stepSender struct {
 	l    *san.Link
 	pkts []*san.Packet
 	next int
-	sent bool // the packet at next is on the wire
+	send san.Sending
 }
 
 func (s *stepSender) step(p *sim.Proc) {
-	for s.next < len(s.pkts) {
-		if s.sent {
-			s.sent = false
-			s.next++
-			continue
-		}
-		if !s.l.CreditOrWait(p) {
-			return
-		}
-		p.WakeAt(s.l.Transmit(s.pkts[s.next]))
-		s.sent = true
-		return
+	for s.next < len(s.pkts) && s.l.SendOrWait(p, s.pkts[s.next], &s.send) {
+		s.next++
 	}
 }
 

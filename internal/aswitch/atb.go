@@ -24,9 +24,6 @@ func NewATB(n int) *ATB {
 	return &ATB{entries: make([]*DataBuffer, n)}
 }
 
-// Entries returns the table size.
-func (a *ATB) Entries() int { return len(a.entries) }
-
 // slot maps an address to its direct-mapped entry index.
 func (a *ATB) slot(addr int64) int {
 	return int((addr / san.MTU) % int64(len(a.entries)))

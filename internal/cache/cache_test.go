@@ -147,6 +147,16 @@ func TestTLB(t *testing.T) {
 	}
 }
 
+// A fresh TLB holds no translation, so it misses every page, negative ones
+// included.
+func TestTLBColdMissesNegativePages(t *testing.T) {
+	for _, addr := range []int64{-1, -4096} {
+		if NewTLB(64, 4096).Lookup(addr) {
+			t.Fatalf("cold TLB hit for address %d", addr)
+		}
+	}
+}
+
 func TestHostHierConfigScaling(t *testing.T) {
 	full := HostHierConfig(1)
 	if full.L1D.Size != 32*1024 || full.L2.Size != 512*1024 {

@@ -80,7 +80,8 @@ func TestCacheMatchesReference(t *testing.T) {
 // TestTLBMatchesReference drives TLB and the earlier LRU-tick layout
 // (refTLB) through the same seeded lookups: 1 to 64 entries, pages of 1 B
 // to 64 KB, and a page pool a little larger than the TLB around diffBases,
-// with page -1, which every unused entry holds, among the candidates.
+// with negative pages among the candidates, so that an unused entry which
+// matched some page would show.
 func TestTLBMatchesReference(t *testing.T) {
 	const ops = 20000
 	for run := 0; run < diffRuns(160); run++ {

@@ -136,9 +136,11 @@ func (c *refCache) Flush() (dirty int) {
 type refTLB struct {
 	pageBits uint
 	vpns     []int64
-	lru      []int64
-	tick     int64
-	stats    Stats
+	// lru holds each entry's last-use tick; an entry with tick 0 is empty
+	// and never matches, and the first tick is 1.
+	lru   []int64
+	tick  int64
+	stats Stats
 }
 
 func newRefTLB(entries int, pageSize int64) *refTLB {
@@ -146,11 +148,7 @@ func newRefTLB(entries int, pageSize int64) *refTLB {
 	for p := pageSize; p > 1; p >>= 1 {
 		bits++
 	}
-	vpns := make([]int64, entries)
-	for i := range vpns {
-		vpns[i] = -1
-	}
-	return &refTLB{pageBits: bits, vpns: vpns, lru: make([]int64, entries)}
+	return &refTLB{pageBits: bits, vpns: make([]int64, entries), lru: make([]int64, entries)}
 }
 
 func (t *refTLB) Lookup(addr int64) bool {
@@ -159,7 +157,7 @@ func (t *refTLB) Lookup(addr int64) bool {
 	t.stats.Accesses++
 	victim := 0
 	for i, v := range t.vpns {
-		if v == vpn {
+		if t.lru[i] != 0 && v == vpn {
 			t.lru[i] = t.tick
 			t.stats.Hits++
 			return true

@@ -5,8 +5,8 @@ package cache
 type TLB struct {
 	pageBits uint
 	// vpns holds the cached page numbers, most recently used first, so a
-	// miss evicts the last entry. Entries start as page -1, which therefore
-	// hits until misses have pushed every unused entry out.
+	// miss evicts the last entry. Its length counts the filled entries and
+	// its capacity is the entry count.
 	vpns  []int64
 	stats Stats
 }
@@ -20,11 +20,7 @@ func NewTLB(entries int, pageSize int64) *TLB {
 	for p := pageSize; p > 1; p >>= 1 {
 		bits++
 	}
-	vpns := make([]int64, entries)
-	for i := range vpns {
-		vpns[i] = -1
-	}
-	return &TLB{pageBits: bits, vpns: vpns}
+	return &TLB{pageBits: bits, vpns: make([]int64, 0, entries)}
 }
 
 // Stats returns a copy of the counters.
@@ -36,25 +32,31 @@ func (t *TLB) Lookup(addr int64) bool {
 	vpn := addr >> t.pageBits
 	v := t.vpns
 	t.stats.Accesses++
-	if v[0] == vpn { // the current page
+	if len(v) > 0 && v[0] == vpn { // the current page
 		t.stats.Hits++
 		return true
 	}
-	last := len(v) - 1
-	hit := false
+	last := len(v) // vpn's entry, or len(v) on a miss
 	for i := 1; i < len(v); i++ {
 		if v[i] == vpn {
-			last, hit = i, true
+			last = i
 			break
 		}
 	}
+	hit := last < len(v)
+	switch {
+	case hit:
+		t.stats.Hits++
+	case len(v) < cap(v): // a miss fills an unused entry
+		t.stats.Misses++
+		v = v[:last+1]
+		t.vpns = v
+	default: // a miss evicts the last entry
+		t.stats.Misses++
+		last--
+	}
 	copy(v[1:last+1], v[:last])
 	v[0] = vpn
-	if hit {
-		t.stats.Hits++
-	} else {
-		t.stats.Misses++
-	}
 	return hit
 }
 

@@ -174,14 +174,13 @@ type DiskInjector interface {
 // always-fail plan degrades a run instead of hanging it.
 const maxDiskAttempts = 64
 
-// StorageNode is a TCA plus its SCSI bus and disk stripe.
+// StorageNode is a TCA plus its SCSI bus and disk stripe. The embedded
+// san.Adapter holds the TCA's links, its receive engine and its
+// retransmission.
 type StorageNode struct {
-	eng  *sim.Engine
-	id   san.NodeID
-	name string
-	cfg  Config
-	in   *san.Link
-	out  *san.Link
+	san.Adapter
+	eng *sim.Engine
+	cfg Config
 
 	files   map[string]*File
 	filters map[int]*Filter
@@ -199,12 +198,9 @@ type StorageNode struct {
 	// writes tracks expected write streams by flow id.
 	writes map[int64]*writeState
 
-	// Optional fault injection and reliability (nil unless armed).
+	// Optional media-error injection (nil unless armed).
 	dinj   DiskInjector
 	dretry sim.Time
-	tx     *san.TxTracker
-	rel    *san.RxTracker
-	rtxq   *sim.Queue[*san.Packet]
 
 	// Telemetry hooks (nil = off): stamp mints in-band records for read
 	// data leaving the node, complete consumes them when stamped write
@@ -214,12 +210,10 @@ type StorageNode struct {
 	complete    san.Completer
 	maxReqQueue int
 
-	// disk and rtx are the disk and retransmit engines' step states.
+	// disk is the disk engine's step state.
 	disk diskState
-	rtx  rtxState
 
-	stats   Stats
-	started bool
+	stats Stats
 }
 
 type writeState struct {
@@ -238,13 +232,9 @@ type queuedReq struct {
 
 // New builds a storage node attached via the given links.
 func New(eng *sim.Engine, id san.NodeID, name string, in, out *san.Link, cfg Config) *StorageNode {
-	return &StorageNode{
+	s := &StorageNode{
 		eng:     eng,
-		id:      id,
-		name:    name,
 		cfg:     cfg,
-		in:      in,
-		out:     out,
 		files:   make(map[string]*File),
 		filters: make(map[int]*Filter),
 		reqs:    sim.NewQueue[queuedReq](),
@@ -252,6 +242,8 @@ func New(eng *sim.Engine, id san.NodeID, name string, in, out *san.Link, cfg Con
 		fcpu:    sim.NewServer(eng, name+".fcpu"),
 		writes:  make(map[int64]*writeState),
 	}
+	s.Adapter = san.NewAdapter(eng, id, name, in, out, s)
+	return s
 }
 
 // RegisterFilter installs an active-disk pushdown filter under id (> 0).
@@ -260,7 +252,7 @@ func (s *StorageNode) RegisterFilter(id int, f *Filter) {
 		panic("iodev: filter ids must be positive")
 	}
 	if _, dup := s.filters[id]; dup {
-		panic(fmt.Sprintf("iodev: duplicate filter %d on %s", id, s.name))
+		panic(fmt.Sprintf("iodev: duplicate filter %d on %s", id, s.Name()))
 	}
 	if f.Clock.Period <= 0 {
 		f.Clock = sim.Clock{Period: 5000 * sim.Picosecond} // 200 MHz
@@ -280,19 +272,13 @@ func (s *StorageNode) SetTelemetry(stamp san.Stamper, complete san.Completer) {
 // unless telemetry was armed).
 func (s *StorageNode) MaxQueuedReqs() int { return s.maxReqQueue }
 
-// ID returns the node id.
-func (s *StorageNode) ID() san.NodeID { return s.id }
-
 // Stats returns a copy of the counters.
 func (s *StorageNode) Stats() Stats { return s.stats }
-
-// Name returns the node's debug name.
-func (s *StorageNode) Name() string { return s.name }
 
 // AddFile registers a file; duplicate names panic (workload setup error).
 func (s *StorageNode) AddFile(f *File) {
 	if _, dup := s.files[f.Name]; dup {
-		panic(fmt.Sprintf("iodev: duplicate file %q on %s", f.Name, s.name))
+		panic(fmt.Sprintf("iodev: duplicate file %q on %s", f.Name, s.Name()))
 	}
 	s.files[f.Name] = f
 }
@@ -301,7 +287,7 @@ func (s *StorageNode) AddFile(f *File) {
 // operation the disk pays retry (default: a seek + rotation re-read) and
 // tries again. Must run before Start.
 func (s *StorageNode) SetDiskFaults(inj DiskInjector, retry sim.Time) {
-	if s.started {
+	if s.Started() {
 		panic("iodev: SetDiskFaults after Start")
 	}
 	if retry <= 0 {
@@ -311,101 +297,13 @@ func (s *StorageNode) SetDiskFaults(inj DiskInjector, retry sim.Time) {
 	s.dretry = retry
 }
 
-// EnableReliability arms end-to-end retransmission on the TCA, mirroring
-// nic.NIC.EnableReliability. Must run before Start.
-func (s *StorageNode) EnableReliability(cfg san.RetxConfig) *san.TxTracker {
-	if s.started {
-		panic("iodev: EnableReliability after Start")
-	}
-	if s.tx != nil {
-		return s.tx
-	}
-	s.rtxq = sim.NewQueue[*san.Packet]()
-	enqueue := func(pkt *san.Packet) { s.rtxq.Put(pkt) }
-	s.tx = san.NewTxTracker(s.eng, cfg, enqueue)
-	s.rel = san.NewRxTracker(s.id, enqueue)
-	return s.tx
-}
-
-// ReliabilityEnabled reports whether EnableReliability ran.
-func (s *StorageNode) ReliabilityEnabled() bool { return s.tx != nil }
-
-// SetRelFilter restricts both reliability trackers to peers that speak the
-// protocol, mirroring nic.NIC.SetRelFilter.
-func (s *StorageNode) SetRelFilter(fn func(san.NodeID) bool) {
-	if s.tx != nil {
-		s.tx.SetTrackable(fn)
-		s.rel.SetTrackable(fn)
-	}
-}
-
-// RelStats returns the reliability counters (zero when disabled).
-func (s *StorageNode) RelStats() (san.TxStats, san.RxStats) {
-	if s.tx == nil {
-		return san.TxStats{}, san.RxStats{}
-	}
-	return s.tx.Stats(), s.rel.Stats()
-}
-
 // Start spawns the TCA receive engine and the disk engine, and the
 // retransmit engine when reliability is armed.
-func (s *StorageNode) Start() {
-	if s.started {
-		panic("iodev: double Start")
-	}
-	s.started = true
-	s.eng.SpawnStep(s.name+".tca", s.rxStep)
-	s.eng.SpawnStep(s.name+".disk", s.diskStep)
-	if s.tx != nil {
-		s.eng.SpawnStep(s.name+".rtx", s.rtxStep)
-	}
-}
+func (s *StorageNode) Start() { s.Adapter.Start(".tca", ".disk", s.diskStep) }
 
-// The engines are step processes (sim.SpawnStep): each wake runs an engine
-// inline until its next wait, making exactly the schedule calls of a
-// blocking loop over the same work, in the same order. An engine sends as
-// san.Link.Send does, split at Send's two waits: TraceSend, a link credit,
-// then the wire.
-
-// rxStep is the TCA's receive engine: it accepts request packets and write
-// data, and never waits except for the next packet.
-func (s *StorageNode) rxStep(p *sim.Proc) {
-	for {
-		pkt, ok := s.in.RecvOrWait(p)
-		if !ok {
-			return
-		}
-		s.receive(p, pkt)
-		s.in.ReturnCredit()
-	}
-}
-
-// receive handles one arrived packet; the caller returns its credit.
-func (s *StorageNode) receive(p *sim.Proc, pkt *san.Packet) {
-	if s.rel != nil {
-		if pkt.Hdr.Type == san.Ack {
-			switch info := pkt.Payload.(type) {
-			case san.AckInfo:
-				s.tx.OnAck(pkt.Hdr.Src, info)
-			case san.NakInfo:
-				s.tx.OnNak(pkt.Hdr.Src, info)
-			}
-			return
-		}
-		for _, q := range s.rel.Observe(pkt) {
-			s.accept(p, q)
-		}
-		return
-	}
-	// Without the reliability layer a corrupt packet stops at the TCA's
-	// CRC check.
-	if !pkt.Corrupt {
-		s.accept(p, pkt)
-	}
-}
-
-// accept runs the normal receive path for one validated, in-order packet.
-func (s *StorageNode) accept(p *sim.Proc, pkt *san.Packet) {
+// Accept takes one packet from the TCA's receive engine: request packets
+// and write data.
+func (s *StorageNode) Accept(p *sim.Proc, pkt *san.Packet) {
 	switch pkt.Hdr.Type {
 	case san.IORequest:
 		// Register writes immediately so their data — possibly right
@@ -425,55 +323,6 @@ func (s *StorageNode) accept(p *sim.Proc, pkt *san.Packet) {
 		s.absorbWrite(p, pkt)
 	default:
 		// Control and stray packets are ignored.
-	}
-}
-
-// Retransmit-engine states: the wait each one resumes from.
-const (
-	rtxNext   = iota // a queued packet
-	rtxCredit        // a link credit
-	rtxWire          // the packet's tail to leave
-)
-
-// rtxState is the retransmit engine's position.
-type rtxState struct {
-	wait int
-	pkt  *san.Packet
-}
-
-// rtxStep drains retransmissions and ACK/NAK control packets onto the link.
-func (s *StorageNode) rtxStep(p *sim.Proc) {
-	r := &s.rtx
-	for {
-		switch r.wait {
-		case rtxNext:
-			pkt, ok := s.rtxq.GetOrWait(p)
-			if !ok {
-				return
-			}
-			s.out.TraceSend(pkt)
-			r.pkt = pkt
-			r.wait = rtxCredit
-		case rtxCredit:
-			if !s.out.CreditOrWait(p) {
-				return
-			}
-			p.WakeAt(s.out.Transmit(r.pkt))
-			r.wait = rtxWire
-			return
-		case rtxWire:
-			r.pkt = nil
-			r.wait = rtxNext
-		}
-	}
-}
-
-// sendTracked puts pkt on the wire and records it for retransmission when
-// reliability is armed; the write-ack process sends with it.
-func (s *StorageNode) sendTracked(p *sim.Proc, pkt *san.Packet) {
-	s.out.Send(p, pkt)
-	if s.tx != nil {
-		s.tx.Record(pkt)
 	}
 }
 
@@ -497,18 +346,20 @@ func (s *StorageNode) absorbWrite(p *sim.Proc, pkt *san.Packet) {
 		delete(s.writes, pkt.Hdr.Flow)
 		s.stats.Writes++
 		if s.eng.Tracing() {
-			s.eng.Emit("disk", "write", s.name,
+			s.eng.Emit("disk", "write", s.Name(),
 				fmt.Sprintf("write %q [%d,%d) durable", w.req.File, w.req.Off, w.req.Off+w.req.Len))
 		}
 		if w.req.Notify != san.NoNode && w.req.Notify != 0 {
 			// The ack means durable: it leaves once the disk has absorbed
 			// the final byte.
 			req := w.req
-			s.eng.SpawnAt(durable, s.name+".ack", func(ap *sim.Proc) {
-				s.sendTracked(ap, &san.Packet{Hdr: san.Header{
-					Src: s.id, Dst: req.Notify, Type: san.Control,
+			s.eng.SpawnAt(durable, s.Name()+".ack", func(ap *sim.Proc) {
+				pkt := &san.Packet{Hdr: san.Header{
+					Src: s.ID(), Dst: req.Notify, Type: san.Control,
 					Flow: req.NotifyFlow, Last: true,
-				}})
+				}}
+				s.Out().Send(ap, pkt)
+				s.Track(pkt)
 			})
 		}
 	}
@@ -543,8 +394,7 @@ const (
 	diskPlatter        // the chunk to leave the platters, waited only if ahead
 	diskFilter         // the filter processor's scan of the chunk
 	diskBus            // the chunk's SCSI bus transfer
-	diskCredit         // a link credit for the packet
-	diskWire           // the packet's tail to leave
+	diskSend           // the packet's send
 )
 
 // What the disk engine's packet on the wire is, and so what follows it.
@@ -571,13 +421,17 @@ type diskState struct {
 	out     any
 	kept    int64
 	seq     int
-	// pkt is the packet being sent and sending says what it is.
+	// pkt is the packet being sent, sending says what it is, and send is
+	// its send.
 	pkt     *san.Packet
 	sending int
+	send    san.Sending
 }
 
 // diskStep services read requests one at a time, streaming each as MTU
-// packets pipelined through the SCSI bus and the network link.
+// packets pipelined through the SCSI bus and the network link. It is a step
+// process (sim.SpawnStep), making exactly the schedule calls of a blocking
+// loop over the same work, in the same order.
 func (s *StorageNode) diskStep(p *sim.Proc) {
 	d := &s.disk
 	for {
@@ -625,17 +479,11 @@ func (s *StorageNode) diskStep(p *sim.Proc) {
 			return
 		case diskBus:
 			s.sendChunk(p)
-		case diskCredit:
-			if !s.out.CreditOrWait(p) {
+		case diskSend:
+			if !s.Out().SendOrWait(p, d.pkt, &d.send) {
 				return
 			}
-			p.WakeAt(s.out.Transmit(d.pkt))
-			d.wait = diskWire
-			return
-		case diskWire:
-			if s.tx != nil {
-				s.tx.Record(d.pkt)
-			}
+			s.Track(d.pkt)
 			switch d.sending {
 			case sendingChunk:
 				d.next++
@@ -656,7 +504,7 @@ func (s *StorageNode) diskStep(p *sim.Proc) {
 func (s *StorageNode) startRead(p *sim.Proc, req ReadReq, arrived sim.Time) {
 	f := s.files[req.File]
 	if f == nil {
-		panic(fmt.Sprintf("iodev: read of unknown file %q on %s", req.File, s.name))
+		panic(fmt.Sprintf("iodev: read of unknown file %q on %s", req.File, s.Name()))
 	}
 	if req.Off < 0 || req.Off+req.Len > f.Size {
 		panic(fmt.Sprintf("iodev: read [%d,%d) outside %q of %d bytes", req.Off, req.Off+req.Len, req.File, f.Size))
@@ -664,7 +512,7 @@ func (s *StorageNode) startRead(p *sim.Proc, req ReadReq, arrived sim.Time) {
 	s.stats.Reads++
 	s.stats.BytesRead += req.Len
 	if s.eng.Tracing() {
-		s.eng.Emit("disk", "read", s.name,
+		s.eng.Emit("disk", "read", s.Name(),
 			fmt.Sprintf("read %q [%d,%d) -> node %d", req.File, req.Off, req.Off+req.Len, req.Dst))
 	}
 
@@ -686,7 +534,7 @@ func (s *StorageNode) startRead(p *sim.Proc, req ReadReq, arrived sim.Time) {
 		// Injected media errors: each failed attempt costs a re-read
 		// penalty before the transfer can begin. The attempt cap only
 		// bounds a pathological always-fail plan.
-		for attempt := 0; attempt < maxDiskAttempts && s.dinj.OnDiskOp(s.name, req.File, req.Off, req.Len); attempt++ {
+		for attempt := 0; attempt < maxDiskAttempts && s.dinj.OnDiskOp(s.Name(), req.File, req.Off, req.Len); attempt++ {
 			s.stats.DiskRetries++
 			first += s.dretry
 		}
@@ -698,7 +546,7 @@ func (s *StorageNode) startRead(p *sim.Proc, req ReadReq, arrived sim.Time) {
 	d := &s.disk
 	*d = diskState{req: req, f: f, arrived: arrived, first: first}
 	d.hdr = san.Header{
-		Src:       s.id,
+		Src:       s.ID(),
 		Dst:       req.Dst,
 		Type:      req.Type,
 		HandlerID: req.HandlerID,
@@ -713,7 +561,7 @@ func (s *StorageNode) startRead(p *sim.Proc, req ReadReq, arrived sim.Time) {
 		}
 		d.flt = s.filters[req.FilterID]
 		if d.flt == nil {
-			panic(fmt.Sprintf("iodev: read names unregistered filter %d on %s", req.FilterID, s.name))
+			panic(fmt.Sprintf("iodev: read names unregistered filter %d on %s", req.FilterID, s.Name()))
 		}
 	} else {
 		m := &san.Message{Hdr: d.hdr, Size: req.Len}
@@ -804,21 +652,20 @@ func (s *StorageNode) sendNotify(p *sim.Proc) {
 		return
 	}
 	s.startSend(p, &san.Packet{Hdr: san.Header{
-		Src: s.id, Dst: req.Notify, Type: san.Control,
+		Src: s.ID(), Dst: req.Notify, Type: san.Control,
 		Flow: req.NotifyFlow, Last: true,
 	}}, sendingNotify)
 }
 
 // startSend readies pkt for the wire: read data and the trailer carry the
-// disk hop's telemetry stamp. The engine then waits for a link credit.
+// disk hop's telemetry stamp. The engine then sends it.
 func (s *StorageNode) startSend(p *sim.Proc, pkt *san.Packet, sending int) {
 	d := &s.disk
 	if s.stamp != nil && sending != sendingNotify {
 		st := s.stamp(d.arrived)
-		st.Add(san.HopDisk, s.name, d.arrived, p.Now())
+		st.Add(san.HopDisk, s.Name(), d.arrived, p.Now())
 		pkt.Stamp = st
 	}
-	s.out.TraceSend(pkt)
 	d.pkt, d.sending = pkt, sending
-	d.wait = diskCredit
+	d.wait = diskSend
 }

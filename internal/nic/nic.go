@@ -59,25 +59,16 @@ type txJob struct {
 	at sim.Time
 }
 
-// NIC is one host channel adapter.
+// NIC is one host channel adapter. The embedded san.Adapter holds its links,
+// its receive engine and its retransmission.
 type NIC struct {
-	eng  *sim.Engine
-	id   san.NodeID
-	name string
-	in   *san.Link
-	out  *san.Link
-	mem  *memsys.RDRAM
+	san.Adapter
+	eng *sim.Engine
+	mem *memsys.RDRAM
 
 	txq      *sim.Queue[txJob]
 	comps    *sim.Queue[*Completion]
 	partials map[flowKey]*Completion
-
-	// Optional end-to-end reliability (nil unless EnableReliability ran):
-	// tx tracks outgoing packets for retransmission, rel orders and acks
-	// incoming ones, rtxq feeds the dedicated retransmit/control process.
-	tx   *san.TxTracker
-	rel  *san.RxTracker
-	rtxq *sim.Queue[*san.Packet]
 
 	// invalidate, when set, is called for every DMA write so the host's
 	// caches drop stale copies of the buffer (DMA coherence).
@@ -90,38 +81,21 @@ type NIC struct {
 	complete   san.Completer
 	maxTxQueue int
 
-	// txs and rtxs are the transmit engines' step states.
-	txs  txState
-	rtxs rtxState
+	// txs is the transmit engine's step state.
+	txs txState
 
-	flows   int64
-	stats   Stats
-	started bool
+	flows int64
+	stats Stats
 }
 
-// The engines are step processes (sim.SpawnStep): each wake runs an engine
-// inline until its next wait, making exactly the schedule calls of a
-// blocking loop over the same work, in the same order. A transmit engine
-// sends as san.Link.Send does, split at Send's two waits.
-const (
-	sendNext   = iota // waiting for work
-	sendCredit        // waiting for a link credit
-	sendWire          // waiting for the packet's tail to leave
-)
-
-// txState is the transmit engine's position: the job in progress and the
-// index of its packet being sent.
+// txState is the transmit engine's position: the job in progress (pkts nil
+// while it waits for one), the index of its packet being sent, and that
+// packet's send.
 type txState struct {
-	wait int
 	job  txJob
 	pkts []*san.Packet
 	next int
-}
-
-// rtxState is the retransmit engine's position.
-type rtxState struct {
-	wait int
-	pkt  *san.Packet
+	send san.Sending
 }
 
 // SetInvalidator installs the DMA-coherence callback.
@@ -142,82 +116,36 @@ func (n *NIC) MaxTxQueue() int { return n.maxTxQueue }
 // New builds an adapter for node id attached via the given links; mem is the
 // host memory channel DMA traffic is charged against.
 func New(eng *sim.Engine, id san.NodeID, name string, in, out *san.Link, mem *memsys.RDRAM) *NIC {
-	return &NIC{
+	n := &NIC{
 		eng:      eng,
-		id:       id,
-		name:     name,
-		in:       in,
-		out:      out,
 		mem:      mem,
 		txq:      sim.NewQueue[txJob](),
 		comps:    sim.NewQueue[*Completion](),
 		partials: make(map[flowKey]*Completion),
 	}
+	n.Adapter = san.NewAdapter(eng, id, name, in, out, n)
+	return n
 }
 
-// ID returns the adapter's node id.
-func (n *NIC) ID() san.NodeID { return n.id }
-
-// Stats returns a copy of the traffic counters.
-func (n *NIC) Stats() Stats { return n.stats }
+// Stats returns a copy of the traffic counters. Retransmissions and acks
+// are real wire traffic; counting them keeps the host-I/O-traffic metric
+// honest under loss.
+func (n *NIC) Stats() Stats {
+	s := n.stats
+	pkts, bytes := n.RetxTraffic()
+	s.PacketsOut += pkts
+	s.BytesOut += bytes
+	return s
+}
 
 // NextFlow allocates a node-unique flow id.
 func (n *NIC) NextFlow() int64 {
 	n.flows++
-	return n.flows<<16 | int64(n.id)&0xFFFF
+	return n.flows<<16 | int64(n.ID())&0xFFFF
 }
 
-// EnableReliability arms end-to-end retransmission on this adapter: outgoing
-// packets are tracked until acknowledged, incoming ones are reordered,
-// deduplicated, and acknowledged. Must run before Start. Returns the tx
-// tracker so callers can wire its resolve hook.
-func (n *NIC) EnableReliability(cfg san.RetxConfig) *san.TxTracker {
-	if n.started {
-		panic("nic: EnableReliability after Start")
-	}
-	if n.tx != nil {
-		return n.tx
-	}
-	n.rtxq = sim.NewQueue[*san.Packet]()
-	enqueue := func(pkt *san.Packet) { n.rtxq.Put(pkt) }
-	n.tx = san.NewTxTracker(n.eng, cfg, enqueue)
-	n.rel = san.NewRxTracker(n.id, enqueue)
-	return n.tx
-}
-
-// ReliabilityEnabled reports whether EnableReliability ran.
-func (n *NIC) ReliabilityEnabled() bool { return n.tx != nil }
-
-// SetRelFilter restricts both reliability trackers to peers that speak the
-// protocol (see san.TxTracker.SetTrackable); packets to and from other nodes
-// bypass tracking entirely. No-op when reliability is disabled.
-func (n *NIC) SetRelFilter(fn func(san.NodeID) bool) {
-	if n.tx != nil {
-		n.tx.SetTrackable(fn)
-		n.rel.SetTrackable(fn)
-	}
-}
-
-// RelStats returns the reliability counters (zero when disabled).
-func (n *NIC) RelStats() (san.TxStats, san.RxStats) {
-	if n.tx == nil {
-		return san.TxStats{}, san.RxStats{}
-	}
-	return n.tx.Stats(), n.rel.Stats()
-}
-
-// Start spawns the receive and transmit engines.
-func (n *NIC) Start() {
-	if n.started {
-		panic("nic: double Start")
-	}
-	n.started = true
-	n.eng.SpawnStep(n.name+".rx", n.rxStep)
-	n.eng.SpawnStep(n.name+".tx", n.txStep)
-	if n.tx != nil {
-		n.eng.SpawnStep(n.name+".rtx", n.rtxStep)
-	}
-}
+// Start spawns the receive, transmit and retransmit engines.
+func (n *NIC) Start() { n.Adapter.Start(".rx", ".tx", n.txStep) }
 
 // Post queues msg for transmission and returns a latch that opens once the
 // final packet is on the wire. local is the host-memory source address the
@@ -227,7 +155,7 @@ func (n *NIC) Post(msg *san.Message, local int64) *sim.Latch {
 		msg.Hdr.Flow = n.NextFlow()
 	}
 	if msg.Hdr.Src == 0 {
-		msg.Hdr.Src = n.id
+		msg.Hdr.Src = n.ID()
 	}
 	done := sim.NewLatch()
 	job := txJob{msg: msg, done: done, local: local}
@@ -250,45 +178,9 @@ func (n *NIC) TryRecv() (*Completion, bool) { return n.comps.TryGet() }
 // Pending reports queued-but-unread completions.
 func (n *NIC) Pending() int { return n.comps.Len() }
 
-// rxStep is the receive engine: it never waits except for the next packet.
-func (n *NIC) rxStep(p *sim.Proc) {
-	for {
-		pkt, ok := n.in.RecvOrWait(p)
-		if !ok {
-			return
-		}
-		n.receive(p, pkt)
-		n.in.ReturnCredit()
-	}
-}
-
-// receive handles one arrived packet; the caller returns its credit.
-func (n *NIC) receive(p *sim.Proc, pkt *san.Packet) {
-	if n.rel != nil {
-		switch {
-		case pkt.Hdr.Type == san.Ack:
-			switch info := pkt.Payload.(type) {
-			case san.AckInfo:
-				n.tx.OnAck(pkt.Hdr.Src, info)
-			case san.NakInfo:
-				n.tx.OnNak(pkt.Hdr.Src, info)
-			}
-		default:
-			for _, q := range n.rel.Observe(pkt) {
-				n.accept(p, q)
-			}
-		}
-		return
-	}
-	// Without the reliability layer a corrupt packet is simply lost at the
-	// adapter's CRC check.
-	if !pkt.Corrupt {
-		n.accept(p, pkt)
-	}
-}
-
-// accept runs the normal receive path for one validated, in-order packet.
-func (n *NIC) accept(p *sim.Proc, pkt *san.Packet) {
+// Accept DMAs one packet from the adapter's receive engine into host memory
+// and adds it to its message's completion.
+func (n *NIC) Accept(p *sim.Proc, pkt *san.Packet) {
 	// DMA the payload into host memory; the credit returns once the
 	// adapter has drained the packet off the link buffer.
 	if pkt.Size > 0 {
@@ -297,7 +189,7 @@ func (n *NIC) accept(p *sim.Proc, pkt *san.Packet) {
 			n.invalidate(pkt.Hdr.Addr, pkt.Size)
 		}
 	}
-	tail := n.in.TailTime(p.Now(), pkt.Size)
+	tail := n.In().TailTime(p.Now(), pkt.Size)
 	if st := pkt.Stamp; st != nil && n.complete != nil {
 		n.complete(st, tail, pkt.Hdr.Type)
 	}
@@ -319,94 +211,49 @@ func (n *NIC) accept(p *sim.Proc, pkt *san.Packet) {
 		delete(n.partials, key)
 		n.stats.MessagesIn++
 		if n.eng.Tracing() {
-			n.eng.Emit("packet", "recv", n.name,
+			n.eng.Emit("packet", "recv", n.Name(),
 				fmt.Sprintf("%s msg src=%d flow=%d size=%d", pkt.Hdr.Type, pkt.Hdr.Src, pkt.Hdr.Flow, c.Size))
 		}
 		n.comps.Put(c)
 	}
 }
 
-// rtxStep drains retransmissions and ACK/NAK control packets onto the link;
-// a separate engine so timer callbacks never block and retransmissions
-// interleave with fresh traffic rather than preempting it.
-func (n *NIC) rtxStep(p *sim.Proc) {
-	r := &n.rtxs
-	for {
-		switch r.wait {
-		case sendNext:
-			pkt, ok := n.rtxq.GetOrWait(p)
-			if !ok {
-				return
-			}
-			n.out.TraceSend(pkt)
-			r.pkt = pkt
-			r.wait = sendCredit
-		case sendCredit:
-			if !n.out.CreditOrWait(p) {
-				return
-			}
-			p.WakeAt(n.out.Transmit(r.pkt))
-			r.wait = sendWire
-			return
-		case sendWire:
-			// Retransmissions and acks are real wire traffic; keeping them
-			// in the counters keeps the host-I/O-traffic metric honest
-			// under loss.
-			n.stats.PacketsOut++
-			n.stats.BytesOut += r.pkt.Size
-			r.pkt = nil
-			r.wait = sendNext
-		}
-	}
-}
-
 // txStep segments each posted message and sends its packets in order,
-// opening the message's latch once the last is on the wire.
+// opening the message's latch once the last is on the wire. It is a step
+// process (sim.SpawnStep), making exactly the schedule calls of a blocking
+// loop over the same work, in the same order.
 func (n *NIC) txStep(p *sim.Proc) {
 	t := &n.txs
 	for {
-		switch t.wait {
-		case sendNext:
+		if t.pkts == nil {
 			job, ok := n.txq.GetOrWait(p)
 			if !ok {
 				return
 			}
-			t.job = job
-			t.pkts = job.msg.Packets(job.msg.Split)
-			t.next = 0
-			n.startPacket(p)
-		case sendCredit:
-			if !n.out.CreditOrWait(p) {
-				return
-			}
-			p.WakeAt(n.out.Transmit(t.pkts[t.next]))
-			t.wait = sendWire
-			return
-		case sendWire:
-			pkt := t.pkts[t.next]
-			if n.tx != nil {
-				n.tx.Record(pkt)
-			}
-			n.stats.PacketsOut++
-			n.stats.BytesOut += pkt.Size
-			t.next++
-			n.startPacket(p)
+			t.job, t.pkts = job, job.msg.Packets(job.msg.Split)
+			n.readyPacket(p)
 		}
+		pkt := t.pkts[t.next]
+		if !n.Out().SendOrWait(p, pkt, &t.send) {
+			return
+		}
+		n.Track(pkt)
+		n.stats.PacketsOut++
+		n.stats.BytesOut += pkt.Size
+		if t.next++; t.next < len(t.pkts) {
+			n.readyPacket(p)
+			continue
+		}
+		n.stats.MessagesOut++
+		t.job.done.Open()
+		*t = txState{}
 	}
 }
 
-// startPacket readies the job's next packet — DMA read, telemetry stamp,
-// send trace — and waits for its credit; past the last packet it completes
-// the job and waits for the next.
-func (n *NIC) startPacket(p *sim.Proc) {
+// readyPacket readies the job's next packet for the wire: its DMA read and
+// its telemetry stamp.
+func (n *NIC) readyPacket(p *sim.Proc) {
 	t := &n.txs
-	if t.next == len(t.pkts) {
-		n.stats.MessagesOut++
-		t.job.done.Open()
-		t.job, t.pkts = txJob{}, nil
-		t.wait = sendNext
-		return
-	}
 	pkt := t.pkts[t.next]
 	if pkt.Size > 0 {
 		off := int64(pkt.Hdr.Seq) * san.MTU
@@ -414,9 +261,7 @@ func (n *NIC) startPacket(p *sim.Proc) {
 	}
 	if n.stamp != nil {
 		st := n.stamp(t.job.at)
-		st.Add(san.HopNIC, n.name, t.job.at, p.Now())
+		st.Add(san.HopNIC, n.Name(), t.job.at, p.Now())
 		pkt.Stamp = st
 	}
-	n.out.TraceSend(pkt)
-	t.wait = sendCredit
 }

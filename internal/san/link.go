@@ -144,9 +144,17 @@ func (l *Link) Utilization() float64 { return l.line.Utilization() }
 // by the workload's end rather than the engine clock).
 func (l *Link) BusyTime() sim.Time { return l.line.BusyTime() }
 
-// traceSend emits the typed packet-send event; call sites are guarded so a
-// run without tracing pays nothing.
+// traceSend emits the packet-send trace event when tracing is on. Every send
+// emits it before waiting for a credit.
 func (l *Link) traceSend(pkt *Packet) {
+	if l.eng.Tracing() {
+		l.emitSend(pkt)
+	}
+}
+
+// emitSend emits the typed packet-send event, kept out of traceSend so the
+// guard inlines and a run without tracing pays nothing.
+func (l *Link) emitSend(pkt *Packet) {
 	l.eng.Emit("packet", "send", l.name, fmt.Sprintf("%s pkt src=%d dst=%d flow=%d seq=%d size=%d",
 		pkt.Hdr.Type, pkt.Hdr.Src, pkt.Hdr.Dst, pkt.Hdr.Flow, pkt.Hdr.Seq, pkt.Size))
 }
@@ -160,41 +168,59 @@ func (l *Link) FillRate() float64 { return l.cfg.BandwidthBytesPerSec }
 // wire (its tail has left the sender), modelling a DMA engine that moves to
 // the next packet as soon as the line frees.
 func (l *Link) Send(p *sim.Proc, pkt *Packet) {
-	l.TraceSend(pkt)
+	l.traceSend(pkt)
 	l.credits.Acquire(p)
-	p.SleepUntil(l.Transmit(pkt))
+	p.SleepUntil(l.transmit(pkt))
 }
 
 // SendAsync is Send without blocking for serialization (the caller only
 // blocks if no credit is available). Used by senders that pipeline many
 // packets from one process.
 func (l *Link) SendAsync(p *sim.Proc, pkt *Packet) {
-	l.TraceSend(pkt)
+	l.traceSend(pkt)
 	l.credits.Acquire(p)
-	l.Transmit(pkt)
+	l.transmit(pkt)
 }
 
-// A step process sends the way Send does, in three parts split at Send's
-// two waits: TraceSend, then CreditOrWait until it reports true, then
-// Transmit, sleeping (Proc.WakeAt) until the time it returns.
+// Sending carries a step process's send across Send's two waits, a link
+// credit and the packet's tail leaving. Its zero value starts one.
+type Sending struct {
+	wait int
+}
 
-// TraceSend emits the packet-send trace event when tracing is on. Send emits
-// it before waiting for a credit, so a staged sender calls it first.
-func (l *Link) TraceSend(pkt *Packet) {
-	if l.eng.Tracing() {
+// Sending waits.
+const (
+	sendStart  = iota // not yet traced
+	sendCredit        // a link credit
+	sendWire          // the packet's tail to leave
+)
+
+// SendOrWait is the non-blocking Send for step processes, built from the
+// same pieces. Call it with a zero Sending, then with the same packet and
+// Sending on every later wake, until it reports true: the packet's tail has
+// then left, as Send would return, and the Sending is zero again.
+func (l *Link) SendOrWait(p *sim.Proc, pkt *Packet, s *Sending) bool {
+	switch s.wait {
+	case sendStart:
 		l.traceSend(pkt)
+		s.wait = sendCredit
+		fallthrough
+	case sendCredit:
+		if !l.credits.AcquireOrWait(p) {
+			return false
+		}
+		p.WakeAt(l.transmit(pkt))
+		s.wait = sendWire
+		return false
 	}
+	*s = Sending{}
+	return true
 }
 
-// CreditOrWait is the non-blocking credit acquisition for step processes:
-// it takes one send credit, or queues p to be woken when one returns and
-// reports false.
-func (l *Link) CreditOrWait(p *sim.Proc) bool { return l.credits.AcquireOrWait(p) }
-
-// Transmit serializes pkt on the line — the caller already holds a send
+// transmit serializes pkt on the line — the caller already holds a send
 // credit — and schedules its delivery (or fate, under fault injection). It
-// returns the serialization end time, when Send would return.
-func (l *Link) Transmit(pkt *Packet) (end sim.Time) {
+// returns the serialization end time, when Send returns.
+func (l *Link) transmit(pkt *Packet) (end sim.Time) {
 	end = l.line.Reserve(sim.TransferTime(pkt.Wire(), l.cfg.BandwidthBytesPerSec))
 	headAt := end - sim.TransferTime(pkt.Size, l.cfg.BandwidthBytesPerSec) + l.cfg.Propagation
 	l.stats.Packets++

@@ -432,26 +432,18 @@ func (s *Switch) noteDepth(out int) {
 	}
 }
 
-// Output-port states: the wait each one resumes from.
-const (
-	outGet    = iota // a packet in the output queue
-	outCredit        // a send credit on the link
-	outSent          // the packet's tail to leave
-)
-
 // outPort drains one output queue onto its link, as Link.Send would.
 type outPort struct {
-	s     *Switch
-	q     *sim.Queue[*Packet]
-	out   *Link
-	state int
-	pkt   *Packet
+	s    *Switch
+	q    *sim.Queue[*Packet]
+	out  *Link
+	pkt  *Packet // the packet being sent, nil while waiting for one
+	send Sending
 }
 
 func (pt *outPort) step(p *sim.Proc) {
 	for {
-		switch pt.state {
-		case outGet:
+		if pt.pkt == nil {
 			pkt, ok := pt.q.GetOrWait(p)
 			if !ok {
 				return
@@ -459,21 +451,13 @@ func (pt *outPort) step(p *sim.Proc) {
 			if st := pkt.Stamp; st != nil {
 				st.Close(p.Now())
 			}
-			pt.out.TraceSend(pkt)
 			pt.pkt = pkt
-			pt.state = outCredit
-		case outCredit:
-			if !pt.out.CreditOrWait(p) {
-				return
-			}
-			p.WakeAt(pt.out.Transmit(pt.pkt))
-			pt.state = outSent
-			return
-		case outSent:
-			pt.pkt = nil
-			pt.state = outGet
-			pt.s.pool.Release()
 		}
+		if !pt.out.SendOrWait(p, pt.pkt, &pt.send) {
+			return
+		}
+		pt.pkt = nil
+		pt.s.pool.Release()
 	}
 }
 

@@ -289,9 +289,6 @@ func (e *Engine) cancel(t timer) {
 	}
 }
 
-// After runs fn after the given delay.
-func (e *Engine) After(d Time, fn func()) { e.Schedule(e.now+d, fn) }
-
 // Stop makes Run return after the current event completes. Pending events
 // remain queued.
 func (e *Engine) Stop() { e.stopped = true }
