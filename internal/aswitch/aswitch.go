@@ -146,6 +146,9 @@ type ActiveSwitch struct {
 	// stream data.
 	mapSig *sim.Signal
 
+	// pool mints the packets handlers send (Ctx.Send, Ctx.Forward).
+	pool san.PacketPool
+
 	rr         int
 	flows      int64
 	stats      Stats
@@ -450,7 +453,7 @@ func (d *dispatch) DeliverOrWait(p *sim.Proc, pkt *san.Packet, fillRate float64)
 				return false
 			}
 			d.c.atb.Install(d.buf)
-			d.c.arrivals = append(d.c.arrivals, d.buf)
+			d.c.arrivals = append(d.c.arrivals, d.buf.ref())
 			s.stats.PacketsAdmitted++
 			return d.admit(p, pkt)
 		case dispatchNotice:
@@ -464,7 +467,9 @@ func (d *dispatch) DeliverOrWait(p *sim.Proc, pkt *san.Packet, fillRate float64)
 }
 
 // admit finishes an admitted packet: the first packet of an active message
-// queues its handler invocation, and the packet's life ends here.
+// queues its handler invocation, and the packet's life ends here. What
+// outlives it is copied out: the payload into the buffer and the
+// invocation, the header fields into the invocation.
 func (d *dispatch) admit(p *sim.Proc, pkt *san.Packet) bool {
 	s, c := d.s, d.c
 	if invokes(pkt) {
@@ -537,8 +542,10 @@ type SwitchCPU struct {
 	cpu *cpu.CPU
 	atb *ATB
 
-	invq     *sim.Queue[*Invocation]
-	arrivals []*DataBuffer
+	invq *sim.Queue[*Invocation]
+	// arrivals lists this CPU's admitted buffers in arrival order, for
+	// NextArrival.
+	arrivals []BufRef
 
 	runs int64
 }
@@ -632,13 +639,16 @@ func (c *SwitchCPU) cleanupCrash(p *sim.Proc, inv *Invocation) {
 }
 
 // pruneArrivals drops consumed/freed buffers from the head of the arrival
-// list so streaming handlers do not accumulate it.
+// list so streaming handlers do not accumulate it. The rest moves down, so
+// the list keeps its backing array.
 func (c *SwitchCPU) pruneArrivals() {
 	i := 0
-	for i < len(c.arrivals) && (!c.arrivals[i].live || c.arrivals[i].consumed) {
+	for i < len(c.arrivals) && (!c.arrivals[i].live() || c.arrivals[i].b.consumed) {
 		i++
 	}
 	if i > 0 {
-		c.arrivals = c.arrivals[i:]
+		n := copy(c.arrivals, c.arrivals[i:])
+		clear(c.arrivals[n:])
+		c.arrivals = c.arrivals[:n]
 	}
 }

@@ -1,6 +1,7 @@
 package aswitch
 
 import (
+	"strings"
 	"testing"
 
 	"activesan/internal/san"
@@ -103,7 +104,7 @@ func TestATBDirectMapped(t *testing.T) {
 	if a.CanInstall(b16) {
 		t.Fatal("conflicting slot reported free")
 	}
-	if got, ok := a.Lookup(100); !ok || got != b0 {
+	if got, ok := a.Lookup(100); !ok || got.b != b0 {
 		t.Fatal("lookup inside b0 failed")
 	}
 	if _, ok := a.Lookup(16 * 512); ok {
@@ -861,5 +862,151 @@ func TestStreamHandoffsIndependentOfLength(t *testing.T) {
 	}
 	if short, long := handoffs(16), handoffs(256); short != long {
 		t.Fatalf("a 16-packet stream cost %d goroutine handoffs, a 256-packet stream %d", short, long)
+	}
+}
+
+// streamRig streams pooled MTU packets into a handler that reads and
+// deallocates each: one packet per call of feed.
+type streamRig struct {
+	eng      *sim.Engine
+	sw       *ActiveSwitch
+	out      *san.Link
+	pool     san.PacketPool
+	jobs     *sim.Queue[struct{}]
+	seq      int
+	pkt      *san.Packet
+	send     san.Sending
+	consumed int
+}
+
+const streamBase = int64(0x10000)
+
+func newStreamRig() *streamRig {
+	r := &streamRig{eng: sim.NewEngine(), jobs: sim.NewQueue[struct{}]()}
+	sw, eps := rig(r.eng, 2, DefaultConfig(2))
+	r.sw, r.out = sw, eps[0].Out
+	sw.Register(1, "stream", func(x *Ctx) {
+		x.ReleaseArgs()
+		cursor := streamBase
+		for {
+			b := x.WaitStream(cursor)
+			x.ReadAt(b, 0, b.Size())
+			cursor = b.End()
+			x.Deallocate(cursor)
+			r.consumed++
+		}
+	})
+	sw.Start()
+	r.eng.SpawnStep("sender", r.step)
+	r.jobs.Put(struct{}{}) // the invocation
+	r.eng.Run()
+	return r
+}
+
+// step sends the invocation, then one stream packet per job.
+func (r *streamRig) step(p *sim.Proc) {
+	for {
+		if r.pkt == nil {
+			if _, ok := r.jobs.GetOrWait(p); !ok {
+				return
+			}
+			r.pkt = r.pool.Get()
+			if r.seq == 0 {
+				r.pkt.Hdr = san.Header{Src: 0, Dst: r.sw.ID(), Type: san.ActiveMsg, HandlerID: 1, Addr: 0x8000, Flow: 7, Last: true}
+				r.pkt.Size = 32
+			} else {
+				r.pkt.Hdr = san.Header{Src: 0, Dst: r.sw.ID(), Type: san.Data, Addr: streamBase + int64(r.seq-1)*san.MTU, Flow: 8, Seq: r.seq - 1}
+				r.pkt.Size = san.MTU
+			}
+			r.seq++
+		}
+		if !r.out.SendOrWait(p, r.pkt, &r.send) {
+			return
+		}
+		r.pkt.Release(san.Sender)
+		r.pkt = nil
+	}
+}
+
+func (r *streamRig) feed() {
+	r.jobs.Put(struct{}{})
+	r.eng.Run()
+}
+
+// Each packet of a streamed active message — dispatched into a recycled
+// data buffer, waited for, read and deallocated by the handler — allocates
+// nothing once the stream is warm.
+func TestStreamedPacketZeroAllocs(t *testing.T) {
+	r := newStreamRig()
+	defer r.eng.Shutdown()
+	for i := 0; i < 64; i++ {
+		r.feed()
+	}
+	allocs := testing.AllocsPerRun(200, r.feed)
+	if r.consumed != 64+201 {
+		t.Fatalf("handler consumed %d packets, want %d", r.consumed, 64+201)
+	}
+	if allocs != 0 {
+		t.Fatalf("a streamed packet allocates %.1f times, want 0", allocs)
+	}
+	if n := r.sw.DBA().InUse(); n != 0 {
+		t.Fatalf("%d data buffers held after the stream", n)
+	}
+}
+
+// The DBA reuses its buffers, so a reference a handler kept past Deallocate
+// is stale: every Ctx call and accessor on it panics instead of reading the
+// buffer's next occupant.
+func TestStaleBufferReferencePanics(t *testing.T) {
+	d := NewDBA(2, 1)
+	b := d.take(false)
+	ref := b.ref()
+	d.Free(b)
+	if again := d.take(false); again != b || ref.live() {
+		t.Fatal("the DBA did not reuse the freed buffer, or the old reference still reads as live")
+	}
+
+	eng := sim.NewEngine()
+	sw, eps := rig(eng, 2, DefaultConfig(2))
+	uses := []struct {
+		name string
+		use  func(x *Ctx, b BufRef)
+	}{
+		{"ReadAt", func(x *Ctx, b BufRef) { x.ReadAt(b, 0, 1) }},
+		{"ReadAll", func(x *Ctx, b BufRef) { x.ReadAll(b) }},
+		{"Peek", func(x *Ctx, b BufRef) { x.Peek(b, 8) }},
+		{"DeallocateBuf", func(x *Ctx, b BufRef) { x.DeallocateBuf(b) }},
+		{"Forward", func(x *Ctx, b BufRef) { x.Forward(SendSpec{Dst: 1, Type: san.Data, Flow: 9}, b, 0, true) }},
+		{"Size", func(_ *Ctx, b BufRef) { b.Size() }},
+		{"End", func(_ *Ctx, b BufRef) { b.End() }},
+	}
+	panics := make([]any, len(uses))
+	sw.Register(1, "stale", func(x *Ctx) {
+		x.ReleaseArgs()
+		cursor := int64(0x10000)
+		for i, u := range uses {
+			b := x.WaitStream(cursor)
+			cursor = b.End()
+			x.Deallocate(cursor)
+			func() {
+				defer func() { panics[i] = recover() }()
+				u.use(x, b)
+			}()
+		}
+	})
+	sw.Start()
+	eng.Spawn("host", func(p *sim.Proc) {
+		eps[0].Out.Send(p, invoke(sw, 0, 1, 0x8000, 7))
+		m := &san.Message{Hdr: san.Header{Src: 0, Dst: sw.ID(), Type: san.Data, Addr: 0x10000, Flow: 8}, Size: int64(len(uses)) * san.MTU}
+		for _, pkt := range m.Packets(nil) {
+			eps[0].Out.Send(p, pkt)
+		}
+	})
+	eng.Run()
+	defer eng.Shutdown()
+	for i, u := range uses {
+		if msg, _ := panics[i].(string); !strings.Contains(msg, "stale reference") {
+			t.Errorf("%s on a freed buffer: recovered %v, want a stale-reference panic", u.name, panics[i])
+		}
 	}
 }

@@ -12,6 +12,8 @@ import (
 // occupy consecutive entries and deallocation walks the same way.
 type ATB struct {
 	entries []*DataBuffer
+	// freed is ReleaseBelow's result, reused from call to call.
+	freed []*DataBuffer
 
 	hits, misses int64
 }
@@ -31,14 +33,14 @@ func (a *ATB) slot(addr int64) int {
 
 // Lookup translates addr; the second result is false when no live mapping
 // covers it (the data has not arrived, or was deallocated).
-func (a *ATB) Lookup(addr int64) (*DataBuffer, bool) {
+func (a *ATB) Lookup(addr int64) (BufRef, bool) {
 	b := a.entries[a.slot(addr)]
 	if b != nil && b.Contains(addr) {
 		a.hits++
-		return b, true
+		return b.ref(), true
 	}
 	a.misses++
-	return nil, false
+	return BufRef{}, false
 }
 
 // CanInstall reports whether buf's slot is free.
@@ -58,15 +60,16 @@ func (a *ATB) Install(buf *DataBuffer) {
 // ReleaseBelow removes every mapping wholly below end (the hardware behind
 // the paper's Deallocate_Buffer macro: "releasing data buffers holding valid
 // mapped addresses less than that end address") and returns the freed
-// buffers.
+// buffers, in a slice the next call reuses.
 func (a *ATB) ReleaseBelow(end int64) []*DataBuffer {
-	var freed []*DataBuffer
+	freed := a.freed[:0]
 	for i, b := range a.entries {
 		if b != nil && b.End() <= end {
 			freed = append(freed, b)
 			a.entries[i] = nil
 		}
 	}
+	a.freed = freed
 	return freed
 }
 

@@ -23,9 +23,14 @@ const ValidLineBytes int64 = 32
 // DataBuffer is one of the switch's on-chip staging buffers. Incoming
 // packets fill it at the link rate starting at fillStart; ValidAt computes
 // the instant a given byte's line becomes valid, modelling the per-line
-// valid bits in O(1) instead of an event per line.
+// valid bits in O(1) instead of an event per line. The DBA reuses its
+// buffers; handlers hold them through BufRefs, which go stale when the
+// buffer is freed.
 type DataBuffer struct {
-	id   int
+	id int
+	// gen counts the buffer's frees: a BufRef made before the last one is
+	// stale.
+	gen  uint32
 	addr int64 // mapped physical address of byte 0
 	size int64 // bytes occupied
 
@@ -40,23 +45,6 @@ type DataBuffer struct {
 	output   bool // allocated from the send-unit reserve
 	last     bool // the packet carried the message's Last flag
 }
-
-// Last reports whether this buffer held its message's final packet —
-// handlers over variable-length streams (active-disk pushdown output) use
-// it for termination.
-func (b *DataBuffer) Last() bool { return b.last }
-
-// ID returns the buffer's slot number.
-func (b *DataBuffer) ID() int { return b.id }
-
-// Addr returns the mapped address of the buffer's first byte.
-func (b *DataBuffer) Addr() int64 { return b.addr }
-
-// Size returns how many bytes the buffer holds.
-func (b *DataBuffer) Size() int64 { return b.size }
-
-// Payload returns the functional content carried by the packet.
-func (b *DataBuffer) Payload() any { return b.payload }
 
 // End returns the first mapped address past the buffer's data.
 func (b *DataBuffer) End() int64 { return b.addr + b.size }
@@ -92,6 +80,54 @@ func (b *DataBuffer) TailValidAt() sim.Time {
 	return b.ValidAt(b.size - 1)
 }
 
+// ref returns a reference to the buffer's current occupant.
+func (b *DataBuffer) ref() BufRef { return BufRef{b: b, gen: b.gen} }
+
+// BufRef is a handler's reference to a mapped data buffer: the buffer and
+// its generation when the reference was made. WaitStream, NextArrival and
+// ATB.Lookup return one. The DBA reuses its buffers, so a reference goes
+// stale once its buffer is freed (Deallocate); every Ctx call and accessor
+// on a stale reference panics rather than read the buffer's next occupant.
+type BufRef struct {
+	b   *DataBuffer
+	gen uint32
+}
+
+// live reports whether the reference still names its buffer's occupant.
+func (r BufRef) live() bool { return r.b != nil && r.b.gen == r.gen }
+
+// buf returns the referenced buffer, panicking on a stale reference.
+func (r BufRef) buf() *DataBuffer {
+	if !r.live() {
+		id := -1
+		if r.b != nil {
+			id = r.b.id
+		}
+		panic(fmt.Sprintf("aswitch: stale reference to data buffer %d, used after it was freed", id))
+	}
+	return r.b
+}
+
+// ID returns the buffer's slot number.
+func (r BufRef) ID() int { return r.buf().id }
+
+// Addr returns the mapped address of the buffer's first byte.
+func (r BufRef) Addr() int64 { return r.buf().addr }
+
+// Size returns how many bytes the buffer holds.
+func (r BufRef) Size() int64 { return r.buf().size }
+
+// End returns the first mapped address past the buffer's data.
+func (r BufRef) End() int64 { return r.buf().End() }
+
+// Last reports whether the buffer holds its message's final packet —
+// handlers over variable-length streams (active-disk pushdown output) use
+// it for termination.
+func (r BufRef) Last() bool { return r.buf().last }
+
+// Payload returns the functional content carried by the packet.
+func (r BufRef) Payload() any { return r.buf().payload }
+
 // DBA is the data buffer administrator: it owns the pool of NumBuffers
 // on-chip buffers, reserving OutReserve of them for the send unit so that a
 // handler composing output can always make progress even when inbound
@@ -99,9 +135,11 @@ func (b *DataBuffer) TailValidAt() sim.Time {
 type DBA struct {
 	inputPermits  *sim.Semaphore
 	outputPermits *sim.Semaphore
-	// freeIDs recycles slot numbers; DataBuffer structs themselves are
-	// allocated fresh so that stale references (e.g. a CPU's arrival list)
-	// can never alias a later occupant of the same slot.
+	// bufs are the buffers, made at the first admission and reused for
+	// every occupant; freeIDs lists the free ones. A stale reference (a
+	// handler's, or a CPU's arrival list) cannot alias a later occupant:
+	// BufRef checks the generation.
+	bufs    []DataBuffer
 	freeIDs []int
 	inUse   int
 	total   int
@@ -148,9 +186,13 @@ func (d *DBA) take(output bool) *DataBuffer {
 	if len(d.freeIDs) == 0 {
 		panic("aswitch: DBA permit accounting broken — no free buffer")
 	}
+	if d.bufs == nil {
+		d.bufs = make([]DataBuffer, d.total)
+	}
 	id := d.freeIDs[len(d.freeIDs)-1]
 	d.freeIDs = d.freeIDs[:len(d.freeIDs)-1]
-	b := &DataBuffer{id: id, live: true, output: output}
+	b := &d.bufs[id]
+	*b = DataBuffer{id: id, gen: b.gen, live: true, output: output}
 	d.inUse++
 	d.allocs++
 	if d.inUse > d.peak {
@@ -159,13 +201,13 @@ func (d *DBA) take(output bool) *DataBuffer {
 	return b
 }
 
-// Free releases a buffer's slot back to the pool. The struct itself is
-// dead afterwards (live=false) and is never reused.
+// Free releases a buffer back to the pool, staling every reference to it.
 func (d *DBA) Free(b *DataBuffer) {
 	if !b.live {
 		panic(fmt.Sprintf("aswitch: double free of buffer %d", b.id))
 	}
 	b.live = false
+	b.gen++
 	b.payload = nil
 	d.freeIDs = append(d.freeIDs, b.id)
 	d.inUse--

@@ -97,9 +97,9 @@ func (x *Ctx) waitValid(t sim.Time) {
 }
 
 // WaitStream blocks until a data buffer mapped at addr exists and returns
-// it. This is the in-order streaming access pattern of the paper's example
-// handler: data "typically comes into the switch in order".
-func (x *Ctx) WaitStream(addr int64) *DataBuffer {
+// a reference to it. This is the in-order streaming access pattern of the
+// paper's example handler: data "typically comes into the switch in order".
+func (x *Ctx) WaitStream(addr int64) BufRef {
 	x.c.cpu.Flush(x.p)
 	for {
 		x.checkCrash()
@@ -114,25 +114,26 @@ func (x *Ctx) WaitStream(addr int64) *DataBuffer {
 // CPU and returns the oldest, marking it consumed. Handlers over multiple
 // interleaved input streams (parallel sort, collective reduction) use this
 // so that no stream can starve another.
-func (x *Ctx) NextArrival() *DataBuffer {
+func (x *Ctx) NextArrival() BufRef {
 	x.c.cpu.Flush(x.p)
 	for {
 		x.checkCrash()
 		x.c.pruneArrivals()
-		for _, b := range x.c.arrivals {
-			if b.live && !b.consumed {
-				b.consumed = true
-				return b
+		for _, r := range x.c.arrivals {
+			if r.live() && !r.b.consumed {
+				r.b.consumed = true
+				return r
 			}
 		}
 		x.sw.mapSig.Wait(x.p)
 	}
 }
 
-// ReadAt waits until bytes [off, off+n) of b are valid and charges the
-// loads that move them through the buffer read port. It returns the
-// buffer's payload for functional use.
-func (x *Ctx) ReadAt(b *DataBuffer, off, n int64) any {
+// ReadAt waits until bytes [off, off+n) of the referenced buffer are valid
+// and charges the loads that move them through the buffer read port. It
+// returns the buffer's payload for functional use.
+func (x *Ctx) ReadAt(r BufRef, off, n int64) any {
+	b := r.buf()
 	if n <= 0 {
 		return b.payload
 	}
@@ -146,15 +147,12 @@ func (x *Ctx) ReadAt(b *DataBuffer, off, n int64) any {
 
 // ReadAll reads the entire buffer (stalling until its tail is valid) and
 // returns its payload.
-func (x *Ctx) ReadAll(b *DataBuffer) any { return x.ReadAt(b, 0, b.size) }
+func (x *Ctx) ReadAll(r BufRef) any { return x.ReadAt(r, 0, r.Size()) }
 
 // Peek waits only for the first n bytes to be valid and charges only their
 // loads — the MPEG frame filter's header-checking pattern.
-func (x *Ctx) Peek(b *DataBuffer, n int64) any {
-	if n > b.size {
-		n = b.size
-	}
-	return x.ReadAt(b, 0, n)
+func (x *Ctx) Peek(r BufRef, n int64) any {
+	return x.ReadAt(r, 0, min(n, r.Size()))
 }
 
 // Deallocate releases every buffer on this CPU mapped wholly below end —
@@ -173,9 +171,9 @@ func (x *Ctx) Deallocate(end int64) int {
 	return len(freed)
 }
 
-// DeallocateBuf releases exactly one buffer.
-func (x *Ctx) DeallocateBuf(b *DataBuffer) {
-	if x.c.atb.Release(b) {
+// DeallocateBuf releases exactly the referenced buffer.
+func (x *Ctx) DeallocateBuf(r BufRef) {
+	if b := r.buf(); x.c.atb.Release(b) {
 		x.sw.dba.Free(b)
 		x.c.cpu.Compute(x.p, deallocCycles)
 		x.c.pruneArrivals()
@@ -226,11 +224,13 @@ func (x *Ctx) Send(spec SendSpec) {
 	if hdr.Flow == 0 {
 		hdr.Flow = x.sw.NextFlow()
 	}
-	m := &san.Message{Hdr: hdr, Size: spec.Size, Payload: spec.Payload}
-	pkts := m.Packets(spec.Split)
-	for _, pkt := range pkts {
+	m := san.Message{Hdr: hdr, Size: spec.Size, Payload: spec.Payload}
+	for i, n := 0, m.NumPackets(); i < n; i++ {
 		buf := x.sw.dba.AllocOutput(x.p)
-		words := (pkt.Size + wordBytes - 1) / wordBytes
+		pkt := x.sw.pool.Get()
+		m.Segment(pkt, i, spec.Split)
+		size := pkt.Size
+		words := (size + wordBytes - 1) / wordBytes
 		x.c.cpu.Compute(x.p, words+packetHeaderCost)
 		x.c.cpu.Flush(x.p)
 		if x.sw.stamp != nil {
@@ -240,10 +240,11 @@ func (x *Ctx) Send(spec SendSpec) {
 			x.sw.dba.Free(buf)
 			panic(err)
 		}
+		pkt.Release(san.Sender)
 		x.sw.dba.Free(buf)
 		x.sw.stats.PacketsSent++
-		x.sw.stats.BytesSent += pkt.Size
-		x.sw.perHandler[x.inv.HandlerID].BytesSent += pkt.Size
+		x.sw.stats.BytesSent += size
+		x.sw.perHandler[x.inv.HandlerID].BytesSent += size
 	}
 	x.sw.stats.MessagesSent++
 	x.sw.perHandler[x.inv.HandlerID].MessagesSent++
@@ -253,7 +254,8 @@ func (x *Ctx) Send(spec SendSpec) {
 // copying — the ISA's "send data buffers to other nodes" extension. The
 // packet leaves once the buffer's tail is valid; the CPU pays only the
 // header cost. The source buffer stays mapped until Deallocate.
-func (x *Ctx) Forward(spec SendSpec, src *DataBuffer, seq int, last bool) {
+func (x *Ctx) Forward(spec SendSpec, ref BufRef, seq int, last bool) {
+	src := ref.buf()
 	x.waitValid(src.TailValidAt())
 	hdr := san.Header{
 		Src:       x.sw.ID(),
@@ -269,7 +271,8 @@ func (x *Ctx) Forward(spec SendSpec, src *DataBuffer, seq int, last bool) {
 	if hdr.Flow == 0 {
 		panic("aswitch: Forward requires an explicit flow id")
 	}
-	pkt := &san.Packet{Hdr: hdr, Size: src.size, Payload: src.payload}
+	pkt := x.sw.pool.Get()
+	pkt.Hdr, pkt.Size, pkt.Payload = hdr, src.size, src.payload
 	x.c.cpu.Compute(x.p, packetHeaderCost)
 	x.c.cpu.Flush(x.p)
 	if x.sw.stamp != nil {
@@ -278,9 +281,10 @@ func (x *Ctx) Forward(spec SendSpec, src *DataBuffer, seq int, last bool) {
 	if err := x.sw.Inject(x.p, pkt); err != nil {
 		panic(err)
 	}
+	pkt.Release(san.Sender)
 	x.sw.stats.PacketsSent++
-	x.sw.stats.BytesSent += pkt.Size
-	x.sw.perHandler[x.inv.HandlerID].BytesSent += pkt.Size
+	x.sw.stats.BytesSent += src.size
+	x.sw.perHandler[x.inv.HandlerID].BytesSent += src.size
 }
 
 // Proc exposes the underlying process for integration points (e.g. the Tar

@@ -222,12 +222,12 @@ type writeState struct {
 	src san.NodeID
 }
 
-// queuedReq is a request packet with its arrival time, so the telemetry
-// disk hop starts when the work arrived rather than when the TCA got to
-// it.
+// queuedReq is a request packet's payload with its arrival time, so the
+// telemetry disk hop starts when the work arrived rather than when the TCA
+// got to it. The packet itself goes back to its sender's pool.
 type queuedReq struct {
-	pkt *san.Packet
-	at  sim.Time
+	payload any
+	at      sim.Time
 }
 
 // New builds a storage node attached via the given links.
@@ -312,7 +312,7 @@ func (s *StorageNode) Accept(p *sim.Proc, pkt *san.Packet) {
 		if w, isW := pkt.Payload.(WriteReq); isW {
 			s.writes[pkt.Hdr.Flow] = &writeState{req: w, src: pkt.Hdr.Src}
 		} else {
-			s.reqs.Put(queuedReq{pkt: pkt, at: p.Now()})
+			s.reqs.Put(queuedReq{payload: pkt.Payload, at: p.Now()})
 			if s.stamp != nil {
 				if d := s.reqs.Len(); d > s.maxReqQueue {
 					s.maxReqQueue = d
@@ -359,7 +359,7 @@ func (s *StorageNode) absorbWrite(p *sim.Proc, pkt *san.Packet) {
 					Flow: req.NotifyFlow, Last: true,
 				}}
 				s.Out().Send(ap, pkt)
-				s.Track(pkt)
+				s.Sent(pkt)
 			})
 		}
 	}
@@ -413,16 +413,16 @@ type diskState struct {
 	arrived sim.Time
 	first   sim.Time // when the first chunk starts leaving the platters
 	hdr     san.Header
-	pkts    []*san.Packet // a plain read's packets
-	next    int           // the chunk in progress
+	chunks  int // a plain read's packet count
+	next    int // the chunk in progress
 	// A filtered read's chunk size, the bytes and payload the filter kept
 	// of it, and the stream's running totals.
 	n, keep int64
 	out     any
 	kept    int64
 	seq     int
-	// pkt is the packet being sent, sending says what it is, and send is
-	// its send.
+	// pkt is the packet being readied or sent, sending says what it is,
+	// and send is its send.
 	pkt     *san.Packet
 	sending int
 	send    san.Sending
@@ -441,7 +441,7 @@ func (s *StorageNode) diskStep(p *sim.Proc) {
 			if !ok {
 				return
 			}
-			req, ok := q.pkt.Payload.(ReadReq)
+			req, ok := q.payload.(ReadReq)
 			if !ok {
 				continue
 			}
@@ -456,7 +456,7 @@ func (s *StorageNode) diskStep(p *sim.Proc) {
 				d.wait = diskFilter
 				return
 			}
-			p.WakeAt(s.bus.Reserve(sim.TransferTime(d.pkts[d.next].Size, s.cfg.Bus.BandwidthBytesPerSec)))
+			p.WakeAt(s.bus.Reserve(sim.TransferTime(d.pkt.Size, s.cfg.Bus.BandwidthBytesPerSec)))
 			d.wait = diskBus
 			return
 		case diskFilter:
@@ -483,7 +483,7 @@ func (s *StorageNode) diskStep(p *sim.Proc) {
 			if !s.Out().SendOrWait(p, d.pkt, &d.send) {
 				return
 			}
-			s.Track(d.pkt)
+			s.Sent(d.pkt)
 			switch d.sending {
 			case sendingChunk:
 				d.next++
@@ -564,20 +564,9 @@ func (s *StorageNode) startRead(p *sim.Proc, req ReadReq, arrived sim.Time) {
 			panic(fmt.Sprintf("iodev: read names unregistered filter %d on %s", req.FilterID, s.Name()))
 		}
 	} else {
-		m := &san.Message{Hdr: d.hdr, Size: req.Len}
-		d.pkts = m.Packets(func(_ int, off, n int64) any { return f.payload(req.Off+off, n) })
-		if req.Ways >= 1 && req.Stripe > 0 {
-			if req.Stripe%san.MTU != 0 {
-				panic(fmt.Sprintf("iodev: stripe %d must be a positive MTU multiple", req.Stripe))
-			}
-			for _, pkt := range d.pkts {
-				g := req.Off + int64(pkt.Hdr.Seq)*san.MTU
-				blk := g / req.Stripe
-				way := int(blk % int64(req.Ways))
-				pkt.Hdr.CPUID = way
-				pkt.Hdr.Addr = req.DstAddr + int64(way)*req.WayStride +
-					(blk/int64(req.Ways))*req.Stripe + g%req.Stripe
-			}
+		d.chunks = (&san.Message{Size: req.Len}).NumPackets()
+		if req.Ways >= 1 && req.Stripe > 0 && req.Stripe%san.MTU != 0 {
+			panic(fmt.Sprintf("iodev: stripe %d must be a positive MTU multiple", req.Stripe))
 		}
 	}
 	// Per-request SCSI arbitration/selection.
@@ -593,10 +582,11 @@ func (s *StorageNode) nextChunk(p *sim.Proc) bool {
 	off := int64(d.next) * san.MTU
 	var ready sim.Time
 	if d.flt == nil {
-		if d.next == len(d.pkts) {
+		if d.next == d.chunks {
 			s.sendNotify(p)
 			return false
 		}
+		s.readyChunk()
 		ready = d.first + sim.TransferTime(off+san.MTU, s.cfg.Disk.BandwidthBytesPerSec)
 	} else {
 		if off >= d.req.Len {
@@ -614,15 +604,39 @@ func (s *StorageNode) nextChunk(p *sim.Proc) bool {
 	return false
 }
 
+// readyChunk mints a plain read's packet d.next: its slice of the file,
+// addressed by its offset within the read or, for a striped read, mapped
+// to its switch CPU's way.
+func (s *StorageNode) readyChunk() {
+	d := &s.disk
+	req := &d.req
+	pkt := s.Pool().Get()
+	m := san.Message{Hdr: d.hdr, Size: req.Len}
+	m.Segment(pkt, d.next, nil)
+	if pkt.Size > 0 {
+		pkt.Payload = d.f.payload(req.Off+int64(d.next)*san.MTU, pkt.Size)
+	}
+	if req.Ways >= 1 && req.Stripe > 0 {
+		g := req.Off + int64(d.next)*san.MTU
+		blk := g / req.Stripe
+		way := int(blk % int64(req.Ways))
+		pkt.Hdr.CPUID = way
+		pkt.Hdr.Addr = req.DstAddr + int64(way)*req.WayStride +
+			(blk/int64(req.Ways))*req.Stripe + g%req.Stripe
+	}
+	d.pkt = pkt
+}
+
 // sendChunk sends the chunk that has crossed the SCSI bus: a plain read's
 // next packet, or a packet of the bytes the filter kept.
 func (s *StorageNode) sendChunk(p *sim.Proc) {
 	d := &s.disk
 	if d.flt == nil {
-		s.startSend(p, d.pkts[d.next], sendingChunk)
+		s.startSend(p, d.pkt, sendingChunk)
 		return
 	}
-	pkt := &san.Packet{Hdr: d.hdr, Size: d.keep, Payload: d.out}
+	pkt := s.Pool().Get()
+	pkt.Hdr, pkt.Size, pkt.Payload = d.hdr, d.keep, d.out
 	pkt.Hdr.Seq = d.seq
 	pkt.Hdr.Addr = d.hdr.Addr + d.kept
 	d.seq++
@@ -636,7 +650,8 @@ func (s *StorageNode) sendChunk(p *sim.Proc) {
 // variable-length output can terminate.
 func (s *StorageNode) sendTrailer(p *sim.Proc) {
 	d := &s.disk
-	trailer := &san.Packet{Hdr: d.hdr, Size: 8, Payload: d.kept}
+	trailer := s.Pool().Get()
+	trailer.Hdr, trailer.Size, trailer.Payload = d.hdr, 8, d.kept
 	trailer.Hdr.Seq = d.seq
 	trailer.Hdr.Addr = d.hdr.Addr + d.kept
 	trailer.Hdr.Last = true
@@ -651,10 +666,12 @@ func (s *StorageNode) sendNotify(p *sim.Proc) {
 		s.disk = diskState{}
 		return
 	}
-	s.startSend(p, &san.Packet{Hdr: san.Header{
+	pkt := s.Pool().Get()
+	pkt.Hdr = san.Header{
 		Src: s.ID(), Dst: req.Notify, Type: san.Control,
 		Flow: req.NotifyFlow, Last: true,
-	}}, sendingNotify)
+	}
+	s.startSend(p, pkt, sendingNotify)
 }
 
 // startSend readies pkt for the wire: read data and the trailer carry the

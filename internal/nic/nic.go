@@ -88,14 +88,14 @@ type NIC struct {
 	stats Stats
 }
 
-// txState is the transmit engine's position: the job in progress (pkts nil
-// while it waits for one), the index of its packet being sent, and that
-// packet's send.
+// txState is the transmit engine's position: the job in progress, its
+// packet being sent (nil while the engine waits for a job), that packet's
+// index and the message's packet count, and the packet's send.
 type txState struct {
-	job  txJob
-	pkts []*san.Packet
-	next int
-	send san.Sending
+	job     txJob
+	pkt     *san.Packet
+	next, n int
+	send    san.Sending
 }
 
 // SetInvalidator installs the DMA-coherence callback.
@@ -218,29 +218,29 @@ func (n *NIC) Accept(p *sim.Proc, pkt *san.Packet) {
 	}
 }
 
-// txStep segments each posted message and sends its packets in order,
-// opening the message's latch once the last is on the wire. It is a step
-// process (sim.SpawnStep), making exactly the schedule calls of a blocking
-// loop over the same work, in the same order.
+// txStep segments each posted message, one packet at a time, and sends its
+// packets in order, opening the message's latch once the last is on the
+// wire. It is a step process (sim.SpawnStep), making exactly the schedule
+// calls of a blocking loop over the same work, in the same order.
 func (n *NIC) txStep(p *sim.Proc) {
 	t := &n.txs
 	for {
-		if t.pkts == nil {
+		if t.pkt == nil {
 			job, ok := n.txq.GetOrWait(p)
 			if !ok {
 				return
 			}
-			t.job, t.pkts = job, job.msg.Packets(job.msg.Split)
+			t.job, t.n = job, job.msg.NumPackets()
 			n.readyPacket(p)
 		}
-		pkt := t.pkts[t.next]
+		pkt := t.pkt
 		if !n.Out().SendOrWait(p, pkt, &t.send) {
 			return
 		}
-		n.Track(pkt)
 		n.stats.PacketsOut++
 		n.stats.BytesOut += pkt.Size
-		if t.next++; t.next < len(t.pkts) {
+		n.Sent(pkt)
+		if t.next++; t.next < t.n {
 			n.readyPacket(p)
 			continue
 		}
@@ -250,11 +250,13 @@ func (n *NIC) txStep(p *sim.Proc) {
 	}
 }
 
-// readyPacket readies the job's next packet for the wire: its DMA read and
-// its telemetry stamp.
+// readyPacket mints the job's next packet and readies it for the wire: its
+// DMA read and its telemetry stamp.
 func (n *NIC) readyPacket(p *sim.Proc) {
 	t := &n.txs
-	pkt := t.pkts[t.next]
+	pkt := n.Pool().Get()
+	t.job.msg.Segment(pkt, t.next, nil)
+	t.pkt = pkt
 	if pkt.Size > 0 {
 		off := int64(pkt.Hdr.Seq) * san.MTU
 		n.mem.Reserve(t.job.local+off, pkt.Size)

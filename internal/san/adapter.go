@@ -8,7 +8,8 @@ type Device interface {
 	// Accept takes one packet off the adapter's receive engine: every
 	// CRC-clean arrival or, with reliability armed, every in-order,
 	// first-seen one. It runs on that engine, which returns the packet's
-	// credit afterwards, so it must not wait.
+	// credit afterwards, so it must not wait. It borrows the packet: the
+	// engine releases it on return, so Accept copies whatever it keeps.
 	Accept(p *sim.Proc, pkt *Packet)
 }
 
@@ -38,6 +39,9 @@ type Adapter struct {
 	rtx                  *Packet
 	rtxSend              Sending
 	rtxPackets, rtxBytes int64
+
+	// pool mints the packets the device's engine sends.
+	pool PacketPool
 
 	started bool
 }
@@ -115,12 +119,19 @@ func (a *Adapter) RelStats() (TxStats, RxStats) {
 	return a.tx.Stats(), a.rel.Stats()
 }
 
-// Track records pkt, whose tail has just left on the adapter's link, for
-// retransmission when reliability is armed.
-func (a *Adapter) Track(pkt *Packet) {
+// Pool returns the pool the device's engine mints its packets from.
+func (a *Adapter) Pool() *PacketPool { return &a.pool }
+
+// Sent ends the send of pkt, whose tail has just left on the adapter's
+// link: with reliability armed the TxTracker records it for
+// retransmission, and so keeps it for good; otherwise the sender's hold on
+// it ends. The caller reads what it needs of pkt first.
+func (a *Adapter) Sent(pkt *Packet) {
 	if a.tx != nil {
 		a.tx.Record(pkt)
+		return
 	}
+	pkt.Release(Sender)
 }
 
 // RetxTraffic reports the packets and payload bytes the retransmit engine
@@ -139,7 +150,8 @@ func (a *Adapter) rxStep(p *sim.Proc) {
 	}
 }
 
-// receive handles one arrived packet; the caller returns its credit.
+// receive handles one arrived packet, the adapter being its sink; the
+// caller returns its credit.
 func (a *Adapter) receive(p *sim.Proc, pkt *Packet) {
 	if a.rel == nil {
 		// Without the reliability layer a corrupt packet is simply lost at
@@ -147,9 +159,14 @@ func (a *Adapter) receive(p *sim.Proc, pkt *Packet) {
 		if !pkt.Corrupt {
 			a.dev.Accept(p, pkt)
 		}
+		pkt.Release(Sink)
 		return
 	}
-	if pkt.Hdr.Type == Ack {
+	// The CRC check comes first, for control packets too: the RxTracker
+	// counts a corrupt ACK or NAK as the CRC drop it is, and its flow is
+	// neither retired nor retransmitted. The trackers may hold what they
+	// see, so nothing here is released.
+	if pkt.Hdr.Type == Ack && !pkt.Corrupt {
 		switch info := pkt.Payload.(type) {
 		case AckInfo:
 			a.tx.OnAck(pkt.Hdr.Src, info)
@@ -165,7 +182,9 @@ func (a *Adapter) receive(p *sim.Proc, pkt *Packet) {
 
 // rtxStep drains retransmissions and ACK/NAK control packets onto the link;
 // a separate engine so timer callbacks never block and retransmissions
-// interleave with fresh traffic rather than preempting it.
+// interleave with fresh traffic rather than preempting it. It sends a copy
+// of each: a retransmitted packet may leave while its original is still in
+// the fabric, and a packet crosses one link at a time.
 func (a *Adapter) rtxStep(p *sim.Proc) {
 	for {
 		if a.rtx == nil {
@@ -173,7 +192,7 @@ func (a *Adapter) rtxStep(p *sim.Proc) {
 			if !ok {
 				return
 			}
-			a.rtx = pkt
+			a.rtx = pkt.detached()
 		}
 		if !a.out.SendOrWait(p, a.rtx, &a.rtxSend) {
 			return

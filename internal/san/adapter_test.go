@@ -136,7 +136,7 @@ func TestAdapterDispatchesAcksAndRetransmits(t *testing.T) {
 	msg := &Message{Hdr: Header{Src: 1, Dst: 2, Type: Data, Flow: 5}, Size: MTU + 100}
 	out := msg.Packets(nil)
 	for _, pkt := range out {
-		a.Track(pkt)
+		a.Sent(pkt)
 	}
 	data := &Packet{Hdr: Header{Src: 2, Dst: 1, Type: Data, Flow: 9, Last: true}, Size: 64}
 	eng.Spawn("peer", func(p *sim.Proc) {
@@ -163,13 +163,47 @@ func TestAdapterDispatchesAcksAndRetransmits(t *testing.T) {
 		t.Fatalf("tx tracker stats %+v with %d outstanding, want one ack, one nak retransmission, none outstanding",
 			st, tx.Outstanding())
 	}
-	if len(wire) != 2 || wire[0] != out[1] {
-		t.Fatalf("wire carried %v, want the retransmitted packet %v then an ack", wire, out[1])
+	// The retransmit engine sends a copy of the tracked packet.
+	if len(wire) != 2 || wire[0] == out[1] || wire[0].Hdr != out[1].Hdr || wire[0].Size != out[1].Size {
+		t.Fatalf("wire carried %v, want a copy of the retransmitted packet %v then an ack", wire, out[1])
 	}
 	if info, ok := wire[1].Payload.(AckInfo); !ok || wire[1].Hdr.Dst != 2 || info != (AckInfo{Flow: 9, Of: Data}) {
 		t.Fatalf("second packet on the wire is %+v, want the ack of flow 9 to node 2", wire[1])
 	}
 	if pkts, bytes := a.RetxTraffic(); pkts != 2 || bytes != out[1].Size+ackBytes {
 		t.Fatalf("retransmit engine sent %d packets, %d bytes; want 2, %d", pkts, bytes, out[1].Size+ackBytes)
+	}
+}
+
+// With reliability armed, a corrupt ACK or NAK fails the CRC check like any
+// other packet: the RxTracker counts it as a corrupt drop, the flow it
+// names stays outstanding, and nothing is retransmitted for it.
+func TestAdapterDropsCorruptAcks(t *testing.T) {
+	eng := sim.NewEngine()
+	a, dev := adapterRig(eng, DefaultLinkConfig().Credits)
+	tx := a.EnableReliability(DefaultRetxConfig())
+	a.Start(".rx", ".dev", idle)
+	a.Sent(&Packet{Hdr: Header{Src: 1, Dst: 2, Type: Data, Flow: 5, Last: true}, Size: 64})
+	eng.Spawn("peer", func(p *sim.Proc) {
+		a.In().Send(p, &Packet{Hdr: Header{Src: 2, Dst: 1, Type: Ack, Flow: 5, Seq: 1, Last: true},
+			Size: ackBytes, Payload: NakInfo{Flow: 5, Of: Data, Missing: []int{0}}, Corrupt: true})
+		a.In().Send(p, &Packet{Hdr: Header{Src: 2, Dst: 1, Type: Ack, Flow: 5, Last: true},
+			Size: ackBytes, Payload: AckInfo{Flow: 5, Of: Data}, Corrupt: true})
+	})
+	// Stop well before the retransmission timeout.
+	eng.RunUntil(DefaultRetxConfig().Timeout / 2)
+	defer eng.Shutdown()
+	if st := tx.Stats(); st.AcksSeen != 0 || st.Retransmits != 0 || tx.Outstanding() != 1 {
+		t.Fatalf("tx tracker stats %+v with %d outstanding, want no ack seen, no retransmission, the flow outstanding",
+			st, tx.Outstanding())
+	}
+	if _, rx := a.RelStats(); rx.CorruptDropped != 2 {
+		t.Fatalf("rx tracker counted %d corrupt drops, want 2", rx.CorruptDropped)
+	}
+	if len(dev.got) != 0 {
+		t.Fatalf("device accepted %v, want nothing", dev.got)
+	}
+	if pkts, _ := a.RetxTraffic(); pkts != 0 {
+		t.Fatalf("retransmit engine sent %d packets, want none", pkts)
 	}
 }

@@ -88,11 +88,16 @@ type Link struct {
 	// cross, when set, marks this link as a partition cut: the sender side
 	// (serialization, credits, stats) stays on eng, while deliveries hand
 	// off to the receiving partition's engine through the channel and
-	// credits return the same way. creditRet is the release callback bound
-	// once so the per-packet credit return does not allocate.
-	cross     *sim.Channel
-	creditRet func()
+	// credits return the same way.
+	cross *sim.Channel
 }
+
+// creditReturn is a link's credit return as a typed event: posting it
+// allocates nothing.
+type creditReturn Link
+
+// Fire hands the credit back to the sender.
+func (c *creditReturn) Fire() { c.credits.Release() }
 
 // NewLink builds a link.
 func NewLink(eng *sim.Engine, name string, cfg LinkConfig) *Link {
@@ -120,10 +125,7 @@ func (l *Link) Engine() *sim.Engine { return l.eng }
 // SetCross routes the link's deliveries and credit returns through a
 // cross-partition channel; call before the simulation starts, on links whose
 // receiver lives on a different engine than the sender.
-func (l *Link) SetCross(ch *sim.Channel) {
-	l.cross = ch
-	l.creditRet = l.credits.Release
-}
+func (l *Link) SetCross(ch *sim.Channel) { l.cross = ch }
 
 // Config returns the link parameters.
 func (l *Link) Config() LinkConfig { return l.cfg }
@@ -241,12 +243,20 @@ func (l *Link) transmit(pkt *Packet) (end sim.Time) {
 
 // deliver schedules pkt's head arrival at the receiver: directly on the
 // engine, or through the cut channel when the receiver is another partition.
+// The event is the packet itself, which records the link as its hop until
+// the head arrives; sending it on while it is still crossing would misroute
+// that arrival, so it panics.
 func (l *Link) deliver(headAt sim.Time, pkt *Packet) {
+	if pkt.hop != nil {
+		panic(fmt.Sprintf("san: %s packet src=%d dst=%d flow=%d seq=%d sent on %s while still crossing %s",
+			pkt.Hdr.Type, pkt.Hdr.Src, pkt.Hdr.Dst, pkt.Hdr.Flow, pkt.Hdr.Seq, l.name, pkt.hop.name))
+	}
+	pkt.hop = l
 	if l.cross != nil {
-		l.cross.Deliver(headAt, func() { l.rx.Put(pkt) })
+		l.cross.Deliver(headAt, (*arrival)(pkt))
 		return
 	}
-	l.eng.Schedule(headAt, func() { l.rx.Put(pkt) })
+	l.eng.Post(headAt, (*arrival)(pkt))
 }
 
 // faultXmit is the slow delivery path, reached only when an injector is
@@ -270,13 +280,12 @@ func (l *Link) faultXmit(pkt *Packet, headAt sim.Time) {
 		// the credit; restore it when the tail would have cleared the wire
 		// (hardware: the link-level credit sync that follows a lost symbol)
 		// or flow control wedges forever.
-		l.eng.Schedule(l.TailTime(headAt, pkt.Size), func() { l.credits.Release() })
+		l.eng.Post(l.TailTime(headAt, pkt.Size), (*creditReturn)(l))
 		return
 	case FaultCorrupt:
 		l.stats.Corrupted++
-		cp := *pkt
-		cp.Corrupt = true
-		pkt = &cp
+		pkt = pkt.detached()
+		pkt.Corrupt = true
 	}
 	if delay > 0 {
 		l.stats.Delayed++
@@ -319,7 +328,7 @@ func (l *Link) TryRecv() (*Packet, bool) { return l.rx.TryGet() }
 // flow-control schedule.
 func (l *Link) ReturnCredit() {
 	if l.cross != nil {
-		l.cross.Credit(l.creditRet)
+		l.cross.Credit((*creditReturn)(l))
 		return
 	}
 	l.credits.Release()

@@ -43,9 +43,10 @@ type LocalSink interface {
 // input buffer stay held — exactly the backpressure the paper's credit
 // scheme provides. The port calls DeliverOrWait with the packet once the
 // crossbar grants it, and again with the same packet on every later wake,
-// until it reports true; the port then returns the packet's credit. A false
-// return means the delivery arranged the port's next wake, as the OrWait
-// primitives do.
+// until it reports true; the port then releases the packet, as its sink,
+// and returns its credit, so the delivery copies whatever it keeps of it. A
+// false return means the delivery arranged the port's next wake, as the
+// OrWait primitives do.
 type LocalDelivery interface {
 	DeliverOrWait(p *sim.Proc, pkt *Packet, fillRate float64) bool
 }
@@ -351,7 +352,7 @@ func (pt *inPort) step(p *sim.Proc) {
 				// on end-to-end retransmission. Drops never contend, so they
 				// skip arbitration.
 				s.stats.CorruptDrops++
-				pt.finish()
+				pt.sink()
 				continue
 			}
 			// Settle-phase crossbar arbitration: every packet that finished
@@ -369,7 +370,7 @@ func (pt *inPort) step(p *sim.Proc) {
 				s.stats.Local++
 				if s.local == nil {
 					s.stats.Dropped++
-					pt.finish()
+					pt.sink()
 					continue
 				}
 				if st := pkt.Stamp; st != nil {
@@ -384,7 +385,7 @@ func (pt *inPort) step(p *sim.Proc) {
 			out, rerouted := s.pickRoute(pkt.Hdr.Dst)
 			if out < 0 {
 				s.noteNoRoute(pkt)
-				pt.finish()
+				pt.sink()
 				continue
 			}
 			if rerouted {
@@ -409,9 +410,16 @@ func (pt *inPort) step(p *sim.Proc) {
 			if !pt.local.DeliverOrWait(p, pt.pkt, pt.in.FillRate()) {
 				return
 			}
-			pt.finish()
+			pt.sink()
 		}
 	}
+}
+
+// sink ends the life of a packet that stops at this switch, delivered
+// locally or dropped: the switch is its sink.
+func (pt *inPort) sink() {
+	pt.pkt.Release(Sink)
+	pt.finish()
 }
 
 // finish frees the input buffer of the packet just disposed of and readies

@@ -60,7 +60,7 @@ func BenchmarkScheduleCancel(b *testing.B) {
 	e := NewEngine()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		t := e.schedule(e.now+Time(1+i%97), nop, nil)
+		t := e.schedule(e.now+Time(1+i%97), callback(nop))
 		e.cancel(t)
 	}
 }
@@ -185,7 +185,7 @@ func TestScheduleCancelZeroAllocs(t *testing.T) {
 	warmEngine(e)
 	allocs := testing.AllocsPerRun(200, func() {
 		for i := 0; i < 64; i++ {
-			tm := e.schedule(e.now+Time(1+i%17), nop, nil)
+			tm := e.schedule(e.now+Time(1+i%17), callback(nop))
 			e.cancel(tm)
 		}
 	})
@@ -246,13 +246,13 @@ func TestStepSwitchZeroAllocs(t *testing.T) {
 func TestCancelRecycledSlotIsNoop(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	tm := e.schedule(10, func() { fired++ }, nil)
+	tm := e.schedule(10, callback(func() { fired++ }))
 	e.Run()
 	if fired != 1 {
 		t.Fatalf("event fired %d times, want 1", fired)
 	}
 	// Recycle the slot for a new event, then cancel the stale handle.
-	e.schedule(20, func() { fired++ }, nil)
+	e.schedule(20, callback(func() { fired++ }))
 	e.cancel(tm)
 	e.Run()
 	if fired != 2 {
@@ -268,7 +268,7 @@ func TestCancelHeapMiddle(t *testing.T) {
 	var timers []timer
 	for _, at := range []Time{50, 10, 40, 20, 60, 30, 70, 15, 45} {
 		at := at
-		timers = append(timers, e.schedule(at, func() { fired = append(fired, at) }, nil))
+		timers = append(timers, e.schedule(at, callback(func() { fired = append(fired, at) })))
 	}
 	e.cancel(timers[2]) // at=40
 	e.cancel(timers[3]) // at=20
@@ -293,8 +293,8 @@ func TestCancelRunQueueEntry(t *testing.T) {
 	e := NewEngine()
 	fired := 0
 	e.Schedule(5, func() {
-		tm := e.schedule(e.now, func() { fired++ }, nil)
-		e.schedule(e.now, func() { fired++ }, nil)
+		tm := e.schedule(e.now, callback(func() { fired++ }))
+		e.schedule(e.now, callback(func() { fired++ }))
 		e.cancel(tm)
 	})
 	e.Run()
@@ -322,22 +322,22 @@ func BenchmarkGroupPingPong(b *testing.B) {
 	left := b.N
 	var send, bounce func()
 	send = func() {
-		ba.Credit(nop) // retire the reply's buffer, as a real port would
+		ba.Credit(callback(nop)) // retire the reply's buffer, as a real port would
 		if left == 0 {
 			return
 		}
 		left--
-		ab.Deliver(g.Engine(0).Now()+10, bounce)
+		ab.Deliver(g.Engine(0).Now()+10, callback(bounce))
 	}
 	bounce = func() {
-		ab.Credit(nop)
-		ba.Deliver(g.Engine(1).Now()+10, send)
+		ab.Credit(callback(nop))
+		ba.Deliver(g.Engine(1).Now()+10, callback(send))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	g.Engine(0).Schedule(0, func() {
 		left--
-		ab.Deliver(10, bounce)
+		ab.Deliver(10, callback(bounce))
 	})
 	g.Run()
 }
@@ -351,13 +351,13 @@ func BenchmarkGroupCrossSend(b *testing.B) {
 	ch := g.Connect(0, 1, 10, 0)
 	const batch = 256
 	var n, sent int
-	ack := func() { ch.Credit(nop) }
+	ack := func() { ch.Credit(callback(nop)) }
 	var post func()
 	post = func() {
 		now := g.Engine(0).Now()
 		for i := 0; i < batch && sent < n; i++ {
 			sent++
-			ch.Deliver(now+10, ack)
+			ch.Deliver(now+10, callback(ack))
 		}
 		if sent < n {
 			g.Engine(0).Schedule(now+20, post)
@@ -501,20 +501,20 @@ func TestGroupBarrierZeroAllocs(t *testing.T) {
 	left := 0
 	var send, bounce func()
 	send = func() {
-		ba.Credit(nop)
+		ba.Credit(callback(nop))
 		if left == 0 {
 			return
 		}
 		left--
-		ab.Deliver(g.Engine(0).Now()+10, bounce)
+		ab.Deliver(g.Engine(0).Now()+10, callback(bounce))
 	}
 	bounce = func() {
-		ab.Credit(nop)
-		ba.Deliver(g.Engine(1).Now()+10, send)
+		ab.Credit(callback(nop))
+		ba.Deliver(g.Engine(1).Now()+10, callback(send))
 	}
 	kick := func() {
 		left--
-		ab.Deliver(g.Engine(0).Now()+10, bounce)
+		ab.Deliver(g.Engine(0).Now()+10, callback(bounce))
 	}
 	run := func() {
 		left = 1 << 10

@@ -88,15 +88,15 @@ func runGroupProgram(seed uint64, wide bool, d Dispatch) groupRun {
 		src, dst := ranks[ch.Src()], ranks[ch.Dst()]
 		at := max(rs.eng.now+ch.lookahead+Time(rs.rng.Intn(3000)), rs.last[c])
 		rs.last[c] = at
-		ch.Deliver(at, func() {
+		ch.Deliver(at, callback(func() {
 			dst.note(actor, 1000+ttl)
 			if ttl > 0 && dst.rng.Intn(2) == 0 {
 				send(dst, actor, ttl-1)
 			}
 			dst.eng.Schedule(dst.eng.now+ch.creditLA, func() {
-				ch.Credit(func() { src.note(actor, 2000+ttl) })
+				ch.Credit(callback(func() { src.note(actor, 2000+ttl) }))
 			})
-		})
+		}))
 	}
 
 	for i, rs := range ranks {
@@ -220,7 +220,7 @@ func TestEngineQueuedBy(t *testing.T) {
 	e := NewEngine()
 	var tm timer
 	for i := 0; i < 3; i++ {
-		tm = e.schedule(0, nop, nil) // run queue
+		tm = e.schedule(0, callback(nop)) // run queue
 	}
 	e.cancel(tm)
 	for at := Time(100); at > 0; at-- { // heap, inserted out of order

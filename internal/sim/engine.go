@@ -2,27 +2,48 @@ package sim
 
 import "fmt"
 
-// event is a scheduled callback. Events with equal times fire in scheduling
+// event is a scheduled action. Events with equal times fire in scheduling
 // order (seq), which keeps the simulation deterministic.
 //
 // Events live in the engine's pool and are addressed by index, never by
 // pointer: the pool is a single slice that grows to the simulation's
 // high-water mark and is then recycled through a free list, so steady-state
-// scheduling does not allocate. An event runs either a plain callback (fn)
-// or resumes a process (proc); the proc form exists so the process wake
-// paths (Sleep, unpark, Spawn) need no per-wake closure.
+// scheduling does not allocate. An event fires an Action: a plain callback
+// (Schedule), a typed action (Post), or a process wake, which resumes the
+// process instead of firing. Every form rides in the record as one
+// interface value, so none needs a per-event closure.
 type event struct {
 	at  Time
 	seq int64
-	fn  func()
-	// proc, when non-nil, is stepped instead of calling fn.
-	proc *Proc
+	// act is the action to fire, nil once the event is cancelled or freed.
+	act Action
 	// heapIdx is the event's position in the engine's heap, heapNone once
 	// popped or freed, or heapRunq while the event sits in the run queue.
 	heapIdx int32
 	// next links free pool slots.
 	next int32
 }
+
+// Action is a typed event: the engine calls Fire when it comes due. A
+// pointer-shaped action (a *T) is stored in the event record as it is, so
+// posting one allocates nothing, where a func() closure over the same state
+// allocates on every call. The SAN's link deliveries are actions: the
+// packet itself, which names its link.
+type Action interface{ Fire() }
+
+// callback runs a plain func as an Action. A func value is pointer-shaped,
+// so converting one allocates nothing.
+type callback func()
+
+// Fire calls the func.
+func (f callback) Fire() { f() }
+
+// wake is a process's wake event. The drive loop resumes the process (steps
+// inline, goroutines by handoff) instead of calling Fire.
+type wake Proc
+
+// Fire is never called: see wake.
+func (w *wake) Fire() { panic("sim: a process wake is resumed, not fired") }
 
 const (
 	heapNone = -1
@@ -196,12 +217,11 @@ func (e *Engine) alloc() int32 {
 }
 
 // release returns a fired or cancelled event's slot to the free list. The
-// callback reference is dropped so the pool does not pin dead closures, and
-// seq is zeroed so stale timers can never match a recycled slot.
+// action reference is dropped so the pool does not pin dead state, and seq
+// is zeroed so stale timers can never match a recycled slot.
 func (e *Engine) release(idx int32) {
 	ev := &e.pool[idx]
-	ev.fn = nil
-	ev.proc = nil
+	ev.act = nil
 	ev.seq = 0
 	ev.heapIdx = heapNone
 	ev.next = e.free
@@ -211,12 +231,17 @@ func (e *Engine) release(idx int32) {
 // Schedule runs fn at the given absolute time, which must not be in the
 // past.
 func (e *Engine) Schedule(at Time, fn func()) {
-	e.schedule(at, fn, nil)
+	e.schedule(at, callback(fn))
 }
 
-// schedule queues a callback or a process wake-up and returns a timer handle
-// so in-package callers (the sampler) can cancel it.
-func (e *Engine) schedule(at Time, fn func(), proc *Proc) timer {
+// Post fires a at the given absolute time, which must not be in the past.
+func (e *Engine) Post(at Time, a Action) {
+	e.schedule(at, a)
+}
+
+// schedule queues an action or a process wake and returns a timer handle so
+// in-package callers (the sampler) can cancel it.
+func (e *Engine) schedule(at Time, a Action) timer {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling into the past (%v < %v)", at, e.now))
 	}
@@ -225,8 +250,7 @@ func (e *Engine) schedule(at Time, fn func(), proc *Proc) timer {
 	ev := &e.pool[idx]
 	ev.at = at
 	ev.seq = e.seq
-	ev.fn = fn
-	ev.proc = proc
+	ev.act = a
 	// Same-time events take the FIFO run queue instead of the heap. The
 	// tail check keeps the queue (at, seq)-sorted even if the clock was
 	// rewound by a Stop/RunUntil edge case, so pop order is always the
@@ -263,7 +287,7 @@ func (e *Engine) promoteSettle() {
 		e.settleq = e.settleq[:0]
 		e.settleHead = 0
 	}
-	e.schedule(e.now, fn, nil)
+	e.schedule(e.now, callback(fn))
 }
 
 // cancel discards a queued event: heap entries are removed in place (no
@@ -284,8 +308,7 @@ func (e *Engine) cancel(t timer) {
 		return
 	}
 	if ev.heapIdx == heapRunq {
-		ev.fn = nil
-		ev.proc = nil
+		ev.act = nil
 	}
 }
 
@@ -331,8 +354,7 @@ func (e *Engine) runWindow(deadline Time) {
 func (e *Engine) nextEventTime() (Time, bool) {
 	for e.runqHead < len(e.runq) {
 		idx := e.runq[e.runqHead]
-		ev := &e.pool[idx]
-		if ev.fn != nil || ev.proc != nil {
+		if e.pool[idx].act != nil {
 			break
 		}
 		e.runqHead++
@@ -366,7 +388,7 @@ func (e *Engine) queuedBy(deadline Time, limit int) int {
 		if ev.at > deadline {
 			return n
 		}
-		if ev.fn != nil || ev.proc != nil { // skip cancelled entries
+		if ev.act != nil { // skip cancelled entries
 			n++
 		}
 	}
@@ -417,37 +439,37 @@ func (e *Engine) driveMain() {
 // blocked process whose own wake is next — the dominant case — gets it
 // straight back, without arming driveInline's panic guard.
 func (e *Engine) drive() *Proc {
-	fn, proc, ok := e.takeNext()
+	act, ok := e.takeNext()
 	if !ok {
 		return nil
 	}
-	if proc != nil && proc.step == nil {
-		return proc
+	if w, ok := act.(*wake); ok && w.step == nil {
+		return (*Proc)(w)
 	}
-	return e.driveInline(fn, proc)
+	return e.driveInline(act)
 }
 
 // takeNext pops the phase's next event and consumes it; ok is false when
 // the phase is over.
-func (e *Engine) takeNext() (fn func(), proc *Proc, ok bool) {
+func (e *Engine) takeNext() (Action, bool) {
 	if e.fatal != nil || e.stopped || e.shuttingDown {
-		return nil, nil, false
+		return nil, false
 	}
 	idx, ok := e.popNext()
 	if !ok {
-		return nil, nil, false
+		return nil, false
 	}
-	fn, proc = e.take(idx)
-	return fn, proc, true
+	return e.take(idx), true
 }
 
 // driveInline runs a popped callback or step, and every one after it, until
-// an event resumes a goroutine process or the phase ends. A panic raised by
-// a callback or step is recovered here, recorded as the fatal error naming
-// its source, and ends the phase, so it surfaces from Run whichever
-// goroutine was driving — never from a process's stack, which would blame
-// that process or, on a finished process's exit path, escape every recover.
-func (e *Engine) driveInline(fn func(), proc *Proc) (next *Proc) {
+// an event resumes a goroutine process, which it returns, or the phase
+// ends. A panic raised by a callback or step is recovered here, recorded as
+// the fatal error naming its source, and ends the phase, so it surfaces
+// from Run whichever goroutine was driving — never from a process's stack,
+// which would blame that process or, on a finished process's exit path,
+// escape every recover.
+func (e *Engine) driveInline(act Action) (next *Proc) {
 	defer func() {
 		if r := recover(); r != nil {
 			e.fatal = e.wrapPanic(r, nil)
@@ -455,17 +477,20 @@ func (e *Engine) driveInline(fn func(), proc *Proc) (next *Proc) {
 		}
 	}()
 	for {
-		if proc == nil {
-			fn()
-		} else {
-			e.runStep(proc)
+		switch a := act.(type) {
+		case callback:
+			a()
+		case *wake:
+			if a.step == nil {
+				return (*Proc)(a)
+			}
+			e.runStep((*Proc)(a))
+		default:
+			a.Fire()
 		}
 		var ok bool
-		if fn, proc, ok = e.takeNext(); !ok {
+		if act, ok = e.takeNext(); !ok {
 			return nil
-		}
-		if proc != nil && proc.step == nil {
-			return proc
 		}
 	}
 }
@@ -538,8 +563,7 @@ func (e *Engine) popNext() (int32, bool) {
 			return 0, false
 		}
 
-		ev := &e.pool[idx]
-		if ev.fn == nil && ev.proc == nil { // cancelled in the run queue
+		if e.pool[idx].act == nil { // cancelled in the run queue
 			e.release(idx)
 			continue
 		}
@@ -549,13 +573,13 @@ func (e *Engine) popNext() (int32, bool) {
 
 // take consumes a popped event: advances the clock, counts the firing,
 // recycles the pool slot and returns the action to perform.
-func (e *Engine) take(idx int32) (fn func(), proc *Proc) {
+func (e *Engine) take(idx int32) Action {
 	ev := &e.pool[idx]
 	e.now = ev.at
 	e.fired++
-	fn, proc = ev.fn, ev.proc
+	act := ev.act
 	e.release(idx)
-	return fn, proc
+	return act
 }
 
 // exitDrive continues the event loop on a process goroutine whose function

@@ -40,13 +40,13 @@ import (
 // identity holds even for fully synchronized bursts (see PERFORMANCE.md,
 // "Determinism contract").
 
-// xmsg is one cross-partition handoff: run fn on the target engine at
+// xmsg is one cross-partition handoff: fire act on the target engine at
 // virtual time at. seq is the channel-local posting order, breaking same-time
 // ties in send order.
 type xmsg struct {
 	at  Time
 	seq int64
-	fn  func()
+	act Action
 }
 
 // Channel carries messages across one direction of a partition cut link:
@@ -84,25 +84,26 @@ type Channel struct {
 	inOutst     bool // on the group's outstanding-channel list
 }
 
-// Deliver posts a packet arrival: fn runs on the receiving engine at time at.
-// The first post since the last barrier registers the channel on its source
-// rank's dirty list, so barriers scan only channels that carried traffic.
-func (c *Channel) Deliver(at Time, fn func()) {
+// Deliver posts a packet arrival: act fires on the receiving engine at time
+// at. The first post since the last barrier registers the channel on its
+// source rank's dirty list, so barriers scan only channels that carried
+// traffic.
+func (c *Channel) Deliver(at Time, act Action) {
 	if len(c.deliv) == 0 {
 		c.g.ddirty[c.src] = append(c.g.ddirty[c.src], c)
 	}
 	c.dseq++
-	c.deliv = append(c.deliv, xmsg{at: at, seq: c.dseq, fn: fn})
+	c.deliv = append(c.deliv, xmsg{at: at, seq: c.dseq, act: act})
 }
 
 // Credit posts a flow-control credit back to the sending engine, at the
-// receiver's current virtual time.
-func (c *Channel) Credit(fn func()) {
+// receiver's current virtual time: act fires there.
+func (c *Channel) Credit(act Action) {
 	if len(c.cred) == 0 {
 		c.g.cdirty[c.dst] = append(c.g.cdirty[c.dst], c)
 	}
 	c.cseq++
-	c.cred = append(c.cred, xmsg{at: c.dstEng.now, seq: c.cseq, fn: fn})
+	c.cred = append(c.cred, xmsg{at: c.dstEng.now, seq: c.cseq, act: act})
 }
 
 // Src and Dst report the partition ranks the channel connects.
@@ -183,7 +184,7 @@ type injItem struct {
 	seq  int64
 	ch   *Channel
 	cred bool
-	fn   func()
+	act  Action
 }
 
 // injSorter orders a Group's injection scratch by (at, tie, seq). It is
@@ -466,14 +467,14 @@ func (g *Group) injectAll() {
 	for r := range g.ddirty {
 		for _, c := range g.ddirty[r] {
 			for _, m := range c.deliv {
-				g.inj = append(g.inj, injItem{at: m.at, tie: 2 * c.idx, seq: m.seq, ch: c, fn: m.fn})
+				g.inj = append(g.inj, injItem{at: m.at, tie: 2 * c.idx, seq: m.seq, ch: c, act: m.act})
 			}
 			c.deliv = c.deliv[:0]
 		}
 		g.ddirty[r] = g.ddirty[r][:0]
 		for _, c := range g.cdirty[r] {
 			for _, m := range c.cred {
-				g.inj = append(g.inj, injItem{at: m.at, tie: 2*c.idx + 1, seq: m.seq, ch: c, cred: true, fn: m.fn})
+				g.inj = append(g.inj, injItem{at: m.at, tie: 2*c.idx + 1, seq: m.seq, ch: c, cred: true, act: m.act})
 			}
 			c.cred = c.cred[:0]
 		}
@@ -495,7 +496,7 @@ func (g *Group) injectAll() {
 				it.ch.outstanding = it.ch.outstanding[:0]
 				it.ch.outHead = 0
 			}
-			it.ch.srcEng.Schedule(it.at, it.fn)
+			it.ch.srcEng.Post(it.at, it.act)
 		} else {
 			// Deliveries are injected in (at, seq) order per channel, so the
 			// outstanding list stays sorted by arrival.
@@ -504,9 +505,9 @@ func (g *Group) injectAll() {
 				it.ch.inOutst = true
 				g.outst = append(g.outst, it.ch)
 			}
-			it.ch.dstEng.Schedule(it.at, it.fn)
+			it.ch.dstEng.Post(it.at, it.act)
 		}
-		it.fn = nil
+		it.act = nil
 		it.ch = nil
 	}
 }

@@ -23,9 +23,9 @@ func TestGroupDeliverTiming(t *testing.T) {
 
 	var gotAt Time = -1
 	g.Engine(0).Schedule(10, func() {
-		ch.Deliver(15, func() {
+		ch.Deliver(15, callback(func() {
 			gotAt = g.Engine(1).Now()
-		})
+		}))
 	})
 	end := g.Run()
 	if gotAt != 15 {
@@ -54,12 +54,12 @@ func TestGroupInjectionOrder(t *testing.T) {
 	// Both senders buffer same-time (t=50) deliveries in one window; rank 2
 	// posts before rank 1 in wall-clock terms, but channel index must win.
 	g.Engine(1).Schedule(3, func() {
-		chA.Deliver(50, note("a1"))
-		chA.Deliver(50, note("a2"))
+		chA.Deliver(50, callback(note("a1")))
+		chA.Deliver(50, callback(note("a2")))
 	})
 	g.Engine(2).Schedule(2, func() {
-		chB.Deliver(50, note("b1"))
-		chB.Deliver(40, note("b0"))
+		chB.Deliver(50, callback(note("b1")))
+		chB.Deliver(40, callback(note("b0")))
 	})
 	g.Run()
 
@@ -79,13 +79,13 @@ func TestGroupCreditFIFO(t *testing.T) {
 
 	var creditAt []Time
 	g.Engine(0).Schedule(0, func() {
-		ch.Deliver(10, func() {
+		ch.Deliver(10, callback(func() {
 			// Receiver frees the buffer 3 ns after arrival.
-			g.Engine(1).Schedule(13, func() { ch.Credit(func() { creditAt = append(creditAt, g.Engine(0).Now()) }) })
-		})
-		ch.Deliver(20, func() {
-			g.Engine(1).Schedule(23, func() { ch.Credit(func() { creditAt = append(creditAt, g.Engine(0).Now()) }) })
-		})
+			g.Engine(1).Schedule(13, func() { ch.Credit(callback(func() { creditAt = append(creditAt, g.Engine(0).Now()) })) })
+		}))
+		ch.Deliver(20, callback(func() {
+			g.Engine(1).Schedule(23, func() { ch.Credit(callback(func() { creditAt = append(creditAt, g.Engine(0).Now()) })) })
+		}))
 	})
 	g.Run()
 
@@ -116,10 +116,10 @@ func TestGroupMicroStep(t *testing.T) {
 	// concurrently, so a shared slice would race.
 	at0, at1 := Time(-1), Time(-1)
 	g.Engine(0).Schedule(0, func() {
-		chA.Deliver(5, func() { at1 = g.Engine(1).Now() })
+		chA.Deliver(5, callback(func() { at1 = g.Engine(1).Now() }))
 	})
 	g.Engine(1).Schedule(0, func() {
-		chB.Deliver(5, func() { at0 = g.Engine(0).Now() })
+		chB.Deliver(5, callback(func() { at0 = g.Engine(0).Now() }))
 	})
 	g.Run()
 
@@ -141,8 +141,8 @@ func TestGroupSequentialEquivalence(t *testing.T) {
 		ch := g.Connect(0, 1, 5, 2)
 		var at []Time
 		g.Engine(0).Schedule(1, func() {
-			ch.Deliver(6, func() { at = append(at, g.Engine(1).Now()) })
-			ch.Deliver(9, func() { at = append(at, g.Engine(1).Now()) })
+			ch.Deliver(6, callback(func() { at = append(at, g.Engine(1).Now()) }))
+			ch.Deliver(9, callback(func() { at = append(at, g.Engine(1).Now()) }))
 		})
 		end := g.Run()
 		if d == DispatchInline && (g.BusyTime() <= 0 || g.CriticalPath() <= 0 || g.CriticalPath() > g.BusyTime()) {
@@ -229,13 +229,13 @@ func TestGroupOneWayCreditBound(t *testing.T) {
 	ch := g.Connect(0, 1, 10, 0)
 	const batch = 64
 	n, sent, got := 4096, 0, 0
-	ack := func() { ch.Credit(func() { got++ }) }
+	ack := func() { ch.Credit(callback(func() { got++ })) }
 	var post func()
 	post = func() {
 		now := g.Engine(0).Now()
 		for i := 0; i < batch && sent < n; i++ {
 			sent++
-			ch.Deliver(now+10, ack)
+			ch.Deliver(now+10, callback(ack))
 		}
 		if sent < n {
 			g.Engine(0).Schedule(now+20, post)

@@ -77,7 +77,7 @@ func (e *Engine) SpawnAt(at Time, name string, fn func(p *Proc)) *Proc {
 	p := e.goProc(name, fn)
 	// The wake event carries the proc itself rather than a closure, so
 	// spawning (and every later sleep/unpark) costs no per-event allocation.
-	e.schedule(at, nil, p)
+	e.schedule(at, (*wake)(p))
 	return p
 }
 
@@ -126,7 +126,7 @@ func (e *Engine) SpawnStep(name string, step func(p *Proc)) *Proc {
 	p := &Proc{eng: e, name: name, step: step}
 	e.procs++
 	e.all = append(e.all, p)
-	e.schedule(e.now, nil, p)
+	e.schedule(e.now, (*wake)(p))
 	return p
 }
 
@@ -178,7 +178,7 @@ func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative sleep %v in %s", d, p.name))
 	}
-	p.eng.schedule(p.eng.now+d, nil, p)
+	p.eng.schedule(p.eng.now+d, (*wake)(p))
 	p.block()
 }
 
@@ -196,7 +196,7 @@ func (p *Proc) WakeAt(at Time) {
 	if at < p.eng.now {
 		panic(fmt.Sprintf("sim: SleepUntil into the past (%v < %v) in %s", at, p.eng.now, p.name))
 	}
-	p.eng.schedule(at, nil, p)
+	p.eng.schedule(at, (*wake)(p))
 }
 
 // wait marks the process parked with no scheduled wake-up; something must
@@ -218,7 +218,7 @@ func (p *Proc) unpark() {
 		panic("sim: unpark of non-waiting proc " + p.name)
 	}
 	p.waiting = false
-	p.eng.schedule(p.eng.now, nil, p)
+	p.eng.schedule(p.eng.now, (*wake)(p))
 }
 
 // unparkIfWaiting is unpark for conditions whose waiters re-check in a loop:

@@ -29,7 +29,7 @@ func StartSampler(eng *Engine, interval Time, fn func() float64) *Sampler {
 			// pending timer is cancelled so it cannot hold the event queue
 			// open or advance the clock past the run's end.
 			deadline := p.Now() + s.interval
-			timer := eng.schedule(deadline, wake, nil)
+			timer := eng.schedule(deadline, callback(wake))
 			for !s.stop && p.Now() < deadline {
 				p.park()
 			}

@@ -175,7 +175,10 @@ func (s *Semaphore) wake() {
 // wakes every current waiter. A Signal may be fired many times.
 type Signal struct {
 	waiters []*Proc
-	fires   int
+	// spare is the waiter list Fire last drained, kept for the next
+	// round of waiters so a Wait/Fire cycle reuses two backing arrays.
+	spare []*Proc
+	fires int
 }
 
 // NewSignal returns an unfired signal.
@@ -204,10 +207,12 @@ func (s *Signal) AddWaiter(p *Proc) {
 func (s *Signal) Fire() {
 	s.fires++
 	ws := s.waiters
-	s.waiters = nil
-	for _, w := range ws {
+	s.waiters = s.spare
+	for i, w := range ws {
 		w.unpark()
+		ws[i] = nil
 	}
+	s.spare = ws[:0]
 }
 
 // Latch is a one-shot completion flag: Wait returns immediately once Open
