@@ -153,8 +153,11 @@ func Run(cfg apps.Config, cpus int, prm Params) stats.Run {
 				if n > prm.ChunkSize {
 					n = prm.ChunkSize
 				}
-				tok := h.IssueReadStriped(p, store, "input", off, n,
-					sw.ID(), streamBase, 0x6030, prm.BlockSize, cpus, wayStride)
+				tok := h.IssueReadReq(p, store, iodev.ReadReq{
+					File: "input", Off: off, Len: n,
+					Dst: sw.ID(), DstAddr: streamBase, Type: san.Data, Flow: 0x6030,
+					Stripe: prm.BlockSize, Ways: cpus, WayStride: wayStride,
+				})
 				pending = append(pending, tok)
 			}
 			next := int64(0)

@@ -203,9 +203,6 @@ func New(eng *sim.Engine, id san.NodeID, name string, cfg Config) *ActiveSwitch 
 	return s
 }
 
-// Config returns the active configuration.
-func (s *ActiveSwitch) ActiveConfig() Config { return s.cfg }
-
 // Mem returns the switch's local memory channel.
 func (s *ActiveSwitch) Mem() *memsys.RDRAM { return s.mem }
 
@@ -227,9 +224,6 @@ func (s *ActiveSwitch) ActiveStats() Stats { return s.stats }
 
 // CrashStatsCopy returns a copy of the failure counters.
 func (s *ActiveSwitch) CrashStatsCopy() CrashStats { return s.crash }
-
-// Crashed reports whether the active plane is down.
-func (s *ActiveSwitch) Crashed() bool { return s.crashed }
 
 // SetTelemetry arms per-packet stamping on the active plane: stamp mints
 // records for handler-sourced packets, complete consumes records of

@@ -143,9 +143,7 @@ type DBA struct {
 	freeIDs []int
 	inUse   int
 	total   int
-
-	allocs, frees int64
-	peak          int
+	peak    int
 }
 
 // NewDBA builds the administrator with n total buffers, outReserve of which
@@ -194,7 +192,6 @@ func (d *DBA) take(output bool) *DataBuffer {
 	b := &d.bufs[id]
 	*b = DataBuffer{id: id, gen: b.gen, live: true, output: output}
 	d.inUse++
-	d.allocs++
 	if d.inUse > d.peak {
 		d.peak = d.inUse
 	}
@@ -211,7 +208,6 @@ func (d *DBA) Free(b *DataBuffer) {
 	b.payload = nil
 	d.freeIDs = append(d.freeIDs, b.id)
 	d.inUse--
-	d.frees++
 	if b.output {
 		d.outputPermits.Release()
 	} else {
@@ -224,6 +220,3 @@ func (d *DBA) InUse() int { return d.inUse }
 
 // Peak reports the high-water mark of held buffers.
 func (d *DBA) Peak() int { return d.peak }
-
-// Allocs reports total allocations.
-func (d *DBA) Allocs() int64 { return d.allocs }

@@ -372,40 +372,6 @@ func TestDualIOCluster(t *testing.T) {
 	}
 }
 
-func TestHostWritePath(t *testing.T) {
-	// Host-side write: request + data stream to the storage node, durable
-	// ack back, correct busy charging.
-	eng := sim.NewEngine()
-	c := NewIOCluster(eng, DefaultIOClusterConfig())
-	c.Start()
-	h := c.Host(0)
-	var done sim.Time
-	eng.Spawn("app", func(p *sim.Proc) {
-		local := h.Space().Alloc(256*1024, 4096)
-		h.Write(p, c.Store(0).ID(), "out", 0, 256*1024, local)
-		done = p.Now()
-	})
-	eng.Run()
-	defer c.Shutdown()
-	if done == 0 {
-		t.Fatal("write never acked")
-	}
-	st := c.Store(0).Stats()
-	if st.Writes != 1 || st.BytesWritten != 256*1024 {
-		t.Fatalf("store stats = %+v", st)
-	}
-	// 256 KB costs at least its disk occupancy.
-	if done < 2*sim.Millisecond {
-		t.Fatalf("write finished at %v, faster than the disk", done)
-	}
-	// OS charges: 30us request + 0.27us/KB.
-	b := h.CPU().Breakdown()
-	wantBusy := 30*sim.Microsecond + 256*270*sim.Nanosecond
-	if b.Busy < wantBusy {
-		t.Fatalf("host busy %v below the OS model's %v", b.Busy, wantBusy)
-	}
-}
-
 func TestTreeConfigValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	defer func() {

@@ -154,29 +154,14 @@ type ReadToken struct {
 // Len returns the read's size.
 func (t *ReadToken) Len() int64 { return t.len }
 
-// postRequest sends a request packet to the storage node.
-func (h *Host) postRequest(p *sim.Proc, store san.NodeID, payload any) {
-	msg := &san.Message{
-		Hdr:     san.Header{Src: h.id, Dst: store, Type: san.IORequest, Flow: h.hca.NextFlow()},
-		Size:    64,
-		Payload: payload,
-	}
-	h.hca.Post(msg, 0)
-}
-
 // IssueRead starts a disk read of file [off, off+n) into host memory at
 // buf, charging the fixed OS request cost. It does not wait; pair with
 // WaitRead. Two in-flight tokens give the paper's "+pref" configurations.
 func (h *Host) IssueRead(p *sim.Proc, store san.NodeID, file string, off, n int64, buf int64) *ReadToken {
-	h.cpu.BusyFor(p, h.cfg.OS.IOPerRequest)
-	h.cpu.Flush(p)
-	flow := h.hca.NextFlow()
-	h.ioRequests++
-	h.postRequest(p, store, iodev.ReadReq{
+	return h.issue(p, store, iodev.ReadReq{
 		File: file, Off: off, Len: n,
-		Dst: h.id, DstAddr: buf, Type: san.Data, Flow: flow,
-	})
-	return &ReadToken{store: store, flow: flow, len: n, toHost: true}
+		Dst: h.id, DstAddr: buf, Type: san.Data,
+	}, true)
 }
 
 // IssueReadTo starts a disk read whose data streams to another node
@@ -185,48 +170,39 @@ func (h *Host) IssueRead(p *sim.Proc, store san.NodeID, file string, off, n int6
 // Control notification from the storage node.
 func (h *Host) IssueReadTo(p *sim.Proc, store san.NodeID, file string, off, n int64,
 	dst san.NodeID, dstAddr int64, typ san.Type, handlerID, cpuID int, flow int64) *ReadToken {
-	h.cpu.BusyFor(p, h.cfg.OS.IOPerRequest)
-	h.cpu.Flush(p)
-	notifyFlow := h.hca.NextFlow()
-	h.ioRequests++
-	h.postRequest(p, store, iodev.ReadReq{
+	return h.IssueReadReq(p, store, iodev.ReadReq{
 		File: file, Off: off, Len: n,
 		Dst: dst, DstAddr: dstAddr, Type: typ, HandlerID: handlerID, CPUID: cpuID, Flow: flow,
-		Notify: h.id, NotifyFlow: notifyFlow,
 	})
-	return &ReadToken{store: store, flow: notifyFlow, len: n, toHost: false}
-}
-
-// IssueReadStriped starts a redirected disk read whose packets are striped
-// across the destination switch's CPUs (the MD5 multi-CPU variant): block
-// b = offset/stripe goes to CPU b mod ways at dstAddr + way*wayStride +
-// (b/ways)*stripe + offset%stripe.
-func (h *Host) IssueReadStriped(p *sim.Proc, store san.NodeID, file string, off, n int64,
-	dst san.NodeID, dstAddr int64, flow int64, stripe int64, ways int, wayStride int64) *ReadToken {
-	h.cpu.BusyFor(p, h.cfg.OS.IOPerRequest)
-	h.cpu.Flush(p)
-	notifyFlow := h.hca.NextFlow()
-	h.ioRequests++
-	h.postRequest(p, store, iodev.ReadReq{
-		File: file, Off: off, Len: n,
-		Dst: dst, DstAddr: dstAddr, Type: san.Data, Flow: flow,
-		Stripe: stripe, Ways: ways, WayStride: wayStride,
-		Notify: h.id, NotifyFlow: notifyFlow,
-	})
-	return &ReadToken{store: store, flow: notifyFlow, len: n, toHost: false}
 }
 
 // IssueReadReq posts a fully-specified read request (advanced callers:
 // active-disk pushdown filters, CPU striping), wiring in the notification
 // the returned token waits on.
 func (h *Host) IssueReadReq(p *sim.Proc, store san.NodeID, req iodev.ReadReq) *ReadToken {
+	return h.issue(p, store, req, false)
+}
+
+// issue charges the OS request cost and posts req to store. The token
+// waits on the first flow it numbers: the data's own flow for a read into
+// host memory (toHost), or else the storage node's notification. The
+// request packet takes the next.
+func (h *Host) issue(p *sim.Proc, store san.NodeID, req iodev.ReadReq, toHost bool) *ReadToken {
 	h.cpu.BusyFor(p, h.cfg.OS.IOPerRequest)
 	h.cpu.Flush(p)
-	req.Notify = h.id
-	req.NotifyFlow = h.hca.NextFlow()
+	flow := h.hca.NextFlow()
+	if toHost {
+		req.Flow = flow
+	} else {
+		req.Notify, req.NotifyFlow = h.id, flow
+	}
 	h.ioRequests++
-	h.postRequest(p, store, req)
-	return &ReadToken{store: store, flow: req.NotifyFlow, len: req.Len, toHost: false}
+	h.hca.Post(&san.Message{
+		Hdr:     san.Header{Src: h.id, Dst: store, Type: san.IORequest, Flow: h.hca.NextFlow()},
+		Size:    64,
+		Payload: req,
+	}, 0)
+	return &ReadToken{store: store, flow: flow, len: req.Len, toHost: toHost}
 }
 
 // WaitRead blocks until the read completes. For host-bound data it charges
@@ -327,29 +303,6 @@ func (h *Host) SendMessage(p *sim.Proc, msg *san.Message, local int64) *sim.Latc
 	h.cpu.BusyFor(p, h.cfg.OS.SendOverhead)
 	h.cpu.Flush(p)
 	return h.hca.Post(msg, local)
-}
-
-// Write streams n bytes to a file on the storage node and waits for the
-// durable ack, charging the request and per-KB costs.
-func (h *Host) Write(p *sim.Proc, store san.NodeID, file string, off, n int64, local int64) {
-	h.cpu.BusyFor(p, h.cfg.OS.IOPerRequest)
-	h.cpu.Flush(p)
-	flow := h.hca.NextFlow()
-	ackFlow := h.hca.NextFlow()
-	h.ioRequests++
-	req := &san.Message{
-		Hdr:     san.Header{Src: h.id, Dst: store, Type: san.IORequest, Flow: flow},
-		Size:    64,
-		Payload: iodev.WriteReq{File: file, Off: off, Len: n, Notify: h.id, NotifyFlow: ackFlow},
-	}
-	h.hca.Post(req, 0)
-	data := &san.Message{
-		Hdr:  san.Header{Src: h.id, Dst: store, Type: san.Data, Flow: flow},
-		Size: n,
-	}
-	h.hca.Post(data, local)
-	h.cpu.BusyFor(p, sim.Time((n+1023)/1024)*h.cfg.OS.IOPerKB)
-	h.RecvFlow(p, store, ackFlow)
 }
 
 // String implements fmt.Stringer.

@@ -121,18 +121,6 @@ type ReadReq struct {
 	NotifyFlow int64
 }
 
-// WriteReq asks a storage node to absorb Len bytes of Data packets that
-// arrive carrying the same flow id as the request packet.
-type WriteReq struct {
-	File string
-	Off  int64
-	Len  int64
-
-	// Notify receives a Control ack when the write is durable.
-	Notify     san.NodeID
-	NotifyFlow int64
-}
-
 // Filter is an active-disk pushdown: the paper's related work points out
 // that active I/O devices compose with active switches into "a two-level
 // active I/O system". A storage node with registered filters runs them on
@@ -153,9 +141,8 @@ type Filter struct {
 
 // Stats counts storage activity.
 type Stats struct {
-	Reads, Writes     int64
+	Reads             int64
 	BytesRead         int64
-	BytesWritten      int64
 	Seeks, Sequential int64
 	// FilteredBytes counts bytes a pushdown filter removed at the source.
 	FilteredBytes int64
@@ -195,19 +182,14 @@ type StorageNode struct {
 	lastFile   string
 	lastEnd    int64
 
-	// writes tracks expected write streams by flow id.
-	writes map[int64]*writeState
-
 	// Optional media-error injection (nil unless armed).
 	dinj   DiskInjector
 	dretry sim.Time
 
-	// Telemetry hooks (nil = off): stamp mints in-band records for read
-	// data leaving the node, complete consumes them when stamped write
-	// data lands. maxReqQueue is the request-queue high-water mark,
-	// tracked only while armed.
+	// Telemetry hook (nil = off): stamp mints in-band records for read
+	// data leaving the node. maxReqQueue is the request-queue high-water
+	// mark, tracked only while armed.
 	stamp       san.Stamper
-	complete    san.Completer
 	maxReqQueue int
 
 	// disk is the disk engine's step state.
@@ -216,18 +198,12 @@ type StorageNode struct {
 	stats Stats
 }
 
-type writeState struct {
-	req WriteReq
-	got int64
-	src san.NodeID
-}
-
-// queuedReq is a request packet's payload with its arrival time, so the
-// telemetry disk hop starts when the work arrived rather than when the TCA
-// got to it. The packet itself goes back to its sender's pool.
+// queuedReq is a read request with its arrival time, so the telemetry disk
+// hop starts when the work arrived rather than when the TCA got to it. The
+// packet itself goes back to its sender's pool.
 type queuedReq struct {
-	payload any
-	at      sim.Time
+	req ReadReq
+	at  sim.Time
 }
 
 // New builds a storage node attached via the given links.
@@ -240,7 +216,6 @@ func New(eng *sim.Engine, id san.NodeID, name string, in, out *san.Link, cfg Con
 		reqs:    sim.NewQueue[queuedReq](),
 		bus:     sim.NewServer(eng, name+".scsi"),
 		fcpu:    sim.NewServer(eng, name+".fcpu"),
-		writes:  make(map[int64]*writeState),
 	}
 	s.Adapter = san.NewAdapter(eng, id, name, in, out, s)
 	return s
@@ -261,12 +236,8 @@ func (s *StorageNode) RegisterFilter(id int, f *Filter) {
 }
 
 // SetTelemetry arms per-packet stamping on this node: stamp mints records
-// for outgoing read data, complete consumes records carried by incoming
-// write data. Install before traffic flows.
-func (s *StorageNode) SetTelemetry(stamp san.Stamper, complete san.Completer) {
-	s.stamp = stamp
-	s.complete = complete
-}
+// for outgoing read data. Install before traffic flows.
+func (s *StorageNode) SetTelemetry(stamp san.Stamper) { s.stamp = stamp }
 
 // MaxQueuedReqs reports the read-request queue depth high-water mark (zero
 // unless telemetry was armed).
@@ -301,87 +272,20 @@ func (s *StorageNode) SetDiskFaults(inj DiskInjector, retry sim.Time) {
 // retransmit engine when reliability is armed.
 func (s *StorageNode) Start() { s.Adapter.Start(".tca", ".disk", s.diskStep) }
 
-// Accept takes one packet from the TCA's receive engine: request packets
-// and write data.
+// Accept takes one packet from the TCA's receive engine. The node serves
+// reads only: a read request queues for the disk engine, and every other
+// packet is dropped.
 func (s *StorageNode) Accept(p *sim.Proc, pkt *san.Packet) {
-	switch pkt.Hdr.Type {
-	case san.IORequest:
-		// Register writes immediately so their data — possibly right
-		// behind the request — is never dropped; reads queue for the
-		// disk engine.
-		if w, isW := pkt.Payload.(WriteReq); isW {
-			s.writes[pkt.Hdr.Flow] = &writeState{req: w, src: pkt.Hdr.Src}
-		} else {
-			s.reqs.Put(queuedReq{payload: pkt.Payload, at: p.Now()})
-			if s.stamp != nil {
-				if d := s.reqs.Len(); d > s.maxReqQueue {
-					s.maxReqQueue = d
-				}
-			}
-		}
-	case san.Data:
-		s.absorbWrite(p, pkt)
-	default:
-		// Control and stray packets are ignored.
+	req, ok := pkt.Payload.(ReadReq)
+	if pkt.Hdr.Type != san.IORequest || !ok {
+		return
 	}
-}
-
-// absorbWrite charges bus and disk occupancy for one arriving write packet
-// and acks the stream when complete.
-func (s *StorageNode) absorbWrite(p *sim.Proc, pkt *san.Packet) {
-	w := s.writes[pkt.Hdr.Flow]
-	if w == nil {
-		return // write data with no posted WriteReq: drop
-	}
-	s.bus.Reserve(sim.TransferTime(pkt.Size, s.cfg.Bus.BandwidthBytesPerSec))
-	// Disk occupancy; sequential writes stream at disk bandwidth, and the
-	// final reservation's completion is the durability point.
-	durable := s.diskReserve(w.req.File, w.req.Off+w.got, pkt.Size)
-	w.got += pkt.Size
-	s.stats.BytesWritten += pkt.Size
-	if st := pkt.Stamp; st != nil && s.complete != nil {
-		s.complete(st, p.Now(), pkt.Hdr.Type)
-	}
-	if w.got >= w.req.Len {
-		delete(s.writes, pkt.Hdr.Flow)
-		s.stats.Writes++
-		if s.eng.Tracing() {
-			s.eng.Emit("disk", "write", s.Name(),
-				fmt.Sprintf("write %q [%d,%d) durable", w.req.File, w.req.Off, w.req.Off+w.req.Len))
-		}
-		if w.req.Notify != san.NoNode && w.req.Notify != 0 {
-			// The ack means durable: it leaves once the disk has absorbed
-			// the final byte.
-			req := w.req
-			s.eng.SpawnAt(durable, s.Name()+".ack", func(ap *sim.Proc) {
-				pkt := &san.Packet{Hdr: san.Header{
-					Src: s.ID(), Dst: req.Notify, Type: san.Control,
-					Flow: req.NotifyFlow, Last: true,
-				}}
-				s.Out().Send(ap, pkt)
-				s.Sent(pkt)
-			})
+	s.reqs.Put(queuedReq{req: req, at: p.Now()})
+	if s.stamp != nil {
+		if d := s.reqs.Len(); d > s.maxReqQueue {
+			s.maxReqQueue = d
 		}
 	}
-}
-
-// diskReserve books disk time for [off, off+n) of file, returning when the
-// last byte is off the platters.
-func (s *StorageNode) diskReserve(file string, off, n int64) sim.Time {
-	start := s.diskFreeAt
-	if now := s.eng.Now(); start < now {
-		start = now
-	}
-	if file != s.lastFile || off != s.lastEnd {
-		start += s.cfg.Disk.Seek + s.cfg.Disk.Rotation
-		s.stats.Seeks++
-	} else {
-		s.stats.Sequential++
-	}
-	s.diskFreeAt = start + sim.TransferTime(n, s.cfg.Disk.BandwidthBytesPerSec)
-	s.lastFile = file
-	s.lastEnd = off + n
-	return s.diskFreeAt
 }
 
 // Disk-engine states: the wait each one resumes from. A read streams as
@@ -441,11 +345,7 @@ func (s *StorageNode) diskStep(p *sim.Proc) {
 			if !ok {
 				return
 			}
-			req, ok := q.payload.(ReadReq)
-			if !ok {
-				continue
-			}
-			s.startRead(p, req, q.at)
+			s.startRead(p, q.req, q.at)
 			if s.nextChunk(p) {
 				return
 			}

@@ -114,28 +114,49 @@ func TestNotifyControlPacket(t *testing.T) {
 	}
 }
 
-func TestWritePathAcks(t *testing.T) {
+// The TCA serves reads only. A stray Data packet and an IORequest that
+// carries no ReadReq are dropped with their credits returned, and the read
+// behind them is served whole.
+func TestTCAServesOnlyReadRequests(t *testing.T) {
 	eng := sim.NewEngine()
 	s, toStore, fromStore := rig(eng)
-	var acked bool
+	s.AddFile(&File{Name: "f", Size: 2048})
+	stray := san.Header{Src: 1, Dst: 200, Type: san.Data, Flow: 3, Last: true}
+	var got, bytes int64
+	var drained bool
 	eng.Spawn("client", func(p *sim.Proc) {
-		request(p, toStore, WriteReq{File: "out", Len: 1024, Notify: 1, NotifyFlow: 88}, 5)
-		// Stream the write data on the same flow.
-		m := &san.Message{Hdr: san.Header{Src: 1, Dst: 200, Type: san.Data, Flow: 5}, Size: 1024}
-		for _, pkt := range m.Packets(nil) {
-			toStore.Send(p, pkt)
+		toStore.Send(p, &san.Packet{Hdr: stray, Size: 512})
+		request(p, toStore, "not a read", 4)
+		request(p, toStore, ReadReq{File: "f", Len: 2048, Dst: 1, Type: san.Data, Flow: 5}, 5)
+		for ; bytes < 2048; got++ {
+			pkt := fromStore.Recv(p)
+			if pkt.Hdr.Type != san.Data || pkt.Hdr.Flow != 5 {
+				t.Errorf("packet %d is %s flow %d, want the read's data on flow 5", got, pkt.Hdr.Type, pkt.Hdr.Flow)
+			}
+			bytes += pkt.Size
+			fromStore.ReturnCredit()
 		}
-		pkt := fromStore.Recv(p)
-		acked = pkt.Hdr.Type == san.Control && pkt.Hdr.Flow == 88
-		fromStore.ReturnCredit()
+		// The link takes its full credit count of packets without waiting
+		// only if the node returned every credit.
+		at := p.Now()
+		for i := 0; i < toStore.Config().Credits; i++ {
+			toStore.SendAsync(p, &san.Packet{Hdr: stray, Size: 64})
+		}
+		drained = p.Now() == at
 	})
 	eng.Run()
 	defer eng.Shutdown()
-	if !acked {
-		t.Fatal("write not acknowledged")
+	if got != 4 || bytes != 2048 {
+		t.Fatalf("read delivered %d packets of %d bytes, want 4 of 2048", got, bytes)
 	}
-	if s.Stats().Writes != 1 || s.Stats().BytesWritten != 1024 {
-		t.Fatalf("write stats = %+v", s.Stats())
+	if _, extra := fromStore.TryRecv(); extra {
+		t.Fatal("the node answered a packet that was not a read request")
+	}
+	if !drained {
+		t.Fatal("the node kept credits of the packets it dropped")
+	}
+	if st := s.Stats(); st.Reads != 1 || st.BytesRead != 2048 {
+		t.Fatalf("stats = %+v, want one read of 2048 bytes", st)
 	}
 }
 

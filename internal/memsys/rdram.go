@@ -93,9 +93,6 @@ func (m *RDRAM) Config() Config { return m.cfg }
 // Stats returns a copy of the accumulated counters.
 func (m *RDRAM) Stats() Stats { return m.stats }
 
-// BusUtilization reports data-bus occupancy over elapsed simulated time.
-func (m *RDRAM) BusUtilization() float64 { return m.bus.Utilization() }
-
 // BusBusyTime reports cumulative data-bus occupancy, for utilization
 // computed against an externally chosen elapsed time.
 func (m *RDRAM) BusBusyTime() sim.Time { return m.bus.BusyTime() }

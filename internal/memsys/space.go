@@ -39,9 +39,6 @@ func (s *AddressSpace) Alloc(size int64, align int64) int64 {
 	return base
 }
 
-// Remaining reports unallocated bytes (ignoring alignment padding to come).
-func (s *AddressSpace) Remaining() int64 { return s.end - s.next }
-
 // Region is a convenience pairing of a base address and length.
 type Region struct {
 	Base int64

@@ -39,9 +39,7 @@ func Collect(c *cluster.Cluster, elapsed sim.Time) *Snapshot {
 		name := d.Name()
 		ds := d.Stats()
 		s.SetInt(name+"/disk/reads", ds.Reads)
-		s.SetInt(name+"/disk/writes", ds.Writes)
 		s.SetInt(name+"/disk/bytes_read", ds.BytesRead)
-		s.SetInt(name+"/disk/bytes_written", ds.BytesWritten)
 		s.SetInt(name+"/disk/seeks", ds.Seeks)
 		s.SetInt(name+"/disk/sequential", ds.Sequential)
 		s.SetInt(name+"/disk/filtered_bytes", ds.FilteredBytes)

@@ -36,8 +36,8 @@ type pathAccum struct {
 // operation commutes — counter adds, histogram bucket increments, keyed
 // map inserts — so the interleaving the lock serializes does not affect
 // the folded snapshot: Into stays byte-identical at any partition or
-// worker count. Accessors (Stamped, E2E, Into, ...) read without the
-// lock and must only be called once the simulation has quiesced.
+// worker count. Accessors (Path, Into) read without the lock and must only
+// be called once the simulation has quiesced.
 type Recorder struct {
 	c     *cluster.Cluster
 	mu    sync.Mutex
@@ -72,7 +72,7 @@ func (r *Recorder) Attach(c *cluster.Cluster) {
 		h.NIC().SetTelemetry(stamp, complete)
 	}
 	for _, s := range c.Stores {
-		s.SetTelemetry(stamp, complete)
+		s.SetTelemetry(stamp)
 	}
 	for _, sw := range c.Switches {
 		sw.SetTelemetry(stamp, complete, r.HandlerDone)
@@ -140,17 +140,6 @@ func (r *Recorder) HandlerDone(name string, dur sim.Time) {
 	}
 	h.Observe(int64(dur))
 }
-
-// Stamped reports how many stamps were minted.
-func (r *Recorder) Stamped() int64 { return r.stamped }
-
-// Completed reports how many stamped packets reached a final delivery.
-// Packets that die en route (drops, crash discards) mint but never
-// complete; the gap is itself a loss signal.
-func (r *Recorder) Completed() int64 { return r.completed }
-
-// E2E returns the end-to-end latency histogram (picoseconds).
-func (r *Recorder) E2E() *metrics.Hist { return r.e2e }
 
 // Path returns type typ's per-flow decomposition: completed packets and
 // total picoseconds per hop kind.
