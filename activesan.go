@@ -144,7 +144,8 @@ type (
 	// Experiment is one paper table or figure.
 	Experiment = exp.Experiment
 	// Config is one run's configuration: the scale divisor plus the trace
-	// sink, fault plan, telemetry and topology its clusters get.
+	// sink, fault plan, telemetry and topology its clusters get, and how
+	// many of its simulations may run at once (Env.Parallel, -parallel).
 	Config = exp.Config
 	// Result carries an experiment's runs, breakdown bars and series.
 	Result = stats.Result
@@ -170,14 +171,15 @@ func RunExperiment(id string, cfg Config) (*Result, error) {
 	return e.RunConfig(cfg), nil
 }
 
-// RunExperiments executes the whole registry under cfg over a pool of
-// `workers` goroutines (each experiment simulates on its own Engine, so
-// runs are independent). Results are ordered by registry index regardless
-// of completion order; workers < 1 selects runtime.NumCPU() and workers ==
-// 1 reproduces the sequential harness exactly. A config with a trace sink
-// runs one experiment at a time.
-func RunExperiments(cfg Config, workers int) []*Result {
-	return exp.RunAll(cfg, workers)
+// RunExperiments executes the whole registry under cfg. Experiments fan
+// out over cfg.Env.Parallel worker goroutines (< 1 selects
+// runtime.GOMAXPROCS(0); each experiment simulates on its own engines and
+// runs its own simulations inline, so no more than that many are live),
+// and a config with a trace sink runs one experiment at a time. Results
+// are ordered by registry index regardless of completion order, so any
+// width reproduces the sequential (Parallel 1) harness exactly.
+func RunExperiments(cfg Config) []*Result {
+	return exp.RunAll(cfg)
 }
 
 // Shapes summarizes a result's headline numbers against the paper's.

@@ -53,11 +53,16 @@
 // the built-in library, so a user-written handler gets the same
 // compiled-on-switch vs host-interpreter comparison and differential check.
 //
-// With -run all the registry fans out over -parallel worker goroutines
-// (default: the CPU count); results always print in registry order, so the
-// output is byte-identical to a sequential (-parallel 1) run. A traced run
-// (-trace, -trace-out or -flight-recorder) runs one experiment at a time,
-// so its trace is the sequential run's too.
+// -parallel sets the worker goroutines for -run all and for one
+// experiment's runs (default: GOMAXPROCS). With -run all the registry fans
+// out over them and each experiment runs its own simulations in order;
+// with one experiment, its independent simulations (the four
+// configurations of fig3 to fig13, fig17's eight runs, twolevel's modes,
+// hdlsweep's cases and faultsweep's points) fan out instead. Either way no
+// more than -parallel simulations are live, and results always print in
+// order, so the output is byte-identical to a sequential (-parallel 1)
+// run. A traced run (-trace, -trace-out or -flight-recorder) runs one
+// simulation at a time, so its trace is the sequential run's too.
 //
 // All flags become one run config (activesan.Config) handed to every
 // experiment; nothing is installed process-wide.
@@ -94,7 +99,8 @@ func realMain() int {
 	list := flag.Bool("list", false, "list experiments and exit")
 	run := flag.String("run", "", "experiment id to run, or \"all\"")
 	scale := flag.Int64("scale", 8, "problem-size divisor (1 = paper's full sizes)")
-	parallel := flag.Int("parallel", runtime.NumCPU(), "worker goroutines for -run all (1 = sequential)")
+	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
+		"worker goroutines for -run all and for one experiment's runs (1 = sequential)")
 	chart := flag.Bool("chart", false, "render ASCII bar charts after each result")
 	svgDir := flag.String("svg", "", "write an SVG figure per experiment into this directory")
 	jsonPath := flag.String("json", "", "write all results as JSON to this file")
@@ -116,6 +122,7 @@ func realMain() int {
 	}
 	defer cleanup()
 	cfg.Scale = *scale
+	cfg.Env.Parallel = *parallel
 
 	if *trace != "" {
 		f, err := os.Create(*trace)
@@ -164,7 +171,7 @@ func realMain() int {
 		if *run == "all" {
 			// The parallel harness keeps results in registry order, so the
 			// printed report is byte-identical at any worker count.
-			collected = activesan.RunExperiments(cfg, *parallel)
+			collected = activesan.RunExperiments(cfg)
 			return 0
 		}
 		res, err := activesan.RunExperiment(*run, cfg)

@@ -11,7 +11,7 @@
 //	sansweep -sweep collective -collective allreduce -nodes 4,16,64
 //
 // Sweep points are independent simulations, so they fan out over -parallel
-// worker goroutines (default: the CPU count); output order is always the
+// worker goroutines (default: GOMAXPROCS); output order is always the
 // sequential order. A traced sweep (-trace-out or -flight-recorder) runs one
 // point at a time, so its trace is the sequential sweep's too.
 //
@@ -138,15 +138,15 @@ func parseInts(s string) []int {
 	return out
 }
 
-// sweepLines evaluates one line of output per point over a worker pool and
+// sweepLines evaluates one line of output per point through env.Runs and
 // prints the lines in point order, so any -parallel value produces the
 // same output as a sequential sweep. A panicking point (fault-plan crash
 // under -strict-routes) is re-raised — first point first, for determinism
 // — on the caller's goroutine, where the deferred output flushing can see
 // it.
-func sweepLines(points []int, workers int, eval func(p int) string) {
+func sweepLines(points []int, env apps.Env, eval func(p int) string) {
 	lines := make([]string, len(points))
-	apps.Parallel(len(points), workers,
+	env.Runs(len(points),
 		func(i int) string { return fmt.Sprintf("sweep point %d", points[i]) },
 		func(i int) { lines[i] = eval(points[i]) })
 	for _, l := range lines {
@@ -167,7 +167,7 @@ func realMain() int {
 	hosts := flag.String("hosts", "2,4,8", "host counts for -sweep sort")
 	records := flag.Int64("records", 1<<18, "total records for -sweep sort")
 	rounds := flag.Int("rounds", 0, "with -sweep reduce: pipeline this many back-to-back rounds")
-	parallel := flag.Int("parallel", runtime.NumCPU(), "worker goroutines for sweep points (1 = sequential)")
+	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for sweep points (1 = sequential)")
 	cf := cliflags.Register()
 	flag.Parse()
 
@@ -177,11 +177,8 @@ func realMain() int {
 		return 2
 	}
 	defer cleanup()
-	env, workers := cfg.Env, *parallel
-	if env.Trace != nil {
-		// One point at a time: the trace is the sequential sweep's.
-		workers = 1
-	}
+	cfg.Env.Parallel = *parallel
+	env := cfg.Env
 
 	if cf.MetricsOut != "" {
 		sweepMetrics = make(map[string]*metrics.Snapshot)
@@ -216,7 +213,7 @@ func realMain() int {
 			}
 			prm := collective.DefaultParams()
 			if *rounds > 0 {
-				sweepLines(parseInts(*nodes), workers, func(p int) string {
+				sweepLines(parseInts(*nodes), env, func(p int) string {
 					iso := collective.Run(env, collective.Reduce, true, p, prm).Latency
 					r := collective.RunPipelined(env, p, *rounds, prm)
 					return fmt.Sprintf("p=%-4d rounds=%d total=%v per-round=%v isolated=%v correct=%v\n",
@@ -224,7 +221,7 @@ func realMain() int {
 				})
 				return 0
 			}
-			fmt.Print(reduce.Sweep(env, op, parseInts(*nodes), prm, workers).Format())
+			fmt.Print(reduce.Sweep(env, op, parseInts(*nodes), prm).Format())
 
 		case "md5":
 			prm := md5app.DefaultParams()
@@ -232,7 +229,7 @@ func realMain() int {
 			normal := md5app.Run(apps.Normal, 1, prm)
 			record("md5/normal", normal)
 			fmt.Printf("%-20s %v\n", "normal", normal.Time)
-			sweepLines(parseInts(*cpus), workers, func(c int) string {
+			sweepLines(parseInts(*cpus), env, func(c int) string {
 				r := md5app.Run(apps.ActivePref, c, prm)
 				record(fmt.Sprintf("md5/%s/cpus=%d", r.Config, c), r)
 				return fmt.Sprintf("%-20s %v  speedup %.2f\n", r.Config, r.Time,
@@ -243,7 +240,7 @@ func realMain() int {
 			// -collective picks the op, -agg-budget the keyagg table size,
 			// -partitions the engine layout; the points are fat trees.
 			op := cfg.Collective
-			sweepLines(parseInts(*nodes), workers, func(p int) string {
+			sweepLines(parseInts(*nodes), env, func(p int) string {
 				prm := collective.DefaultParams()
 				if op == collective.KeyAgg {
 					b := cfg.AggBudget
@@ -276,7 +273,7 @@ func realMain() int {
 			})
 
 		case "sort":
-			sweepLines(parseInts(*hosts), workers, func(hcount int) string {
+			sweepLines(parseInts(*hosts), env, func(hcount int) string {
 				prm := psort.DefaultParams()
 				prm.Hosts = hcount
 				prm.Records = *records

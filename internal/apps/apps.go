@@ -219,8 +219,9 @@ func StreamToSwitch(p *sim.Proc, h *host.Host, store san.NodeID, file string,
 
 // Env is what a run's configuration hands every cluster an experiment
 // builds: the trace sink, -strict-routes, the fault plan, telemetry, and
-// the collective topology. Its zero value observes nothing and arms
-// nothing.
+// the collective topology; and how many of those clusters may run at once.
+// Its zero value observes nothing, arms nothing, and runs
+// runtime.GOMAXPROCS(0) simulations at once.
 type Env struct {
 	// Trace, when set, receives every engine's trace events. A
 	// partitioned cluster calls it from several goroutines, so it must
@@ -239,6 +240,10 @@ type Env struct {
 	// Topology selects the cluster collectives run on; the fat-tree
 	// sweeps, which always build fat trees, read only its Parts.
 	Topology cluster.Topo
+	// Parallel is -parallel: how many of an experiment's independent
+	// simulations may run at once (< 1 selects runtime.GOMAXPROCS(0),
+	// 1 runs them in order on the caller's goroutine). Width applies it.
+	Parallel int
 }
 
 // Observe installs the trace sink on every engine of c and the

@@ -59,9 +59,11 @@ func withPlan(prm mpeg.Params, plan *fault.Plan) mpeg.Params {
 	return prm
 }
 
-// RunAll executes the loss sweep plus the handler-crash demonstration.
-// Each point arms its own plan; the fault-free baseline and the active
-// reference keep prm.Env's.
+// RunAll executes the loss sweep plus the handler-crash demonstration, all
+// on one generated stream. Each point arms its own plan; the fault-free
+// baseline and the active reference keep prm.Env's. The loss points and
+// the active reference run through prm.Env.Runs; the crash run needs the
+// reference's time, so it starts after them.
 func RunAll(prm mpeg.Params) *stats.Result {
 	res := &stats.Result{
 		ID:    "faultsweep",
@@ -70,11 +72,28 @@ func RunAll(prm mpeg.Params) *stats.Result {
 	note := func(format string, args ...any) {
 		res.Notes = append(res.Notes, fmt.Sprintf(format, args...))
 	}
+	stream := mpeg.BuildStream(prm)
+
+	active := len(LossRates) // index of the active reference run
+	runs := make([]stats.Run, active+1)
+	injs := make([]*fault.Injector, active)
+	prm.Env.Runs(len(runs), func(i int) string {
+		if i == active {
+			return "faultsweep active"
+		}
+		return fmt.Sprintf("faultsweep loss=%.1f%%", LossRates[i]*100)
+	}, func(i int) {
+		if i == active {
+			runs[i], _ = mpeg.RunFaulted(apps.Active, prm, stream)
+			return
+		}
+		runs[i], injs[i] = mpeg.RunFaulted(apps.NormalPref, withPlan(prm, PlanFor(i, LossRates[i])), stream)
+	})
 
 	var lossPct, goodput, completionMs []float64
 	baseChecksum := ""
 	for i, rate := range LossRates {
-		run, inj := mpeg.RunFaulted(apps.NormalPref, withPlan(prm, PlanFor(i, rate)))
+		run, inj := runs[i], injs[i]
 		run.Config = fmt.Sprintf("loss=%.1f%%", rate*100)
 		checksum, _ := run.Extra["checksum"].(string)
 		if i == 0 {
@@ -109,14 +128,14 @@ func RunAll(prm mpeg.Params) *stats.Result {
 	// Handler crash: kill the active switch's handler plane a third of the
 	// way through the fault-free active run, and let the host fall back to
 	// the all-local program.
-	activeBase := mpeg.Run(apps.Active, prm)
+	activeBase := runs[active]
 	res.Runs = append(res.Runs, activeBase)
 	crashAt := activeBase.Time / 3
 	plan := &fault.Plan{Events: []fault.Event{{
 		AtNS: int64(crashAt / sim.Nanosecond),
 		Kind: fault.HandlerCrash,
 	}}}
-	crashRun, crashInj := mpeg.RunFaulted(apps.Active, withPlan(prm, plan))
+	crashRun, crashInj := mpeg.RunFaulted(apps.Active, withPlan(prm, plan), stream)
 	crashRun.Config = "active+crash"
 	res.Runs = append(res.Runs, crashRun)
 	fellBack, _ := crashRun.Extra["fallback"].(bool)

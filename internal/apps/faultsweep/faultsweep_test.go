@@ -38,7 +38,8 @@ func TestPlanFor(t *testing.T) {
 
 func TestLossRecoveryMatchesBaseline(t *testing.T) {
 	prm := smallParams()
-	base, baseInj := mpeg.RunFaulted(apps.NormalPref, prm)
+	stream := mpeg.BuildStream(prm)
+	base, baseInj := mpeg.RunFaulted(apps.NormalPref, prm, stream)
 	if baseInj != nil {
 		t.Fatal("nil plan armed an injector")
 	}
@@ -48,7 +49,7 @@ func TestLossRecoveryMatchesBaseline(t *testing.T) {
 	}
 
 	plan := &fault.Plan{Seed: 42, Links: []fault.LinkRule{{Drop: 0.01}}}
-	run, inj := mpeg.RunFaulted(apps.NormalPref, withPlan(prm, plan))
+	run, inj := mpeg.RunFaulted(apps.NormalPref, withPlan(prm, plan), stream)
 	if inj == nil {
 		t.Fatal("loss plan armed no injector")
 	}
@@ -73,9 +74,10 @@ func TestLossRecoveryMatchesBaseline(t *testing.T) {
 
 func TestFaultedRunsAreDeterministic(t *testing.T) {
 	prm := smallParams()
+	stream := mpeg.BuildStream(prm)
 	plan := &fault.Plan{Seed: 7, Links: []fault.LinkRule{{Drop: 0.005}}}
-	a, ai := mpeg.RunFaulted(apps.NormalPref, withPlan(prm, plan))
-	b, bi := mpeg.RunFaulted(apps.NormalPref, withPlan(prm, plan))
+	a, ai := mpeg.RunFaulted(apps.NormalPref, withPlan(prm, plan), stream)
+	b, bi := mpeg.RunFaulted(apps.NormalPref, withPlan(prm, plan), stream)
 	if a.Time != b.Time {
 		t.Fatalf("same plan, different completion: %v vs %v", a.Time, b.Time)
 	}
@@ -85,13 +87,13 @@ func TestFaultedRunsAreDeterministic(t *testing.T) {
 	// A different seed must change the loss pattern (with overwhelming
 	// probability at hundreds of draws).
 	other := &fault.Plan{Seed: 8, Links: []fault.LinkRule{{Drop: 0.005}}}
-	c, ci := mpeg.RunFaulted(apps.NormalPref, withPlan(prm, other))
+	c, ci := mpeg.RunFaulted(apps.NormalPref, withPlan(prm, other), stream)
 	if a.Time == c.Time && ai.Counts() == ci.Counts() {
 		t.Fatal("different seeds produced identical runs")
 	}
 	// The CLI's -fault-seed overrides the plan's own seed.
 	prm.Env.Faults, prm.Env.FaultSeed = plan, 8
-	d, di := mpeg.RunFaulted(apps.NormalPref, prm)
+	d, di := mpeg.RunFaulted(apps.NormalPref, prm, stream)
 	if d.Time != c.Time || di.Counts() != ci.Counts() {
 		t.Fatal("seed override did not reproduce the plan-seeded run")
 	}
@@ -99,7 +101,8 @@ func TestFaultedRunsAreDeterministic(t *testing.T) {
 
 func TestHandlerCrashFallsBackToHost(t *testing.T) {
 	prm := smallParams()
-	normal, _ := mpeg.RunFaulted(apps.NormalPref, prm)
+	stream := mpeg.BuildStream(prm)
+	normal, _ := mpeg.RunFaulted(apps.NormalPref, prm, stream)
 	want, _ := normal.Extra["checksum"].(string)
 
 	activeBase := mpeg.Run(apps.Active, prm)
@@ -110,7 +113,7 @@ func TestHandlerCrashFallsBackToHost(t *testing.T) {
 		AtNS: int64((activeBase.Time / 3) / sim.Nanosecond),
 		Kind: fault.HandlerCrash,
 	}}}
-	run, inj := mpeg.RunFaulted(apps.Active, withPlan(prm, plan))
+	run, inj := mpeg.RunFaulted(apps.Active, withPlan(prm, plan), stream)
 	if fellBack, _ := run.Extra["fallback"].(bool); !fellBack {
 		t.Fatal("crash mid-stream did not trigger the host fallback")
 	}

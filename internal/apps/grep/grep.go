@@ -133,39 +133,54 @@ func (s *Scanner) Flush() {
 	s.hit = false
 }
 
+// Corpus line shape: each line holds minWords to maxWords words of
+// minWord to maxWord lowercase letters.
+const (
+	minWords, maxWords = 6, 11
+	minWord, maxWord   = 3, 9
+)
+
+// maxLineLen is the longest line BuildCorpus can emit: maxWords words of
+// maxWord letters, the spaces between them, a planted " <pattern>" and the
+// newline.
+func maxLineLen(pattern string) int {
+	return maxWords*maxWord + maxWords - 1 + 1 + len(pattern) + 1
+}
+
 // BuildCorpus deterministically generates the workload: FileSize bytes of
 // lowercase text lines with the pattern planted on exactly Matches lines,
 // spread evenly. Lowercase filler cannot collide with the capitalized
 // pattern.
 func BuildCorpus(prm Params) []byte {
 	rng := apps.NewRand(0x67726570) // "grep"
-	var buf bytes.Buffer
-	buf.Grow(int(prm.FileSize))
+	// The last line starts before FileSize and is at most maxLineLen long,
+	// so the buffer never grows: one allocation, one line above FileSize.
+	out := make([]byte, 0, prm.FileSize+int64(maxLineLen(prm.Pattern))-1)
 	lineNo := 0
 	// Plant matches on evenly spaced line numbers: about 18 lines per KB.
 	approxLines := int(prm.FileSize / 64)
 	interval := approxLines / (prm.Matches + 1)
 	planted := 0
-	for int64(buf.Len()) < prm.FileSize {
-		words := 6 + int(rng.Intn(6))
+	for int64(len(out)) < prm.FileSize {
+		words := minWords + int(rng.Intn(maxWords-minWords+1))
 		for w := 0; w < words; w++ {
 			if w > 0 {
-				buf.WriteByte(' ')
+				out = append(out, ' ')
 			}
-			wl := 3 + int(rng.Intn(7))
+			wl := minWord + int(rng.Intn(maxWord-minWord+1))
 			for i := 0; i < wl; i++ {
-				buf.WriteByte(byte('a' + rng.Intn(26)))
+				out = append(out, byte('a'+rng.Intn(26)))
 			}
 		}
 		if planted < prm.Matches && interval > 0 && lineNo%interval == interval/2 {
-			buf.WriteByte(' ')
-			buf.WriteString(prm.Pattern)
+			out = append(out, ' ')
+			out = append(out, prm.Pattern...)
 			planted++
 		}
-		buf.WriteByte('\n')
+		out = append(out, '\n')
 		lineNo++
 	}
-	out := buf.Bytes()[:prm.FileSize]
+	out = out[:prm.FileSize]
 	// The truncation cannot cut a planted line: matches are spread evenly
 	// and the last interval stays pattern-free by construction; verify at
 	// generation time so the workload is self-checking.
@@ -187,7 +202,12 @@ const (
 
 // Run executes one configuration and returns its metrics.
 func Run(cfg apps.Config, prm Params) stats.Run {
-	corpus := BuildCorpus(prm)
+	return runCorpus(cfg, prm, BuildCorpus(prm))
+}
+
+// runCorpus is Run on corpus, BuildCorpus(prm), which it only reads, so
+// concurrent runs share one.
+func runCorpus(cfg apps.Config, prm Params, corpus []byte) stats.Run {
 	ccfg := cluster.DefaultIOClusterConfig()
 
 	var matched int
@@ -278,13 +298,10 @@ func Run(cfg apps.Config, prm Params) stats.Run {
 	return apps.RunIO(prm.Env, ccfg, cfg, setup, app)
 }
 
-// RunAll executes the four configurations and assembles the paper's Figure
-// 9/10 result.
+// RunAll executes the four configurations on one corpus and assembles the
+// paper's Figure 9/10 result.
 func RunAll(prm Params) *stats.Result {
-	res := &stats.Result{ID: "fig9", Title: "Grep: time, host utilization, host I/O traffic"}
-	for _, cfg := range apps.AllConfigs {
-		res.Runs = append(res.Runs, Run(cfg, prm))
-	}
-	res.Bars = apps.StandardBars(res, 1)
-	return res
+	corpus := BuildCorpus(prm)
+	return apps.RunMatrix(prm.Env, "fig9", "Grep: time, host utilization, host I/O traffic",
+		func(cfg apps.Config) stats.Run { return runCorpus(cfg, prm, corpus) })
 }

@@ -107,6 +107,18 @@ func TestCorpusHasExactMatches(t *testing.T) {
 	}
 }
 
+// The corpus buffer is sized to FileSize plus one maximal line, so it is
+// allocated once: its spare capacity stays under one line, where a buffer
+// of FileSize alone doubles when the last line overshoots it.
+func TestCorpusSizedExactly(t *testing.T) {
+	prm := DefaultParams()
+	c := BuildCorpus(prm)
+	if spare, line := cap(c)-len(c), maxLineLen(prm.Pattern); spare >= line {
+		t.Fatalf("%d-byte corpus has %d bytes of spare capacity, want fewer than one %d-byte line",
+			len(c), spare, line)
+	}
+}
+
 func TestRunFindsMatchesInAllConfigs(t *testing.T) {
 	prm := DefaultParams()
 	for _, cfg := range apps.AllConfigs {

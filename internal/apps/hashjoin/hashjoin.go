@@ -363,10 +363,6 @@ func Run(cfg apps.Config, prm Params) stats.Run {
 
 // RunAll executes the four configurations (paper Figures 5/6).
 func RunAll(prm Params) *stats.Result {
-	res := &stats.Result{ID: "fig5", Title: "HashJoin with bit-vector filter: time, host utilization, host I/O traffic"}
-	for _, cfg := range apps.AllConfigs {
-		res.Runs = append(res.Runs, Run(cfg, prm))
-	}
-	res.Bars = apps.StandardBars(res, 1)
-	return res
+	return apps.RunMatrix(prm.Env, "fig5", "HashJoin with bit-vector filter: time, host utilization, host I/O traffic",
+		func(cfg apps.Config) stats.Run { return Run(cfg, prm) })
 }

@@ -162,7 +162,9 @@ func wordsEqual(a, b []uint32) bool {
 	return true
 }
 
-// RunAll runs every (program, variant) point in Cases(prm.Extra) order.
+// RunAll runs every (program, variant) point in Cases(prm.Extra) order on
+// one generated stream. The cases, and then the differential seeds, run
+// through prm.Env.Runs.
 func RunAll(prm Params) *stats.Result {
 	res := &stats.Result{
 		ID:    "hdlsweep",
@@ -178,18 +180,19 @@ func RunAll(prm Params) *stats.Result {
 		err             error
 	}
 	points := make([]pair, len(cases))
-	for i, cs := range cases {
+	prm.Env.Runs(len(cases), func(i int) string { return "hdlsweep " + cases[i].Name }, func(i int) {
+		cs := cases[i]
 		c, err := hdl.Compile(cs.Src)
 		if err != nil {
 			points[i].err = err
-			continue
+			return
 		}
 		oracle := hdl.Interpret(c.AST, data, streamBase, cs.Params)
 		points[i].cycles = oracle.Cycles
 		points[i].instrs = len(c.Prog.Instrs)
 		points[i].active = RunActive(c, cs.Params, data, oracle.Out, prm)
 		points[i].passive = RunPassive(c, cs.Params, data, oracle.Out, prm)
-	}
+	})
 
 	var actLat, passLat stats.Series
 	actLat.Name = "active (compiled on switch)"
@@ -221,9 +224,12 @@ func RunAll(prm Params) *stats.Result {
 
 	// The riding differential batch: every seed must agree between the
 	// compiled and interpreted executions.
+	errs := make([]error, prm.DiffSeeds)
+	prm.Env.Runs(len(errs), func(seed int) string { return fmt.Sprintf("hdlsweep differential seed %d", seed) },
+		func(seed int) { errs[seed] = hdl.DiffSeed(uint64(seed)) })
 	diverged := 0
-	for seed := 0; seed < prm.DiffSeeds; seed++ {
-		if err := hdl.DiffSeed(uint64(seed)); err != nil {
+	for seed, err := range errs {
+		if err != nil {
 			diverged++
 			res.Notes = append(res.Notes, fmt.Sprintf("differential seed %d: %v", seed, err))
 		}

@@ -89,7 +89,12 @@ func chainLen(prm Params, k, cpus int) int64 {
 // Run executes one configuration with the given switch CPU count (ignored
 // for the normal configurations).
 func Run(cfg apps.Config, cpus int, prm Params) stats.Run {
-	input := BuildInput(prm)
+	return runInput(cfg, cpus, prm, BuildInput(prm))
+}
+
+// runInput is Run on input, BuildInput(prm), which it only reads, so
+// concurrent runs share it.
+func runInput(cfg apps.Config, cpus int, prm Params, input []byte) stats.Run {
 	ccfg := cluster.DefaultIOClusterConfig()
 	ccfg.Switch.NumCPUs = cpus
 
@@ -221,15 +226,22 @@ func ConfigLabel(cfg apps.Config, cpus int) string {
 	return fmt.Sprintf("%s-%dcpu", cfg, cpus)
 }
 
-// RunAll executes the Figure 17 matrix: normal cases plus active with 1, 2
-// and 4 switch CPUs, each with and without prefetching.
+// RunAll executes the Figure 17 matrix on one input: normal cases plus
+// active with 1, 2 and 4 switch CPUs, each with and without prefetching.
 func RunAll(prm Params) *stats.Result {
-	res := &stats.Result{ID: "fig17", Title: "MD5 with multiple switch CPUs"}
-	res.Runs = append(res.Runs, Run(apps.Normal, 1, prm))
-	res.Runs = append(res.Runs, Run(apps.NormalPref, 1, prm))
-	for _, cpus := range []int{1, 2, 4} {
-		res.Runs = append(res.Runs, Run(apps.Active, cpus, prm))
-		res.Runs = append(res.Runs, Run(apps.ActivePref, cpus, prm))
+	points := []struct {
+		cfg  apps.Config
+		cpus int
+	}{
+		{apps.Normal, 1}, {apps.NormalPref, 1},
+		{apps.Active, 1}, {apps.ActivePref, 1},
+		{apps.Active, 2}, {apps.ActivePref, 2},
+		{apps.Active, 4}, {apps.ActivePref, 4},
 	}
+	input := BuildInput(prm)
+	res := &stats.Result{ID: "fig17", Title: "MD5 with multiple switch CPUs", Runs: make([]stats.Run, len(points))}
+	prm.Env.Runs(len(points),
+		func(i int) string { return "fig17 " + ConfigLabel(points[i].cfg, points[i].cpus) },
+		func(i int) { res.Runs[i] = runInput(points[i].cfg, points[i].cpus, prm, input) })
 	return res
 }

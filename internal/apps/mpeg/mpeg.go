@@ -233,18 +233,19 @@ type handlerArgs struct {
 
 // Run executes one configuration.
 func Run(cfg apps.Config, prm Params) stats.Run {
-	run, _ := RunFaulted(cfg, prm)
+	run, _ := RunFaulted(cfg, prm, BuildStream(prm))
 	return run
 }
 
-// RunFaulted is Run that also returns the injector of prm.Env's fault plan
-// (nil without one). The active configurations gain the handler-crash
-// fallback: when the switch's crash notice arrives mid-stream, the host
-// abandons the offloaded pipeline and transparently re-runs the whole
-// program locally — the workload still completes, with the slowdown
-// visible in the run's time and a "fallback" marker in Extra.
-func RunFaulted(cfg apps.Config, prm Params) (stats.Run, *fault.Injector) {
-	stream := BuildStream(prm)
+// RunFaulted is Run on stream, BuildStream(prm) built once by the caller,
+// that also returns the injector of prm.Env's fault plan (nil without
+// one). The run only reads stream, so concurrent runs share it. The
+// active configurations gain the handler-crash fallback: when the
+// switch's crash notice arrives mid-stream, the host abandons the
+// offloaded pipeline and transparently re-runs the whole program locally
+// — the workload still completes, with the slowdown visible in the run's
+// time and a "fallback" marker in Extra.
+func RunFaulted(cfg apps.Config, prm Params, stream []byte) (stats.Run, *fault.Injector) {
 	ccfg := cluster.DefaultIOClusterConfig()
 
 	setup := func(c *cluster.Cluster) {
@@ -450,12 +451,13 @@ func (a *messageAssembler) feed(data []byte, out func(frame []byte)) {
 	a.f.Feed(data)
 }
 
-// RunAll executes the four configurations (paper Figures 3/4).
+// RunAll executes the four configurations (paper Figures 3/4) on one
+// stream.
 func RunAll(prm Params) *stats.Result {
-	res := &stats.Result{ID: "fig3", Title: "MPEG filter: time, host utilization, host I/O traffic"}
-	for _, cfg := range apps.AllConfigs {
-		res.Runs = append(res.Runs, Run(cfg, prm))
-	}
-	res.Bars = apps.StandardBars(res, 1)
-	return res
+	stream := BuildStream(prm)
+	return apps.RunMatrix(prm.Env, "fig3", "MPEG filter: time, host utilization, host I/O traffic",
+		func(cfg apps.Config) stats.Run {
+			run, _ := RunFaulted(cfg, prm, stream)
+			return run
+		})
 }

@@ -352,10 +352,6 @@ func drainIncoming(p *sim.Proc, h *host.Host, prm Params, ends int, count *int64
 
 // RunAll executes the four configurations (paper Figures 13/14).
 func RunAll(prm Params) *stats.Result {
-	res := &stats.Result{ID: "fig13", Title: "Parallel sort (distribution phase): time, host utilization, per-host traffic"}
-	for _, cfg := range apps.AllConfigs {
-		res.Runs = append(res.Runs, Run(cfg, prm))
-	}
-	res.Bars = apps.StandardBars(res, 1)
-	return res
+	return apps.RunMatrix(prm.Env, "fig13", "Parallel sort (distribution phase): time, host utilization, per-host traffic",
+		func(cfg apps.Config) stats.Run { return Run(cfg, prm) })
 }

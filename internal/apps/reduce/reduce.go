@@ -39,13 +39,13 @@ func RunOn(_ *sim.Engine, c *cluster.Cluster, op collective.Op, active bool, p i
 // DefaultNodeCounts is the paper's sweep (results shown up to 128 nodes).
 var DefaultNodeCounts = []int{2, 4, 8, 16, 32, 64, 128}
 
-// Sweep runs normal and active reductions over the node counts, fanned
-// over `workers` goroutines (< 1 selects the CPU count), and builds the
-// paper's latency-vs-nodes figure with a speedup series: Figure 15 for
-// collective.Reduce, Figure 16 for collective.ReduceScatter, and
-// reduce-to-all for collective.Allreduce. Each point builds its cluster
-// as collective.Run does from env; output is identical at any worker count.
-func Sweep(env apps.Env, op collective.Op, nodeCounts []int, prm collective.Params, workers int) *stats.Result {
+// Sweep runs normal and active reductions over the node counts, one point
+// per env.Runs call, and builds the paper's latency-vs-nodes figure with a
+// speedup series: Figure 15 for collective.Reduce, Figure 16 for
+// collective.ReduceScatter, and reduce-to-all for collective.Allreduce.
+// Each point builds its cluster as collective.Run does from env; output is
+// identical at any width.
+func Sweep(env apps.Env, op collective.Op, nodeCounts []int, prm collective.Params) *stats.Result {
 	id, name, normalName := "fig15", "reduce-to-one", "normal (MST)"
 	switch op {
 	case collective.ReduceScatter:
@@ -55,7 +55,7 @@ func Sweep(env apps.Env, op collective.Op, nodeCounts []int, prm collective.Para
 	}
 	res := &stats.Result{ID: id, Title: fmt.Sprintf("Collective %s: latency vs nodes", name)}
 	points := make([]struct{ normal, active collective.Result }, len(nodeCounts))
-	apps.Parallel(len(nodeCounts), workers,
+	env.Runs(len(nodeCounts),
 		func(i int) string { return fmt.Sprintf("%s p=%d", name, nodeCounts[i]) },
 		func(i int) {
 			points[i].normal = collective.Run(env, op, false, nodeCounts[i], prm)

@@ -49,7 +49,7 @@ func TestActiveBeatsLowerBoundAtScale(t *testing.T) {
 
 func TestSweepSeries(t *testing.T) {
 	for _, op := range []collective.Op{collective.Reduce, collective.ReduceScatter, collective.Allreduce} {
-		res := Sweep(apps.Env{}, op, []int{2, 8, 32}, collective.DefaultParams(), 2)
+		res := Sweep(apps.Env{Parallel: 2}, op, []int{2, 8, 32}, collective.DefaultParams())
 		if len(res.Series) != 3 {
 			t.Fatalf("%s: series = %d, want 3 (normal, active, speedup)", op, len(res.Series))
 		}

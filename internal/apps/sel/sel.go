@@ -198,10 +198,6 @@ func Run(cfg apps.Config, prm Params) stats.Run {
 
 // RunAll executes the four configurations (paper Figures 7/8).
 func RunAll(prm Params) *stats.Result {
-	res := &stats.Result{ID: "fig7", Title: "Select: time, host utilization, host I/O traffic"}
-	for _, cfg := range apps.AllConfigs {
-		res.Runs = append(res.Runs, Run(cfg, prm))
-	}
-	res.Bars = apps.StandardBars(res, 1)
-	return res
+	return apps.RunMatrix(prm.Env, "fig7", "Select: time, host utilization, host I/O traffic",
+		func(cfg apps.Config) stats.Run { return Run(cfg, prm) })
 }

@@ -147,6 +147,21 @@ type tarArgs struct {
 
 // Run executes one configuration.
 func Run(cfg apps.Config, prm Params) stats.Run {
+	return runFiles(cfg, prm, buildFiles(prm))
+}
+
+// buildFiles generates every input file, in index order.
+func buildFiles(prm Params) [][]byte {
+	files := make([][]byte, prm.Files)
+	for i := range files {
+		files[i] = BuildFile(i, prm.FileSize)
+	}
+	return files
+}
+
+// runFiles is Run on files, buildFiles(prm), which it only reads, so
+// concurrent runs share them.
+func runFiles(cfg apps.Config, prm Params, files [][]byte) stats.Run {
 	ccfg := cluster.DefaultIOClusterConfig()
 	ccfg.Hosts = 2
 
@@ -156,7 +171,7 @@ func Run(cfg apps.Config, prm Params) stats.Run {
 
 	setup := func(c *cluster.Cluster) {
 		for i := 0; i < prm.Files; i++ {
-			c.Store(0).AddFile(&iodev.File{Name: FileName(i), Size: prm.FileSize, Data: BuildFile(i, prm.FileSize)})
+			c.Store(0).AddFile(&iodev.File{Name: FileName(i), Size: prm.FileSize, Data: files[i]})
 		}
 		if !cfg.IsActive() {
 			return
@@ -308,14 +323,12 @@ func Run(cfg apps.Config, prm Params) stats.Run {
 	return run
 }
 
-// RunAll executes the four configurations (paper Figures 11/12). Host
-// metrics cover the initiating host only — the paper's Tar host — so the
-// remote archive target's activity does not dilute utilization.
+// RunAll executes the four configurations (paper Figures 11/12) on one set
+// of input files. Host metrics cover the initiating host only — the
+// paper's Tar host — so the remote archive target's activity does not
+// dilute utilization.
 func RunAll(prm Params) *stats.Result {
-	res := &stats.Result{ID: "fig11", Title: "Tar: time, host utilization, host I/O traffic"}
-	for _, cfg := range apps.AllConfigs {
-		res.Runs = append(res.Runs, Run(cfg, prm))
-	}
-	res.Bars = apps.StandardBars(res, 1)
-	return res
+	files := buildFiles(prm)
+	return apps.RunMatrix(prm.Env, "fig11", "Tar: time, host utilization, host I/O traffic",
+		func(cfg apps.Config) stats.Run { return runFiles(cfg, prm, files) })
 }

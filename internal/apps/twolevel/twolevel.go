@@ -251,15 +251,17 @@ func Run(mode Mode, prm Params) stats.Run {
 	return run
 }
 
-// RunAll compares the four placements.
+// RunAll compares the four placements, through prm.Env.Runs.
 func RunAll(prm Params) *stats.Result {
 	res := &stats.Result{
 		ID:    "twolevel",
 		Title: "Two-level active I/O: predicate placement for a range select",
 	}
-	for _, m := range []Mode{OnHost, OnSwitch, OnDisk, TwoLevel} {
-		res.Runs = append(res.Runs, Run(m, prm))
-	}
+	modes := []Mode{OnHost, OnSwitch, OnDisk, TwoLevel}
+	res.Runs = make([]stats.Run, len(modes))
+	prm.Env.Runs(len(modes),
+		func(i int) string { return "twolevel " + modes[i].String() },
+		func(i int) { res.Runs[i] = Run(modes[i], prm) })
 	res.Notes = append(res.Notes, fmt.Sprintf(
 		"host traffic: host=%d switch=%d disk=%d two-level=%d bytes",
 		res.Runs[0].Traffic, res.Runs[1].Traffic, res.Runs[2].Traffic, res.Runs[3].Traffic))

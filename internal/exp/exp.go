@@ -41,7 +41,11 @@ type Config struct {
 	// (table2, fig15, fig16; its Parts also scalesweep and collsweep); the
 	// fault plan and telemetry only the experiments built on apps.RunIO
 	// (fig3, fig5, fig7, fig9, fig11, fig17, hdlsweep, faultsweep) and
-	// collsweep.
+	// collsweep. Its Parallel (-parallel; < 1 selects
+	// runtime.GOMAXPROCS(0)) is how many independent simulations of one
+	// experiment run at once: the four configurations of fig3 to fig13,
+	// twolevel's modes, fig17's runs, hdlsweep's cases and seeds,
+	// faultsweep's points (apps.Env.Runs decides).
 	Env apps.Env
 	// Collective is the op collsweep scales (-collective), and AggBudget
 	// its keyagg per-switch table size (-agg-budget).
@@ -192,7 +196,7 @@ var Registry = []Experiment{
 		Paper: "Figure 15",
 		Title: "Collective Reduce-to-one: latency vs node count",
 		run: func(cfg Config) *stats.Result {
-			return reduce.Sweep(cfg.Env, collective.Reduce, sweepNodes(cfg.Scale), collective.DefaultParams(), 1)
+			return reduce.Sweep(sequential(cfg.Env), collective.Reduce, sweepNodes(cfg.Scale), collective.DefaultParams())
 		},
 	},
 	{
@@ -200,7 +204,7 @@ var Registry = []Experiment{
 		Paper: "Figure 16",
 		Title: "Collective Distributed Reduce: latency vs node count",
 		run: func(cfg Config) *stats.Result {
-			return reduce.Sweep(cfg.Env, collective.ReduceScatter, sweepNodes(cfg.Scale), collective.DefaultParams(), 1)
+			return reduce.Sweep(sequential(cfg.Env), collective.ReduceScatter, sweepNodes(cfg.Scale), collective.DefaultParams())
 		},
 	},
 	{
@@ -303,6 +307,20 @@ var Registry = []Experiment{
 	},
 }
 
+// sequential returns env with its simulations run one at a time, the
+// schedule the tree and fat-tree collective experiments keep (table2,
+// fig15, fig16, scalesweep, latsweep, collsweep; only fig15 and fig16 go
+// through env.Runs). Measured on perfbench's paper workload on a 2-vCPU
+// VM: fanning out every collsweep point raised peak RSS from 14.9 to
+// 17.6 MiB (+18%), with two of its fat-tree points of up to 64 hosts
+// live at once; fanning out fig15's and fig16's points cut their
+// traced time from 44 to 28 ms of a 1.1 s pass, which no wall-time median
+// showed.
+func sequential(env apps.Env) apps.Env {
+	env.Parallel = 1
+	return env
+}
+
 func min64(a, b int64) int64 {
 	if a < b {
 		return a
@@ -386,23 +404,23 @@ func runTable2(cfg Config) *stats.Result {
 }
 
 // RunAll executes the whole registry under cfg, fanning experiments out
-// over a pool of workers. Each experiment builds its own sim.Engine, so
-// runs are independent; results come back ordered by registry index
-// regardless of completion order, making parallel output byte-identical to
-// a sequential run. workers < 1 selects runtime.NumCPU(). A config with a
-// trace sink runs one experiment at a time, so the trace (and any flight
-// recorder fed by it) is the sequential run's at any worker count. A
-// panicking experiment (fault-plan crash under -strict-routes, an
-// invariant failure) is re-raised on the caller's goroutine, first in
-// registry order, so deferred output flushing runs.
-func RunAll(cfg Config, workers int) []*stats.Result {
-	if cfg.Env.Trace != nil {
-		workers = 1
-	}
+// through cfg.Env.Runs: -parallel experiments at a time, or one at a time
+// under a trace sink, so the trace (and any flight recorder fed by it) is
+// the sequential run's. Each experiment then runs its own simulations
+// inline, so no more than -parallel simulations are ever live. Each
+// experiment builds its own sim.Engine, so runs are independent; results
+// come back ordered by registry index regardless of completion order,
+// making parallel output byte-identical to a sequential run. A panicking
+// experiment (fault-plan crash under -strict-routes, an invariant
+// failure) is re-raised on the caller's goroutine, first in registry
+// order, so deferred output flushing runs.
+func RunAll(cfg Config) []*stats.Result {
+	inline := cfg
+	inline.Env.Parallel = 1
 	out := make([]*stats.Result, len(Registry))
-	apps.Parallel(len(Registry), workers,
+	cfg.Env.Runs(len(Registry),
 		func(i int) string { return "exp: experiment " + Registry[i].ID },
-		func(i int) { out[i] = Registry[i].run(cfg) })
+		func(i int) { out[i] = Registry[i].run(inline) })
 	return out
 }
 

@@ -2,7 +2,11 @@ package exp
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"activesan/internal/stats"
 )
 
 func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
@@ -103,5 +107,37 @@ func TestScaleClampsToFloors(t *testing.T) {
 				t.Errorf("%s: run %s has no duration", id, r.Config)
 			}
 		}
+	}
+}
+
+// Under RunAll the registry is the only fan-out: each experiment runs its
+// own simulations inline, so no more than Parallel are ever live.
+func TestRunAllRunsEachExperimentInline(t *testing.T) {
+	saved := Registry
+	defer func() { Registry = saved }()
+	var live, peak atomic.Int32
+	Registry = make([]Experiment, 12)
+	for i := range Registry {
+		Registry[i] = Experiment{ID: saved[i].ID, run: func(cfg Config) *stats.Result {
+			if w := cfg.Env.Width(); w != 1 {
+				t.Errorf("%s runs %d simulations at once under RunAll, want 1", saved[i].ID, w)
+			}
+			n := live.Add(1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			time.Sleep(2 * time.Millisecond)
+			live.Add(-1)
+			return &stats.Result{ID: saved[i].ID}
+		}}
+	}
+	cfg := DefaultConfig(64)
+	cfg.Env.Parallel = 3
+	for i, res := range RunAll(cfg) {
+		if res.ID != Registry[i].ID {
+			t.Fatalf("slot %d holds %s, want %s", i, res.ID, Registry[i].ID)
+		}
+	}
+	if p := peak.Load(); p > 3 || p < 2 {
+		t.Fatalf("%d experiments were live at once, want 2 or 3 under Parallel 3", p)
 	}
 }

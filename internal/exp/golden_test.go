@@ -50,6 +50,14 @@ func marshalResult(t *testing.T, res *stats.Result) []byte {
 	return append(data, '\n')
 }
 
+// runAll runs the registry at goldenScale over the given number of
+// workers.
+func runAll(workers int) []*stats.Result {
+	cfg := exp.DefaultConfig(goldenScale)
+	cfg.Env.Parallel = workers
+	return exp.RunAll(cfg)
+}
+
 // unmarshalResults decodes a golden file's result set.
 func unmarshalResults(data []byte) ([]*stats.Result, error) {
 	var f struct {
@@ -65,7 +73,7 @@ func TestGoldenResults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole registry")
 	}
-	results := exp.RunAll(exp.DefaultConfig(goldenScale), goldenWorkers)
+	results := runAll(goldenWorkers)
 	for i, e := range exp.Registry {
 		got := marshalResult(t, results[i])
 		path := goldenPath(e.ID)
@@ -131,8 +139,8 @@ func TestExperimentsDeterministic(t *testing.T) {
 	// per-experiment determinism and the independence of concurrent
 	// engines. The registry includes the multi-switch-CPU MD5 case (fig17)
 	// and the tree-topology reductions (fig15/fig16).
-	first := exp.RunAll(exp.DefaultConfig(goldenScale), goldenWorkers)
-	second := exp.RunAll(exp.DefaultConfig(goldenScale), 1)
+	first := runAll(goldenWorkers)
+	second := runAll(1)
 	for i, e := range exp.Registry {
 		a := marshalResult(t, first[i])
 		b := marshalResult(t, second[i])
@@ -164,10 +172,10 @@ func TestRunAllOrderingAndWorkerCounts(t *testing.T) {
 		t.Skip("runs the registry at several worker counts")
 	}
 	// Whatever the worker count — including more workers than experiments
-	// and the NumCPU default (workers < 1) — results come back in registry
-	// order with matching IDs.
+	// and the GOMAXPROCS default (workers < 1) — results come back in
+	// registry order with matching IDs.
 	for _, workers := range []int{0, len(exp.Registry) + 5} {
-		results := exp.RunAll(exp.DefaultConfig(goldenScale), workers)
+		results := runAll(workers)
 		if len(results) != len(exp.Registry) {
 			t.Fatalf("workers=%d: %d results, want %d", workers, len(results), len(exp.Registry))
 		}

@@ -9,6 +9,7 @@ import (
 
 	"activesan/internal/collective"
 	"activesan/internal/exp"
+	"activesan/internal/fault"
 	"activesan/internal/hdl"
 	"activesan/internal/sim"
 	"activesan/internal/stats"
@@ -112,7 +113,8 @@ func TestTracedRunAllIsSequential(t *testing.T) {
 	for i, workers := range []int{1, 4} {
 		cfg := exp.DefaultConfig(hermeticScale)
 		cfg.Env.Trace = digests[i].sink
-		results[i] = exp.RunAll(cfg, workers)
+		cfg.Env.Parallel = workers
+		results[i] = exp.RunAll(cfg)
 	}
 	if digests[0].events == 0 {
 		t.Fatal("the traced run logged no events")
@@ -125,5 +127,60 @@ func TestTracedRunAllIsSequential(t *testing.T) {
 		if !bytes.Equal(marshalResult(t, results[0][i]), marshalResult(t, results[1][i])) {
 			t.Errorf("%s: traced results differ between 1 and 4 workers", e.ID)
 		}
+	}
+}
+
+// fannedOut lists the experiments whose independent simulations run through
+// apps.Env.Runs, -parallel at a time.
+var fannedOut = []string{"fig3", "fig5", "fig7", "fig9", "fig11", "fig13",
+	"fig17", "twolevel", "hdlsweep", "faultsweep"}
+
+// TestFanOutMatchesSequential: an experiment's simulations give the same
+// bytes run 4 at a time as one at a time, also with a fault plan armed, and
+// a traced experiment logs the same event sequence at either width,
+// because a config with a trace sink runs one simulation at a time. Kept
+// out of -short's skip list so the race detector sees concurrent runs
+// share their generated inputs and plan read-only.
+func TestFanOutMatchesSequential(t *testing.T) {
+	plan := &fault.Plan{Seed: 7, Links: []fault.LinkRule{{Drop: 0.005}}, Disks: []fault.DiskRule{{Fail: 0.1}}}
+	type point struct {
+		id     string
+		faults *fault.Plan
+	}
+	points := []point{{"fig3", plan}}
+	for _, id := range fannedOut {
+		points = append(points, point{id, nil})
+	}
+	for _, pt := range points {
+		e, ok := exp.ByID(pt.id)
+		if !ok {
+			t.Fatalf("%s missing from the registry", pt.id)
+		}
+		var out [2][]byte
+		for i, width := range []int{1, 4} {
+			cfg := exp.DefaultConfig(hermeticScale)
+			cfg.Env.Faults = pt.faults
+			cfg.Env.Parallel = width
+			out[i] = marshalResult(t, e.RunConfig(cfg))
+		}
+		if !bytes.Equal(out[0], out[1]) {
+			t.Errorf("%s (faults %v): 4 runs at a time differ from one at a time", pt.id, pt.faults != nil)
+		}
+	}
+
+	e, _ := exp.ByID("fig13")
+	var digests [2]traceDigest
+	for i, width := range []int{1, 4} {
+		cfg := exp.DefaultConfig(hermeticScale)
+		cfg.Env.Trace = digests[i].sink
+		cfg.Env.Parallel = width
+		e.RunConfig(cfg)
+	}
+	if digests[0].events == 0 {
+		t.Fatal("the traced run logged no events")
+	}
+	if digests[0].events != digests[1].events || digests[0].sum != digests[1].sum {
+		t.Fatalf("traced fig13 at width 4 logged %d events (digest %x), at width 1 %d (digest %x)",
+			digests[1].events, digests[1].sum, digests[0].events, digests[0].sum)
 	}
 }

@@ -122,9 +122,12 @@ type Engine struct {
 	all []*Proc
 
 	// fatal holds a panic raised while the engine drives — by a process, a
-	// step or an event callback, on whichever goroutine — re-raised from Run
-	// by the main driver when control returns to it.
-	fatal *procPanic
+	// step or an event callback, on whichever goroutine — or a stall report,
+	// re-raised from Run by the main driver when control returns to it.
+	fatal error
+	// ticks counts the queued sampler ticks, so a sampler can tell when
+	// nothing else is left to fire (see stalled).
+	ticks int
 	// firing is the step process whose step is running, nil otherwise, so
 	// a panic inside a step is attributed to it.
 	firing *Proc
@@ -290,26 +293,29 @@ func (e *Engine) promoteSettle() {
 	e.schedule(e.now, callback(fn))
 }
 
-// cancel discards a queued event: heap entries are removed in place (no
-// tombstone lingers to be sifted through later), run-queue entries are
-// blanked and reclaimed when their turn comes. Cancelling an event that has
-// already fired — or whose slot was recycled — is a no-op.
-func (e *Engine) cancel(t timer) {
+// cancel discards a queued event and reports whether it was still queued:
+// heap entries are removed in place (no tombstone lingers to be sifted
+// through later), run-queue entries are blanked and reclaimed when their
+// turn comes. Cancelling an event that has already fired — or whose slot
+// was recycled — is a no-op.
+func (e *Engine) cancel(t timer) bool {
 	if t.idx < 0 || int(t.idx) >= len(e.pool) {
-		return
+		return false
 	}
 	ev := &e.pool[t.idx]
 	if ev.seq != t.seq {
-		return
+		return false
 	}
 	if ev.heapIdx >= 0 {
 		e.heapRemove(int(ev.heapIdx))
 		e.release(t.idx)
-		return
+		return true
 	}
-	if ev.heapIdx == heapRunq {
+	if ev.heapIdx == heapRunq && ev.act != nil {
 		ev.act = nil
+		return true
 	}
+	return false
 }
 
 // Stop makes Run return after the current event completes. Pending events
@@ -419,9 +425,9 @@ func (e *Engine) driveMain() {
 	for {
 		next := e.drive()
 		if next == nil {
-			if pp := e.fatal; pp != nil {
+			if err := e.fatal; err != nil {
 				e.fatal = nil
-				panic(pp)
+				panic(err)
 			}
 			return
 		}
@@ -504,10 +510,14 @@ func (e *Engine) runStep(p *Proc) {
 
 // wrapPanic names a recovered panic's source: the step that was running if
 // any, else src (the process whose own code panicked), else an event
-// callback. A value that is already wrapped passes through.
-func (e *Engine) wrapPanic(r any, src *Proc) *procPanic {
-	if pp, ok := r.(*procPanic); ok {
-		return pp
+// callback. A value that is already wrapped, or a stall report, passes
+// through.
+func (e *Engine) wrapPanic(r any, src *Proc) error {
+	switch err := r.(type) {
+	case *procPanic:
+		return err
+	case *stallError:
+		return err
 	}
 	if e.firing != nil {
 		src = e.firing

@@ -1,5 +1,10 @@
 package sim
 
+import (
+	"fmt"
+	"strings"
+)
+
 // Sampler records a value at fixed simulated intervals — utilization or
 // queue-depth timelines for figures. It runs as a process; Stop it before
 // the simulation ends (a live sampler keeps the event queue non-empty).
@@ -17,32 +22,90 @@ type Sampler struct {
 // Decimate to halve its resolution and keep going (long runs stay bounded
 // without the timeline ending early). fn runs before the sample is
 // appended, so either call observes a consistent X/Y pair set.
+//
+// A tick that finds nothing but sampler ticks queued in a Run, and no
+// settle hook, fails the run with "sim: stalled at <t>", naming every
+// blocked process: nothing else can ever fire, and sampling on would only
+// double the interval until the clock overflows.
 func StartSampler(eng *Engine, interval Time, fn func() float64) *Sampler {
 	s := &Sampler{interval: interval}
 	s.proc = eng.Spawn("sampler", func(p *Proc) {
-		// Bind the wake callback once: a per-interval method value would be
-		// one allocation per tick.
-		wake := p.unparkIfWaiting
+		// Bind the tick callback once: a per-interval closure would be one
+		// allocation per tick.
+		tick := callback(func() {
+			eng.ticks--
+			p.unparkIfWaiting()
+		})
 		for !s.stop {
 			// An interruptible sleep: Stop unparks the process immediately
 			// instead of letting it doze through one more interval, and the
-			// pending timer is cancelled so it cannot hold the event queue
+			// pending tick is cancelled so it cannot hold the event queue
 			// open or advance the clock past the run's end.
 			deadline := p.Now() + s.interval
-			timer := eng.schedule(deadline, callback(wake))
+			timer := eng.schedule(deadline, tick)
+			eng.ticks++
 			for !s.stop && p.Now() < deadline {
 				p.park()
 			}
 			if s.stop {
-				eng.cancel(timer)
+				if eng.cancel(timer) {
+					eng.ticks--
+				}
 				return
 			}
 			v := fn()
 			s.X = append(s.X, p.Now().Seconds())
 			s.Y = append(s.Y, v)
+			if !s.stop && eng.stalled() {
+				panic(eng.stall())
+			}
 		}
 	})
+	s.proc.sampler = true
 	return s
+}
+
+// stalled reports whether nothing but sampler ticks can ever fire again:
+// the phase is a Run (with a deadline, the caller may add work after it),
+// no settle hook is queued, and every queued event is a sampler tick.
+func (e *Engine) stalled() bool {
+	if e.deadline != Forever || e.settleHead < len(e.settleq) || len(e.heap) > e.ticks {
+		return false
+	}
+	live := len(e.heap)
+	for _, idx := range e.runq[e.runqHead:] {
+		if e.pool[idx].act != nil {
+			live++
+		}
+	}
+	return live == e.ticks
+}
+
+// stallError is the failure of a run in which nothing but sampler ticks is
+// left to fire. It names every process still blocked, samplers aside.
+type stallError struct {
+	at      Time
+	blocked []string
+}
+
+func (s *stallError) Error() string {
+	blocked := "none"
+	if len(s.blocked) > 0 {
+		blocked = strings.Join(s.blocked, ", ")
+	}
+	return fmt.Sprintf("sim: stalled at %v: only sampler ticks are queued; %d blocked: %s",
+		s.at, len(s.blocked), blocked)
+}
+
+// stall builds the report of a stalled run.
+func (e *Engine) stall() *stallError {
+	st := &stallError{at: e.now}
+	for _, p := range e.all {
+		if !p.done && !p.sampler {
+			st.blocked = append(st.blocked, p.name)
+		}
+	}
+	return st
 }
 
 // Stop ends sampling and wakes the sampler process immediately, so a

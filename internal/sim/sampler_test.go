@@ -142,3 +142,81 @@ func TestSamplerStopBeforeRun(t *testing.T) {
 		t.Fatalf("sampler leaked a proc")
 	}
 }
+
+// A process blocked forever on an empty queue, beside two samplers: at the
+// first tick nothing but sampler ticks is queued, so Run fails with a stall
+// report naming the blocked process (and not the samplers) instead of
+// sampling on until decimation overflows the clock.
+func TestSamplerReportsStall(t *testing.T) {
+	e := NewEngine()
+	samples := 0
+	var ss [2]*Sampler
+	sample := func() float64 {
+		// Bound the run should the stall go unreported.
+		if samples++; samples == 1000 {
+			ss[0].Stop()
+			ss[1].Stop()
+		}
+		return 0
+	}
+	ss[0] = StartSampler(e, 10*Microsecond, sample)
+	ss[1] = StartSampler(e, 10*Microsecond, sample)
+	q := NewQueue[int]()
+	e.Spawn("consumer", func(p *Proc) { q.Get(p) })
+
+	var r any
+	func() {
+		defer func() { r = recover() }()
+		e.Run()
+	}()
+	st, ok := r.(*stallError)
+	if !ok {
+		t.Fatalf("Run raised %v (%T), want a stall report", r, r)
+	}
+	const want = "sim: stalled at 10.000us: only sampler ticks are queued; 1 blocked: consumer"
+	if msg := st.Error(); msg != want {
+		t.Fatalf("stall report %q, want %q", msg, want)
+	}
+	if samples != 2 || e.Now() != 10*Microsecond {
+		t.Fatalf("stalled after %d samples at %v, want each sampler's first tick at 10us", samples, e.Now())
+	}
+	e.Shutdown()
+}
+
+// A process that sleeps across many ticks keeps its wake queued, so the
+// samplers keep sampling and the run ends when it stops them.
+func TestSamplerSleeperIsNoStall(t *testing.T) {
+	e := NewEngine()
+	a := StartSampler(e, 10*Microsecond, func() float64 { return 0 })
+	b := StartSampler(e, 7*Microsecond, func() float64 { return 0 })
+	e.Spawn("sleeper", func(p *Proc) {
+		p.Sleep(Millisecond)
+		a.Stop()
+		b.Stop()
+	})
+	if end := e.Run(); end != Millisecond {
+		t.Fatalf("Run ended at %v, want 1ms", end)
+	}
+	// a's tick at 1ms fires after the sleeper's earlier-scheduled wake has
+	// stopped it.
+	if a.N() != 99 || b.N() != 142 {
+		t.Fatalf("samples %d and %d, want 99 and 142", a.N(), b.N())
+	}
+	if e.LiveProcs() != 0 || e.ticks != 0 {
+		t.Fatalf("%d processes and %d ticks left", e.LiveProcs(), e.ticks)
+	}
+}
+
+// The rule holds only in a Run: a RunUntil caller may add work after the
+// deadline, so samplers idle up to it without a stall.
+func TestSamplerRunUntilIsNoStall(t *testing.T) {
+	e := NewEngine()
+	s := StartSampler(e, 10*Microsecond, func() float64 { return 0 })
+	q := NewQueue[int]()
+	e.Spawn("consumer", func(p *Proc) { q.Get(p) })
+	e.RunUntil(100 * Microsecond)
+	if s.N() != 10 {
+		t.Fatalf("samples = %d, want 10", s.N())
+	}
+	e.Shutdown()
+}
