@@ -6,17 +6,18 @@ import (
 )
 
 // The engine microbenchmarks pin the hot-path costs that every experiment
-// pays per event: heap scheduling, the same-time run-queue bypass, timer
-// cancellation, and process context switches. The companion TestXxxZeroAllocs
-// gates assert that the pooled steady state allocates nothing, so an
-// accidental closure or slice growth on these paths fails CI rather than
-// silently taxing every simulation. BENCH_engine.json at the repo root holds
-// the checked-in baseline; compare with scripts/benchdiff.
+// pays per event: heap scheduling, the same-time run queue, the delay
+// lanes, timer cancellation, and process context switches. The companion
+// TestXxxZeroAllocs gates assert that a warm engine's steady state allocates
+// nothing, so an accidental closure or slice growth on these paths fails CI
+// rather than silently taxing every simulation. BENCH_engine.json at the
+// repo root holds the checked-in baseline; compare with scripts/benchdiff.
 
 func nop() {}
 
-// BenchmarkSchedule measures heap-path scheduling: events land at spread-out
-// future times, fire in batches, and their slots recycle through the pool.
+// BenchmarkSchedule measures scheduling at spread-out future times: events
+// fire in batches, four of the 97 delays in flight hold the delay lanes and
+// the rest sift through the heap, whose capacity each batch reuses.
 func BenchmarkSchedule(b *testing.B) {
 	e := NewEngine()
 	run := func(n int) {
@@ -29,7 +30,7 @@ func BenchmarkSchedule(b *testing.B) {
 		}
 		e.Run()
 	}
-	run(1024) // warm: grow the event pool, so B/op shows the steady state
+	run(1024) // warm: grow the heap and the lanes, so B/op shows the steady state
 	b.ReportAllocs()
 	b.ResetTimer()
 	run(b.N)
@@ -55,7 +56,7 @@ func BenchmarkSameTimeEvent(b *testing.B) {
 }
 
 // BenchmarkScheduleCancel measures the sampler's timer pattern: schedule a
-// future event, then cancel it (direct heap removal, slot recycled).
+// future event, then cancel it (found by scanning, removed in place).
 func BenchmarkScheduleCancel(b *testing.B) {
 	e := NewEngine()
 	b.ReportAllocs()
@@ -63,6 +64,73 @@ func BenchmarkScheduleCancel(b *testing.B) {
 		t := e.schedule(e.now+Time(1+i%97), callback(nop))
 		e.cancel(t)
 	}
+}
+
+// mixedDelays is a 100-entry delay table in permute's mix: the fabric's
+// three fixed hop delays — a full packet's tail 528 ns after its send, its
+// head 26 ns after it, and 100 ns of routing — in turn, with 7 entries,
+// one in each run of 14, replaced by other delays.
+func mixedDelays() []Time {
+	hop := []Time{528 * Nanosecond, 26 * Nanosecond, 100 * Nanosecond}
+	delays := make([]Time, 100)
+	for i := range delays {
+		delays[i] = hop[i%len(hop)]
+	}
+	r := NewRand(1)
+	for i := 0; i < 7; i++ {
+		delays[i*14+r.Intn(14)] = Time(1+r.Intn(2000)) * Nanosecond / 4
+	}
+	return delays
+}
+
+// mixedChains keeps chains of events firing: each link schedules the next
+// at the next delay of mixedDelays until the chains have scheduled their
+// budget of links. start(k, n) starts k chains with a budget of n.
+type mixedChains struct {
+	e      *Engine
+	delays []Time
+	next   int
+	left   int
+	fire   func()
+}
+
+func newMixedChains(e *Engine) *mixedChains {
+	c := &mixedChains{e: e, delays: mixedDelays()}
+	c.fire = func() {
+		if c.left > 0 {
+			c.left--
+			c.link()
+		}
+	}
+	return c
+}
+
+// link schedules one link at the next delay.
+func (c *mixedChains) link() {
+	c.next++
+	c.e.Schedule(c.e.now+c.delays[c.next%len(c.delays)], c.fire)
+}
+
+func (c *mixedChains) start(k, n int) {
+	c.next, c.left = 0, n
+	for i := 0; i < k; i++ {
+		c.link()
+	}
+}
+
+// BenchmarkScheduleMixedDelays measures the delay lanes under permute's
+// load: about 250 events stay pending, and each firing schedules its
+// successor with the next delay of mixedDelays, so the three hop delays
+// append to their lanes and most of the other 7% go through the heap.
+func BenchmarkScheduleMixedDelays(b *testing.B) {
+	e := NewEngine()
+	c := newMixedChains(e)
+	c.start(250, 1<<14) // warm: grow the lanes and the heap
+	e.Run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	c.start(250, b.N)
+	e.Run()
 }
 
 // BenchmarkProcSelfWake measures a process sleeping and waking itself — the
@@ -142,27 +210,48 @@ func BenchmarkStepSwitch(b *testing.B) {
 	e.Run()
 }
 
-// warmEngine grows an engine's pool, heap, and run queue past what the alloc
-// gates below need, so the measured region only recycles capacity.
+// warmEngine grows an engine's heap, run queue and delay lanes past what the
+// alloc gates below need, so the measured region only recycles capacity:
+// 512 events at delay zero fill the run queue, 512 at each of four delays
+// fill the four lanes they claim, and 512 at distinct delays fill the heap.
 func warmEngine(e *Engine) {
 	for i := 0; i < 512; i++ {
-		e.Schedule(e.now+Time(1+i), nop)
 		e.Schedule(e.now, nop)
+		for _, d := range []Time{528 * Nanosecond, 26 * Nanosecond, 100 * Nanosecond, 7 * Nanosecond} {
+			e.Schedule(e.now+d, nop)
+		}
+		e.Schedule(e.now+Time(1+i), nop)
 	}
 	e.Run()
 }
 
+// TestScheduleZeroAllocs gates the timed paths on a warm engine: events at
+// spread-out delays from outside any event, and chains that schedule
+// permute's delay mix from their callbacks, so the lanes are claimed,
+// appended to and drained while the rest goes through the heap.
 func TestScheduleZeroAllocs(t *testing.T) {
 	e := NewEngine()
 	warmEngine(e)
+	c := newMixedChains(e)
+	inLane := 0
+	probe := func() {
+		if e.busy&^1 != 0 {
+			inLane++
+		}
+	}
 	allocs := testing.AllocsPerRun(200, func() {
 		for i := 0; i < 64; i++ {
 			e.Schedule(e.now+Time(1+i%17), nop)
 		}
+		c.start(64, 1024)
+		e.Schedule(e.now+26*Nanosecond, probe)
 		e.Run()
 	})
 	if allocs != 0 {
-		t.Fatalf("heap schedule/fire path allocated %.1f per run, want 0", allocs)
+		t.Fatalf("timed schedule/fire path allocated %.1f per run, want 0", allocs)
+	}
+	if inLane == 0 {
+		t.Fatal("no delay lane held an event")
 	}
 }
 
@@ -195,16 +284,15 @@ func TestScheduleCancelZeroAllocs(t *testing.T) {
 }
 
 func TestProcSelfWakeZeroAllocs(t *testing.T) {
-	// A process sleeping in a loop is the pooled path end to end: proc wake
-	// events carry no closure and the slot recycles every iteration. The
-	// engine is driven by the proc itself, so the whole Run is steady-state
-	// after the spawn.
+	// A process sleeping in a loop is the wake path end to end: proc wake
+	// events carry no closure and ride one delay lane. The engine is driven
+	// by the proc itself, so the whole Run is steady-state after the spawn.
 	e := NewEngine()
 	warmEngine(e)
 	wakes := 0
 	e.Spawn("sleeper", func(p *Proc) {
 		// One warm-up sleep outside the measured region grows nothing: the
-		// pool is already hot.
+		// lanes are already warm.
 		for {
 			p.Sleep(Nanosecond)
 			wakes++
@@ -241,8 +329,8 @@ func TestStepSwitchZeroAllocs(t *testing.T) {
 }
 
 // TestCancelRecycledSlotIsNoop pins the timer-handle guard: cancelling after
-// the event fired — even after its pool slot was recycled for a newer event
-// — must not disturb the queue.
+// the event fired — even once a newer event has taken its place in the
+// queue — must not disturb the queue.
 func TestCancelRecycledSlotIsNoop(t *testing.T) {
 	e := NewEngine()
 	fired := 0
@@ -251,7 +339,7 @@ func TestCancelRecycledSlotIsNoop(t *testing.T) {
 	if fired != 1 {
 		t.Fatalf("event fired %d times, want 1", fired)
 	}
-	// Recycle the slot for a new event, then cancel the stale handle.
+	// Queue a new event where the fired one was, then cancel the stale handle.
 	e.schedule(20, callback(func() { fired++ }))
 	e.cancel(tm)
 	e.Run()
@@ -260,15 +348,21 @@ func TestCancelRecycledSlotIsNoop(t *testing.T) {
 	}
 }
 
-// TestCancelHeapMiddle pins direct heap removal: cancelling an event that is
-// neither the top nor a leaf must keep every other event firing in order.
+// TestCancelHeapMiddle pins in-place heap removal: cancelling an event that
+// is neither the top nor a leaf must keep every other event firing in order.
 func TestCancelHeapMiddle(t *testing.T) {
 	e := NewEngine()
+	for at := Time(1); at <= delayLanes; at++ {
+		e.Schedule(at, nop) // claim every delay lane, so the rest take the heap
+	}
 	var fired []Time
 	var timers []timer
 	for _, at := range []Time{50, 10, 40, 20, 60, 30, 70, 15, 45} {
 		at := at
 		timers = append(timers, e.schedule(at, callback(func() { fired = append(fired, at) })))
+	}
+	if len(e.heap) != len(timers) {
+		t.Fatalf("heap holds %d events, want %d", len(e.heap), len(timers))
 	}
 	e.cancel(timers[2]) // at=40
 	e.cancel(timers[3]) // at=20
@@ -288,7 +382,7 @@ func TestCancelHeapMiddle(t *testing.T) {
 }
 
 // TestCancelRunQueueEntry pins the same-time cancellation path: a cancelled
-// run-queue entry is skipped and its slot recycled without firing.
+// run-queue entry is removed in place and never fires.
 func TestCancelRunQueueEntry(t *testing.T) {
 	e := NewEngine()
 	fired := 0
@@ -368,7 +462,7 @@ func BenchmarkGroupCrossSend(b *testing.B) {
 		g.Engine(0).Schedule(g.Engine(0).Now(), post)
 		g.Run()
 	}
-	run(4 * batch) // warm: grow the window buffers and event pools
+	run(4 * batch) // warm: grow the window buffers and event queues
 	b.ReportAllocs()
 	b.ResetTimer()
 	run(b.N)
@@ -446,7 +540,10 @@ func benchWindow(b *testing.B, d Dispatch, n int) {
 		}
 		g.Run()
 	}
-	run(n) // warm: grow the event pools, start the workers
+	// Warm up: start the workers and grow the event queues. The events
+	// re-arm into a delay lane, which the first n events alone never fill,
+	// so the warm run re-arms them for a few windows.
+	run(4 * n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	run(b.N)
@@ -521,7 +618,7 @@ func TestGroupBarrierZeroAllocs(t *testing.T) {
 		g.Engine(0).Schedule(g.Engine(0).Now(), kick)
 		g.Run()
 	}
-	run() // warm: grow scratch, start workers, pool engine slots
+	run() // warm: grow scratch and the event queues, start workers
 	allocs := testing.AllocsPerRun(5, run)
 	if allocs != 0 {
 		t.Fatalf("barrier loop allocated %.1f per run, want 0", allocs)

@@ -1,29 +1,5 @@
 package sim
 
-import "fmt"
-
-// event is a scheduled action. Events with equal times fire in scheduling
-// order (seq), which keeps the simulation deterministic.
-//
-// Events live in the engine's pool and are addressed by index, never by
-// pointer: the pool is a single slice that grows to the simulation's
-// high-water mark and is then recycled through a free list, so steady-state
-// scheduling does not allocate. An event fires an Action: a plain callback
-// (Schedule), a typed action (Post), or a process wake, which resumes the
-// process instead of firing. Every form rides in the record as one
-// interface value, so none needs a per-event closure.
-type event struct {
-	at  Time
-	seq int64
-	// act is the action to fire, nil once the event is cancelled or freed.
-	act Action
-	// heapIdx is the event's position in the engine's heap, heapNone once
-	// popped or freed, or heapRunq while the event sits in the run queue.
-	heapIdx int32
-	// next links free pool slots.
-	next int32
-}
-
 // Action is a typed event: the engine calls Fire when it comes due. A
 // pointer-shaped action (a *T) is stored in the event record as it is, so
 // posting one allocates nothing, where a func() closure over the same state
@@ -44,19 +20,6 @@ type wake Proc
 
 // Fire is never called: see wake.
 func (w *wake) Fire() { panic("sim: a process wake is resumed, not fired") }
-
-const (
-	heapNone = -1
-	heapRunq = -2
-)
-
-// timer identifies a scheduled event so in-package callers (the sampler) can
-// cancel it. The seq field guards against the pool slot having been recycled
-// for a newer event.
-type timer struct {
-	idx int32
-	seq int64
-}
 
 // Engine is a discrete-event simulator.
 //
@@ -80,23 +43,12 @@ type timer struct {
 type Engine struct {
 	now Time
 
-	// pool holds every event slot ever allocated by this engine; free heads
-	// the list of recycled slots (-1 when empty).
-	pool []event
-	free int32
-
-	// heap is a 4-ary min-heap of pool indices ordered by (at, seq). The
-	// wide fan-out halves the tree depth of the old binary heap and keeps
-	// sift-down's child scan inside one cache line of indices.
-	heap []int32
-
-	// runq is the same-time FIFO: events scheduled at the current instant —
-	// the dominant case, from unpark, Proc wake-ups and zero-delay sleeps —
-	// bypass the heap entirely. Entries before runqHead have been consumed.
-	// Appending in seq order keeps the queue (at, seq)-sorted, so its head
-	// competes with the heap top by a single comparison.
-	runq     []int32
-	runqHead int
+	// The pending events (eventq.go): lanes[0] is the run queue, lanes[1:]
+	// the delay lanes, busy has bit i set while lanes[i] holds an event, and
+	// heap holds the events no lane takes.
+	lanes [1 + delayLanes]fifo
+	busy  uint8
+	heap  []event
 
 	seq   int64
 	fired int64
@@ -185,7 +137,6 @@ func NewEngine() *Engine {
 
 // init readies a zero Engine: time zero, an empty event queue.
 func (e *Engine) init() {
-	e.free = heapNone
 	e.mainWake = make(chan struct{})
 }
 
@@ -205,32 +156,6 @@ func (e *Engine) Events() int64 { return e.fired }
 // phase is not counted.
 func (e *Engine) Handoffs() int64 { return e.handoffs }
 
-// pending reports how many events are queued (heap plus live run queue).
-func (e *Engine) pending() int { return len(e.heap) + len(e.runq) - e.runqHead }
-
-// alloc takes a pool slot from the free list, growing the pool only until
-// the simulation reaches its high-water mark of in-flight events.
-func (e *Engine) alloc() int32 {
-	if idx := e.free; idx != heapNone {
-		e.free = e.pool[idx].next
-		return idx
-	}
-	e.pool = append(e.pool, event{})
-	return int32(len(e.pool) - 1)
-}
-
-// release returns a fired or cancelled event's slot to the free list. The
-// action reference is dropped so the pool does not pin dead state, and seq
-// is zeroed so stale timers can never match a recycled slot.
-func (e *Engine) release(idx int32) {
-	ev := &e.pool[idx]
-	ev.act = nil
-	ev.seq = 0
-	ev.heapIdx = heapNone
-	ev.next = e.free
-	e.free = idx
-}
-
 // Schedule runs fn at the given absolute time, which must not be in the
 // past.
 func (e *Engine) Schedule(at Time, fn func()) {
@@ -240,31 +165,6 @@ func (e *Engine) Schedule(at Time, fn func()) {
 // Post fires a at the given absolute time, which must not be in the past.
 func (e *Engine) Post(at Time, a Action) {
 	e.schedule(at, a)
-}
-
-// schedule queues an action or a process wake and returns a timer handle so
-// in-package callers (the sampler) can cancel it.
-func (e *Engine) schedule(at Time, a Action) timer {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling into the past (%v < %v)", at, e.now))
-	}
-	e.seq++
-	idx := e.alloc()
-	ev := &e.pool[idx]
-	ev.at = at
-	ev.seq = e.seq
-	ev.act = a
-	// Same-time events take the FIFO run queue instead of the heap. The
-	// tail check keeps the queue (at, seq)-sorted even if the clock was
-	// rewound by a Stop/RunUntil edge case, so pop order is always the
-	// global (at, seq) minimum — identical to the old single-heap order.
-	if at == e.now && (e.runqHead == len(e.runq) || e.pool[e.runq[len(e.runq)-1]].at <= at) {
-		ev.heapIdx = heapRunq
-		e.runq = append(e.runq, idx)
-	} else {
-		e.heapPush(idx)
-	}
-	return timer{idx: idx, seq: e.seq}
 }
 
 // Settle registers fn to run at the end of the current instant: after every
@@ -293,33 +193,8 @@ func (e *Engine) promoteSettle() {
 	e.schedule(e.now, callback(fn))
 }
 
-// cancel discards a queued event and reports whether it was still queued:
-// heap entries are removed in place (no tombstone lingers to be sifted
-// through later), run-queue entries are blanked and reclaimed when their
-// turn comes. Cancelling an event that has already fired — or whose slot
-// was recycled — is a no-op.
-func (e *Engine) cancel(t timer) bool {
-	if t.idx < 0 || int(t.idx) >= len(e.pool) {
-		return false
-	}
-	ev := &e.pool[t.idx]
-	if ev.seq != t.seq {
-		return false
-	}
-	if ev.heapIdx >= 0 {
-		e.heapRemove(int(ev.heapIdx))
-		e.release(t.idx)
-		return true
-	}
-	if ev.heapIdx == heapRunq && ev.act != nil {
-		ev.act = nil
-		return true
-	}
-	return false
-}
-
 // Stop makes Run return after the current event completes. Pending events
-// remain queued.
+// remain queued, and the clock stays at the event that called Stop.
 func (e *Engine) Stop() { e.stopped = true }
 
 // Run executes events until the queue is empty or Stop is called, and
@@ -332,12 +207,15 @@ func (e *Engine) Run() Time {
 }
 
 // RunUntil executes events with timestamps <= deadline and then advances the
-// clock to the deadline (if the simulation did not already pass it).
+// clock to the deadline (if the simulation did not already pass it). A phase
+// that Stop ended early leaves the clock where it stopped: events before the
+// deadline may still be queued, and the clock must never pass a queued event
+// and later move back to fire it.
 func (e *Engine) RunUntil(deadline Time) Time {
 	e.stopped = false
 	e.deadline = deadline
 	e.driveMain()
-	if e.now < deadline {
+	if !e.stopped && e.now < deadline {
 		e.now = deadline
 	}
 	return e.now
@@ -352,68 +230,6 @@ func (e *Engine) runWindow(deadline Time) {
 	e.stopped = false
 	e.deadline = deadline
 	e.driveMain()
-}
-
-// nextEventTime reports the earliest pending event's timestamp. Cancelled
-// run-queue entries at the head are reclaimed on the way, so dead timers
-// cannot masquerade as pending work.
-func (e *Engine) nextEventTime() (Time, bool) {
-	for e.runqHead < len(e.runq) {
-		idx := e.runq[e.runqHead]
-		if e.pool[idx].act != nil {
-			break
-		}
-		e.runqHead++
-		if e.runqHead == len(e.runq) {
-			e.runq = e.runq[:0]
-			e.runqHead = 0
-		}
-		e.release(idx)
-	}
-	best, ok := Time(0), false
-	if e.runqHead < len(e.runq) {
-		best, ok = e.pool[e.runq[e.runqHead]].at, true
-	}
-	if len(e.heap) > 0 {
-		if at := e.pool[e.heap[0]].at; !ok || at < best {
-			best, ok = at, true
-		}
-	}
-	return best, ok
-}
-
-// queuedBy counts the queued events at or before deadline, stopping at
-// limit. It walks the run queue from its head, then the heap, skipping every
-// subtree whose root lies past the deadline (the heap orders each child
-// after its parent), so it visits O(limit) slots and allocates nothing. The
-// Group calls it at barriers to size a round's windows.
-func (e *Engine) queuedBy(deadline Time, limit int) int {
-	n := 0
-	for i := e.runqHead; i < len(e.runq) && n < limit; i++ {
-		ev := &e.pool[e.runq[i]]
-		if ev.at > deadline {
-			return n
-		}
-		if ev.act != nil { // skip cancelled entries
-			n++
-		}
-	}
-	if n < limit && len(e.heap) > 0 && e.pool[e.heap[0]].at <= deadline {
-		n += e.heapQueuedBy(0, deadline, limit-n)
-	}
-	return n
-}
-
-// heapQueuedBy counts the entries at or before deadline in the heap subtree
-// rooted at position i, whose own entry is one of them, stopping at limit.
-func (e *Engine) heapQueuedBy(i int, deadline Time, limit int) int {
-	n := 1
-	for c := i<<2 + 1; c <= i<<2+4 && c < len(e.heap) && n < limit; c++ {
-		if e.pool[e.heap[c]].at <= deadline {
-			n += e.heapQueuedBy(c, deadline, limit-n)
-		}
-	}
-	return n
 }
 
 // driveMain is the Run caller's drive loop. It fires callbacks and steps
@@ -455,17 +271,19 @@ func (e *Engine) drive() *Proc {
 	return e.driveInline(act)
 }
 
-// takeNext pops the phase's next event and consumes it; ok is false when
-// the phase is over.
+// takeNext pops the phase's next event, advances the clock to it and counts
+// the firing; ok is false when the phase is over.
 func (e *Engine) takeNext() (Action, bool) {
 	if e.fatal != nil || e.stopped || e.shuttingDown {
 		return nil, false
 	}
-	idx, ok := e.popNext()
+	ev, ok := e.popNext()
 	if !ok {
 		return nil, false
 	}
-	return e.take(idx), true
+	e.now = ev.at
+	e.fired++
+	return ev.act, true
 }
 
 // driveInline runs a popped callback or step, and every one after it, until
@@ -529,69 +347,6 @@ func (e *Engine) wrapPanic(r any, src *Proc) error {
 	return &procPanic{at: e.now, value: r}
 }
 
-// popNext removes and returns the earliest pending event within the phase
-// deadline. The earliest event is the (at, seq) minimum of the heap top and
-// the run-queue head; both structures order their own contents, so choosing
-// between them is one comparison.
-func (e *Engine) popNext() (int32, bool) {
-	for {
-		// End-of-instant settle: once no event remains at the current time,
-		// promote pending hooks (oldest first) before letting the clock move
-		// or the phase end. A promoted hook lands in the run queue at e.now,
-		// so it is popped immediately — and any same-instant work it creates
-		// drains before the next hook is promoted.
-		if e.settleHead < len(e.settleq) {
-			if at, ok := e.nextEventTime(); !ok || at > e.now {
-				e.promoteSettle()
-				continue
-			}
-		}
-		var idx int32
-		if e.runqHead < len(e.runq) {
-			idx = e.runq[e.runqHead]
-			if len(e.heap) > 0 && e.eventLess(e.heap[0], idx) {
-				if e.pool[e.heap[0]].at > e.deadline {
-					return 0, false
-				}
-				idx = e.heapPop()
-			} else {
-				if e.pool[idx].at > e.deadline {
-					return 0, false
-				}
-				e.runqHead++
-				if e.runqHead == len(e.runq) {
-					e.runq = e.runq[:0]
-					e.runqHead = 0
-				}
-			}
-		} else if len(e.heap) > 0 {
-			if e.pool[e.heap[0]].at > e.deadline {
-				return 0, false
-			}
-			idx = e.heapPop()
-		} else {
-			return 0, false
-		}
-
-		if e.pool[idx].act == nil { // cancelled in the run queue
-			e.release(idx)
-			continue
-		}
-		return idx, true
-	}
-}
-
-// take consumes a popped event: advances the clock, counts the firing,
-// recycles the pool slot and returns the action to perform.
-func (e *Engine) take(idx int32) Action {
-	ev := &e.pool[idx]
-	e.now = ev.at
-	e.fired++
-	act := ev.act
-	e.release(idx)
-	return act
-}
-
 // exitDrive continues the event loop on a process goroutine whose function
 // has returned (or panicked). The goroutine drives until control belongs
 // somewhere else — another process, or the Run caller when the phase is over
@@ -603,103 +358,6 @@ func (e *Engine) exitDrive() {
 		return
 	}
 	e.mainWake <- struct{}{}
-}
-
-// eventLess orders pool entries by (at, seq) — the simulation's total event
-// order.
-func (e *Engine) eventLess(a, b int32) bool {
-	ea, eb := &e.pool[a], &e.pool[b]
-	if ea.at != eb.at {
-		return ea.at < eb.at
-	}
-	return ea.seq < eb.seq
-}
-
-// heapPush inserts a pool index into the 4-ary heap.
-func (e *Engine) heapPush(idx int32) {
-	e.heap = append(e.heap, idx)
-	e.heapUp(len(e.heap) - 1)
-}
-
-// heapPop removes and returns the minimum entry.
-func (e *Engine) heapPop() int32 {
-	h := e.heap
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	e.heap = h[:n]
-	if n > 0 {
-		e.heap[0] = last
-		e.pool[last].heapIdx = 0
-		e.heapDown(0)
-	}
-	e.pool[top].heapIdx = heapNone
-	return top
-}
-
-// heapRemove deletes the entry at heap position i (cancellation).
-func (e *Engine) heapRemove(i int) {
-	h := e.heap
-	n := len(h) - 1
-	removed := h[i]
-	last := h[n]
-	e.heap = h[:n]
-	if i < n {
-		e.heap[i] = last
-		e.pool[last].heapIdx = int32(i)
-		e.heapUp(e.heapDown(i))
-	}
-	e.pool[removed].heapIdx = heapNone
-}
-
-// heapUp sifts the entry at position i toward the root.
-func (e *Engine) heapUp(i int) {
-	h := e.heap
-	idx := h[i]
-	for i > 0 {
-		parent := (i - 1) >> 2
-		if !e.eventLess(idx, h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		e.pool[h[i]].heapIdx = int32(i)
-		i = parent
-	}
-	h[i] = idx
-	e.pool[idx].heapIdx = int32(i)
-}
-
-// heapDown sifts the entry at position i toward the leaves and returns its
-// final position.
-func (e *Engine) heapDown(i int) int {
-	h := e.heap
-	n := len(h)
-	idx := h[i]
-	for {
-		first := i<<2 + 1
-		if first >= n {
-			break
-		}
-		best := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if e.eventLess(h[c], h[best]) {
-				best = c
-			}
-		}
-		if !e.eventLess(h[best], idx) {
-			break
-		}
-		h[i] = h[best]
-		e.pool[h[i]].heapIdx = int32(i)
-		i = best
-	}
-	h[i] = idx
-	e.pool[idx].heapIdx = int32(i)
-	return i
 }
 
 // Shutdown unwinds every still-blocked process goroutine and retires every

@@ -155,6 +155,30 @@ func TestEngineRunUntilAdvancesIdleClock(t *testing.T) {
 	}
 }
 
+// TestEngineRunUntilStopKeepsClockForward: a Stop inside RunUntil ends the
+// phase at the stopping event. The clock must stay there rather than jump to
+// the deadline past an event that is still queued, which a later Run would
+// then fire with the clock moving back.
+func TestEngineRunUntilStopKeepsClockForward(t *testing.T) {
+	e := NewEngine()
+	var clock []Time
+	e.Schedule(10*Picosecond, func() { clock = append(clock, e.Now()); e.Stop() })
+	e.Schedule(20*Picosecond, func() { clock = append(clock, e.Now()) })
+	if end := e.RunUntil(100 * Picosecond); end != 10*Picosecond {
+		t.Fatalf("RunUntil(100ps) after Stop at 10ps returned %v, want 10ps", end)
+	}
+	if end := e.Run(); end != 20*Picosecond {
+		t.Fatalf("Run ended at %v, want 20ps", end)
+	}
+	if len(clock) != 2 || clock[0] != 10*Picosecond || clock[1] != 20*Picosecond {
+		t.Fatalf("events saw the clock at %v, want [10ps 20ps]", clock)
+	}
+	// A phase that is not stopped still moves an idle clock to its deadline.
+	if end := e.RunUntil(100 * Picosecond); end != 100*Picosecond {
+		t.Fatalf("idle RunUntil(100ps) returned %v", end)
+	}
+}
+
 func TestProcSleep(t *testing.T) {
 	e := NewEngine()
 	var wake Time

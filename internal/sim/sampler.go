@@ -69,16 +69,7 @@ func StartSampler(eng *Engine, interval Time, fn func() float64) *Sampler {
 // the phase is a Run (with a deadline, the caller may add work after it),
 // no settle hook is queued, and every queued event is a sampler tick.
 func (e *Engine) stalled() bool {
-	if e.deadline != Forever || e.settleHead < len(e.settleq) || len(e.heap) > e.ticks {
-		return false
-	}
-	live := len(e.heap)
-	for _, idx := range e.runq[e.runqHead:] {
-		if e.pool[idx].act != nil {
-			live++
-		}
-	}
-	return live == e.ticks
+	return e.deadline == Forever && e.settleHead == len(e.settleq) && e.pending() == e.ticks
 }
 
 // stallError is the failure of a run in which nothing but sampler ticks is
