@@ -171,13 +171,12 @@ func RunExperiment(id string, cfg Config) (*Result, error) {
 	return e.RunConfig(cfg), nil
 }
 
-// RunExperiments executes the whole registry under cfg. Experiments fan
-// out over cfg.Env.Parallel worker goroutines (< 1 selects
-// runtime.GOMAXPROCS(0); each experiment simulates on its own engines and
-// runs its own simulations inline, so no more than that many are live),
-// and a config with a trace sink runs one experiment at a time. Results
-// are ordered by registry index regardless of completion order, so any
-// width reproduces the sequential (Parallel 1) harness exactly.
+// RunExperiments executes the whole registry under cfg, one experiment at
+// a time in registry order. Each experiment simulates on its own engines
+// and runs its independent simulations cfg.Env.Parallel at a time (< 1
+// selects runtime.GOMAXPROCS(0); a config with a trace sink runs one at a
+// time), so any width reproduces the sequential (Parallel 1) harness
+// exactly. A panic stops the loop at the failing experiment.
 func RunExperiments(cfg Config) []*Result {
 	return exp.RunAll(cfg)
 }

@@ -7,7 +7,7 @@
 //	activesim -list
 //	activesim -run fig3              # one experiment at default scale
 //	activesim -run all -scale 8      # everything, problem sizes / 8
-//	activesim -run all -parallel 8   # fan the registry over 8 workers
+//	activesim -run all -parallel 8   # up to 8 of each experiment's runs at once
 //	activesim -run fig15 -scale 1    # full 128-node reduction sweep
 //	activesim -run fig3 -metrics-out m.json -trace-out t.json
 //	activesim -run fig3 -cpuprofile prof/cpu.pb.gz -memprofile prof/mem.pb.gz
@@ -53,16 +53,15 @@
 // the built-in library, so a user-written handler gets the same
 // compiled-on-switch vs host-interpreter comparison and differential check.
 //
-// -parallel sets the worker goroutines for -run all and for one
-// experiment's runs (default: GOMAXPROCS). With -run all the registry fans
-// out over them and each experiment runs its own simulations in order;
-// with one experiment, its independent simulations (the four
-// configurations of fig3 to fig13, fig17's eight runs, twolevel's modes,
-// hdlsweep's cases and faultsweep's points) fan out instead. Either way no
-// more than -parallel simulations are live, and results always print in
-// order, so the output is byte-identical to a sequential (-parallel 1)
-// run. A traced run (-trace, -trace-out or -flight-recorder) runs one
-// simulation at a time, so its trace is the sequential run's too.
+// -parallel sets how many of one experiment's independent simulations run
+// at once (default: GOMAXPROCS): the four configurations of fig3 to fig13,
+// fig17's eight runs, twolevel's modes, hdlsweep's cases and faultsweep's
+// points. -run all runs the experiments one after another, in registry
+// order, each at that width, and stops at the first experiment that
+// panics. Results always print in order, so the output is byte-identical
+// to a sequential (-parallel 1) run. A traced run (-trace, -trace-out or
+// -flight-recorder) runs one simulation at a time, so its trace is the
+// sequential run's too.
 //
 // All flags become one run config (activesan.Config) handed to every
 // experiment; nothing is installed process-wide.
@@ -100,7 +99,7 @@ func realMain() int {
 	run := flag.String("run", "", "experiment id to run, or \"all\"")
 	scale := flag.Int64("scale", 8, "problem-size divisor (1 = paper's full sizes)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
-		"worker goroutines for -run all and for one experiment's runs (1 = sequential)")
+		"how many of an experiment's simulations run at once (1 = sequential)")
 	chart := flag.Bool("chart", false, "render ASCII bar charts after each result")
 	svgDir := flag.String("svg", "", "write an SVG figure per experiment into this directory")
 	jsonPath := flag.String("json", "", "write all results as JSON to this file")
@@ -169,8 +168,8 @@ func realMain() int {
 	var collected []*activesan.Result
 	code := cf.RunProtected(func() int {
 		if *run == "all" {
-			// The parallel harness keeps results in registry order, so the
-			// printed report is byte-identical at any worker count.
+			// Results come back in registry order, so the printed report is
+			// byte-identical at any -parallel width.
 			collected = activesan.RunExperiments(cfg)
 			return 0
 		}

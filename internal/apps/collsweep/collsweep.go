@@ -28,8 +28,8 @@ type Params struct {
 	HostCounts []int
 	// Env arms each point's cluster (trace sink, strict routes, fault
 	// plan, telemetry), and its Topology.Parts selects the engine layout:
-	// 0 auto-picks from each point's topology, 1 forces serial, n >= 2
-	// forces n partitions. Results are byte-identical whatever the value.
+	// that many partitions from 2 up, else the serial engine. Results are
+	// byte-identical whatever the value.
 	Env apps.Env
 	// Op is the collective swept over HostCounts (allreduce by default;
 	// the -collective flag selects others).
@@ -47,7 +47,6 @@ type Params struct {
 func DefaultParams() Params {
 	return Params{
 		HostCounts: []int{4, 8, 16, 32, 64, 256, 1024},
-		Env:        apps.Env{Topology: cluster.Topo{Parts: 1}},
 		Op:         collective.Allreduce,
 		Coll:       collective.DefaultParams(),
 		AggHosts:   16,

@@ -27,20 +27,18 @@ type Params struct {
 	Reduce collective.Params
 	// Env observes each point's cluster (trace sink, strict routes; no
 	// fault plan or telemetry), and its Topology.Parts selects the engine
-	// layout: 0 picks automatically from each point's topology, 1 forces
-	// the serial engine, and n >= 2 forces exactly n partitions. Results
-	// are byte-identical whatever the value; see PERFORMANCE.md.
+	// layout: that many partitions from 2 up, else the serial engine.
+	// Results are byte-identical whatever the value; see PERFORMANCE.md.
 	Env apps.Env
 }
 
 // DefaultParams sweeps 4 to 1024 hosts with the paper's 512-byte vectors
-// on the serial engine. The 256- and 1024-host points (k=12 and k=16
-// trees) are where partitioned simulation pays off.
+// on the serial engine. At the 1024-host point (a k=16 tree), 2
+// partitions run the reduce faster on two free cores (PERFORMANCE.md).
 func DefaultParams() Params {
 	return Params{
 		HostCounts: []int{4, 8, 16, 32, 64, 256, 1024},
 		Reduce:     collective.DefaultParams(),
-		Env:        apps.Env{Topology: cluster.Topo{Parts: 1}},
 	}
 }
 

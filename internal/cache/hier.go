@@ -10,12 +10,11 @@ import (
 type Kind int
 
 // Reference kinds. Loads stall the processor until the first data returns;
-// stores and prefetches retire into the outstanding-miss window (the CPU
-// model enforces the paper's four-outstanding-lines rule).
+// stores retire into the outstanding-miss window (the CPU model enforces
+// the paper's four-outstanding-lines rule).
 const (
 	Load Kind = iota
 	Store
-	Prefetch
 	Ifetch
 )
 
@@ -25,8 +24,6 @@ func (k Kind) String() string {
 		return "load"
 	case Store:
 		return "store"
-	case Prefetch:
-		return "prefetch"
 	case Ifetch:
 		return "ifetch"
 	default:

@@ -69,7 +69,7 @@ func Register() *Common {
 	flag.StringVar(&c.Topology, "topology", "tree",
 		"collective topology: tree (the paper's reduction tree), fattree, or fattree:K (see TOPOLOGIES.md)")
 	flag.IntVar(&c.Partitions, "partitions", 1,
-		"simulation partitions per cluster: 1 = serial engine, 0 = auto from topology size, N = exactly N; results are byte-identical at any value (see PERFORMANCE.md)")
+		"simulation partitions per cluster: 1 = serial engine, N = exactly N; results are byte-identical at any value (see PERFORMANCE.md)")
 	flag.StringVar(&c.Collective, "collective", "allreduce",
 		"collective op for the collsweep experiment and -sweep collective: allreduce, barrier, scatter, gather, or keyagg (see COLLECTIVES.md)")
 	flag.IntVar(&c.AggBudget, "agg-budget", 0,
@@ -120,8 +120,8 @@ func (c *Common) Setup() (cfg exp.Config, cleanup func(), err error) {
 	if err != nil {
 		return cfg, noop, fmt.Errorf("-topology: %w", err)
 	}
-	if c.Partitions < 0 {
-		return cfg, noop, fmt.Errorf("-partitions: count %d must be >= 0 (0 = auto)", c.Partitions)
+	if c.Partitions < 1 {
+		return cfg, noop, fmt.Errorf("-partitions: count %d must be >= 1", c.Partitions)
 	}
 	topo.Parts = c.Partitions
 	cfg.Env.Topology = topo

@@ -13,7 +13,7 @@ import (
 )
 
 func TestSetupRejectsSeedWithoutPlan(t *testing.T) {
-	c := &Common{FaultSeed: 42}
+	c := &Common{FaultSeed: 42, Partitions: 1}
 	_, cleanup, err := c.Setup()
 	if err == nil || !strings.Contains(err.Error(), "-faults") {
 		t.Fatalf("err = %v, want a -fault-seed/-faults complaint", err)
@@ -27,7 +27,7 @@ func TestSetupLoadsFaultPlan(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"seed": 3, "links": [{"drop": 0.01}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	c := &Common{Faults: path, FaultSeed: 9}
+	c := &Common{Faults: path, FaultSeed: 9, Partitions: 1}
 	cfg, cleanup, err := c.Setup()
 	if err != nil {
 		t.Fatalf("Setup: %v", err)
@@ -43,14 +43,14 @@ func TestSetupRejectsInvalidPlan(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "bad.json")
 	os.WriteFile(path, []byte(`{"links": [{"drop": 1.5}]}`), 0o644)
-	c := &Common{Faults: path}
+	c := &Common{Faults: path, Partitions: 1}
 	_, cleanup, err := c.Setup()
 	if err == nil || !strings.Contains(err.Error(), "drop=1.5") {
 		t.Fatalf("err = %v, want the out-of-range probability named", err)
 	}
 	cleanup()
 
-	c = &Common{Faults: filepath.Join(dir, "absent.json")}
+	c = &Common{Faults: filepath.Join(dir, "absent.json"), Partitions: 1}
 	_, cleanup, err = c.Setup()
 	if err == nil {
 		t.Fatal("missing plan file accepted")
@@ -66,7 +66,7 @@ func TestSetupInstallsTopologyDefault(t *testing.T) {
 	}{
 		{"", 1, cluster.Topo{Parts: 1}},
 		{"tree", 1, cluster.Topo{Parts: 1}},
-		{"fattree", 0, cluster.Topo{FatTree: true}},
+		{"fattree", 1, cluster.Topo{FatTree: true, Parts: 1}},
 		{"fattree:8", 2, cluster.Topo{FatTree: true, K: 8, Parts: 2}},
 	}
 	for _, tc := range cases {
@@ -82,9 +82,21 @@ func TestSetupInstallsTopologyDefault(t *testing.T) {
 	}
 }
 
+// -partitions counts engines: there is no automatic choice behind 0.
+func TestSetupRejectsBadPartitions(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		c := &Common{Topology: "fattree", Partitions: n}
+		_, cleanup, err := c.Setup()
+		cleanup()
+		if err == nil || !strings.HasPrefix(err.Error(), "-partitions:") {
+			t.Errorf("-partitions=%d: err = %v, want a -partitions-prefixed error", n, err)
+		}
+	}
+}
+
 func TestSetupRejectsBadTopology(t *testing.T) {
 	for _, v := range []string{"mesh", "fattree:7", "fattree:0", "fattree:x"} {
-		c := &Common{Topology: v}
+		c := &Common{Topology: v, Partitions: 1}
 		_, cleanup, err := c.Setup()
 		cleanup()
 		if err == nil || !strings.Contains(err.Error(), "-topology") {
@@ -100,7 +112,7 @@ func TestSetupCompilesHandlerSrc(t *testing.T) {
 	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	c := &Common{HandlerSrc: path}
+	c := &Common{HandlerSrc: path, Partitions: 1}
 	cfg, cleanup, err := c.Setup()
 	if err != nil {
 		t.Fatalf("Setup: %v", err)
@@ -116,7 +128,7 @@ func TestSetupRejectsBadHandlerSrc(t *testing.T) {
 	bad := filepath.Join(dir, "bad.hdl")
 	os.WriteFile(bad, []byte("handler broken {\n\ton word x { y = 1 }\n}\n"), 0o644)
 	for _, path := range []string{bad, filepath.Join(dir, "absent.hdl")} {
-		c := &Common{HandlerSrc: path}
+		c := &Common{HandlerSrc: path, Partitions: 1}
 		_, cleanup, err := c.Setup()
 		cleanup()
 		if err == nil || !strings.HasPrefix(err.Error(), "-handler-src:") {
@@ -152,6 +164,7 @@ func TestCleanupFlushesOnCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := &Common{
+		Partitions: 1,
 		TraceOut:   filepath.Join(dir, "trace.json"),
 		TraceLimit: 100000,
 		Faults:     planPath,
@@ -210,7 +223,7 @@ func TestCleanupFlushesOnCrash(t *testing.T) {
 
 func TestSetupMetricsOutCreatesParent(t *testing.T) {
 	dir := t.TempDir()
-	c := &Common{MetricsOut: filepath.Join(dir, "sub", "metrics.json")}
+	c := &Common{MetricsOut: filepath.Join(dir, "sub", "metrics.json"), Partitions: 1}
 	_, cleanup, err := c.Setup()
 	if err != nil {
 		t.Fatalf("Setup: %v", err)

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"runtime"
 
 	"activesan/internal/sim"
 )
@@ -81,33 +80,12 @@ func PartitionTopology(t Topology, nparts int) []int {
 	return part
 }
 
-// AutoFatTreeParts picks the partition count for a k-ary fat tree when the
-// caller asked for automatic partitioning: one per pod, capped by the
-// machine's parallelism. Small fabrics (under 128 endpoint slots) stay
-// serial — barrier overhead would exceed the win.
-func AutoFatTreeParts(cfg FatTreeConfig) int {
-	if cfg.Hosts+cfg.Stores < 128 {
-		return 1
-	}
-	n := cfg.K
-	if p := runtime.GOMAXPROCS(0); p < n {
-		n = p
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 // NewPartitionedFatTreeCluster builds a k-ary fat tree spread over nparts
-// partitions (0 = auto via AutoFatTreeParts, 1 = the plain serial engine —
-// identical to NewFatTreeCluster). The aggregation-tree overlay matches
-// NewFatTreeCluster exactly.
+// partitions; nparts <= 1 builds the plain serial engine, identical to
+// NewFatTreeCluster. The aggregation-tree overlay matches NewFatTreeCluster
+// exactly.
 func NewPartitionedFatTreeCluster(cfg FatTreeConfig, nparts int) *Cluster {
-	if nparts == 0 {
-		nparts = AutoFatTreeParts(cfg)
-	}
-	if nparts == 1 {
+	if nparts <= 1 {
 		return NewFatTreeCluster(sim.NewEngine(), cfg)
 	}
 	g := sim.NewGroup(nparts)

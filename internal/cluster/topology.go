@@ -378,8 +378,8 @@ func (c *Cluster) SwitchesByRole(role string) []*aswitch.ActiveSwitch {
 
 // Topo selects the cluster a collective runs on: the paper's reduction tree,
 // or a k-ary fat tree (K = 0 picks the smallest fit) spread over Parts
-// simulation partitions (0 = auto, 1 = the serial engine; see
-// NewPartitionedFatTreeCluster). The tree has no partition cut, so it
+// simulation partitions (Parts <= 1, the zero value included, builds the
+// serial engine; see NewPartitionedFatTreeCluster). The tree has no partition cut, so it
 // ignores K and Parts.
 type Topo struct {
 	FatTree bool

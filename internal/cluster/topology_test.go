@@ -302,6 +302,14 @@ func TestBuildCollectiveHonorsDefault(t *testing.T) {
 	}
 	c.Shutdown()
 
+	// The zero Parts is the serial engine, whatever the fabric's size or
+	// the machine's core count.
+	c = BuildCollective(256, Topo{FatTree: true})
+	if c.Group != nil {
+		t.Fatalf("fattree at 256 hosts and zero Parts built a group of %d engines", c.Group.Len())
+	}
+	c.Shutdown()
+
 	// Parts applies to fat trees; the tree has no cut and stays serial.
 	c = BuildCollective(16, Topo{FatTree: true, Parts: 2})
 	if c.Group == nil || c.Tree == nil {

@@ -63,7 +63,7 @@ type CPU struct {
 	outstanding [maxOutstandingLines]missSlot
 	nOut        int
 
-	loads, stores, prefetches int64
+	loads, stores int64
 }
 
 // New returns a CPU over the given hierarchy. quantum bounds how much busy
@@ -93,9 +93,9 @@ func (c *CPU) Hier() *cache.Hierarchy { return c.hier }
 // Breakdown returns accumulated busy and stall time, including accrued debt.
 func (c *CPU) Breakdown() Breakdown { return c.acct }
 
-// Counts reports how many loads, stores and prefetches were issued.
-func (c *CPU) Counts() (loads, stores, prefetches int64) {
-	return c.loads, c.stores, c.prefetches
+// Counts reports how many loads and stores were issued.
+func (c *CPU) Counts() (loads, stores int64) {
+	return c.loads, c.stores
 }
 
 // vnow is the CPU's virtual time: engine time plus unslept debt.
@@ -158,12 +158,6 @@ func (c *CPU) Load(p *sim.Proc, addr int64) cache.Result {
 func (c *CPU) Store(p *sim.Proc, addr int64) cache.Result {
 	c.stores++
 	return c.ref(p, addr, cache.Store, false)
-}
-
-// Prefetch issues a non-binding prefetch into the outstanding-miss window.
-func (c *CPU) Prefetch(p *sim.Proc, addr int64) cache.Result {
-	c.prefetches++
-	return c.ref(p, addr, cache.Prefetch, false)
 }
 
 // Ifetch models an instruction fetch (blocking, through the I-side).
@@ -256,10 +250,8 @@ func (c *CPU) TouchRange(p *sim.Proc, base, n int64, k cache.Kind) {
 		count, blocking = &c.loads, true
 	case cache.Store:
 		count = &c.stores
-	case cache.Prefetch:
-		count = &c.prefetches
 	default:
-		panic("cpu: TouchRange kind must be load, store or prefetch")
+		panic("cpu: TouchRange kind must be load or store")
 	}
 	step := c.hier.L1D().LineSize()
 	for a := c.hier.L1D().LineBase(base); a < base+n; a += step {

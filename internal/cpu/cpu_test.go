@@ -77,15 +77,15 @@ func TestL1HitIsFree(t *testing.T) {
 func TestOutstandingMissWindow(t *testing.T) {
 	eng, c := newHostCPU(0)
 	eng.Spawn("p", func(p *sim.Proc) {
-		// Four prefetch misses to distinct lines should not stall.
+		// Four store misses to distinct lines should not stall.
 		for i := int64(0); i < 4; i++ {
-			c.Prefetch(p, i*4096)
+			c.Store(p, i*4096)
 		}
 		if c.Breakdown().Stall != 0 {
-			t.Errorf("first four prefetches stalled %v", c.Breakdown().Stall)
+			t.Errorf("first four stores stalled %v", c.Breakdown().Stall)
 		}
 		// The fifth distinct line must wait for the oldest to drain.
-		c.Prefetch(p, 5*4096)
+		c.Store(p, 5*4096)
 		if c.Breakdown().Stall == 0 {
 			t.Error("fifth outstanding line did not stall")
 		}
@@ -110,16 +110,16 @@ func TestOutstandingExpiry(t *testing.T) {
 	eng, c := newHostCPU(0)
 	eng.Spawn("p", func(p *sim.Proc) {
 		for i := int64(0); i < 4; i++ {
-			c.Prefetch(p, i*4096)
+			c.Store(p, i*4096)
 		}
 		// Let everything drain, then four more should again be free.
 		p.Sleep(10 * sim.Microsecond)
 		before := c.Breakdown().Stall
 		for i := int64(10); i < 14; i++ {
-			c.Prefetch(p, i*4096)
+			c.Store(p, i*4096)
 		}
 		if c.Breakdown().Stall != before {
-			t.Error("drained window still stalled new prefetches")
+			t.Error("drained window still stalled new stores")
 		}
 	})
 	eng.Run()
@@ -157,7 +157,7 @@ func TestTouchRangeCoversLines(t *testing.T) {
 		c.TouchRange(p, 0, 1024, cache.Load) // 16 lines of 64 B
 	})
 	eng.Run()
-	loads, _, _ := c.Counts()
+	loads, _ := c.Counts()
 	if loads != 16 {
 		t.Fatalf("loads = %d, want 16", loads)
 	}

@@ -23,7 +23,6 @@ import (
 	"activesan/internal/apps/sel"
 	"activesan/internal/apps/tarapp"
 	"activesan/internal/apps/twolevel"
-	"activesan/internal/cluster"
 	"activesan/internal/collective"
 	"activesan/internal/hdl"
 	"activesan/internal/stats"
@@ -59,7 +58,6 @@ type Config struct {
 func DefaultConfig(scale int64) Config {
 	return Config{
 		Scale:      scale,
-		Env:        apps.Env{Topology: cluster.Topo{Parts: 1}},
 		Collective: collective.Allreduce,
 		AggBudget:  collective.DefaultParams().AggBudget,
 	}
@@ -403,24 +401,17 @@ func runTable2(cfg Config) *stats.Result {
 	return res
 }
 
-// RunAll executes the whole registry under cfg, fanning experiments out
-// through cfg.Env.Runs: -parallel experiments at a time, or one at a time
-// under a trace sink, so the trace (and any flight recorder fed by it) is
-// the sequential run's. Each experiment then runs its own simulations
-// inline, so no more than -parallel simulations are ever live. Each
-// experiment builds its own sim.Engine, so runs are independent; results
-// come back ordered by registry index regardless of completion order,
-// making parallel output byte-identical to a sequential run. A panicking
-// experiment (fault-plan crash under -strict-routes, an invariant
-// failure) is re-raised on the caller's goroutine, first in registry
-// order, so deferred output flushing runs.
+// RunAll executes the whole registry under cfg, one experiment at a time
+// in registry order; each experiment runs its own independent simulations
+// cfg.Env.Width() at a time, so no more than that many are ever live. Each
+// experiment builds its own engines, and results land in registry order,
+// so the output is byte-identical at any -parallel width. A panic stops
+// the loop at the failing experiment and propagates to the caller.
 func RunAll(cfg Config) []*stats.Result {
-	inline := cfg
-	inline.Env.Parallel = 1
 	out := make([]*stats.Result, len(Registry))
-	cfg.Env.Runs(len(Registry),
-		func(i int) string { return "exp: experiment " + Registry[i].ID },
-		func(i int) { out[i] = Registry[i].run(inline) })
+	for i, e := range Registry {
+		out[i] = e.run(cfg)
+	}
 	return out
 }
 

@@ -110,34 +110,34 @@ func TestScaleClampsToFloors(t *testing.T) {
 	}
 }
 
-// Under RunAll the registry is the only fan-out: each experiment runs its
-// own simulations inline, so no more than Parallel are ever live.
-func TestRunAllRunsEachExperimentInline(t *testing.T) {
+// RunAll is a loop: one experiment at a time, in registry order, each
+// running its own simulations at the config's full width.
+func TestRunAllRunsExperimentsInOrder(t *testing.T) {
 	saved := Registry
 	defer func() { Registry = saved }()
-	var live, peak atomic.Int32
+	var live atomic.Int32
+	var order []string
 	Registry = make([]Experiment, 12)
 	for i := range Registry {
-		Registry[i] = Experiment{ID: saved[i].ID, run: func(cfg Config) *stats.Result {
-			if w := cfg.Env.Width(); w != 1 {
-				t.Errorf("%s runs %d simulations at once under RunAll, want 1", saved[i].ID, w)
+		id := saved[i].ID
+		Registry[i] = Experiment{ID: id, run: func(cfg Config) *stats.Result {
+			if n := live.Add(1); n != 1 {
+				t.Errorf("%s started with %d experiments live, want 1", id, n)
 			}
-			n := live.Add(1)
-			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			if w := cfg.Env.Width(); w != 3 {
+				t.Errorf("%s runs %d simulations at once, want the config's 3", id, w)
 			}
-			time.Sleep(2 * time.Millisecond)
+			order = append(order, id)
+			time.Sleep(time.Millisecond)
 			live.Add(-1)
-			return &stats.Result{ID: saved[i].ID}
+			return &stats.Result{ID: id}
 		}}
 	}
 	cfg := DefaultConfig(64)
 	cfg.Env.Parallel = 3
 	for i, res := range RunAll(cfg) {
-		if res.ID != Registry[i].ID {
-			t.Fatalf("slot %d holds %s, want %s", i, res.ID, Registry[i].ID)
+		if res.ID != Registry[i].ID || order[i] != Registry[i].ID {
+			t.Fatalf("slot %d holds %s, run %d was %s, want %s", i, res.ID, i, order[i], Registry[i].ID)
 		}
-	}
-	if p := peak.Load(); p > 3 || p < 2 {
-		t.Fatalf("%d experiments were live at once, want 2 or 3 under Parallel 3", p)
 	}
 }

@@ -103,7 +103,7 @@ func (d *traceDigest) sink(ev sim.TraceEvent) {
 
 // TestTracedRunAllIsSequential: a traced registry run logs the same event
 // sequence at any worker count, because a config with a trace sink runs one
-// experiment at a time.
+// simulation at a time.
 func TestTracedRunAllIsSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("traces the whole registry twice")

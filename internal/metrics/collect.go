@@ -182,10 +182,9 @@ func addCPU(s *Snapshot, prefix string, c *cpu.CPU, elapsed sim.Time) {
 	s.SetInt(prefix+"/busy_ps", int64(b.Busy))
 	s.SetInt(prefix+"/stall_ps", int64(b.Stall))
 	s.Set(prefix+"/util", ratio(float64(b.Busy), float64(elapsed)))
-	loads, stores, prefetches := c.Counts()
+	loads, stores := c.Counts()
 	s.SetInt(prefix+"/loads", loads)
 	s.SetInt(prefix+"/stores", stores)
-	s.SetInt(prefix+"/prefetches", prefetches)
 }
 
 func addHier(s *Snapshot, prefix string, h *cache.Hierarchy) {

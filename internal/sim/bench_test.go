@@ -502,6 +502,16 @@ func windowWork(buf []uint64, x uint64) uint64 {
 	return x
 }
 
+// windowRank is one rank's event state in benchWindow. The two ranks'
+// events write theirs on every event, concurrently under concurrent
+// dispatch, so each sits on cache lines of its own.
+type windowRank struct {
+	_            [cacheLine]byte
+	x            uint64
+	armed, total int
+	_            [cacheLine]byte
+}
+
 func benchWindow(b *testing.B, d Dispatch, n int) {
 	const lookahead = 1 << 20 // wider than any window's span of event times
 	g := NewGroup(2)
@@ -514,23 +524,21 @@ func benchWindow(b *testing.B, d Dispatch, n int) {
 	for r := range arms {
 		e := g.Engine(r)
 		buf := make([]uint64, 4096)
-		x := uint64(r + 1)
-		armed := 0
-		var total int
+		st := &windowRank{x: uint64(r + 1)}
 		var fire func()
 		fire = func() {
-			x = windowWork(buf, x)
-			if armed < total {
-				armed++
+			st.x = windowWork(buf, st.x)
+			if st.armed < st.total {
+				st.armed++
 				e.Schedule(e.Now()+lookahead, fire)
 			}
 		}
 		arms[r] = func(t int) {
-			armed, total = 0, t
+			st.armed, st.total = 0, t
 			start := e.Now() + lookahead
-			for armed < min(n, t) {
-				e.Schedule(start+Time(armed), fire)
-				armed++
+			for st.armed < min(n, t) {
+				e.Schedule(start+Time(st.armed), fire)
+				st.armed++
 			}
 		}
 	}

@@ -137,9 +137,9 @@ const (
 	// concurrentMin queued events inside their windows, and runs every
 	// other round inline.
 	DispatchAdaptive Dispatch = iota
-	// DispatchInline runs every window on the coordinator in rank order.
-	// BusyTime and CriticalPath are then exact on machines with fewer cores
-	// than partitions; the speedup projections rely on it.
+	// DispatchInline runs every window on the coordinator in rank order,
+	// so a partitioned run's wall time is its work plus the barrier's, on
+	// any number of cores.
 	DispatchInline
 	// DispatchConcurrent sends every round to the workers, however small,
 	// so race tests see partitions run side by side.
@@ -320,12 +320,9 @@ func (g *Group) ConcurrentRounds() int64 { return g.concRounds }
 func (g *Group) BusyTime() time.Duration { return g.busyTotal }
 
 // CriticalPath reports the summed per-round *maximum* window cost: the
-// engine-work wall clock of a run with at least Len() free cores, since
-// windows within a round are independent. On a machine with fewer cores the
-// measured wall time exceeds this; wall - BusyTime + CriticalPath projects
-// the fully parallel run time (barrier overhead included unchanged). Exact
-// only under DispatchInline — overlapping workers also clock time spent
-// descheduled, inflating both totals.
+// engine work on the rounds' critical path, which no number of cores can
+// overlap. Under concurrent dispatch it and BusyTime also clock time a
+// worker spent descheduled.
 func (g *Group) CriticalPath() time.Duration { return g.busyCrit }
 
 // EventsTotal reports how many events fired across all partitions, and

@@ -10,8 +10,8 @@
 //
 // Result lines are tokenized as (value, unit) pairs, so custom units
 // reported via b.ReportMetric — the partition benchmarks' run-ns/op and
-// proj-ns/op — are recorded in the baseline and shown in the report rather
-// than confusing the allocs column.
+// measured-speedup-x — are recorded in the baseline and shown in the report
+// rather than confusing the allocs column.
 //
 // Two regression gates, chosen per context:
 //
