@@ -69,9 +69,9 @@ import (
 	"activesan/internal/apps/collsweep"
 	"activesan/internal/apps/md5app"
 	"activesan/internal/apps/psort"
-	"activesan/internal/apps/reduce"
 	"activesan/internal/apps/twolevel"
 	"activesan/internal/cliflags"
+	"activesan/internal/cluster"
 	"activesan/internal/collective"
 	"activesan/internal/metrics"
 	"activesan/internal/stats"
@@ -221,7 +221,7 @@ func realMain() int {
 				})
 				return 0
 			}
-			fmt.Print(reduce.Sweep(env, op, parseInts(*nodes), prm).Format())
+			fmt.Print(collsweep.Sweep(env, op, parseInts(*nodes), prm).Format())
 
 		case "md5":
 			prm := md5app.DefaultParams()
@@ -238,32 +238,28 @@ func realMain() int {
 
 		case "collective":
 			// -collective picks the op, -agg-budget the keyagg table size,
-			// -partitions the engine layout; the points are fat trees.
+			// -partitions the engine layout; the points are minimal fat
+			// trees, armed with every setting env carries.
 			op := cfg.Collective
+			env.Topology = cluster.Topo{FatTree: true, Parts: env.Topology.Parts}
+			prm := collective.DefaultParams()
+			prm.AggBudget = cfg.AggBudget
 			sweepLines(parseInts(*nodes), env, func(p int) string {
-				prm := collective.DefaultParams()
-				if op == collective.KeyAgg {
-					b := cfg.AggBudget
-					pas := collsweep.RunBudgetPoint(env, p, 0, false, prm)
-					act := collsweep.RunBudgetPoint(env, p, b, true, prm)
-					record(fmt.Sprintf("collective/keyagg/passive/p=%d", p),
-						stats.Run{Config: "passive", Metrics: pas.Metrics})
-					record(fmt.Sprintf("collective/keyagg/active/p=%d", p),
-						stats.Run{Config: "active", Metrics: act.Metrics})
-					state := "balanced"
-					if !act.Balanced {
-						state = "UNBALANCED"
-					}
-					return fmt.Sprintf("p=%-4d keyagg budget=%d: active=%v passive=%v hits=%d spills=%d (%s) host-bytes %d vs %d correct=%v\n",
-						p, b, act.Latency, pas.Latency, act.Hits, act.Spills, state,
-						act.HostBytes, pas.HostBytes, act.Correct && pas.Correct)
-				}
 				pas := collsweep.RunPoint(env, op, p, false, prm)
 				act := collsweep.RunPoint(env, op, p, true, prm)
 				record(fmt.Sprintf("collective/%s/passive/p=%d", op, p),
 					stats.Run{Config: "passive", Metrics: pas.Metrics})
 				record(fmt.Sprintf("collective/%s/active/p=%d", op, p),
 					stats.Run{Config: "active", Metrics: act.Metrics})
+				if op == collective.KeyAgg {
+					state := "balanced"
+					if !act.Balanced {
+						state = "UNBALANCED"
+					}
+					return fmt.Sprintf("p=%-4d keyagg budget=%d: active=%v passive=%v hits=%d spills=%d (%s) host-bytes %d vs %d correct=%v\n",
+						p, prm.AggBudget, act.Latency, pas.Latency, act.Hits, act.Spills, state,
+						act.HostBytes, pas.HostBytes, act.Correct && pas.Correct)
+				}
 				return fmt.Sprintf("p=%-4d %s: active=%v passive=%v speedup %.2f host-bytes %d vs %d (%.2fx less) correct=%v\n",
 					p, op, act.Latency, pas.Latency,
 					float64(pas.Latency)/float64(act.Latency),

@@ -1,4 +1,4 @@
-package scalesweep
+package collective
 
 import (
 	"fmt"
@@ -9,7 +9,6 @@ import (
 
 	"activesan/internal/aswitch"
 	"activesan/internal/cluster"
-	"activesan/internal/collective"
 	"activesan/internal/san"
 	"activesan/internal/sim"
 )
@@ -25,7 +24,7 @@ import (
 // number of cores. The *Parts2 pairs and BenchmarkPartitionGrid further
 // down measure the default dispatch on the machine's real cores instead.
 func benchPoint(b *testing.B, hosts, parts int) {
-	prm := DefaultParams().Reduce
+	prm := DefaultParams()
 	var run []time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -39,7 +38,7 @@ func benchPoint(b *testing.B, hosts, parts int) {
 		// iteration's garbage doesn't land inside the timed run.
 		runtime.GC()
 		b.StartTimer()
-		r := collective.RunOn(c, collective.Reduce, true, hosts, prm)
+		r := RunOn(c, Reduce, true, hosts, prm)
 		b.StopTimer()
 		if !r.Correct {
 			b.Fatalf("incorrect reduction at %d hosts, %d partitions", hosts, parts)
@@ -61,13 +60,13 @@ func BenchmarkReduce1024Parts8(b *testing.B) { benchPoint(b, 1024, 8) }
 // the given size at parts partitions under the given dispatch, and reports
 // its engine wall time and how many barrier rounds went to the worker
 // goroutines.
-func runCollective(tb testing.TB, op collective.Op, hosts, parts int, d sim.Dispatch) (time.Duration, int64) {
+func runCollective(tb testing.TB, op Op, hosts, parts int, d sim.Dispatch) (time.Duration, int64) {
 	c := cluster.NewPartitionedFatTreeCluster(cluster.DefaultFatTreeConfig(hosts), parts)
 	if c.Group != nil {
 		c.Group.SetDispatch(d)
 	}
 	runtime.GC()
-	r := collective.RunOn(c, op, true, hosts, DefaultParams().Reduce)
+	r := RunOn(c, op, true, hosts, DefaultParams())
 	if !r.Correct {
 		tb.Fatalf("incorrect %v at %d hosts, %d partitions", op, hosts, parts)
 	}
@@ -120,7 +119,7 @@ func benchMeasured(b *testing.B, run func(parts int) (time.Duration, int64)) {
 // on 2 partitions: a handful of wide rounds carry the win.
 func BenchmarkReduce1024Parts2(b *testing.B) {
 	benchMeasured(b, func(parts int) (time.Duration, int64) {
-		return runCollective(b, collective.Reduce, 1024, parts, sim.DispatchAdaptive)
+		return runCollective(b, Reduce, 1024, parts, sim.DispatchAdaptive)
 	})
 }
 
@@ -144,10 +143,10 @@ func BenchmarkPartitionGrid(b *testing.B) {
 		run  func(b *testing.B, hosts, parts int) (time.Duration, int64)
 	}{
 		{"reduce", func(b *testing.B, hosts, parts int) (time.Duration, int64) {
-			return runCollective(b, collective.Reduce, hosts, parts, sim.DispatchAdaptive)
+			return runCollective(b, Reduce, hosts, parts, sim.DispatchAdaptive)
 		}},
 		{"allreduce", func(b *testing.B, hosts, parts int) (time.Duration, int64) {
-			return runCollective(b, collective.Allreduce, hosts, parts, sim.DispatchAdaptive)
+			return runCollective(b, Allreduce, hosts, parts, sim.DispatchAdaptive)
 		}},
 		{"exchange", func(b *testing.B, hosts, parts int) (time.Duration, int64) {
 			runtime.GC()
@@ -173,7 +172,7 @@ func BenchmarkPartitionGrid(b *testing.B) {
 // partitioned run its measured win, so losing them is a regression.
 func TestReduce1024DispatchesWideRounds(t *testing.T) {
 	const want = 6
-	if _, n := runCollective(t, collective.Reduce, 1024, 2, sim.DispatchAdaptive); n != want {
+	if _, n := runCollective(t, Reduce, 1024, 2, sim.DispatchAdaptive); n != want {
 		t.Fatalf("adaptive dispatch sent %d rounds to the workers, want %d", n, want)
 	}
 }
@@ -189,7 +188,7 @@ func TestReduce1024Parts8Rounds(t *testing.T) {
 	for _, d := range []sim.Dispatch{sim.DispatchInline, sim.DispatchAdaptive, sim.DispatchConcurrent} {
 		c := cluster.NewPartitionedFatTreeCluster(cluster.DefaultFatTreeConfig(hosts), 8)
 		c.Group.SetDispatch(d)
-		if r := collective.RunOn(c, collective.Reduce, true, hosts, DefaultParams().Reduce); !r.Correct {
+		if r := RunOn(c, Reduce, true, hosts, DefaultParams()); !r.Correct {
 			t.Fatalf("dispatch %v: incorrect reduction", d)
 		}
 		g := c.Group

@@ -14,12 +14,9 @@ import (
 	"activesan/internal/apps/grep"
 	"activesan/internal/apps/hashjoin"
 	"activesan/internal/apps/hdlsweep"
-	"activesan/internal/apps/latsweep"
 	"activesan/internal/apps/md5app"
 	"activesan/internal/apps/mpeg"
 	"activesan/internal/apps/psort"
-	"activesan/internal/apps/reduce"
-	"activesan/internal/apps/scalesweep"
 	"activesan/internal/apps/sel"
 	"activesan/internal/apps/tarapp"
 	"activesan/internal/apps/twolevel"
@@ -40,7 +37,8 @@ type Config struct {
 	// (table2, fig15, fig16; its Parts also scalesweep and collsweep); the
 	// fault plan and telemetry only the experiments built on apps.RunIO
 	// (fig3, fig5, fig7, fig9, fig11, fig17, hdlsweep, faultsweep) and
-	// collsweep. Its Parallel (-parallel; < 1 selects
+	// collsweep. Each collective sweep sets its own reach (collsweep's
+	// Sweep, ScaleSweep, LatSweep and RunAll). Its Parallel (-parallel; < 1 selects
 	// runtime.GOMAXPROCS(0)) is how many independent simulations of one
 	// experiment run at once: the four configurations of fig3 to fig13,
 	// twolevel's modes, fig17's runs, hdlsweep's cases and seeds,
@@ -194,7 +192,7 @@ var Registry = []Experiment{
 		Paper: "Figure 15",
 		Title: "Collective Reduce-to-one: latency vs node count",
 		run: func(cfg Config) *stats.Result {
-			return reduce.Sweep(sequential(cfg.Env), collective.Reduce, sweepNodes(cfg.Scale), collective.DefaultParams())
+			return collsweep.Sweep(sequential(cfg.Env), collective.Reduce, sweepNodes(cfg.Scale), collective.DefaultParams())
 		},
 	},
 	{
@@ -202,7 +200,7 @@ var Registry = []Experiment{
 		Paper: "Figure 16",
 		Title: "Collective Distributed Reduce: latency vs node count",
 		run: func(cfg Config) *stats.Result {
-			return reduce.Sweep(sequential(cfg.Env), collective.ReduceScatter, sweepNodes(cfg.Scale), collective.DefaultParams())
+			return collsweep.Sweep(sequential(cfg.Env), collective.ReduceScatter, sweepNodes(cfg.Scale), collective.DefaultParams())
 		},
 	},
 	{
@@ -238,12 +236,11 @@ var Registry = []Experiment{
 		Paper: "Extension (scale-out)",
 		Title: "Reduce at scale on k-ary fat trees: active vs passive",
 		run: func(cfg Config) *stats.Result {
-			prm := scalesweep.DefaultParams()
+			hosts := []int{4, 8, 16, 32, 64, 256, 1024}
 			if clampScale(cfg.Scale) > 1 {
-				prm.HostCounts = []int{4, 8, 16}
+				hosts = []int{4, 8, 16}
 			}
-			prm.Env = cfg.Env
-			return scalesweep.RunAll(prm)
+			return collsweep.ScaleSweep(sequential(cfg.Env), hosts, collective.DefaultParams())
 		},
 	},
 	{
@@ -251,12 +248,11 @@ var Registry = []Experiment{
 		Paper: "Extension (telemetry)",
 		Title: "Per-hop latency decomposition: active vs passive reduce",
 		run: func(cfg Config) *stats.Result {
-			prm := latsweep.DefaultParams()
+			hosts := []int{4, 8, 16, 32, 64}
 			if clampScale(cfg.Scale) > 1 {
-				prm.HostCounts = []int{4, 8, 16}
+				hosts = []int{4, 8, 16}
 			}
-			prm.Env = cfg.Env
-			return latsweep.RunAll(prm)
+			return collsweep.LatSweep(sequential(cfg.Env), hosts, collective.DefaultParams())
 		},
 	},
 	{
@@ -299,7 +295,7 @@ var Registry = []Experiment{
 				prm.HostCounts = []int{4, 16, 64}
 				prm.Budgets = []int{2, 8, 32, 64}
 			}
-			prm.Env, prm.Op, prm.Coll.AggBudget = cfg.Env, cfg.Collective, cfg.AggBudget
+			prm.Env, prm.Op, prm.Coll.AggBudget = sequential(cfg.Env), cfg.Collective, cfg.AggBudget
 			return collsweep.RunAll(prm)
 		},
 	},
@@ -307,8 +303,7 @@ var Registry = []Experiment{
 
 // sequential returns env with its simulations run one at a time, the
 // schedule the tree and fat-tree collective experiments keep (table2,
-// fig15, fig16, scalesweep, latsweep, collsweep; only fig15 and fig16 go
-// through env.Runs). Measured on perfbench's paper workload on a 2-vCPU
+// fig15, fig16, scalesweep, latsweep, collsweep). Measured on perfbench's paper workload on a 2-vCPU
 // VM: fanning out every collsweep point raised peak RSS from 14.9 to
 // 17.6 MiB (+18%), with two of its fat-tree points of up to 64 hosts
 // live at once; fanning out fig15's and fig16's points cut their
@@ -326,11 +321,13 @@ func min64(a, b int64) int64 {
 	return b
 }
 
+// sweepNodes is fig15's and fig16's node counts: the paper's sweep
+// (results shown up to 128 nodes), or its small end when scaled.
 func sweepNodes(scale int64) []int {
 	if clampScale(scale) > 1 {
 		return []int{2, 4, 8, 16, 32}
 	}
-	return reduce.DefaultNodeCounts
+	return []int{2, 4, 8, 16, 32, 64, 128}
 }
 
 // ByID finds an experiment.
@@ -391,8 +388,9 @@ func runTable2(cfg Config) *stats.Result {
 	res := &stats.Result{ID: "table2", Title: "Collective reduction semantics"}
 	prm := collective.DefaultParams()
 	const p = 8
-	one := collective.Run(cfg.Env, collective.Reduce, true, p, prm)
-	dist := collective.Run(cfg.Env, collective.ReduceScatter, true, p, prm)
+	env := sequential(cfg.Env)
+	one := collective.Run(env, collective.Reduce, true, p, prm)
+	dist := collective.Run(env, collective.ReduceScatter, true, p, prm)
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("Reduce-to-one   (p=%d): y at node 0, latency %v, correct=%v", p, one.Latency, one.Correct),
 		fmt.Sprintf("Distributed Red (p=%d): y_i at node i, latency %v, correct=%v", p, dist.Latency, dist.Correct),
