@@ -567,19 +567,16 @@ func RunPipelined(env apps.Env, p, rounds int, prm Params) PipelinedResult {
 	return PipelinedResult{Total: total, PerRound: total / sim.Time(rounds), Correct: correct}
 }
 
-// runRanks starts the cluster and runs body as every rank's process — on
-// the serial engine, or on each rank's partition engine — until the
-// simulation drains. It returns the latest time any rank reported through
-// setFinish and the host wall-clock of the run phase alone. Each rank's
-// finish slot is touched only by its own partition.
+// runRanks starts the cluster and runs body as every rank's process, on
+// the engine simulating the rank's host, until the simulation drains. It
+// returns the latest time any rank reported through setFinish and the
+// host wall-clock of the run phase alone. Each rank's finish slot is
+// touched only by its own partition.
 func runRanks(c *cluster.Cluster, p int, body func(proc *sim.Proc, rank int, setFinish func(sim.Time))) (sim.Time, time.Duration) {
 	c.Start()
 	finishes := make([]sim.Time, p)
-	spawn := func(rank int, eng *sim.Engine, done func()) {
-		eng.Spawn(fmt.Sprintf("coll-h%d", rank), func(proc *sim.Proc) {
-			if done != nil {
-				defer done()
-			}
+	for rank := 0; rank < p; rank++ {
+		c.EngineFor(c.Host(rank).ID()).Spawn(fmt.Sprintf("coll-h%d", rank), func(proc *sim.Proc) {
 			body(proc, rank, func(t sim.Time) {
 				if t > finishes[rank] {
 					finishes[rank] = t
@@ -587,29 +584,9 @@ func runRanks(c *cluster.Cluster, p int, body func(proc *sim.Proc, rank int, set
 			})
 		})
 	}
-
-	var wall time.Duration
-	if c.Group == nil {
-		var wg sim.WaitGroup
-		wg.Add(p)
-		done := wg.Done
-		for j := 0; j < p; j++ {
-			spawn(j, c.Eng, done)
-		}
-		c.Eng.Spawn("coll-main", func(proc *sim.Proc) { wg.Wait(proc) })
-		zr := time.Now()
-		c.Eng.Run()
-		wall = time.Since(zr)
-	} else {
-		// Group.Run drains every partition, so no cross-engine WaitGroup
-		// is needed.
-		for j := 0; j < p; j++ {
-			spawn(j, c.EngineFor(c.Host(j).ID()), nil)
-		}
-		zr := time.Now()
-		c.Group.Run()
-		wall = time.Since(zr)
-	}
+	zr := time.Now()
+	c.Run()
+	wall := time.Since(zr)
 	var latest sim.Time
 	for _, t := range finishes {
 		if t > latest {
