@@ -1,7 +1,8 @@
 // Package collsweep holds every collective sweep of the registry on one
 // point runner. At each host count a sweep measures a collective twice,
-// active (combined inside the switches) and passive (a host-only
-// reference algorithm), and reports its curves over host counts:
+// active (combined inside the switches) and passive (the host-only
+// reference algorithm, collective.HostAlgorithm), and reports its curves
+// over host counts:
 //
 //   - Sweep is the paper's Figures 15 (Reduce-to-one) and 16 (Distributed
 //     Reduce) over 512-byte vectors on up to 128 nodes. The normal case is
@@ -214,16 +215,16 @@ func observed(env apps.Env) apps.Env {
 // collective.Allreduce. Its clusters honour env's trace sink and strict
 // routes, not its fault plan or telemetry.
 func Sweep(env apps.Env, op collective.Op, nodeCounts []int, prm collective.Params) *stats.Result {
-	id, name, normalName := "fig15", "reduce-to-one", "normal (MST)"
+	id, name := "fig15", "reduce-to-one"
 	switch op {
 	case collective.ReduceScatter:
 		id, name = "fig16", "distributed-reduce"
 	case collective.Allreduce:
-		name, normalName = "reduce-to-all", "normal (recursive doubling)"
+		name = "reduce-to-all"
 	}
 	res := &stats.Result{ID: id, Title: fmt.Sprintf("Collective %s: latency vs nodes", name)}
 	cv := runPairs(res, observed(env), op, nodeCounts, prm,
-		"normal", normalName, "active (switch tree)", nil)
+		"normal", "normal ("+collective.HostAlgorithm(op)+")", "active (switch tree)", nil)
 	res.Series = []stats.Series{cv.passLat, cv.actLat, cv.speedup}
 	res.Notes = append(res.Notes, fmt.Sprintf("max speedup %.2fx", cv.speedup.MaxY()))
 	return res
@@ -337,7 +338,7 @@ func RunAll(prm Params) *stats.Result {
 	}
 	env := fatTrees(prm.Env)
 	cv := runPairs(res, env, prm.Op, prm.HostCounts, prm.Coll,
-		"passive", "passive (recursive doubling)", "active (in-switch "+prm.Op.String()+")",
+		"passive", "passive ("+collective.HostAlgorithm(prm.Op)+")", "active (in-switch "+prm.Op.String()+")",
 		func(p int, pas, act Point) {
 			res.Notes = append(res.Notes, fmt.Sprintf(
 				"p=%-4d k=%d (%d switches): host I/O %d B active vs %d B passive (%.2fx less), latency %v vs %v",

@@ -46,6 +46,21 @@ func runPassiveHost(proc *sim.Proc, c *cluster.Cluster, sh *shape, h *host.Host,
 	}
 }
 
+// HostAlgorithm names the host-only algorithm runPassiveHost runs for op,
+// as the sweeps label their passive curves.
+func HostAlgorithm(op Op) string {
+	switch op {
+	case Reduce, ReduceScatter:
+		return "MST"
+	case Scatter, Gather:
+		return "binomial tree"
+	case KeyAgg:
+		return "combiner shuffle"
+	default:
+		return "recursive doubling"
+	}
+}
+
 // combineInto folds a freshly received vector into vec, charging the
 // host-side read-and-add costs.
 func combineInto(proc *sim.Proc, h *host.Host, region int64, prm Params, vec, other []int64) {

@@ -7,6 +7,7 @@ package exp
 
 import (
 	"fmt"
+	"strings"
 
 	"activesan/internal/apps"
 	"activesan/internal/apps/collsweep"
@@ -450,10 +451,8 @@ func Shapes(res *stats.Result) []string {
 		add("per-node traffic ratio %.2f (paper 0.40 = p/(3p-2) at p=4)",
 			float64(a.Traffic)/float64(res.Baseline().Traffic))
 	case "fig15", "fig16":
-		for _, s := range res.Series {
-			if s.Name == "speedup" {
-				add("max speedup %.2fx (paper: 5.61x / 5.92x at 128 nodes)", s.MaxY())
-			}
+		if sp := seriesNamed(res, "speedup"); sp != nil {
+			add("max speedup %.2fx (paper: 5.61x / 5.92x at 128 nodes)", sp.MaxY())
 		}
 	case "twolevel":
 		host, _ := res.Run("host")
@@ -463,35 +462,17 @@ func Shapes(res *stats.Result) []string {
 				100*float64(two.Traffic)/float64(host.Traffic))
 		}
 	case "scalesweep":
-		var passB, actB, sp *stats.Series
-		for i := range res.Series {
-			switch res.Series[i].Name {
-			case "passive host bytes":
-				passB = &res.Series[i]
-			case "active host bytes":
-				actB = &res.Series[i]
-			case "speedup":
-				sp = &res.Series[i]
-			}
-		}
+		passB, actB := seriesNamed(res, "passive host bytes"), seriesNamed(res, "active host bytes")
 		if passB != nil && actB != nil && len(passB.Y) > 0 {
 			last := len(passB.Y) - 1
 			add("host I/O at %d hosts: active is %.1f%% of passive (extension: not in the paper)",
 				int(passB.X[last]), 100*actB.Y[last]/passB.Y[last])
 		}
-		if sp != nil {
+		if sp := seriesNamed(res, "speedup"); sp != nil {
 			add("max speedup %.2fx over the host MST", sp.MaxY())
 		}
 	case "latsweep":
-		var passP99, actP99 *stats.Series
-		for i := range res.Series {
-			switch res.Series[i].Name {
-			case "passive e2e p99 (us)":
-				passP99 = &res.Series[i]
-			case "active e2e p99 (us)":
-				actP99 = &res.Series[i]
-			}
-		}
+		passP99, actP99 := seriesNamed(res, "passive e2e p99 (us)"), seriesNamed(res, "active e2e p99 (us)")
 		if passP99 != nil && actP99 != nil && len(passP99.Y) > 0 {
 			last := len(passP99.Y) - 1
 			add("e2e p99 at %d hosts: active %.1fus vs passive %.1fus (extension: not in the paper)",
@@ -511,35 +492,24 @@ func Shapes(res *stats.Result) []string {
 			add("best compiled-on-switch speedup %.2fx over the host interpreter (extension: not in the paper)", best)
 		}
 	case "faultsweep":
-		for _, s := range res.Series {
-			if s.Name == "goodput_mbps" && len(s.Y) > 1 && s.Y[0] > 0 {
-				add("goodput at %.1f%% loss is %.1f%% of fault-free (extension: not in the paper)",
-					s.X[len(s.X)-1], 100*s.Y[len(s.Y)-1]/s.Y[0])
-			}
+		if s := seriesNamed(res, "goodput_mbps"); s != nil && len(s.Y) > 1 && s.Y[0] > 0 {
+			add("goodput at %.1f%% loss is %.1f%% of fault-free (extension: not in the paper)",
+				s.X[len(s.X)-1], 100*s.Y[len(s.Y)-1]/s.Y[0])
 		}
 	case "collsweep":
-		var passB, actB, sp, spills *stats.Series
-		for i := range res.Series {
-			switch res.Series[i].Name {
-			case "passive host bytes":
-				passB = &res.Series[i]
-			case "active host bytes":
-				actB = &res.Series[i]
-			case "speedup":
-				sp = &res.Series[i]
-			case "agg spills vs budget":
-				spills = &res.Series[i]
-			}
-		}
+		// The title names the op swept: "In-network collectives: <op> ...".
+		name, _, _ := strings.Cut(strings.TrimPrefix(res.Title, "In-network collectives: "), " ")
+		op, _ := collective.ParseOp(name)
+		passB, actB := seriesNamed(res, "passive host bytes"), seriesNamed(res, "active host bytes")
 		if passB != nil && actB != nil && len(passB.Y) > 0 {
 			last := len(passB.Y) - 1
-			add("allreduce host I/O at %d hosts: active is %.1f%% of passive (extension: not in the paper)",
-				int(passB.X[last]), 100*actB.Y[last]/passB.Y[last])
+			add("%s host I/O at %d hosts: active is %.1f%% of passive (extension: not in the paper)",
+				op, int(passB.X[last]), 100*actB.Y[last]/passB.Y[last])
 		}
-		if sp != nil {
-			add("max allreduce speedup %.2fx over recursive doubling", sp.MaxY())
+		if sp := seriesNamed(res, "speedup"); sp != nil {
+			add("max %s speedup %.2fx over %s", op, sp.MaxY(), collective.HostAlgorithm(op))
 		}
-		if spills != nil && len(spills.Y) > 0 {
+		if spills := seriesNamed(res, "agg spills vs budget"); spills != nil && len(spills.Y) > 0 {
 			// The spill cliff: the smallest budget at which the bounded
 			// key table stops spilling to the host.
 			cliff := -1
@@ -565,4 +535,14 @@ func Shapes(res *stats.Result) []string {
 		add("4-cpu +pref vs normal+pref %.2f (paper 1.18)", float64(np.Time)/float64(ap4.Time))
 	}
 	return out
+}
+
+// seriesNamed returns res's series called name, or nil.
+func seriesNamed(res *stats.Result, name string) *stats.Series {
+	for i := range res.Series {
+		if res.Series[i].Name == name {
+			return &res.Series[i]
+		}
+	}
+	return nil
 }

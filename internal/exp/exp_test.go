@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"activesan/internal/apps/collsweep"
+	"activesan/internal/collective"
 	"activesan/internal/stats"
 )
 
@@ -139,5 +141,29 @@ func TestRunAllRunsExperimentsInOrder(t *testing.T) {
 		if res.ID != Registry[i].ID || order[i] != Registry[i].ID {
 			t.Fatalf("slot %d holds %s, run %d was %s, want %s", i, res.ID, i, order[i], Registry[i].ID)
 		}
+	}
+}
+
+// collsweep names the op it swept: under gather its passive curve is the
+// binomial tree the hosts run, not recursive doubling, and its shape
+// lines speak of gather.
+func TestCollsweepNamesSweptOp(t *testing.T) {
+	prm := collsweep.DefaultParams()
+	prm.Op, prm.HostCounts, prm.Budgets = collective.Gather, []int{4, 8}, []int{8}
+	res := collsweep.RunAll(prm)
+	if got, want := res.Series[0].Name, "passive (binomial tree)"; got != want {
+		t.Errorf("passive series %q, want %q", got, want)
+	}
+	shapes := Shapes(res)
+	if len(shapes) < 2 {
+		t.Fatalf("shapes %q, want the host I/O and speedup lines", shapes)
+	}
+	for _, line := range shapes[:2] {
+		if !strings.Contains(line, "gather") || strings.Contains(line, "allreduce") {
+			t.Errorf("shape line %q does not name gather alone", line)
+		}
+	}
+	if !strings.HasSuffix(shapes[1], "over binomial tree") {
+		t.Errorf("speedup shape %q is not over the binomial tree", shapes[1])
 	}
 }
