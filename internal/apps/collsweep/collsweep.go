@@ -282,9 +282,9 @@ func LatSweep(env apps.Env, hosts []int, prm collective.Params) *stats.Result {
 			add(&actP99, x, ps2us(act, "p99"))
 			res.Runs = append(res.Runs,
 				stats.Run{Config: fmt.Sprintf("passive/p=%d", p), Time: pas.Latency,
-					Hosts: p, Metrics: pas.Metrics},
+					Traffic: pas.HostBytes, Hosts: p, Metrics: pas.Metrics},
 				stats.Run{Config: fmt.Sprintf("active/p=%d", p), Time: act.Latency,
-					Hosts: p, Metrics: act.Metrics})
+					Traffic: act.HostBytes, Hosts: p, Metrics: act.Metrics})
 			res.Notes = append(res.Notes,
 				fmt.Sprintf("p=%-3d passive per-pkt: %s", p, pas.perPacket()),
 				fmt.Sprintf("p=%-3d active  per-pkt: %s", p, act.perPacket()))

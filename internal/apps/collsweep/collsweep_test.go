@@ -314,6 +314,24 @@ func TestActiveBeatsPassiveAtScale(t *testing.T) {
 	}
 }
 
+// latsweep's runs report the host traffic of the same simulations
+// scalesweep measures: telemetry moves neither bytes nor latency.
+func TestLatsweepReportsHostTraffic(t *testing.T) {
+	hosts, prm := []int{4, 8, 16}, collective.DefaultParams()
+	lat := LatSweep(apps.Env{}, hosts, prm)
+	scale := ScaleSweep(apps.Env{}, hosts, prm)
+	for i, p := range hosts {
+		for v, variant := range []string{"passive", "active"} {
+			run := lat.Runs[2*i+v]
+			want := scale.Series[2+v] // "passive host bytes", "active host bytes"
+			if run.Traffic == 0 || float64(run.Traffic) != want.Y[i] {
+				t.Errorf("p=%d %s: latsweep traffic %d B, scalesweep %s %g B",
+					p, variant, run.Traffic, want.Name, want.Y[i])
+			}
+		}
+	}
+}
+
 func TestShapeReduceSpeedupGrows(t *testing.T) {
 	// Paper Figures 15/16: the active switch tree scales as log_{N/2}(p)
 	// vs the MST's log_2(p), so speedup grows with node count and is
