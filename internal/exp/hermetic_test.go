@@ -184,3 +184,32 @@ func TestFanOutMatchesSequential(t *testing.T) {
 			digests[1].events, digests[1].sum, digests[0].events, digests[0].sum)
 	}
 }
+
+// TestCollectiveReach pins which settings reach the collective
+// experiments, the table in OBSERVABILITY.md: table2, fig15, fig16,
+// scalesweep and latsweep honour neither -telemetry nor -faults, so each
+// gives the default config's bytes under either; collsweep honours both,
+// so it must differ under each.
+func TestCollectiveReach(t *testing.T) {
+	base := exp.DefaultConfig(hermeticScale)
+	telemetry := base
+	telemetry.Env.Telemetry = true
+	lossless := base
+	lossless.Env.Faults = &fault.Plan{Seed: 1, Links: []fault.LinkRule{{Drop: 1e-12}}}
+	for _, id := range []string{"table2", "fig15", "fig16", "scalesweep", "latsweep", "collsweep"} {
+		e, ok := exp.ByID(id)
+		if !ok {
+			t.Fatalf("%s missing from the registry", id)
+		}
+		want := marshalResult(t, e.RunConfig(base))
+		for _, c := range []struct {
+			flag string
+			cfg  exp.Config
+		}{{"-telemetry", telemetry}, {"-faults", lossless}} {
+			same := bytes.Equal(marshalResult(t, e.RunConfig(c.cfg)), want)
+			if honours := id == "collsweep"; same == honours {
+				t.Errorf("%s under %s: same bytes as the default config = %v, want %v", id, c.flag, same, !honours)
+			}
+		}
+	}
+}
