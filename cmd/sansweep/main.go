@@ -71,7 +71,6 @@ import (
 	"activesan/internal/apps/psort"
 	"activesan/internal/apps/twolevel"
 	"activesan/internal/cliflags"
-	"activesan/internal/cluster"
 	"activesan/internal/collective"
 	"activesan/internal/metrics"
 	"activesan/internal/stats"
@@ -241,7 +240,7 @@ func realMain() int {
 			// -partitions the engine layout; the points are minimal fat
 			// trees, armed with every setting env carries.
 			op := cfg.Collective
-			env.Topology = cluster.Topo{FatTree: true, Parts: env.Topology.Parts}
+			env := collsweep.FatTrees(env)
 			prm := collective.DefaultParams()
 			prm.AggBudget = cfg.AggBudget
 			sweepLines(parseInts(*nodes), env, func(p int) string {

@@ -193,10 +193,10 @@ func add(s *stats.Series, x, y float64) {
 	s.Y = append(s.Y, y)
 }
 
-// fatTrees returns env building each point's minimal fat tree over
+// FatTrees returns env building each point's minimal fat tree over
 // env.Topology.Parts partitions (the serial engine below 2): results are
 // byte-identical at every count (PERFORMANCE.md).
-func fatTrees(env apps.Env) apps.Env {
+func FatTrees(env apps.Env) apps.Env {
 	env.Topology = cluster.Topo{FatTree: true, Parts: env.Topology.Parts}
 	return env
 }
@@ -238,7 +238,7 @@ func ScaleSweep(env apps.Env, hosts []int, prm collective.Params) *stats.Result 
 		ID:    "scalesweep",
 		Title: "Reduce at scale on k-ary fat trees: active vs passive",
 	}
-	cv := runPairs(res, fatTrees(observed(env)), collective.Reduce, hosts, prm,
+	cv := runPairs(res, FatTrees(observed(env)), collective.Reduce, hosts, prm,
 		"passive", "passive (host MST)", "active (in-switch aggregation)",
 		func(p int, pas, act Point) {
 			res.Notes = append(res.Notes, fmt.Sprintf(
@@ -263,8 +263,7 @@ func LatSweep(env apps.Env, hosts []int, prm collective.Params) *stats.Result {
 		ID:    "latsweep",
 		Title: "Per-hop latency decomposition: active vs passive reduce",
 	}
-	env = observed(env)
-	env.Telemetry, env.Topology = true, cluster.Topo{FatTree: true}
+	env.Faults, env.Telemetry, env.Topology = nil, true, cluster.Topo{FatTree: true}
 	var passP50, actP50, passP99, actP99 stats.Series
 	passP50.Name = "passive e2e p50 (us)"
 	actP50.Name = "active e2e p50 (us)"
@@ -336,7 +335,7 @@ func RunAll(prm Params) *stats.Result {
 		ID:    "collsweep",
 		Title: "In-network collectives: " + prm.Op.String() + " scaling and the aggregation spill cliff",
 	}
-	env := fatTrees(prm.Env)
+	env := FatTrees(prm.Env)
 	cv := runPairs(res, env, prm.Op, prm.HostCounts, prm.Coll,
 		"passive", "passive ("+collective.HostAlgorithm(prm.Op)+")", "active (in-switch "+prm.Op.String()+")",
 		func(p int, pas, act Point) {

@@ -24,7 +24,7 @@ func smallParams() Params {
 // fat builds each point's minimal fat tree on the serial engine, as
 // collsweep and scalesweep do; tel also arms telemetry, as latsweep does.
 var (
-	fat = fatTrees(apps.Env{})
+	fat = FatTrees(apps.Env{})
 	tel = apps.Env{Telemetry: true, Topology: cluster.Topo{FatTree: true}}
 )
 
@@ -64,7 +64,7 @@ func TestSweepByteIdenticalAcrossPartitions(t *testing.T) {
 		if b := marshal(t, RunAll(prm)); a != b {
 			t.Fatalf("serial and %d-partition sweeps differ:\n%s\n%s", parts, a, b)
 		}
-		env := fatTrees(prm.Env)
+		env := FatTrees(prm.Env)
 		for _, hosts := range prm.HostCounts {
 			for _, active := range []bool{false, true} {
 				want := marshal(t, RunPoint(fat, prm.Op, hosts, active, prm.Coll))

@@ -39,11 +39,11 @@ type Config struct {
 	// fault plan and telemetry only the experiments built on apps.RunIO
 	// (fig3, fig5, fig7, fig9, fig11, fig17, hdlsweep, faultsweep) and
 	// collsweep. Each collective sweep sets its own reach (collsweep's
-	// Sweep, ScaleSweep, LatSweep and RunAll). Its Parallel (-parallel; < 1 selects
-	// runtime.GOMAXPROCS(0)) is how many independent simulations of one
-	// experiment run at once: the four configurations of fig3 to fig13,
-	// twolevel's modes, fig17's runs, hdlsweep's cases and seeds,
-	// faultsweep's points (apps.Env.Runs decides).
+	// Sweep, ScaleSweep, LatSweep and RunAll). Its Parallel (-parallel;
+	// < 1 selects runtime.GOMAXPROCS(0)) is how many independent
+	// simulations of one experiment run at once: the four configurations
+	// of fig3 to fig13, twolevel's modes, fig17's runs, hdlsweep's cases
+	// and seeds, faultsweep's points (apps.Env.Runs decides).
 	Env apps.Env
 	// Collective is the op collsweep scales (-collective), and AggBudget
 	// its keyagg per-switch table size (-agg-budget).
@@ -304,12 +304,12 @@ var Registry = []Experiment{
 
 // sequential returns env with its simulations run one at a time, the
 // schedule the tree and fat-tree collective experiments keep (table2,
-// fig15, fig16, scalesweep, latsweep, collsweep). Measured on perfbench's paper workload on a 2-vCPU
-// VM: fanning out every collsweep point raised peak RSS from 14.9 to
-// 17.6 MiB (+18%), with two of its fat-tree points of up to 64 hosts
-// live at once; fanning out fig15's and fig16's points cut their
-// traced time from 44 to 28 ms of a 1.1 s pass, which no wall-time median
-// showed.
+// fig15, fig16, scalesweep, latsweep, collsweep). Measured on perfbench's
+// paper workload on a 2-vCPU VM: fanning out every collsweep point raised
+// peak RSS from 14.9 to 17.6 MiB (+18%), with two of its fat-tree points
+// of up to 64 hosts live at once; fanning out fig15's and fig16's points
+// cut their traced time from 44 to 28 ms of a 1.1 s pass, which no
+// wall-time median showed.
 func sequential(env apps.Env) apps.Env {
 	env.Parallel = 1
 	return env

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench . -benchmem ./internal/sim/ ./internal/cache/ ./internal/apps/scalesweep/ | \
+//	go test -run '^$' -bench . -benchmem ./internal/sim/ ./internal/cache/ ./internal/collective/ | \
 //	    go run ./scripts/benchdiff -baseline BENCH_engine.json
 //
 //	go run ./scripts/benchdiff -baseline BENCH_engine.json -update bench.txt
@@ -140,7 +140,7 @@ func main() {
 
 	if *update {
 		b := baseline{
-			Note:       "Engine microbenchmark baseline; regenerate with: go test -run '^$' -bench . -benchmem ./internal/sim/ ./internal/cache/ ./internal/apps/scalesweep/ ./internal/collective/ ./internal/cluster/ | go run ./scripts/benchdiff -update",
+			Note:       "Engine microbenchmark baseline; regenerate with: go test -run '^$' -bench . -benchmem ./internal/sim/ ./internal/cache/ ./internal/collective/ ./internal/cluster/ | go run ./scripts/benchdiff -update",
 			Benchmarks: got,
 		}
 		data, err := json.MarshalIndent(b, "", "  ")
