@@ -370,13 +370,12 @@ func UtilTimeline(env apps.Env) stats.Series {
 	streamHandler(sw, 1, 0x0010_0000, total, 6, c.Host(1).ID(), 1, 1, done)
 	c.Start()
 
-	sampler := sim.StartSampler(eng, 500*sim.Microsecond, func() float64 {
+	util := stats.Series{Name: "switch-util(t)"}
+	sampler := sim.StartSampler(eng, 500*sim.Microsecond, func() {
 		b := sw.CPU(0).Timing().Breakdown()
 		now := eng.Now()
-		if now == 0 {
-			return 0
-		}
-		return float64(b.Busy+b.Stall) / float64(now)
+		util.X = append(util.X, now.Seconds())
+		util.Y = append(util.Y, float64(b.Busy+b.Stall)/float64(now))
 	})
 	eng.Spawn("app", func(p *sim.Proc) {
 		h := c.Host(0)
@@ -398,7 +397,7 @@ func UtilTimeline(env apps.Env) stats.Series {
 	})
 	eng.Run()
 	c.Shutdown()
-	return stats.Series{Name: "switch-util(t)", X: sampler.X, Y: sampler.Y}
+	return util
 }
 
 // PlacementResult compares filter placement across a two-switch fabric.

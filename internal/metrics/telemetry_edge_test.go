@@ -95,23 +95,28 @@ func TestTimelineDecimatesInsteadOfStopping(t *testing.T) {
 	const interval = 10 * sim.Microsecond
 	dur := sim.Time(4*maxTimelineSamples) * interval
 	tl := runTimelineWorkload(t, interval, dur)
-	for name, s := range tl.samplers {
-		if s.N() == 0 || s.N() >= maxTimelineSamples {
-			t.Fatalf("%s: %d samples, want in [1, %d)", name, s.N(), maxTimelineSamples)
+	n := len(tl.x)
+	if n == 0 || n >= maxTimelineSamples {
+		t.Fatalf("%d samples, want in [1, %d)", n, maxTimelineSamples)
+	}
+	iv := tl.smp.Interval()
+	if iv <= interval {
+		t.Fatalf("interval %v never doubled over a %v run", iv, dur)
+	}
+	// Sampling must cover the whole run, not stop at the old cap.
+	last := tl.x[n-1]
+	if covered := last / dur.Seconds(); covered < 0.9 {
+		t.Fatalf("last sample at %gs of %v — timeline ended early", last, dur)
+	}
+	step := iv.Seconds()
+	for i := 1; i < n; i++ {
+		if d := tl.x[i] - tl.x[i-1]; d < step*0.999 || d > step*1.001 {
+			t.Fatalf("spacing %g at %d, want %g", d, i, step)
 		}
-		if s.Interval() <= interval {
-			t.Fatalf("%s: interval %v never doubled over a %v run", name, s.Interval(), dur)
-		}
-		// Sampling must cover the whole run, not stop at the old cap.
-		last := s.X[s.N()-1]
-		if covered := last / dur.Seconds(); covered < 0.9 {
-			t.Fatalf("%s: last sample at %gs of %v — timeline ended early", name, last, dur)
-		}
-		step := s.Interval().Seconds()
-		for i := 1; i < s.N(); i++ {
-			if d := s.X[i] - s.X[i-1]; d < step*0.999 || d > step*1.001 {
-				t.Fatalf("%s: spacing %g at %d, want %g", name, d, i, step)
-			}
+	}
+	for _, g := range tl.gauges {
+		if len(g.y) != n {
+			t.Fatalf("%s: %d values for %d sample times", g.name, len(g.y), n)
 		}
 	}
 }
@@ -123,12 +128,12 @@ func TestTimelineShortRunUndecimated(t *testing.T) {
 	// the exact boundary wins over the sample).
 	const interval = 10 * sim.Microsecond
 	tl := runTimelineWorkload(t, interval, 50*interval+interval/2)
-	for name, s := range tl.samplers {
-		if s.Interval() != interval {
-			t.Fatalf("%s: interval %v changed on a short run", name, s.Interval())
-		}
-		if s.N() != 50 {
-			t.Fatalf("%s: %d samples, want 50", name, s.N())
+	if iv := tl.smp.Interval(); iv != interval {
+		t.Fatalf("interval %v changed on a short run", iv)
+	}
+	for _, g := range tl.gauges {
+		if len(g.y) != 50 || len(tl.x) != 50 {
+			t.Fatalf("%s: %d values at %d sample times, want 50", g.name, len(g.y), len(tl.x))
 		}
 	}
 }
@@ -152,8 +157,9 @@ func TestTimelineStopThenRestart(t *testing.T) {
 	})
 	end := eng.Run()
 	c.Shutdown()
-	if end != 155*sim.Microsecond {
-		t.Fatalf("run ended at %v, want 155us — a stopped sampler held the queue open", end)
+	// The second set's pending tick fires once more, as a no-op, at 160us.
+	if end != 160*sim.Microsecond {
+		t.Fatalf("run ended at %v, want 160us — the stopped sampler's next tick", end)
 	}
 	s1, s2 := NewSnapshot(), NewSnapshot()
 	tl1.Into(s1)

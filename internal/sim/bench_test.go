@@ -7,7 +7,7 @@ import (
 
 // The engine microbenchmarks pin the hot-path costs that every experiment
 // pays per event: heap scheduling, the same-time run queue, the delay
-// lanes, timer cancellation, and process context switches. The companion
+// lanes, the sampler's rounds, and process context switches. The companion
 // TestXxxZeroAllocs gates assert that a warm engine's steady state allocates
 // nothing, so an accidental closure or slice growth on these paths fails CI
 // rather than silently taxing every simulation. BENCH_engine.json at the
@@ -55,14 +55,19 @@ func BenchmarkSameTimeEvent(b *testing.B) {
 	run(b.N)
 }
 
-// BenchmarkScheduleCancel measures the sampler's timer pattern: schedule a
-// future event, then cancel it (found by scanning, removed in place).
-func BenchmarkScheduleCancel(b *testing.B) {
+// BenchmarkSamplerRound measures one sampler round on an idle engine: the
+// tick at an interval boundary and the sample it queues at that instant.
+// RunUntil bounds the run, so the idle sampler is no stall.
+func BenchmarkSamplerRound(b *testing.B) {
 	e := NewEngine()
+	rounds := 0
+	StartSampler(e, Microsecond, func() { rounds++ })
+	e.RunUntil(Microsecond) // warm: the first round claims its lanes
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		t := e.schedule(e.now+Time(1+i%97), callback(nop))
-		e.cancel(t)
+	b.ResetTimer()
+	e.RunUntil(e.now + Time(b.N)*Microsecond)
+	if rounds != b.N+1 {
+		b.Fatalf("%d samples in %d rounds", rounds, b.N+1)
 	}
 }
 
@@ -269,20 +274,6 @@ func TestSameTimeZeroAllocs(t *testing.T) {
 	}
 }
 
-func TestScheduleCancelZeroAllocs(t *testing.T) {
-	e := NewEngine()
-	warmEngine(e)
-	allocs := testing.AllocsPerRun(200, func() {
-		for i := 0; i < 64; i++ {
-			tm := e.schedule(e.now+Time(1+i%17), callback(nop))
-			e.cancel(tm)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("schedule/cancel path allocated %.1f per run, want 0", allocs)
-	}
-}
-
 func TestProcSelfWakeZeroAllocs(t *testing.T) {
 	// A process sleeping in a loop is the wake path end to end: proc wake
 	// events carry no closure and ride one delay lane. The engine is driven
@@ -326,75 +317,6 @@ func TestStepSwitchZeroAllocs(t *testing.T) {
 		t.Fatalf("only %d events fired", e.Events())
 	}
 	e.Shutdown()
-}
-
-// TestCancelRecycledSlotIsNoop pins the timer-handle guard: cancelling after
-// the event fired — even once a newer event has taken its place in the
-// queue — must not disturb the queue.
-func TestCancelRecycledSlotIsNoop(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	tm := e.schedule(10, callback(func() { fired++ }))
-	e.Run()
-	if fired != 1 {
-		t.Fatalf("event fired %d times, want 1", fired)
-	}
-	// Queue a new event where the fired one was, then cancel the stale handle.
-	e.schedule(20, callback(func() { fired++ }))
-	e.cancel(tm)
-	e.Run()
-	if fired != 2 {
-		t.Fatalf("stale cancel killed a recycled event: fired = %d, want 2", fired)
-	}
-}
-
-// TestCancelHeapMiddle pins in-place heap removal: cancelling an event that
-// is neither the top nor a leaf must keep every other event firing in order.
-func TestCancelHeapMiddle(t *testing.T) {
-	e := NewEngine()
-	for at := Time(1); at <= delayLanes; at++ {
-		e.Schedule(at, nop) // claim every delay lane, so the rest take the heap
-	}
-	var fired []Time
-	var timers []timer
-	for _, at := range []Time{50, 10, 40, 20, 60, 30, 70, 15, 45} {
-		at := at
-		timers = append(timers, e.schedule(at, callback(func() { fired = append(fired, at) })))
-	}
-	if len(e.heap) != len(timers) {
-		t.Fatalf("heap holds %d events, want %d", len(e.heap), len(timers))
-	}
-	e.cancel(timers[2]) // at=40
-	e.cancel(timers[3]) // at=20
-	e.Run()
-	want := []Time{10, 15, 30, 45, 50, 60, 70}
-	if len(fired) != len(want) {
-		t.Fatalf("fired %v, want %v", fired, want)
-	}
-	for i := range want {
-		if fired[i] != want[i] {
-			t.Fatalf("fired %v, want %v", fired, want)
-		}
-	}
-	if e.now != 70 {
-		t.Fatalf("end time %v, want 70", e.now)
-	}
-}
-
-// TestCancelRunQueueEntry pins the same-time cancellation path: a cancelled
-// run-queue entry is removed in place and never fires.
-func TestCancelRunQueueEntry(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	e.Schedule(5, func() {
-		tm := e.schedule(e.now, callback(func() { fired++ }))
-		e.schedule(e.now, callback(func() { fired++ }))
-		e.cancel(tm)
-	})
-	e.Run()
-	if fired != 1 {
-		t.Fatalf("fired %d same-time events, want 1 (other cancelled)", fired)
-	}
 }
 
 // --- Partition-group benchmarks -------------------------------------------

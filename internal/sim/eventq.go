@@ -39,10 +39,6 @@ func (ev *event) before(o *event) bool {
 	return ev.at < o.at || ev.at == o.at && ev.seq < o.seq
 }
 
-// timer identifies a scheduled event by its seq, which no other event of
-// the engine shares, so in-package callers (the sampler) can cancel it.
-type timer int64
-
 // delayLanes is the number of delay lanes beside the run queue. The
 // fabric's packet hops wait three fixed delays (a head's and a tail's wire
 // time, and the routing latency), and a fourth lane takes the next most
@@ -90,33 +86,13 @@ func (q *fifo) pop() (event, bool) {
 	return ev, false
 }
 
-// remove deletes the event with the given seq, keeping the rest in order,
-// and reports whether it was queued.
-func (q *fifo) remove(seq int64) bool {
-	for i := q.head; i < len(q.buf); i++ {
-		if q.buf[i].seq == seq {
-			n := len(q.buf) - 1
-			copy(q.buf[i:], q.buf[i+1:])
-			q.buf[n] = event{}
-			q.buf = q.buf[:n]
-			if q.head == n {
-				q.buf, q.head = q.buf[:0], 0
-			}
-			return true
-		}
-	}
-	return false
-}
-
-// schedule queues an action or a process wake and returns a timer handle so
-// in-package callers (the sampler) can cancel it.
-func (e *Engine) schedule(at Time, a Action) timer {
+// schedule queues an action or a process wake.
+func (e *Engine) schedule(at Time, a Action) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling into the past (%v < %v)", at, e.now))
 	}
 	e.seq++
 	e.enqueue(event{at: at, seq: e.seq, act: a})
-	return timer(e.seq)
 }
 
 // enqueue files ev in the busy lane of its delay, else in a free delay lane
@@ -211,30 +187,6 @@ func (e *Engine) popNext() (event, bool) {
 	}
 }
 
-// cancel discards a queued event and reports whether it was still queued.
-// It finds the event by scanning — Sampler.Stop, the only caller, cancels
-// one tick per sampler per run — and removes it in place, so no tombstone
-// is left for dispatch or the counts to skip. Cancelling an event that has
-// already fired is a no-op.
-func (e *Engine) cancel(t timer) bool {
-	for i := range e.heap {
-		if e.heap[i].seq == int64(t) {
-			e.heapRemove(i)
-			return true
-		}
-	}
-	for m := e.busy; m != 0; m &= m - 1 {
-		i := bits.TrailingZeros8(m)
-		if e.lanes[i].remove(int64(t)) {
-			if e.lanes[i].len() == 0 {
-				e.busy &^= 1 << i
-			}
-			return true
-		}
-	}
-	return false
-}
-
 // pending reports how many events are queued.
 func (e *Engine) pending() int {
 	n := len(e.heap)
@@ -303,20 +255,6 @@ func (e *Engine) heapPop() event {
 	return top
 }
 
-// heapRemove deletes the entry at heap position i (cancellation). Like
-// heapPop, it clears the vacated last slot, so the heap's spare capacity
-// never pins dead state.
-func (e *Engine) heapRemove(i int) {
-	h := e.heap
-	n := len(h) - 1
-	h[i] = h[n]
-	h[n] = event{}
-	e.heap = h[:n]
-	if i < n {
-		e.heapUp(e.heapDown(i))
-	}
-}
-
 // heapUp sifts the entry at position i toward the root.
 func (e *Engine) heapUp(i int) {
 	h := e.heap
@@ -332,9 +270,8 @@ func (e *Engine) heapUp(i int) {
 	h[i] = ev
 }
 
-// heapDown sifts the entry at position i toward the leaves and returns its
-// final position.
-func (e *Engine) heapDown(i int) int {
+// heapDown sifts the entry at position i toward the leaves.
+func (e *Engine) heapDown(i int) {
 	h := e.heap
 	n := len(h)
 	ev := h[i]
@@ -356,5 +293,4 @@ func (e *Engine) heapDown(i int) int {
 		i = best
 	}
 	h[i] = ev
-	return i
 }

@@ -45,9 +45,6 @@ type Proc struct {
 	// killed asks the process to unwind at its next block point; see
 	// Engine.Shutdown.
 	killed bool
-
-	// sampler marks a Sampler's process, which a stall report leaves out.
-	sampler bool
 }
 
 // errKilled unwinds a process goroutine during Engine.Shutdown.

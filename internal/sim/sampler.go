@@ -5,64 +5,74 @@ import (
 	"strings"
 )
 
-// Sampler records a value at fixed simulated intervals — utilization or
-// queue-depth timelines for figures. It runs as a process; Stop it before
-// the simulation ends (a live sampler keeps the event queue non-empty).
+// Sampler calls a function at fixed simulated intervals — the clock behind
+// utilization and queue-depth timelines. It is no process but two typed
+// events: a tick at each interval boundary, which queues a sample at the
+// same instant, and the sample, which calls the function and queues the
+// next tick. Stop it before the simulation ends (a live sampler keeps the
+// event queue non-empty).
 type Sampler struct {
-	X []float64 // sample times, seconds
-	Y []float64
-
+	eng      *Engine
 	interval Time
+	sample   func()
 	stop     bool
-	proc     *Proc
 }
 
-// StartSampler begins sampling fn every interval, starting one interval in.
-// fn may call Stop to end the timeline after the current sample, or
-// Decimate to halve its resolution and keep going (long runs stay bounded
-// without the timeline ending early). fn runs before the sample is
-// appended, so either call observes a consistent X/Y pair set.
+// samplerTick and samplerSample are a Sampler's two events. Both are
+// pointer-shaped, so queuing either allocates nothing.
+type (
+	samplerTick   Sampler
+	samplerSample Sampler
+)
+
+// StartSampler calls sample every interval, starting one interval in.
+// sample may call Stop to end sampling, or SetInterval to space the samples
+// that follow differently (long runs stay bounded without the timeline
+// ending early).
 //
-// A tick that finds nothing but sampler ticks queued in a Run, and no
+// A sample that finds nothing but sampler ticks queued in a Run, and no
 // settle hook, fails the run with "sim: stalled at <t>", naming every
 // blocked process: nothing else can ever fire, and sampling on would only
 // double the interval until the clock overflows.
-func StartSampler(eng *Engine, interval Time, fn func() float64) *Sampler {
-	s := &Sampler{interval: interval}
-	s.proc = eng.Spawn("sampler", func(p *Proc) {
-		// Bind the tick callback once: a per-interval closure would be one
-		// allocation per tick.
-		tick := callback(func() {
-			eng.ticks--
-			p.unparkIfWaiting()
-		})
-		for !s.stop {
-			// An interruptible sleep: Stop unparks the process immediately
-			// instead of letting it doze through one more interval, and the
-			// pending tick is cancelled so it cannot hold the event queue
-			// open or advance the clock past the run's end.
-			deadline := p.Now() + s.interval
-			timer := eng.schedule(deadline, tick)
-			eng.ticks++
-			for !s.stop && p.Now() < deadline {
-				p.park()
-			}
-			if s.stop {
-				if eng.cancel(timer) {
-					eng.ticks--
-				}
-				return
-			}
-			v := fn()
-			s.X = append(s.X, p.Now().Seconds())
-			s.Y = append(s.Y, v)
-			if !s.stop && eng.stalled() {
-				panic(eng.stall())
-			}
-		}
-	})
-	s.proc.sampler = true
+func StartSampler(eng *Engine, interval Time, sample func()) *Sampler {
+	s := &Sampler{eng: eng, interval: interval, sample: sample}
+	// A start event at the current instant queues the first tick, as a
+	// sampling process would from its first wake: the sampler makes that
+	// loop's schedule calls, in the same order.
+	eng.Schedule(eng.now, s.next)
 	return s
+}
+
+// next queues the tick that ends the current interval, unless the sampler
+// has stopped.
+func (s *Sampler) next() {
+	if !s.stop {
+		s.eng.schedule(s.eng.now+s.interval, (*samplerTick)(s))
+		s.eng.ticks++
+	}
+}
+
+// Fire queues the sample at the tick's own instant, after the events
+// already queued there: where a process woken by the tick would run.
+func (t *samplerTick) Fire() {
+	s := (*Sampler)(t)
+	s.eng.ticks--
+	if !s.stop {
+		s.eng.schedule(s.eng.now, (*samplerSample)(s))
+	}
+}
+
+// Fire takes the sample, checks for a stall and queues the next tick.
+func (a *samplerSample) Fire() {
+	s := (*Sampler)(a)
+	if s.stop {
+		return
+	}
+	s.sample()
+	if !s.stop && s.eng.stalled() {
+		panic(s.eng.stall())
+	}
+	s.next()
 }
 
 // stalled reports whether nothing but sampler ticks can ever fire again:
@@ -73,7 +83,7 @@ func (e *Engine) stalled() bool {
 }
 
 // stallError is the failure of a run in which nothing but sampler ticks is
-// left to fire. It names every process still blocked, samplers aside.
+// left to fire. It names every process still blocked.
 type stallError struct {
 	at      Time
 	blocked []string
@@ -92,43 +102,21 @@ func (s *stallError) Error() string {
 func (e *Engine) stall() *stallError {
 	st := &stallError{at: e.now}
 	for _, p := range e.all {
-		if !p.done && !p.sampler {
+		if !p.done {
 			st.blocked = append(st.blocked, p.name)
 		}
 	}
 	return st
 }
 
-// Stop ends sampling and wakes the sampler process immediately, so a
-// stopped sampler no longer holds the event queue open for a further
-// interval.
-func (s *Sampler) Stop() {
-	s.stop = true
-	if s.proc != nil {
-		s.proc.unparkIfWaiting()
-	}
-}
+// Stop ends sampling: no sample is taken after it. The pending tick still
+// fires once more, as a no-op, so a Run the sampler kept going ends at that
+// tick's boundary.
+func (s *Sampler) Stop() { s.stop = true }
 
-// N reports how many samples were taken.
-func (s *Sampler) N() int { return len(s.X) }
-
-// Interval reports the current sampling interval (doubled by Decimate).
+// Interval reports the sampling interval. Read from the sample function,
+// it is the time since the previous sample (or since the start).
 func (s *Sampler) Interval() Time { return s.interval }
 
-// Decimate halves the timeline's resolution in place: every other recorded
-// sample is dropped and the sampling interval doubles. The kept samples
-// (the odd-indexed ones, at 2dt, 4dt, ...) land exactly on the doubled
-// grid, so a timeline decimated k times looks as if it had been sampled at
-// 2^k times the original interval all along. Call from the sampling fn
-// when the series reaches a size cap.
-func (s *Sampler) Decimate() {
-	keep := 0
-	for i := 1; i < len(s.X); i += 2 {
-		s.X[keep] = s.X[i]
-		s.Y[keep] = s.Y[i]
-		keep++
-	}
-	s.X = s.X[:keep]
-	s.Y = s.Y[:keep]
-	s.interval *= 2
-}
+// SetInterval changes the sampling interval from the next tick on.
+func (s *Sampler) SetInterval(d Time) { s.interval = d }

@@ -2,33 +2,70 @@ package sim
 
 import "testing"
 
+// recorder is a sampler's record in a test: the time of each sample, and
+// what the sample function returned.
+type recorder struct {
+	*Sampler
+	at []Time
+	y  []float64
+}
+
+// startRecorder starts a sampler that records fn's value at each sample.
+func startRecorder(e *Engine, interval Time, fn func() float64) *recorder {
+	r := &recorder{}
+	r.Sampler = StartSampler(e, interval, func() {
+		r.at = append(r.at, e.Now())
+		r.y = append(r.y, fn())
+	})
+	return r
+}
+
+// n reports how many samples were taken.
+func (r *recorder) n() int { return len(r.at) }
+
 func TestSamplerStopWakesImmediately(t *testing.T) {
-	// A stopped sampler must not doze through one more interval: Stop
-	// unwinds the sampler process on the spot and cancels its pending
-	// timer, so the event queue drains at the workload's end rather than
-	// one sampling interval later.
+	// Stop takes effect at once: no sample is taken after it. The pending
+	// tick still fires, as a no-op, so Run ends at that tick's boundary,
+	// not when the work stops the sampler.
 	e := NewEngine()
-	s := StartSampler(e, Second, func() float64 { return 1 })
+	s := startRecorder(e, Second, func() float64 { return 1 })
 	e.Spawn("work", func(p *Proc) {
 		p.Sleep(30 * Microsecond)
 		s.Stop()
 	})
 	end := e.Run()
-	if end != 30*Microsecond {
-		t.Fatalf("Run ended at %v, want 30us — the cancelled timer advanced the clock", end)
+	if end != Second {
+		t.Fatalf("Run ended at %v, want 1s — the stopped sampler's pending tick", end)
 	}
-	if s.N() != 0 {
-		t.Fatalf("sampler stopped mid-interval took %d samples, want 0", s.N())
+	if s.n() != 0 {
+		t.Fatalf("sampler stopped mid-interval took %d samples, want 0", s.n())
 	}
-	if e.LiveProcs() != 0 {
-		t.Fatalf("sampler leaked a proc")
+	if e.LiveProcs() != 0 || e.ticks != 0 {
+		t.Fatalf("%d processes and %d ticks left", e.LiveProcs(), e.ticks)
+	}
+}
+
+// A sampled run spawns no process and hands control to no goroutine: the
+// sampler is two typed events that fire inline.
+func TestSamplerSpawnsNoProcess(t *testing.T) {
+	e := NewEngine()
+	s := startRecorder(e, 10*Microsecond, func() float64 { return 0 })
+	e.Schedule(95*Microsecond, s.Stop)
+	live := 0
+	e.Schedule(50*Microsecond, func() { live = e.LiveProcs() })
+	e.Run()
+	if s.n() != 9 {
+		t.Fatalf("samples = %d, want 9", s.n())
+	}
+	if live != 0 || e.LiveProcs() != 0 || e.Handoffs() != 0 {
+		t.Fatalf("%d processes mid-run, %d after, %d handoffs; want none", live, e.LiveProcs(), e.Handoffs())
 	}
 }
 
 func TestSamplerTicksAtInterval(t *testing.T) {
 	e := NewEngine()
 	v := 0.0
-	s := StartSampler(e, 10*Microsecond, func() float64 { return v })
+	s := startRecorder(e, 10*Microsecond, func() float64 { return v })
 	e.Spawn("work", func(p *Proc) {
 		for i := 0; i < 4; i++ {
 			p.Sleep(10 * Microsecond)
@@ -38,24 +75,23 @@ func TestSamplerTicksAtInterval(t *testing.T) {
 		s.Stop()
 	})
 	e.Run()
-	if s.N() != 4 {
-		t.Fatalf("samples = %d, want 4", s.N())
+	if s.n() != 4 {
+		t.Fatalf("samples = %d, want 4", s.n())
 	}
-	for i, x := range s.X {
-		want := (Time(i+1) * 10 * Microsecond).Seconds()
-		if x != want {
-			t.Fatalf("sample %d at %gs, want %gs", i, x, want)
+	for i, at := range s.at {
+		if want := Time(i+1) * 10 * Microsecond; at != want {
+			t.Fatalf("sample %d at %v, want %v", i, at, want)
 		}
 	}
 }
 
 func TestSamplerStopFromCallback(t *testing.T) {
-	// fn may Stop its own sampler — the timeline cap used by the metrics
-	// layer. The sample that triggered the stop is still recorded.
+	// The sample function may Stop its own sampler. The sample that
+	// triggered the stop is still recorded, and no tick is queued after it.
 	e := NewEngine()
-	var s *Sampler
+	var s *recorder
 	n := 0
-	s = StartSampler(e, Microsecond, func() float64 {
+	s = startRecorder(e, Microsecond, func() float64 {
 		n++
 		if n == 3 {
 			s.Stop()
@@ -64,82 +100,70 @@ func TestSamplerStopFromCallback(t *testing.T) {
 	})
 	e.Spawn("work", func(p *Proc) { p.Sleep(Millisecond) })
 	e.Run()
-	if s.N() != 3 {
-		t.Fatalf("capped sampler took %d samples, want 3", s.N())
+	if s.n() != 3 {
+		t.Fatalf("capped sampler took %d samples, want 3", s.n())
 	}
-	if e.LiveProcs() != 0 {
-		t.Fatalf("sampler leaked a proc")
+	if e.LiveProcs() != 0 || e.ticks != 0 {
+		t.Fatalf("%d processes and %d ticks left", e.LiveProcs(), e.ticks)
 	}
 }
 
 func TestSamplerDecimate(t *testing.T) {
-	// Decimating from the sampling fn halves the series in place, doubles
-	// the interval, and keeps sampling — the timeline cap behaviour. The
-	// kept samples land exactly on the doubled grid, as if the sampler had
-	// run at the coarser interval all along.
+	// Decimating from the sample function — drop every other recorded
+	// sample and double the interval with SetInterval — keeps sampling,
+	// the timeline cap behaviour. The new interval applies from the next
+	// tick, so the kept samples and the ones after them lie exactly on the
+	// doubled grid, as if the sampler had run at the coarser interval all
+	// along.
 	const cap = 8
 	e := NewEngine()
+	var at []Time
 	var s *Sampler
-	s = StartSampler(e, 10*Microsecond, func() float64 {
-		v := float64(s.Interval())
-		if s.N() >= cap-1 {
-			s.Decimate()
+	s = StartSampler(e, 10*Microsecond, func() {
+		if len(at) >= cap-1 {
+			keep := at[:0]
+			for i := 1; i < len(at); i += 2 {
+				keep = append(keep, at[i])
+			}
+			at = keep
+			s.SetInterval(2 * s.Interval())
 		}
-		return v
+		at = append(at, e.Now())
 	})
 	e.Spawn("work", func(p *Proc) {
 		p.Sleep(400 * Microsecond)
 		s.Stop()
 	})
 	e.Run()
-	if s.N() >= cap {
-		t.Fatalf("decimating sampler holds %d samples, want < %d", s.N(), cap)
+	if len(at) >= cap {
+		t.Fatalf("decimating sampler holds %d samples, want < %d", len(at), cap)
 	}
 	if s.Interval() <= 10*Microsecond {
 		t.Fatalf("interval = %v after decimation, want > 10us", s.Interval())
 	}
-	// X must be strictly increasing and evenly spaced at the final interval
-	// over the tail (all samples re-land on the doubled grid each round).
-	for i := 1; i < s.N(); i++ {
-		if s.X[i] <= s.X[i-1] {
-			t.Fatalf("X not increasing at %d: %v", i, s.X)
-		}
-	}
-	step := s.Interval().Seconds()
-	for i := 1; i < s.N(); i++ {
-		if d := s.X[i] - s.X[i-1]; d < step*0.999 || d > step*1.001 {
-			t.Fatalf("spacing at %d = %gs, want %gs (X=%v)", i, d, step, s.X)
-		}
-	}
-	// The fn above records the interval each sample was taken with; the
-	// surviving samples' values must match intervals that were live then
-	// (powers of two times the base).
-	for i, y := range s.Y {
-		iv := Time(y)
-		ok := false
-		for k := 10 * Microsecond; k <= s.Interval(); k *= 2 {
-			if iv == k {
-				ok = true
-			}
-		}
-		if !ok {
-			t.Fatalf("sample %d recorded interval %v, not a power-of-two multiple of 10us", i, iv)
+	// The samples are evenly spaced at the final interval, starting one
+	// interval in.
+	for i, x := range at {
+		if want := Time(i+1) * s.Interval(); x != want {
+			t.Fatalf("sample %d at %v, want %v (samples %v)", i, x, want, at)
 		}
 	}
 }
 
 func TestSamplerStopBeforeRun(t *testing.T) {
 	// Stopping before the engine ever runs is a no-op start: no samples,
-	// no leaked proc, no events left behind.
+	// no process, no events left behind.
 	e := NewEngine()
-	s := StartSampler(e, Microsecond, func() float64 { return 0 })
+	s := startRecorder(e, Microsecond, func() float64 { return 0 })
 	s.Stop()
-	e.Run()
-	if s.N() != 0 {
-		t.Fatalf("samples = %d, want 0", s.N())
+	if end := e.Run(); end != 0 {
+		t.Fatalf("Run ended at %v, want 0", end)
 	}
-	if e.LiveProcs() != 0 {
-		t.Fatalf("sampler leaked a proc")
+	if s.n() != 0 {
+		t.Fatalf("samples = %d, want 0", s.n())
+	}
+	if e.LiveProcs() != 0 || e.ticks != 0 {
+		t.Fatalf("%d processes and %d ticks left", e.LiveProcs(), e.ticks)
 	}
 }
 
@@ -151,13 +175,12 @@ func TestSamplerReportsStall(t *testing.T) {
 	e := NewEngine()
 	samples := 0
 	var ss [2]*Sampler
-	sample := func() float64 {
+	sample := func() {
 		// Bound the run should the stall go unreported.
 		if samples++; samples == 1000 {
 			ss[0].Stop()
 			ss[1].Stop()
 		}
-		return 0
 	}
 	ss[0] = StartSampler(e, 10*Microsecond, sample)
 	ss[1] = StartSampler(e, 10*Microsecond, sample)
@@ -184,23 +207,24 @@ func TestSamplerReportsStall(t *testing.T) {
 }
 
 // A process that sleeps across many ticks keeps its wake queued, so the
-// samplers keep sampling and the run ends when it stops them.
+// samplers keep sampling and the run ends at the first tick boundary at or
+// after the sleeper stops them.
 func TestSamplerSleeperIsNoStall(t *testing.T) {
 	e := NewEngine()
-	a := StartSampler(e, 10*Microsecond, func() float64 { return 0 })
-	b := StartSampler(e, 7*Microsecond, func() float64 { return 0 })
+	a := startRecorder(e, 10*Microsecond, func() float64 { return 0 })
+	b := startRecorder(e, 7*Microsecond, func() float64 { return 0 })
 	e.Spawn("sleeper", func(p *Proc) {
 		p.Sleep(Millisecond)
 		a.Stop()
 		b.Stop()
 	})
-	if end := e.Run(); end != Millisecond {
-		t.Fatalf("Run ended at %v, want 1ms", end)
-	}
 	// a's tick at 1ms fires after the sleeper's earlier-scheduled wake has
-	// stopped it.
-	if a.N() != 99 || b.N() != 142 {
-		t.Fatalf("samples %d and %d, want 99 and 142", a.N(), b.N())
+	// stopped it; b's pending tick fires, as a no-op, at 1.001ms.
+	if end := e.Run(); end != Millisecond+Microsecond {
+		t.Fatalf("Run ended at %v, want 1.001ms", end)
+	}
+	if a.n() != 99 || b.n() != 142 {
+		t.Fatalf("samples %d and %d, want 99 and 142", a.n(), b.n())
 	}
 	if e.LiveProcs() != 0 || e.ticks != 0 {
 		t.Fatalf("%d processes and %d ticks left", e.LiveProcs(), e.ticks)
@@ -211,12 +235,12 @@ func TestSamplerSleeperIsNoStall(t *testing.T) {
 // deadline, so samplers idle up to it without a stall.
 func TestSamplerRunUntilIsNoStall(t *testing.T) {
 	e := NewEngine()
-	s := StartSampler(e, 10*Microsecond, func() float64 { return 0 })
+	s := startRecorder(e, 10*Microsecond, func() float64 { return 0 })
 	q := NewQueue[int]()
 	e.Spawn("consumer", func(p *Proc) { q.Get(p) })
 	e.RunUntil(100 * Microsecond)
-	if s.N() != 10 {
-		t.Fatalf("samples = %d, want 10", s.N())
+	if s.n() != 10 {
+		t.Fatalf("samples = %d, want 10", s.n())
 	}
 	e.Shutdown()
 }
