@@ -30,7 +30,7 @@ func ExampleServer() {
 	for i := 0; i < 2; i++ {
 		i := i
 		eng.Spawn("client", func(p *sim.Proc) {
-			bus.Use(p, 50*sim.Nanosecond)
+			p.SleepUntil(bus.Reserve(50 * sim.Nanosecond))
 			fmt.Printf("client %d done at %v\n", i, p.Now())
 		})
 	}

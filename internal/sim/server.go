@@ -29,17 +29,10 @@ func (s *Server) BusyTime() Time { return s.busy }
 // Jobs returns how many requests the server has accepted.
 func (s *Server) Jobs() int64 { return s.jobs }
 
-// Use occupies the server for d starting as soon as it is free, blocking the
-// calling process until the job completes. It returns the completion time.
-func (s *Server) Use(p *Proc, d Time) Time {
-	end := s.Reserve(d)
-	p.SleepUntil(end)
-	return end
-}
-
-// Reserve books d of service time without blocking and returns the job's
-// completion instant. Use it for fire-and-forget occupancy (e.g. DMA traffic
-// charged against a memory controller) where the caller does not need to
+// Reserve books d of service time, starting as soon as the server is free,
+// and returns the job's completion instant without blocking. A process that
+// waits for the job sleeps until that instant (SleepUntil); fire-and-forget
+// occupancy (e.g. DMA traffic charged against a memory controller) does not
 // wait.
 func (s *Server) Reserve(d Time) Time {
 	if d < 0 {
