@@ -212,9 +212,13 @@ func realMain() int {
 			}
 			prm := collective.DefaultParams()
 			if *rounds > 0 {
+				// Like the sweep's, these clusters honour the trace sink
+				// and strict routes only.
+				env := collsweep.Observed(env)
 				sweepLines(parseInts(*nodes), env, func(p int) string {
-					iso := collective.Run(env, collective.Reduce, true, p, prm).Latency
-					r := collective.RunPipelined(env, p, *rounds, prm)
+					iso := collsweep.RunPoint(env, collective.Reduce, p, true, prm).Latency
+					c, _ := collsweep.Build(env, p)
+					r := collective.RunPipelined(c, p, *rounds, prm)
 					return fmt.Sprintf("p=%-4d rounds=%d total=%v per-round=%v isolated=%v correct=%v\n",
 						p, *rounds, r.Total, r.PerRound, iso, r.Correct)
 				})

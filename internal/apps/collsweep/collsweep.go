@@ -52,6 +52,7 @@ type Point struct {
 	Latency   sim.Time
 	HostBytes int64 // total bytes crossing host NICs
 	Correct   bool
+	PerHost   [][]int64 // what each rank holds at completion
 	// Key-aggregation ledgers; zero for the other ops.
 	Hits      int64
 	Spills    int64
@@ -70,13 +71,21 @@ type Point struct {
 }
 
 // RunPoint measures one variant of op at one cluster size, on the cluster
-// cluster.BuildCollective builds from env.Topology, armed with env: its
-// trace sink, strict routes, fault plan and telemetry. The sweeps below
-// clear what their clusters do not honour before they call it.
+// Build builds. The sweeps below clear what their clusters do not honour
+// before they call it.
 func RunPoint(env apps.Env, op collective.Op, hosts int, active bool, prm collective.Params) Point {
+	c, rec := Build(env, hosts)
+	return pointOn(c, rec, op, hosts, active, prm)
+}
+
+// Build builds a point's un-started cluster of the given host count with
+// cluster.BuildCollective from env.Topology, and arms it with env: its
+// trace sink, strict routes, fault plan and telemetry. It returns the
+// telemetry recorder, nil when telemetry is off.
+func Build(env apps.Env, hosts int) (*cluster.Cluster, *telemetry.Recorder) {
 	c := cluster.BuildCollective(hosts, env.Topology)
 	_, rec := env.Arm(c)
-	return pointOn(c, rec, op, hosts, active, prm)
+	return c, rec
 }
 
 // pointOn measures one variant of op on c, built for the given host count
@@ -89,6 +98,7 @@ func pointOn(c *cluster.Cluster, rec *telemetry.Recorder, op collective.Op, host
 		Switches:  len(c.Switches),
 		Latency:   r.Latency,
 		Correct:   r.Correct,
+		PerHost:   r.PerHost,
 		Hits:      r.AggHits,
 		Spills:    r.AggSpills,
 		Ingested:  r.AggIngested,
@@ -201,9 +211,9 @@ func FatTrees(env apps.Env) apps.Env {
 	return env
 }
 
-// observed returns env without its fault plan and telemetry, for the
-// sweeps whose clusters honour only the trace sink and strict routes.
-func observed(env apps.Env) apps.Env {
+// Observed returns env without its fault plan and telemetry, for the
+// clusters that honour only the trace sink and strict routes.
+func Observed(env apps.Env) apps.Env {
 	env.Faults, env.Telemetry = nil, false
 	return env
 }
@@ -223,7 +233,7 @@ func Sweep(env apps.Env, op collective.Op, nodeCounts []int, prm collective.Para
 		name = "reduce-to-all"
 	}
 	res := &stats.Result{ID: id, Title: fmt.Sprintf("Collective %s: latency vs nodes", name)}
-	cv := runPairs(res, observed(env), op, nodeCounts, prm,
+	cv := runPairs(res, Observed(env), op, nodeCounts, prm,
 		"normal", "normal ("+collective.HostAlgorithm(op)+")", "active (switch tree)", nil)
 	res.Series = []stats.Series{cv.passLat, cv.actLat, cv.speedup}
 	res.Notes = append(res.Notes, fmt.Sprintf("max speedup %.2fx", cv.speedup.MaxY()))
@@ -238,7 +248,7 @@ func ScaleSweep(env apps.Env, hosts []int, prm collective.Params) *stats.Result 
 		ID:    "scalesweep",
 		Title: "Reduce at scale on k-ary fat trees: active vs passive",
 	}
-	cv := runPairs(res, FatTrees(observed(env)), collective.Reduce, hosts, prm,
+	cv := runPairs(res, FatTrees(Observed(env)), collective.Reduce, hosts, prm,
 		"passive", "passive (host MST)", "active (in-switch aggregation)",
 		func(p int, pas, act Point) {
 			res.Notes = append(res.Notes, fmt.Sprintf(

@@ -342,8 +342,8 @@ func TestShapeReduceSpeedupGrows(t *testing.T) {
 	prm := collective.DefaultParams()
 	for _, op := range []collective.Op{collective.Reduce, collective.ReduceScatter} {
 		speedup := func(p int) float64 {
-			rn := collective.Run(apps.Env{}, op, false, p, prm)
-			ra := collective.Run(apps.Env{}, op, true, p, prm)
+			rn := RunPoint(apps.Env{}, op, p, false, prm)
+			ra := RunPoint(apps.Env{}, op, p, true, prm)
 			return float64(rn.Latency) / float64(ra.Latency)
 		}
 		s16 := speedup(16)
@@ -363,9 +363,9 @@ func TestActiveBeatsLowerBoundAtScale(t *testing.T) {
 	// host-side lower bound. Approximate a+l by the measured p=2 normal
 	// latency (one round) and check at p=64.
 	prm := collective.DefaultParams()
-	oneRound := collective.Run(apps.Env{}, collective.Reduce, false, 2, prm).Latency
+	oneRound := RunPoint(apps.Env{}, collective.Reduce, 2, false, prm).Latency
 	bound := 6 * oneRound // ceil(log2 64) = 6 rounds
-	got := collective.Run(apps.Env{}, collective.Reduce, true, 64, prm).Latency
+	got := RunPoint(apps.Env{}, collective.Reduce, 64, true, prm).Latency
 	if got >= bound {
 		t.Errorf("active latency %v does not beat MST lower bound %v", got, bound)
 	}
@@ -400,8 +400,8 @@ func TestReduceToAll(t *testing.T) {
 	// Reduce-to-one". Reduce-to-all is the allreduce, whose multicast
 	// fan-out keeps the active latency within ~2x of reduce-to-one.
 	prm := collective.DefaultParams()
-	one := collective.Run(apps.Env{}, collective.Reduce, true, 16, prm)
-	all := collective.Run(apps.Env{}, collective.Allreduce, true, 16, prm)
+	one := RunPoint(apps.Env{}, collective.Reduce, 16, true, prm)
+	all := RunPoint(apps.Env{}, collective.Allreduce, 16, true, prm)
 	if !one.Correct || !all.Correct {
 		t.Fatalf("reduce-to-one ok=%v, reduce-to-all ok=%v", one.Correct, all.Correct)
 	}
@@ -417,8 +417,9 @@ func TestPipelinedReductions(t *testing.T) {
 	// isolated latency, and every round's result must be exact.
 	prm := collective.DefaultParams()
 	const p = 32
-	isolated := collective.Run(apps.Env{}, collective.Reduce, true, p, prm).Latency
-	res := collective.RunPipelined(apps.Env{}, p, 16, prm)
+	isolated := RunPoint(apps.Env{}, collective.Reduce, p, true, prm).Latency
+	c, _ := Build(apps.Env{}, p)
+	res := collective.RunPipelined(c, p, 16, prm)
 	if !res.Correct {
 		t.Fatal("pipelined rounds produced wrong results")
 	}
@@ -426,7 +427,7 @@ func TestPipelinedReductions(t *testing.T) {
 		t.Fatalf("pipelining gained nothing: per-round %v vs isolated %v", res.PerRound, isolated)
 	}
 	prm.Operator = collective.Max
-	if !collective.RunPipelined(apps.Env{}, p, 4, prm).Correct {
+	if c, _ := Build(apps.Env{}, p); !collective.RunPipelined(c, p, 4, prm).Correct {
 		t.Fatal("pipelined max rounds produced wrong results")
 	}
 }

@@ -479,21 +479,6 @@ func opParams(op Op, prm Params) Params {
 	return prm
 }
 
-// Run executes one collective on a fresh cluster built on env's topology
-// (-topology and -partitions) and observed by env's trace sink and
-// strict-routes setting.
-func Run(env apps.Env, op Op, active bool, p int, prm Params) Result {
-	return RunOn(newCluster(env, p), op, active, p, prm)
-}
-
-// newCluster builds and observes the p-host cluster Run and RunPipelined
-// use.
-func newCluster(env apps.Env, p int) *cluster.Cluster {
-	c := cluster.BuildCollective(p, env.Topology)
-	env.Observe(c)
-	return c
-}
-
 // RunOn executes one collective on a prebuilt cluster with a populated
 // aggregation overlay. The cluster must be un-started; RunOn starts, runs
 // and shuts it down, leaving NIC counters harvestable. Active runs place
@@ -539,13 +524,13 @@ type PipelinedResult struct {
 }
 
 // RunPipelined streams `rounds` back-to-back active Reduce operations
-// through the switch tree of a fresh cluster built as Run builds it.
-// Because each tree level works on round r+1 while the next level combines
-// round r — "the switch can overlap the switch CPU execution with its
-// duties as a normal switch" — amortized per-round time beats the isolated
-// latency. Rank 0 checks every round against the oracle.
-func RunPipelined(env apps.Env, p, rounds int, prm Params) PipelinedResult {
-	c := newCluster(env, p)
+// through the switch tree of a prebuilt, un-started cluster, which it
+// starts, runs and shuts down as RunOn does. Because each tree level works
+// on round r+1 while the next level combines round r — "the switch can
+// overlap the switch CPU execution with its duties as a normal switch" —
+// amortized per-round time beats the isolated latency. Rank 0 checks every
+// round against the oracle.
+func RunPipelined(c *cluster.Cluster, p, rounds int, prm Params) PipelinedResult {
 	sh := buildShape(c, p)
 	installCombine(c, sh, Reduce, prm, rounds)
 	correct := true // written by rank 0 only

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"activesan/internal/apps"
 	"activesan/internal/cluster"
 	"activesan/internal/sim"
 )
@@ -242,11 +241,11 @@ func TestSliceBoundsPartition(t *testing.T) {
 // the isolated reduce, to the picosecond.
 func TestPipelinedSingleRoundMatchesIsolated(t *testing.T) {
 	prm := DefaultParams()
-	res := RunPipelined(apps.Env{}, 8, 1, prm)
+	res := RunPipelined(cluster.BuildCollective(8, cluster.Topo{}), 8, 1, prm)
 	if !res.Correct {
 		t.Fatal("single pipelined round incorrect")
 	}
-	if iso := Run(apps.Env{}, Reduce, true, 8, prm).Latency; res.Total != iso {
+	if iso := RunOn(cluster.BuildCollective(8, cluster.Topo{}), Reduce, true, 8, prm).Latency; res.Total != iso {
 		t.Fatalf("single-round pipelined %v vs isolated %v", res.Total, iso)
 	}
 }

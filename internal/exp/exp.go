@@ -389,9 +389,9 @@ func runTable2(cfg Config) *stats.Result {
 	res := &stats.Result{ID: "table2", Title: "Collective reduction semantics"}
 	prm := collective.DefaultParams()
 	const p = 8
-	env := sequential(cfg.Env)
-	one := collective.Run(env, collective.Reduce, true, p, prm)
-	dist := collective.Run(env, collective.ReduceScatter, true, p, prm)
+	env := collsweep.Observed(sequential(cfg.Env))
+	one := collsweep.RunPoint(env, collective.Reduce, p, true, prm)
+	dist := collsweep.RunPoint(env, collective.ReduceScatter, p, true, prm)
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("Reduce-to-one   (p=%d): y at node 0, latency %v, correct=%v", p, one.Latency, one.Correct),
 		fmt.Sprintf("Distributed Red (p=%d): y_i at node i, latency %v, correct=%v", p, dist.Latency, dist.Correct),
