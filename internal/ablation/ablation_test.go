@@ -1,6 +1,8 @@
 package ablation
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -70,14 +72,27 @@ func TestCPUClockScalesComputeBoundFilter(t *testing.T) {
 	}
 }
 
+// TestReportRenders pins the whole report byte for byte (it takes well
+// under a second, so it runs under -short too). A change that means to move
+// a study's numbers regenerates the file with
+// `go run ./cmd/sansweep -sweep ablation > internal/ablation/testdata/report.txt`.
 func TestReportRenders(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full ablation report is slow")
+	want, err := os.ReadFile(filepath.Join("testdata", "report.txt"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	rep := Report(apps.Env{})
-	for _, want := range []string{"design goal 1", "valid-bit", "switch CPU clock"} {
-		if !strings.Contains(rep, want) {
-			t.Fatalf("report missing %q:\n%s", want, rep)
+	got := Report(apps.Env{})
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Fatalf("report line %d = %q, testdata/report.txt has %q; report:\n%s", i+1, g, w, got)
 		}
 	}
 }
