@@ -74,7 +74,7 @@ func TestPublicAPIBuildsACluster(t *testing.T) {
 			Size: 32,
 		}, 0)
 		tok := h.IssueReadTo(p, c.Store(0).ID(), "data", 0, size,
-			sw.ID(), 0x100000, activesan.DataPacket, 0, 0, 7)
+			sw.ID(), 0x100000, 7)
 		h.WaitRead(p, tok)
 		h.RecvFlow(p, sw.ID(), 42)
 		finished = true

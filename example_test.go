@@ -39,7 +39,7 @@ func Example() {
 			Size: 32,
 		}, 0)
 		tok := h.IssueReadTo(p, c.Store(0).ID(), "data", 0, 64*1024,
-			sw.ID(), 0x100000, activesan.DataPacket, 0, 0, 7)
+			sw.ID(), 0x100000, 7)
 		h.WaitRead(p, tok)
 		comp := h.RecvFlow(p, sw.ID(), 42)
 		fmt.Printf("switch counted %d bytes; host saw %d bytes of data\n",

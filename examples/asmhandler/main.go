@@ -88,7 +88,7 @@ func main() {
 			Size: 32,
 		}, 0)
 		tok := h.IssueReadTo(p, c.Store(0).ID(), "records", 0, total,
-			sw.ID(), streamBase, activesan.DataPacket, 0, 0, 7)
+			sw.ID(), streamBase, 7)
 		h.WaitRead(p, tok)
 		comp := h.RecvFlow(p, sw.ID(), 99)
 		got := comp.Payloads[0].(uint32)

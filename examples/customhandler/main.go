@@ -101,7 +101,7 @@ func main() {
 			Size: 32,
 		}, 0)
 		tok := h.IssueReadTo(p, c.Store(0).ID(), "corpus", 0, size,
-			sw.ID(), streamBase, activesan.DataPacket, 0, 0, 0x8888)
+			sw.ID(), streamBase, 0x8888)
 		h.WaitRead(p, tok)
 		comp := h.RecvFlow(p, sw.ID(), resultFlow)
 		got := comp.Payloads[0].(summary)

@@ -67,7 +67,7 @@ func runActive() (activesan.Time, int64) {
 			Size: 32,
 		}, 0)
 		tok := h.IssueReadTo(p, c.Store(0).ID(), "data", 0, fileSize,
-			sw.ID(), streamBase, activesan.DataPacket, 0, 0, 0x9999)
+			sw.ID(), streamBase, 0x9999)
 		h.WaitRead(p, tok)
 		comp := h.RecvFlow(p, sw.ID(), resultFlow)
 		fmt.Printf("switch counted %d bytes\n", comp.Payloads[0].(int64))

@@ -31,44 +31,77 @@ import (
 	"activesan/internal/stats"
 )
 
-// streamHandler registers a handler that consumes `total` bytes mapped at
-// base, charging `cycPerByte`, forwarding a fraction to fwdDst when
-// keepNum/keepDen > 0, and firing done when finished.
-func streamHandler(sw *aswitch.ActiveSwitch, id int, base, total int64,
-	cycPerByte int64, fwdDst san.NodeID, keepNum, keepDen int64, done *sim.Latch) {
-	sw.Register(id, "ablation-stream", func(x *aswitch.Ctx) {
+const (
+	// handlerID and streamBase are where each study registers its handler
+	// and maps the disk stream in the handler's address space.
+	handlerID  = 1
+	streamBase = 0x0010_0000
+)
+
+// prepare observes c with env and stores the size-byte file, "f", that
+// the study's handler streams.
+func prepare(env apps.Env, c *cluster.Cluster, size int64) *cluster.Cluster {
+	env.Observe(c)
+	c.Store(0).AddFile(&iodev.File{Name: "f", Size: size})
+	return c
+}
+
+// invoke is a study's host program, the host side of the benchmarks'
+// active configurations: h invokes the handler on sw with a 32-byte active
+// message, then apps.StreamToSwitch streams the file [0, size) to sw in
+// chunk-byte reads, outstanding at a time, on flow.
+func invoke(p *sim.Proc, c *cluster.Cluster, h *host.Host, sw san.NodeID,
+	size, chunk int64, outstanding int, flow int64) {
+	h.SendMessage(p, &san.Message{
+		Hdr:  san.Header{Dst: sw, Type: san.ActiveMsg, HandlerID: handlerID, Addr: 0},
+		Size: 32,
+	}, 0)
+	apps.StreamToSwitch(p, h, c.Store(0).ID(), "f", size, chunk, sw, streamBase, flow, outstanding)
+}
+
+// drain receives at h until n bytes have arrived.
+func drain(p *sim.Proc, h *host.Host, n int64) {
+	for got := int64(0); got < n; {
+		got += h.RecvAny(p).Size
+	}
+}
+
+// streamHandler registers a handler on sw that consumes the total-byte
+// stream, charging cycPerByte cycles a byte, and, when fwdDst is a node,
+// forwards 1 byte in keep to it in messages of at least 32 KB. The
+// returned latch opens when the handler finishes.
+func streamHandler(sw *aswitch.ActiveSwitch, total, cycPerByte int64,
+	fwdDst san.NodeID, keep int64) *sim.Latch {
+	done := sim.NewLatch()
+	sw.Register(handlerID, "ablation-stream", func(x *aswitch.Ctx) {
 		x.ReleaseArgs()
-		cursor := base
-		end := base + total
-		var kept, seen int64
-		for cursor < end {
+		var kept int64
+		forward := func() {
+			x.Send(aswitch.SendSpec{
+				Dst: fwdDst, Type: san.Data, Addr: 0x0300_0000,
+				Size: kept, Flow: 0x7100,
+			})
+			kept = 0
+		}
+		for cursor := int64(streamBase); cursor < streamBase+total; {
 			b := x.WaitStream(cursor)
 			x.ReadAll(b)
-			if cycPerByte > 0 {
-				x.Compute(cycPerByte * b.Size())
-			}
-			seen += b.Size()
-			if keepDen > 0 && fwdDst != san.NoNode {
-				kept += b.Size() * keepNum / keepDen
+			x.Compute(cycPerByte * b.Size())
+			if fwdDst != san.NoNode {
+				kept += b.Size() / keep
 				if kept >= 32*1024 {
-					x.Send(aswitch.SendSpec{
-						Dst: fwdDst, Type: san.Data, Addr: 0x0300_0000,
-						Size: kept, Flow: 0x7100,
-					})
-					kept = 0
+					forward()
 				}
 			}
 			cursor = b.End()
 			x.Deallocate(cursor)
 		}
-		if kept > 0 && fwdDst != san.NoNode {
-			x.Send(aswitch.SendSpec{
-				Dst: fwdDst, Type: san.Data, Addr: 0x0300_0000,
-				Size: kept, Flow: 0x7100,
-			})
+		if kept > 0 {
+			forward()
 		}
 		done.Open()
 	})
+	return done
 }
 
 // InterferenceResult reports design goal 1.
@@ -92,31 +125,24 @@ func (r InterferenceResult) Degradation() float64 {
 // Interference measures non-active traffic with and without active load.
 func Interference(env apps.Env) InterferenceResult {
 	run := func(active bool) (float64, sim.Time) {
-		eng := sim.NewEngine()
-		ccfg := cluster.DefaultIOClusterConfig()
-		ccfg.Hosts = 3
-		c := cluster.NewIOCluster(eng, ccfg)
-		env.Observe(c)
 		const bulk = 8 << 20
 		const streamLen = 8 << 20
-		c.Store(0).AddFile(&iodev.File{Name: "bg", Size: streamLen})
+		const probes = 32
+		ccfg := cluster.DefaultIOClusterConfig()
+		ccfg.Hosts = 3
+		c := prepare(env, cluster.NewIOCluster(sim.NewEngine(), ccfg), streamLen)
 		sw := c.Switch(0)
-		done := sim.NewLatch()
 		if active {
-			streamHandler(sw, 1, 0x0010_0000, streamLen, 8, san.NoNode, 0, 0, done)
+			streamHandler(sw, streamLen, 8, san.NoNode, 0)
 		}
 		c.Start()
 
-		h0, h1, h2 := c.Host(0), c.Host(1), c.Host(2)
+		h0, h1 := c.Host(0), c.Host(1)
 		var thr float64
 		var latSum sim.Time
-		var latN int64
-		var wg sim.WaitGroup
-		wg.Add(2)
 
 		// Non-active workload: bulk stream + spaced latency probes.
-		eng.Spawn("bulk", func(p *sim.Proc) {
-			defer wg.Done()
+		c.Eng.Spawn("bulk", func(p *sim.Proc) {
 			start := p.Now()
 			for off := int64(0); off < bulk; off += 64 * 1024 {
 				l := h0.SendMessage(p, &san.Message{
@@ -127,26 +153,20 @@ func Interference(env apps.Env) InterferenceResult {
 			}
 			thr = float64(bulk) / (p.Now() - start).Seconds()
 			// Latency probes after the bulk phase.
-			for i := 0; i < 32; i++ {
+			for i := 0; i < probes; i++ {
 				p.Sleep(20 * sim.Microsecond)
 				sent := p.Now()
 				h0.SendMessage(p, &san.Message{
 					Hdr:  san.Header{Dst: h1.ID(), Type: san.Data, Addr: 0x2000, Flow: 0x200},
 					Size: 512,
 				}, 0)
-				comp := h0.RecvFlow(p, h1.ID(), 0x300)
-				_ = comp
+				h0.RecvFlow(p, h1.ID(), 0x300)
 				latSum += p.Now() - sent
-				latN++
 			}
 		})
-		eng.Spawn("sink", func(p *sim.Proc) {
-			defer wg.Done()
-			var got int64
-			for got < bulk {
-				got += h1.RecvAny(p).Size
-			}
-			for i := 0; i < 32; i++ {
+		c.Eng.Spawn("sink", func(p *sim.Proc) {
+			drain(p, h1, bulk)
+			for i := 0; i < probes; i++ {
 				h1.RecvFlow(p, h0.ID(), 0x200)
 				h1.SendMessage(p, &san.Message{
 					Hdr:  san.Header{Dst: h0.ID(), Type: san.Control, Flow: 0x300},
@@ -155,23 +175,16 @@ func Interference(env apps.Env) InterferenceResult {
 			}
 		})
 		if active {
-			// Background active stream: disk -> switch handler, looping
-			// requests so the handler stays saturated the whole run.
-			eng.Spawn("bg", func(p *sim.Proc) {
-				h2.SendMessage(p, &san.Message{
-					Hdr:  san.Header{Dst: sw.ID(), Type: san.ActiveMsg, HandlerID: 1, Addr: 0},
-					Size: 32,
-				}, 0)
-				tok := h2.IssueReadTo(p, c.Store(0).ID(), "bg", 0, streamLen,
-					sw.ID(), 0x0010_0000, san.Data, 0, 0, 0x6100)
-				h2.WaitRead(p, tok)
-				done.Wait(p)
+			// Background active stream: disk -> switch handler, one read
+			// of the whole file, so the handler stays saturated the whole
+			// run.
+			c.Eng.Spawn("bg", func(p *sim.Proc) {
+				invoke(p, c, c.Host(2), sw.ID(), streamLen, streamLen, 1, 0x6100)
 			})
 		}
-		eng.Spawn("main", func(p *sim.Proc) { wg.Wait(p) })
-		eng.Run()
+		c.Run()
 		c.Shutdown()
-		return thr, latSum / sim.Time(latN)
+		return thr, latSum / probes
 	}
 
 	var r InterferenceResult
@@ -186,76 +199,59 @@ type ThroughputPoint struct {
 	Bytes float64 // bytes/sec achieved
 }
 
-// forwardRun streams total bytes disk -> handler -> host1 with the given
-// switch configuration and returns the achieved throughput.
-func forwardRun(env apps.Env, swCfg aswitch.Config, total int64, cycPerByte int64) float64 {
-	eng := sim.NewEngine()
+// forwardRun streams 4 MB disk -> handler -> host 1 on a switch with the
+// given configuration, the handler charging cycPerByte cycles a byte, and
+// returns the achieved throughput.
+func forwardRun(env apps.Env, swCfg aswitch.Config, cycPerByte int64) float64 {
+	const total = 4 << 20
 	ccfg := cluster.DefaultIOClusterConfig()
 	ccfg.Hosts = 2
 	ccfg.Switch = swCfg
-	c := cluster.NewIOCluster(eng, ccfg)
-	env.Observe(c)
-	c.Store(0).AddFile(&iodev.File{Name: "f", Size: total})
+	c := prepare(env, cluster.NewIOCluster(sim.NewEngine(), ccfg), total)
 	sw := c.Switch(0)
-	done := sim.NewLatch()
-	streamHandler(sw, 1, 0x0010_0000, total, cycPerByte, c.Host(1).ID(), 1, 1, done)
+	done := streamHandler(sw, total, cycPerByte, c.Host(1).ID(), 1)
 	c.Start()
 	var elapsed sim.Time
-	eng.Spawn("app", func(p *sim.Proc) {
-		h := c.Host(0)
-		h.SendMessage(p, &san.Message{
-			Hdr:  san.Header{Dst: sw.ID(), Type: san.ActiveMsg, HandlerID: 1, Addr: 0},
-			Size: 32,
-		}, 0)
-		tok := h.IssueReadTo(p, c.Store(0).ID(), "f", 0, total,
-			sw.ID(), 0x0010_0000, san.Data, 0, 0, 0x6200)
-		h.WaitRead(p, tok)
+	c.Eng.Spawn("app", func(p *sim.Proc) {
+		invoke(p, c, c.Host(0), sw.ID(), total, total, 1, 0x6200)
 		done.Wait(p)
 		elapsed = p.Now()
 	})
-	eng.Spawn("sink", func(p *sim.Proc) {
-		var got int64
-		for got < total {
-			got += c.Host(1).RecvAny(p).Size
-		}
-	})
-	eng.Run()
+	c.Eng.Spawn("sink", func(p *sim.Proc) { drain(p, c.Host(1), total) })
+	c.Run()
 	c.Shutdown()
 	return float64(total) / elapsed.Seconds()
 }
 
-// BufferCount sweeps the data-buffer pool size for a forwarding stream.
-func BufferCount(env apps.Env, counts []int) []ThroughputPoint {
-	var out []ThroughputPoint
-	for _, n := range counts {
+// sweepSwitch runs the forwarding stream once per x, on the default switch
+// with set(&cfg, x) applied, at cycPerByte handler cycles a byte.
+func sweepSwitch(env apps.Env, xs []int, cycPerByte int64,
+	set func(cfg *aswitch.Config, x int)) []ThroughputPoint {
+	out := make([]ThroughputPoint, len(xs))
+	for i, x := range xs {
 		cfg := aswitch.DefaultConfig(8)
-		cfg.NumBuffers = n
-		out = append(out, ThroughputPoint{X: n, Bytes: forwardRun(env, cfg, 4<<20, 2)})
+		set(&cfg, x)
+		out[i] = ThroughputPoint{X: x, Bytes: forwardRun(env, cfg, cycPerByte)}
 	}
 	return out
 }
 
+// BufferCount sweeps the data-buffer pool size for a forwarding stream.
+func BufferCount(env apps.Env, counts []int) []ThroughputPoint {
+	return sweepSwitch(env, counts, 2, func(cfg *aswitch.Config, n int) { cfg.NumBuffers = n })
+}
+
 // OutReserve sweeps the send-unit reservation for a send-heavy handler.
 func OutReserve(env apps.Env, reserves []int) []ThroughputPoint {
-	var out []ThroughputPoint
-	for _, n := range reserves {
-		cfg := aswitch.DefaultConfig(8)
-		cfg.OutReserve = n
-		out = append(out, ThroughputPoint{X: n, Bytes: forwardRun(env, cfg, 4<<20, 2)})
-	}
-	return out
+	return sweepSwitch(env, reserves, 2, func(cfg *aswitch.Config, n int) { cfg.OutReserve = n })
 }
 
 // CPUClock sweeps the switch processor frequency (MHz) for a compute-heavy
 // filter (8 cycles/byte).
 func CPUClock(env apps.Env, mhz []int) []ThroughputPoint {
-	var out []ThroughputPoint
-	for _, f := range mhz {
-		cfg := aswitch.DefaultConfig(8)
+	return sweepSwitch(env, mhz, 8, func(cfg *aswitch.Config, f int) {
 		cfg.CPUClock = sim.Clock{Period: sim.Time(1_000_000/f) * sim.Picosecond}
-		out = append(out, ThroughputPoint{X: f, Bytes: forwardRun(env, cfg, 4<<20, 8)})
-	}
-	return out
+	})
 }
 
 // ValidBitGranularity returns one-message pipeline latency with fine
@@ -263,20 +259,15 @@ func CPUClock(env apps.Env, mhz []int) []ThroughputPoint {
 // until a handler has touched the head of every packet of a 64 KB message.
 func ValidBitGranularity(env apps.Env) (fine, coarse sim.Time) {
 	run := func(lineBytes int64) sim.Time {
-		eng := sim.NewEngine()
+		const total = 64 * 1024
 		ccfg := cluster.DefaultIOClusterConfig()
 		ccfg.Switch.ValidLineBytes = lineBytes
-		c := cluster.NewIOCluster(eng, ccfg)
-		env.Observe(c)
-		const total = 64 * 1024
-		c.Store(0).AddFile(&iodev.File{Name: "f", Size: total})
+		c := prepare(env, cluster.NewIOCluster(sim.NewEngine(), ccfg), total)
 		sw := c.Switch(0)
 		var finished sim.Time
-		sw.Register(1, "peek", func(x *aswitch.Ctx) {
+		sw.Register(handlerID, "peek", func(x *aswitch.Ctx) {
 			x.ReleaseArgs()
-			cursor := int64(0x0010_0000)
-			end := cursor + total
-			for cursor < end {
+			for cursor := int64(streamBase); cursor < streamBase+total; {
 				b := x.WaitStream(cursor)
 				// Touch only the head of each packet: with per-line valid
 				// bits this returns after 1 line; with whole-packet
@@ -288,17 +279,10 @@ func ValidBitGranularity(env apps.Env) (fine, coarse sim.Time) {
 			finished = x.Now()
 		})
 		c.Start()
-		eng.Spawn("app", func(p *sim.Proc) {
-			h := c.Host(0)
-			h.SendMessage(p, &san.Message{
-				Hdr:  san.Header{Dst: sw.ID(), Type: san.ActiveMsg, HandlerID: 1, Addr: 0},
-				Size: 32,
-			}, 0)
-			tok := h.IssueReadTo(p, c.Store(0).ID(), "f", 0, total,
-				sw.ID(), 0x0010_0000, san.Data, 0, 0, 0x6300)
-			h.WaitRead(p, tok)
+		c.Eng.Spawn("app", func(p *sim.Proc) {
+			invoke(p, c, c.Host(0), sw.ID(), total, total, 1, 0x6300)
 		})
-		eng.Run()
+		c.Run()
 		c.Shutdown()
 		return finished
 	}
@@ -358,44 +342,28 @@ func Report(env apps.Env) string {
 // switch CPU's cumulative utilization every 500 us — the time-resolved
 // view behind the paper's average-utilization bars.
 func UtilTimeline(env apps.Env) stats.Series {
-	eng := sim.NewEngine()
+	const total = 4 << 20
 	ccfg := cluster.DefaultIOClusterConfig()
 	ccfg.Hosts = 2
-	c := cluster.NewIOCluster(eng, ccfg)
-	env.Observe(c)
-	const total = 4 << 20
-	c.Store(0).AddFile(&iodev.File{Name: "f", Size: total})
+	c := prepare(env, cluster.NewIOCluster(sim.NewEngine(), ccfg), total)
 	sw := c.Switch(0)
-	done := sim.NewLatch()
-	streamHandler(sw, 1, 0x0010_0000, total, 6, c.Host(1).ID(), 1, 1, done)
+	done := streamHandler(sw, total, 6, c.Host(1).ID(), 1)
 	c.Start()
 
 	util := stats.Series{Name: "switch-util(t)"}
-	sampler := sim.StartSampler(eng, 500*sim.Microsecond, func() {
+	sampler := sim.StartSampler(c.Eng, 500*sim.Microsecond, func() {
 		b := sw.CPU(0).Timing().Breakdown()
-		now := eng.Now()
+		now := c.Eng.Now()
 		util.X = append(util.X, now.Seconds())
 		util.Y = append(util.Y, float64(b.Busy+b.Stall)/float64(now))
 	})
-	eng.Spawn("app", func(p *sim.Proc) {
-		h := c.Host(0)
-		h.SendMessage(p, &san.Message{
-			Hdr:  san.Header{Dst: sw.ID(), Type: san.ActiveMsg, HandlerID: 1, Addr: 0},
-			Size: 32,
-		}, 0)
-		tok := h.IssueReadTo(p, c.Store(0).ID(), "f", 0, total,
-			sw.ID(), 0x0010_0000, san.Data, 0, 0, 0x6700)
-		h.WaitRead(p, tok)
+	c.Eng.Spawn("app", func(p *sim.Proc) {
+		invoke(p, c, c.Host(0), sw.ID(), total, total, 1, 0x6700)
 		done.Wait(p)
 		sampler.Stop()
 	})
-	eng.Spawn("sink", func(p *sim.Proc) {
-		var got int64
-		for got < total {
-			got += c.Host(1).RecvAny(p).Size
-		}
-	})
-	eng.Run()
+	c.Eng.Spawn("sink", func(p *sim.Proc) { drain(p, c.Host(1), total) })
+	c.Run()
 	c.Shutdown()
 	return util
 }
@@ -414,43 +382,25 @@ type PlacementResult struct {
 // handler's switch differs.
 func FilterPlacement(env apps.Env) PlacementResult {
 	run := func(onStorageSide bool) int64 {
-		eng := sim.NewEngine()
-		cfg := cluster.DefaultIOClusterConfig()
-		c := cluster.NewDualIOCluster(eng, cfg)
-		env.Observe(c)
 		const total = 4 << 20
-		c.Store(0).AddFile(&iodev.File{Name: "f", Size: total})
+		c := prepare(env, cluster.NewDualIOCluster(sim.NewEngine(), cluster.DefaultIOClusterConfig()), total)
 		swH, swS := c.Switch(0), c.Switch(1)
 		target := swH
 		if onStorageSide {
 			target = swS
 		}
-		done := sim.NewLatch()
 		// Keep 1 byte in 4 (25% selectivity), forwarding to the host.
-		streamHandler(target, 1, 0x0010_0000, total, 2, c.Host(0).ID(), 1, 4, done)
+		streamHandler(target, total, 2, c.Host(0).ID(), 4)
 		c.Start()
 
 		// Measure the trunk (host-side switch's last port input link).
 		trunk := swH.Port(swH.Config().Ports - 1).In
 
-		eng.Spawn("app", func(p *sim.Proc) {
-			h := c.Host(0)
-			h.SendMessage(p, &san.Message{
-				Hdr:  san.Header{Dst: target.ID(), Type: san.ActiveMsg, HandlerID: 1, Addr: 0},
-				Size: 32,
-			}, 0)
-			tok := h.IssueReadTo(p, c.Store(0).ID(), "f", 0, total,
-				target.ID(), 0x0010_0000, san.Data, 0, 0, 0x6900)
-			h.WaitRead(p, tok)
-			done.Wait(p)
+		c.Eng.Spawn("app", func(p *sim.Proc) {
+			invoke(p, c, c.Host(0), target.ID(), total, total, 1, 0x6900)
 		})
-		eng.Spawn("sink", func(p *sim.Proc) {
-			var got int64
-			for got < total/4 {
-				got += c.Host(0).RecvAny(p).Size
-			}
-		})
-		eng.Run()
+		c.Eng.Spawn("sink", func(p *sim.Proc) { drain(p, c.Host(0), total/4) })
+		c.Run()
 		bytes := trunk.Stats().Bytes
 		c.Shutdown()
 		return bytes
@@ -465,46 +415,16 @@ func FilterPlacement(env apps.Env) PlacementResult {
 func RequestSize(env apps.Env, sizes []int64) []ThroughputPoint {
 	var out []ThroughputPoint
 	for _, chunk := range sizes {
-		eng := sim.NewEngine()
-		ccfg := cluster.DefaultIOClusterConfig()
-		c := cluster.NewIOCluster(eng, ccfg)
-		env.Observe(c)
 		const total = 8 << 20
-		c.Store(0).AddFile(&iodev.File{Name: "f", Size: total})
+		c := prepare(env, cluster.NewIOCluster(sim.NewEngine(), cluster.DefaultIOClusterConfig()), total)
 		sw := c.Switch(0)
-		done := sim.NewLatch()
-		streamHandler(sw, 1, 0x0010_0000, total, 4, san.NoNode, 0, 0, done)
+		streamHandler(sw, total, 4, san.NoNode, 0)
 		c.Start()
 		h := c.Host(0)
-		eng.Spawn("app", func(p *sim.Proc) {
-			h.SendMessage(p, &san.Message{
-				Hdr:  san.Header{Dst: sw.ID(), Type: san.ActiveMsg, HandlerID: 1, Addr: 0},
-				Size: 32,
-			}, 0)
-			var pending []*host.ReadToken
-			next := int64(0)
-			issue := func() {
-				n := total - next
-				if n <= 0 {
-					return
-				}
-				if n > chunk {
-					n = chunk
-				}
-				pending = append(pending, h.IssueReadTo(p, c.Store(0).ID(), "f", next, n,
-					sw.ID(), 0x0010_0000+next, san.Data, 0, 0, 0x6A00))
-				next += n
-			}
-			issue()
-			issue()
-			for len(pending) > 0 {
-				h.WaitRead(p, pending[0])
-				pending = pending[1:]
-				issue()
-			}
-			done.Wait(p)
+		c.Eng.Spawn("app", func(p *sim.Proc) {
+			invoke(p, c, h, sw.ID(), total, chunk, 2, 0x6A00)
 		})
-		end := eng.Run()
+		end := c.Run()
 		b := h.CPU().Breakdown()
 		util := float64(b.Busy+b.Stall) / float64(end)
 		c.Shutdown()

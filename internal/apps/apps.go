@@ -190,10 +190,9 @@ func StreamChunks(p *sim.Proc, h *host.Host, store san.NodeID, file string,
 // data streams to the switch handler, pacing on the storage node's
 // completion notifications with the configuration's outstanding count. The
 // stream is mapped at streamBase..streamBase+size in the handler's address
-// space and carries the given flow and switch CPU id.
+// space and carries the given flow.
 func StreamToSwitch(p *sim.Proc, h *host.Host, store san.NodeID, file string,
-	size, chunk int64, sw san.NodeID, streamBase int64, cpuID int, flow int64,
-	outstanding int) {
+	size, chunk int64, sw san.NodeID, streamBase, flow int64, outstanding int) {
 	var q []*host.ReadToken
 	next := int64(0)
 	issue := func() {
@@ -201,7 +200,7 @@ func StreamToSwitch(p *sim.Proc, h *host.Host, store san.NodeID, file string,
 		if n > chunk {
 			n = chunk
 		}
-		q = append(q, h.IssueReadTo(p, store, file, next, n, sw, streamBase+next, san.Data, 0, cpuID, flow))
+		q = append(q, h.IssueReadTo(p, store, file, next, n, sw, streamBase+next, flow))
 		next += chunk
 	}
 	for i := 0; i < outstanding && next < size; i++ {

@@ -265,7 +265,7 @@ func runCorpus(cfg apps.Config, prm Params, corpus []byte) stats.Run {
 				Payload: prm.Pattern,
 			}, 0)
 			apps.StreamToSwitch(p, h, store, "input", prm.FileSize, prm.ChunkSize,
-				sw.ID(), streamBase, 0, 0x6001, cfg.Outstanding())
+				sw.ID(), streamBase, 0x6001, cfg.Outstanding())
 			comp := h.RecvFlow(p, sw.ID(), resultFlow)
 			lines := bytes.Count(comp.Bytes(), []byte{'\n'})
 			// Touch the received lines (they are the program's output).

@@ -278,7 +278,7 @@ func Run(cfg apps.Config, prm Params) stats.Run {
 			// Phase R: stream R at the switch; consume the forwarded copies
 			// and build the hash table as they land.
 			apps.StreamToSwitch(p, h, store, "R", prm.RBytes, prm.ActiveChunk,
-				sw.ID(), rStreamBase, 0, 0x6010, cfg.Outstanding())
+				sw.ID(), rStreamBase, 0x6010, cfg.Outstanding())
 			var rGot int64
 			for rGot < prm.RBytes {
 				comp := h.RecvFlow(p, sw.ID(), rFwdFlow)
@@ -294,7 +294,7 @@ func Run(cfg apps.Config, prm Params) stats.Run {
 
 			// Phase S: stream S at the switch; then drain match batches.
 			apps.StreamToSwitch(p, h, store, "S", prm.SBytes, prm.ActiveChunk,
-				sw.ID(), sStreamBase, 0, 0x6011, cfg.Outstanding())
+				sw.ID(), sStreamBase, 0x6011, cfg.Outstanding())
 			var reported int64 = -1
 			for reported < 0 {
 				comp := h.RecvAny(p)

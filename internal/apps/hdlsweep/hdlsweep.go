@@ -117,7 +117,7 @@ func RunActive(c *hdl.Compiled, params map[string]uint32, data []byte, oracle []
 				Size: 32,
 			}, 0)
 			apps.StreamToSwitch(p, h, cl.Store(0).ID(), "s", size, prm.ActiveChunk,
-				sw.ID(), streamBase, 0, streamFlow, 1)
+				sw.ID(), streamBase, streamFlow, 1)
 			comp := h.RecvFlow(p, sw.ID(), resultFlow)
 			got = comp.Payloads[0].([]uint32)
 			return map[string]any{"program": c.AST.Name, "words": len(got)}

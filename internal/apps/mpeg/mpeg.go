@@ -368,7 +368,7 @@ func RunFaulted(cfg apps.Config, prm Params, stream []byte) (stats.Run, *fault.I
 				if n > prm.ChunkSize {
 					n = prm.ChunkSize
 				}
-				h.IssueReadTo(p, store, "video", issued, n, sw.ID(), streamBase+issued, san.Data, 0, 0, 0x6003)
+				h.IssueReadTo(p, store, "video", issued, n, sw.ID(), streamBase+issued, 0x6003)
 				issued += n
 			}
 			for i := 0; i < cfg.Outstanding(); i++ {

@@ -323,7 +323,7 @@ func runActiveNode(p *sim.Proc, c *cluster.Cluster, h *host.Host, j int,
 		}, 0)
 	}
 	apps.StreamToSwitch(p, h, c.Store(j).ID(), "part", perNodeBytes, prm.ActiveChunk,
-		sw.ID(), streamBase(j), 0, 0x6040+int64(j), cfg.Outstanding())
+		sw.ID(), streamBase(j), 0x6040+int64(j), cfg.Outstanding())
 	// One "end" batch arrives from the switch.
 	drainIncoming(p, h, prm, 1, count, sum)
 	if j == 0 {

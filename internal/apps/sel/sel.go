@@ -157,7 +157,7 @@ func Run(cfg apps.Config, prm Params) stats.Run {
 				Size: 32,
 			}, 0)
 			apps.StreamToSwitch(p, h, store, "table", prm.TableBytes, prm.ActiveChunk,
-				sw.ID(), streamBase, 0, 0x6002, cfg.Outstanding())
+				sw.ID(), streamBase, 0x6002, cfg.Outstanding())
 			// Count arriving match batches until the summary shows up.
 			var counted, reported int64
 			for {

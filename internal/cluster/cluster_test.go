@@ -165,7 +165,7 @@ func TestIOClusterActiveReadToSwitch(t *testing.T) {
 			Size: 32,
 		}, 0)
 		flow := int64(555)
-		tok := h.IssueReadTo(p, c.Store(0).ID(), "f", 0, n, sw.ID(), 1<<20, san.Data, 0, 0, flow)
+		tok := h.IssueReadTo(p, c.Store(0).ID(), "f", 0, n, sw.ID(), 1<<20, flow)
 		h.WaitRead(p, tok)
 		h.RecvFlow(p, sw.ID(), 777)
 	})
@@ -324,7 +324,7 @@ func TestActiveStreamAcrossSwitches(t *testing.T) {
 			Hdr:  san.Header{Dst: swA.ID(), Type: san.ActiveMsg, HandlerID: 1},
 			Size: 32,
 		}, 0)
-		tok := h.IssueReadTo(p, storeID, "f", 0, total, swA.ID(), 0x100000, san.Data, 0, 0, 0x6600)
+		tok := h.IssueReadTo(p, storeID, "f", 0, total, swA.ID(), 0x100000, 0x6600)
 		h.WaitRead(p, tok)
 		h.RecvFlow(p, swA.ID(), 777)
 		done = true

@@ -109,7 +109,7 @@ func TestHDLHandlerOnRealSwitch(t *testing.T) {
 			Size: 32,
 		}, 0)
 		tok := h.IssueReadTo(p, c.Store(0).ID(), "t", 0, total,
-			sw.ID(), streamBase, san.Data, 0, 0, 0x6500)
+			sw.ID(), streamBase, 0x6500)
 		h.WaitRead(p, tok)
 		res := h.RecvFlow(p, sw.ID(), 0x7301)
 		got = res.Payloads[0].([]uint32)[0]

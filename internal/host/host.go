@@ -164,15 +164,15 @@ func (h *Host) IssueRead(p *sim.Proc, store san.NodeID, file string, off, n int6
 	}, true)
 }
 
-// IssueReadTo starts a disk read whose data streams to another node
-// (typically an active switch handler), optionally invoking handlerID
-// there. The host still pays the request cost; completion arrives as a
+// IssueReadTo starts a disk read whose data streams, as Data packets on
+// flow, to dstAddr at another node (typically an active switch handler's
+// stream). The host still pays the request cost; completion arrives as a
 // Control notification from the storage node.
 func (h *Host) IssueReadTo(p *sim.Proc, store san.NodeID, file string, off, n int64,
-	dst san.NodeID, dstAddr int64, typ san.Type, handlerID, cpuID int, flow int64) *ReadToken {
+	dst san.NodeID, dstAddr, flow int64) *ReadToken {
 	return h.IssueReadReq(p, store, iodev.ReadReq{
 		File: file, Off: off, Len: n,
-		Dst: dst, DstAddr: dstAddr, Type: typ, HandlerID: handlerID, CPUID: cpuID, Flow: flow,
+		Dst: dst, DstAddr: dstAddr, Type: san.Data, Flow: flow,
 	})
 }
 

@@ -158,7 +158,7 @@ func TestMatchCountOnRealSwitch(t *testing.T) {
 			Size: 32,
 		}, 0)
 		tok := h.IssueReadTo(p, c.Store(0).ID(), "t", 0, total,
-			sw.ID(), 1<<20, san.Data, 0, 0, 0x6800)
+			sw.ID(), 1<<20, 0x6800)
 		h.WaitRead(p, tok)
 		comp := h.RecvFlow(p, sw.ID(), 0x7400)
 		got = comp.Payloads[0].(uint32)
