@@ -214,27 +214,19 @@ func Run(cfg apps.Config, prm Params) stats.Run {
 
 	counts := make([]int64, prm.Hosts)
 	sums := make([]uint64, prm.Hosts)
-	var wg sim.WaitGroup
-	wg.Add(prm.Hosts)
-
+	// The run ends when the last host finishes.
+	var end sim.Time
 	for j := 0; j < prm.Hosts; j++ {
-		j := j
 		h := c.Host(j)
 		eng.Spawn(fmt.Sprintf("sort-h%d", j), func(p *sim.Proc) {
-			defer wg.Done()
 			if cfg.IsActive() {
 				runActiveNode(p, c, h, j, cfg, prm, hostIDs, &counts[j], &sums[j])
 			} else {
 				runNormalNode(p, c, h, j, cfg, prm, hostIDs, &counts[j], &sums[j])
 			}
+			end = max(end, p.Now())
 		})
 	}
-
-	var end sim.Time
-	eng.Spawn("sort-main", func(p *sim.Proc) {
-		wg.Wait(p)
-		end = p.Now()
-	})
 	eng.Run()
 	run := apps.Collect(cfg, c, end, map[string]any{
 		"counts": append([]int64(nil), counts...),

@@ -369,29 +369,6 @@ func TestLatch(t *testing.T) {
 	}
 }
 
-func TestWaitGroup(t *testing.T) {
-	e := NewEngine()
-	var wg WaitGroup
-	wg.Add(2)
-	var doneAt Time
-	e.Spawn("waiter", func(p *Proc) {
-		wg.Wait(p)
-		doneAt = p.Now()
-	})
-	for i, d := range []Time{30, 50} {
-		_ = i
-		d := d
-		e.Spawn("worker", func(p *Proc) {
-			p.Sleep(d)
-			wg.Done()
-		})
-	}
-	e.Run()
-	if doneAt != 50 {
-		t.Fatalf("WaitGroup released at %v, want 50", doneAt)
-	}
-}
-
 func TestServerQueueing(t *testing.T) {
 	e := NewEngine()
 	srv := NewServer(e, "bus")

@@ -249,37 +249,3 @@ func (l *Latch) Open() {
 		w.unpark()
 	}
 }
-
-// WaitGroup counts outstanding work items; Wait blocks until the count hits
-// zero.
-type WaitGroup struct {
-	count   int
-	waiters []*Proc
-}
-
-// Add increments the outstanding count by n (n may be negative, like
-// sync.WaitGroup).
-func (w *WaitGroup) Add(n int) {
-	w.count += n
-	if w.count < 0 {
-		panic("sim: negative WaitGroup count")
-	}
-	if w.count == 0 {
-		ws := w.waiters
-		w.waiters = nil
-		for _, p := range ws {
-			p.unpark()
-		}
-	}
-}
-
-// Done decrements the outstanding count.
-func (w *WaitGroup) Done() { w.Add(-1) }
-
-// Wait blocks p until the count is zero.
-func (w *WaitGroup) Wait(p *Proc) {
-	for w.count > 0 {
-		w.waiters = append(w.waiters, p)
-		p.park()
-	}
-}
