@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestTimeUnits(t *testing.T) {
 	if Second != 1e12*Picosecond {
@@ -282,30 +285,32 @@ func TestQueueTryGet(t *testing.T) {
 	}
 }
 
-func TestSemaphoreFIFOAndBatching(t *testing.T) {
+func TestSemaphoreFIFO(t *testing.T) {
 	e := NewEngine()
 	s := NewSemaphore(0)
-	var order []string
-	// "big" arrives first and needs 3 permits; "small" needs 1. FIFO means
-	// small must not sneak past big even when 1 permit is free.
-	e.Spawn("big", func(p *Proc) {
-		s.AcquireN(p, 3)
-		order = append(order, "big")
-	})
-	e.Spawn("small", func(p *Proc) {
-		p.Sleep(1)
-		s.Acquire(p)
-		order = append(order, "small")
-	})
 	e.Spawn("releaser", func(p *Proc) {
-		for i := 0; i < 4; i++ {
+		for i := 0; i < 3; i++ {
 			p.Sleep(10)
 			s.Release()
 		}
 	})
+	// "first" and "second" queue at 1 and 2. "late" asks at 10, the
+	// instant the first permit comes back and before first has run: that
+	// permit is the head waiter's, so late must queue behind second.
+	var order []string
+	for _, w := range []struct {
+		name string
+		at   Time
+	}{{"first", 1}, {"second", 2}, {"late", 10}} {
+		e.Spawn(w.name, func(p *Proc) {
+			p.Sleep(w.at)
+			s.Acquire(p)
+			order = append(order, w.name)
+		})
+	}
 	e.Run()
-	if len(order) != 2 || order[0] != "big" || order[1] != "small" {
-		t.Fatalf("order = %v, want [big small]", order)
+	if got := strings.Join(order, " "); got != "first second late" {
+		t.Fatalf("order = [%s], want [first second late]", got)
 	}
 	if s.Available() != 0 {
 		t.Fatalf("leftover permits = %d, want 0", s.Available())

@@ -101,14 +101,10 @@ func NewSemaphore(n int) *Semaphore { return &Semaphore{count: n} }
 // Available reports the current permit count.
 func (s *Semaphore) Available() int { return s.count }
 
-// Acquire takes one permit, blocking p until one is free.
-func (s *Semaphore) Acquire(p *Proc) { s.AcquireN(p, 1) }
-
-// AcquireN takes n permits atomically, blocking until the full count is
-// available to this waiter (waiters are served FIFO, so a large request is
-// not starved by a stream of small ones).
-func (s *Semaphore) AcquireN(p *Proc, n int) {
-	for !s.acquireOrWait(p, n) {
+// Acquire takes one permit, blocking p until one is free. Waiters are
+// served FIFO.
+func (s *Semaphore) Acquire(p *Proc) {
+	for !s.AcquireOrWait(p) {
 		p.block()
 	}
 }
@@ -116,26 +112,22 @@ func (s *Semaphore) AcquireN(p *Proc, n int) {
 // AcquireOrWait is the non-blocking Acquire for step processes: it takes
 // one permit and reports true, or queues p and reports false — p is woken
 // when it heads the queue and a permit is free, and calls AcquireOrWait
-// again. The FIFO and re-check rules are AcquireN's, which is built on it.
-func (s *Semaphore) AcquireOrWait(p *Proc) bool { return s.acquireOrWait(p, 1) }
-
-// acquireOrWait takes n permits if this call may: a fresh request only when
-// no one is queued ahead, a queued waiter only once it heads the queue. A
-// waiter is only ever woken at the head, so p at the head means p is
-// re-checking after a wake; anywhere else it is a fresh request and joins
-// the tail.
-func (s *Semaphore) acquireOrWait(p *Proc, n int) bool {
+// again. A fresh request takes a permit only when no one is queued ahead,
+// a queued waiter only once it heads the queue. A waiter is only ever
+// woken at the head, so p at the head means p is re-checking after a
+// wake; anywhere else it is a fresh request and joins the tail.
+func (s *Semaphore) AcquireOrWait(p *Proc) bool {
 	switch {
 	case len(s.waiters) == 0:
-		if s.count >= n {
-			s.count -= n
+		if s.count > 0 {
+			s.count--
 			return true
 		}
 		s.waiters = append(s.waiters, p)
 	case s.waiters[0] == p:
-		if s.count >= n {
+		if s.count > 0 {
 			s.waiters = dequeue(s.waiters)
-			s.count -= n
+			s.count--
 			s.wake()
 			return true
 		}
@@ -156,12 +148,9 @@ func (s *Semaphore) TryAcquire() bool {
 	return false
 }
 
-// Release returns one permit.
-func (s *Semaphore) Release() { s.ReleaseN(1) }
-
-// ReleaseN returns n permits and wakes the head waiter.
-func (s *Semaphore) ReleaseN(n int) {
-	s.count += n
+// Release returns one permit and wakes the head waiter.
+func (s *Semaphore) Release() {
+	s.count++
 	s.wake()
 }
 
