@@ -223,13 +223,7 @@ func (h *Host) RecvFlow(p *sim.Proc, src san.NodeID, flow int64) *nic.Completion
 	key := flowKey{src: src, flow: flow}
 	h.cpu.Flush(p)
 	for {
-		if q := h.held[key]; len(q) > 0 {
-			c := q[0]
-			if len(q) == 1 {
-				delete(h.held, key)
-			} else {
-				h.held[key] = q[1:]
-			}
+		if c := h.popHeld(key); c != nil {
 			return c
 		}
 		c := h.hca.Recv(p)
@@ -251,17 +245,8 @@ func (h *Host) TryRecvFlow(src san.NodeID, flow int64) (*nic.Completion, bool) {
 		k := flowKey{src: c.Hdr.Src, flow: c.Hdr.Flow}
 		h.held[k] = append(h.held[k], c)
 	}
-	key := flowKey{src: src, flow: flow}
-	if q := h.held[key]; len(q) > 0 {
-		c := q[0]
-		if len(q) == 1 {
-			delete(h.held, key)
-		} else {
-			h.held[key] = q[1:]
-		}
-		return c, true
-	}
-	return nil, false
+	c := h.popHeld(flowKey{src: src, flow: flow})
+	return c, c != nil
 }
 
 // RecvAny blocks for the next completion of any flow, charging the polling
@@ -278,18 +263,27 @@ func (h *Host) RecvAny(p *sim.Proc) *nic.Completion {
 				best, found = k, true
 			}
 		}
-		q := h.held[best]
-		c = q[0]
-		if len(q) == 1 {
-			delete(h.held, best)
-		} else {
-			h.held[best] = q[1:]
-		}
+		c = h.popHeld(best)
 	} else {
 		c = h.hca.Recv(p)
 	}
 	h.cpu.BusyFor(p, h.RecvCost())
 	return c
+}
+
+// popHeld removes and returns the oldest buffered completion for key, or
+// nil when none is buffered.
+func (h *Host) popHeld(key flowKey) *nic.Completion {
+	q := h.held[key]
+	if len(q) == 0 {
+		return nil
+	}
+	if len(q) == 1 {
+		delete(h.held, key)
+	} else {
+		h.held[key] = q[1:]
+	}
+	return q[0]
 }
 
 // RecvCost is the per-message completion cost: the polling overhead.
