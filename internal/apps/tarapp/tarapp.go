@@ -229,7 +229,6 @@ func runFiles(cfg apps.Config, prm Params, files [][]byte) stats.Run {
 		sw := c.Switch(0)
 
 		// The remote node assembles and verifies the archive.
-		remoteDone := sim.NewLatch()
 		c.Eng.Spawn("archive-target", func(rp *sim.Proc) {
 			sum := fnv.New64a()
 			var got int64
@@ -263,7 +262,6 @@ func runFiles(cfg apps.Config, prm Params, files [][]byte) stats.Run {
 				Hdr:  san.Header{Dst: h0.ID(), Type: san.Control, Flow: ackFlow},
 				Size: 8,
 			}, 0)
-			remoteDone.Open()
 		})
 
 		if cfg.IsActive() {
