@@ -91,18 +91,40 @@ type Reliability struct {
 	Disable bool `json:"disable,omitempty"`
 }
 
-// Load reads and validates a plan file.
+// MaxNS caps every *_ns field of a plan (at_ns, delay_ns, jitter_ns,
+// retry_ns, timeout_ns, max_backoff_ns) at one hour of simulated time.
+// sim.Time counts picoseconds in an int64, about 2,562 hours, so at the cap
+// an event time, a packet's delay plus jitter, a retransmission timeout and
+// the 64 re-read penalties one disk operation may pay each stay far inside
+// it; past about 2,562 hours, nanoseconds scaled to picoseconds wrap
+// negative.
+const MaxNS = 3_600_000_000_000
+
+// MaxBackoff caps reliability.backoff, so that a retransmission timeout of
+// MaxNS multiplied by the backoff still fits in sim.Time.
+const MaxBackoff = 1000
+
+// Load reads a plan file and parses it.
 func Load(path string) (*Plan, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("fault plan: %w", err)
 	}
-	var p Plan
-	if err := json.Unmarshal(data, &p); err != nil {
+	p, err := Parse(data)
+	if err != nil {
 		return nil, fmt.Errorf("fault plan %s: %w", path, err)
 	}
+	return p, nil
+}
+
+// Parse decodes a JSON plan and validates it.
+func Parse(data []byte) (*Plan, error) {
+	var p Plan
+	if err := json.Unmarshal(data, &p); err != nil {
+		return nil, err
+	}
 	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("fault plan %s: %w", path, err)
+		return nil, err
 	}
 	return &p, nil
 }
@@ -120,16 +142,19 @@ func (p *Plan) Validate() error {
 		if err := prob("delay_prob", r.DelayProb); err != nil {
 			return fmt.Errorf("links[%d]: %w", i, err)
 		}
-		if r.DelayNS < 0 || r.JitterNS < 0 {
-			return fmt.Errorf("links[%d]: negative delay", i)
+		if err := ns("delay_ns", r.DelayNS); err != nil {
+			return fmt.Errorf("links[%d]: %w", i, err)
+		}
+		if err := ns("jitter_ns", r.JitterNS); err != nil {
+			return fmt.Errorf("links[%d]: %w", i, err)
 		}
 	}
 	for i, r := range p.Disks {
 		if err := prob("fail", r.Fail); err != nil {
 			return fmt.Errorf("disks[%d]: %w", i, err)
 		}
-		if r.RetryNS < 0 {
-			return fmt.Errorf("disks[%d]: negative retry_ns", i)
+		if err := ns("retry_ns", r.RetryNS); err != nil {
+			return fmt.Errorf("disks[%d]: %w", i, err)
 		}
 	}
 	for i, e := range p.Events {
@@ -144,9 +169,28 @@ func (p *Plan) Validate() error {
 			return fmt.Errorf("events[%d]: unknown kind %q (want %s|%s|%s|%s|%s|%s)",
 				i, e.Kind, LinkDown, LinkUp, PortDown, PortUp, HandlerCrash, HandlerRestart)
 		}
-		if e.AtNS < 0 {
-			return fmt.Errorf("events[%d]: negative at_ns", i)
+		if err := ns("at_ns", e.AtNS); err != nil {
+			return fmt.Errorf("events[%d]: %w", i, err)
 		}
+	}
+	if r := p.Reliability; r != nil {
+		if err := ns("timeout_ns", r.TimeoutNS); err != nil {
+			return fmt.Errorf("reliability: %w", err)
+		}
+		if err := ns("max_backoff_ns", r.MaxBackoffNS); err != nil {
+			return fmt.Errorf("reliability: %w", err)
+		}
+		if r.Backoff > MaxBackoff {
+			return fmt.Errorf("reliability: backoff=%v above %d", r.Backoff, MaxBackoff)
+		}
+	}
+	return nil
+}
+
+// ns checks a nanosecond field against [0, MaxNS].
+func ns(name string, v int64) error {
+	if v < 0 || v > MaxNS {
+		return fmt.Errorf("%s=%d outside [0,%d]", name, v, int64(MaxNS))
 	}
 	return nil
 }

@@ -19,12 +19,19 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 		{"drop above 1", Plan{Links: []LinkRule{{Drop: 1.5}}}, "drop=1.5"},
 		{"negative corrupt", Plan{Links: []LinkRule{{Corrupt: -0.1}}}, "corrupt=-0.1"},
 		{"bad delay prob", Plan{Links: []LinkRule{{DelayProb: 2}}}, "delay_prob"},
-		{"negative delay", Plan{Links: []LinkRule{{DelayNS: -5}}}, "negative delay"},
+		{"negative delay", Plan{Links: []LinkRule{{DelayNS: -5}}}, "delay_ns=-5"},
 		{"bad disk fail", Plan{Disks: []DiskRule{{Fail: 7}}}, "fail=7"},
-		{"negative retry", Plan{Disks: []DiskRule{{Fail: 0.1, RetryNS: -1}}}, "negative retry_ns"},
+		{"negative retry", Plan{Disks: []DiskRule{{Fail: 0.1, RetryNS: -1}}}, "retry_ns=-1"},
 		{"unknown kind", Plan{Events: []Event{{Kind: "meteor_strike"}}}, "unknown kind"},
 		{"link event without link", Plan{Events: []Event{{Kind: LinkDown}}}, "needs a link name"},
-		{"negative at", Plan{Events: []Event{{Kind: HandlerCrash, AtNS: -1}}}, "negative at_ns"},
+		{"negative at", Plan{Events: []Event{{Kind: HandlerCrash, AtNS: -1}}}, "at_ns=-1"},
+		{"delay past ceiling", Plan{Links: []LinkRule{{DelayNS: MaxNS + 1}}}, "delay_ns="},
+		{"jitter past ceiling", Plan{Links: []LinkRule{{JitterNS: MaxNS + 1}}}, "jitter_ns="},
+		{"retry past ceiling", Plan{Disks: []DiskRule{{RetryNS: MaxNS + 1}}}, "retry_ns="},
+		{"at past ceiling", Plan{Events: []Event{{Kind: HandlerCrash, AtNS: MaxNS + 1}}}, "at_ns="},
+		{"timeout past ceiling", Plan{Reliability: &Reliability{TimeoutNS: MaxNS + 1}}, "timeout_ns="},
+		{"negative max backoff", Plan{Reliability: &Reliability{MaxBackoffNS: -1}}, "max_backoff_ns=-1"},
+		{"backoff past ceiling", Plan{Reliability: &Reliability{Backoff: 1e300}}, "backoff=1e+300"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -40,10 +47,29 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 	good := Plan{
 		Links:  []LinkRule{{Drop: 0.01, DelayNS: 100, JitterNS: 50, DelayProb: 0.5}},
 		Disks:  []DiskRule{{Fail: 0.1, RetryNS: 1000}},
-		Events: []Event{{AtNS: 10, Kind: LinkDown, Link: "h0"}, {AtNS: 20, Kind: HandlerCrash}},
+		Events: []Event{{AtNS: 10, Kind: LinkDown, Link: "h0"}, {AtNS: MaxNS, Kind: HandlerCrash}},
 	}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid plan rejected: %v", err)
+	}
+}
+
+// TestLoadRejectsTimesPastSimTime: nanosecond fields beyond sim.Time's
+// range wrap negative once scaled to picoseconds. The event plan used to
+// load and then crash the run ("scheduling into the past"); the delay plan
+// used to load and inject no delay at all.
+func TestLoadRejectsTimesPastSimTime(t *testing.T) {
+	for _, src := range []string{
+		`{"events": [{"at_ns": 9300000000000000, "kind": "handler_crash", "switch": 0}]}`,
+		`{"links": [{"delay_ns": 9300000000000000}]}`,
+	} {
+		path := filepath.Join(t.TempDir(), "plan.json")
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(path); err == nil {
+			t.Errorf("plan loaded: %s", src)
+		}
 	}
 }
 
