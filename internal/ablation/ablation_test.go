@@ -3,7 +3,6 @@ package ablation
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"activesan/internal/apps"
@@ -81,19 +80,8 @@ func TestReportRenders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := Report(apps.Env{})
-	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(gl) || i < len(wl); i++ {
-		var g, w string
-		if i < len(gl) {
-			g = gl[i]
-		}
-		if i < len(wl) {
-			w = wl[i]
-		}
-		if g != w {
-			t.Fatalf("report line %d = %q, testdata/report.txt has %q; report:\n%s", i+1, g, w, got)
-		}
+	if got := Report(apps.Env{}); got != string(want) {
+		t.Fatalf("report differs from testdata/report.txt:\n%s", got)
 	}
 }
 
