@@ -9,10 +9,10 @@
 //   - Experiment level: Experiments() lists every paper artifact;
 //     RunExperiment executes one and returns its rows/series.
 //
-//   - System level: build clusters (NewIOCluster / NewTreeCluster),
-//     register switch handlers (ActiveSwitch.Register with a HandlerCtx
-//     callback), attach files to storage nodes, and drive host programs as
-//     simulation processes — the same machinery the benchmarks use.
+//   - System level: build clusters (NewIOCluster), register switch
+//     handlers (ActiveSwitch.Register with a HandlerCtx callback), attach
+//     files to storage nodes, and drive host programs as simulation
+//     processes — the same machinery the benchmarks use.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for measured
 // versus published results.
@@ -21,7 +21,6 @@ package activesan
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 
 	"activesan/internal/apps"
 	"activesan/internal/aswitch"
@@ -87,10 +86,6 @@ type (
 	Cluster = cluster.Cluster
 	// IOClusterConfig parameterizes single-switch I/O clusters.
 	IOClusterConfig = cluster.IOClusterConfig
-	// TreeConfig parameterizes reduction-tree clusters.
-	TreeConfig = cluster.TreeConfig
-	// SwitchConfig parameterizes an active switch.
-	SwitchConfig = aswitch.Config
 	// ReadToken tracks an outstanding disk read.
 	ReadToken = host.ReadToken
 )
@@ -114,19 +109,6 @@ func DefaultIOClusterConfig() IOClusterConfig { return cluster.DefaultIOClusterC
 func NewIOCluster(eng *Engine, cfg IOClusterConfig) *Cluster {
 	return cluster.NewIOCluster(eng, cfg)
 }
-
-// DefaultTreeConfig returns the paper's reduction topology for p hosts
-// (16-port switches, 8 hosts per leaf).
-func DefaultTreeConfig(p int) TreeConfig { return cluster.DefaultTreeConfig(p) }
-
-// NewTreeCluster builds a switch tree for collective operations.
-func NewTreeCluster(eng *Engine, cfg TreeConfig) *Cluster {
-	return cluster.NewTreeCluster(eng, cfg)
-}
-
-// DefaultSwitchConfig returns the paper's active switch (one 500 MHz CPU,
-// sixteen 512-byte buffers) with the given port count.
-func DefaultSwitchConfig(ports int) SwitchConfig { return aswitch.DefaultConfig(ports) }
 
 // Benchmark configurations.
 type BenchConfig = apps.Config
@@ -240,32 +222,13 @@ type (
 	// every link, switch and NIC, handler dispatch/invoke/retire,
 	// main-memory cache misses and disk operations (activesim's -trace
 	// writes them as text lines). A partitioned cluster calls it from
-	// several goroutines, so it must lock — NewChromeTraceWriter's sink
-	// already does.
+	// several goroutines, so it must lock.
 	TraceSink = sim.TraceSink
 	// MetricsSnapshot is the per-run secondary-metric tree: every
 	// component counter under a "/"-separated name, plus derived gauges
 	// and sampled timelines. Each Run carries one in its Metrics field.
 	MetricsSnapshot = metrics.Snapshot
-	// ChromeTraceWriter streams typed trace events as a Perfetto /
-	// chrome://tracing loadable JSON file.
-	ChromeTraceWriter = metrics.ChromeTraceWriter
 )
-
-// NewChromeTraceWriter starts a Chrome trace-event JSON stream on w,
-// capped at limit events (0 = unlimited). Set its Sink as a Config's
-// Env.Trace, or on an Engine with SetTraceSink, and Close it after the last
-// simulation finishes; the resulting file opens directly in
-// https://ui.perfetto.dev.
-func NewChromeTraceWriter(w io.Writer, limit int64) *ChromeTraceWriter {
-	return metrics.NewChromeTraceWriter(w, limit)
-}
-
-// MetricsDiff compares two snapshots, returning every shared metric whose
-// relative change exceeds thresholdPct (largest drift first).
-func MetricsDiff(before, after *MetricsSnapshot, thresholdPct float64) []metrics.Drift {
-	return metrics.Diff(before, after, thresholdPct)
-}
 
 // MetricsJSON extracts every run's metrics snapshot into one JSON document
 // keyed by experiment id and configuration — the activesim/sansweep

@@ -200,13 +200,8 @@ const (
 	resultFlow = 0x7001
 )
 
-// Run executes one configuration and returns its metrics.
-func Run(cfg apps.Config, prm Params) stats.Run {
-	return runCorpus(cfg, prm, BuildCorpus(prm))
-}
-
-// runCorpus is Run on corpus, BuildCorpus(prm), which it only reads, so
-// concurrent runs share one.
+// runCorpus executes one configuration on corpus, BuildCorpus(prm), and
+// returns its metrics. It only reads corpus, so concurrent runs share one.
 func runCorpus(cfg apps.Config, prm Params, corpus []byte) stats.Run {
 	ccfg := cluster.DefaultIOClusterConfig()
 

@@ -122,7 +122,7 @@ func TestCorpusSizedExactly(t *testing.T) {
 func TestRunFindsMatchesInAllConfigs(t *testing.T) {
 	prm := DefaultParams()
 	for _, cfg := range apps.AllConfigs {
-		run := Run(cfg, prm)
+		run := runCorpus(cfg, prm, BuildCorpus(prm))
 		if got := run.Extra["matches"]; got != prm.Matches {
 			t.Errorf("%s: matches = %v, want %d", cfg, got, prm.Matches)
 		}

@@ -115,3 +115,23 @@ func TestMatchPercentTracksPasses(t *testing.T) {
 		}
 	}
 }
+
+// Oracle computes the expected pass and match counts directly.
+func (prm Params) Oracle() (passes, matches int64) {
+	nR := prm.RBytes / prm.RecordSize
+	nS := prm.SBytes / prm.RecordSize
+	bv := NewBitvec(prm.BitvecBits)
+	for i := int64(0); i < nR; i++ {
+		bv.Set(prm.BitIndex(RKey(i)))
+	}
+	for i := int64(0); i < nS; i++ {
+		key, m := prm.SKey(i, nR)
+		if bv.Get(prm.BitIndex(key)) {
+			passes++
+		}
+		if m {
+			matches++
+		}
+	}
+	return passes, matches
+}

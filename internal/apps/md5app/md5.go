@@ -148,29 +148,3 @@ func SumBytes(data []byte) [Size]byte {
 	d.Write(data)
 	return d.Sum()
 }
-
-// ChainDigest computes the paper's K-chain variant: block i (of blockSize
-// bytes) joins chain i mod K; the K chain digests, concatenated, are
-// digested once more. K=1 degenerates to plain MD5.
-func ChainDigest(data []byte, k int, blockSize int64) [Size]byte {
-	if k <= 1 {
-		return SumBytes(data)
-	}
-	chains := make([]*Digest, k)
-	for j := range chains {
-		chains[j] = New()
-	}
-	for i := int64(0); i*blockSize < int64(len(data)); i++ {
-		end := (i + 1) * blockSize
-		if end > int64(len(data)) {
-			end = int64(len(data))
-		}
-		chains[int(i)%k].Write(data[i*blockSize : end])
-	}
-	final := New()
-	for _, c := range chains {
-		sum := c.Sum()
-		final.Write(sum[:])
-	}
-	return final.Sum()
-}

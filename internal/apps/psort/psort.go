@@ -82,19 +82,6 @@ type Batch struct {
 	From   int
 }
 
-// Oracle computes each destination's expected record count and key sum.
-func (prm Params) Oracle() (counts []int64, sums []uint64) {
-	counts = make([]int64, prm.Hosts)
-	sums = make([]uint64, prm.Hosts)
-	for i := int64(0); i < prm.Records; i++ {
-		k := Key(i)
-		d := Dest(k, prm.Hosts)
-		counts[d]++
-		sums[d] += k
-	}
-	return counts, sums
-}
-
 // recordsIn returns the index range [lo, hi) of records whose start byte
 // lies within partition bytes [a, b) of node j's partition.
 func recordsIn(prm Params, j int, a, b int64) (lo, hi int64) {

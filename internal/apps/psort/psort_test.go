@@ -125,3 +125,16 @@ func TestOtherNodeCounts(t *testing.T) {
 		}
 	}
 }
+
+// Oracle computes each destination's expected record count and key sum.
+func (prm Params) Oracle() (counts []int64, sums []uint64) {
+	counts = make([]int64, prm.Hosts)
+	sums = make([]uint64, prm.Hosts)
+	for i := int64(0); i < prm.Records; i++ {
+		k := Key(i)
+		d := Dest(k, prm.Hosts)
+		counts[d]++
+		sums[d] += k
+	}
+	return counts, sums
+}

@@ -64,18 +64,6 @@ func Key(i int64) int64 { return int64(apps.Mix64(uint64(i)) % 1000) }
 // Matches reports whether record i passes the range predicate.
 func (prm Params) Matches(i int64) bool { return Key(i) < prm.SelectPermille }
 
-// ExpectedMatches counts passing records directly (the test oracle).
-func (prm Params) ExpectedMatches() int64 {
-	n := prm.TableBytes / prm.RecordSize
-	var c int64
-	for i := int64(0); i < n; i++ {
-		if prm.Matches(i) {
-			c++
-		}
-	}
-	return c
-}
-
 const handlerID = 10
 
 const (

@@ -100,3 +100,15 @@ func TestSelectivitySweep(t *testing.T) {
 		}
 	}
 }
+
+// ExpectedMatches counts passing records directly (the test oracle).
+func (prm Params) ExpectedMatches() int64 {
+	n := prm.TableBytes / prm.RecordSize
+	var c int64
+	for i := int64(0); i < n; i++ {
+		if prm.Matches(i) {
+			c++
+		}
+	}
+	return c
+}

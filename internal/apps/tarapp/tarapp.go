@@ -113,16 +113,6 @@ func BuildFile(i int, size int64) []byte {
 	return out
 }
 
-// ArchiveChecksum is the oracle: FNV over header+content per file in order.
-func ArchiveChecksum(prm Params) string {
-	sum := fnv.New64a()
-	for i := 0; i < prm.Files; i++ {
-		sum.Write(Header(FileName(i), prm.FileSize))
-		sum.Write(BuildFile(i, prm.FileSize))
-	}
-	return fmt.Sprintf("%x", sum.Sum64())
-}
-
 const handlerID = 13
 
 const (
@@ -145,11 +135,6 @@ type tarArgs struct {
 	BufSz  int64
 }
 
-// Run executes one configuration.
-func Run(cfg apps.Config, prm Params) stats.Run {
-	return runFiles(cfg, prm, buildFiles(prm))
-}
-
 // buildFiles generates every input file, in index order.
 func buildFiles(prm Params) [][]byte {
 	files := make([][]byte, prm.Files)
@@ -159,8 +144,8 @@ func buildFiles(prm Params) [][]byte {
 	return files
 }
 
-// runFiles is Run on files, buildFiles(prm), which it only reads, so
-// concurrent runs share them.
+// runFiles executes one configuration on files, buildFiles(prm). It only
+// reads files, so concurrent runs share them.
 func runFiles(cfg apps.Config, prm Params, files [][]byte) stats.Run {
 	ccfg := cluster.DefaultIOClusterConfig()
 	ccfg.Hosts = 2

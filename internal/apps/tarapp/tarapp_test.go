@@ -1,6 +1,8 @@
 package tarapp
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"activesan/internal/apps"
@@ -39,7 +41,7 @@ func TestArchiveChecksumAcrossConfigs(t *testing.T) {
 	prm := testParams()
 	want := ArchiveChecksum(prm)
 	for _, cfg := range apps.AllConfigs {
-		run := Run(cfg, prm)
+		run := runFiles(cfg, prm, buildFiles(prm))
 		if got := run.Extra["checksum"].(string); got != want {
 			t.Errorf("%s: archive checksum %s, want %s", cfg, got, want)
 		}
@@ -95,9 +97,19 @@ func TestSingleFileArchive(t *testing.T) {
 	prm.FileSize = 64 * 1024
 	want := ArchiveChecksum(prm)
 	for _, cfg := range []apps.Config{apps.Normal, apps.ActivePref} {
-		run := Run(cfg, prm)
+		run := runFiles(cfg, prm, buildFiles(prm))
 		if got := run.Extra["checksum"].(string); got != want {
 			t.Errorf("%s: single-file archive checksum mismatch", cfg)
 		}
 	}
+}
+
+// ArchiveChecksum is the oracle: FNV over header+content per file in order.
+func ArchiveChecksum(prm Params) string {
+	sum := fnv.New64a()
+	for i := 0; i < prm.Files; i++ {
+		sum.Write(Header(FileName(i), prm.FileSize))
+		sum.Write(BuildFile(i, prm.FileSize))
+	}
+	return fmt.Sprintf("%x", sum.Sum64())
 }

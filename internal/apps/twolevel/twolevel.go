@@ -83,18 +83,6 @@ func Key(i int64) int64 { return int64(apps.Mix64(uint64(i)|7<<40) % 1000) }
 // Matches is the predicate.
 func (prm Params) Matches(i int64) bool { return Key(i) < prm.SelectPermille }
 
-// ExpectedMatches is the oracle.
-func (prm Params) ExpectedMatches() int64 {
-	n := prm.TableBytes / prm.RecordSize
-	var c int64
-	for i := int64(0); i < n; i++ {
-		if prm.Matches(i) {
-			c++
-		}
-	}
-	return c
-}
-
 // chunkCount carries a filtered chunk's surviving record count.
 type chunkCount struct{ N int64 }
 

@@ -66,3 +66,15 @@ func TestDiskFilterDoesNotSlowStream(t *testing.T) {
 		t.Errorf("disk filtering (%v) much slower than plain streaming (%v)", disk.Time, host.Time)
 	}
 }
+
+// ExpectedMatches is the oracle.
+func (prm Params) ExpectedMatches() int64 {
+	n := prm.TableBytes / prm.RecordSize
+	var c int64
+	for i := int64(0); i < n; i++ {
+		if prm.Matches(i) {
+			c++
+		}
+	}
+	return c
+}

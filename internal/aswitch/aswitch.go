@@ -176,7 +176,7 @@ func New(eng *sim.Engine, id san.NodeID, name string, cfg Config) *ActiveSwitch 
 		Switch: san.NewSwitch(eng, id, name, cfg.Base),
 		eng:    eng,
 		cfg:    cfg,
-		mem:    memsys.New(eng, name+".mem", cfg.Mem),
+		mem:    memsys.New(eng, cfg.Mem),
 		space:  memsys.NewAddressSpace(0, 1<<30),
 		dba:    NewDBA(cfg.NumBuffers, cfg.OutReserve),
 		states: make(map[int]any),

@@ -1010,3 +1010,20 @@ func TestStaleBufferReferencePanics(t *testing.T) {
 		}
 	}
 }
+
+// Live reports how many entries are mapped.
+func (a *ATB) Live() int {
+	n := 0
+	for _, b := range a.entries {
+		if b != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// Peak reports the high-water mark of held buffers.
+func (d *DBA) Peak() int { return d.peak }
+
+// SetState replaces the per-switch state for this handler id.
+func (x *Ctx) SetState(v any) { x.sw.states[x.inv.HandlerID] = v }

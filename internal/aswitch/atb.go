@@ -83,16 +83,5 @@ func (a *ATB) Release(buf *DataBuffer) bool {
 	return false
 }
 
-// Live reports how many entries are mapped.
-func (a *ATB) Live() int {
-	n := 0
-	for _, b := range a.entries {
-		if b != nil {
-			n++
-		}
-	}
-	return n
-}
-
 // Stats reports lookup hits and misses.
 func (a *ATB) Stats() (hits, misses int64) { return a.hits, a.misses }

@@ -108,9 +108,6 @@ func (r BufRef) buf() *DataBuffer {
 	return r.b
 }
 
-// ID returns the buffer's slot number.
-func (r BufRef) ID() int { return r.buf().id }
-
 // Addr returns the mapped address of the buffer's first byte.
 func (r BufRef) Addr() int64 { return r.buf().addr }
 
@@ -124,9 +121,6 @@ func (r BufRef) End() int64 { return r.buf().End() }
 // handlers over variable-length streams (active-disk pushdown output) use
 // it for termination.
 func (r BufRef) Last() bool { return r.buf().last }
-
-// Payload returns the functional content carried by the packet.
-func (r BufRef) Payload() any { return r.buf().payload }
 
 // DBA is the data buffer administrator: it owns the pool of NumBuffers
 // on-chip buffers, reserving OutReserve of them for the send unit so that a
@@ -217,6 +211,3 @@ func (d *DBA) Free(b *DataBuffer) {
 
 // InUse reports how many buffers are currently held.
 func (d *DBA) InUse() int { return d.inUse }
-
-// Peak reports the high-water mark of held buffers.
-func (d *DBA) Peak() int { return d.peak }

@@ -55,9 +55,6 @@ func (x *Ctx) Src() san.NodeID { return x.inv.Src }
 // (the paper's ADDRESS2 argument area).
 func (x *Ctx) BaseAddr() int64 { return x.inv.BaseAddr }
 
-// Flow returns the invoking message's flow id.
-func (x *Ctx) Flow() int64 { return x.inv.Flow }
-
 // Args returns the invoking message's argument payload, charging the reads
 // that fetch it from the argument buffer.
 func (x *Ctx) Args() any {
@@ -67,9 +64,6 @@ func (x *Ctx) Args() any {
 
 // State returns the per-switch state registered for this handler id.
 func (x *Ctx) State() any { return x.sw.states[x.inv.HandlerID] }
-
-// SetState replaces the per-switch state for this handler id.
-func (x *Ctx) SetState(v any) { x.sw.states[x.inv.HandlerID] = v }
 
 // Compute charges n instructions on the switch CPU.
 func (x *Ctx) Compute(n int64) { x.c.cpu.Compute(x.p, n) }
@@ -286,7 +280,3 @@ func (x *Ctx) Forward(spec SendSpec, ref BufRef, seq int, last bool) {
 	x.sw.stats.BytesSent += src.size
 	x.sw.perHandler[x.inv.HandlerID].BytesSent += src.size
 }
-
-// Proc exposes the underlying process for integration points (e.g. the Tar
-// handler issuing I/O requests through host-side helpers).
-func (x *Ctx) Proc() *sim.Proc { return x.p }

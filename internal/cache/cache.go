@@ -97,9 +97,6 @@ func New(cfg Config) *Cache {
 	}
 }
 
-// Config returns the geometry.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
@@ -159,18 +156,6 @@ func (c *Cache) Access(addr int64, write bool) (hit bool, writeback bool) {
 	return false, writeback
 }
 
-// Contains reports whether addr's line is resident, without touching
-// recency or counters. Used by tests and invariant checks.
-func (c *Cache) Contains(addr int64) bool {
-	ways, key := c.lookup(addr)
-	for _, w := range ways {
-		if w|dirtyBit == key {
-			return true
-		}
-	}
-	return false
-}
-
 // Invalidate removes addr's line if resident (DMA coherence), reporting
 // whether it was present.
 func (c *Cache) Invalidate(addr int64) bool {
@@ -182,18 +167,6 @@ func (c *Cache) Invalidate(addr int64) bool {
 		}
 	}
 	return false
-}
-
-// Flush invalidates every line, returning how many dirty lines were
-// discarded (the caller decides whether to charge writebacks).
-func (c *Cache) Flush() (dirty int) {
-	for _, w := range c.tags {
-		if w&dirtyBit != 0 {
-			dirty++
-		}
-	}
-	clear(c.tags)
-	return dirty
 }
 
 // LineSize returns the line size in bytes.

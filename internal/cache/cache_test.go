@@ -187,7 +187,7 @@ func TestSwitchHierConfigMatchesPaper(t *testing.T) {
 func newTestHier(t *testing.T) (*sim.Engine, *Hierarchy) {
 	t.Helper()
 	eng := sim.NewEngine()
-	mem := memsys.New(eng, "mem", memsys.DefaultConfig())
+	mem := memsys.New(eng, memsys.DefaultConfig())
 	return eng, NewHierarchy(eng, HostHierConfig(1), mem, 1<<40)
 }
 
@@ -236,7 +236,7 @@ func TestHierarchyTLBWalk(t *testing.T) {
 	}
 	// Second access to the same page should not walk.
 	eng2 := sim.NewEngine()
-	mem := memsys.New(eng2, "mem", memsys.DefaultConfig())
+	mem := memsys.New(eng2, memsys.DefaultConfig())
 	h2 := NewHierarchy(eng2, HostHierConfig(1), mem, 1<<40)
 	eng2.Spawn("cpu", func(p *sim.Proc) {
 		h2.Access(0, Load)
@@ -265,7 +265,7 @@ func TestHierarchyIfetchUsesICache(t *testing.T) {
 
 func TestSingleLevelHierarchy(t *testing.T) {
 	eng := sim.NewEngine()
-	mem := memsys.New(eng, "smem", memsys.DefaultConfig())
+	mem := memsys.New(eng, memsys.DefaultConfig())
 	h := NewHierarchy(eng, SwitchHierConfig(), mem, 1<<40)
 	var miss, hit Result
 	eng.Spawn("sp", func(p *sim.Proc) {
@@ -285,25 +285,12 @@ func TestSingleLevelHierarchy(t *testing.T) {
 	}
 }
 
-func TestHierarchyFlushData(t *testing.T) {
-	eng, h := newTestHier(t)
-	eng.Spawn("cpu", func(p *sim.Proc) {
-		h.Access(0, Load)
-		h.FlushData()
-		r := h.Access(0, Load)
-		if r.Level != InMemory {
-			t.Errorf("post-flush access level = %v, want memory", r.Level)
-		}
-	})
-	eng.Run()
-}
-
 func TestHashJoinBitVectorThrashesSwitchDCache(t *testing.T) {
 	// The paper: "the bit-vector is too big for its limited L1 data cache".
 	// A 128 KB bit-vector randomly probed through a 1 KB cache must miss
 	// nearly always.
 	eng := sim.NewEngine()
-	mem := memsys.New(eng, "smem", memsys.DefaultConfig())
+	mem := memsys.New(eng, memsys.DefaultConfig())
 	h := NewHierarchy(eng, SwitchHierConfig(), mem, 1<<40)
 	eng.Spawn("sp", func(p *sim.Proc) {
 		state := int64(12345)
@@ -379,3 +366,30 @@ func TestInvalidateRangeDropsBothLevels(t *testing.T) {
 	})
 	eng.Run()
 }
+
+// Contains reports whether addr's line is resident, without touching
+// recency or counters. Used by tests and invariant checks.
+func (c *Cache) Contains(addr int64) bool {
+	ways, key := c.lookup(addr)
+	for _, w := range ways {
+		if w|dirtyBit == key {
+			return true
+		}
+	}
+	return false
+}
+
+// Flush invalidates every line, returning how many dirty lines were
+// discarded (the caller decides whether to charge writebacks).
+func (c *Cache) Flush() (dirty int) {
+	for _, w := range c.tags {
+		if w&dirtyBit != 0 {
+			dirty++
+		}
+	}
+	clear(c.tags)
+	return dirty
+}
+
+// PageSize returns the translation granularity in bytes.
+func (t *TLB) PageSize() int64 { return 1 << t.pageBits }

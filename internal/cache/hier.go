@@ -264,12 +264,3 @@ func (h *Hierarchy) InvalidateRange(base, n int64) {
 		}
 	}
 }
-
-// FlushData empties the data-side caches (used between experiment phases
-// when the paper assumes cold caches).
-func (h *Hierarchy) FlushData() {
-	h.l1d.Flush()
-	if h.l2 != nil {
-		h.l2.Flush()
-	}
-}

@@ -59,6 +59,3 @@ func (t *TLB) Lookup(addr int64) bool {
 	v[0] = vpn
 	return hit
 }
-
-// PageSize returns the translation granularity in bytes.
-func (t *TLB) PageSize() int64 { return 1 << t.pageBits }

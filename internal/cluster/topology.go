@@ -46,8 +46,7 @@ type SwitchSpec struct {
 	Name string
 	// Ports fixes the port count; 0 sizes the switch to its attachments.
 	Ports int
-	// Role is an optional placement tag ("edge", "agg", "core", ...);
-	// handler placement selects switches by role via Cluster.SwitchesByRole.
+	// Role is an optional placement tag ("edge", "agg", "core", ...).
 	Role string
 }
 
@@ -357,23 +356,6 @@ func bfsFrom(info *TopoInfo, t int, dist []int, queue []int) []int {
 		}
 	}
 	return queue
-}
-
-// SwitchesByRole returns the switches tagged with role in spec order — the
-// handler-placement selector (register a stage's handler on "edge" switches,
-// another on "agg"). Nil for clusters built without a Topology or when no
-// switch carries the role.
-func (c *Cluster) SwitchesByRole(role string) []*aswitch.ActiveSwitch {
-	if c.Topo == nil {
-		return nil
-	}
-	var out []*aswitch.ActiveSwitch
-	for i, spec := range c.Topo.Spec.Switches {
-		if spec.Role == role {
-			out = append(out, c.Topo.Sw[i])
-		}
-	}
-	return out
 }
 
 // Topo selects the cluster a collective runs on: the paper's reduction tree,

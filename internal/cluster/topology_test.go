@@ -3,6 +3,7 @@ package cluster
 import (
 	"testing"
 
+	"activesan/internal/aswitch"
 	"activesan/internal/san"
 	"activesan/internal/sim"
 )
@@ -321,4 +322,21 @@ func TestBuildCollectiveHonorsDefault(t *testing.T) {
 		t.Fatal("tree built partitioned")
 	}
 	c.Shutdown()
+}
+
+// SwitchesByRole returns the switches tagged with role in spec order — the
+// handler-placement selector (register a stage's handler on "edge" switches,
+// another on "agg"). Nil for clusters built without a Topology or when no
+// switch carries the role.
+func (c *Cluster) SwitchesByRole(role string) []*aswitch.ActiveSwitch {
+	if c.Topo == nil {
+		return nil
+	}
+	var out []*aswitch.ActiveSwitch
+	for i, spec := range c.Topo.Spec.Switches {
+		if spec.Role == role {
+			out = append(out, c.Topo.Sw[i])
+		}
+	}
+	return out
 }

@@ -87,23 +87,6 @@ const (
 	And
 )
 
-func (o Operator) String() string {
-	switch o {
-	case Max:
-		return "max"
-	case Min:
-		return "min"
-	case Prod:
-		return "prod"
-	case Or:
-		return "or"
-	case And:
-		return "and"
-	default:
-		return "sum"
-	}
-}
-
 // Apply combines two elements.
 func (o Operator) Apply(a, b int64) int64 {
 	switch o {

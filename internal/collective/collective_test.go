@@ -382,3 +382,20 @@ func TestParseOp(t *testing.T) {
 		t.Fatal("ParseOp accepted bogus op")
 	}
 }
+
+func (o Operator) String() string {
+	switch o {
+	case Max:
+		return "max"
+	case Min:
+		return "min"
+	case Prod:
+		return "prod"
+	case Or:
+		return "or"
+	case And:
+		return "and"
+	default:
+		return "sum"
+	}
+}

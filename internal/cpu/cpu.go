@@ -84,9 +84,6 @@ func New(eng *sim.Engine, name string, clk sim.Clock, hier *cache.Hierarchy, qua
 // Name returns the CPU's debug name.
 func (c *CPU) Name() string { return c.name }
 
-// Clock returns the CPU's clock.
-func (c *CPU) Clock() sim.Clock { return c.clk }
-
 // Hier returns the cache hierarchy.
 func (c *CPU) Hier() *cache.Hierarchy { return c.hier }
 

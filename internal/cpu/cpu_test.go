@@ -10,7 +10,7 @@ import (
 
 func newHostCPU(quantum sim.Time) (*sim.Engine, *CPU) {
 	eng := sim.NewEngine()
-	mem := memsys.New(eng, "mem", memsys.DefaultConfig())
+	mem := memsys.New(eng, memsys.DefaultConfig())
 	hier := cache.NewHierarchy(eng, cache.HostHierConfig(1), mem, 1<<40)
 	return eng, New(eng, "host", sim.HostClock, hier, quantum)
 }
@@ -176,7 +176,7 @@ func TestTouchRangeCoversLines(t *testing.T) {
 
 func TestSwitchCPUFourTimesSlower(t *testing.T) {
 	eng := sim.NewEngine()
-	mem := memsys.New(eng, "smem", memsys.DefaultConfig())
+	mem := memsys.New(eng, memsys.DefaultConfig())
 	hier := cache.NewHierarchy(eng, cache.SwitchHierConfig(), mem, 1<<40)
 	sp := New(eng, "sp", sim.SwitchClock, hier, 0)
 	eng.Spawn("p", func(p *sim.Proc) {

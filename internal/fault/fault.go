@@ -10,8 +10,10 @@
 package fault
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 
 	"activesan/internal/san"
@@ -117,11 +119,18 @@ func Load(path string) (*Plan, error) {
 	return p, nil
 }
 
-// Parse decodes a JSON plan and validates it.
+// Parse decodes a JSON plan and validates it. A field the schema does not
+// know is an error that names it, so a misspelt rule cannot load as a plan
+// that injects nothing; so is anything after the plan's one JSON value.
 func Parse(data []byte) (*Plan, error) {
 	var p Plan
-	if err := json.Unmarshal(data, &p); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&p); err != nil {
 		return nil, err
+	}
+	if err := dec.Decode(&struct{}{}); err != io.EOF {
+		return nil, fmt.Errorf("unexpected data after the plan")
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err

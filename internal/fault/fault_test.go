@@ -73,6 +73,32 @@ func TestLoadRejectsTimesPastSimTime(t *testing.T) {
 	}
 }
 
+// TestParseRejectsUnknownFields: a misspelt field used to load as a plan
+// that injects nothing ("dorp" for "drop", "evnets" for "events"); the
+// error must name the field.
+func TestParseRejectsUnknownFields(t *testing.T) {
+	_, err := Parse([]byte(`{"links": [{"dorp": 0.5}], "evnets": [{"at_ns": 1000, "kind": "handler_crash"}]}`))
+	if err == nil || !strings.Contains(err.Error(), `unknown field "dorp"`) {
+		t.Fatalf("typo plan: got error %v, want one naming \"dorp\"", err)
+	}
+	if _, err := Parse([]byte(`{"events": [{"at_ns": 1000, "kind": "handler_crash", "swtich": 0}]}`)); err == nil {
+		t.Fatal("misspelt event field accepted")
+	}
+}
+
+// TestParseRejectsTrailingData: a plan is one JSON value, as it was when
+// Parse used json.Unmarshal; trailing whitespace is fine.
+func TestParseRejectsTrailingData(t *testing.T) {
+	for _, src := range []string{`{"seed":1} x`, `{"seed":1} {}`, `{"seed":1}{"seed":2}`} {
+		if _, err := Parse([]byte(src)); err == nil {
+			t.Errorf("plan with trailing data accepted: %s", src)
+		}
+	}
+	if _, err := Parse([]byte("{\"seed\":1}\n\t ")); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
+	}
+}
+
 func TestLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "plan.json")

@@ -66,16 +66,6 @@ handler minmax {
 }
 `
 
-// MustCompile compiles a library handler, panicking on error — for the
-// constant sources above, which tests validate.
-func MustCompile(src string) *Compiled {
-	c, err := Compile(src)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // HandlerSpec tells the aswitch adapter how to launch a compiled program
 // and where to send its output.
 type HandlerSpec struct {

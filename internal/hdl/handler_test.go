@@ -131,3 +131,13 @@ func TestHandlerSpecBadParam(t *testing.T) {
 		t.Fatal("expected an error for an unknown var")
 	}
 }
+
+// MustCompile compiles a library handler, panicking on error — for the
+// constant sources above, which tests validate.
+func MustCompile(src string) *Compiled {
+	c, err := Compile(src)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}

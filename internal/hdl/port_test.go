@@ -84,8 +84,11 @@ func runAsm(t *testing.T, src string, stream []byte, extra map[uint8]uint32) []u
 	for r, v := range extra {
 		init[r] = v
 	}
-	m := svm.NewMachine(env, svm.MustAssemble(src), init)
-	if _, err := m.Run(); err != nil {
+	prog, err := svm.Assemble(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svm.NewMachine(env, prog, init).Run(); err != nil {
 		t.Fatal(err)
 	}
 	return env.Out

@@ -5,8 +5,6 @@
 package host
 
 import (
-	"fmt"
-
 	"activesan/internal/cache"
 	"activesan/internal/cpu"
 	"activesan/internal/iodev"
@@ -87,7 +85,7 @@ type Host struct {
 
 // New builds a host attached to the fabric via in/out links.
 func New(eng *sim.Engine, id san.NodeID, name string, in, out *san.Link, cfg Config) *Host {
-	mem := memsys.New(eng, name+".mem", cfg.Mem)
+	mem := memsys.New(eng, cfg.Mem)
 	hier := cache.NewHierarchy(eng, cfg.Hier, mem, 1<<40)
 	h := &Host{
 		eng:   eng,
@@ -114,10 +112,6 @@ func (h *Host) ID() san.NodeID { return h.id }
 // Name returns the host's debug name.
 func (h *Host) Name() string { return h.name }
 
-// Engine returns the engine the host runs on — its partition's engine in a
-// partitioned simulation.
-func (h *Host) Engine() *sim.Engine { return h.eng }
-
 // CPU returns the processor timing model.
 func (h *Host) CPU() *cpu.CPU { return h.cpu }
 
@@ -129,9 +123,6 @@ func (h *Host) Space() *memsys.AddressSpace { return h.space }
 
 // NIC returns the host channel adapter.
 func (h *Host) NIC() *nic.NIC { return h.hca }
-
-// OS returns the overhead model in use.
-func (h *Host) OS() OSConfig { return h.cfg.OS }
 
 // Traffic returns total bytes in/out of the host (the paper's host I/O
 // traffic metric).
@@ -150,9 +141,6 @@ type ReadToken struct {
 	// token completes via the storage node's Control notification.
 	toHost bool
 }
-
-// Len returns the read's size.
-func (t *ReadToken) Len() int64 { return t.len }
 
 // IssueRead starts a disk read of file [off, off+n) into host memory at
 // buf, charging the fixed OS request cost. It does not wait; pair with
@@ -298,6 +286,3 @@ func (h *Host) SendMessage(p *sim.Proc, msg *san.Message, local int64) *sim.Latc
 	h.cpu.Flush(p)
 	return h.hca.Post(msg, local)
 }
-
-// String implements fmt.Stringer.
-func (h *Host) String() string { return fmt.Sprintf("host(%s,%d)", h.name, h.id) }

@@ -214,8 +214,8 @@ func New(eng *sim.Engine, id san.NodeID, name string, in, out *san.Link, cfg Con
 		files:   make(map[string]*File),
 		filters: make(map[int]*Filter),
 		reqs:    sim.NewQueue[queuedReq](),
-		bus:     sim.NewServer(eng, name+".scsi"),
-		fcpu:    sim.NewServer(eng, name+".fcpu"),
+		bus:     sim.NewServer(eng),
+		fcpu:    sim.NewServer(eng),
 	}
 	s.Adapter = san.NewAdapter(eng, id, name, in, out, s)
 	return s

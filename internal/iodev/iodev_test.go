@@ -139,7 +139,7 @@ func TestTCAServesOnlyReadRequests(t *testing.T) {
 		// The link takes its full credit count of packets without waiting
 		// only if the node returned every credit.
 		at := p.Now()
-		for i := 0; i < toStore.Config().Credits; i++ {
+		for i := 0; i < san.DefaultLinkConfig().Credits; i++ {
 			toStore.SendAsync(p, &san.Packet{Hdr: stray, Size: 64})
 		}
 		drained = p.Now() == at

@@ -71,7 +71,7 @@ type RDRAM struct {
 
 // New returns a memory channel; it panics on an invalid configuration since
 // that is a programming error in experiment setup.
-func New(eng *sim.Engine, name string, cfg Config) *RDRAM {
+func New(eng *sim.Engine, cfg Config) *RDRAM {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
@@ -82,13 +82,10 @@ func New(eng *sim.Engine, name string, cfg Config) *RDRAM {
 	return &RDRAM{
 		eng:  eng,
 		cfg:  cfg,
-		bus:  sim.NewServer(eng, name+".bus"),
+		bus:  sim.NewServer(eng),
 		open: open,
 	}
 }
-
-// Config returns the channel's configuration.
-func (m *RDRAM) Config() Config { return m.cfg }
 
 // Stats returns a copy of the accumulated counters.
 func (m *RDRAM) Stats() Stats { return m.stats }

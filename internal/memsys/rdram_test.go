@@ -34,7 +34,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestPageHitMissClassification(t *testing.T) {
-	m := New(sim.NewEngine(), "mem", DefaultConfig())
+	m := New(sim.NewEngine(), DefaultConfig())
 	// First touch of a page is a miss; a second touch in the same page
 	// hits; a touch of a different row in the same bank misses again.
 	m.Reserve(0, 128)
@@ -51,7 +51,7 @@ func TestPageHitMissClassification(t *testing.T) {
 }
 
 func TestAccessLatency(t *testing.T) {
-	m := New(sim.NewEngine(), "mem", DefaultConfig())
+	m := New(sim.NewEngine(), DefaultConfig())
 	// 128 bytes at 1.6 GB/s = 80 ns of occupancy.
 	xfer := sim.TransferTime(128, 1.6e9)
 	// A miss completes after its transfer plus the 122 ns miss latency.
@@ -66,7 +66,7 @@ func TestAccessLatency(t *testing.T) {
 }
 
 func TestBandwidthContention(t *testing.T) {
-	m := New(sim.NewEngine(), "mem", DefaultConfig())
+	m := New(sim.NewEngine(), DefaultConfig())
 	var last sim.Time
 	const n = 10
 	for i := 0; i < n; i++ {
@@ -88,7 +88,7 @@ func TestBandwidthContention(t *testing.T) {
 
 func TestReserveDoesNotBlock(t *testing.T) {
 	eng := sim.NewEngine()
-	m := New(eng, "mem", DefaultConfig())
+	m := New(eng, DefaultConfig())
 	end1 := m.Reserve(0, 1024)
 	end2 := m.Reserve(1<<20, 1024)
 	if end2 <= end1 {
@@ -152,7 +152,7 @@ func TestAddressSpaceDisjointProperty(t *testing.T) {
 
 func TestBankRowStriping(t *testing.T) {
 	eng := sim.NewEngine()
-	m := New(eng, "mem", DefaultConfig())
+	m := New(eng, DefaultConfig())
 	// Consecutive pages must land in different banks so sequential streams
 	// do not thrash one bank.
 	b0, _ := m.bankRow(0)
@@ -161,3 +161,9 @@ func TestBankRowStriping(t *testing.T) {
 		t.Fatal("consecutive pages map to the same bank")
 	}
 }
+
+// Contains reports whether addr falls inside the region.
+func (r Region) Contains(addr int64) bool { return addr >= r.Base && addr < r.Base+r.Len }
+
+// End returns the first address past the region.
+func (r Region) End() int64 { return r.Base + r.Len }

@@ -49,9 +49,3 @@ type Region struct {
 func (s *AddressSpace) AllocRegion(size, align int64) Region {
 	return Region{Base: s.Alloc(size, align), Len: size}
 }
-
-// Contains reports whether addr falls inside the region.
-func (r Region) Contains(addr int64) bool { return addr >= r.Base && addr < r.Base+r.Len }
-
-// End returns the first address past the region.
-func (r Region) End() int64 { return r.Base + r.Len }

@@ -169,3 +169,34 @@ func TestSnapshotMerge(t *testing.T) {
 		t.Fatalf("merge of empty tree mutated snapshot: %v / %v", before.Values, before.Series)
 	}
 }
+
+// N returns the number of observations.
+func (h *Hist) N() int64 { return h.n }
+
+// Sum returns the sum of all observed values.
+func (h *Hist) Sum() int64 { return h.sum }
+
+// Max returns the largest observed value (0 when empty).
+func (h *Hist) Max() int64 { return h.max }
+
+// Min returns the smallest observed value (0 when empty).
+func (h *Hist) Min() int64 { return h.min }
+
+// Merge folds o's observations into h.
+func (h *Hist) Merge(o *Hist) {
+	if o == nil || o.n == 0 {
+		return
+	}
+	for b, c := range o.counts {
+		h.counts[b] += c
+	}
+	h.n += o.n
+	h.sum += o.sum
+	if o.max > h.max {
+		h.max = o.max
+	}
+	if !h.observed || o.min < h.min {
+		h.min = o.min
+	}
+	h.observed = true
+}

@@ -49,9 +49,6 @@ func (s *Snapshot) Set(name string, v float64) { s.Values[name] = v }
 // SetInt records an integer counter.
 func (s *Snapshot) SetInt(name string, v int64) { s.Values[name] = float64(v) }
 
-// Add accumulates v into name.
-func (s *Snapshot) Add(name string, v float64) { s.Values[name] += v }
-
 // Get returns the value of name, or 0 if absent.
 func (s *Snapshot) Get(name string) float64 { return s.Values[name] }
 
@@ -66,21 +63,6 @@ func (s *Snapshot) SetSeries(name string, x, y []float64) {
 	s.Series[name] = Series{X: x, Y: y}
 }
 
-// Merge folds o into s: values accumulate, series copy over (last writer
-// wins on a name collision). Merging a nil or empty snapshot — e.g. a
-// component tree that recorded nothing — is a no-op.
-func (s *Snapshot) Merge(o *Snapshot) {
-	if o == nil {
-		return
-	}
-	for name, v := range o.Values {
-		s.Values[name] += v
-	}
-	for name, sr := range o.Series {
-		s.SetSeries(name, sr.X, sr.Y)
-	}
-}
-
 // Names returns every metric name in sorted order.
 func (s *Snapshot) Names() []string {
 	names := make([]string, 0, len(s.Values))
@@ -89,15 +71,6 @@ func (s *Snapshot) Names() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Format renders the snapshot as sorted "name = value" lines.
-func (s *Snapshot) Format() string {
-	var b strings.Builder
-	for _, n := range s.Names() {
-		fmt.Fprintf(&b, "%s = %g\n", n, s.Values[n])
-	}
-	return b.String()
 }
 
 // ratio returns num/den, or 0 when den is 0 — the convention every derived

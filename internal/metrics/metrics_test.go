@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -282,4 +283,31 @@ func TestCollectSmoke(t *testing.T) {
 	if err1 != nil || err2 != nil || !bytes.Equal(d1, d2) {
 		t.Errorf("snapshot marshal not deterministic (%v, %v)", err1, err2)
 	}
+}
+
+// Add accumulates v into name.
+func (s *Snapshot) Add(name string, v float64) { s.Values[name] += v }
+
+// Merge folds o into s: values accumulate, series copy over (last writer
+// wins on a name collision). Merging a nil or empty snapshot — e.g. a
+// component tree that recorded nothing — is a no-op.
+func (s *Snapshot) Merge(o *Snapshot) {
+	if o == nil {
+		return
+	}
+	for name, v := range o.Values {
+		s.Values[name] += v
+	}
+	for name, sr := range o.Series {
+		s.SetSeries(name, sr.X, sr.Y)
+	}
+}
+
+// Format renders the snapshot as sorted "name = value" lines.
+func (s *Snapshot) Format() string {
+	var b strings.Builder
+	for _, n := range s.Names() {
+		fmt.Fprintf(&b, "%s = %g\n", n, s.Values[n])
+	}
+	return b.String()
 }

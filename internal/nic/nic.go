@@ -175,9 +175,6 @@ func (n *NIC) Recv(p *sim.Proc) *Completion { return n.comps.Get(p) }
 // TryRecv polls for a completion.
 func (n *NIC) TryRecv() (*Completion, bool) { return n.comps.TryGet() }
 
-// Pending reports queued-but-unread completions.
-func (n *NIC) Pending() int { return n.comps.Len() }
-
 // Accept DMAs one packet from the adapter's receive engine into host memory
 // and adds it to its message's completion.
 func (n *NIC) Accept(p *sim.Proc, pkt *san.Packet) {

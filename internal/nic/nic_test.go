@@ -13,8 +13,8 @@ func pair(eng *sim.Engine) (*NIC, *NIC) {
 	cfg := san.DefaultLinkConfig()
 	ab := san.NewLink(eng, "ab", cfg)
 	ba := san.NewLink(eng, "ba", cfg)
-	memA := memsys.New(eng, "memA", memsys.DefaultConfig())
-	memB := memsys.New(eng, "memB", memsys.DefaultConfig())
+	memA := memsys.New(eng, memsys.DefaultConfig())
+	memB := memsys.New(eng, memsys.DefaultConfig())
 	a := New(eng, 1, "a", ba, ab, memA)
 	b := New(eng, 2, "b", ab, ba, memB)
 	a.Start()
@@ -191,3 +191,6 @@ func TestTryRecvAndPending(t *testing.T) {
 		t.Fatal("TryRecv failed after delivery")
 	}
 }
+
+// Pending reports queued-but-unread completions.
+func (n *NIC) Pending() int { return n.comps.Len() }

@@ -207,3 +207,6 @@ func TestAdapterDropsCorruptAcks(t *testing.T) {
 		t.Fatalf("retransmit engine sent %d packets, want none", pkts)
 	}
 }
+
+// Outstanding reports how many messages await acknowledgement.
+func (t *TxTracker) Outstanding() int { return len(t.flows) }

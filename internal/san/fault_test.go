@@ -1,6 +1,7 @@
 package san
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -224,4 +225,56 @@ func TestReassembleRejectsDamage(t *testing.T) {
 	if _, err := Reassemble(nil); err == nil {
 		t.Fatal("empty set accepted")
 	}
+}
+
+// Reassemble rebuilds the payload of a message segmented by Packets with a
+// SliceSplit payload. It validates the sequence — same flow throughout,
+// every seq from 0 through the Last-marked packet present exactly once, no
+// corrupt packets — and returns an error (never panics) on a damaged or
+// incomplete set, so callers can fall back to retransmission.
+func Reassemble(pkts []*Packet) ([]byte, error) {
+	if len(pkts) == 0 {
+		return nil, fmt.Errorf("san: reassemble: no packets")
+	}
+	flow := pkts[0].Hdr.Flow
+	last := -1
+	bySeq := make(map[int]*Packet, len(pkts))
+	for _, pkt := range pkts {
+		if pkt.Hdr.Flow != flow {
+			return nil, fmt.Errorf("san: reassemble: mixed flows %d and %d", flow, pkt.Hdr.Flow)
+		}
+		if pkt.Corrupt {
+			return nil, fmt.Errorf("san: reassemble: corrupt packet flow=%d seq=%d", flow, pkt.Hdr.Seq)
+		}
+		if _, dup := bySeq[pkt.Hdr.Seq]; dup {
+			return nil, fmt.Errorf("san: reassemble: duplicate seq %d in flow %d", pkt.Hdr.Seq, flow)
+		}
+		bySeq[pkt.Hdr.Seq] = pkt
+		if pkt.Hdr.Last {
+			last = pkt.Hdr.Seq
+		}
+	}
+	if last < 0 {
+		return nil, fmt.Errorf("san: reassemble: flow %d has no final packet", flow)
+	}
+	var out []byte
+	for seq := 0; seq <= last; seq++ {
+		pkt, ok := bySeq[seq]
+		if !ok {
+			return nil, fmt.Errorf("san: reassemble: flow %d missing seq %d of %d", flow, seq, last)
+		}
+		data, ok := pkt.Payload.([]byte)
+		if !ok && pkt.Payload != nil {
+			return nil, fmt.Errorf("san: reassemble: flow %d seq %d payload is %T, not bytes", flow, seq, pkt.Payload)
+		}
+		if int64(len(data)) != pkt.Size {
+			return nil, fmt.Errorf("san: reassemble: flow %d seq %d carries %d bytes, header says %d",
+				flow, seq, len(data), pkt.Size)
+		}
+		out = append(out, data...)
+	}
+	if len(bySeq) != last+1 {
+		return nil, fmt.Errorf("san: reassemble: flow %d has %d packets beyond final seq %d", flow, len(bySeq)-(last+1), last)
+	}
+	return out, nil
 }

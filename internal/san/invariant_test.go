@@ -343,3 +343,6 @@ func TestInvariantDropCausesSumToDropped(t *testing.T) {
 		eng.Shutdown()
 	}
 }
+
+// PoolFree reports the buffer-pool slots currently free.
+func (s *Switch) PoolFree() int { return s.pool.Available() }

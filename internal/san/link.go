@@ -108,7 +108,7 @@ func NewLink(eng *sim.Engine, name string, cfg LinkConfig) *Link {
 		eng:        eng,
 		name:       name,
 		cfg:        cfg,
-		line:       sim.NewServer(eng, name+".line"),
+		line:       sim.NewServer(eng),
 		credits:    sim.NewSemaphore(cfg.Credits),
 		rx:         sim.NewQueue[*Packet](),
 		minCredits: cfg.Credits,
@@ -127,9 +127,6 @@ func (l *Link) Engine() *sim.Engine { return l.eng }
 // receiver lives on a different engine than the sender.
 func (l *Link) SetCross(ch *sim.Channel) { l.cross = ch }
 
-// Config returns the link parameters.
-func (l *Link) Config() LinkConfig { return l.cfg }
-
 // Stats returns a copy of the traffic counters.
 func (l *Link) Stats() LinkStats { return l.stats }
 
@@ -137,9 +134,6 @@ func (l *Link) Stats() LinkStats { return l.stats }
 // the backpressure watermark the telemetry recorder harvests. Equal to the
 // configured credit count until telemetry observes contention.
 func (l *Link) MinCredits() int { return l.minCredits }
-
-// Utilization reports line occupancy over elapsed time.
-func (l *Link) Utilization() float64 { return l.line.Utilization() }
 
 // BusyTime reports cumulative serialization time, for utilization computed
 // against an externally chosen elapsed time (the metrics registry divides

@@ -184,3 +184,7 @@ func TestPacketCrossesOneLinkAtATime(t *testing.T) {
 	}()
 	eng.Run()
 }
+
+// Engine returns the engine the switch runs on — its partition's engine in
+// a partitioned simulation.
+func (s *Switch) Engine() *sim.Engine { return s.eng }

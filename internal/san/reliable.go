@@ -131,9 +131,6 @@ func (t *TxTracker) SetTrackable(fn func(NodeID) bool) { t.trackable = fn }
 // Stats returns a copy of the counters.
 func (t *TxTracker) Stats() TxStats { return t.stats }
 
-// Outstanding reports how many messages await acknowledgement.
-func (t *TxTracker) Outstanding() int { return len(t.flows) }
-
 // Record notes that pkt was handed to the link and (re)arms the flow's
 // retransmission timer. Ack packets are fire-and-forget: a lost ACK is
 // recovered by the sender's timeout and the receiver's duplicate re-ACK.

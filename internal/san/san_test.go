@@ -1,6 +1,7 @@
 package san
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -463,4 +464,18 @@ func TestOutputQueueOccupancyStats(t *testing.T) {
 	if got != 48 {
 		t.Fatalf("delivered %d packets", got)
 	}
+}
+
+// Config returns the link parameters.
+func (l *Link) Config() LinkConfig { return l.cfg }
+
+// Validate checks the encodable ranges of the active sub-header.
+func (h Header) Validate() error {
+	if h.HandlerID < 0 || h.HandlerID > MaxHandlerID {
+		return fmt.Errorf("san: handler ID %d outside 6-bit range", h.HandlerID)
+	}
+	if h.Addr < 0 || h.Addr > 0xFFFF_FFFF {
+		return fmt.Errorf("san: mapped address %#x outside 32-bit range", h.Addr)
+	}
+	return nil
 }

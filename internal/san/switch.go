@@ -144,10 +144,6 @@ func (s *Switch) ID() NodeID { return s.id }
 // Name returns the switch's debug name.
 func (s *Switch) Name() string { return s.name }
 
-// Engine returns the engine the switch runs on — its partition's engine in
-// a partitioned simulation.
-func (s *Switch) Engine() *sim.Engine { return s.eng }
-
 // Config returns the switch configuration.
 func (s *Switch) Config() SwitchConfig { return s.cfg }
 
@@ -163,9 +159,6 @@ func (s *Switch) QueuedPackets() int {
 	}
 	return n
 }
-
-// PoolFree reports the buffer-pool slots currently free.
-func (s *Switch) PoolFree() int { return s.pool.Available() }
 
 // Port returns port i's links.
 func (s *Switch) Port(i int) Port { return s.ports[i] }

@@ -265,3 +265,9 @@ func TestGroupEnginesOwnCacheLines(t *testing.T) {
 		}
 	}
 }
+
+// Src and Dst report the partition ranks the channel connects.
+func (c *Channel) Src() int { return c.src }
+
+// Dst reports the receiving partition rank.
+func (c *Channel) Dst() int { return c.dst }

@@ -143,9 +143,6 @@ func (e *Engine) init() {
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
-// LiveProcs reports how many spawned processes have not yet returned.
-func (e *Engine) LiveProcs() int { return e.procs }
-
 // Events reports how many events have fired — the simulation's work metric.
 func (e *Engine) Events() int64 { return e.fired }
 

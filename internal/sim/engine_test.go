@@ -376,7 +376,7 @@ func TestLatch(t *testing.T) {
 
 func TestServerQueueing(t *testing.T) {
 	e := NewEngine()
-	srv := NewServer(e, "bus")
+	srv := NewServer(e)
 	var done []Time
 	for i := 0; i < 3; i++ {
 		e.Spawn("client", func(p *Proc) {
@@ -401,7 +401,7 @@ func TestServerQueueing(t *testing.T) {
 
 func TestServerIdleGap(t *testing.T) {
 	e := NewEngine()
-	srv := NewServer(e, "bus")
+	srv := NewServer(e)
 	e.Spawn("client", func(p *Proc) {
 		p.SleepUntil(srv.Reserve(10))
 		p.Sleep(100) // let the server go idle
@@ -419,7 +419,7 @@ func TestServerIdleGap(t *testing.T) {
 
 func TestServerReserve(t *testing.T) {
 	e := NewEngine()
-	srv := NewServer(e, "dma")
+	srv := NewServer(e)
 	if end := srv.Reserve(50); end != 50 {
 		t.Fatalf("first reserve ends at %v, want 50", end)
 	}
@@ -538,4 +538,58 @@ func TestEventsCounter(t *testing.T) {
 	if e.Events() != 5 {
 		t.Fatalf("events = %d, want 5", e.Events())
 	}
+}
+
+// LiveProcs reports how many spawned processes have not yet returned.
+func (e *Engine) LiveProcs() int { return e.procs }
+
+// Jobs returns how many requests the server has accepted.
+func (s *Server) Jobs() int64 { return s.jobs }
+
+// NextFree reports when the server will next be idle.
+func (s *Server) NextFree() Time {
+	if s.freeAt < s.eng.now {
+		return s.eng.now
+	}
+	return s.freeAt
+}
+
+// Utilization returns busy time divided by elapsed time (0 if no time has
+// passed).
+func (s *Server) Utilization() float64 {
+	if s.eng.now == 0 {
+		return 0
+	}
+	return float64(s.busy) / float64(s.eng.now)
+}
+
+// TryAcquire takes a permit only if one is immediately free and no process
+// is already queued ahead.
+func (s *Semaphore) TryAcquire() bool {
+	if s.count > 0 && len(s.waiters) == 0 {
+		s.count--
+		return true
+	}
+	return false
+}
+
+// Fires reports how many times Fire has been called.
+func (s *Signal) Fires() int { return s.fires }
+
+// CyclesCeil returns how many whole cycles cover d, rounding up.
+func (c Clock) CyclesCeil(d Time) int64 {
+	if d <= 0 {
+		return 0
+	}
+	return int64((d + c.Period - 1) / c.Period)
+}
+
+// PerByte converts a bandwidth in bytes/second into the time to move one
+// byte. It panics on non-positive bandwidth: a zero-bandwidth resource is a
+// configuration error, not a modelable device.
+func PerByte(bytesPerSecond float64) Time {
+	if bytesPerSecond <= 0 {
+		panic("sim: non-positive bandwidth")
+	}
+	return Time(float64(Second) / bytesPerSecond)
 }

@@ -26,7 +26,7 @@ func Example() {
 // ExampleServer shows FIFO contention on a shared resource.
 func ExampleServer() {
 	eng := sim.NewEngine()
-	bus := sim.NewServer(eng, "bus")
+	bus := sim.NewServer(eng)
 	for i := 0; i < 2; i++ {
 		i := i
 		eng.Spawn("client", func(p *sim.Proc) {

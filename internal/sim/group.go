@@ -106,12 +106,6 @@ func (c *Channel) Credit(act Action) {
 	c.cred = append(c.cred, xmsg{at: c.dstEng.now, seq: c.cseq, act: act})
 }
 
-// Src and Dst report the partition ranks the channel connects.
-func (c *Channel) Src() int { return c.src }
-
-// Dst reports the receiving partition rank.
-func (c *Channel) Dst() int { return c.dst }
-
 // groupWorker is one partition's persistent runner goroutine: the
 // coordinator sends a window deadline on start and receives the window's
 // wall-clock cost and recovered panic (or nil) on done.

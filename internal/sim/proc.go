@@ -52,18 +52,11 @@ type killedError struct{}
 
 func (killedError) Error() string { return "sim: proc killed by Shutdown" }
 
-// Engine returns the engine this process runs on.
-func (p *Proc) Engine() *Engine { return p.eng }
-
 // Name returns the debug name given at Spawn.
 func (p *Proc) Name() string { return p.name }
 
 // Now returns the current simulated time.
 func (p *Proc) Now() Time { return p.eng.now }
-
-// Done reports whether the process function has returned (for a step
-// process: whether Shutdown has retired it).
-func (p *Proc) Done() bool { return p.done }
 
 // Spawn creates a process running fn, starting at the current simulated
 // time. fn runs on its own goroutine but only while the engine is paused, so

@@ -6,8 +6,7 @@ package sim
 // queueing delay. The server tracks total busy time for utilization
 // reporting.
 type Server struct {
-	eng  *Engine
-	name string
+	eng *Engine
 
 	// freeAt is the instant the server finishes its last accepted job.
 	freeAt Time
@@ -16,18 +15,12 @@ type Server struct {
 }
 
 // NewServer returns an idle server.
-func NewServer(eng *Engine, name string) *Server {
-	return &Server{eng: eng, name: name}
+func NewServer(eng *Engine) *Server {
+	return &Server{eng: eng}
 }
-
-// Name returns the server's debug name.
-func (s *Server) Name() string { return s.name }
 
 // BusyTime returns cumulative service time accepted so far.
 func (s *Server) BusyTime() Time { return s.busy }
-
-// Jobs returns how many requests the server has accepted.
-func (s *Server) Jobs() int64 { return s.jobs }
 
 // Reserve books d of service time, starting as soon as the server is free,
 // and returns the job's completion instant without blocking. A process that
@@ -46,21 +39,4 @@ func (s *Server) Reserve(d Time) Time {
 	s.busy += d
 	s.jobs++
 	return s.freeAt
-}
-
-// NextFree reports when the server will next be idle.
-func (s *Server) NextFree() Time {
-	if s.freeAt < s.eng.now {
-		return s.eng.now
-	}
-	return s.freeAt
-}
-
-// Utilization returns busy time divided by elapsed time (0 if no time has
-// passed).
-func (s *Server) Utilization() float64 {
-	if s.eng.now == 0 {
-		return 0
-	}
-	return float64(s.busy) / float64(s.eng.now)
 }

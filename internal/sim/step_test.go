@@ -442,3 +442,7 @@ func TestShutdownRetiresSteps(t *testing.T) {
 		}
 	}
 }
+
+// Done reports whether the process function has returned (for a step
+// process: whether Shutdown has retired it).
+func (p *Proc) Done() bool { return p.done }

@@ -138,16 +138,6 @@ func (s *Semaphore) AcquireOrWait(p *Proc) bool {
 	return false
 }
 
-// TryAcquire takes a permit only if one is immediately free and no process
-// is already queued ahead.
-func (s *Semaphore) TryAcquire() bool {
-	if s.count > 0 && len(s.waiters) == 0 {
-		s.count--
-		return true
-	}
-	return false
-}
-
 // Release returns one permit and wakes the head waiter.
 func (s *Semaphore) Release() {
 	s.count++
@@ -172,9 +162,6 @@ type Signal struct {
 
 // NewSignal returns an unfired signal.
 func NewSignal() *Signal { return &Signal{} }
-
-// Fires reports how many times Fire has been called.
-func (s *Signal) Fires() int { return s.fires }
 
 // Wait blocks p until the next Fire.
 func (s *Signal) Wait(p *Proc) {

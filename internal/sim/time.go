@@ -61,30 +61,12 @@ type Clock struct {
 // Cycles returns the duration of n cycles.
 func (c Clock) Cycles(n int64) Time { return Time(n) * c.Period }
 
-// CyclesCeil returns how many whole cycles cover d, rounding up.
-func (c Clock) CyclesCeil(d Time) int64 {
-	if d <= 0 {
-		return 0
-	}
-	return int64((d + c.Period - 1) / c.Period)
-}
-
 // Standard clocks from the paper: the host processor runs at 2 GHz and the
 // embedded switch processor at 500 MHz (the paper's 4:1 ratio).
 var (
 	HostClock   = Clock{Period: 500 * Picosecond}
 	SwitchClock = Clock{Period: 2000 * Picosecond}
 )
-
-// PerByte converts a bandwidth in bytes/second into the time to move one
-// byte. It panics on non-positive bandwidth: a zero-bandwidth resource is a
-// configuration error, not a modelable device.
-func PerByte(bytesPerSecond float64) Time {
-	if bytesPerSecond <= 0 {
-		panic("sim: non-positive bandwidth")
-	}
-	return Time(float64(Second) / bytesPerSecond)
-}
 
 // TransferTime returns the serialization delay of n bytes at the given
 // bytes/second bandwidth, rounded up to a whole picosecond.

@@ -6,7 +6,6 @@ package stats
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"activesan/internal/metrics"
@@ -246,14 +245,4 @@ func (s Series) MaxY() float64 {
 		}
 	}
 	return best
-}
-
-// SortedKeys returns map keys in sorted order, for deterministic notes.
-func SortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

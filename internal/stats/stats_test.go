@@ -145,11 +145,3 @@ func TestSpeedupSeries(t *testing.T) {
 		t.Fatalf("sparse speedups = %+v", sp2)
 	}
 }
-
-func TestSortedKeys(t *testing.T) {
-	m := map[string]int{"b": 1, "a": 2, "c": 3}
-	got := SortedKeys(m)
-	if got[0] != "a" || got[1] != "b" || got[2] != "c" {
-		t.Fatalf("keys = %v", got)
-	}
-}

@@ -63,9 +63,6 @@ func NewMachine(env Env, prog *Program, init map[uint8]uint32) *Machine {
 	return m
 }
 
-// Poke writes a byte of private data memory before the run.
-func (m *Machine) Poke(addr int64, b byte) { m.mem[addr] = b }
-
 // loadByte reads data memory: stream addresses via the Env, private bytes
 // from the machine's map.
 func (m *Machine) loadByte(addr int64) byte {
