@@ -108,6 +108,8 @@ func realMain() int {
 	cf := cliflags.Register()
 	flag.BoolVar(&cf.StrictRoutes, "strict-routes", false,
 		"panic on the first unroutable packet instead of counting a fault/no_route_drop")
+	flag.StringVar(&cf.HandlerSrc, "handler-src", "",
+		"compile this HDL handler source file and add it to the hdlsweep experiment (see HANDLERS.md)")
 	flag.Parse()
 
 	if *trace != "" && cf.TraceOut != "" {

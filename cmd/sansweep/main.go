@@ -42,10 +42,6 @@
 // -kind picks reduce-to-one (one), distributed reduce (dist) or
 // reduce-to-all (all, the allreduce).
 //
-// -handler-src compiles an HDL handler source file (see HANDLERS.md) and
-// reports compile errors; it is shared flag wiring with cmd/activesim,
-// whose hdlsweep experiment runs the handler. No sweep here runs it.
-//
 // -sweep collective compares each in-network collective (see
 // COLLECTIVES.md) against its host-only reference over -nodes host counts;
 // -collective picks the op (allreduce, barrier, scatter, gather, keyagg)

@@ -22,35 +22,30 @@ type Config struct {
 	NumBuffers int
 	// OutReserve is how many buffers the DBA holds back for the send unit.
 	OutReserve int
-	// DispatchLatency is the hardware dispatch unit's per-packet time.
-	DispatchLatency sim.Time
-	// Mem configures the switch's local RDRAM channel.
-	Mem memsys.Config
-	// Quantum is the switch CPUs' accounting quantum (see package cpu).
-	Quantum sim.Time
 	// ValidLineBytes is the valid-bit granularity inside data buffers
-	// (default 32 bytes — the switch D-cache line). Setting it to the MTU
-	// degenerates to whole-packet validity, the ablation of the paper's
-	// "cache line based valid bits" feature.
+	// (ValidLineBytes, the switch D-cache line, by default). Setting it to
+	// the MTU degenerates to whole-packet validity, the ablation of the
+	// paper's "cache line based valid bits" feature.
 	ValidLineBytes int64
-	// CPUClock overrides the embedded processors' clock (default 500 MHz).
+	// CPUClock is the embedded processors' clock (sim.SwitchClock, 500 MHz,
+	// by default).
 	CPUClock sim.Clock
 }
 
+// dispatchTime is the hardware dispatch unit's per-packet time.
+const dispatchTime = 8 * sim.Nanosecond
+
 // DefaultConfig returns the paper's active switch: the base switch of
-// DefaultSwitchConfig plus one 500 MHz CPU, sixteen 512-byte data buffers
-// (two reserved for output staging), and a local RDRAM channel.
+// DefaultSwitchConfig plus one 500 MHz CPU and sixteen 512-byte data
+// buffers (two reserved for output staging).
 func DefaultConfig(ports int) Config {
 	return Config{
-		Base:            san.DefaultSwitchConfig(ports),
-		NumCPUs:         1,
-		NumBuffers:      16,
-		OutReserve:      2,
-		DispatchLatency: 8 * sim.Nanosecond,
-		Mem:             memsys.DefaultConfig(),
-		Quantum:         500 * sim.Nanosecond,
-		ValidLineBytes:  ValidLineBytes,
-		CPUClock:        sim.SwitchClock,
+		Base:           san.DefaultSwitchConfig(ports),
+		NumCPUs:        1,
+		NumBuffers:     16,
+		OutReserve:     2,
+		ValidLineBytes: ValidLineBytes,
+		CPUClock:       sim.SwitchClock,
 	}
 }
 
@@ -60,6 +55,9 @@ func (c Config) validate() error {
 	}
 	if c.NumBuffers <= c.OutReserve || c.OutReserve < 1 {
 		return fmt.Errorf("aswitch: need OutReserve in [1, NumBuffers)")
+	}
+	if c.ValidLineBytes <= 0 || c.CPUClock.Period <= 0 {
+		return fmt.Errorf("aswitch: need a positive ValidLineBytes and CPUClock")
 	}
 	return nil
 }
@@ -176,24 +174,18 @@ func New(eng *sim.Engine, id san.NodeID, name string, cfg Config) *ActiveSwitch 
 		Switch: san.NewSwitch(eng, id, name, cfg.Base),
 		eng:    eng,
 		cfg:    cfg,
-		mem:    memsys.New(eng, cfg.Mem),
+		mem:    memsys.New(eng),
 		space:  memsys.NewAddressSpace(0, 1<<30),
 		dba:    NewDBA(cfg.NumBuffers, cfg.OutReserve),
 		states: make(map[int]any),
 		mapSig: sim.NewSignal(),
-	}
-	if s.cfg.ValidLineBytes <= 0 {
-		s.cfg.ValidLineBytes = ValidLineBytes
-	}
-	if s.cfg.CPUClock.Period <= 0 {
-		s.cfg.CPUClock = sim.SwitchClock
 	}
 	for i := 0; i < cfg.NumCPUs; i++ {
 		hier := cache.NewHierarchy(eng, cache.SwitchHierConfig(), s.mem, 1<<40)
 		c := &SwitchCPU{
 			id:   i,
 			sw:   s,
-			cpu:  cpu.New(eng, fmt.Sprintf("%s.sp%d", name, i), s.cfg.CPUClock, hier, cfg.Quantum),
+			cpu:  cpu.New(eng, fmt.Sprintf("%s.sp%d", name, i), cfg.CPUClock, hier),
 			atb:  NewATB(cfg.NumBuffers),
 			invq: sim.NewQueue[*Invocation](),
 		}
@@ -376,7 +368,7 @@ type dispatch struct {
 // buffer, maps it into the owning CPU's ATB, and — for the first packet of
 // an active message — queues a handler invocation. The input port waits
 // for it, so its waits are the credit backpressure the paper relies on.
-func (d *dispatch) DeliverOrWait(p *sim.Proc, pkt *san.Packet, fillRate float64) bool {
+func (d *dispatch) DeliverOrWait(p *sim.Proc, pkt *san.Packet) bool {
 	s := d.s
 	for {
 		switch d.wait {
@@ -384,10 +376,7 @@ func (d *dispatch) DeliverOrWait(p *sim.Proc, pkt *san.Packet, fillRate float64)
 			if pkt.Stamp != nil {
 				d.tstart = p.Now()
 			}
-			if lat := s.cfg.DispatchLatency; lat < 0 {
-				panic(fmt.Sprintf("sim: negative sleep %v in %s", lat, p.Name()))
-			}
-			p.WakeAt(p.Now() + s.cfg.DispatchLatency)
+			p.WakeAt(p.Now() + dispatchTime)
 			d.wait = dispatchLatency
 			return false
 		case dispatchLatency:
@@ -427,7 +416,6 @@ func (d *dispatch) DeliverOrWait(p *sim.Proc, pkt *san.Packet, fillRate float64)
 			buf.addr = pkt.Hdr.Addr
 			buf.size = pkt.Size
 			buf.fillStart = p.Now()
-			buf.fillRate = fillRate
 			buf.lineBytes = s.cfg.ValidLineBytes
 			buf.last = pkt.Hdr.Last
 			buf.payload = pkt.Payload

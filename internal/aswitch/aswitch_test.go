@@ -9,8 +9,8 @@ import (
 )
 
 func TestDataBufferValidAt(t *testing.T) {
-	b := &DataBuffer{size: 512, fillStart: 1000 * sim.Nanosecond, fillRate: 1e9}
-	// First 32-byte line valid after 32 ns of fill.
+	b := &DataBuffer{size: 512, fillStart: 1000 * sim.Nanosecond, lineBytes: ValidLineBytes}
+	// At the 1 GB/s link rate, the first 32-byte line is valid after 32 ns.
 	if got := b.ValidAt(0); got != 1032*sim.Nanosecond {
 		t.Fatalf("ValidAt(0) = %v, want 1032ns", got)
 	}
@@ -22,11 +22,6 @@ func TestDataBufferValidAt(t *testing.T) {
 	}
 	if got := b.TailValidAt(); got != 1512*sim.Nanosecond {
 		t.Fatalf("TailValidAt = %v, want 1512ns", got)
-	}
-	// Instant buffers (composed locally) are valid at fillStart.
-	ib := &DataBuffer{size: 512, fillStart: 7}
-	if ib.ValidAt(511) != 7 {
-		t.Fatal("instant buffer not valid at fillStart")
 	}
 }
 
@@ -421,6 +416,16 @@ func TestConfigValidation(t *testing.T) {
 	bad.OutReserve = 16
 	if err := bad.validate(); err == nil {
 		t.Fatal("OutReserve >= NumBuffers accepted")
+	}
+	bad = DefaultConfig(4)
+	bad.ValidLineBytes = 0
+	if err := bad.validate(); err == nil {
+		t.Fatal("zero ValidLineBytes accepted")
+	}
+	bad = DefaultConfig(4)
+	bad.CPUClock = sim.Clock{}
+	if err := bad.validate(); err == nil {
+		t.Fatal("zero CPUClock accepted")
 	}
 }
 

@@ -11,6 +11,7 @@ package aswitch
 import (
 	"fmt"
 
+	"activesan/internal/san"
 	"activesan/internal/sim"
 )
 
@@ -35,8 +36,7 @@ type DataBuffer struct {
 	size int64 // bytes occupied
 
 	fillStart sim.Time
-	fillRate  float64 // bytes/sec; 0 means valid immediately
-	lineBytes int64   // valid-bit granularity; 0 means ValidLineBytes
+	lineBytes int64 // valid-bit granularity
 
 	payload any
 
@@ -58,23 +58,13 @@ func (b *DataBuffer) ValidAt(off int64) sim.Time {
 	if off < 0 || off >= b.size && b.size > 0 {
 		panic(fmt.Sprintf("aswitch: ValidAt offset %d outside buffer of %d bytes", off, b.size))
 	}
-	if b.fillRate == 0 {
-		return b.fillStart
-	}
-	lb := b.lineBytes
-	if lb <= 0 {
-		lb = ValidLineBytes
-	}
-	lineEnd := (off/lb + 1) * lb
-	if lineEnd > b.size {
-		lineEnd = b.size
-	}
-	return b.fillStart + sim.TransferTime(lineEnd, b.fillRate)
+	lineEnd := min((off/b.lineBytes+1)*b.lineBytes, b.size)
+	return b.fillStart + sim.TransferTime(lineEnd, san.LinkBandwidth)
 }
 
 // TailValidAt returns when the buffer's last byte becomes valid.
 func (b *DataBuffer) TailValidAt() sim.Time {
-	if b.size == 0 || b.fillRate == 0 {
+	if b.size == 0 {
 		return b.fillStart
 	}
 	return b.ValidAt(b.size - 1)

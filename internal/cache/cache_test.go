@@ -158,15 +158,16 @@ func TestTLBColdMissesNegativePages(t *testing.T) {
 }
 
 func TestHostHierConfigScaling(t *testing.T) {
-	full := HostHierConfig(1)
+	full := HostHierConfig()
 	if full.L1D.Size != 32*1024 || full.L2.Size != 512*1024 {
 		t.Fatalf("full-size host caches wrong: %+v", full)
 	}
-	scaled := HostHierConfig(4)
-	if scaled.L1D.Size != 8*1024 || scaled.L2.Size != 128*1024 {
+	// The database benchmarks' hierarchy: 8 KB L1D and 64 KB L2.
+	scaled := ScaledHostHierConfig()
+	if scaled.L1D.Size != 8*1024 || scaled.L2.Size != 64*1024 {
 		t.Fatalf("scaled host caches wrong: L1D=%d L2=%d", scaled.L1D.Size, scaled.L2.Size)
 	}
-	if scaled.L2.LineSize != 128 || scaled.L2.Assoc != 2 {
+	if scaled.L1D.LineSize != 64 || scaled.L1D.Assoc != 2 || scaled.L2.LineSize != 128 || scaled.L2.Assoc != 2 {
 		t.Fatal("scaling must preserve line size and associativity")
 	}
 }
@@ -187,8 +188,8 @@ func TestSwitchHierConfigMatchesPaper(t *testing.T) {
 func newTestHier(t *testing.T) (*sim.Engine, *Hierarchy) {
 	t.Helper()
 	eng := sim.NewEngine()
-	mem := memsys.New(eng, memsys.DefaultConfig())
-	return eng, NewHierarchy(eng, HostHierConfig(1), mem, 1<<40)
+	mem := memsys.New(eng)
+	return eng, NewHierarchy(eng, HostHierConfig(), mem, 1<<40)
 }
 
 func TestHierarchyLevels(t *testing.T) {
@@ -236,8 +237,8 @@ func TestHierarchyTLBWalk(t *testing.T) {
 	}
 	// Second access to the same page should not walk.
 	eng2 := sim.NewEngine()
-	mem := memsys.New(eng2, memsys.DefaultConfig())
-	h2 := NewHierarchy(eng2, HostHierConfig(1), mem, 1<<40)
+	mem := memsys.New(eng2)
+	h2 := NewHierarchy(eng2, HostHierConfig(), mem, 1<<40)
 	eng2.Spawn("cpu", func(p *sim.Proc) {
 		h2.Access(0, Load)
 		r = h2.Access(64, Load)
@@ -265,7 +266,7 @@ func TestHierarchyIfetchUsesICache(t *testing.T) {
 
 func TestSingleLevelHierarchy(t *testing.T) {
 	eng := sim.NewEngine()
-	mem := memsys.New(eng, memsys.DefaultConfig())
+	mem := memsys.New(eng)
 	h := NewHierarchy(eng, SwitchHierConfig(), mem, 1<<40)
 	var miss, hit Result
 	eng.Spawn("sp", func(p *sim.Proc) {
@@ -290,7 +291,7 @@ func TestHashJoinBitVectorThrashesSwitchDCache(t *testing.T) {
 	// A 128 KB bit-vector randomly probed through a 1 KB cache must miss
 	// nearly always.
 	eng := sim.NewEngine()
-	mem := memsys.New(eng, memsys.DefaultConfig())
+	mem := memsys.New(eng)
 	h := NewHierarchy(eng, SwitchHierConfig(), mem, 1<<40)
 	eng.Spawn("sp", func(p *sim.Proc) {
 		state := int64(12345)

@@ -62,17 +62,12 @@ type HierConfig struct {
 }
 
 // HostHierConfig returns the paper's host hierarchy: 32 KB 2-way split L1,
-// 512 KB 2-way L2 with 128-byte lines, 64-entry fully-associative TLBs. The
-// scale divisor supports the HashJoin methodology of shrinking the data-side
-// caches by 8x (L1D 8 KB... the paper scales L1D to 8 KB and L2 to 64 KB).
-func HostHierConfig(scale int64) HierConfig {
-	if scale <= 0 {
-		scale = 1
-	}
-	l2 := Config{Name: "L2", Size: 512 * 1024 / scale, LineSize: 128, Assoc: 2}
+// 512 KB 2-way L2 with 128-byte lines, 64-entry fully-associative TLBs.
+func HostHierConfig() HierConfig {
+	l2 := Config{Name: "L2", Size: 512 * 1024, LineSize: 128, Assoc: 2}
 	return HierConfig{
 		L1I:        Config{Name: "L1I", Size: 32 * 1024, LineSize: 64, Assoc: 2},
-		L1D:        Config{Name: "L1D", Size: 32 * 1024 / scale, LineSize: 64, Assoc: 2},
+		L1D:        Config{Name: "L1D", Size: 32 * 1024, LineSize: 64, Assoc: 2},
 		L2:         &l2,
 		TLBEntries: 64,
 		PageSize:   4096,
@@ -86,7 +81,7 @@ func HostHierConfig(scale int64) HierConfig {
 // 64 KB secondary cache keeping the same line sizes and associativities",
 // which lets a 16 MB x 128 MB join stand in for a 128 MB x 1 GB one.
 func ScaledHostHierConfig() HierConfig {
-	cfg := HostHierConfig(1)
+	cfg := HostHierConfig()
 	cfg.L1D.Size = 8 * 1024
 	cfg.L2.Size = 64 * 1024
 	return cfg

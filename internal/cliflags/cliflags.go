@@ -1,11 +1,11 @@
 // Package cliflags is the flag wiring shared by cmd/activesim and
 // cmd/sansweep: output paths (metrics, traces, pprof profiles), the
-// fault-injection plan, the collective topology selector, the
-// -handler-src HDL handler loader, and the telemetry/flight-recorder
-// switches. Both commands declare the same flags with the same
-// semantics; this package keeps them from drifting and turns their values
-// into one validated run config (exp.Config), with helpful errors, instead
-// of two copies of the boilerplate.
+// fault-injection plan, the collective topology selector, and the
+// telemetry/flight-recorder switches. Both commands declare the same flags
+// with the same semantics; this package keeps them from drifting and turns
+// their values into one validated run config (exp.Config), with helpful
+// errors, instead of two copies of the boilerplate. It also compiles
+// activesim's -handler-src HDL handler into that config.
 package cliflags
 
 import (
@@ -39,12 +39,13 @@ type Common struct {
 	Partitions int
 	Collective string
 	AggBudget  int
-	HandlerSrc string
 	Telemetry  bool
 	FlightRec  string
-	// StrictRoutes is activesim's -strict-routes, which the command
-	// declares itself (sansweep has no such flag).
+	// StrictRoutes and HandlerSrc are activesim's -strict-routes and
+	// -handler-src, which the command declares itself (sansweep has no
+	// such flags).
 	StrictRoutes bool
+	HandlerSrc   string
 
 	// FR is the armed flight recorder (nil unless -flight-recorder was
 	// given). RunProtected feeds recovered panics into it; cleanup writes
@@ -74,8 +75,6 @@ func Register() *Common {
 		"collective op for the collsweep experiment and -sweep collective: allreduce, barrier, scatter, gather, or keyagg (see COLLECTIVES.md)")
 	flag.IntVar(&c.AggBudget, "agg-budget", 0,
 		"per-switch key-table budget (entries) for keyagg collectives; 0 = the library default, smaller budgets spill to the host (see COLLECTIVES.md)")
-	flag.StringVar(&c.HandlerSrc, "handler-src", "",
-		"compile this HDL handler source file and add it to the hdlsweep experiment (see HANDLERS.md)")
 	flag.BoolVar(&c.Telemetry, "telemetry", false,
 		"stamp packets with per-hop telemetry and fold latency histograms into metrics, in the experiments and sweeps that honour it (see OBSERVABILITY.md)")
 	flag.StringVar(&c.FlightRec, "flight-recorder", "",
@@ -161,7 +160,7 @@ func (c *Common) Setup() (cfg exp.Config, cleanup func(), err error) {
 		if err := EnsureParent(c.FlightRec); err != nil {
 			return cfg, noop, fmt.Errorf("-flight-recorder: %w", err)
 		}
-		c.FR = telemetry.NewFlightRecorder(0, c.StrictRoutes)
+		c.FR = telemetry.NewFlightRecorder(c.StrictRoutes)
 	}
 	stopProf := prof.Start(c.CPUProfile, c.MemProfile)
 

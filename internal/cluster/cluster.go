@@ -148,13 +148,13 @@ func attachHost(eng *sim.Engine, sw *aswitch.ActiveSwitch, port int, id san.Node
 }
 
 // attachStore wires a new storage node to switch port.
-func attachStore(eng *sim.Engine, sw *aswitch.ActiveSwitch, port int, id san.NodeID, name string, cfg iodev.Config) *iodev.StorageNode {
+func attachStore(eng *sim.Engine, sw *aswitch.ActiveSwitch, port int, id san.NodeID, name string) *iodev.StorageNode {
 	link := sw.Config().Link
 	up := san.NewLink(eng, fmt.Sprintf("%s.up", name), link)
 	down := san.NewLink(eng, fmt.Sprintf("%s.down", name), link)
 	sw.AttachPort(port, up, down)
 	sw.SetRoute(id, port)
-	return iodev.New(eng, id, name, down, up, cfg)
+	return iodev.New(eng, id, name, down, up)
 }
 
 // IOClusterConfig parameterizes NewIOCluster.
@@ -163,7 +163,6 @@ type IOClusterConfig struct {
 	Stores int
 	Switch aswitch.Config // Ports is overridden to fit
 	Host   host.Config
-	IO     iodev.Config
 }
 
 // DefaultIOClusterConfig returns a one-host, one-store cluster
@@ -174,7 +173,6 @@ func DefaultIOClusterConfig() IOClusterConfig {
 		Stores: 1,
 		Switch: aswitch.DefaultConfig(8),
 		Host:   host.DefaultConfig(),
-		IO:     iodev.DefaultConfig(),
 	}
 }
 
@@ -190,7 +188,6 @@ func NewIOCluster(eng *sim.Engine, cfg IOClusterConfig) *Cluster {
 		Switches: []SwitchSpec{{Name: "sw0", Ports: ports}},
 		Switch:   cfg.Switch,
 		Host:     cfg.Host,
-		IO:       cfg.IO,
 	}
 	for i := 0; i < cfg.Hosts; i++ {
 		t.Hosts = append(t.Hosts, NodeSpec{})
@@ -325,7 +322,6 @@ func NewDualIOCluster(eng *sim.Engine, cfg IOClusterConfig) *Cluster {
 		Links:  []LinkSpec{{A: 0, B: 1, ABName: "trunk.hs", BAName: "trunk.sh"}},
 		Switch: cfg.Switch,
 		Host:   cfg.Host,
-		IO:     cfg.IO,
 	}
 	for i := 0; i < cfg.Hosts; i++ {
 		t.Hosts = append(t.Hosts, NodeSpec{Switch: 0})

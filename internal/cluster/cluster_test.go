@@ -296,7 +296,7 @@ func TestActiveStreamAcrossSwitches(t *testing.T) {
 	swB.SetRoute(storeID, 1)
 
 	h := host.New(eng, hostID, "h", hostDown, hostUp, host.DefaultConfig())
-	store := iodev.New(eng, storeID, "d", storeDown, storeUp, iodev.DefaultConfig())
+	store := iodev.New(eng, storeID, "d", storeDown, storeUp)
 	const total = 64 * 1024
 	store.AddFile(&iodev.File{Name: "f", Size: total})
 

@@ -5,7 +5,6 @@ import (
 
 	"activesan/internal/aswitch"
 	"activesan/internal/host"
-	"activesan/internal/iodev"
 	"activesan/internal/san"
 	"activesan/internal/sim"
 )
@@ -29,7 +28,6 @@ type FatTreeConfig struct {
 	Stores int
 	Switch aswitch.Config // Ports is overridden to K on every switch
 	Host   host.Config
-	IO     iodev.Config
 }
 
 // MinFatTreeK returns the smallest even k whose fat tree holds `hosts`
@@ -51,7 +49,6 @@ func DefaultFatTreeConfig(hosts int) FatTreeConfig {
 		Hosts:  hosts,
 		Switch: aswitch.DefaultConfig(k),
 		Host:   host.DefaultConfig(),
-		IO:     iodev.DefaultConfig(),
 	}
 }
 
@@ -75,7 +72,7 @@ func FatTreeTopology(cfg FatTreeConfig) Topology {
 	aggIdx := func(pod, a int) int { return pod*k + half + a }
 	coreIdx := func(c int) int { return k*k + c }
 
-	t := Topology{Switch: cfg.Switch, Host: cfg.Host, IO: cfg.IO}
+	t := Topology{Switch: cfg.Switch, Host: cfg.Host}
 	for pod := 0; pod < k; pod++ {
 		for e := 0; e < half; e++ {
 			t.Switches = append(t.Switches, SwitchSpec{Name: fmt.Sprintf("p%de%d", pod, e), Ports: k, Role: RoleEdge})

@@ -60,7 +60,7 @@ func randomFabric(r *sim.Rand) cluster.Topology {
 	}
 	t.Stores = append(t.Stores, cluster.NodeSpec{Switch: r.Intn(n)})
 	cfg := cluster.DefaultIOClusterConfig()
-	t.Switch, t.Host, t.IO = cfg.Switch, cfg.Host, cfg.IO
+	t.Switch, t.Host = cfg.Switch, cfg.Host
 	return t
 }
 

@@ -50,7 +50,7 @@ func randomSpec(r *sim.Rand) Topology {
 	}
 	t.Stores = append(t.Stores, NodeSpec{Switch: r.Intn(n)})
 	cfg := DefaultIOClusterConfig()
-	t.Switch, t.Host, t.IO = cfg.Switch, cfg.Host, cfg.IO
+	t.Switch, t.Host = cfg.Switch, cfg.Host
 	return t
 }
 

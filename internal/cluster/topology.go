@@ -5,7 +5,6 @@ import (
 
 	"activesan/internal/aswitch"
 	"activesan/internal/host"
-	"activesan/internal/iodev"
 	"activesan/internal/san"
 	"activesan/internal/sim"
 )
@@ -35,9 +34,8 @@ type Topology struct {
 	// Switch is the template configuration every switch is built from;
 	// Base.Ports is overridden per switch (SwitchSpec.Ports).
 	Switch aswitch.Config
-	// Host and IO configure the endpoints.
+	// Host configures every host.
 	Host host.Config
-	IO   iodev.Config
 }
 
 // SwitchSpec is one switch in a Topology.
@@ -245,7 +243,7 @@ func build(t Topology, eng *sim.Engine, g *sim.Group, part []int) *Cluster {
 	for j, s := range t.Stores {
 		id := StoreIDBase + san.NodeID(j)
 		sw := info.Sw[s.Switch]
-		c.Stores = append(c.Stores, attachStore(engOf(s.Switch), sw, nextPort[s.Switch], id, fmt.Sprintf("d%d", j), t.IO))
+		c.Stores = append(c.Stores, attachStore(engOf(s.Switch), sw, nextPort[s.Switch], id, fmt.Sprintf("d%d", j)))
 		nextPort[s.Switch]++
 		info.Attach[id] = s.Switch
 	}
@@ -263,9 +261,8 @@ func build(t Topology, eng *sim.Engine, g *sim.Group, part []int) *Cluster {
 		ab := san.NewLink(engOf(l.A), abName, linkCfg)
 		ba := san.NewLink(engOf(l.B), baName, linkCfg)
 		if g != nil && part[l.A] != part[l.B] {
-			creditLA := t.Switch.Base.RoutingLatency
-			ab.SetCross(g.Connect(part[l.A], part[l.B], linkCfg.Propagation, creditLA))
-			ba.SetCross(g.Connect(part[l.B], part[l.A], linkCfg.Propagation, creditLA))
+			ab.SetCross(g.Connect(part[l.A], part[l.B], linkCfg.Propagation, san.RoutingLatency))
+			ba.SetCross(g.Connect(part[l.B], part[l.A], linkCfg.Propagation, san.RoutingLatency))
 		}
 		info.Sw[l.A].AttachPort(nextPort[l.A], ba, ab)
 		info.Sw[l.B].AttachPort(nextPort[l.B], ab, ba)

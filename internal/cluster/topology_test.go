@@ -22,7 +22,7 @@ func smallSpec() Topology {
 		Stores: []NodeSpec{{Switch: 1}},
 	}
 	cfg := DefaultIOClusterConfig()
-	t.Switch, t.Host, t.IO = cfg.Switch, cfg.Host, cfg.IO
+	t.Switch, t.Host = cfg.Switch, cfg.Host
 	return t
 }
 

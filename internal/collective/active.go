@@ -408,7 +408,7 @@ func sendUp(proc *sim.Proc, c *cluster.Cluster, sh *shape, h *host.Host,
 // receive overhead.
 func recvPayload(proc *sim.Proc, h *host.Host, src san.NodeID, flow int64) any {
 	comp := h.RecvFlow(proc, src, flow)
-	h.CPU().BusyFor(proc, h.RecvCost())
+	h.CPU().BusyFor(proc, host.RecvOverhead)
 	return comp.Payloads[0]
 }
 

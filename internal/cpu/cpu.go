@@ -9,8 +9,8 @@
 //
 // For speed, busy time is accrued as a debt and slept in quanta rather than
 // per instruction; at any synchronization point the caller flushes the debt
-// so cross-component timing stays accurate to within one quantum (tests can
-// set the quantum to zero for exact accounting).
+// so cross-component timing stays accurate to within one Quantum (tests can
+// set a CPU's quantum to zero for exact accounting).
 package cpu
 
 import (
@@ -26,6 +26,10 @@ const tlbHandlerCycles = 20
 
 // maxOutstandingLines is the paper's limit on in-flight non-blocking misses.
 const maxOutstandingLines = 4
+
+// Quantum bounds how much busy time a CPU accrues before it sleeps, for the
+// host and the switch processors alike.
+const Quantum = 500 * sim.Nanosecond
 
 // Breakdown partitions a processor's time, mirroring the paper's
 // execution-time breakdown figures (CPU busy / cache stall / idle).
@@ -48,7 +52,8 @@ type CPU struct {
 	clk  sim.Clock
 	hier *cache.Hierarchy
 
-	// debt is busy/stall time accrued but not yet slept.
+	// debt is busy/stall time accrued but not yet slept; it is slept once
+	// it reaches quantum, which is Quantum outside tests.
 	debt    sim.Time
 	quantum sim.Time
 
@@ -66,9 +71,8 @@ type CPU struct {
 	loads, stores int64
 }
 
-// New returns a CPU over the given hierarchy. quantum bounds how much busy
-// time may be accrued before sleeping; 0 sleeps on every charge.
-func New(eng *sim.Engine, name string, clk sim.Clock, hier *cache.Hierarchy, quantum sim.Time) *CPU {
+// New returns a CPU over the given hierarchy.
+func New(eng *sim.Engine, name string, clk sim.Clock, hier *cache.Hierarchy) *CPU {
 	if hier == nil {
 		panic("cpu: nil hierarchy")
 	}
@@ -77,7 +81,7 @@ func New(eng *sim.Engine, name string, clk sim.Clock, hier *cache.Hierarchy, qua
 		name:    name,
 		clk:     clk,
 		hier:    hier,
-		quantum: quantum,
+		quantum: Quantum,
 	}
 }
 

@@ -10,9 +10,11 @@ import (
 
 func newHostCPU(quantum sim.Time) (*sim.Engine, *CPU) {
 	eng := sim.NewEngine()
-	mem := memsys.New(eng, memsys.DefaultConfig())
-	hier := cache.NewHierarchy(eng, cache.HostHierConfig(1), mem, 1<<40)
-	return eng, New(eng, "host", sim.HostClock, hier, quantum)
+	mem := memsys.New(eng)
+	hier := cache.NewHierarchy(eng, cache.HostHierConfig(), mem, 1<<40)
+	c := New(eng, "host", sim.HostClock, hier)
+	c.quantum = quantum
+	return eng, c
 }
 
 func TestComputeChargesBusyCycles(t *testing.T) {
@@ -176,9 +178,10 @@ func TestTouchRangeCoversLines(t *testing.T) {
 
 func TestSwitchCPUFourTimesSlower(t *testing.T) {
 	eng := sim.NewEngine()
-	mem := memsys.New(eng, memsys.DefaultConfig())
+	mem := memsys.New(eng)
 	hier := cache.NewHierarchy(eng, cache.SwitchHierConfig(), mem, 1<<40)
-	sp := New(eng, "sp", sim.SwitchClock, hier, 0)
+	sp := New(eng, "sp", sim.SwitchClock, hier)
+	sp.quantum = 0
 	eng.Spawn("p", func(p *sim.Proc) {
 		sp.Compute(p, 1000)
 	})

@@ -21,12 +21,11 @@ func loopback(eng *sim.Engine) (*Host, *Host) {
 }
 
 func TestDefaultOSConfigMatchesPaper(t *testing.T) {
-	os := DefaultOSConfig()
-	if os.IOPerRequest != 30*sim.Microsecond {
-		t.Errorf("per-request = %v, want the paper's 30us", os.IOPerRequest)
+	if IOPerRequest != 30*sim.Microsecond {
+		t.Errorf("per-request = %v, want the paper's 30us", IOPerRequest)
 	}
-	if os.IOPerKB != 270*sim.Nanosecond {
-		t.Errorf("per-KB = %v, want the paper's 0.27us", os.IOPerKB)
+	if IOPerKB != 270*sim.Nanosecond {
+		t.Errorf("per-KB = %v, want the paper's 0.27us", IOPerKB)
 	}
 }
 
@@ -39,10 +38,10 @@ func TestSendMessageChargesOverhead(t *testing.T) {
 	eng.Spawn("rx", func(p *sim.Proc) { b.RecvAny(p) })
 	eng.Run()
 	defer eng.Shutdown()
-	if a.CPU().Breakdown().Busy != DefaultOSConfig().SendOverhead {
+	if a.CPU().Breakdown().Busy != SendOverhead {
 		t.Fatalf("sender busy = %v, want send overhead", a.CPU().Breakdown().Busy)
 	}
-	if b.CPU().Breakdown().Busy != DefaultOSConfig().RecvOverhead {
+	if b.CPU().Breakdown().Busy != RecvOverhead {
 		t.Fatalf("receiver busy = %v, want recv overhead", b.CPU().Breakdown().Busy)
 	}
 }

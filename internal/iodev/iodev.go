@@ -12,49 +12,30 @@ import (
 	"activesan/internal/sim"
 )
 
-// DiskConfig describes the disk pair, modeled as one aggregate device at
-// the total bandwidth (the paper only constrains the total).
-type DiskConfig struct {
-	// Seek is the average positioning time paid on non-sequential access.
-	Seek sim.Time
-	// Rotation is the average rotational latency added to a seek.
-	Rotation sim.Time
-	// BandwidthBytesPerSec is the total streaming rate (paper: 100 MB/s).
-	BandwidthBytesPerSec float64
-}
-
-// BusConfig describes the SCSI bus.
-type BusConfig struct {
-	// Arbitration is the per-transaction arbitration+selection overhead.
-	Arbitration sim.Time
-	// BandwidthBytesPerSec is the peak transfer rate (paper: 320 MB/s).
-	BandwidthBytesPerSec float64
-}
-
-// Config assembles a storage node.
-type Config struct {
-	Disk DiskConfig
-	Bus  BusConfig
-}
-
-// DefaultConfig returns the paper's I/O subsystem parameters. Seek and
-// rotation use typical 2002-era server disk values (the paper lists the
-// three parameters without printing numbers); sequential streams — "we
+// The paper's I/O subsystem. The disk pair is modeled as one aggregate
+// device at the total bandwidth (the paper only constrains the total).
+// Seek and rotation use typical 2002-era server disk values (the paper lists
+// the three parameters without printing numbers); sequential streams — "we
 // assume a sequential access pattern because most of our applications deal
 // with large files" — pay them only once.
-func DefaultConfig() Config {
-	return Config{
-		Disk: DiskConfig{
-			Seek:                 5 * sim.Millisecond,
-			Rotation:             3 * sim.Millisecond,
-			BandwidthBytesPerSec: 100e6,
-		},
-		Bus: BusConfig{
-			Arbitration:          2 * sim.Microsecond,
-			BandwidthBytesPerSec: 320e6,
-		},
-	}
-}
+const (
+	// Seek is the average positioning time paid on non-sequential access.
+	Seek = 5 * sim.Millisecond
+	// Rotation is the average rotational latency added to a seek.
+	Rotation = 3 * sim.Millisecond
+	// DiskBandwidth is the disk pair's total streaming rate in bytes per
+	// second.
+	DiskBandwidth = 100e6
+	// BusArbitration is the SCSI bus's per-transaction arbitration and
+	// selection overhead.
+	BusArbitration = 2 * sim.Microsecond
+	// BusBandwidth is the SCSI bus's peak transfer rate in bytes per second.
+	BusBandwidth = 320e6
+)
+
+// filterClock is the embedded processor that runs active-disk filters: a
+// 200 MHz active-disk-class core, weaker than the switch CPU.
+var filterClock = sim.Clock{Period: 5000 * sim.Picosecond}
 
 // File is a named extent on the storage node. Data or Gen provide the
 // functional content; both nil means timing-only transfers.
@@ -134,9 +115,6 @@ type Filter struct {
 	// CyclesPerByte is charged on the embedded disk processor per input
 	// byte.
 	CyclesPerByte int64
-	// Clock is the embedded processor's clock (default 200 MHz — an
-	// active-disk-class core, weaker than the switch CPU).
-	Clock sim.Clock
 }
 
 // Stats counts storage activity.
@@ -167,7 +145,6 @@ const maxDiskAttempts = 64
 type StorageNode struct {
 	san.Adapter
 	eng *sim.Engine
-	cfg Config
 
 	files   map[string]*File
 	filters map[int]*Filter
@@ -207,10 +184,9 @@ type queuedReq struct {
 }
 
 // New builds a storage node attached via the given links.
-func New(eng *sim.Engine, id san.NodeID, name string, in, out *san.Link, cfg Config) *StorageNode {
+func New(eng *sim.Engine, id san.NodeID, name string, in, out *san.Link) *StorageNode {
 	s := &StorageNode{
 		eng:     eng,
-		cfg:     cfg,
 		files:   make(map[string]*File),
 		filters: make(map[int]*Filter),
 		reqs:    sim.NewQueue[queuedReq](),
@@ -228,9 +204,6 @@ func (s *StorageNode) RegisterFilter(id int, f *Filter) {
 	}
 	if _, dup := s.filters[id]; dup {
 		panic(fmt.Sprintf("iodev: duplicate filter %d on %s", id, s.Name()))
-	}
-	if f.Clock.Period <= 0 {
-		f.Clock = sim.Clock{Period: 5000 * sim.Picosecond} // 200 MHz
 	}
 	s.filters[id] = f
 }
@@ -262,7 +235,7 @@ func (s *StorageNode) SetDiskFaults(inj DiskInjector, retry sim.Time) {
 		panic("iodev: SetDiskFaults after Start")
 	}
 	if retry <= 0 {
-		retry = s.cfg.Disk.Seek + s.cfg.Disk.Rotation
+		retry = Seek + Rotation
 	}
 	s.dinj = inj
 	s.dretry = retry
@@ -352,11 +325,11 @@ func (s *StorageNode) diskStep(p *sim.Proc) {
 		case diskPlatter:
 			if d.flt != nil {
 				// The embedded filter processor scans every byte.
-				p.WakeAt(s.fcpu.Reserve(d.flt.Clock.Cycles(d.flt.CyclesPerByte * d.n)))
+				p.WakeAt(s.fcpu.Reserve(filterClock.Cycles(d.flt.CyclesPerByte * d.n)))
 				d.wait = diskFilter
 				return
 			}
-			p.WakeAt(s.bus.Reserve(sim.TransferTime(d.pkt.Size, s.cfg.Bus.BandwidthBytesPerSec)))
+			p.WakeAt(s.bus.Reserve(sim.TransferTime(d.pkt.Size, BusBandwidth)))
 			d.wait = diskBus
 			return
 		case diskFilter:
@@ -374,7 +347,7 @@ func (s *StorageNode) diskStep(p *sim.Proc) {
 				continue
 			}
 			d.keep, d.out = keep, out
-			p.WakeAt(s.bus.Reserve(sim.TransferTime(keep, s.cfg.Bus.BandwidthBytesPerSec)))
+			p.WakeAt(s.bus.Reserve(sim.TransferTime(keep, BusBandwidth)))
 			d.wait = diskBus
 			return
 		case diskBus:
@@ -425,7 +398,7 @@ func (s *StorageNode) startRead(p *sim.Proc, req ReadReq, arrived sim.Time) {
 	}
 	first := start
 	if req.File != s.lastFile || req.Off != s.lastEnd {
-		first += s.cfg.Disk.Seek + s.cfg.Disk.Rotation
+		first += Seek + Rotation
 		s.stats.Seeks++
 	} else {
 		s.stats.Sequential++
@@ -439,7 +412,7 @@ func (s *StorageNode) startRead(p *sim.Proc, req ReadReq, arrived sim.Time) {
 			first += s.dretry
 		}
 	}
-	s.diskFreeAt = first + sim.TransferTime(req.Len, s.cfg.Disk.BandwidthBytesPerSec)
+	s.diskFreeAt = first + sim.TransferTime(req.Len, DiskBandwidth)
 	s.lastFile = req.File
 	s.lastEnd = req.Off + req.Len
 
@@ -470,7 +443,7 @@ func (s *StorageNode) startRead(p *sim.Proc, req ReadReq, arrived sim.Time) {
 		}
 	}
 	// Per-request SCSI arbitration/selection.
-	s.bus.Reserve(s.cfg.Bus.Arbitration)
+	s.bus.Reserve(BusArbitration)
 }
 
 // nextChunk starts the read's chunk d.next, waiting for it to leave the
@@ -487,14 +460,14 @@ func (s *StorageNode) nextChunk(p *sim.Proc) bool {
 			return false
 		}
 		s.readyChunk()
-		ready = d.first + sim.TransferTime(off+san.MTU, s.cfg.Disk.BandwidthBytesPerSec)
+		ready = d.first + sim.TransferTime(off+san.MTU, DiskBandwidth)
 	} else {
 		if off >= d.req.Len {
 			s.sendTrailer(p)
 			return false
 		}
 		d.n = min(d.req.Len-off, san.MTU)
-		ready = d.first + sim.TransferTime(off+d.n, s.cfg.Disk.BandwidthBytesPerSec)
+		ready = d.first + sim.TransferTime(off+d.n, DiskBandwidth)
 	}
 	d.wait = diskPlatter
 	if ready > p.Now() {

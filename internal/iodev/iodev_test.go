@@ -12,7 +12,7 @@ func rig(eng *sim.Engine) (*StorageNode, *san.Link, *san.Link) {
 	cfg := san.DefaultLinkConfig()
 	toStore := san.NewLink(eng, "to", cfg)
 	fromStore := san.NewLink(eng, "from", cfg)
-	s := New(eng, 200, "d0", toStore, fromStore, DefaultConfig())
+	s := New(eng, 200, "d0", toStore, fromStore)
 	s.Start()
 	return s, toStore, fromStore
 }

@@ -8,38 +8,21 @@ import (
 )
 
 func TestDefaultConfigMatchesPaper(t *testing.T) {
-	c := DefaultConfig()
-	if c.BandwidthBytesPerSec != 1.6e9 {
-		t.Errorf("bandwidth = %v, want 1.6e9", c.BandwidthBytesPerSec)
+	if Bandwidth != 1.6e9 {
+		t.Errorf("bandwidth = %v, want 1.6e9", Bandwidth)
 	}
-	if c.PageHit != 100*sim.Nanosecond || c.PageMiss != 122*sim.Nanosecond {
-		t.Errorf("latencies = %v/%v, want 100ns/122ns", c.PageHit, c.PageMiss)
-	}
-}
-
-func TestConfigValidation(t *testing.T) {
-	bad := []Config{
-		{},
-		{BandwidthBytesPerSec: 1e9, PageSize: 0, Banks: 4, PageHit: 1, PageMiss: 2},
-		{BandwidthBytesPerSec: 1e9, PageSize: 2048, Banks: 4, PageHit: 2, PageMiss: 1},
-	}
-	for i, c := range bad {
-		if err := c.validate(); err == nil {
-			t.Errorf("config %d validated but should not", i)
-		}
-	}
-	if err := DefaultConfig().validate(); err != nil {
-		t.Errorf("default config rejected: %v", err)
+	if PageHit != 100*sim.Nanosecond || PageMiss != 122*sim.Nanosecond {
+		t.Errorf("latencies = %v/%v, want 100ns/122ns", PageHit, PageMiss)
 	}
 }
 
 func TestPageHitMissClassification(t *testing.T) {
-	m := New(sim.NewEngine(), DefaultConfig())
+	m := New(sim.NewEngine())
 	// First touch of a page is a miss; a second touch in the same page
 	// hits; a touch of a different row in the same bank misses again.
 	m.Reserve(0, 128)
 	m.Reserve(64, 128)
-	sameBankNewRow := DefaultConfig().PageSize * int64(DefaultConfig().Banks)
+	sameBankNewRow := int64(PageSize * Banks)
 	m.Reserve(sameBankNewRow, 128)
 	st := m.Stats()
 	if st.PageHits != 1 || st.PageMisses != 2 {
@@ -51,7 +34,7 @@ func TestPageHitMissClassification(t *testing.T) {
 }
 
 func TestAccessLatency(t *testing.T) {
-	m := New(sim.NewEngine(), DefaultConfig())
+	m := New(sim.NewEngine())
 	// 128 bytes at 1.6 GB/s = 80 ns of occupancy.
 	xfer := sim.TransferTime(128, 1.6e9)
 	// A miss completes after its transfer plus the 122 ns miss latency.
@@ -66,7 +49,7 @@ func TestAccessLatency(t *testing.T) {
 }
 
 func TestBandwidthContention(t *testing.T) {
-	m := New(sim.NewEngine(), DefaultConfig())
+	m := New(sim.NewEngine())
 	var last sim.Time
 	const n = 10
 	for i := 0; i < n; i++ {
@@ -88,7 +71,7 @@ func TestBandwidthContention(t *testing.T) {
 
 func TestReserveDoesNotBlock(t *testing.T) {
 	eng := sim.NewEngine()
-	m := New(eng, DefaultConfig())
+	m := New(eng)
 	end1 := m.Reserve(0, 1024)
 	end2 := m.Reserve(1<<20, 1024)
 	if end2 <= end1 {
@@ -152,11 +135,11 @@ func TestAddressSpaceDisjointProperty(t *testing.T) {
 
 func TestBankRowStriping(t *testing.T) {
 	eng := sim.NewEngine()
-	m := New(eng, DefaultConfig())
+	m := New(eng)
 	// Consecutive pages must land in different banks so sequential streams
 	// do not thrash one bank.
 	b0, _ := m.bankRow(0)
-	b1, _ := m.bankRow(DefaultConfig().PageSize)
+	b1, _ := m.bankRow(PageSize)
 	if b0 == b1 {
 		t.Fatal("consecutive pages map to the same bank")
 	}

@@ -13,8 +13,8 @@ func pair(eng *sim.Engine) (*NIC, *NIC) {
 	cfg := san.DefaultLinkConfig()
 	ab := san.NewLink(eng, "ab", cfg)
 	ba := san.NewLink(eng, "ba", cfg)
-	memA := memsys.New(eng, memsys.DefaultConfig())
-	memB := memsys.New(eng, memsys.DefaultConfig())
+	memA := memsys.New(eng)
+	memB := memsys.New(eng)
 	a := New(eng, 1, "a", ba, ab, memA)
 	b := New(eng, 2, "b", ab, ba, memB)
 	a.Start()

@@ -220,7 +220,7 @@ func (f *invFabric) checkQuiesced(t *testing.T, round int) {
 		}
 	}
 	for i, sw := range f.sws {
-		if got, want := sw.PoolFree(), sw.Config().PoolPackets; got != want {
+		if got, want := sw.PoolFree(), PoolPackets; got != want {
 			t.Fatalf("round %d: switch %d quiesced with %d of %d pool slots", round, i, got, want)
 		}
 	}

@@ -6,11 +6,12 @@ import (
 	"activesan/internal/sim"
 )
 
+// LinkBandwidth is every link's serialization rate in bytes per second: the
+// paper's 1 GB/s per direction.
+const LinkBandwidth = 1e9
+
 // LinkConfig sets a link's physical parameters.
 type LinkConfig struct {
-	// BandwidthBytesPerSec is the serialization rate (paper: 1 GB/s per
-	// direction).
-	BandwidthBytesPerSec float64
 	// Propagation is the wire flight time.
 	Propagation sim.Time
 	// Credits is the receiver's input buffering in packets; the sender
@@ -20,13 +21,12 @@ type LinkConfig struct {
 	Credits int
 }
 
-// DefaultLinkConfig returns the paper's link: 1 GB/s, with a short wire and
-// eight packets of input buffering per link.
+// DefaultLinkConfig returns the paper's link: a short wire and eight packets
+// of input buffering per link.
 func DefaultLinkConfig() LinkConfig {
 	return LinkConfig{
-		BandwidthBytesPerSec: 1e9,
-		Propagation:          10 * sim.Nanosecond,
-		Credits:              8,
+		Propagation: 10 * sim.Nanosecond,
+		Credits:     8,
 	}
 }
 
@@ -155,10 +155,6 @@ func (l *Link) emitSend(pkt *Packet) {
 		pkt.Hdr.Type, pkt.Hdr.Src, pkt.Hdr.Dst, pkt.Hdr.Flow, pkt.Hdr.Seq, pkt.Size))
 }
 
-// FillRate returns the rate at which a delivered packet's payload streams
-// into the receiver, for valid-bit modelling.
-func (l *Link) FillRate() float64 { return l.cfg.BandwidthBytesPerSec }
-
 // Send transmits pkt, blocking the caller for credit acquisition and
 // serialization start. The caller regains control once the packet is on the
 // wire (its tail has left the sender), modelling a DMA engine that moves to
@@ -217,8 +213,8 @@ func (l *Link) SendOrWait(p *sim.Proc, pkt *Packet, s *Sending) bool {
 // credit — and schedules its delivery (or fate, under fault injection). It
 // returns the serialization end time, when Send returns.
 func (l *Link) transmit(pkt *Packet) (end sim.Time) {
-	end = l.line.Reserve(sim.TransferTime(pkt.Wire(), l.cfg.BandwidthBytesPerSec))
-	headAt := end - sim.TransferTime(pkt.Size, l.cfg.BandwidthBytesPerSec) + l.cfg.Propagation
+	end = l.line.Reserve(sim.TransferTime(pkt.Wire(), LinkBandwidth))
+	headAt := end - sim.TransferTime(pkt.Size, LinkBandwidth) + l.cfg.Propagation
 	l.stats.Packets++
 	l.stats.Bytes += pkt.Size
 	if st := pkt.Stamp; st != nil {
@@ -331,5 +327,5 @@ func (l *Link) ReturnCredit() {
 // TailTime returns when the last byte of a packet delivered at headAt
 // finishes arriving.
 func (l *Link) TailTime(headAt sim.Time, size int64) sim.Time {
-	return headAt + sim.TransferTime(size, l.cfg.BandwidthBytesPerSec)
+	return headAt + sim.TransferTime(size, LinkBandwidth)
 }

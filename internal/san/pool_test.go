@@ -68,8 +68,8 @@ func newHopRig(cut bool) *hopRig {
 		sw0 = NewSwitch(g.Engine(0), 10, "sw0", cfg)
 		sw1 = NewSwitch(g.Engine(1), 11, "sw1", cfg)
 		ab, ba := NewLink(g.Engine(0), "ab", cfg.Link), NewLink(g.Engine(1), "ba", cfg.Link)
-		ab.SetCross(g.Connect(0, 1, cfg.Link.Propagation, cfg.RoutingLatency))
-		ba.SetCross(g.Connect(1, 0, cfg.Link.Propagation, cfg.RoutingLatency))
+		ab.SetCross(g.Connect(0, 1, cfg.Link.Propagation, RoutingLatency))
+		ba.SetCross(g.Connect(1, 0, cfg.Link.Propagation, RoutingLatency))
 		sw0.AttachPort(1, ba, ab)
 		sw1.AttachPort(0, ab, ba)
 		sw1.SetRoute(1, 0)

@@ -243,14 +243,12 @@ func TestSwitchDropsUnroutable(t *testing.T) {
 
 type captureSink struct {
 	pkts []*Packet
-	rate float64
 }
 
 func (c *captureSink) NewDelivery() LocalDelivery { return c }
 
-func (c *captureSink) DeliverOrWait(_ *sim.Proc, pkt *Packet, rate float64) bool {
+func (c *captureSink) DeliverOrWait(_ *sim.Proc, pkt *Packet) bool {
 	c.pkts = append(c.pkts, pkt)
-	c.rate = rate
 	return true
 }
 
@@ -266,9 +264,6 @@ func TestSwitchLocalSink(t *testing.T) {
 	eng.Run()
 	if len(sink.pkts) != 1 || sink.pkts[0].Hdr.HandlerID != 5 {
 		t.Fatalf("local sink got %d packets", len(sink.pkts))
-	}
-	if sink.rate != 1e9 {
-		t.Fatalf("fill rate = %v, want link bandwidth", sink.rate)
 	}
 	if sw.Stats().Local != 1 {
 		t.Fatalf("local count = %d", sw.Stats().Local)
@@ -458,7 +453,7 @@ func TestOutputQueueOccupancyStats(t *testing.T) {
 	if st.MaxQueueDepth < 2 {
 		t.Fatalf("max queue depth = %d, want congestion", st.MaxQueueDepth)
 	}
-	if st.MinPoolFree >= sw.Config().PoolPackets {
+	if st.MinPoolFree >= PoolPackets {
 		t.Fatalf("pool low-water = %d, pool never used?", st.MinPoolFree)
 	}
 	if got != 48 {

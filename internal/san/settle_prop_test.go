@@ -49,7 +49,7 @@ func burstOrder(t *testing.T, n, dst int, srcs []int, sizes []int64, inject bool
 	want := len(srcs)
 	if inject {
 		want++
-		admitAt := sim.TransferTime(HeaderBytes, 1e9) + DefaultLinkConfig().Propagation + sw.Config().RoutingLatency
+		admitAt := sim.TransferTime(HeaderBytes, LinkBandwidth) + DefaultLinkConfig().Propagation + RoutingLatency
 		eng.Spawn("inj", func(p *sim.Proc) {
 			p.SleepUntil(admitAt)
 			if err := sw.Inject(p, &Packet{Hdr: Header{Src: injectSrc, Dst: NodeID(dst)}, Size: 64}); err != nil {

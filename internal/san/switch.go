@@ -6,28 +6,27 @@ import (
 	"activesan/internal/sim"
 )
 
+// The paper's switch: 1 GB/s bidirectional ports (LinkBandwidth), virtual
+// cut-through, and a central output queue.
+const (
+	// RoutingLatency is the per-packet routing decision time ("similar to
+	// current InfiniBand switches").
+	RoutingLatency = 100 * sim.Nanosecond
+	// PoolPackets sizes the central output queue's shared buffer pool.
+	PoolPackets = 64
+)
+
 // SwitchConfig sets the base switch parameters.
 type SwitchConfig struct {
 	// Ports is the number of external ports.
 	Ports int
-	// RoutingLatency is the per-packet routing decision time (paper: 100 ns,
-	// "similar to current InfiniBand switches").
-	RoutingLatency sim.Time
-	// PoolPackets sizes the central output queue's shared buffer pool.
-	PoolPackets int
 	// Link configures every attached link.
 	Link LinkConfig
 }
 
-// DefaultSwitchConfig returns the paper's switch: 1 GB/s bidirectional
-// ports, 100 ns routing latency, virtual cut-through.
+// DefaultSwitchConfig returns the paper's switch with the paper's links.
 func DefaultSwitchConfig(ports int) SwitchConfig {
-	return SwitchConfig{
-		Ports:          ports,
-		RoutingLatency: 100 * sim.Nanosecond,
-		PoolPackets:    64,
-		Link:           DefaultLinkConfig(),
-	}
+	return SwitchConfig{Ports: ports, Link: DefaultLinkConfig()}
 }
 
 // LocalSink receives packets whose destination is the switch itself. The
@@ -48,7 +47,7 @@ type LocalSink interface {
 // false return means the delivery arranged the port's next wake, as the
 // OrWait primitives do.
 type LocalDelivery interface {
-	DeliverOrWait(p *sim.Proc, pkt *Packet, fillRate float64) bool
+	DeliverOrWait(p *sim.Proc, pkt *Packet) bool
 }
 
 // Port is one external attachment: In carries packets from the device into
@@ -122,14 +121,14 @@ func NewSwitch(eng *sim.Engine, id NodeID, name string, cfg SwitchConfig) *Switc
 		name:  name,
 		cfg:   cfg,
 		ports: make([]Port, cfg.Ports),
-		pool:  sim.NewSemaphore(cfg.PoolPackets),
+		pool:  sim.NewSemaphore(PoolPackets),
 		outQ:  make([]*sim.Queue[*Packet], cfg.Ports),
 		arb:   sim.NewArbiter(eng),
 	}
 	for i := range s.outQ {
 		s.outQ[i] = sim.NewQueue[*Packet]()
 	}
-	s.stats.MinPoolFree = cfg.PoolPackets
+	s.stats.MinPoolFree = PoolPackets
 	return s
 }
 
@@ -331,7 +330,7 @@ func (pt *inPort) step(p *sim.Proc) {
 			}
 			pt.pkt = pkt
 			pt.state = inRoute
-			p.WakeAt(p.Now() + s.cfg.RoutingLatency)
+			p.WakeAt(p.Now() + RoutingLatency)
 			return
 		case inRoute:
 			pkt := pt.pkt
@@ -400,7 +399,7 @@ func (pt *inPort) step(p *sim.Proc) {
 			s.noteDepth(pt.out)
 			pt.finish()
 		case inLocal:
-			if !pt.local.DeliverOrWait(p, pt.pkt, pt.in.FillRate()) {
+			if !pt.local.DeliverOrWait(p, pt.pkt) {
 				return
 			}
 			pt.sink()

@@ -5,6 +5,9 @@ import (
 	"testing"
 )
 
+// Name returns the debug name given at Spawn.
+func (p *Proc) Name() string { return p.name }
+
 func TestTimeUnits(t *testing.T) {
 	if Second != 1e12*Picosecond {
 		t.Fatalf("Second = %d ps, want 1e12", int64(Second))

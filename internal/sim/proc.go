@@ -52,9 +52,6 @@ type killedError struct{}
 
 func (killedError) Error() string { return "sim: proc killed by Shutdown" }
 
-// Name returns the debug name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
 // Now returns the current simulated time.
 func (p *Proc) Now() Time { return p.eng.now }
 

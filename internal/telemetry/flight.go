@@ -9,9 +9,9 @@ import (
 	"activesan/internal/sim"
 )
 
-// DefaultRingSize is the per-component flight-recorder depth: enough to
-// see the events leading into a crash without retaining a full trace.
-const DefaultRingSize = 32
+// RingSize is the per-component flight-recorder depth: enough to see the
+// events leading into a crash without retaining a full trace.
+const RingSize = 32
 
 // maxTriggers bounds the recorded trigger list (a strict-routes storm
 // could otherwise grow it without limit).
@@ -47,21 +47,17 @@ func (r *evRing) add(ev sim.TraceEvent) {
 // cluster all tee into one instance.
 type FlightRecorder struct {
 	mu       sync.Mutex
-	size     int
 	strict   bool
 	rings    map[string]*evRing
 	triggers []string
 	dropped  int
 }
 
-// NewFlightRecorder returns a recorder keeping size events per component
-// (<= 0 selects DefaultRingSize). strictRoutes makes a no-route drop a
-// trigger, as it is under -strict-routes.
-func NewFlightRecorder(size int, strictRoutes bool) *FlightRecorder {
-	if size <= 0 {
-		size = DefaultRingSize
-	}
-	return &FlightRecorder{size: size, strict: strictRoutes, rings: make(map[string]*evRing)}
+// NewFlightRecorder returns a recorder keeping RingSize events per
+// component. strictRoutes makes a no-route drop a trigger, as it is under
+// -strict-routes.
+func NewFlightRecorder(strictRoutes bool) *FlightRecorder {
+	return &FlightRecorder{strict: strictRoutes, rings: make(map[string]*evRing)}
 }
 
 // Sink returns a trace sink that records every event into the rings, arms
@@ -85,7 +81,7 @@ func (f *FlightRecorder) record(ev sim.TraceEvent) {
 	}
 	r := f.rings[comp]
 	if r == nil {
-		r = &evRing{ev: make([]sim.TraceEvent, 0, f.size)}
+		r = &evRing{ev: make([]sim.TraceEvent, 0, RingSize)}
 		f.rings[comp] = r
 	}
 	r.add(ev)
