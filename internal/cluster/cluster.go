@@ -137,23 +137,23 @@ func (c *Cluster) EngineFor(id san.NodeID) *sim.Engine {
 	return c.Eng
 }
 
-// attachHost wires a new host to switch port.
+// attachHost wires a new host to switch port; installShortestPaths sets
+// the switch's route to it.
 func attachHost(eng *sim.Engine, sw *aswitch.ActiveSwitch, port int, id san.NodeID, name string, cfg host.Config) *host.Host {
 	link := sw.Config().Link
 	up := san.NewLink(eng, fmt.Sprintf("%s.up", name), link)
 	down := san.NewLink(eng, fmt.Sprintf("%s.down", name), link)
 	sw.AttachPort(port, up, down)
-	sw.SetRoute(id, port)
 	return host.New(eng, id, name, down, up, cfg)
 }
 
-// attachStore wires a new storage node to switch port.
+// attachStore wires a new storage node to switch port, as attachHost does
+// a host.
 func attachStore(eng *sim.Engine, sw *aswitch.ActiveSwitch, port int, id san.NodeID, name string) *iodev.StorageNode {
 	link := sw.Config().Link
 	up := san.NewLink(eng, fmt.Sprintf("%s.up", name), link)
 	down := san.NewLink(eng, fmt.Sprintf("%s.down", name), link)
 	sw.AttachPort(port, up, down)
-	sw.SetRoute(id, port)
 	return iodev.New(eng, id, name, down, up)
 }
 

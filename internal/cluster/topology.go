@@ -5,6 +5,7 @@ import (
 
 	"activesan/internal/aswitch"
 	"activesan/internal/host"
+	"activesan/internal/iodev"
 	"activesan/internal/san"
 	"activesan/internal/sim"
 )
@@ -138,7 +139,9 @@ type TopoInfo struct {
 // spec index — spreading flows across parallel uplinks — and the next
 // candidate becomes the backup route (used when the primary's link is down).
 // Next hops strictly decrease the distance to the destination, so routes are
-// loop-free by construction whatever the tie-break.
+// loop-free by construction whatever the tie-break. The routes are installed
+// on a second goroutine while the calling one wires endpoints and trunks;
+// Build returns, or re-raises a panic from either, once both are done.
 func Build(eng *sim.Engine, t Topology) *Cluster {
 	return build(t, eng, nil, nil)
 }
@@ -147,8 +150,10 @@ func Build(eng *sim.Engine, t Topology) *Cluster {
 // i (and every endpoint attached to it) lives on g.Engine(part[i]), and each
 // trunk whose ends land in different partitions becomes a cut link — its
 // sender half stays on the sending partition while deliveries and credits
-// cross through a sim.Channel with the wire propagation as delivery
-// lookahead and the receiving switch's routing latency as credit lookahead.
+// cross through a sim.Channel, connected in t.Links order, with
+// san.DeliveryLookahead (the header's wire time plus the propagation) as
+// delivery lookahead and the receiving switch's routing latency as credit
+// lookahead.
 // Everything else — ids, names, port order, routing tables — is identical to
 // Build, and so are the simulation results at any partition count (see
 // PERFORMANCE.md for the determinism contract).
@@ -186,67 +191,106 @@ func build(t Topology, eng *sim.Engine, g *sim.Group, part []int) *Cluster {
 		return g.Engine(part[specIdx])
 	}
 
-	// Attachment counts size auto-ported switches.
-	need := make([]int, n)
-	for _, h := range t.Hosts {
-		need[h.Switch]++
-	}
-	for _, s := range t.Stores {
-		need[s.Switch]++
-	}
-	for _, l := range t.Links {
-		need[l.A]++
-		need[l.B]++
-	}
-
 	info := &TopoInfo{
 		Spec:     t,
 		Sw:       make([]*aswitch.ActiveSwitch, n),
 		Index:    make(map[san.NodeID]int, n),
-		PortPeer: make([][]int, n),
+		PortPeer: planPorts(t),
 		Attach:   make(map[san.NodeID]int),
 	}
-	c := &Cluster{Eng: eng, Group: g, Part: part, Topo: info}
-
+	c := &Cluster{
+		Eng: eng, Group: g, Part: part, Topo: info,
+		Switches: make([]*aswitch.ActiveSwitch, n),
+		Hosts:    make([]*host.Host, len(t.Hosts)),
+		Stores:   make([]*iodev.StorageNode, len(t.Stores)),
+	}
 	for i, spec := range t.Switches {
-		ports := spec.Ports
-		if ports == 0 {
-			ports = need[i]
-		} else if ports < need[i] {
-			panic(fmt.Sprintf("cluster: switch %d (%s) has %d ports but %d attachments",
-				i, spec.Name, ports, need[i]))
-		}
 		cfg := t.Switch
-		cfg.Base.Ports = ports
+		cfg.Base.Ports = len(info.PortPeer[i])
 		sw := aswitch.New(engOf(i), SwitchIDBase+san.NodeID(i), spec.Name, cfg)
 		info.Sw[i] = sw
 		info.Index[sw.ID()] = i
-		info.PortPeer[i] = make([]int, ports)
-		for p := range info.PortPeer[i] {
-			info.PortPeer[i][p] = -1
-		}
-		c.Switches = append(c.Switches, sw)
+		c.Switches[i] = sw
 	}
 
-	// Endpoints first (hosts, then stores), so single-switch layouts keep
-	// their historical port order; trunks take the ports after them.
-	// Endpoints always share their switch's partition, so their links never
-	// cross a cut.
-	nextPort := make([]int, n)
+	// The routes depend only on the spec and the port plan, so they are
+	// installed on a second goroutine while this one wires the endpoints
+	// and trunks. The route task owns every switch's route table; this
+	// goroutine owns the switches' ports, the links, the endpoints, Attach
+	// and the group's channels. Both only read the spec, Sw and PortPeer.
+	concurrently(func() {
+		wire(c, engOf)
+	}, func() {
+		installShortestPaths(info)
+	})
+	return c
+}
+
+// planPorts derives every switch's ports from the spec, before anything is
+// wired: endpoints first (hosts, then stores), then trunks, each in spec
+// order, so single-switch layouts keep their historical port order. It
+// returns, per switch, the peer switch behind each port: -1 for endpoint
+// and unattached ports. A switch with Ports 0 gets one port per attachment;
+// one with fewer Ports than attachments panics.
+func planPorts(t Topology) [][]int {
+	n := len(t.Switches)
+	next := make([]int, n) // the next free port: trunks start after the endpoints
+	for _, h := range t.Hosts {
+		next[h.Switch]++
+	}
+	for _, s := range t.Stores {
+		next[s.Switch]++
+	}
+	trunks := make([]int, n)
+	for _, l := range t.Links {
+		trunks[l.A]++
+		trunks[l.B]++
+	}
+	peer := make([][]int, n)
+	for i, spec := range t.Switches {
+		need, ports := next[i]+trunks[i], spec.Ports
+		if ports == 0 {
+			ports = need
+		} else if ports < need {
+			panic(fmt.Sprintf("cluster: switch %d (%s) has %d ports but %d attachments",
+				i, spec.Name, ports, need))
+		}
+		peer[i] = make([]int, ports)
+		for p := range peer[i] {
+			peer[i][p] = -1
+		}
+	}
+	for _, l := range t.Links {
+		peer[l.A][next[l.A]] = l.B
+		peer[l.B][next[l.B]] = l.A
+		next[l.A]++
+		next[l.B]++
+	}
+	return peer
+}
+
+// wire attaches c's hosts, stores and trunks to its switches in planPorts'
+// order. Endpoints always share their switch's partition, so their links
+// never cross a cut.
+func wire(c *Cluster, engOf func(specIdx int) *sim.Engine) {
+	info, t := c.Topo, &c.Topo.Spec
+	nextPort := make([]int, len(t.Switches))
 	for i, h := range t.Hosts {
 		id := HostIDBase + san.NodeID(i)
-		sw := info.Sw[h.Switch]
-		c.Hosts = append(c.Hosts, attachHost(engOf(h.Switch), sw, nextPort[h.Switch], id, fmt.Sprintf("h%d", i), t.Host))
+		c.Hosts[i] = attachHost(engOf(h.Switch), info.Sw[h.Switch], nextPort[h.Switch], id, fmt.Sprintf("h%d", i), t.Host)
 		nextPort[h.Switch]++
 		info.Attach[id] = h.Switch
 	}
 	for j, s := range t.Stores {
 		id := StoreIDBase + san.NodeID(j)
-		sw := info.Sw[s.Switch]
-		c.Stores = append(c.Stores, attachStore(engOf(s.Switch), sw, nextPort[s.Switch], id, fmt.Sprintf("d%d", j)))
+		c.Stores[j] = attachStore(engOf(s.Switch), info.Sw[s.Switch], nextPort[s.Switch], id, fmt.Sprintf("d%d", j))
 		nextPort[s.Switch]++
 		info.Attach[id] = s.Switch
 	}
+	// Channels are connected in t.Links order, on this goroutine alone: a
+	// channel's index is the barrier's tie-break between same-time events.
+	linkCfg := t.Switch.Base.Link
+	la := san.DeliveryLookahead(linkCfg)
 	for _, l := range t.Links {
 		abName, baName := l.ABName, l.BAName
 		if abName == "" {
@@ -255,34 +299,55 @@ func build(t Topology, eng *sim.Engine, g *sim.Group, part []int) *Cluster {
 		if baName == "" {
 			baName = fmt.Sprintf("%s->%s", t.Switches[l.B].Name, t.Switches[l.A].Name)
 		}
-		linkCfg := t.Switch.Base.Link
 		// Each direction's link lives on its sender's engine; a direction
 		// whose ends straddle partitions crosses through a cut channel.
 		ab := san.NewLink(engOf(l.A), abName, linkCfg)
 		ba := san.NewLink(engOf(l.B), baName, linkCfg)
-		if g != nil && part[l.A] != part[l.B] {
-			ab.SetCross(g.Connect(part[l.A], part[l.B], linkCfg.Propagation, san.RoutingLatency))
-			ba.SetCross(g.Connect(part[l.B], part[l.A], linkCfg.Propagation, san.RoutingLatency))
+		if g, part := c.Group, c.Part; g != nil && part[l.A] != part[l.B] {
+			ab.SetCross(g.Connect(part[l.A], part[l.B], la, san.RoutingLatency))
+			ba.SetCross(g.Connect(part[l.B], part[l.A], la, san.RoutingLatency))
 		}
 		info.Sw[l.A].AttachPort(nextPort[l.A], ba, ab)
 		info.Sw[l.B].AttachPort(nextPort[l.B], ab, ba)
-		info.PortPeer[l.A][nextPort[l.A]] = l.B
-		info.PortPeer[l.B][nextPort[l.B]] = l.A
 		nextPort[l.A]++
 		nextPort[l.B]++
 	}
-
-	installShortestPaths(info)
-	return c
 }
 
-// installShortestPaths fills every switch's routing table from BFS over the
-// trunk graph: one BFS per destination switch covers that switch's own id
-// and every endpoint attached to it.
+// concurrently runs caller on the calling goroutine and side on a new one,
+// and returns once both have stopped. A panic in either re-raises here,
+// unchanged, and only after the other has stopped too; caller's wins when
+// both panic, as it is the one a sequential build would have raised.
+func concurrently(caller, side func()) {
+	done := make(chan any, 1)
+	go func() { done <- recovered(side) }()
+	c := recovered(caller)
+	s := <-done
+	if c != nil {
+		panic(c)
+	}
+	if s != nil {
+		panic(s)
+	}
+}
+
+// recovered runs f and returns the value it panicked with, or nil.
+func recovered(f func()) (r any) {
+	defer func() { r = recover() }()
+	f()
+	return nil
+}
+
+// installShortestPaths fills every switch's routing table: each switch
+// routes its own endpoints out of their ports, and every other node id
+// along BFS over the trunk graph — one BFS per destination switch covers
+// that switch's own id and every endpoint attached to it. It is the only
+// writer of route tables.
 func installShortestPaths(info *TopoInfo) {
 	n := len(info.Sw)
 	// destsAt[t]: node ids routed toward switch t, ascending — the switch
-	// itself, then its hosts and stores in spec order.
+	// itself, then its hosts and stores in spec order, which hold ports
+	// 0, 1, ... of t (planPorts).
 	destsAt := make([][]san.NodeID, n)
 	for i, sw := range info.Sw {
 		destsAt[i] = append(destsAt[i], sw.ID())
@@ -296,10 +361,13 @@ func installShortestPaths(info *TopoInfo) {
 
 	// Every switch routes to every other node (Validate rejects a split
 	// graph), so each table gets its three id runs at full size up front.
-	for _, sw := range info.Sw {
+	for i, sw := range info.Sw {
 		sw.ReserveRoutes(HostIDBase, len(info.Spec.Hosts))
 		sw.ReserveRoutes(StoreIDBase, len(info.Spec.Stores))
 		sw.ReserveRoutes(SwitchIDBase, n)
+		for port, id := range destsAt[i][1:] {
+			sw.SetRoute(id, port)
+		}
 	}
 
 	dist := make([]int, n)

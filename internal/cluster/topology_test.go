@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"activesan/internal/aswitch"
 	"activesan/internal/san"
@@ -126,6 +129,58 @@ func TestBuildPanicsOnTooFewPorts(t *testing.T) {
 		}
 	}()
 	Build(sim.NewEngine(), spec)
+}
+
+// TestBuildPanicStopsBothTasks: a panic while wiring — san.NewLink
+// rejecting a link with no credits, after the route task has started —
+// reaches the caller unchanged, and only once the route task has stopped:
+// no goroutine is still installing routes, and none outlives the build.
+func TestBuildPanicStopsBothTasks(t *testing.T) {
+	cfg := DefaultFatTreeConfig(16)
+	cfg.Switch.Base.Link.Credits = 0
+	before := runtime.NumGoroutine()
+	got := recovered(func() { NewFatTreeCluster(sim.NewEngine(), cfg) })
+	buf := make([]byte, 1<<20)
+	stacks := string(buf[:runtime.Stack(buf, true)])
+	if got != "san: link needs at least one credit" {
+		t.Fatalf("build panicked with %v, want the link's credit panic", got)
+	}
+	if strings.Contains(stacks, "installShortestPaths") {
+		t.Fatalf("route task still running after the build panicked:\n%s", stacks)
+	}
+	// The route goroutine has sent its result; it may need a moment to exit.
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines outlive the build, %d before it", runtime.NumGoroutine(), before)
+		}
+	}
+}
+
+// TestConcurrentlyJoinsBothTasks: concurrently re-raises a panic from
+// either task unchanged, only once the other has stopped, and the calling
+// goroutine's when both panic.
+func TestConcurrentlyJoinsBothTasks(t *testing.T) {
+	sideDone := false
+	release := make(chan struct{})
+	got := recovered(func() {
+		concurrently(func() {
+			close(release)
+			panic("caller")
+		}, func() {
+			<-release
+			time.Sleep(5 * time.Millisecond)
+			sideDone = true
+		})
+	})
+	if got != "caller" || !sideDone {
+		t.Errorf("caller's panic: got %v with the side task done=%v, want caller once it is done", got, sideDone)
+	}
+	if got := recovered(func() { concurrently(func() {}, func() { panic("side") }) }); got != "side" {
+		t.Errorf("side's panic: got %v", got)
+	}
+	if got := recovered(func() { concurrently(func() { panic("caller") }, func() { panic("side") }) }); got != "caller" {
+		t.Errorf("both panic: got %v, want caller", got)
+	}
 }
 
 func TestBuildEndToEndMessage(t *testing.T) {

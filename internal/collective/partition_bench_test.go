@@ -193,7 +193,7 @@ func TestReduce1024Parts8Rounds(t *testing.T) {
 		}
 		g := c.Group
 		got := [4]int64{g.Rounds(), g.MicroSteps(), g.EventsTotal(), g.EventsCritical()}
-		if want := [4]int64{92, 0, 26953, 3495}; got != want {
+		if want := [4]int64{75, 0, 26953, 3495}; got != want {
 			t.Errorf("dispatch %v: rounds, micro-steps, events, critical events = %v, want %v", d, got, want)
 		}
 	}

@@ -209,6 +209,20 @@ func (l *Link) SendOrWait(p *sim.Proc, pkt *Packet, s *Sending) bool {
 	return true
 }
 
+// DeliveryLookahead is the least time from a sender's action to the head of
+// a packet landing at the far end of a link with cfg: the bound a partition
+// cut's delivery channel may assume. transmit reserves the line for the
+// packet's Wire() bytes — its size plus the HeaderBytes header — starting
+// no earlier than now, and lands the head at the reservation's end less the
+// payload's transfer time, plus the propagation. So the header's wire time
+// always precedes the head (virtual cut-through forwards a packet once its
+// header is in), fault delays only add to it, and deliver is the only
+// caller of Channel.Deliver. At LinkBandwidth every byte takes a whole
+// 1,000 ps, so the bound is exact.
+func DeliveryLookahead(cfg LinkConfig) sim.Time {
+	return sim.TransferTime(HeaderBytes, LinkBandwidth) + cfg.Propagation
+}
+
 // transmit serializes pkt on the line — the caller already holds a send
 // credit — and schedules its delivery (or fate, under fault injection). It
 // returns the serialization end time, when Send returns.

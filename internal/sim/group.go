@@ -14,9 +14,11 @@ import (
 //
 // The design leans on two properties of the SAN model:
 //
-//   - A cut link's delivery latency is bounded below by its wire propagation:
-//     a sender action at time u cannot land a packet head at the receiver
-//     before u + Propagation. That is the delivery lookahead.
+//   - A cut link's delivery latency is bounded below by the header's wire
+//     time plus the propagation: a sender action at time u cannot land a
+//     packet head at the receiver before u + 16 ns + Propagation
+//     (san.DeliveryLookahead). That is the delivery lookahead, and
+//     Channel.Deliver enforces it.
 //
 //   - A cut link's credit return is bounded below in two ways: the receiving
 //     port frees the input buffer of the *oldest* outstanding delivery first
@@ -65,7 +67,7 @@ type Channel struct {
 	src int // sending partition rank
 	dst int // receiving partition rank
 
-	lookahead Time // min sender-action → delivery latency (wire propagation)
+	lookahead Time // min sender-action → delivery latency, enforced by Deliver
 	creditLA  Time // min delivery → credit-return latency at the receiver
 
 	srcEng *Engine
@@ -85,10 +87,16 @@ type Channel struct {
 }
 
 // Deliver posts a packet arrival: act fires on the receiving engine at time
-// at. The first post since the last barrier registers the channel on its
-// source rank's dirty list, so barriers scan only channels that carried
-// traffic.
+// at, which must be no sooner than the lookahead after the source engine's
+// now — the bound every horizon rests on. A sooner delivery panics: it
+// could land in the receiver's past, or at its current instant after that
+// instant's settle phase has run. The first post since the last barrier
+// registers the channel on its source rank's dirty list, so barriers scan
+// only channels that carried traffic.
 func (c *Channel) Deliver(at Time, act Action) {
+	if bound := c.srcEng.now + c.lookahead; at < bound {
+		panic(fmt.Sprintf("sim: channel %d delivers at %dps, before its lookahead bound %dps", c.idx, int64(at), int64(bound)))
+	}
 	if len(c.deliv) == 0 {
 		c.g.ddirty[c.src] = append(c.g.ddirty[c.src], c)
 	}
@@ -526,8 +534,8 @@ func (g *Group) minNext() Time {
 // message a chain of other partitions could wake it with (Bellman–Ford over
 // the channel graph; stable in at most n passes since lookaheads are
 // positive). horizon[i] is then the tightest inbound bound: deliveries on a
-// channel can arrive no earlier than the sender's reach plus the wire
-// propagation, and credits no earlier than the oldest outstanding delivery
+// channel can arrive no earlier than the sender's reach plus the channel's
+// lookahead, and credits no earlier than the oldest outstanding delivery
 // plus the receiver's pipeline latency — and in no case before the receiver
 // acts at all.
 func (g *Group) computeHorizons() {

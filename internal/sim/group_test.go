@@ -39,6 +39,41 @@ func TestGroupDeliverTiming(t *testing.T) {
 	}
 }
 
+// TestGroupDeliverEnforcesLookahead: a delivery posted from an event on the
+// source engine must land no sooner than that engine's now plus the
+// channel's lookahead. One a picosecond sooner panics out of Run, naming
+// the channel, the delivery time and the bound; one at the bound runs.
+func TestGroupDeliverEnforcesLookahead(t *testing.T) {
+	for _, d := range allDispatch {
+		for _, at := range []Time{14, 15} {
+			g := NewGroup(2)
+			g.SetDispatch(d)
+			g.Connect(1, 0, 5, 0)
+			ch := g.Connect(0, 1, 5, 0) // channel 1
+			landed := Time(-1)
+			g.Engine(0).Schedule(10, func() {
+				ch.Deliver(at, callback(func() { landed = g.Engine(1).Now() }))
+			})
+			if at == 15 {
+				g.Run()
+				if landed != 15 {
+					t.Errorf("dispatch %v: delivery at the bound landed at %d, want 15", d, landed)
+				}
+			} else {
+				pp := recoverRun(t, func() { g.Run() })
+				want := "sim: channel 1 delivers at 14ps, before its lookahead bound 15ps"
+				if msg := fmt.Sprint(pp.value); msg != want {
+					t.Errorf("dispatch %v: panic %q, want %q", d, msg, want)
+				}
+				if landed != -1 {
+					t.Errorf("dispatch %v: early delivery landed at %d", d, landed)
+				}
+			}
+			g.Shutdown()
+		}
+	}
+}
+
 // TestGroupInjectionOrder: messages buffered across a barrier inject in
 // (time, channel index, channel sequence) order regardless of which rank
 // posted them, so the receiving engine's event order is deterministic.
