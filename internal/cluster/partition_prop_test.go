@@ -178,11 +178,15 @@ func propRounds(t *testing.T) int {
 // and trace-event multisets. Any conservatism hole (a window executing an
 // event before a cross-cut message that should precede it) perturbs packet
 // timing and fails the trace comparison. Each partitioned point runs under
-// every pinnedDispatch mode.
+// every pinnedDispatch mode. Round 0's links have no propagation delay:
+// the header's wire time alone is then the cut's lookahead.
 func TestPartitionFabricIdentity(t *testing.T) {
 	r := sim.NewRand(0x9a57171001)
 	for round := 0; round < propRounds(t); round++ {
 		spec := randomFabric(r)
+		if round == 0 {
+			spec.Switch.Base.Link.Propagation = 0
+		}
 		want := runFabric(t, spec, 1, sim.DispatchAdaptive)
 		if len(want.trace) == 0 {
 			t.Fatalf("round %d: serial run emitted no trace events", round)
