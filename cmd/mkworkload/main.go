@@ -53,7 +53,7 @@ func writeAll(dir string) error {
 		return nil
 	}
 
-	if err := write("grep-corpus.txt", grep.BuildCorpus(grep.DefaultParams())); err != nil {
+	if err := write("grep-corpus.txt", grep.BuildCorpus()); err != nil {
 		return err
 	}
 	if err := write("video.mpg", mpeg.BuildStream(mpeg.DefaultParams())); err != nil {
@@ -77,16 +77,15 @@ func verifyAll(dir string) error {
 	}
 
 	// Grep: exact size and exactly the planted match count.
-	gp := grep.DefaultParams()
 	corpus, err := read("grep-corpus.txt")
 	if err != nil {
 		return err
 	}
-	if int64(len(corpus)) != gp.FileSize {
-		return fmt.Errorf("grep corpus is %d bytes, want %d", len(corpus), gp.FileSize)
+	if int64(len(corpus)) != grep.FileSize {
+		return fmt.Errorf("grep corpus is %d bytes, want %d", len(corpus), grep.FileSize)
 	}
-	if n := bytes.Count(corpus, []byte(gp.Pattern)); n != gp.Matches {
-		return fmt.Errorf("grep corpus has %d matches, want %d", n, gp.Matches)
+	if n := bytes.Count(corpus, []byte(grep.Pattern)); n != grep.Matches {
+		return fmt.Errorf("grep corpus has %d matches, want %d", n, grep.Matches)
 	}
 
 	// MPEG: exact size and the paper's ~63.5%% P-frame byte fraction.

@@ -72,33 +72,41 @@ import (
 	"activesan/internal/stats"
 )
 
-// sweepMetrics accumulates per-point snapshots for -metrics-out; nil when
-// the flag is off. Sweep points run on parallel goroutines, hence the lock.
-var (
-	sweepMetricsMu sync.Mutex
-	sweepMetrics   map[string]*metrics.Snapshot
-)
-
-// record stashes a run's snapshot under a sweep-point label.
-func record(label string, r stats.Run) {
-	if sweepMetrics == nil || r.Metrics == nil {
-		return
-	}
-	sweepMetricsMu.Lock()
-	defer sweepMetricsMu.Unlock()
-	sweepMetrics[label] = r.Metrics
+// recorder collects each sweep point's snapshot for -metrics-out, keyed by
+// point label. Sweep points run on parallel goroutines, hence the lock. A
+// nil recorder (no -metrics-out) records nothing.
+type recorder struct {
+	mu     sync.Mutex
+	sweeps map[string]*metrics.Snapshot
 }
 
-// writeSweepMetrics flushes the accumulated snapshots. It runs deferred —
+func newRecorder() *recorder {
+	return &recorder{sweeps: make(map[string]*metrics.Snapshot)}
+}
+
+// record stashes a run's snapshot under a sweep-point label; a run without
+// a snapshot is skipped.
+func (rec *recorder) record(label string, r stats.Run) {
+	if rec == nil || r.Metrics == nil {
+		return
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	rec.sweeps[label] = r.Metrics
+}
+
+// write flushes the recorded snapshots to path. It runs deferred —
 // including after a crashed sweep, where a valid file holding the points
 // that completed beats a missing one — so errors print instead of exiting.
-func writeSweepMetrics(path string) {
+func (rec *recorder) write(path string) {
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
 	wrapper := struct {
 		Paper  string                       `json:"paper"`
 		Sweeps map[string]*metrics.Snapshot `json:"sweeps"`
 	}{
 		Paper:  "Active I/O Switches in System Area Networks (HPCA 2003)",
-		Sweeps: sweepMetrics,
+		Sweeps: rec.sweeps,
 	}
 	data, err := json.MarshalIndent(wrapper, "", "  ")
 	if err != nil {
@@ -116,7 +124,9 @@ func writeSweepMetrics(path string) {
 	fmt.Printf("wrote %s\n", path)
 }
 
-func parseInts(s string) []int {
+// parseInts parses a comma-separated list of positive integers, skipping
+// empty elements. The error names the first bad element.
+func parseInts(s string) ([]int, error) {
 	var out []int
 	for _, f := range strings.Split(s, ",") {
 		f = strings.TrimSpace(f)
@@ -125,12 +135,11 @@ func parseInts(s string) []int {
 		}
 		v, err := strconv.Atoi(f)
 		if err != nil || v <= 0 {
-			fmt.Fprintf(os.Stderr, "bad list element %q\n", f)
-			os.Exit(1)
+			return nil, fmt.Errorf("bad list element %q", f)
 		}
 		out = append(out, v)
 	}
-	return out
+	return out, nil
 }
 
 // sweepLines evaluates one line of output per point through env.Runs and
@@ -153,7 +162,8 @@ func main() { os.Exit(realMain()) }
 
 // realMain is main with an exit code, so deferred cleanup (trace flush,
 // flight-recorder dump, metrics write) runs before the process exits —
-// even when the sweep crashes.
+// even when the sweep crashes. Nothing below calls os.Exit directly once
+// Setup has succeeded.
 func realMain() int {
 	sweep := flag.String("sweep", "reduce", "what to sweep: reduce | md5 | sort | collective | ablation | twolevel")
 	kind := flag.String("kind", "one", "reduction kind: one | dist | all")
@@ -166,6 +176,23 @@ func realMain() int {
 	cf := cliflags.Register()
 	flag.Parse()
 
+	// The list the chosen sweep reads is parsed before Setup creates any
+	// output file, so a bad element stops the command before it starts.
+	var list, listFlag string
+	switch *sweep {
+	case "reduce", "collective":
+		list, listFlag = *nodes, "nodes"
+	case "md5":
+		list, listFlag = *cpus, "cpus"
+	case "sort":
+		list, listFlag = *hosts, "hosts"
+	}
+	points, err := parseInts(list)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sansweep: -%s: %v\n", listFlag, err)
+		return 2
+	}
+
 	cfg, cleanup, err := cf.Setup()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sansweep:", err)
@@ -175,13 +202,14 @@ func realMain() int {
 	cfg.Env.Parallel = *parallel
 	env := cfg.Env
 
+	var rec *recorder
 	if cf.MetricsOut != "" {
-		sweepMetrics = make(map[string]*metrics.Snapshot)
+		rec = newRecorder()
 		// Deferred so the early-returning reduce pipeline path writes too
 		// (reduce sweeps build bare engines without stats.Run snapshots, so
 		// their file is legitimately empty) — and so a crashed sweep still
 		// flushes the points that completed.
-		defer writeSweepMetrics(cf.MetricsOut)
+		defer rec.write(cf.MetricsOut)
 	}
 
 	return cf.RunProtected(func() int {
@@ -194,7 +222,7 @@ func realMain() int {
 			prm.Env = env
 			res := twolevel.RunAll(prm)
 			for _, r := range res.Runs {
-				record("twolevel/"+r.Config, r)
+				rec.record("twolevel/"+r.Config, r)
 			}
 			fmt.Print(res.Format())
 
@@ -211,7 +239,7 @@ func realMain() int {
 				// Like the sweep's, these clusters honour the trace sink
 				// and strict routes only.
 				env := collsweep.Observed(env)
-				sweepLines(parseInts(*nodes), env, func(p int) string {
+				sweepLines(points, env, func(p int) string {
 					iso := collsweep.RunPoint(env, collective.Reduce, p, true, prm).Latency
 					c, _ := collsweep.Build(env, p)
 					r := collective.RunPipelined(c, p, *rounds, prm)
@@ -220,17 +248,17 @@ func realMain() int {
 				})
 				return 0
 			}
-			fmt.Print(collsweep.Sweep(env, op, parseInts(*nodes), prm).Format())
+			fmt.Print(collsweep.Sweep(env, op, points, prm).Format())
 
 		case "md5":
 			prm := md5app.DefaultParams()
 			prm.Env = env
 			normal := md5app.Run(apps.Normal, 1, prm)
-			record("md5/normal", normal)
+			rec.record("md5/normal", normal)
 			fmt.Printf("%-20s %v\n", "normal", normal.Time)
-			sweepLines(parseInts(*cpus), env, func(c int) string {
+			sweepLines(points, env, func(c int) string {
 				r := md5app.Run(apps.ActivePref, c, prm)
-				record(fmt.Sprintf("md5/%s/cpus=%d", r.Config, c), r)
+				rec.record(fmt.Sprintf("md5/%s/cpus=%d", r.Config, c), r)
 				return fmt.Sprintf("%-20s %v  speedup %.2f\n", r.Config, r.Time,
 					float64(normal.Time)/float64(r.Time))
 			})
@@ -243,12 +271,12 @@ func realMain() int {
 			env := collsweep.FatTrees(env)
 			prm := collective.DefaultParams()
 			prm.AggBudget = cfg.AggBudget
-			sweepLines(parseInts(*nodes), env, func(p int) string {
+			sweepLines(points, env, func(p int) string {
 				pas := collsweep.RunPoint(env, op, p, false, prm)
 				act := collsweep.RunPoint(env, op, p, true, prm)
-				record(fmt.Sprintf("collective/%s/passive/p=%d", op, p),
+				rec.record(fmt.Sprintf("collective/%s/passive/p=%d", op, p),
 					stats.Run{Config: "passive", Metrics: pas.Metrics})
-				record(fmt.Sprintf("collective/%s/active/p=%d", op, p),
+				rec.record(fmt.Sprintf("collective/%s/active/p=%d", op, p),
 					stats.Run{Config: "active", Metrics: act.Metrics})
 				if op == collective.KeyAgg {
 					state := "balanced"
@@ -268,15 +296,15 @@ func realMain() int {
 			})
 
 		case "sort":
-			sweepLines(parseInts(*hosts), env, func(hcount int) string {
+			sweepLines(points, env, func(hcount int) string {
 				prm := psort.DefaultParams()
 				prm.Hosts = hcount
 				prm.Records = *records
 				prm.Env = env
 				n := psort.Run(apps.NormalPref, prm)
 				a := psort.Run(apps.ActivePref, prm)
-				record(fmt.Sprintf("sort/%s/p=%d", n.Config, hcount), n)
-				record(fmt.Sprintf("sort/%s/p=%d", a.Config, hcount), a)
+				rec.record(fmt.Sprintf("sort/%s/p=%d", n.Config, hcount), n)
+				rec.record(fmt.Sprintf("sort/%s/p=%d", a.Config, hcount), a)
 				limit := float64(hcount) / float64(3*hcount-2)
 				return fmt.Sprintf("p=%-3d normal=%v active=%v traffic-ratio=%.3f (limit %.3f)\n",
 					hcount, n.Time, a.Time, float64(a.Traffic)/float64(n.Traffic), limit)

@@ -318,10 +318,8 @@ type Params struct {
 	Op collective.Op
 	// Coll calibrates the collective at every point.
 	Coll collective.Params
-	// AggHosts is the fixed cluster size of the budget axis; Budgets the
-	// swept per-switch key-table capacities.
-	AggHosts int
-	Budgets  []int
+	// Budgets are the swept per-switch key-table capacities.
+	Budgets []int
 }
 
 // DefaultParams sweeps 4 to 1024 hosts with the paper's 512-byte vectors
@@ -331,10 +329,12 @@ func DefaultParams() Params {
 		HostCounts: []int{4, 8, 16, 32, 64, 256, 1024},
 		Op:         collective.Allreduce,
 		Coll:       collective.DefaultParams(),
-		AggHosts:   16,
 		Budgets:    []int{1, 2, 4, 8, 16, 32, 64, 128},
 	}
 }
+
+// aggHosts is the fixed cluster size of the budget axis.
+const aggHosts = 16
 
 // RunAll runs every measurement on fat trees: the op axis, the budget
 // points and the host-shuffle reference. Its clusters honour everything
@@ -368,10 +368,10 @@ func RunAll(prm Params) *stats.Result {
 	for b, budget := range prm.Budgets {
 		coll := prm.Coll
 		coll.AggBudget = budget
-		budgets[b] = RunPoint(env, collective.KeyAgg, prm.AggHosts, true, coll)
+		budgets[b] = RunPoint(env, collective.KeyAgg, aggHosts, true, coll)
 	}
 	// The host-shuffle reference (no switch table).
-	aggRef := RunPoint(env, collective.KeyAgg, prm.AggHosts, false, prm.Coll)
+	aggRef := RunPoint(env, collective.KeyAgg, aggHosts, false, prm.Coll)
 
 	var spillS, hitS, aggBytes stats.Series
 	spillS.Name = "agg spills vs budget"
@@ -392,18 +392,18 @@ func RunAll(prm Params) *stats.Result {
 		}
 		res.Notes = append(res.Notes, fmt.Sprintf(
 			"keyagg p=%d budget=%-4d: hits=%-5d spills=%-5d ingested=%-5d (%s), host I/O %d B, latency %v",
-			prm.AggHosts, b, pt.Hits, pt.Spills, pt.Ingested, state, pt.HostBytes, pt.Latency))
+			aggHosts, b, pt.Hits, pt.Spills, pt.Ingested, state, pt.HostBytes, pt.Latency))
 		res.Runs = append(res.Runs, stats.Run{
 			Config:  fmt.Sprintf("keyagg/budget=%d", b),
 			Time:    pt.Latency,
 			Traffic: pt.HostBytes,
-			Hosts:   prm.AggHosts,
+			Hosts:   aggHosts,
 			Metrics: pt.Metrics,
 		})
 	}
 	res.Notes = append(res.Notes, fmt.Sprintf(
 		"keyagg p=%d host shuffle reference: host I/O %d B, latency %v (correct=%v)",
-		prm.AggHosts, aggRef.HostBytes, aggRef.Latency, aggRef.Correct))
+		aggHosts, aggRef.HostBytes, aggRef.Latency, aggRef.Correct))
 	res.Notes = append(res.Notes, fmt.Sprintf("max %s speedup %.2fx", prm.Op, cv.speedup.MaxY()))
 
 	res.Series = []stats.Series{cv.passLat, cv.actLat, cv.passBytes, cv.actBytes, cv.speedup, hitS, spillS, aggBytes}

@@ -78,9 +78,9 @@ func TestSweepByteIdenticalAcrossPartitions(t *testing.T) {
 		// Budget 0 is the host-shuffle reference.
 		for _, budget := range append([]int{0}, prm.Budgets...) {
 			coll := budgeted(prm.Coll, budget)
-			want := marshal(t, RunPoint(fat, collective.KeyAgg, prm.AggHosts, budget > 0, coll))
-			c, rec := pinned(env, prm.AggHosts)
-			if got := marshal(t, pointOn(c, rec, collective.KeyAgg, prm.AggHosts, budget > 0, coll)); got != want {
+			want := marshal(t, RunPoint(fat, collective.KeyAgg, aggHosts, budget > 0, coll))
+			c, rec := pinned(env, aggHosts)
+			if got := marshal(t, pointOn(c, rec, collective.KeyAgg, aggHosts, budget > 0, coll)); got != want {
 				t.Fatalf("budget %d: %d partitions with concurrent dispatch differ from serial:\n%s\n%s",
 					budget, parts, got, want)
 			}
@@ -131,7 +131,7 @@ func TestBudgetSweepLedger(t *testing.T) {
 		if b == 1 && pt.Spills == 0 {
 			t.Error("budget=1: no spills with 64 keys in flight")
 		}
-		if b >= prm.Keys && pt.Spills != 0 {
+		if b >= collective.Keys && pt.Spills != 0 {
 			t.Errorf("budget=%d: %d spills with the whole key space resident", b, pt.Spills)
 		}
 		if pt.Metrics.Get("collective/agg_hits") != float64(pt.Hits) {

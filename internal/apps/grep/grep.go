@@ -19,40 +19,26 @@ import (
 	"activesan/internal/stats"
 )
 
-// Params sizes the workload and calibrates per-byte costs.
-type Params struct {
-	FileSize  int64
-	Pattern   string
-	Matches   int
-	ChunkSize int64
+// The paper's workload (Table 1) and the calibrated costs.
+const (
+	// FileSize is the corpus size in bytes.
+	FileSize = 1146880
+	// Pattern is the searched string.
+	Pattern = "Big Red Bear"
+	// Matches is how many corpus lines hold Pattern.
+	Matches = 16
+	// chunkSize is the I/O request size.
+	chunkSize = 32 * 1024
 
-	// HostScanInstr is the host's per-byte search cost (DFA step, loop).
-	HostScanInstr int64
-	// SwitchScanCycles is the switch CPU's per-byte search cost.
-	SwitchScanCycles int64
-	// DFASetupInstr is the automaton construction cost.
-	DFASetupInstr int64
-	// ParseInstr is command-line option parsing (always on the host).
-	ParseInstr int64
-
-	// Env observes and arms each configuration's cluster.
-	Env apps.Env
-}
-
-// DefaultParams returns the paper's workload (Table 1) with calibrated
-// costs.
-func DefaultParams() Params {
-	return Params{
-		FileSize:         1146880,
-		Pattern:          "Big Red Bear",
-		Matches:          16,
-		ChunkSize:        32 * 1024,
-		HostScanInstr:    6,
-		SwitchScanCycles: 4,
-		DFASetupInstr:    30000,
-		ParseInstr:       20000,
-	}
-}
+	// hostScanInstr is the host's per-byte search cost (DFA step, loop).
+	hostScanInstr = 6
+	// switchScanCycles is the switch CPU's per-byte search cost.
+	switchScanCycles = 4
+	// dfaSetupInstr is the automaton construction cost.
+	dfaSetupInstr = 30000
+	// parseInstr is command-line option parsing (always on the host).
+	parseInstr = 20000
+)
 
 // DFA is a single-pattern byte automaton (KMP-style with full transition
 // table), the moral equivalent of GNU grep 2.0's DFA stage.
@@ -148,20 +134,20 @@ func maxLineLen(pattern string) int {
 }
 
 // BuildCorpus deterministically generates the workload: FileSize bytes of
-// lowercase text lines with the pattern planted on exactly Matches lines,
+// lowercase text lines with Pattern planted on exactly Matches lines,
 // spread evenly. Lowercase filler cannot collide with the capitalized
 // pattern.
-func BuildCorpus(prm Params) []byte {
+func BuildCorpus() []byte {
 	rng := apps.NewRand(0x67726570) // "grep"
 	// The last line starts before FileSize and is at most maxLineLen long,
 	// so the buffer never grows: one allocation, one line above FileSize.
-	out := make([]byte, 0, prm.FileSize+int64(maxLineLen(prm.Pattern))-1)
+	out := make([]byte, 0, FileSize+int64(maxLineLen(Pattern))-1)
 	lineNo := 0
 	// Plant matches on evenly spaced line numbers: about 18 lines per KB.
-	approxLines := int(prm.FileSize / 64)
-	interval := approxLines / (prm.Matches + 1)
+	approxLines := int(FileSize / 64)
+	interval := approxLines / (Matches + 1)
 	planted := 0
-	for int64(len(out)) < prm.FileSize {
+	for int64(len(out)) < FileSize {
 		words := minWords + int(rng.Intn(maxWords-minWords+1))
 		for w := 0; w < words; w++ {
 			if w > 0 {
@@ -172,19 +158,19 @@ func BuildCorpus(prm Params) []byte {
 				out = append(out, byte('a'+rng.Intn(26)))
 			}
 		}
-		if planted < prm.Matches && interval > 0 && lineNo%interval == interval/2 {
+		if planted < Matches && interval > 0 && lineNo%interval == interval/2 {
 			out = append(out, ' ')
-			out = append(out, prm.Pattern...)
+			out = append(out, Pattern...)
 			planted++
 		}
 		out = append(out, '\n')
 		lineNo++
 	}
-	out = out[:prm.FileSize]
+	out = out[:FileSize]
 	// The truncation cannot cut a planted line: matches are spread evenly
 	// and the last interval stays pattern-free by construction; verify at
 	// generation time so the workload is self-checking.
-	if n := bytes.Count(out, []byte(prm.Pattern)); n != prm.Matches {
+	if n := bytes.Count(out, []byte(Pattern)); n != Matches {
 		panic("grep: corpus generation produced wrong match count")
 	}
 	return out
@@ -200,14 +186,15 @@ const (
 	resultFlow = 0x7001
 )
 
-// runCorpus executes one configuration on corpus, BuildCorpus(prm), and
-// returns its metrics. It only reads corpus, so concurrent runs share one.
-func runCorpus(cfg apps.Config, prm Params, corpus []byte) stats.Run {
+// runCorpus executes one configuration on corpus, BuildCorpus(), under env
+// and returns its metrics. It only reads corpus, so concurrent runs share
+// one.
+func runCorpus(cfg apps.Config, env apps.Env, corpus []byte) stats.Run {
 	ccfg := cluster.DefaultIOClusterConfig()
 
 	var matched int
 	setup := func(c *cluster.Cluster) {
-		c.Store(0).AddFile(&iodev.File{Name: "input", Size: prm.FileSize, Data: corpus})
+		c.Store(0).AddFile(&iodev.File{Name: "input", Size: FileSize, Data: corpus})
 		if !cfg.IsActive() {
 			return
 		}
@@ -217,14 +204,14 @@ func runCorpus(cfg apps.Config, prm Params, corpus []byte) stats.Run {
 			x.ReleaseArgs()
 			// DFA setup on the switch (the paper moves phases 2 and 3 off
 			// the host).
-			scan := NewScanner(BuildDFA(prm.Pattern))
-			x.Compute(prm.DFASetupInstr)
+			scan := NewScanner(BuildDFA(Pattern))
+			x.Compute(dfaSetupInstr)
 			cursor := int64(streamBase)
-			end := int64(streamBase) + prm.FileSize
+			end := int64(streamBase) + FileSize
 			for cursor < end {
 				b := x.WaitStream(cursor)
 				data, _ := x.ReadAll(b).([]byte)
-				x.Compute(prm.SwitchScanCycles * b.Size())
+				x.Compute(switchScanCycles * b.Size())
 				scan.Feed(data)
 				cursor = b.End()
 				x.Deallocate(cursor)
@@ -251,15 +238,15 @@ func runCorpus(cfg apps.Config, prm Params, corpus []byte) stats.Run {
 		h := c.Host(0)
 		store := c.Store(0).ID()
 		sw := c.Switch(0)
-		h.CPU().Compute(p, prm.ParseInstr) // option parsing stays on the host
+		h.CPU().Compute(p, parseInstr) // option parsing stays on the host
 
 		if cfg.IsActive() {
 			h.SendMessage(p, &san.Message{
 				Hdr:     san.Header{Dst: sw.ID(), Type: san.ActiveMsg, HandlerID: handlerID, Addr: argBase},
 				Size:    64,
-				Payload: prm.Pattern,
+				Payload: Pattern,
 			}, 0)
-			apps.StreamToSwitch(p, h, store, "input", prm.FileSize, prm.ChunkSize,
+			apps.StreamToSwitch(p, h, store, "input", FileSize, chunkSize,
 				sw.ID(), streamBase, 0x6001, cfg.Outstanding())
 			comp := h.RecvFlow(p, sw.ID(), resultFlow)
 			lines := bytes.Count(comp.Bytes(), []byte{'\n'})
@@ -271,14 +258,14 @@ func runCorpus(cfg apps.Config, prm Params, corpus []byte) stats.Run {
 		}
 
 		// Normal: DFA setup then scan on the host.
-		scan := NewScanner(BuildDFA(prm.Pattern))
-		h.CPU().Compute(p, prm.DFASetupInstr)
-		buf := h.Space().Alloc(prm.ChunkSize, 4096)
-		apps.StreamChunks(p, h, store, "input", prm.FileSize, prm.ChunkSize, buf,
+		scan := NewScanner(BuildDFA(Pattern))
+		h.CPU().Compute(p, dfaSetupInstr)
+		buf := h.Space().Alloc(chunkSize, 4096)
+		apps.StreamChunks(p, h, store, "input", FileSize, chunkSize, buf,
 			cfg.Outstanding(), func(off, n int64, payloads []any) {
 				// Architectural cost: walk the chunk and run the DFA.
 				h.CPU().TouchRange(p, buf, n, cache.Load)
-				h.CPU().Compute(p, prm.HostScanInstr*n)
+				h.CPU().Compute(p, hostScanInstr*n)
 				for _, pl := range payloads {
 					if b, ok := pl.([]byte); ok {
 						scan.Feed(b)
@@ -290,13 +277,13 @@ func runCorpus(cfg apps.Config, prm Params, corpus []byte) stats.Run {
 		return map[string]any{"matches": matched}
 	}
 
-	return apps.RunIO(prm.Env, ccfg, cfg, setup, app)
+	return apps.RunIO(env, ccfg, cfg, setup, app)
 }
 
-// RunAll executes the four configurations on one corpus and assembles the
-// paper's Figure 9/10 result.
-func RunAll(prm Params) *stats.Result {
-	corpus := BuildCorpus(prm)
-	return apps.RunMatrix(prm.Env, "fig9", "Grep: time, host utilization, host I/O traffic",
-		func(cfg apps.Config) stats.Run { return runCorpus(cfg, prm, corpus) })
+// RunAll executes the four configurations on one corpus, each cluster
+// observed and armed by env, and assembles the paper's Figure 9/10 result.
+func RunAll(env apps.Env) *stats.Result {
+	corpus := BuildCorpus()
+	return apps.RunMatrix(env, "fig9", "Grep: time, host utilization, host I/O traffic",
+		func(cfg apps.Config) stats.Run { return runCorpus(cfg, env, corpus) })
 }

@@ -85,23 +85,22 @@ func TestDFAAgreesWithLineContains(t *testing.T) {
 }
 
 func TestCorpusHasExactMatches(t *testing.T) {
-	prm := DefaultParams()
-	c := BuildCorpus(prm)
-	if int64(len(c)) != prm.FileSize {
-		t.Fatalf("corpus size = %d, want %d", len(c), prm.FileSize)
+	c := BuildCorpus()
+	if int64(len(c)) != FileSize {
+		t.Fatalf("corpus size = %d, want %d", len(c), FileSize)
 	}
-	if n := bytes.Count(c, []byte(prm.Pattern)); n != prm.Matches {
-		t.Fatalf("corpus contains %d matches, want %d", n, prm.Matches)
+	if n := bytes.Count(c, []byte(Pattern)); n != Matches {
+		t.Fatalf("corpus contains %d matches, want %d", n, Matches)
 	}
 	// Matched lines must each contain the pattern exactly once.
-	s := NewScanner(BuildDFA(prm.Pattern))
+	s := NewScanner(BuildDFA(Pattern))
 	s.Feed(c)
 	s.Flush()
-	if len(s.Lines) != prm.Matches {
-		t.Fatalf("scanner found %d lines, want %d", len(s.Lines), prm.Matches)
+	if len(s.Lines) != Matches {
+		t.Fatalf("scanner found %d lines, want %d", len(s.Lines), Matches)
 	}
 	for _, l := range s.Lines {
-		if !strings.Contains(string(l), prm.Pattern) {
+		if !strings.Contains(string(l), Pattern) {
 			t.Fatalf("matched line lacks pattern: %q", l)
 		}
 	}
@@ -111,20 +110,18 @@ func TestCorpusHasExactMatches(t *testing.T) {
 // allocated once: its spare capacity stays under one line, where a buffer
 // of FileSize alone doubles when the last line overshoots it.
 func TestCorpusSizedExactly(t *testing.T) {
-	prm := DefaultParams()
-	c := BuildCorpus(prm)
-	if spare, line := cap(c)-len(c), maxLineLen(prm.Pattern); spare >= line {
+	c := BuildCorpus()
+	if spare, line := cap(c)-len(c), maxLineLen(Pattern); spare >= line {
 		t.Fatalf("%d-byte corpus has %d bytes of spare capacity, want fewer than one %d-byte line",
 			len(c), spare, line)
 	}
 }
 
 func TestRunFindsMatchesInAllConfigs(t *testing.T) {
-	prm := DefaultParams()
 	for _, cfg := range apps.AllConfigs {
-		run := runCorpus(cfg, prm, BuildCorpus(prm))
-		if got := run.Extra["matches"]; got != prm.Matches {
-			t.Errorf("%s: matches = %v, want %d", cfg, got, prm.Matches)
+		run := runCorpus(cfg, apps.Env{}, BuildCorpus())
+		if got := run.Extra["matches"]; got != Matches {
+			t.Errorf("%s: matches = %v, want %d", cfg, got, Matches)
 		}
 		if run.Time <= 0 {
 			t.Errorf("%s: no time elapsed", cfg)
@@ -135,7 +132,7 @@ func TestRunFindsMatchesInAllConfigs(t *testing.T) {
 func TestShapeGrep(t *testing.T) {
 	// Paper Figure 9: active beats normal; normal+pref between active and
 	// active+pref; active+pref best; active traffic is tiny.
-	res := RunAll(DefaultParams())
+	res := RunAll(apps.Env{})
 	normal := res.Baseline()
 	np, _ := res.Run("normal+pref")
 	a, _ := res.Run("active")

@@ -23,27 +23,14 @@ import (
 	"activesan/internal/stats"
 )
 
-// Params sizes the workload and calibrates costs.
+// Params sizes the workload.
 type Params struct {
-	RBytes     int64
-	SBytes     int64
-	RecordSize int64
-	ChunkSize  int64
-	// ActiveChunk is the request size of the active cases (see sel).
-	ActiveChunk int64
-	// BitvecBits is the filter size (paper: ~128 KB = 2^20 bits).
-	BitvecBits int64
+	RBytes int64
+	SBytes int64
 	// MatchPercent of S records carry a key drawn from R; with the
 	// bit-vector's ~12% false-positive rate this lands the paper's 0.24
 	// reduction factor.
 	MatchPercent int64
-
-	// Per-record instruction budgets.
-	HashInstr     int64 // hash the join attribute
-	ProbeInstr    int64 // hash-table probe on a passing record
-	BuildInstr    int64 // insert an R record into the hash table
-	SwitchCheck   int64 // switch-side hash+check cycles
-	SwitchSetBits int64 // switch-side bit-set cycles (R phase)
 
 	// Env observes and arms each configuration's cluster.
 	Env apps.Env
@@ -52,20 +39,32 @@ type Params struct {
 // DefaultParams returns the paper's workload.
 func DefaultParams() Params {
 	return Params{
-		RBytes:        16 << 20,
-		SBytes:        128 << 20,
-		RecordSize:    128,
-		ChunkSize:     64 * 1024,
-		ActiveChunk:   1 << 20,
-		BitvecBits:    1 << 20,
-		MatchPercent:  13,
-		HashInstr:     12,
-		ProbeInstr:    40,
-		BuildInstr:    30,
-		SwitchCheck:   14,
-		SwitchSetBits: 10,
+		RBytes:       16 << 20,
+		SBytes:       128 << 20,
+		MatchPercent: 13,
 	}
 }
+
+// The record layout, the request and filter sizes and the per-record
+// costs.
+const (
+	// RecordSize is both tables' record size in bytes.
+	RecordSize int64 = 128
+	// chunkSize is the normal cases' disk-request size, and the size of
+	// the match batches the switch ships in the active cases.
+	chunkSize = 64 * 1024
+	// activeChunk is the request size of the active cases (see sel).
+	activeChunk = 1 << 20
+	// BitvecBits is the filter size (paper: ~128 KB = 2^20 bits).
+	BitvecBits = 1 << 20
+
+	// Per-record instruction budgets.
+	hashInstr     = 12 // hash the join attribute
+	probeInstr    = 40 // hash-table probe on a passing record
+	buildInstr    = 30 // insert an R record into the hash table
+	switchCheck   = 14 // switch-side hash+check cycles
+	switchSetBits = 10 // switch-side bit-set cycles (R phase)
+)
 
 // RKey derives R record i's join attribute.
 func RKey(i int64) uint64 { return apps.Mix64(uint64(i) | 1<<40) }
@@ -80,8 +79,8 @@ func (prm Params) SKey(i int64, nR int64) (key uint64, match bool) {
 }
 
 // BitIndex maps a key into the bit-vector.
-func (prm Params) BitIndex(key uint64) int64 {
-	return int64(apps.Mix64(key) % uint64(prm.BitvecBits))
+func BitIndex(key uint64) int64 {
+	return int64(apps.Mix64(key) % BitvecBits)
 }
 
 // Bitvec is the shared filter structure (a real bit set).
@@ -124,7 +123,7 @@ type matchBatch struct {
 
 // Run executes one configuration.
 func Run(cfg apps.Config, prm Params) stats.Run {
-	nR := prm.RBytes / prm.RecordSize
+	nR := prm.RBytes / RecordSize
 
 	ccfg := cluster.DefaultIOClusterConfig()
 	ccfg.Host.Hier = cache.ScaledHostHierConfig()
@@ -139,11 +138,11 @@ func Run(cfg apps.Config, prm Params) stats.Run {
 		// The bit-vector occupies switch memory; its address stream drives
 		// the 1 KB switch D-cache (the paper's "bit-vector is too big for
 		// its limited L1 data cache" effect).
-		bvRegion := sw.Space().AllocRegion(prm.BitvecBits/8, 64)
+		bvRegion := sw.Space().AllocRegion(BitvecBits/8, 64)
 		sw.Register(handlerID, "hashjoin", func(x *aswitch.Ctx) {
 			args := x.Args().(handlerArgs)
 			x.ReleaseArgs()
-			bv := NewBitvec(prm.BitvecBits)
+			bv := NewBitvec(BitvecBits)
 
 			// Phase R: set bits and forward everything to the host in
 			// 128-packet (64 KB) messages.
@@ -153,12 +152,12 @@ func Run(cfg apps.Config, prm Params) stats.Run {
 			for cursor < end {
 				b := x.WaitStream(cursor)
 				x.ReadAll(b)
-				recBase := (cursor - rStreamBase) / prm.RecordSize
-				n := b.Size() / prm.RecordSize
+				recBase := (cursor - rStreamBase) / RecordSize
+				n := b.Size() / RecordSize
 				for r := int64(0); r < n; r++ {
 					key := RKey(recBase + r)
-					bit := prm.BitIndex(key)
-					x.Compute(prm.SwitchSetBits)
+					bit := BitIndex(key)
+					x.Compute(switchSetBits)
 					x.MemStore(bvRegion.Base + bit/8)
 					bv.Set(bit)
 				}
@@ -192,18 +191,18 @@ func Run(cfg apps.Config, prm Params) stats.Run {
 			end = int64(sStreamBase) + args.SLen
 			for cursor < end {
 				b := x.WaitStream(cursor)
-				recBase := (cursor - sStreamBase) / prm.RecordSize
-				n := b.Size() / prm.RecordSize
+				recBase := (cursor - sStreamBase) / RecordSize
+				n := b.Size() / RecordSize
 				for r := int64(0); r < n; r++ {
 					key, _ := prm.SKey(recBase+r, nR)
-					bit := prm.BitIndex(key)
-					x.Compute(prm.SwitchCheck)
-					x.ReadAt(b, r*prm.RecordSize, 8)
+					bit := BitIndex(key)
+					x.Compute(switchCheck)
+					x.ReadAt(b, r*RecordSize, 8)
 					x.MemLoad(bvRegion.Base + bit/8)
 					if bv.Get(bit) {
 						passes++
 						batch.Recs = append(batch.Recs, recBase+r)
-						batchBytes += prm.RecordSize
+						batchBytes += RecordSize
 					}
 				}
 				cursor = b.End()
@@ -232,14 +231,14 @@ func Run(cfg apps.Config, prm Params) stats.Run {
 		build := func(recIdx int64) {
 			key := RKey(recIdx)
 			ht[key] = recIdx
-			h.CPU().Compute(p, prm.BuildInstr)
+			h.CPU().Compute(p, buildInstr)
 			h.CPU().Store(p, htRegion.Base+int64(apps.Mix64(key)%uint64(prm.RBytes)))
 		}
 		var passes, matches int64
 		probe := func(sIdx int64) {
 			key, _ := prm.SKey(sIdx, nR)
 			passes++
-			h.CPU().Compute(p, prm.ProbeInstr)
+			h.CPU().Compute(p, probeInstr)
 			h.CPU().Load(p, htRegion.Base+int64(apps.Mix64(key)%uint64(prm.RBytes)))
 			h.CPU().Load(p, htRegion.Base+int64(apps.Mix64(key^0x55)%uint64(prm.RBytes)))
 			if _, ok := ht[key]; ok {
@@ -252,28 +251,28 @@ func Run(cfg apps.Config, prm Params) stats.Run {
 			h.SendMessage(p, &san.Message{
 				Hdr:     san.Header{Dst: sw.ID(), Type: san.ActiveMsg, HandlerID: handlerID, Addr: argBase},
 				Size:    64,
-				Payload: handlerArgs{RLen: prm.RBytes, SLen: prm.SBytes, BufSz: prm.ChunkSize},
+				Payload: handlerArgs{RLen: prm.RBytes, SLen: prm.SBytes, BufSz: chunkSize},
 			}, 0)
 
 			// Phase R: stream R at the switch; consume the forwarded copies
 			// and build the hash table as they land.
-			apps.StreamToSwitch(p, h, store, "R", prm.RBytes, prm.ActiveChunk,
+			apps.StreamToSwitch(p, h, store, "R", prm.RBytes, activeChunk,
 				sw.ID(), rStreamBase, 0x6010, cfg.Outstanding())
 			var rGot int64
 			for rGot < prm.RBytes {
 				comp := h.RecvFlow(p, sw.ID(), rFwdFlow)
-				first := rGot / prm.RecordSize // messages arrive in order
+				first := rGot / RecordSize // messages arrive in order
 				rGot += comp.Size
-				recs := comp.Size / prm.RecordSize
+				recs := comp.Size / RecordSize
 				// Touch the arrived records and insert them.
 				for r := int64(0); r < recs; r++ {
-					h.CPU().Load(p, rFwdAddr+((first+r)%(prm.ChunkSize/prm.RecordSize))*prm.RecordSize)
+					h.CPU().Load(p, rFwdAddr+((first+r)%(chunkSize/RecordSize))*RecordSize)
 					build(first + r)
 				}
 			}
 
 			// Phase S: stream S at the switch; then drain match batches.
-			apps.StreamToSwitch(p, h, store, "S", prm.SBytes, prm.ActiveChunk,
+			apps.StreamToSwitch(p, h, store, "S", prm.SBytes, activeChunk,
 				sw.ID(), sStreamBase, 0x6011, cfg.Outstanding())
 			var reported int64 = -1
 			for reported < 0 {
@@ -288,7 +287,7 @@ func Run(cfg apps.Config, prm Params) stats.Run {
 							continue
 						}
 						for _, sIdx := range mb.Recs {
-							h.CPU().Load(p, matchAddr+(sIdx%(prm.ChunkSize/prm.RecordSize))*prm.RecordSize)
+							h.CPU().Load(p, matchAddr+(sIdx%(chunkSize/RecordSize))*RecordSize)
 							probe(sIdx)
 						}
 					}
@@ -300,35 +299,35 @@ func Run(cfg apps.Config, prm Params) stats.Run {
 		}
 
 		// Normal: everything on the host, including the bit-vector.
-		bvRegion := h.Space().AllocRegion(prm.BitvecBits/8, 4096)
-		bv := NewBitvec(prm.BitvecBits)
-		buf := h.Space().Alloc(prm.ChunkSize, 4096)
-		chunkRecs := prm.ChunkSize / prm.RecordSize
+		bvRegion := h.Space().AllocRegion(BitvecBits/8, 4096)
+		bv := NewBitvec(BitvecBits)
+		buf := h.Space().Alloc(chunkSize, 4096)
+		chunkRecs := chunkSize / RecordSize
 
-		apps.StreamChunks(p, h, store, "R", prm.RBytes, prm.ChunkSize, buf,
+		apps.StreamChunks(p, h, store, "R", prm.RBytes, chunkSize, buf,
 			cfg.Outstanding(), func(off, n int64, _ []any) {
-				recBase := off / prm.RecordSize
-				cnt := n / prm.RecordSize
+				recBase := off / RecordSize
+				cnt := n / RecordSize
 				for r := int64(0); r < cnt; r++ {
-					h.CPU().Load(p, buf+(r%chunkRecs)*prm.RecordSize)
+					h.CPU().Load(p, buf+(r%chunkRecs)*RecordSize)
 					key := RKey(recBase + r)
-					bit := prm.BitIndex(key)
-					h.CPU().Compute(p, prm.HashInstr)
+					bit := BitIndex(key)
+					h.CPU().Compute(p, hashInstr)
 					h.CPU().Store(p, bvRegion.Base+bit/8)
 					bv.Set(bit)
 					build(recBase + r)
 				}
 			})
 
-		apps.StreamChunks(p, h, store, "S", prm.SBytes, prm.ChunkSize, buf,
+		apps.StreamChunks(p, h, store, "S", prm.SBytes, chunkSize, buf,
 			cfg.Outstanding(), func(off, n int64, _ []any) {
-				recBase := off / prm.RecordSize
-				cnt := n / prm.RecordSize
+				recBase := off / RecordSize
+				cnt := n / RecordSize
 				for r := int64(0); r < cnt; r++ {
-					h.CPU().Load(p, buf+(r%chunkRecs)*prm.RecordSize)
+					h.CPU().Load(p, buf+(r%chunkRecs)*RecordSize)
 					key, _ := prm.SKey(recBase+r, nR)
-					bit := prm.BitIndex(key)
-					h.CPU().Compute(p, prm.HashInstr)
+					bit := BitIndex(key)
+					h.CPU().Compute(p, hashInstr)
 					h.CPU().Load(p, bvRegion.Base+bit/8)
 					if bv.Get(bit) {
 						probe(recBase + r)

@@ -37,7 +37,7 @@ func TestReductionFactorNearPaper(t *testing.T) {
 	// (pure computation — no simulation).
 	prm := DefaultParams()
 	passes, matches := prm.Oracle()
-	nS := prm.SBytes / prm.RecordSize
+	nS := prm.SBytes / RecordSize
 	frac := float64(passes) / float64(nS)
 	// Paper: "The reduction factor of bit-vector filtering is 0.24."
 	if frac < 0.20 || frac > 0.29 {
@@ -118,15 +118,15 @@ func TestMatchPercentTracksPasses(t *testing.T) {
 
 // Oracle computes the expected pass and match counts directly.
 func (prm Params) Oracle() (passes, matches int64) {
-	nR := prm.RBytes / prm.RecordSize
-	nS := prm.SBytes / prm.RecordSize
-	bv := NewBitvec(prm.BitvecBits)
+	nR := prm.RBytes / RecordSize
+	nS := prm.SBytes / RecordSize
+	bv := NewBitvec(BitvecBits)
 	for i := int64(0); i < nR; i++ {
-		bv.Set(prm.BitIndex(RKey(i)))
+		bv.Set(BitIndex(RKey(i)))
 	}
 	for i := int64(0); i < nS; i++ {
 		key, m := prm.SKey(i, nR)
-		if bv.Get(prm.BitIndex(key)) {
+		if bv.Get(BitIndex(key)) {
 			passes++
 		}
 		if m {

@@ -26,10 +26,6 @@ type Params struct {
 	// StreamBytes is each program's input size (kept a multiple of 16 so
 	// record and word units tile it exactly).
 	StreamBytes int64
-	// ChunkSize is the passive host's read-request size.
-	ChunkSize int64
-	// ActiveChunk is the active case's disk-request size.
-	ActiveChunk int64
 	// DiffSeeds is the size of the riding differential batch.
 	DiffSeeds int
 	// Extra, when set, joins the built-in handlers (-handler-src).
@@ -42,11 +38,17 @@ type Params struct {
 func DefaultParams() Params {
 	return Params{
 		StreamBytes: 1 << 20,
-		ChunkSize:   64 * 1024,
-		ActiveChunk: 1 << 20,
 		DiffSeeds:   64,
 	}
 }
+
+// The request sizes.
+const (
+	// chunkSize is the passive host's read-request size.
+	chunkSize = 64 * 1024
+	// activeChunk is the active case's disk-request size.
+	activeChunk = 1 << 20
+)
 
 // Case is one handler in the sweep.
 type Case struct {
@@ -116,7 +118,7 @@ func RunActive(c *hdl.Compiled, params map[string]uint32, data []byte, oracle []
 				Hdr:  san.Header{Dst: sw.ID(), Type: san.ActiveMsg, HandlerID: handlerID, Addr: 0},
 				Size: 32,
 			}, 0)
-			apps.StreamToSwitch(p, h, cl.Store(0).ID(), "s", size, prm.ActiveChunk,
+			apps.StreamToSwitch(p, h, cl.Store(0).ID(), "s", size, activeChunk,
 				sw.ID(), streamBase, streamFlow, 1)
 			comp := h.RecvFlow(p, sw.ID(), resultFlow)
 			got = comp.Payloads[0].([]uint32)
@@ -137,8 +139,8 @@ func RunPassive(c *hdl.Compiled, params map[string]uint32, data []byte, oracle [
 		},
 		func(p *sim.Proc, cl *cluster.Cluster) map[string]any {
 			h := cl.Host(0)
-			buf := h.Space().Alloc(prm.ChunkSize, 4096)
-			apps.StreamChunks(p, h, cl.Store(0).ID(), "s", size, prm.ChunkSize, buf, 1,
+			buf := h.Space().Alloc(chunkSize, 4096)
+			apps.StreamChunks(p, h, cl.Store(0).ID(), "s", size, chunkSize, buf, 1,
 				func(off, n int64, _ []any) {
 					h.CPU().Load(p, buf)
 				})

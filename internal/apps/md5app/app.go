@@ -22,20 +22,9 @@ import (
 	"activesan/internal/stats"
 )
 
-// Params sizes the workload and calibrates costs.
+// Params sizes the workload.
 type Params struct {
-	FileSize  int64
-	ChunkSize int64
-	// BlockSize is the K-chain interleave granularity (a multiple of the
-	// MTU; one MTU by default so the dispatch unit round-robins packets
-	// across switch CPUs without head-of-line blocking in the shared
-	// buffer pool).
-	BlockSize int64
-
-	// HostMD5Instr is the host's per-byte digest cost.
-	HostMD5Instr int64
-	// SwitchMD5Cycles is the switch CPU's per-byte digest cost.
-	SwitchMD5Cycles int64
+	FileSize int64
 
 	// Env observes and arms each configuration's cluster.
 	Env apps.Env
@@ -43,14 +32,23 @@ type Params struct {
 
 // DefaultParams returns the paper's 256 KB workload.
 func DefaultParams() Params {
-	return Params{
-		FileSize:        256 * 1024,
-		ChunkSize:       64 * 1024,
-		BlockSize:       512,
-		HostMD5Instr:    80,
-		SwitchMD5Cycles: 60,
-	}
+	return Params{FileSize: 256 * 1024}
 }
+
+// The request and interleave sizes and the per-byte costs.
+const (
+	// chunkSize is the disk-request size.
+	chunkSize = 64 * 1024
+	// chainBlock is the K-chain interleave granularity (a multiple of the
+	// MTU; one MTU so the dispatch unit round-robins packets across switch
+	// CPUs without head-of-line blocking in the shared buffer pool).
+	chainBlock = 512
+
+	// hostMD5Instr is the host's per-byte digest cost.
+	hostMD5Instr = 80
+	// switchMD5Cycles is the switch CPU's per-byte digest cost.
+	switchMD5Cycles = 60
+)
 
 // BuildInput generates the deterministic input file.
 func BuildInput(prm Params) []byte {
@@ -81,15 +79,15 @@ type chainArgs struct {
 // chainLen returns how many bytes chain k receives.
 func chainLen(prm Params, k, cpus int) int64 {
 	var n int64
-	for i := int64(0); i*prm.BlockSize < prm.FileSize; i++ {
+	for i := int64(0); i*chainBlock < prm.FileSize; i++ {
 		if int(i)%cpus != k {
 			continue
 		}
-		end := (i + 1) * prm.BlockSize
+		end := (i + 1) * chainBlock
 		if end > prm.FileSize {
 			end = prm.FileSize
 		}
-		n += end - i*prm.BlockSize
+		n += end - i*chainBlock
 	}
 	return n
 }
@@ -121,7 +119,7 @@ func runInput(cfg apps.Config, cpus int, prm Params, input []byte) stats.Run {
 			for cursor < end {
 				b := x.WaitStream(cursor)
 				data, _ := x.ReadAll(b).([]byte)
-				x.Compute(prm.SwitchMD5Cycles * b.Size())
+				x.Compute(switchMD5Cycles * b.Size())
 				if data != nil {
 					d.Write(data)
 				}
@@ -162,27 +160,27 @@ func runInput(cfg apps.Config, cpus int, prm Params, input []byte) stats.Run {
 				if n <= 0 {
 					return
 				}
-				if n > prm.ChunkSize {
-					n = prm.ChunkSize
+				if n > chunkSize {
+					n = chunkSize
 				}
 				tok := h.IssueReadReq(p, store, iodev.ReadReq{
 					File: "input", Off: off, Len: n,
 					Dst: sw.ID(), DstAddr: streamBase, Type: san.Data, Flow: 0x6030,
-					Stripe: prm.BlockSize, Ways: cpus, WayStride: wayStride,
+					Stripe: chainBlock, Ways: cpus, WayStride: wayStride,
 				})
 				pending = append(pending, tok)
 			}
 			next := int64(0)
 			for i := 0; i < cfg.Outstanding() && next < prm.FileSize; i++ {
 				issueChunk(next)
-				next += prm.ChunkSize
+				next += chunkSize
 			}
 			for len(pending) > 0 {
 				h.WaitRead(p, pending[0])
 				pending = pending[1:]
 				if next < prm.FileSize {
 					issueChunk(next)
-					next += prm.ChunkSize
+					next += chunkSize
 				}
 			}
 			// Collect the K digests and fold them with a single-block pass
@@ -191,7 +189,7 @@ func runInput(cfg apps.Config, cpus int, prm Params, input []byte) stats.Run {
 			for k := 0; k < cpus; k++ {
 				comp := h.RecvFlow(p, sw.ID(), digestFlow+int64(k))
 				sums[k] = comp.Payloads[0].([]byte)
-				h.CPU().Compute(p, 2*md5.BlockSize*prm.HostMD5Instr)
+				h.CPU().Compute(p, 2*md5.BlockSize*hostMD5Instr)
 			}
 			digest := sums[0]
 			if cpus > 1 {
@@ -206,11 +204,11 @@ func runInput(cfg apps.Config, cpus int, prm Params, input []byte) stats.Run {
 
 		// Normal: digest on the host.
 		d := md5.New()
-		buf := h.Space().Alloc(prm.ChunkSize, 4096)
-		apps.StreamChunks(p, h, store, "input", prm.FileSize, prm.ChunkSize, buf,
+		buf := h.Space().Alloc(chunkSize, 4096)
+		apps.StreamChunks(p, h, store, "input", prm.FileSize, chunkSize, buf,
 			cfg.Outstanding(), func(off, n int64, payloads []any) {
 				h.CPU().TouchRange(p, buf, n, cache.Load)
-				h.CPU().Compute(p, prm.HostMD5Instr*n)
+				h.CPU().Compute(p, hostMD5Instr*n)
 				for _, pl := range payloads {
 					if b, ok := pl.([]byte); ok {
 						d.Write(b)

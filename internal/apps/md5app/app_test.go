@@ -49,7 +49,7 @@ func TestConfigsProduceCorrectDigests(t *testing.T) {
 		t.Errorf("normal digest %s, want %s", got, plain)
 	}
 	for _, cpus := range []int{1, 2, 4} {
-		want := fmt.Sprintf("%x", ChainDigest(input, cpus, prm.BlockSize))
+		want := fmt.Sprintf("%x", ChainDigest(input, cpus, chainBlock))
 		run := Run(apps.ActivePref, cpus, prm)
 		if got := run.Extra["digest"].(string); got != want {
 			t.Errorf("active %d-cpu digest %s, want %s", cpus, got, want)
@@ -80,7 +80,7 @@ func TestThreeCPUChains(t *testing.T) {
 	// An odd CPU count exercises uneven chain lengths.
 	prm := testParams()
 	input := BuildInput(prm)
-	want := fmt.Sprintf("%x", ChainDigest(input, 3, prm.BlockSize))
+	want := fmt.Sprintf("%x", ChainDigest(input, 3, chainBlock))
 	run := Run(apps.Active, 3, prm)
 	if got := run.Extra["digest"].(string); got != want {
 		t.Fatalf("3-cpu digest %s, want %s", got, want)

@@ -35,24 +35,13 @@ const (
 
 var startCode = [3]byte{0x00, 0x00, 0x01}
 
-// Params sizes the workload and calibrates costs.
+// Params sizes the workload.
 type Params struct {
 	FileSize  int64
-	IFrame    int64 // I-frame payload bytes
-	PFrame    int64 // P-frame payload bytes
 	BFrame    int64 // B-frame payload bytes
 	PPerGOP   int   // P-frames following each I-frame
 	BPerP     int   // B-frames following each P-frame
 	ChunkSize int64
-
-	// HostFilterInstr is the host's per-byte cost of software frame
-	// filtering (parsing plus the copies a host-side filter cannot avoid).
-	HostFilterInstr int64
-	// HostColorInstr is the per-byte decode/re-encode cost of color
-	// reduction, paid on I-frame bytes only.
-	HostColorInstr int64
-	// SwitchFilterCycles is the switch CPU's per-byte filtering cost.
-	SwitchFilterCycles int64
 
 	// Env observes and arms each configuration's cluster.
 	Env apps.Env
@@ -62,16 +51,26 @@ type Params struct {
 // P-frame bytes (8 KB I-frames, seven 2 KB P-frames per GOP), 64 KB I/O.
 func DefaultParams() Params {
 	return Params{
-		FileSize:           2202640,
-		IFrame:             8192,
-		PFrame:             2048,
-		PPerGOP:            7,
-		ChunkSize:          64 * 1024,
-		HostFilterInstr:    50,
-		HostColorInstr:     280,
-		SwitchFilterCycles: 26,
+		FileSize:  2202640,
+		PPerGOP:   7,
+		ChunkSize: 64 * 1024,
 	}
 }
+
+// The frame sizes and the per-byte costs.
+const (
+	iFrame = 8192 // I-frame payload bytes
+	pFrame = 2048 // P-frame payload bytes
+
+	// hostFilterInstr is the host's per-byte cost of software frame
+	// filtering (parsing plus the copies a host-side filter cannot avoid).
+	hostFilterInstr = 50
+	// hostColorInstr is the per-byte decode/re-encode cost of color
+	// reduction, paid on I-frame bytes only.
+	hostColorInstr = 280
+	// switchFilterCycles is the switch CPU's per-byte filtering cost.
+	switchFilterCycles = 26
+)
 
 // BuildStream generates the deterministic video file: GOPs of one I-frame
 // and PPerGOP P-frames until FileSize, with the final frame trimmed to fit
@@ -102,9 +101,9 @@ func BuildStream(prm Params) []byte {
 		}
 	}
 	for int64(len(out)) < prm.FileSize {
-		emit(typeI, prm.IFrame)
+		emit(typeI, iFrame)
 		for k := 0; k < prm.PPerGOP && int64(len(out)) < prm.FileSize; k++ {
-			emit(typeP, prm.PFrame)
+			emit(typeP, pFrame)
 			for b := 0; b < prm.BPerP && int64(len(out)) < prm.FileSize; b++ {
 				emit(typeB, prm.BFrame)
 			}
@@ -279,7 +278,7 @@ func RunFaulted(cfg apps.Config, prm Params, stream []byte) (stats.Run, *fault.I
 			for cursor < end {
 				b := x.WaitStream(cursor)
 				data, _ := x.ReadAll(b).([]byte)
-				x.Compute(prm.SwitchFilterCycles * b.Size())
+				x.Compute(switchFilterCycles * b.Size())
 				f.Feed(data)
 				cursor = b.End()
 				x.Deallocate(cursor)
@@ -319,7 +318,7 @@ func RunFaulted(cfg apps.Config, prm Params, stream []byte) (stats.Run, *fault.I
 			color := func(frame []byte) {
 				// Color reduction: decode + re-encode each I-frame.
 				h.CPU().TouchRange(p, buf, int64(len(frame)), cache.Load)
-				h.CPU().Compute(p, prm.HostColorInstr*int64(len(frame)))
+				h.CPU().Compute(p, hostColorInstr*int64(len(frame)))
 				h.CPU().TouchRange(p, outAddr+0x100000, int64(len(frame)), cache.Store)
 				sum.Write(frame)
 				iBytes += int64(len(frame))
@@ -328,7 +327,7 @@ func RunFaulted(cfg apps.Config, prm Params, stream []byte) (stats.Run, *fault.I
 			apps.StreamChunks(p, h, store, "video", prm.FileSize, prm.ChunkSize, buf,
 				cfg.Outstanding(), func(off, n int64, payloads []any) {
 					h.CPU().TouchRange(p, buf, n, cache.Load)
-					h.CPU().Compute(p, prm.HostFilterInstr*n)
+					h.CPU().Compute(p, hostFilterInstr*n)
 					for _, pl := range payloads {
 						if bts, ok := pl.([]byte); ok {
 							f.Feed(bts)
@@ -347,7 +346,7 @@ func RunFaulted(cfg apps.Config, prm Params, stream []byte) (stats.Run, *fault.I
 			var iBytes int64
 			color := func(frame []byte, base int64) {
 				h.CPU().TouchRange(p, base, int64(len(frame)), cache.Load)
-				h.CPU().Compute(p, prm.HostColorInstr*int64(len(frame)))
+				h.CPU().Compute(p, hostColorInstr*int64(len(frame)))
 				h.CPU().TouchRange(p, outAddr+0x100000, int64(len(frame)), cache.Store)
 				sum.Write(frame)
 				iBytes += int64(len(frame))

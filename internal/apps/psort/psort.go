@@ -21,27 +21,12 @@ import (
 	"activesan/internal/stats"
 )
 
-// Params sizes the workload and calibrates costs.
+// Params sizes the workload.
 type Params struct {
 	// Records is the total record count across all nodes (paper: 16M).
 	Records int64
-	// RecordSize and KeySize follow the Datamation benchmark.
-	RecordSize int64
-	KeySize    int64
 	// Hosts is the node count p.
 	Hosts int
-	// ChunkSize is the disk request size; BatchSize is the redistribution
-	// message size.
-	ChunkSize   int64
-	ActiveChunk int64
-	BatchSize   int64
-
-	// HostDistInstr is the host's per-record cost to classify and pack.
-	HostDistInstr int64
-	// HostRecvInstr is the per-record cost at the receiving node.
-	HostRecvInstr int64
-	// SwitchDistCycles is the switch CPU's per-record classify cost.
-	SwitchDistCycles int64
 
 	// Env observes each configuration's cluster: trace sink and
 	// strict routes only (no fault plan or telemetry).
@@ -51,18 +36,32 @@ type Params struct {
 // DefaultParams returns the paper's workload.
 func DefaultParams() Params {
 	return Params{
-		Records:          16 << 20,
-		RecordSize:       100,
-		KeySize:          10,
-		Hosts:            4,
-		ChunkSize:        64 * 1024,
-		ActiveChunk:      1 << 20,
-		BatchSize:        32 * 1024,
-		HostDistInstr:    24,
-		HostRecvInstr:    8,
-		SwitchDistCycles: 24,
+		Records: 16 << 20,
+		Hosts:   4,
 	}
 }
+
+// The record layout, the request and message sizes and the per-record
+// costs.
+const (
+	// RecordSize and KeySize follow the Datamation benchmark. The model
+	// derives each key from its record's index, so only Table 1 reads
+	// KeySize.
+	RecordSize = 100
+	KeySize    = 10
+	// chunkSize is the normal cases' disk-request size and activeChunk the
+	// active cases'; batchSize is the redistribution message size.
+	chunkSize   = 64 * 1024
+	activeChunk = 1 << 20
+	batchSize   = 32 * 1024
+
+	// hostDistInstr is the host's per-record cost to classify and pack.
+	hostDistInstr = 24
+	// hostRecvInstr is the per-record cost at the receiving node.
+	hostRecvInstr = 8
+	// switchDistCycles is the switch CPU's per-record classify cost.
+	switchDistCycles = 24
+)
 
 // Key derives record i's 10-byte key (top 64 bits; uniform).
 func Key(i int64) uint64 { return apps.Mix64(uint64(i) | 5<<40) }
@@ -87,8 +86,8 @@ type Batch struct {
 func recordsIn(prm Params, j int, a, b int64) (lo, hi int64) {
 	perNode := prm.Records / int64(prm.Hosts)
 	base := int64(j) * perNode
-	lo = base + (a+prm.RecordSize-1)/prm.RecordSize
-	hi = base + (b+prm.RecordSize-1)/prm.RecordSize
+	lo = base + (a+RecordSize-1)/RecordSize
+	hi = base + (b+RecordSize-1)/RecordSize
 	max := base + perNode
 	if hi > max {
 		hi = max
@@ -123,7 +122,7 @@ type sortArgs struct {
 // Run executes one configuration.
 func Run(cfg apps.Config, prm Params) stats.Run {
 	perNode := prm.Records / int64(prm.Hosts)
-	perNodeBytes := perNode * prm.RecordSize
+	perNodeBytes := perNode * RecordSize
 
 	eng := sim.NewEngine()
 	ccfg := cluster.DefaultIOClusterConfig()
@@ -157,7 +156,7 @@ func Run(cfg apps.Config, prm Params) stats.Run {
 				b.From = -1 // from the switch
 				x.Send(aswitch.SendSpec{
 					Dst: args.HostIDs[d], Type: san.Data, Addr: recvAddr,
-					Size: b.Count * prm.RecordSize, Flow: distFlow, Payload: b,
+					Size: b.Count * RecordSize, Flow: distFlow, Payload: b,
 				})
 				batches[d] = Batch{}
 				bytesOut[d] = 0
@@ -173,10 +172,10 @@ func Run(cfg apps.Config, prm Params) stats.Run {
 				for i := lo; i < hi; i++ {
 					k := Key(i)
 					d := Dest(k, args.Hosts)
-					x.Compute(prm.SwitchDistCycles)
+					x.Compute(switchDistCycles)
 					batches[d].Count++
 					batches[d].KeySum += k
-					bytesOut[d] += prm.RecordSize
+					bytesOut[d] += RecordSize
 					if bytesOut[d] >= args.BatchSize {
 						flush(d)
 					}
@@ -228,10 +227,10 @@ func Run(cfg apps.Config, prm Params) stats.Run {
 func runNormalNode(p *sim.Proc, c *cluster.Cluster, h *host.Host, j int,
 	cfg apps.Config, prm Params, hostIDs []san.NodeID, count *int64, sum *uint64) {
 	perNode := prm.Records / int64(prm.Hosts)
-	perNodeBytes := perNode * prm.RecordSize
+	perNodeBytes := perNode * RecordSize
 	batches := make([]Batch, prm.Hosts)
 	bytesOut := make([]int64, prm.Hosts)
-	buf := h.Space().Alloc(prm.ChunkSize, 4096)
+	buf := h.Space().Alloc(chunkSize, 4096)
 
 	flush := func(d int) {
 		if batches[d].Count == 0 {
@@ -239,7 +238,7 @@ func runNormalNode(p *sim.Proc, c *cluster.Cluster, h *host.Host, j int,
 		}
 		b := batches[d]
 		b.From = j
-		size := b.Count * prm.RecordSize
+		size := b.Count * RecordSize
 		if d == j {
 			// Local records stay: count them directly.
 			*count += b.Count
@@ -255,19 +254,19 @@ func runNormalNode(p *sim.Proc, c *cluster.Cluster, h *host.Host, j int,
 		bytesOut[d] = 0
 	}
 
-	apps.StreamChunks(p, h, c.Store(j).ID(), "part", perNodeBytes, prm.ChunkSize, buf,
+	apps.StreamChunks(p, h, c.Store(j).ID(), "part", perNodeBytes, chunkSize, buf,
 		cfg.Outstanding(), func(off, n int64, _ []any) {
 			lo, hi := recordsIn(prm, j, off, off+n)
 			for i := lo; i < hi; i++ {
 				rel := i - int64(j)*perNode
-				h.CPU().Load(p, buf+(rel%(prm.ChunkSize/prm.RecordSize))*prm.RecordSize)
-				h.CPU().Compute(p, prm.HostDistInstr)
+				h.CPU().Load(p, buf+(rel%(chunkSize/RecordSize))*RecordSize)
+				h.CPU().Compute(p, hostDistInstr)
 				k := Key(i)
 				d := Dest(k, prm.Hosts)
 				batches[d].Count++
 				batches[d].KeySum += k
-				bytesOut[d] += prm.RecordSize
-				if bytesOut[d] >= prm.BatchSize {
+				bytesOut[d] += RecordSize
+				if bytesOut[d] >= batchSize {
 					flush(d)
 				}
 			}
@@ -282,14 +281,14 @@ func runNormalNode(p *sim.Proc, c *cluster.Cluster, h *host.Host, j int,
 			}, buf)
 		}
 	}
-	drainIncoming(p, h, prm, prm.Hosts-1, count, sum)
+	drainIncoming(p, h, prm.Hosts-1, count, sum)
 }
 
 // runActiveNode streams the local partition at the switch; node 0 also owns
 // the handler invocation. Every node then drains its assigned records.
 func runActiveNode(p *sim.Proc, c *cluster.Cluster, h *host.Host, j int,
 	cfg apps.Config, prm Params, hostIDs []san.NodeID, count *int64, sum *uint64) {
-	perNodeBytes := (prm.Records / int64(prm.Hosts)) * prm.RecordSize
+	perNodeBytes := (prm.Records / int64(prm.Hosts)) * RecordSize
 	sw := c.Switch(0)
 	if j == 0 {
 		h.SendMessage(p, &san.Message{
@@ -297,14 +296,14 @@ func runActiveNode(p *sim.Proc, c *cluster.Cluster, h *host.Host, j int,
 			Size: 64,
 			Payload: sortArgs{
 				PerNodeBytes: perNodeBytes, Hosts: prm.Hosts,
-				BatchSize: prm.BatchSize, HostIDs: hostIDs, Initiator: h.ID(),
+				BatchSize: batchSize, HostIDs: hostIDs, Initiator: h.ID(),
 			},
 		}, 0)
 	}
-	apps.StreamToSwitch(p, h, c.Store(j).ID(), "part", perNodeBytes, prm.ActiveChunk,
+	apps.StreamToSwitch(p, h, c.Store(j).ID(), "part", perNodeBytes, activeChunk,
 		sw.ID(), streamBase(j), 0x6040+int64(j), cfg.Outstanding())
 	// One "end" batch arrives from the switch.
-	drainIncoming(p, h, prm, 1, count, sum)
+	drainIncoming(p, h, 1, count, sum)
 	if j == 0 {
 		h.RecvFlow(p, sw.ID(), doneFlow)
 	}
@@ -312,7 +311,7 @@ func runActiveNode(p *sim.Proc, c *cluster.Cluster, h *host.Host, j int,
 
 // drainIncoming consumes redistribution batches until the expected number
 // of End markers arrive.
-func drainIncoming(p *sim.Proc, h *host.Host, prm Params, ends int, count *int64, sum *uint64) {
+func drainIncoming(p *sim.Proc, h *host.Host, ends int, count *int64, sum *uint64) {
 	for ends > 0 {
 		comp := h.RecvAny(p)
 		b, ok := comp.Payloads[0].(Batch)
@@ -325,7 +324,7 @@ func drainIncoming(p *sim.Proc, h *host.Host, prm Params, ends int, count *int64
 		}
 		*count += b.Count
 		*sum += b.KeySum
-		h.CPU().Compute(p, prm.HostRecvInstr*b.Count)
+		h.CPU().Compute(p, hostRecvInstr*b.Count)
 	}
 }
 

@@ -35,7 +35,7 @@ func TestDestPartitioning(t *testing.T) {
 func TestRecordsInCoversPartitionExactly(t *testing.T) {
 	prm := testParams()
 	perNode := prm.Records / int64(prm.Hosts)
-	perNodeBytes := perNode * prm.RecordSize
+	perNodeBytes := perNode * RecordSize
 	for j := 0; j < prm.Hosts; j++ {
 		var total int64
 		seen := make(map[int64]bool)

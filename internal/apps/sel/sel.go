@@ -18,27 +18,12 @@ import (
 	"activesan/internal/stats"
 )
 
-// Params sizes the workload and calibrates per-record costs.
+// Params sizes the workload.
 type Params struct {
 	TableBytes int64
-	RecordSize int64
-	ChunkSize  int64
-	// ActiveChunk is the disk-request size of the active cases: with no
-	// host-side staging buffers to fill, the host maps the file at the
-	// switch with large requests and lets the switch's flow control pace
-	// the stream, cutting per-request OS overhead to near zero.
-	ActiveChunk int64
 	// SelectPermille keeps records whose key mod 1000 is below it (250 =
 	// the paper's 25% I/O-traffic ratio).
 	SelectPermille int64
-
-	// HostPredInstr is the host's per-record predicate cost.
-	HostPredInstr int64
-	// HostCountInstr is the host's per-record cost when merely counting
-	// received matches (active cases).
-	HostCountInstr int64
-	// SwitchPredCycles is the switch CPU's per-record predicate cost.
-	SwitchPredCycles int64
 
 	// Env observes and arms each configuration's cluster.
 	Env apps.Env
@@ -47,16 +32,31 @@ type Params struct {
 // DefaultParams returns the paper's 128 MB workload.
 func DefaultParams() Params {
 	return Params{
-		TableBytes:       128 << 20,
-		RecordSize:       128,
-		ChunkSize:        64 * 1024,
-		ActiveChunk:      1 << 20,
-		SelectPermille:   250,
-		HostPredInstr:    12,
-		HostCountInstr:   2,
-		SwitchPredCycles: 12,
+		TableBytes:     128 << 20,
+		SelectPermille: 250,
 	}
 }
+
+// The record layout, the request sizes and the per-record costs.
+const (
+	// RecordSize is the table's record size in bytes.
+	RecordSize = 128
+	// chunkSize is the normal cases' disk-request size, and the size of
+	// the match replies the switch ships in the active cases.
+	chunkSize = 64 * 1024
+	// activeChunk is the disk-request size of the active cases: with no
+	// host-side staging buffers to fill, the host maps the file at the
+	// switch with large requests and lets the switch's flow control pace
+	// the stream, cutting per-request OS overhead to near zero.
+	activeChunk = 1 << 20
+	// hostPredInstr is the host's per-record predicate cost.
+	hostPredInstr = 12
+	// hostCountInstr is the host's per-record cost when merely counting
+	// received matches (active cases).
+	hostCountInstr = 2
+	// switchPredCycles is the switch CPU's per-record predicate cost.
+	switchPredCycles = 12
+)
 
 // Key derives record i's integer field — the deterministic "table".
 func Key(i int64) int64 { return int64(apps.Mix64(uint64(i)) % 1000) }
@@ -104,24 +104,24 @@ func Run(cfg apps.Config, prm Params) stats.Run {
 			}
 			for cursor < end {
 				b := x.WaitStream(cursor)
-				recBase := (cursor - streamBase) / prm.RecordSize
-				n := b.Size() / prm.RecordSize
+				recBase := (cursor - streamBase) / RecordSize
+				n := b.Size() / RecordSize
 				for r := int64(0); r < n; r++ {
 					// Read the record's key field from the data buffer and
 					// evaluate the predicate.
-					x.ReadAt(b, r*prm.RecordSize, 8)
-					x.Compute(prm.SwitchPredCycles)
+					x.ReadAt(b, r*RecordSize, 8)
+					x.Compute(switchPredCycles)
 					if prm.Matches(recBase + r) {
 						matched++
 						pendingRecs++
-						pendingBytes += prm.RecordSize
+						pendingBytes += RecordSize
 					}
 				}
 				cursor = b.End()
 				x.Deallocate(cursor)
 				// Ship matches in chunk-sized replies ("the switch can
 				// always send a reply to the host with a length of bufSz").
-				if pendingBytes >= prm.ChunkSize {
+				if pendingBytes >= chunkSize {
 					flush()
 				}
 			}
@@ -144,7 +144,7 @@ func Run(cfg apps.Config, prm Params) stats.Run {
 				Hdr:  san.Header{Dst: sw.ID(), Type: san.ActiveMsg, HandlerID: handlerID, Addr: argBase},
 				Size: 32,
 			}, 0)
-			apps.StreamToSwitch(p, h, store, "table", prm.TableBytes, prm.ActiveChunk,
+			apps.StreamToSwitch(p, h, store, "table", prm.TableBytes, activeChunk,
 				sw.ID(), streamBase, 0x6002, cfg.Outstanding())
 			// Count arriving match batches until the summary shows up.
 			var counted, reported int64
@@ -155,7 +155,7 @@ func Run(cfg apps.Config, prm Params) stats.Run {
 					break
 				}
 				recs := comp.Payloads[0].(int64)
-				h.CPU().Compute(p, prm.HostCountInstr*recs)
+				h.CPU().Compute(p, hostCountInstr*recs)
 				counted += recs
 			}
 			return map[string]any{"matches": counted, "reported": reported}
@@ -163,16 +163,16 @@ func Run(cfg apps.Config, prm Params) stats.Run {
 
 		// Normal: scan every record on the host.
 		var matched int64
-		buf := h.Space().Alloc(prm.ChunkSize, 4096)
-		apps.StreamChunks(p, h, store, "table", prm.TableBytes, prm.ChunkSize, buf,
+		buf := h.Space().Alloc(chunkSize, 4096)
+		apps.StreamChunks(p, h, store, "table", prm.TableBytes, chunkSize, buf,
 			cfg.Outstanding(), func(off, n int64, _ []any) {
-				recBase := off / prm.RecordSize
-				cnt := n / prm.RecordSize
+				recBase := off / RecordSize
+				cnt := n / RecordSize
 				for r := int64(0); r < cnt; r++ {
 					// Load the key field of each record (128 B apart: every
 					// record is its own L2 line in the scaled hierarchy).
-					h.CPU().Load(p, buf+r*prm.RecordSize)
-					h.CPU().Compute(p, prm.HostPredInstr)
+					h.CPU().Load(p, buf+r*RecordSize)
+					h.CPU().Compute(p, hostPredInstr)
 					if prm.Matches(recBase + r) {
 						matched++
 					}

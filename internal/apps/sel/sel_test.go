@@ -25,7 +25,7 @@ func TestKeyDeterministic(t *testing.T) {
 
 func TestSelectivityNear25Percent(t *testing.T) {
 	prm := testParams()
-	n := prm.TableBytes / prm.RecordSize
+	n := prm.TableBytes / RecordSize
 	got := prm.ExpectedMatches()
 	frac := float64(got) / float64(n)
 	if frac < 0.23 || frac > 0.27 {
@@ -103,7 +103,7 @@ func TestSelectivitySweep(t *testing.T) {
 
 // ExpectedMatches counts passing records directly (the test oracle).
 func (prm Params) ExpectedMatches() int64 {
-	n := prm.TableBytes / prm.RecordSize
+	n := prm.TableBytes / RecordSize
 	var c int64
 	for i := int64(0); i < n; i++ {
 		if prm.Matches(i) {

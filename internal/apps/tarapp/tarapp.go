@@ -23,16 +23,10 @@ import (
 // HeaderSize is the ustar block size.
 const HeaderSize = 512
 
-// Params sizes the workload and calibrates costs.
+// Params sizes the workload.
 type Params struct {
-	Files     int
-	FileSize  int64
-	ChunkSize int64
-
-	// HeaderInstr is the host cost of generating one archive header.
-	HeaderInstr int64
-	// SwitchIOInstr is the switch kernel's cost to initiate a disk request.
-	SwitchIOInstr int64
+	Files    int
+	FileSize int64
 
 	// Env observes and arms each configuration's cluster.
 	Env apps.Env
@@ -41,13 +35,20 @@ type Params struct {
 // DefaultParams returns the paper's 4 MB workload as 16 x 256 KB files.
 func DefaultParams() Params {
 	return Params{
-		Files:         16,
-		FileSize:      256 * 1024,
-		ChunkSize:     64 * 1024,
-		HeaderInstr:   2000,
-		SwitchIOInstr: 2000,
+		Files:    16,
+		FileSize: 256 * 1024,
 	}
 }
+
+// The request size and the calibrated costs.
+const (
+	// chunkSize is the disk-request size.
+	chunkSize = 64 * 1024
+	// headerInstr is the host cost of generating one archive header.
+	headerInstr = 2000
+	// switchIOInstr is the switch kernel's cost to initiate a disk request.
+	switchIOInstr = 2000
+)
 
 // Header is a ustar-style 512-byte header block with name, octal size and
 // checksum, built for real (the archive is verified end to end).
@@ -173,7 +174,7 @@ func runFiles(cfg apps.Config, prm Params, files [][]byte) stats.Run {
 			// Initiate the disk read ourselves (modest kernel support on
 			// the switch), streaming the file into our own buffers.
 			base := int64(streamBase)
-			x.Compute(prm.SwitchIOInstr)
+			x.Compute(switchIOInstr)
 			x.Send(aswitch.SendSpec{
 				Dst: args.Store, Type: san.IORequest, Addr: 0, Size: 64,
 				Flow: int64(0x6020 + args.Index),
@@ -254,7 +255,7 @@ func runFiles(cfg apps.Config, prm Params, files [][]byte) stats.Run {
 			// instruction to read and redirect.
 			h0.CPU().Compute(p, 20000)
 			for i := 0; i < prm.Files; i++ {
-				h0.CPU().Compute(p, prm.HeaderInstr)
+				h0.CPU().Compute(p, headerInstr)
 				hdr := Header(FileName(i), prm.FileSize)
 				h0.SendMessage(p, &san.Message{
 					Hdr:  san.Header{Dst: sw.ID(), Type: san.ActiveMsg, HandlerID: handlerID, Addr: argBase},
@@ -262,7 +263,7 @@ func runFiles(cfg apps.Config, prm Params, files [][]byte) stats.Run {
 					Payload: tarArgs{
 						File: FileName(i), Size: prm.FileSize, Index: i,
 						Header: hdr, Store: store, Target: h1.ID(),
-						IsLast: i == prm.Files-1, BufSz: prm.ChunkSize,
+						IsLast: i == prm.Files-1, BufSz: chunkSize,
 					},
 				}, 0)
 				h0.RecvFlow(p, sw.ID(), doneFlow)
@@ -273,16 +274,16 @@ func runFiles(cfg apps.Config, prm Params, files [][]byte) stats.Run {
 
 		// Normal: the host reads every file and ships the archive itself.
 		h0.CPU().Compute(p, 20000)
-		buf := h0.Space().Alloc(prm.ChunkSize, 4096)
+		buf := h0.Space().Alloc(chunkSize, 4096)
 		for i := 0; i < prm.Files; i++ {
-			h0.CPU().Compute(p, prm.HeaderInstr)
+			h0.CPU().Compute(p, headerInstr)
 			hdr := Header(FileName(i), prm.FileSize)
 			h0.SendMessage(p, &san.Message{
 				Hdr:     san.Header{Dst: h1.ID(), Type: san.Data, Addr: archAddr, Flow: archiveFlow},
 				Size:    HeaderSize,
 				Payload: hdr,
 			}, 0)
-			apps.StreamChunks(p, h0, store, FileName(i), prm.FileSize, prm.ChunkSize, buf,
+			apps.StreamChunks(p, h0, store, FileName(i), prm.FileSize, chunkSize, buf,
 				cfg.Outstanding(), func(off, n int64, payloads []any) {
 					var body []byte
 					for _, pl := range payloads {

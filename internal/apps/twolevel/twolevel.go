@@ -49,14 +49,7 @@ func (m Mode) String() string {
 
 // Params sizes the workload.
 type Params struct {
-	TableBytes     int64
-	RecordSize     int64
-	ChunkSize      int64
-	SelectPermille int64
-
-	HostPredInstr    int64
-	SwitchPredCycles int64
-	DiskPredCycles   int64 // per byte on the 200 MHz disk core
+	TableBytes int64
 
 	// Env observes each placement's cluster: trace sink and strict routes
 	// only (no fault plan or telemetry).
@@ -66,22 +59,32 @@ type Params struct {
 // DefaultParams returns a 32 MB table (the study is about placement, not
 // scale).
 func DefaultParams() Params {
-	return Params{
-		TableBytes:       32 << 20,
-		RecordSize:       128,
-		ChunkSize:        1 << 20,
-		SelectPermille:   250,
-		HostPredInstr:    12,
-		SwitchPredCycles: 12,
-		DiskPredCycles:   2,
-	}
+	return Params{TableBytes: 32 << 20}
 }
+
+// The record layout, the selectivity and the per-record and per-byte
+// costs.
+const (
+	// recordSize is the table's record size in bytes.
+	recordSize = 128
+	// chunkSize is the host placement's disk-request size.
+	chunkSize = 1 << 20
+	// selectPermille keeps records whose key mod 1000 is below it (25%).
+	selectPermille = 250
+	// hostPredInstr is the host's per-record predicate cost.
+	hostPredInstr = 12
+	// switchPredCycles is the switch CPU's per-record predicate cost.
+	switchPredCycles = 12
+	// diskPredCycles is the predicate's per-byte cost on the 200 MHz disk
+	// core.
+	diskPredCycles = 2
+)
 
 // Key derives record i's field value.
 func Key(i int64) int64 { return int64(apps.Mix64(uint64(i)|7<<40) % 1000) }
 
 // Matches is the predicate.
-func (prm Params) Matches(i int64) bool { return Key(i) < prm.SelectPermille }
+func Matches(i int64) bool { return Key(i) < selectPermille }
 
 // chunkCount carries a filtered chunk's surviving record count.
 type chunkCount struct{ N int64 }
@@ -108,17 +111,17 @@ func Run(mode Mode, prm Params) stats.Run {
 	if mode == OnDisk || mode == TwoLevel {
 		store.RegisterFilter(filterID, &iodev.Filter{
 			Name:          "range-select",
-			CyclesPerByte: prm.DiskPredCycles,
+			CyclesPerByte: diskPredCycles,
 			Fn: func(off, n int64, _ any) (int64, any) {
-				lo := (off + prm.RecordSize - 1) / prm.RecordSize
-				hi := (off + n + prm.RecordSize - 1) / prm.RecordSize
+				lo := (off + recordSize - 1) / recordSize
+				hi := (off + n + recordSize - 1) / recordSize
 				var kept int64
 				for i := lo; i < hi; i++ {
-					if prm.Matches(i) {
+					if Matches(i) {
 						kept++
 					}
 				}
-				return kept * prm.RecordSize, chunkCount{N: kept}
+				return kept * recordSize, chunkCount{N: kept}
 			},
 		})
 	}
@@ -133,12 +136,12 @@ func Run(mode Mode, prm Params) stats.Run {
 			end := cursor + prm.TableBytes
 			for cursor < end {
 				b := x.WaitStream(cursor)
-				recBase := (cursor - streamBase) / prm.RecordSize
-				n := b.Size() / prm.RecordSize
+				recBase := (cursor - streamBase) / recordSize
+				n := b.Size() / recordSize
 				for r := int64(0); r < n; r++ {
-					x.ReadAt(b, r*prm.RecordSize, 8)
-					x.Compute(prm.SwitchPredCycles)
-					if prm.Matches(recBase + r) {
+					x.ReadAt(b, r*recordSize, 8)
+					x.Compute(switchPredCycles)
+					if Matches(recBase + r) {
 						matched++
 					}
 				}
@@ -183,15 +186,15 @@ func Run(mode Mode, prm Params) stats.Run {
 		defer func() { end = p.Now() }()
 		switch mode {
 		case OnHost:
-			buf := h.Space().Alloc(prm.ChunkSize, 4096)
-			apps.StreamChunks(p, h, store.ID(), "table", prm.TableBytes, prm.ChunkSize, buf, 2,
+			buf := h.Space().Alloc(chunkSize, 4096)
+			apps.StreamChunks(p, h, store.ID(), "table", prm.TableBytes, chunkSize, buf, 2,
 				func(off, n int64, _ []any) {
-					recBase := off / prm.RecordSize
-					cnt := n / prm.RecordSize
+					recBase := off / recordSize
+					cnt := n / recordSize
 					for r := int64(0); r < cnt; r++ {
-						h.CPU().Load(p, buf+(r%(prm.ChunkSize/prm.RecordSize))*prm.RecordSize)
-						h.CPU().Compute(p, prm.HostPredInstr)
-						if prm.Matches(recBase + r) {
+						h.CPU().Load(p, buf+(r%(chunkSize/recordSize))*recordSize)
+						h.CPU().Compute(p, hostPredInstr)
+						if Matches(recBase + r) {
 							matched++
 						}
 					}

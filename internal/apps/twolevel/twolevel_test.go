@@ -69,10 +69,10 @@ func TestDiskFilterDoesNotSlowStream(t *testing.T) {
 
 // ExpectedMatches is the oracle.
 func (prm Params) ExpectedMatches() int64 {
-	n := prm.TableBytes / prm.RecordSize
+	n := prm.TableBytes / recordSize
 	var c int64
 	for i := int64(0); i < n; i++ {
-		if prm.Matches(i) {
+		if Matches(i) {
 			c++
 		}
 	}

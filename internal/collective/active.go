@@ -157,7 +157,7 @@ func installCombine(c *cluster.Cluster, sh *shape, op Op, prm Params, rounds int
 			sw.SetState(mcastHandlerID, &downState{
 				childSw: sh.childSw[id], members: sh.members[id], vecBytes: prm.VectorBytes,
 			})
-			sw.Register(mcastHandlerID, "coll-mcast", mcastHandler(prm))
+			sw.Register(mcastHandlerID, "coll-mcast", mcastHandler)
 		}
 	}
 }
@@ -175,7 +175,7 @@ func combineHandler(op Op, prm Params) aswitch.HandlerFunc {
 			x.ReadAll(b)
 			x.DeallocateBuf(b)
 		}
-		x.Compute(prm.SwitchAddCycles * int64(len(in.Vals)))
+		x.Compute(switchAddCycles * int64(len(in.Vals)))
 		ra := &st.rounds[in.Round]
 		arena := st.accBase + int64(in.Round%accArena)*st.vecBytes
 		for i, v := range in.Vals {
@@ -218,17 +218,15 @@ func combineHandler(op Op, prm Params) aswitch.HandlerFunc {
 }
 
 // mcastHandler relays the finished result down one more overlay level.
-func mcastHandler(prm Params) aswitch.HandlerFunc {
-	return func(x *aswitch.Ctx) {
-		st := x.State().(*downState)
-		vec := x.Args().([]int64)
-		if b, ok := x.CPU().ATB().Lookup(x.BaseAddr()); ok {
-			x.ReadAll(b)
-			x.DeallocateBuf(b)
-		}
-		x.Compute(prm.SwitchAddCycles * int64(len(vec)))
-		deliverDown(x, vec, st.childSw, st.members, st.vecBytes)
+func mcastHandler(x *aswitch.Ctx) {
+	st := x.State().(*downState)
+	vec := x.Args().([]int64)
+	if b, ok := x.CPU().ATB().Lookup(x.BaseAddr()); ok {
+		x.ReadAll(b)
+		x.DeallocateBuf(b)
 	}
+	x.Compute(switchAddCycles * int64(len(vec)))
+	deliverDown(x, vec, st.childSw, st.members, st.vecBytes)
 }
 
 // scatChild is one down-tree scatter target: a child switch and the element
@@ -264,36 +262,34 @@ func installScatter(c *cluster.Cluster, sh *shape, prm Params) {
 			})
 		}
 		sw.SetState(scatterHandlerID, st)
-		sw.Register(scatterHandlerID, "coll-scatter", scatterHandler(prm))
+		sw.Register(scatterHandlerID, "coll-scatter", scatterHandler)
 	}
 }
 
 // scatterHandler splits an incoming segment per child subtree's rank range
 // and hands each member host its slice.
-func scatterHandler(prm Params) aswitch.HandlerFunc {
-	return func(x *aswitch.Ctx) {
-		st := x.State().(*scatState)
-		in := x.Args().(segMsg)
-		if b, ok := x.CPU().ATB().Lookup(x.BaseAddr()); ok {
-			x.ReadAll(b)
-			x.DeallocateBuf(b)
-		}
-		x.Compute(prm.SwitchAddCycles * int64(len(in.Vals)))
-		for _, ch := range st.children {
-			x.Send(aswitch.SendSpec{
-				Dst: ch.id, Type: san.ActiveMsg, HandlerID: scatterHandlerID,
-				Addr: scatterAddr, Size: segSize(ch.elemHi - ch.elemLo),
-				Payload: segMsg{Lo: ch.elemLo, Vals: in.Vals[ch.elemLo-in.Lo : ch.elemHi-in.Lo]},
-			})
-		}
-		for i, dst := range st.members {
-			lo, hi := sliceBounds(st.ranks[i], st.p, st.elems)
-			x.Send(aswitch.SendSpec{
-				Dst: dst, Type: san.Data, Addr: 0x1000,
-				Size: segSize(hi - lo), Flow: scatterFlow,
-				Payload: segMsg{Lo: lo, Vals: in.Vals[lo-in.Lo : hi-in.Lo]},
-			})
-		}
+func scatterHandler(x *aswitch.Ctx) {
+	st := x.State().(*scatState)
+	in := x.Args().(segMsg)
+	if b, ok := x.CPU().ATB().Lookup(x.BaseAddr()); ok {
+		x.ReadAll(b)
+		x.DeallocateBuf(b)
+	}
+	x.Compute(switchAddCycles * int64(len(in.Vals)))
+	for _, ch := range st.children {
+		x.Send(aswitch.SendSpec{
+			Dst: ch.id, Type: san.ActiveMsg, HandlerID: scatterHandlerID,
+			Addr: scatterAddr, Size: segSize(ch.elemHi - ch.elemLo),
+			Payload: segMsg{Lo: ch.elemLo, Vals: in.Vals[ch.elemLo-in.Lo : ch.elemHi-in.Lo]},
+		})
+	}
+	for i, dst := range st.members {
+		lo, hi := sliceBounds(st.ranks[i], st.p, st.elems)
+		x.Send(aswitch.SendSpec{
+			Dst: dst, Type: san.Data, Addr: 0x1000,
+			Size: segSize(hi - lo), Flow: scatterFlow,
+			Payload: segMsg{Lo: lo, Vals: in.Vals[lo-in.Lo : hi-in.Lo]},
+		})
 	}
 }
 
@@ -328,44 +324,42 @@ func installGather(c *cluster.Cluster, sh *shape, prm Params) {
 			dst:      sh.hostIDs[0],
 		}
 		sw.SetState(gatherHandlerID, st)
-		sw.Register(gatherHandlerID, "coll-gather", gatherHandler(prm))
+		sw.Register(gatherHandlerID, "coll-gather", gatherHandler)
 	}
 }
 
 // gatherHandler writes arriving slices into the subtree buffer and forwards
 // the concatenation once every child has reported.
-func gatherHandler(prm Params) aswitch.HandlerFunc {
-	return func(x *aswitch.Ctx) {
-		st := x.State().(*gathState)
-		in := x.Args().(segMsg)
-		if b, ok := x.CPU().ATB().Lookup(x.BaseAddr()); ok {
-			x.ReadAll(b)
-			x.DeallocateBuf(b)
-		}
-		x.Compute(prm.SwitchAddCycles * int64(len(in.Vals)))
-		for i := range in.Vals {
-			if i%4 == 0 {
-				x.MemLoad(st.accBase + int64(in.Lo+i)*8)
-			}
-			st.buf[in.Lo+i] = in.Vals[i]
-		}
-		st.got++
-		if st.got < st.expected {
-			return
-		}
-		seg := segMsg{Lo: st.elemLo, Vals: append([]int64(nil), st.buf[st.elemLo:st.elemHi]...)}
-		if st.parent != san.NoNode {
-			x.Send(aswitch.SendSpec{
-				Dst: st.parent, Type: san.ActiveMsg, HandlerID: gatherHandlerID,
-				Addr: st.argAddr, Size: segSize(len(seg.Vals)), Payload: seg,
-			})
-			return
-		}
-		x.Send(aswitch.SendSpec{
-			Dst: st.dst, Type: san.Data, Addr: 0x1000,
-			Size: segSize(len(seg.Vals)), Flow: gatherFlow, Payload: seg,
-		})
+func gatherHandler(x *aswitch.Ctx) {
+	st := x.State().(*gathState)
+	in := x.Args().(segMsg)
+	if b, ok := x.CPU().ATB().Lookup(x.BaseAddr()); ok {
+		x.ReadAll(b)
+		x.DeallocateBuf(b)
 	}
+	x.Compute(switchAddCycles * int64(len(in.Vals)))
+	for i := range in.Vals {
+		if i%4 == 0 {
+			x.MemLoad(st.accBase + int64(in.Lo+i)*8)
+		}
+		st.buf[in.Lo+i] = in.Vals[i]
+	}
+	st.got++
+	if st.got < st.expected {
+		return
+	}
+	seg := segMsg{Lo: st.elemLo, Vals: append([]int64(nil), st.buf[st.elemLo:st.elemHi]...)}
+	if st.parent != san.NoNode {
+		x.Send(aswitch.SendSpec{
+			Dst: st.parent, Type: san.ActiveMsg, HandlerID: gatherHandlerID,
+			Addr: st.argAddr, Size: segSize(len(seg.Vals)), Payload: seg,
+		})
+		return
+	}
+	x.Send(aswitch.SendSpec{
+		Dst: st.dst, Type: san.Data, Addr: 0x1000,
+		Size: segSize(len(seg.Vals)), Flow: gatherFlow, Payload: seg,
+	})
 }
 
 // installHandlers places the operation's handlers on the overlay.
@@ -476,6 +470,6 @@ func runActiveHost(proc *sim.Proc, c *cluster.Cluster, sh *shape, h *host.Host,
 		setFinish(proc.Now())
 
 	case KeyAgg:
-		runActiveKeyAggHost(proc, c, sh, h, rank, prm, out, setFinish)
+		runActiveKeyAggHost(proc, c, sh, h, rank, out, setFinish)
 	}
 }

@@ -145,7 +145,7 @@ func ParseOp(s string) (Op, error) {
 	return 0, fmt.Errorf("unknown collective %q (want allreduce, barrier, scatter, gather, or keyagg)", s)
 }
 
-// Params sizes a collective and calibrates its costs.
+// Params sizes a collective.
 type Params struct {
 	// VectorBytes is each rank's vector contribution (the paper's
 	// reduction benchmarks use 512); Elems its length in int64 values.
@@ -155,33 +155,32 @@ type Params struct {
 	// Sum, the zero value). Barrier and key aggregation always sum.
 	Operator Operator
 
-	// HostAddInstr is the host's per-element combine cost; SwitchAddCycles
-	// the switch CPU's.
-	HostAddInstr    int64
-	SwitchAddCycles int64
-
-	// Keys is the key space and Records the per-host record count for
-	// key-grouped aggregation. AggBudget bounds the per-switch aggregation
-	// table in distinct keys (at least 1 for an active key aggregation).
-	Keys      int
-	Records   int
+	// AggBudget bounds the per-switch aggregation table in distinct keys
+	// (at least 1 for an active key aggregation).
 	AggBudget int
 }
 
-// DefaultParams mirrors the paper's 512-byte reduction vectors and sizes
-// key aggregation at 64 keys x 64 records per host, with a 32-entry
-// per-switch table.
+// DefaultParams mirrors the paper's 512-byte reduction vectors, with a
+// 32-entry per-switch key-aggregation table.
 func DefaultParams() Params {
 	return Params{
-		VectorBytes:     512,
-		Elems:           64,
-		HostAddInstr:    4,
-		SwitchAddCycles: 1,
-		Keys:            64,
-		Records:         64,
-		AggBudget:       32,
+		VectorBytes: 512,
+		Elems:       64,
+		AggBudget:   32,
 	}
 }
+
+// The combine costs and the key-aggregation workload.
+const (
+	// hostAddInstr is the host's per-element combine cost; switchAddCycles
+	// the switch CPU's.
+	hostAddInstr    = 4
+	switchAddCycles = 1
+	// Keys is the key space and recordsPerHost the per-host record count
+	// of key-grouped aggregation.
+	Keys           = 64
+	recordsPerHost = 64
+)
 
 // HostVector is rank j's deterministic input vector.
 func HostVector(j, elems int) []int64 { return roundVector(j, 0, elems) }
@@ -223,11 +222,11 @@ type KV struct {
 }
 
 // RecordsFor generates rank j's deterministic keyed records.
-func RecordsFor(j int, prm Params) []KV {
-	out := make([]KV, prm.Records)
+func RecordsFor(j int) []KV {
+	out := make([]KV, recordsPerHost)
 	for i := range out {
 		out[i] = KV{
-			K: int64(apps.Mix64(0xA66E6A7E<<28|uint64(j)<<14|uint64(i)) % uint64(prm.Keys)),
+			K: int64(apps.Mix64(0xA66E6A7E<<28|uint64(j)<<14|uint64(i)) % Keys),
 			V: int64(apps.Mix64(0x5A1AD<<40|uint64(j)<<20|uint64(i)) % 1000),
 		}
 	}
@@ -236,10 +235,10 @@ func RecordsFor(j int, prm Params) []KV {
 
 // ExpectedKeyAgg folds every rank's records and returns rank r's flattened
 // sorted (key, sum) pairs — keys home to rank key mod p.
-func ExpectedKeyAgg(p int, prm Params) [][]int64 {
+func ExpectedKeyAgg(p int) [][]int64 {
 	sums := map[int64]int64{}
 	for j := 0; j < p; j++ {
-		for _, kv := range RecordsFor(j, prm) {
+		for _, kv := range RecordsFor(j) {
 			sums[kv.K] += kv.V
 		}
 	}
@@ -304,7 +303,7 @@ func ExpectedPerHost(op Op, p int, prm Params) [][]int64 {
 		}
 		out[0] = full
 	case KeyAgg:
-		return ExpectedKeyAgg(p, prm)
+		return ExpectedKeyAgg(p)
 	}
 	return out
 }

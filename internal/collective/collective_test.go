@@ -169,10 +169,10 @@ func TestKeyAggLedgerBalance(t *testing.T) {
 			if len(r.PerSwitch) == 0 || r.AggIngested == 0 {
 				t.Errorf("budget=%d: no per-switch ledgers harvested", budget)
 			}
-			if budget < prm.Keys/2 && r.AggSpills == 0 {
-				t.Errorf("budget=%d: expected spills with %d keys", budget, prm.Keys)
+			if budget < Keys/2 && r.AggSpills == 0 {
+				t.Errorf("budget=%d: expected spills with %d keys", budget, Keys)
 			}
-			if budget >= prm.Keys && r.AggSpills != 0 {
+			if budget >= Keys && r.AggSpills != 0 {
 				t.Errorf("budget=%d: %d spills with the whole key space resident", budget, r.AggSpills)
 			}
 		}

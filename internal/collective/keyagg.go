@@ -84,7 +84,7 @@ func installKeyAgg(c *cluster.Cluster, sh *shape, prm Params) {
 			sentTo:   make([]int64, sh.p),
 		}
 		sw.SetState(kaHandlerID, st)
-		sw.Register(kaHandlerID, "coll-keyagg", keyAggHandler(prm))
+		sw.Register(kaHandlerID, "coll-keyagg", keyAggHandler)
 	}
 }
 
@@ -133,61 +133,59 @@ func kaSendUp(x *aswitch.Ctx, st *kaState, recs []KV) {
 
 // keyAggHandler ingests record batches into the bounded table and flushes on
 // stream completion.
-func keyAggHandler(prm Params) aswitch.HandlerFunc {
-	return func(x *aswitch.Ctx) {
-		st := x.State().(*kaState)
-		if b, ok := x.CPU().ATB().Lookup(x.BaseAddr()); ok {
-			x.ReadAll(b)
-			x.DeallocateBuf(b)
+func keyAggHandler(x *aswitch.Ctx) {
+	st := x.State().(*kaState)
+	if b, ok := x.CPU().ATB().Lookup(x.BaseAddr()); ok {
+		x.ReadAll(b)
+		x.DeallocateBuf(b)
+	}
+	switch m := x.Args().(type) {
+	case kaBatch:
+		x.Compute(switchAddCycles * 2 * int64(len(m.Recs)))
+		var spilled []KV
+		for _, kv := range m.Recs {
+			st.ingested++
+			// One table probe per record: the slot the key hashes to.
+			x.MemLoad(st.tblBase + (kv.K%int64(st.budget))*16)
+			if _, ok := st.table[kv.K]; ok || len(st.table) < st.budget {
+				st.table[kv.K] += kv.V
+				st.hits++
+			} else {
+				st.spills++
+				spilled = append(spilled, kv)
+			}
 		}
-		switch m := x.Args().(type) {
-		case kaBatch:
-			x.Compute(prm.SwitchAddCycles * 2 * int64(len(m.Recs)))
-			var spilled []KV
-			for _, kv := range m.Recs {
-				st.ingested++
-				// One table probe per record: the slot the key hashes to.
-				x.MemLoad(st.tblBase + (kv.K%int64(st.budget))*16)
-				if _, ok := st.table[kv.K]; ok || len(st.table) < st.budget {
-					st.table[kv.K] += kv.V
-					st.hits++
-				} else {
-					st.spills++
-					spilled = append(spilled, kv)
-				}
-			}
-			kaSendUp(x, st, spilled)
+		kaSendUp(x, st, spilled)
 
-		case kaEnd:
-			st.ends++
-			if st.ends < st.expected {
-				return
-			}
-			// Flush the table in key order, then close our own stream.
-			keys := make([]int64, 0, len(st.table))
-			for k := range st.table {
-				keys = append(keys, k)
-			}
-			sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-			flush := make([]KV, len(keys))
-			for i, k := range keys {
-				flush[i] = KV{K: k, V: st.table[k]}
-			}
-			x.Compute(prm.SwitchAddCycles * int64(len(flush)))
-			kaSendUp(x, st, flush)
-			if st.parent != san.NoNode {
-				x.Send(aswitch.SendSpec{
-					Dst: st.parent, Type: san.ActiveMsg, HandlerID: kaHandlerID,
-					Addr: st.argAddr, Size: 8, Payload: kaEnd{},
-				})
-				return
-			}
-			for r, id := range st.hosts {
-				x.Send(aswitch.SendSpec{
-					Dst: id, Type: san.Data, Addr: 0x1000,
-					Size: 8, Flow: kaFlow, Payload: kaDone{Msgs: st.sentTo[r]},
-				})
-			}
+	case kaEnd:
+		st.ends++
+		if st.ends < st.expected {
+			return
+		}
+		// Flush the table in key order, then close our own stream.
+		keys := make([]int64, 0, len(st.table))
+		for k := range st.table {
+			keys = append(keys, k)
+		}
+		sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
+		flush := make([]KV, len(keys))
+		for i, k := range keys {
+			flush[i] = KV{K: k, V: st.table[k]}
+		}
+		x.Compute(switchAddCycles * int64(len(flush)))
+		kaSendUp(x, st, flush)
+		if st.parent != san.NoNode {
+			x.Send(aswitch.SendSpec{
+				Dst: st.parent, Type: san.ActiveMsg, HandlerID: kaHandlerID,
+				Addr: st.argAddr, Size: 8, Payload: kaEnd{},
+			})
+			return
+		}
+		for r, id := range st.hosts {
+			x.Send(aswitch.SendSpec{
+				Dst: id, Type: san.Data, Addr: 0x1000,
+				Size: 8, Flow: kaFlow, Payload: kaDone{Msgs: st.sentTo[r]},
+			})
 		}
 	}
 }
@@ -195,9 +193,9 @@ func keyAggHandler(prm Params) aswitch.HandlerFunc {
 // runActiveKeyAggHost streams rank `rank`'s records to its leaf switch and
 // folds the result batches the root sends back for the keys homed here.
 func runActiveKeyAggHost(proc *sim.Proc, c *cluster.Cluster, sh *shape, h *host.Host,
-	rank int, prm Params, out [][]int64, setFinish func(sim.Time)) {
+	rank int, out [][]int64, setFinish func(sim.Time)) {
 	leaf := c.Tree.HostLeaf[h.ID()]
-	recs := RecordsFor(rank, prm)
+	recs := RecordsFor(rank)
 	region := h.Space().Alloc(kaSize(len(recs)), 64)
 	h.CPU().TouchRange(proc, region, kaSize(len(recs)), cache.Load)
 	for lo := 0; lo < len(recs); lo += kaBatchMax {
@@ -232,7 +230,7 @@ func runActiveKeyAggHost(proc *sim.Proc, c *cluster.Cluster, sh *shape, h *host.
 			for _, kv := range m.Recs {
 				sums[kv.K] += kv.V
 			}
-			h.CPU().Compute(proc, prm.HostAddInstr*int64(len(m.Recs)))
+			h.CPU().Compute(proc, hostAddInstr*int64(len(m.Recs)))
 		case kaDone:
 			if got != m.Msgs {
 				// FIFO delivery makes this unreachable; a mismatched row

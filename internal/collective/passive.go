@@ -42,7 +42,7 @@ func runPassiveHost(proc *sim.Proc, c *cluster.Cluster, sh *shape, h *host.Host,
 	case Gather:
 		runBinomialGather(proc, sh, h, rank, prm, out, setFinish)
 	case KeyAgg:
-		runShuffleKeyAgg(proc, sh, h, rank, prm, out, setFinish)
+		runShuffleKeyAgg(proc, sh, h, rank, out, setFinish)
 	}
 }
 
@@ -66,7 +66,7 @@ func HostAlgorithm(op Op) string {
 func combineInto(proc *sim.Proc, h *host.Host, region int64, prm Params, vec, other []int64) {
 	h.CPU().TouchRange(proc, 0x1000, prm.VectorBytes, cache.Load)
 	h.CPU().TouchRange(proc, region, prm.VectorBytes, cache.Load)
-	h.CPU().Compute(proc, prm.HostAddInstr*int64(len(vec)))
+	h.CPU().Compute(proc, hostAddInstr*int64(len(vec)))
 	for i := range vec {
 		vec[i] = prm.Operator.Apply(vec[i], other[i])
 	}
@@ -257,16 +257,16 @@ func runBinomialGather(proc *sim.Proc, sh *shape, h *host.Host,
 // (every pair exchanges exactly one message, empty ones included so the
 // receive count is fixed), fold the arrivals.
 func runShuffleKeyAgg(proc *sim.Proc, sh *shape, h *host.Host,
-	rank int, prm Params, out [][]int64, setFinish func(sim.Time)) {
+	rank int, out [][]int64, setFinish func(sim.Time)) {
 	p := sh.p
-	recs := RecordsFor(rank, prm)
+	recs := RecordsFor(rank)
 	region := h.Space().Alloc(kaSize(len(recs)), 64)
 	// All ranks start their shuffle at the same instant: the settle-phase
 	// crossbar arbitrates same-instant arrivals by input port, so even a
 	// perfectly synchronized all-to-all burst is byte-identical at any
 	// partition count (see PERFORMANCE.md, "Determinism contract").
 	h.CPU().TouchRange(proc, region, kaSize(len(recs)), cache.Load)
-	h.CPU().Compute(proc, prm.HostAddInstr*int64(len(recs)))
+	h.CPU().Compute(proc, hostAddInstr*int64(len(recs)))
 
 	// Local combine, partitioned by home rank with keys in sorted order.
 	local := map[int64]int64{}
@@ -300,7 +300,7 @@ func runShuffleKeyAgg(proc *sim.Proc, sh *shape, h *host.Host,
 		}
 		m := recvPayload(proc, h, sh.hostIDs[j], kaShufFlow+int64(j)).(kaBatch)
 		h.CPU().TouchRange(proc, 0x1000, kaSize(len(m.Recs)), cache.Load)
-		h.CPU().Compute(proc, prm.HostAddInstr*int64(len(m.Recs)))
+		h.CPU().Compute(proc, hostAddInstr*int64(len(m.Recs)))
 		for _, kv := range m.Recs {
 			sums[kv.K] += kv.V
 		}

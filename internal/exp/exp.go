@@ -149,9 +149,7 @@ var Registry = []Experiment{
 		Title: "Grep: performance and breakdown",
 		run: func(cfg Config) *stats.Result {
 			// The paper's file is ~1.1 MB; no scaling needed.
-			prm := grep.DefaultParams()
-			prm.Env = cfg.Env
-			return grep.RunAll(prm)
+			return grep.RunAll(cfg.Env)
 		},
 	},
 	{
@@ -359,7 +357,6 @@ func runTable1(Config) *stats.Result {
 		size  string
 		check string
 	}
-	g := grep.DefaultParams()
 	m := mpeg.DefaultParams()
 	hj := hashjoin.DefaultParams()
 	se := sel.DefaultParams()
@@ -369,11 +366,11 @@ func runTable1(Config) *stats.Result {
 	rd := collective.DefaultParams()
 	rows := []row{
 		{"MPEG filter", fmt.Sprintf("%d B", m.FileSize), fmt.Sprintf("generated %d B, %.1f%% P-frames", m.FileSize, 100*float64(mpeg.PBytes(mpeg.BuildStream(m)))/float64(m.FileSize))},
-		{"HashJoin", fmt.Sprintf("%dM x %dM", hj.RBytes>>20, hj.SBytes>>20), fmt.Sprintf("%d B records, %d-bit filter", hj.RecordSize, hj.BitvecBits)},
-		{"Select", fmt.Sprintf("%dM", se.TableBytes>>20), fmt.Sprintf("%d B records", se.RecordSize)},
-		{"Grep", fmt.Sprintf("%d B", g.FileSize), fmt.Sprintf("%d matching lines for %q", g.Matches, g.Pattern)},
+		{"HashJoin", fmt.Sprintf("%dM x %dM", hj.RBytes>>20, hj.SBytes>>20), fmt.Sprintf("%d B records, %d-bit filter", hashjoin.RecordSize, hashjoin.BitvecBits)},
+		{"Select", fmt.Sprintf("%dM", se.TableBytes>>20), fmt.Sprintf("%d B records", sel.RecordSize)},
+		{"Grep", fmt.Sprintf("%d B", grep.FileSize), fmt.Sprintf("%d matching lines for %q", grep.Matches, grep.Pattern)},
 		{"Tar", fmt.Sprintf("%dM", int64(ta.Files)*ta.FileSize>>20), fmt.Sprintf("%d files x %d KB", ta.Files, ta.FileSize>>10)},
-		{"Parallel sort", fmt.Sprintf("%dM records", ps.Records>>20), fmt.Sprintf("%d B records, %d B keys, %d nodes", ps.RecordSize, ps.KeySize, ps.Hosts)},
+		{"Parallel sort", fmt.Sprintf("%dM records", ps.Records>>20), fmt.Sprintf("%d B records, %d B keys, %d nodes", psort.RecordSize, psort.KeySize, ps.Hosts)},
 		{"MD5", fmt.Sprintf("%dK", md.FileSize>>10), "K-chain interleave for multi-CPU"},
 		{"Collective reduction", fmt.Sprintf("%d B", rd.VectorBytes), fmt.Sprintf("%d-element vectors, up to 128 nodes", rd.Elems)},
 	}
